@@ -177,30 +177,38 @@ impl std::fmt::Display for Algorithm {
     }
 }
 
+/// Append `v` to `out` in wire form: little-endian f64s.
+pub(crate) fn put_f64s(v: &[f64], out: &mut Vec<u8>) {
+    let start = out.len();
+    out.resize(start + v.len() * 8, 0);
+    for (chunk, x) in out[start..].chunks_exact_mut(8).zip(v) {
+        chunk.copy_from_slice(&x.to_le_bytes());
+    }
+}
+
 /// Little-endian encoding of an f64 vector for the wire.
 pub fn f64s_to_bytes(v: &[f64]) -> Vec<u8> {
     let mut out = Vec::with_capacity(v.len() * 8);
-    for x in v {
-        out.extend_from_slice(&x.to_le_bytes());
-    }
+    put_f64s(v, &mut out);
     out
 }
 
-/// Inverse of [`f64s_to_bytes`]. Panics on a torn buffer — the
-/// protocol layer below already guarantees whole-message delivery.
-pub fn bytes_to_f64s(b: &[u8]) -> Vec<f64> {
+/// The f64s of a wire buffer, decoded as they are read. Panics on a
+/// torn buffer — the protocol layer below already guarantees
+/// whole-message delivery.
+pub(crate) fn f64s_le(b: &[u8]) -> impl ExactSizeIterator<Item = f64> + '_ {
     assert!(
         b.len().is_multiple_of(8),
         "f64 wire buffer length {} is not a multiple of 8",
         b.len()
     );
     b.chunks_exact(8)
-        .map(|c| {
-            let mut a = [0u8; 8];
-            a.copy_from_slice(c);
-            f64::from_le_bytes(a)
-        })
-        .collect()
+        .map(|c| f64::from_le_bytes(c.try_into().expect("f64 wire chunk is 8 bytes")))
+}
+
+/// Inverse of [`f64s_to_bytes`]. Panics on a torn buffer.
+pub fn bytes_to_f64s(b: &[u8]) -> Vec<f64> {
+    f64s_le(b).collect()
 }
 
 #[cfg(test)]

@@ -201,6 +201,46 @@ impl Schedule {
         out
     }
 
+    /// Append a send's payload — the listed state ranges, in order — to
+    /// `out` in wire form, without an intermediate f64 vector.
+    pub fn gather_bytes(ranges: &[Range<usize>], state: &[f64], out: &mut Vec<u8>) {
+        out.reserve(ranges_elems(ranges) * 8);
+        for r in ranges {
+            crate::put_f64s(&state[r.clone()], out);
+        }
+    }
+
+    /// Fold a received wire payload into the listed state ranges per
+    /// `op`, decoding each f64 as it is folded — the same arithmetic,
+    /// in the same order, as [`Schedule::apply_recv`] on the decoded
+    /// vector.
+    pub fn fold_bytes(ranges: &[Range<usize>], op: RecvOp, payload: &[u8], state: &mut [f64]) {
+        assert_eq!(
+            payload.len(),
+            ranges_elems(ranges) * 8,
+            "wire payload does not match its receive ranges"
+        );
+        let mut rest = payload;
+        for r in ranges {
+            let (chunk, tail) = rest.split_at(r.len() * 8);
+            rest = tail;
+            let values = crate::f64s_le(chunk);
+            match op {
+                RecvOp::Sum => {
+                    for (dst, add) in state[r.clone()].iter_mut().zip(values) {
+                        *dst += add;
+                    }
+                }
+                RecvOp::Copy => {
+                    for (dst, v) in state[r.clone()].iter_mut().zip(values) {
+                        *dst = v;
+                    }
+                }
+                RecvOp::Discard => {}
+            }
+        }
+    }
+
     /// Fold a received payload into the state per the recv's op.
     pub fn apply_recv(recv: &RecvSpec, payload: &[f64], state: &mut [f64]) {
         assert_eq!(
@@ -879,6 +919,38 @@ mod tests {
                     .collect()
             })
             .collect()
+    }
+
+    #[test]
+    fn wire_gather_and_fold_match_the_f64_path_bit_for_bit() {
+        // Non-integer values, so a reordered or re-rounded sum would show.
+        let state: Vec<f64> = (0..40).map(|i| f64::from(i) * 0.1 - 1.7).collect();
+        let ranges = vec![3..9, 20..21, 30..40];
+        let mut wire = vec![0xEE];
+        Schedule::gather_bytes(&ranges, &state, &mut wire);
+        assert_eq!(
+            &wire[1..],
+            &crate::f64s_to_bytes(&Schedule::gather(&ranges, &state))[..]
+        );
+        for op in [RecvOp::Sum, RecvOp::Copy, RecvOp::Discard] {
+            let recv = RecvSpec {
+                from: 1,
+                ranges: vec![0..6, 10..11, 25..35],
+                op,
+            };
+            let mut via_f64 = state.clone();
+            Schedule::apply_recv(&recv, &crate::bytes_to_f64s(&wire[1..]), &mut via_f64);
+            let mut via_bytes = state.clone();
+            Schedule::fold_bytes(&recv.ranges, op, &wire[1..], &mut via_bytes);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&via_bytes), bits(&via_f64), "{op:?}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "does not match its receive ranges")]
+    fn fold_bytes_rejects_a_mis_sized_payload() {
+        Schedule::fold_bytes(&[0..2], RecvOp::Sum, &[0u8; 8], &mut [0.0; 2]);
     }
 
     #[test]

@@ -52,11 +52,13 @@
 //!   exactly like the FFT driver.
 
 use std::any::Any;
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Range;
 
-use acc_coll::plan::{ranges_elems, RecvSpec, Round};
+use acc_coll::plan::{ranges_elems, Round};
 use acc_coll::recovery::{split_round, RoundLegs};
-use acc_coll::{bytes_to_f64s, f64s_to_bytes, OffloadPlan, RecvOp, Schedule};
+use acc_coll::{OffloadPlan, RecvOp, Schedule};
 use acc_fpga::{
     GatherKind, InicConfigure, InicConfigured, InicExpect, InicGatherComplete, InicRecover,
     InicScatter, InicScatterDone, ScatterKind,
@@ -103,6 +105,8 @@ pub struct CollDriver {
     round: usize,
     /// Inbound TCP bytes keyed by `(src rank, round channel)` — peers
     /// may run ahead, so future rounds accumulate here until we arrive.
+    /// Each buffer is sized once, from the receive spec, on its first
+    /// delivery.
     rx: BTreeMap<(usize, u16), Vec<u8>>,
     await_gather: bool,
     await_scatter: bool,
@@ -310,6 +314,30 @@ impl CollDriver {
         }
     }
 
+    /// The wire form of `ranges` of the state, in one exact-size buffer.
+    fn encode(&self, ranges: &[Range<usize>]) -> Vec<u8> {
+        let mut out = Vec::with_capacity(ranges_elems(ranges) * 8);
+        Schedule::gather_bytes(ranges, &self.state, &mut out);
+        out
+    }
+
+    /// Bytes of the message from `src` on `chan`, when `chan` names a
+    /// round of the current epoch that receives from `src` (0 otherwise:
+    /// a dead epoch's leftovers are never folded).
+    fn expected_rx_bytes(&self, src: usize, chan: u16) -> usize {
+        let rounds = self.schedule.rounds.len() as u64;
+        u64::from(chan)
+            .checked_sub(self.epoch * (rounds + 1))
+            .filter(|&r| r < rounds)
+            .and_then(|r| {
+                self.schedule.rounds[r as usize]
+                    .recvs
+                    .iter()
+                    .find(|recv| recv.from == src)
+            })
+            .map_or(0, |recv| ranges_elems(&recv.ranges) * 8)
+    }
+
     fn begin(&mut self, ctx: &mut Ctx) {
         self.timings.started_at = Some(ctx.now());
         self.started = true;
@@ -326,27 +354,28 @@ impl CollDriver {
                 self.finish(ctx);
                 return;
             }
-            let phase = self.current_round().phase;
-            if phase != self.current_phase {
-                self.current_phase = phase;
+            let round = &self.schedule.rounds[self.round];
+            if round.phase != self.current_phase {
+                self.current_phase = round.phase;
                 self.phase_entered = ctx.now();
             }
-            let round = self.current_round().clone();
-            Schedule::apply_copies(&round, &mut self.state);
+            Schedule::apply_copies(round, &mut self.state);
+            let compute_elems = round.compute_elems;
             if round.sends.is_empty() && round.recvs.is_empty() {
                 // Pure local round: charge any modelled compute and move
                 // on; an entirely empty round falls straight through.
-                if round.compute_elems > 0 {
-                    self.charge(ctx, self.sweep_time(round.compute_elems));
+                if compute_elems > 0 {
+                    self.charge(ctx, self.sweep_time(compute_elems));
                     return;
                 }
                 self.advance_round();
                 continue;
             }
             self.round_started = ctx.now();
-            match &self.attachment {
-                Attachment::Tcp { .. } => self.issue_tcp_round(&round, ctx),
-                Attachment::Inic { .. } => self.issue_inic_round(&round, ctx),
+            if self.is_tcp() {
+                self.issue_tcp_round(ctx);
+            } else {
+                self.issue_inic_round(ctx);
             }
             return;
         }
@@ -366,19 +395,18 @@ impl CollDriver {
 
     // ---- host-TCP path -------------------------------------------------
 
-    fn issue_tcp_round(&mut self, round: &Round, ctx: &mut Ctx) {
-        let (nic, macs) = match &self.attachment {
-            Attachment::Tcp { nic, macs } => (*nic, macs.clone()),
-            Attachment::Inic { .. } => unreachable!("TCP round on an INIC attachment"),
+    fn issue_tcp_round(&mut self, ctx: &mut Ctx) {
+        let Attachment::Tcp { nic, macs } = &self.attachment else {
+            unreachable!("TCP round on an INIC attachment")
         };
         let chan = self.chan();
-        for send in &round.sends {
+        for send in &self.current_round().sends {
             ctx.send_now(
-                nic,
+                *nic,
                 TcpSend {
                     peer: macs[send.to],
                     chan,
-                    data: f64s_to_bytes(&Schedule::gather(&send.ranges, &self.state)),
+                    data: self.encode(&send.ranges),
                 },
             );
         }
@@ -394,8 +422,7 @@ impl CollDriver {
             return;
         }
         let chan = self.chan();
-        let round = self.current_round().clone();
-        let complete = round.recvs.iter().all(|r| {
+        let complete = self.current_round().recvs.iter().all(|r| {
             let want = ranges_elems(&r.ranges) * 8;
             self.rx
                 .get(&(r.from, chan))
@@ -405,7 +432,7 @@ impl CollDriver {
             return;
         }
         let mut sum_elems = 0u64;
-        for recv in &round.recvs {
+        for recv in &self.schedule.rounds[self.round].recvs {
             let bytes = self
                 .rx
                 .remove(&(recv.from, chan))
@@ -421,9 +448,9 @@ impl CollDriver {
             if recv.op == RecvOp::Sum {
                 sum_elems += ranges_elems(&recv.ranges) as u64;
             }
-            Schedule::apply_recv(recv, &bytes_to_f64s(&bytes), &mut self.state);
+            Schedule::fold_bytes(&recv.ranges, recv.op, &bytes, &mut self.state);
         }
-        self.close_round(ctx, &round, sum_elems);
+        self.close_round(ctx, sum_elems);
     }
 
     fn is_tcp(&self) -> bool {
@@ -443,28 +470,39 @@ impl CollDriver {
         split_round(self.current_round(), &self.dead, self.card_folds())
     }
 
-    fn issue_inic_round(&mut self, round: &Round, ctx: &mut Ctx) {
+    fn issue_inic_round(&mut self, ctx: &mut Ctx) {
         let (card, macs) = match &self.attachment {
             Attachment::Inic { card, macs, .. } => (*card, macs.clone()),
             Attachment::Tcp { .. } => unreachable!("INIC round on a TCP attachment"),
         };
-        let legs = split_round(round, &self.dead, self.card_folds());
+        let legs = self.current_legs();
         let stream = self.stream();
-        let mut data = Vec::new();
+        // Every card-bound part, encoded straight into the one scatter
+        // buffer: the sends in order, then (for a fold) this rank's own
+        // contribution.
+        let own = legs.card_fold.then(|| &legs.card_recvs[0].ranges);
+        let elems: usize = legs
+            .card_sends
+            .iter()
+            .map(|send| &send.ranges)
+            .chain(own)
+            .map(|ranges| ranges_elems(ranges))
+            .sum();
+        let mut data = Vec::with_capacity(elems * 8);
         let mut parts: Vec<(u32, usize)> = Vec::new();
         for send in &legs.card_sends {
-            let bytes = f64s_to_bytes(&Schedule::gather(&send.ranges, &self.state));
-            parts.push((send.to as u32, bytes.len()));
-            data.extend_from_slice(&bytes);
+            let start = data.len();
+            Schedule::gather_bytes(&send.ranges, &self.state, &mut data);
+            parts.push((send.to as u32, data.len() - start));
         }
         if legs.card_fold {
             // One fused gather: the card folds the peer stream against
             // this rank's looped-back contribution, element-wise.
             let recv = &legs.card_recvs[0];
             let elems = ranges_elems(&recv.ranges);
-            let own = f64s_to_bytes(&Schedule::gather(&recv.ranges, &self.state));
-            parts.push((self.rank as u32, own.len()));
-            data.extend_from_slice(&own);
+            let start = data.len();
+            Schedule::gather_bytes(&recv.ranges, &self.state, &mut data);
+            parts.push((self.rank as u32, data.len() - start));
             ctx.send_now(
                 card,
                 InicExpect {
@@ -532,7 +570,7 @@ impl CollDriver {
                     TcpSend {
                         peer: fb_macs[send.to],
                         chan,
-                        data: f64s_to_bytes(&Schedule::gather(&send.ranges, &self.state)),
+                        data: self.encode(&send.ranges),
                     },
                 );
             }
@@ -547,9 +585,8 @@ impl CollDriver {
         if !(self.await_gather || self.await_scatter || self.await_tcp) {
             // Every counterparty is dead and nothing is expected back:
             // the round closes on the spot.
-            let round = self.current_round().clone();
             let sum = std::mem::take(&mut self.pending_sum_elems);
-            self.close_round(ctx, &round, sum);
+            self.close_round(ctx, sum);
             return;
         }
         // A degraded peer running ahead may have pre-delivered its legs.
@@ -590,7 +627,7 @@ impl CollDriver {
             if recv.op == RecvOp::Sum {
                 host_sum_elems += ranges_elems(&recv.ranges) as u64;
             }
-            Schedule::apply_recv(recv, &bytes_to_f64s(&bytes), &mut self.state);
+            Schedule::fold_bytes(&recv.ranges, recv.op, &bytes, &mut self.state);
         }
         self.await_tcp = false;
         self.maybe_close_inic_round(ctx, host_sum_elems);
@@ -609,12 +646,7 @@ impl CollDriver {
         if legs.card_fold {
             // The card already folded own + peer; overwrite in place.
             let recv = &legs.card_recvs[0];
-            let folded = RecvSpec {
-                from: recv.from,
-                ranges: recv.ranges.clone(),
-                op: RecvOp::Copy,
-            };
-            Schedule::apply_recv(&folded, &bytes_to_f64s(&g.data), &mut self.state);
+            Schedule::fold_bytes(&recv.ranges, RecvOp::Copy, &g.data, &mut self.state);
         } else {
             // Raw concatenation sorted by source rank; slice it back to
             // the schedule's receives and fold on the host.
@@ -630,7 +662,7 @@ impl CollDriver {
                 if recv.op == RecvOp::Sum {
                     host_sum_elems += ranges_elems(&recv.ranges) as u64;
                 }
-                Schedule::apply_recv(recv, &bytes_to_f64s(bytes), &mut self.state);
+                Schedule::fold_bytes(&recv.ranges, recv.op, bytes, &mut self.state);
             }
         }
         self.maybe_close_inic_round(ctx, host_sum_elems);
@@ -641,23 +673,23 @@ impl CollDriver {
         if self.await_gather || self.await_scatter || self.await_tcp {
             return;
         }
-        let round = self.current_round().clone();
         let sum_elems = std::mem::take(&mut self.pending_sum_elems);
-        self.close_round(ctx, &round, sum_elems);
+        self.close_round(ctx, sum_elems);
     }
 
     // ---- shared round epilogue ----------------------------------------
 
-    /// Transfers done: account comm, charge host compute (folds + the
-    /// modelled sweep), then advance.
-    fn close_round(&mut self, ctx: &mut Ctx, round: &Round, host_sum_elems: u64) {
+    /// The current round's transfers are done: account comm, charge
+    /// host compute (folds + the modelled sweep), then advance.
+    fn close_round(&mut self, ctx: &mut Ctx, host_sum_elems: u64) {
         self.timings.comm += ctx.now().since(self.round_started);
         let mut t = SimDuration::ZERO;
         if host_sum_elems > 0 {
             t += self.kernels.reduce_time(host_sum_elems, 2);
         }
-        if round.compute_elems > 0 {
-            t += self.sweep_time(round.compute_elems);
+        let compute_elems = self.current_round().compute_elems;
+        if compute_elems > 0 {
+            t += self.sweep_time(compute_elems);
         }
         if t > SimDuration::ZERO {
             self.charge(ctx, t);
@@ -919,14 +951,22 @@ impl Component for CollDriver {
         };
         let ev = match ev.downcast::<TcpDelivered>() {
             Ok(d) => {
+                let TcpDelivered { peer, chan, data } = *d;
                 let src = self
                     .attachment
-                    .resolve_src(d.peer)
+                    .resolve_src(peer)
                     .expect("delivery from an unknown peer");
-                self.rx
-                    .entry((src, d.chan))
-                    .or_default()
-                    .extend_from_slice(&d.data);
+                let want = self.expected_rx_bytes(src, chan);
+                match self.rx.entry((src, chan)) {
+                    Entry::Vacant(slot) => {
+                        // The first delivery becomes the buffer, grown
+                        // once to the whole message.
+                        let mut buf = data;
+                        buf.reserve_exact(want.saturating_sub(buf.len()));
+                        slot.insert(buf);
+                    }
+                    Entry::Occupied(mut slot) => slot.get_mut().extend_from_slice(&data),
+                }
                 self.try_complete_tcp_round(ctx);
                 self.try_complete_inic_tcp_legs(ctx);
                 return;

@@ -34,8 +34,8 @@ use acc_algos::transpose::{
     bytes_to_slab, extract_transposed_block, interleave_block, slab_to_bytes,
 };
 use acc_net::port::EgressPort;
-use acc_net::{EtherType, Frame, FrameArrival, MacAddr, PortTxDone};
-use acc_proto::{packetize, InicPacket, StreamDemux, INIC_HEADER, INIC_PAYLOAD};
+use acc_net::{EtherType, Frame, FrameArrival, MacAddr, PayloadView, PortTxDone};
+use acc_proto::{packetize_view, InicPacket, StreamDemux, INIC_HEADER, INIC_PAYLOAD};
 use acc_sim::{Bandwidth, Component, ComponentId, Ctx, DataSize, SimDuration, SimTime};
 
 use crate::device::{Bitstream, ConfigError, FpgaDevice};
@@ -666,25 +666,30 @@ impl InicCard {
         // Scatter data is streamed, never resident: only a FIFO's worth
         // of packets occupies card memory at any instant, so no
         // reservation is taken against the device's memory budget.
-        let p = scatter.dests.len();
-        let chunks: Vec<(Option<MacAddr>, InicPacket)> = match &scatter.kind {
-            ScatterKind::TransposeBlocks { m } => self.plan_transpose_scatter(&scatter, *m, p),
+        // Packets cut from the host buffer view it rather than copy it.
+        let InicScatter {
+            stream,
+            kind,
+            data,
+            dests,
+        } = scatter;
+        let data = PayloadView::new(data);
+        let p = dests.len();
+        let chunks: Vec<(Option<MacAddr>, InicPacket)> = match &kind {
+            ScatterKind::TransposeBlocks { m } => {
+                self.plan_transpose_scatter(stream, &data, &dests, *m)
+            }
             ScatterKind::BucketKeys { p: kp, splitters } => {
                 assert_eq!(*kp, p, "bucket fan-out must match dests");
-                let splitters = splitters.clone();
-                self.plan_bucket_scatter(&scatter, p, splitters.as_deref())
+                self.plan_bucket_scatter(stream, &data, &dests, splitters.as_deref())
             }
-            ScatterKind::Raw { parts } => {
-                let parts = parts.clone();
-                self.plan_raw_scatter(&scatter, &parts, p)
-            }
-            ScatterKind::Broadcast => self.plan_broadcast_scatter(&scatter, p),
+            ScatterKind::Raw { parts } => self.plan_raw_scatter(stream, &data, &dests, parts),
+            ScatterKind::Broadcast => self.plan_broadcast_scatter(stream, &data, &dests),
             ScatterKind::Unicast { parts } => {
-                let parts = parts.clone();
-                self.plan_unicast_scatter(&scatter, &parts)
+                self.plan_unicast_scatter(stream, &data, &dests, parts)
             }
         };
-        let broadcast = matches!(scatter.kind, ScatterKind::Broadcast);
+        let broadcast = matches!(kind, ScatterKind::Broadcast);
         let n = chunks.len();
         let mut seen_offsets: BTreeSet<u32> = BTreeSet::new();
         for (i, (dest, pkt)) in chunks.into_iter().enumerate() {
@@ -701,31 +706,34 @@ impl InicCard {
         self.admit_next_chunk(ctx);
     }
 
+    /// Where a packet for rank `q` goes: `None` loops back through card
+    /// memory (our own rank), otherwise the rank's MAC.
+    fn route(&self, dests: &[MacAddr], q: usize) -> Option<MacAddr> {
+        (q != self.my_rank as usize).then(|| dests[q])
+    }
+
     /// Cut an FFT slab into per-destination transposed blocks.
     fn plan_transpose_scatter(
         &self,
-        scatter: &InicScatter,
+        stream: u32,
+        data: &[u8],
+        dests: &[MacAddr],
         m: usize,
-        p: usize,
     ) -> Vec<(Option<MacAddr>, InicPacket)> {
+        let p = dests.len();
         let elem = 16;
-        let total_elems = scatter.data.len() / elem;
+        let total_elems = data.len() / elem;
         let rows = total_elems / m;
         assert_eq!(rows, m * p, "slab shape inconsistent with dests");
-        let slab = bytes_to_slab(&scatter.data, m, rows);
+        let slab = bytes_to_slab(data, m, rows);
         let mut out = Vec::new();
         // Destinations in ring-schedule order: start with our own block
         // (it never touches the wire), then (rank+1), (rank+2), …
         for step in 0..p {
             let q = (self.my_rank as usize + step) % p;
-            let block = extract_transposed_block(&slab, q);
-            let bytes = slab_to_bytes(&block);
-            let dest = if q == self.my_rank as usize {
-                None
-            } else {
-                Some(scatter.dests[q])
-            };
-            for pkt in packetize(self.my_rank, scatter.stream, &bytes) {
+            let block = PayloadView::new(slab_to_bytes(&extract_transposed_block(&slab, q)));
+            let dest = self.route(dests, q);
+            for pkt in packetize_view(self.my_rank, stream, &block) {
                 out.push((dest, pkt));
             }
         }
@@ -737,11 +745,13 @@ impl InicCard {
     /// threshold).
     fn plan_bucket_scatter(
         &self,
-        scatter: &InicScatter,
-        p: usize,
+        stream: u32,
+        data: &[u8],
+        dests: &[MacAddr],
         splitters: Option<&[u32]>,
     ) -> Vec<(Option<MacAddr>, InicPacket)> {
-        let keys = bytes_to_keys(&scatter.data);
+        let p = dests.len();
+        let keys = bytes_to_keys(data);
         let mut staging: Vec<Vec<u32>> = vec![Vec::new(); p];
         let mut offsets: Vec<u32> = vec![0; p];
         let keys_per_pkt = INIC_PAYLOAD / 4;
@@ -755,22 +765,17 @@ impl InicCard {
             staging[q].clear();
             let pkt = InicPacket {
                 src_rank: self.my_rank,
-                stream: scatter.stream,
+                stream,
                 offset: offsets[q],
                 fin,
                 credit: false,
                 nack: false,
                 ack: false,
                 busy: false,
-                data: bytes,
+                data: PayloadView::new(bytes),
             };
             offsets[q] += pkt.data.len() as u32;
-            let dest = if q == self.my_rank as usize {
-                None
-            } else {
-                Some(scatter.dests[q])
-            };
-            out.push((dest, pkt));
+            out.push((self.route(dests, q), pkt));
         };
         for &key in &keys {
             // P=1 degenerates to a local pass-through.
@@ -796,29 +801,30 @@ impl InicCard {
     /// transform (protocol-processor mode).
     fn plan_raw_scatter(
         &self,
-        scatter: &InicScatter,
+        stream: u32,
+        data: &PayloadView,
+        dests: &[MacAddr],
         parts: &[usize],
-        p: usize,
     ) -> Vec<(Option<MacAddr>, InicPacket)> {
+        let p = dests.len();
         let mut out = Vec::new();
         let mut offset = 0usize;
         for step in 0..p {
             let q = (self.my_rank as usize + step) % p;
             let len = parts[q];
-            let segment = &scatter.data[offset..offset + len];
+            let segment = data.subview(offset, offset + len);
             offset += len;
-            let local = q == self.my_rank as usize;
-            if local && len == 0 {
+            let dest = self.route(dests, q);
+            if dest.is_none() && len == 0 {
                 // Nothing for ourselves: no loopback fin needed (remote
                 // peers still get one so they learn a zero total).
                 continue;
             }
-            let dest = if local { None } else { Some(scatter.dests[q]) };
-            for pkt in packetize(self.my_rank, scatter.stream, segment) {
+            for pkt in packetize_view(self.my_rank, stream, &segment) {
                 out.push((dest, pkt));
             }
         }
-        assert_eq!(offset, scatter.data.len(), "raw parts did not consume data");
+        assert_eq!(offset, data.len(), "raw parts did not consume data");
         out
     }
 
@@ -828,28 +834,22 @@ impl InicCard {
     /// with it the `InicScatterDone` — always exists.
     fn plan_unicast_scatter(
         &self,
-        scatter: &InicScatter,
+        stream: u32,
+        data: &PayloadView,
+        dests: &[MacAddr],
         parts: &[(u32, usize)],
     ) -> Vec<(Option<MacAddr>, InicPacket)> {
         let mut out = Vec::new();
         let mut offset = 0usize;
         for &(q, len) in parts {
-            let segment = &scatter.data[offset..offset + len];
+            let segment = data.subview(offset, offset + len);
             offset += len;
-            let dest = if q == self.my_rank {
-                None
-            } else {
-                Some(scatter.dests[q as usize])
-            };
-            for pkt in packetize(self.my_rank, scatter.stream, segment) {
+            let dest = self.route(dests, q as usize);
+            for pkt in packetize_view(self.my_rank, stream, &segment) {
                 out.push((dest, pkt));
             }
         }
-        assert_eq!(
-            offset,
-            scatter.data.len(),
-            "unicast parts did not consume data"
-        );
+        assert_eq!(offset, data.len(), "unicast parts did not consume data");
         out
     }
 
@@ -858,20 +858,17 @@ impl InicCard {
     /// and its card-memory replicas follow immediately.
     fn plan_broadcast_scatter(
         &self,
-        scatter: &InicScatter,
-        p: usize,
+        stream: u32,
+        data: &PayloadView,
+        dests: &[MacAddr],
     ) -> Vec<(Option<MacAddr>, InicPacket)> {
-        let pkts = packetize(self.my_rank, scatter.stream, &scatter.data);
+        let p = dests.len();
+        let pkts = packetize_view(self.my_rank, stream, data);
         let mut out = Vec::with_capacity(pkts.len() * p);
         for pkt in pkts {
             for step in 0..p {
                 let q = (self.my_rank as usize + step) % p;
-                let dest = if q == self.my_rank as usize {
-                    None
-                } else {
-                    Some(scatter.dests[q])
-                };
-                out.push((dest, pkt.clone()));
+                out.push((self.route(dests, q), pkt.clone()));
             }
         }
         out
@@ -976,43 +973,50 @@ impl InicCard {
         }
         // Start the next chunk's DMA immediately (pipelining).
         self.admit_next_chunk(ctx);
-        let bytes = DataSize::from_bytes((chunk.pkt.data.len() + INIC_HEADER) as u64);
-        match chunk.dest {
+        let SendChunk {
+            dest,
+            pkt,
+            ends_scatter,
+            ..
+        } = chunk;
+        let stream = pkt.stream;
+        let bytes = DataSize::from_bytes((pkt.data.len() + INIC_HEADER) as u64);
+        match dest {
             Some(mac) => {
                 let t3 = self.ports.net_out(ctx.now(), bytes);
-                let frame = Frame::try_new(self.mac, mac, EtherType::Inic, chunk.pkt.encode())
+                let frame = Frame::try_new(self.mac, mac, EtherType::Inic, pkt.encode())
                     .unwrap_or_else(|e| panic!("{}: tx packet exceeds MTU ({e})", self.label));
                 ctx.self_in(t3.since(ctx.now()), EmitFrame { frame });
                 if self.reliability {
-                    // Keep a copy until the receiver ACKs the stream,
-                    // and make sure a retransmission timer is running.
-                    let key = (mac, chunk.pkt.stream);
-                    let entry = self.tx_window.entry(key).or_insert_with(TxStream::new);
-                    entry.pending.insert(chunk.pkt.offset, chunk.pkt.clone());
+                    // Keep the packet (a view: no copy) until the
+                    // receiver ACKs the stream, and make sure a
+                    // retransmission timer is running.
+                    let entry = self
+                        .tx_window
+                        .entry((mac, stream))
+                        .or_insert_with(TxStream::new);
+                    entry.pending.insert(pkt.offset, pkt);
                     if !entry.armed {
                         entry.armed = true;
                         entry.gen += 1;
                         let timer = RetransTimer {
                             dest: mac,
-                            stream: chunk.pkt.stream,
+                            stream,
                             gen: entry.gen,
                         };
                         let timeout = entry.timeout;
                         ctx.self_in(timeout, timer);
                     }
                 }
-                if chunk.ends_scatter {
-                    let stream = chunk.pkt.stream;
+                if ends_scatter {
                     ctx.send_in(t3.since(ctx.now()), self.app, InicScatterDone { stream });
                 }
             }
             None => {
                 // Local loopback: pass straight to the receive transform.
                 let t3 = self.xform_recv.reserve(ctx.now(), bytes);
-                let pkt = chunk.pkt.clone();
                 ctx.self_in(t3.since(ctx.now()), RecvProcessed { pkt, src_mac: None });
-                if chunk.ends_scatter {
-                    let stream = chunk.pkt.stream;
+                if ends_scatter {
                     ctx.send_in(t3.since(ctx.now()), self.app, InicScatterDone { stream });
                 }
             }
@@ -1320,13 +1324,22 @@ impl InicCard {
             }
             GatherKind::Raw => {
                 // Per-source concatenation (already sorted by rank),
-                // with per-source end offsets in the bounds.
-                let mut flat = Vec::new();
+                // with per-source end offsets in the bounds. A single
+                // source's stream is handed over as assembled.
                 let mut bounds = Vec::with_capacity(gather.done.len());
-                for (_src, bytes) in &gather.done {
-                    flat.extend_from_slice(bytes);
-                    bounds.push(flat.len());
-                }
+                let flat = if gather.done.len() == 1 {
+                    let (_src, bytes) = gather.done.pop().expect("one source");
+                    bounds.push(bytes.len());
+                    bytes
+                } else {
+                    let total = gather.done.iter().map(|(_, b)| b.len()).sum();
+                    let mut flat = Vec::with_capacity(total);
+                    for (_src, bytes) in &gather.done {
+                        flat.extend_from_slice(bytes);
+                        bounds.push(flat.len());
+                    }
+                    flat
+                };
                 (flat, Some(bounds))
             }
             GatherKind::ReduceF64 { elems } => {
@@ -1342,9 +1355,9 @@ impl InicCard {
                     }
                 }
                 self.release_memory(elems as u64 * 8);
-                let mut out = Vec::with_capacity(elems * 8);
-                for v in acc {
-                    out.extend_from_slice(&v.to_le_bytes());
+                let mut out = vec![0u8; elems * 8];
+                for (chunk, v) in out.chunks_exact_mut(8).zip(&acc) {
+                    chunk.copy_from_slice(&v.to_le_bytes());
                 }
                 (out, None)
             }

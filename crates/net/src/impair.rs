@@ -35,6 +35,13 @@ pub enum Verdict {
     Delay(SimDuration),
 }
 
+/// The xor mask of each of [`Impairment::corrupt_payload`]'s up to three
+/// flips. No non-empty subset xors to zero (0x55 ^ 0xAA = 0xFF,
+/// 0x55 ^ 0x0F = 0x5A, 0xAA ^ 0x0F = 0xA5, all three = 0xF0), so flips
+/// that land on the same byte never cancel: a corrupted frame always
+/// differs from the one sent.
+const FLIP_MASKS: [u8; 3] = [0x55, 0xAA, 0x0F];
+
 /// Per-link fault model: probabilistic loss/corruption/reorder/jitter
 /// plus absolute-time outage and buffer-squeeze windows.
 #[derive(Debug, Clone)]
@@ -168,10 +175,9 @@ impl Impairment {
             return;
         }
         let flips = 1 + self.rng.gen_range(3) as usize;
-        for _ in 0..flips {
+        for &mask in &FLIP_MASKS[..flips] {
             let i = self.rng.gen_range(payload.len() as u64) as usize;
-            // XOR with a non-zero mask always changes the byte.
-            payload[i] ^= 0x55;
+            payload[i] ^= mask;
         }
     }
 
@@ -237,13 +243,18 @@ mod tests {
 
     #[test]
     fn corruption_always_changes_payload() {
+        // 1- and 2-byte payloads make repeated flips of one byte common
+        // (certain, for one byte and two or three flips); none may cancel.
         let mut i = imp().with_corruption(1.0);
         for n in [1usize, 2, 100, 1024] {
-            let orig = vec![0xA0u8; n];
-            let mut p = orig.clone();
-            assert!(matches!(i.judge(SimTime::ZERO), Verdict::Corrupt));
-            i.corrupt_payload(&mut p);
-            assert_ne!(p, orig, "payload of {n} bytes unchanged");
+            let draws = if n <= 2 { 10_000 } else { 100 };
+            for draw in 0..draws {
+                let orig = vec![0xA0u8; n];
+                let mut p = orig.clone();
+                assert!(matches!(i.judge(SimTime::ZERO), Verdict::Corrupt));
+                i.corrupt_payload(&mut p);
+                assert_ne!(p, orig, "payload of {n} bytes unchanged at draw {draw}");
+            }
         }
     }
 

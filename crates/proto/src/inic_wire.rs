@@ -14,10 +14,13 @@
 //! [4..8)   offset     u32 LE — byte offset of this payload in the stream
 //! [8..10)  len        u16 LE — payload length
 //! [10..12) flags      u16 LE — FIN | CREDIT | NACK | ACK | BUSY
-//! [12..16) checksum   u32 LE — FNV-1a over header bytes [0..12) + data
+//! [12..16) checksum   u32 LE — wire_checksum over header bytes [0..12) + data
 //! ```
 //!
-//! The checksum makes corruption *detectable*; the `offset` field makes
+//! The checksum (the word-at-a-time function in `checksum.rs`, shared
+//! with the TCP codec) makes corruption *detectable*: every step of it
+//! is a bijection in the running value, so any single-byte mutation of
+//! header or data changes it. The `offset` field makes
 //! retransmission *idempotent* (a duplicate lands on an already-filled
 //! segment and is ignored); ACK/NACK control packets make loss
 //! *recoverable* by the sender-side window in the card model. On a clean
@@ -25,6 +28,10 @@
 //! 16 bytes the paper's protocol pays either way.
 
 use std::collections::{BTreeMap, BTreeSet};
+
+use acc_net::PayloadView;
+
+use crate::checksum::wire_checksum;
 
 /// Maximum data bytes per INIC packet. The paper's prototype uses
 /// 1024-byte packets ("packets with 1 KB of data each").
@@ -55,19 +62,6 @@ pub enum WireError {
     Oversize,
 }
 
-/// FNV-1a over a couple of byte slices — cheap, deterministic, and
-/// sensitive to single-bit flips anywhere in header or data.
-fn fnv1a(parts: &[&[u8]]) -> u32 {
-    let mut h: u32 = 0x811C_9DC5;
-    for part in parts {
-        for &b in *part {
-            h ^= u32::from(b);
-            h = h.wrapping_mul(0x0100_0193);
-        }
-    }
-    h
-}
-
 /// One packet of the INIC protocol.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct InicPacket {
@@ -90,8 +84,10 @@ pub struct InicPacket {
     /// retransmissions" — `offset` carries the hold in microseconds
     /// (no data).
     pub busy: bool,
-    /// Payload bytes.
-    pub data: Vec<u8>,
+    /// Payload bytes: a view into the buffer the packet was cut from
+    /// (sender) or the frame it arrived in (receiver), so cloning a
+    /// packet never copies its data.
+    pub data: PayloadView,
 }
 
 impl InicPacket {
@@ -106,7 +102,7 @@ impl InicPacket {
             nack: false,
             ack: false,
             busy: false,
-            data: Vec::new(),
+            data: PayloadView::empty(),
         }
     }
 
@@ -121,7 +117,7 @@ impl InicPacket {
             nack: false,
             ack: true,
             busy: false,
-            data: Vec::new(),
+            data: PayloadView::empty(),
         }
     }
 
@@ -136,7 +132,7 @@ impl InicPacket {
             nack: true,
             ack: false,
             busy: false,
-            data: Vec::new(),
+            data: PayloadView::empty(),
         }
     }
 
@@ -153,7 +149,7 @@ impl InicPacket {
             nack: false,
             ack: false,
             busy: true,
-            data: Vec::new(),
+            data: PayloadView::empty(),
         }
     }
 
@@ -219,14 +215,15 @@ impl InicPacket {
             flags |= FLAG_BUSY;
         }
         out[10..12].copy_from_slice(&flags.to_le_bytes());
-        let sum = fnv1a(&[&out[0..12], &self.data]);
+        let sum = wire_checksum(&out[0..12], &self.data);
         out[12..16].copy_from_slice(&sum.to_le_bytes());
         out[INIC_HEADER..].copy_from_slice(&self.data);
         Ok(out)
     }
 
-    /// Parse wire bytes, verifying structure and checksum.
-    pub fn decode(bytes: &[u8]) -> Result<InicPacket, WireError> {
+    /// Parse a frame payload, verifying structure and checksum. The
+    /// packet's data is a sub-view of `bytes`: no payload copy.
+    pub fn decode(bytes: &PayloadView) -> Result<InicPacket, WireError> {
         if bytes.len() < INIC_HEADER {
             return Err(WireError::Short);
         }
@@ -241,7 +238,7 @@ impl InicPacket {
                 .try_into()
                 .expect("inic checksum slice is 4 bytes"),
         );
-        if fnv1a(&[&bytes[0..12], &bytes[INIC_HEADER..]]) != want {
+        if wire_checksum(&bytes[0..12], &bytes[INIC_HEADER..]) != want {
             return Err(WireError::Checksum);
         }
         let flags = u16::from_le_bytes(
@@ -270,45 +267,40 @@ impl InicPacket {
             nack: flags & FLAG_NACK != 0,
             ack: flags & FLAG_ACK != 0,
             busy: flags & FLAG_BUSY != 0,
-            data: bytes[INIC_HEADER..].to_vec(),
+            data: bytes.subview(INIC_HEADER, bytes.len()),
         })
     }
 }
 
 /// Split `data` into a stream of packets; the last carries FIN. Empty
-/// data becomes a single zero-length FIN packet.
+/// data becomes a single zero-length FIN packet. The bytes are copied
+/// once into a shared buffer that every packet views
+/// ([`packetize_view`]).
 pub fn packetize(src_rank: u32, stream: u32, data: &[u8]) -> Vec<InicPacket> {
+    packetize_view(src_rank, stream, &PayloadView::from(data))
+}
+
+/// [`packetize`] over bytes already in a [`PayloadView`]: each packet's
+/// data is a sub-view of `data`, so no byte is copied.
+pub fn packetize_view(src_rank: u32, stream: u32, data: &PayloadView) -> Vec<InicPacket> {
+    let packet = |offset: usize, end: usize| InicPacket {
+        src_rank,
+        stream,
+        offset: u32::try_from(offset).expect("inic stream offset fits the 32-bit wire field"),
+        fin: end == data.len(),
+        credit: false,
+        nack: false,
+        ack: false,
+        busy: false,
+        data: data.subview(offset, end),
+    };
     if data.is_empty() {
-        return vec![InicPacket {
-            src_rank,
-            stream,
-            offset: 0,
-            fin: true,
-            credit: false,
-            nack: false,
-            ack: false,
-            busy: false,
-            data: Vec::new(),
-        }];
+        return vec![packet(0, 0)];
     }
-    let mut out = Vec::with_capacity(data.len().div_ceil(INIC_PAYLOAD));
-    let mut offset = 0usize;
-    while offset < data.len() {
-        let end = (offset + INIC_PAYLOAD).min(data.len());
-        out.push(InicPacket {
-            src_rank,
-            stream,
-            offset: u32::try_from(offset).expect("inic stream offset fits the 32-bit wire field"),
-            fin: end == data.len(),
-            credit: false,
-            nack: false,
-            ack: false,
-            busy: false,
-            data: data[offset..end].to_vec(),
-        });
-        offset = end;
-    }
-    out
+    (0..data.len())
+        .step_by(INIC_PAYLOAD)
+        .map(|offset| packet(offset, (offset + INIC_PAYLOAD).min(data.len())))
+        .collect()
 }
 
 /// Number of packets `bytes` of data occupy.
@@ -327,12 +319,19 @@ pub fn wire_payload_bytes(bytes: usize) -> usize {
 
 /// Reassembly state of one incoming stream from one source.
 ///
-/// Duplicate packets (retransmissions) are detected by offset and
-/// ignored, so sender-side recovery is idempotent here.
+/// Each accepted packet's bytes are copied once, to their offset in the
+/// stream buffer; the packet itself is not kept. Duplicate packets
+/// (retransmissions) are detected by offset and ignored, so sender-side
+/// recovery is idempotent here.
 pub struct StreamRx {
     total: Option<usize>,
     received: usize,
-    segments: BTreeMap<u32, Vec<u8>>,
+    /// Offset → length of every accepted segment (duplicate detection
+    /// and the gap search).
+    segments: BTreeMap<u32, usize>,
+    /// The stream's bytes at their offsets: sized once when the total is
+    /// known up front, grown as segments land when the FIN reveals it.
+    buf: Vec<u8>,
 }
 
 impl StreamRx {
@@ -342,6 +341,7 @@ impl StreamRx {
             total: Some(total),
             received: 0,
             segments: BTreeMap::new(),
+            buf: vec![0; total],
         }
     }
 
@@ -352,6 +352,7 @@ impl StreamRx {
             total: None,
             received: 0,
             segments: BTreeMap::new(),
+            buf: Vec::new(),
         }
     }
 
@@ -368,19 +369,23 @@ impl StreamRx {
             // A retransmission of a segment we already hold.
             return false;
         }
+        let start = usize::try_from(pkt.offset).expect("inic offset fits usize");
+        let end = start + pkt.data.len();
         if pkt.fin {
-            let announced =
-                usize::try_from(pkt.offset).expect("inic offset fits usize") + pkt.data.len();
             match self.total {
-                Some(t) => assert_eq!(t, announced, "fin total disagrees with announced total"),
-                None => self.total = Some(announced),
+                Some(t) => assert_eq!(t, end, "fin total disagrees with announced total"),
+                None => self.total = Some(end),
             }
         }
         self.received += pkt.data.len();
         if let Some(t) = self.total {
-            assert!(self.received <= t, "stream overran its total");
+            assert!(self.received <= t && end <= t, "stream overran its total");
         }
-        self.segments.insert(pkt.offset, pkt.data.clone());
+        if self.buf.len() < end {
+            self.buf.resize(end, 0);
+        }
+        self.buf[start..end].copy_from_slice(&pkt.data);
+        self.segments.insert(pkt.offset, pkt.data.len());
         true
     }
 
@@ -398,12 +403,12 @@ impl StreamRx {
     /// (stream complete, or tail still open with an unknown total).
     pub fn missing(&self) -> Option<u32> {
         let mut expected = 0u32;
-        for (&off, seg) in &self.segments {
+        for (&off, &len) in &self.segments {
             if off > expected {
                 return Some(expected);
             }
             expected =
-                off + u32::try_from(seg.len()).expect("inic segment length fits the 32-bit offset");
+                off + u32::try_from(len).expect("inic segment length fits the 32-bit offset");
         }
         match self.total {
             Some(t) if usize::try_from(expected).expect("inic offset fits usize") < t => {
@@ -413,17 +418,18 @@ impl StreamRx {
         }
     }
 
-    /// Concatenate the stream.
+    /// The assembled stream.
     ///
     /// # Panics
     /// Panics if the stream is incomplete.
     pub fn into_bytes(self) -> Vec<u8> {
         assert!(self.complete(), "stream incomplete");
-        let mut out = Vec::with_capacity(self.received);
-        for (_, seg) in self.segments {
-            out.extend_from_slice(&seg);
-        }
-        out
+        assert_eq!(
+            self.buf.len(),
+            self.received,
+            "stream segments overlap or overran"
+        );
+        self.buf
     }
 }
 
@@ -523,14 +529,58 @@ mod tests {
             nack: false,
             ack: false,
             busy: false,
-            data,
+            data: data.into(),
         }
+    }
+
+    /// Decode bytes as a frame payload of their own.
+    fn decode(bytes: &[u8]) -> Result<InicPacket, WireError> {
+        InicPacket::decode(&PayloadView::from(bytes))
+    }
+
+    /// Known answer: pins the checksum the INIC header carries (a change
+    /// is a wire-format change).
+    #[test]
+    fn checksum_known_answer() {
+        let pkt = data_pkt(3, 7, 2048, true, (0..=255).collect());
+        let wire = pkt.encode();
+        let sum = u32::from_le_bytes(wire[12..16].try_into().expect("4 bytes"));
+        assert_eq!(sum, 0x89D2_7626);
+        let credit = InicPacket::credit_grant(1, 2, 6144).encode();
+        let sum = u32::from_le_bytes(credit[12..16].try_into().expect("4 bytes"));
+        assert_eq!(sum, 0x4066_BDD4);
+    }
+
+    #[test]
+    fn decoded_packet_shares_the_frame_allocation() {
+        let frame = PayloadView::new(data_pkt(1, 2, 0, true, vec![0x5A; 700]).encode());
+        let pkt = InicPacket::decode(&frame).expect("clean frame decodes");
+        assert_eq!(frame.ref_count(), 2, "decode must view, not copy");
+        assert_eq!(pkt.data, vec![0x5A; 700]);
+        let copy = pkt.clone();
+        assert_eq!(frame.ref_count(), 3, "cloning a packet bumps a refcount");
+        drop((pkt, copy));
+        assert_eq!(frame.ref_count(), 1);
+    }
+
+    #[test]
+    fn packetize_output_shares_one_buffer() {
+        let data: Vec<u8> = (0..5000).map(|i| (i % 253) as u8).collect();
+        let pkts = packetize(0, 1, &data);
+        assert_eq!(pkts.len(), 5);
+        for p in &pkts {
+            assert_eq!(p.data.ref_count(), pkts.len(), "one backing buffer");
+        }
+        let view = PayloadView::new(data.clone());
+        let viewed = packetize_view(0, 1, &view);
+        assert_eq!(view.ref_count(), 1 + viewed.len(), "no copy of the view");
+        assert_eq!(viewed, pkts);
     }
 
     #[test]
     fn encode_decode_roundtrip() {
         let pkt = data_pkt(3, 7, 2048, true, (0..255).collect());
-        let decoded = InicPacket::decode(&pkt.encode()).unwrap();
+        let decoded = decode(&pkt.encode()).unwrap();
         assert_eq!(decoded, pkt);
     }
 
@@ -543,7 +593,7 @@ mod tests {
             InicPacket::reconfig_busy(3, 2000),
         ] {
             assert!(pkt.is_control());
-            assert_eq!(InicPacket::decode(&pkt.encode()).unwrap(), pkt);
+            assert_eq!(decode(&pkt.encode()).unwrap(), pkt);
         }
     }
 
@@ -563,7 +613,7 @@ mod tests {
         let max = u32::from(u16::MAX);
         let pkt = data_pkt(max, max, 0, true, vec![0xEE; 8]);
         let bytes = pkt.try_encode().expect("65535 fits the u16 wire field");
-        assert_eq!(InicPacket::decode(&bytes).unwrap(), pkt);
+        assert_eq!(decode(&bytes).unwrap(), pkt);
     }
 
     #[test]
@@ -580,30 +630,27 @@ mod tests {
 
     #[test]
     fn short_packet_rejected() {
-        assert_eq!(InicPacket::decode(&[0u8; 5]), Err(WireError::Short));
+        assert_eq!(decode(&[0u8; 5]), Err(WireError::Short));
     }
 
     #[test]
     fn truncated_payload_rejected() {
         let mut bytes = data_pkt(0, 0, 0, true, vec![1; 100]).encode();
         bytes.truncate(bytes.len() - 1);
-        assert_eq!(InicPacket::decode(&bytes), Err(WireError::LengthMismatch));
+        assert_eq!(decode(&bytes), Err(WireError::LengthMismatch));
     }
 
     #[test]
     fn checksum_catches_single_byte_flips() {
         let clean = data_pkt(2, 3, 1024, false, vec![0xAB; 256]).encode();
-        assert!(InicPacket::decode(&clean).is_ok());
+        assert!(decode(&clean).is_ok());
         // Flip one byte anywhere — header, data, or the checksum field
         // itself — and decode must fail. (A flip in the length field is
         // caught as a length mismatch rather than a checksum error.)
         for i in 0..clean.len() {
             let mut bent = clean.clone();
             bent[i] ^= 0x40;
-            assert!(
-                InicPacket::decode(&bent).is_err(),
-                "flip at byte {i} went undetected"
-            );
+            assert!(decode(&bent).is_err(), "flip at byte {i} went undetected");
         }
     }
 

@@ -17,15 +17,24 @@
 //!   checksummed header, sender-known transfer sizes, duplicate-tolerant
 //!   stream reassembly, and ACK/NACK control packets for loss recovery
 //!   under fault injection.
+//!
+//! Both codecs carry the same word-at-a-time checksum (`checksum.rs`),
+//! and both hand payloads around as shared [`PayloadView`]s: a segment
+//! or packet is a sub-view of the buffer it was cut from, so the bytes
+//! are copied only into the frame on encode and out of it on
+//! reassembly.
+//!
+//! [`PayloadView`]: acc_net::PayloadView
 
 #![forbid(unsafe_code)]
 #![deny(clippy::cast_possible_truncation)]
 
+mod checksum;
 pub mod inic_wire;
 pub mod tcp;
 
 pub use inic_wire::{
-    packet_count, packetize, wire_payload_bytes, InicPacket, StreamDemux, StreamRx, WireError,
-    INIC_HEADER, INIC_PAYLOAD,
+    packet_count, packetize, packetize_view, wire_payload_bytes, InicPacket, StreamDemux, StreamRx,
+    WireError, INIC_HEADER, INIC_PAYLOAD,
 };
 pub use tcp::{HostPathCosts, TcpDelivered, TcpHostNic, TcpParams, TcpSend};

@@ -22,16 +22,22 @@
 //!
 //! The byte stream is real: applications hand `Vec<u8>` in and receive
 //! the identical bytes in order on the far side, which the property
-//! tests verify under loss and reordering.
+//! tests verify under loss and reordering. A sent message is wrapped
+//! once in a shared [`PayloadView`]; its segments, the retransmission
+//! store and the receiver's out-of-order queue all hold sub-views, so
+//! the bytes are copied only into each frame and, on delivery, into
+//! the in-order buffer handed to the application.
 
 use std::any::Any;
 use std::collections::{BTreeMap, VecDeque};
 
 use acc_net::port::EgressPort;
-use acc_net::{EtherType, Frame, FrameArrival, MacAddr, PortTxDone};
+use acc_net::{EtherType, Frame, FrameArrival, MacAddr, PayloadView, PortTxDone};
 use acc_sim::{Bandwidth, Component, ComponentId, Ctx, DataSize, SimDuration, SimTime};
 
 use acc_host::interrupts::{InterruptCosts, InterruptModerator, ModerationPolicy, ModeratorAction};
+
+use crate::checksum::wire_checksum;
 
 /// IP (20) + TCP (20) header bytes per segment.
 pub const IP_TCP_HEADER: usize = 40;
@@ -143,35 +149,30 @@ struct SegHeader {
 }
 
 impl SegHeader {
-    /// FNV-1a over the populated header fields plus the data — stands in
-    /// for the real TCP checksum within the modelled 40-byte header.
-    fn checksum(header: &[u8], data: &[u8]) -> u32 {
-        let mut h: u32 = 0x811C_9DC5;
-        for &b in header[0..23].iter().chain(data) {
-            h ^= u32::from(b);
-            h = h.wrapping_mul(0x0100_0193);
-        }
-        h
-    }
-
+    /// Serialize header and data into one buffer of exactly the frame's
+    /// size. The checksum at `[23..27)` is [`wire_checksum`] over the
+    /// populated header bytes `[0..23)` plus the data — it stands in
+    /// for the real TCP checksum within the modelled 40-byte header, and
+    /// changes under any single-byte mutation of what it covers.
     fn encode(&self, data: &[u8]) -> Vec<u8> {
-        let mut out = vec![0u8; IP_TCP_HEADER];
+        let mut out = vec![0u8; IP_TCP_HEADER + data.len()];
         out[0..2].copy_from_slice(&self.chan.to_le_bytes());
         out[2..10].copy_from_slice(&self.seq.to_le_bytes());
         out[10..18].copy_from_slice(&self.ack.to_le_bytes());
         out[18] = u8::from(self.has_data);
         out[19..23].copy_from_slice(&self.window.to_le_bytes());
-        let sum = SegHeader::checksum(&out, data);
+        let sum = wire_checksum(&out[0..23], data);
         out[23..27].copy_from_slice(&sum.to_le_bytes());
-        out.extend_from_slice(data);
+        out[IP_TCP_HEADER..].copy_from_slice(data);
         out
     }
 
     /// Parse a segment; `None` means the segment is malformed and must
     /// be discarded — either the checksum failed (corruption on the
     /// wire) or the reserved padding carries nonzero bytes — and the
-    /// normal TCP loss recovery then repairs the stream.
-    fn decode(payload: &[u8]) -> Option<(SegHeader, &[u8])> {
+    /// normal TCP loss recovery then repairs the stream. The data is a
+    /// sub-view of `payload`: no copy.
+    fn decode(payload: &PayloadView) -> Option<(SegHeader, PayloadView)> {
         if payload.len() < IP_TCP_HEADER {
             return None;
         }
@@ -189,7 +190,7 @@ impl SegHeader {
                 .try_into()
                 .expect("tcp header checksum slice is 4 bytes"),
         );
-        if SegHeader::checksum(payload, &payload[IP_TCP_HEADER..]) != want {
+        if wire_checksum(&payload[0..23], &payload[IP_TCP_HEADER..]) != want {
             return None;
         }
         let h = SegHeader {
@@ -207,7 +208,7 @@ impl SegHeader {
                     .expect("tcp window slice is 4 bytes"),
             ),
         };
-        Some((h, &payload[IP_TCP_HEADER..]))
+        Some((h, payload.subview(IP_TCP_HEADER, payload.len())))
     }
 }
 
@@ -239,11 +240,17 @@ struct SentSeg {
 /// Per-connection TCP state (both directions).
 struct TcpConn {
     // --- send side ---
+    /// Unsent bytes: the unsent tails of the application's messages, in
+    /// order.
     // acc-lint: allow(R9, reason = "send staging drained at MSS per window grant; the lockstep drivers offer one round's legs at a time, so occupancy is bounded by the per-round send volume")
-    send_buf: VecDeque<u8>,
+    send_buf: VecDeque<PayloadView>,
+    /// Total bytes in `send_buf`.
+    unsent: usize,
     snd_una: u64,
     snd_nxt: u64,
     inflight: BTreeMap<u64, SentSeg>,
+    /// Total bytes of the segments in `inflight`.
+    flight: usize,
     cwnd: f64,
     ssthresh: f64,
     peer_window: u32,
@@ -257,7 +264,7 @@ struct TcpConn {
     last_activity: SimTime,
     // --- receive side ---
     rcv_nxt: u64,
-    ooo: BTreeMap<u64, Vec<u8>>,
+    ooo: BTreeMap<u64, PayloadView>,
     segs_since_ack: u32,
     // --- stats ---
     retransmits: u64,
@@ -268,9 +275,11 @@ impl TcpConn {
     fn new(p: &TcpParams, now: SimTime) -> TcpConn {
         TcpConn {
             send_buf: VecDeque::new(),
+            unsent: 0,
             snd_una: 0,
             snd_nxt: 0,
             inflight: BTreeMap::new(),
+            flight: 0,
             cwnd: f64::from(p.initial_cwnd_segments) * MSS as f64,
             ssthresh: f64::from(p.initial_ssthresh),
             peer_window: p.rwnd,
@@ -291,7 +300,65 @@ impl TcpConn {
     }
 
     fn flight_size(&self) -> usize {
-        self.inflight.values().map(|s| s.len).sum()
+        debug_assert_eq!(
+            self.flight,
+            self.inflight.values().map(|s| s.len).sum::<usize>(),
+            "running flight size drifted from the in-flight map"
+        );
+        self.flight
+    }
+
+    /// Queue an application message behind the unsent bytes.
+    fn queue(&mut self, data: PayloadView) {
+        if !data.is_empty() {
+            self.unsent += data.len();
+            self.send_buf.push_back(data);
+        }
+    }
+
+    /// Cut the next `take` (≤ `unsent`) bytes off the send queue. A
+    /// segment within one message is a sub-view of it; one spanning two
+    /// queued messages is copied into a buffer of its own.
+    fn cut_segment(&mut self, take: usize) -> PayloadView {
+        self.unsent -= take;
+        let front = self
+            .send_buf
+            .front_mut()
+            .expect("segment within the unsent bytes");
+        if front.len() > take {
+            let seg = front.subview(0, take);
+            *front = front.subview(take, front.len());
+            return seg;
+        }
+        if front.len() == take {
+            return self.send_buf.pop_front().expect("front exists");
+        }
+        let mut bytes = Vec::with_capacity(take);
+        while bytes.len() < take {
+            let front = self
+                .send_buf
+                .front_mut()
+                .expect("segment within the unsent bytes");
+            let n = (take - bytes.len()).min(front.len());
+            bytes.extend_from_slice(&front[..n]);
+            if n == front.len() {
+                self.send_buf.pop_front();
+            } else {
+                *front = front.subview(n, front.len());
+            }
+        }
+        PayloadView::new(bytes)
+    }
+
+    fn add_inflight(&mut self, seq: u64, seg: SentSeg) {
+        self.flight += seg.len;
+        self.inflight.insert(seq, seg);
+    }
+
+    fn remove_inflight(&mut self, seq: u64) -> SentSeg {
+        let seg = self.inflight.remove(&seq).expect("acked segment in flight");
+        self.flight -= seg.len;
+        seg
     }
 }
 
@@ -330,8 +397,9 @@ pub struct TcpHostNic {
     costs: InterruptCosts,
     moderator: InterruptModerator,
     conns: BTreeMap<FlowKey, TcpConn>,
-    /// Bytes of every in-flight segment, for retransmission.
-    retx_store: BTreeMap<(FlowKey, u64), Vec<u8>>,
+    /// Bytes of every in-flight segment, for retransmission (views of
+    /// the sent messages).
+    retx_store: BTreeMap<(FlowKey, u64), PayloadView>,
     /// Frames received but not yet serviced by an interrupt.
     rx_ring: Vec<Frame>,
     /// Whether an interrupt is currently being serviced (batch queued).
@@ -432,7 +500,7 @@ impl TcpHostNic {
         {
             conn.cwnd = f64::from(params.initial_cwnd_segments) * MSS as f64;
         }
-        conn.send_buf.extend(send.data.iter());
+        conn.queue(PayloadView::new(send.data));
         self.pump(key, ctx);
     }
 
@@ -442,7 +510,7 @@ impl TcpHostNic {
         loop {
             let (seq, data) = {
                 let conn = self.conns.get_mut(&key).expect("pump on missing conn");
-                let take = conn.send_buf.len().min(MSS);
+                let take = conn.unsent.min(MSS);
                 if take == 0 {
                     break;
                 }
@@ -453,10 +521,10 @@ impl TcpHostNic {
                 if flight > 0 && flight + take > window {
                     break;
                 }
-                let data: Vec<u8> = conn.send_buf.drain(..take).collect();
+                let data = conn.cut_segment(take);
                 let seq = conn.snd_nxt;
                 conn.snd_nxt += take as u64;
-                conn.inflight.insert(
+                conn.add_inflight(
                     seq,
                     SentSeg {
                         len: take,
@@ -467,9 +535,9 @@ impl TcpHostNic {
                 conn.last_activity = now;
                 (seq, data)
             };
-            self.retx_store.insert((key, seq), data.clone());
             self.arm_rto(key, ctx);
             self.transmit_segment(key, seq, &data, false, ctx);
+            self.retx_store.insert((key, seq), data);
         }
     }
 
@@ -550,12 +618,10 @@ impl TcpHostNic {
         ctx.stats().counter(&self.label, "rto_retransmits").inc();
     }
 
-    /// The bytes of an inflight segment for retransmission.
-    ///
-    /// TCP proper would re-read the socket buffer; we keep it simple and
-    /// reconstruct from the retransmission store kept per segment.
-    fn retransmit_bytes(&mut self, key: FlowKey, seq: u64) -> Vec<u8> {
-        // Data for inflight segments is stored in `retx_store`.
+    /// The bytes of an inflight segment for retransmission: the view
+    /// the original transmission sent (TCP proper would re-read the
+    /// socket buffer).
+    fn retransmit_bytes(&self, key: FlowKey, seq: u64) -> PayloadView {
         self.retx_store
             .get(&(key, seq))
             .cloned()
@@ -621,8 +687,10 @@ impl TcpHostNic {
     fn on_service_batch(&mut self, frames: Vec<Frame>, ctx: &mut Ctx) {
         self.servicing = false;
         self.debug_assert_flow_order();
-        // Per-flow in-order data accumulated over the batch.
-        let mut delivered: Vec<(FlowKey, Vec<u8>)> = Vec::new();
+        // Per-flow in-order data accumulated over the batch, as views of
+        // the received frames; copied once, into one buffer per flow, at
+        // the end of the batch.
+        let mut delivered: Vec<(FlowKey, Vec<PayloadView>)> = Vec::new();
         let mut acks_to_send: Vec<FlowKey> = Vec::new();
         let mut pump_flows: Vec<FlowKey> = Vec::new();
         for frame in frames {
@@ -651,7 +719,14 @@ impl TcpHostNic {
                     // In-order (possibly partly duplicate).
                     let skip = usize::try_from(conn.rcv_nxt - seq)
                         .expect("tcp in-order overlap fits usize");
-                    let mut avail = data[skip..].to_vec();
+                    let avail = match delivered.iter().position(|(k, _)| *k == key) {
+                        Some(i) => &mut delivered[i].1,
+                        None => {
+                            delivered.push((key, Vec::new()));
+                            &mut delivered.last_mut().expect("just pushed").1
+                        }
+                    };
+                    avail.push(data.subview(skip, data.len()));
                     conn.rcv_nxt = end;
                     // Drain contiguous out-of-order queue.
                     while let Some((&s, _)) = conn.ooo.iter().next() {
@@ -663,7 +738,7 @@ impl TcpHostNic {
                         if seg_end > conn.rcv_nxt {
                             let skip = usize::try_from(conn.rcv_nxt - s)
                                 .expect("tcp out-of-order overlap fits usize");
-                            avail.extend_from_slice(&seg[skip..]);
+                            avail.push(seg.subview(skip, seg.len()));
                             conn.rcv_nxt = seg_end;
                         }
                     }
@@ -672,13 +747,9 @@ impl TcpHostNic {
                     if ack_now && !acks_to_send.contains(&key) {
                         acks_to_send.push(key);
                     }
-                    match delivered.iter_mut().find(|(k, _)| *k == key) {
-                        Some((_, buf)) => buf.extend_from_slice(&avail),
-                        None => delivered.push((key, avail)),
-                    }
                 } else {
                     // Out of order: hold and send an immediate dup-ACK.
-                    conn.ooo.entry(seq).or_insert_with(|| data.to_vec());
+                    conn.ooo.entry(seq).or_insert(data);
                     if !acks_to_send.contains(&key) {
                         acks_to_send.push(key);
                     }
@@ -705,7 +776,11 @@ impl TcpHostNic {
         for key in pump_flows {
             self.pump(key, ctx);
         }
-        for (key, data) in delivered {
+        for (key, views) in delivered {
+            let mut data = Vec::with_capacity(views.iter().map(|v| v.len()).sum());
+            for v in &views {
+                data.extend_from_slice(v);
+            }
             self.bytes_delivered_total += data.len() as u64;
             ctx.stats()
                 .counter(&self.label, "bytes_delivered")
@@ -753,7 +828,7 @@ impl TcpHostNic {
                     if seg_end > ack {
                         break;
                     }
-                    let seg = conn.inflight.remove(&seq).expect("peeked");
+                    let seg = conn.remove_inflight(seq);
                     acked_seqs.push(seq);
                     acked_bytes += seg.len as u64;
                     if !seg.retransmitted {
@@ -835,8 +910,8 @@ impl Component for TcpHostNic {
     fn handle(&mut self, ev: Box<dyn Any>, ctx: &mut Ctx) {
         let ev = match ev.downcast::<TcpSend>() {
             Ok(send) => {
-                // Keep a copy of the bytes for retransmission, indexed as
-                // segments are cut in pump().
+                // The message is wrapped once; pump() cuts its segments
+                // (and their retransmission copies) as sub-views.
                 self.on_app_send(*send, ctx);
                 return;
             }
@@ -893,7 +968,7 @@ impl Component for TcpHostNic {
     }
 
     fn wait_state(&self) -> Option<String> {
-        let buffered: usize = self.conns.values().map(|c| c.send_buf.len()).sum();
+        let buffered: usize = self.conns.values().map(|c| c.unsent).sum();
         let inflight: usize = self.conns.values().map(|c| c.inflight.len()).sum();
         let ooo: usize = self.conns.values().map(|c| c.ooo.len()).sum();
         if buffered == 0 && inflight == 0 && ooo == 0 && self.rx_ring.is_empty() {
@@ -939,6 +1014,11 @@ mod tests {
         }
     }
 
+    /// Decode bytes as a frame payload of their own.
+    fn decode(bytes: &[u8]) -> Option<(SegHeader, PayloadView)> {
+        SegHeader::decode(&PayloadView::from(bytes))
+    }
+
     #[test]
     fn seg_header_roundtrips() {
         let h = SegHeader {
@@ -949,13 +1029,124 @@ mod tests {
             window: 1 << 20,
         };
         let wire = h.encode(b"payload");
-        let (back, data) = SegHeader::decode(&wire).expect("clean segment decodes");
+        let (back, data) = decode(&wire).expect("clean segment decodes");
         assert_eq!(back.chan, h.chan);
         assert_eq!(back.seq, h.seq);
         assert_eq!(back.ack, h.ack);
         assert_eq!(back.has_data, h.has_data);
         assert_eq!(back.window, h.window);
-        assert_eq!(data, b"payload");
+        assert_eq!(&data[..], b"payload");
+    }
+
+    /// Known answer: pins the checksum the segment header carries (a
+    /// change is a wire-format change).
+    #[test]
+    fn checksum_known_answer() {
+        let h = SegHeader {
+            chan: 7,
+            seq: 1 << 40,
+            ack: 12345,
+            has_data: true,
+            window: 65_535,
+        };
+        let data: Vec<u8> = (0..=255).collect();
+        let wire = h.encode(&data);
+        assert_eq!(wire.len(), IP_TCP_HEADER + data.len());
+        let sum = u32::from_le_bytes(wire[23..27].try_into().expect("4 bytes"));
+        assert_eq!(sum, 0x4946_F2C5);
+        let ack = h.encode(&[]);
+        let sum = u32::from_le_bytes(ack[23..27].try_into().expect("4 bytes"));
+        assert_eq!(sum, 0xF1D0_0D71);
+    }
+
+    /// Records every frame that reaches it and answers nothing: as the
+    /// wire, no segment is ever acknowledged.
+    struct Blackhole(Vec<Frame>);
+
+    impl Component for Blackhole {
+        fn handle(&mut self, ev: Box<dyn Any>, _ctx: &mut Ctx) {
+            if let Ok(arrival) = ev.downcast::<FrameArrival>() {
+                self.0.push(arrival.frame);
+            }
+        }
+        fn name(&self) -> &str {
+            "blackhole"
+        }
+    }
+
+    #[test]
+    fn retransmission_resends_the_original_segment() {
+        use acc_net::{EthernetKind, LinkParams};
+        let mut sim = acc_sim::Simulation::new(1);
+        let link = LinkParams::for_kind(EthernetKind::Gigabit);
+        let (app, nic, wire) = (sim.reserve_id(), sim.reserve_id(), sim.reserve_id());
+        let uplink = EgressPort::new(
+            link.rate,
+            link.prop_delay,
+            acc_net::presets::NIC_BUFFER,
+            wire,
+            0,
+            0,
+        );
+        let params = TcpParams::default();
+        sim.register(
+            nic,
+            TcpHostNic::new(
+                "tcp0",
+                MacAddr::for_node(0, 0),
+                app,
+                uplink,
+                params,
+                HostPathCosts::athlon_pci(),
+                InterruptCosts::athlon_linux24(),
+                ModerationPolicy::syskonnect_default(),
+            ),
+        );
+        sim.register(app, Blackhole(Vec::new()));
+        sim.register(wire, Blackhole(Vec::new()));
+        let peer = MacAddr::for_node(1, 0);
+        let data = Gen(0x2E7).bytes(5 * MSS + 100);
+        sim.schedule_at(
+            SimTime::ZERO,
+            nic,
+            TcpSend {
+                peer,
+                chan: 3,
+                data: data.clone(),
+            },
+        );
+        // The initial window's segments leave at once; the first RTO
+        // (no RTT sample yet) fires one initial_rto later.
+        let before_rto = SimTime::ZERO + (params.initial_rto - SimDuration::from_millis(1));
+        sim.run_until(before_rto);
+        let first = sim.component::<Blackhole>(wire).0.clone();
+        assert_eq!(first.len(), params.initial_cwnd_segments as usize);
+        // Every in-flight segment and the unsent tail view the message's
+        // one buffer.
+        let tcp = sim.component::<TcpHostNic>(nic);
+        let key = FlowKey { peer, chan: 3 };
+        let seg0 = &tcp.retx_store[&(key, 0)];
+        assert_eq!(&seg0[..], &data[..MSS]);
+        assert_eq!(
+            seg0.ref_count(),
+            first.len() + 1,
+            "segments share the message"
+        );
+        sim.run_until(before_rto + SimDuration::from_millis(2));
+        let frames = &sim.component::<Blackhole>(wire).0;
+        assert_eq!(
+            frames.len(),
+            first.len() + 1,
+            "exactly one RTO retransmission"
+        );
+        let retx = &frames[first.len()];
+        assert_eq!(
+            retx.payload, first[0].payload,
+            "the retransmission re-sends the original segment byte for byte"
+        );
+        let (h, bytes) = SegHeader::decode(&retx.payload).expect("retransmission decodes");
+        assert_eq!((h.seq, h.has_data), (0, true));
+        assert_eq!(&bytes[..], &data[..MSS]);
     }
 
     /// Property: `SegHeader::decode` must never panic — any slice of
@@ -969,40 +1160,51 @@ mod tests {
             let len = (g.next_u64() % 200) as usize;
             let noise = g.bytes(len);
             // Must not panic; almost surely fails the checksum.
-            let _ = SegHeader::decode(&noise);
+            let _ = decode(&noise);
             let _ = round;
         }
     }
 
+    /// Property, for segments of every size up to a full MSS (a
+    /// 1500-byte frame): every truncation either decodes as a shorter
+    /// (corrupt) view or is rejected — never a panic or out-of-bounds
+    /// read — and changing any one byte makes decode reject the segment:
+    /// populated fields and data by the checksum, the checksum by
+    /// itself, and the reserved padding [27..40) by the explicit
+    /// must-be-zero rule (the checksum skips those bytes). Two masks per
+    /// position: one bit, and a random non-zero byte.
     #[test]
     fn decode_survives_truncations_and_mutations_of_valid_segments() {
         let mut g = Gen(0xDEC0DE);
-        let h = SegHeader {
-            chan: 3,
-            seq: 999,
-            ack: 42,
-            has_data: true,
-            window: 65535,
-        };
-        let data = g.bytes(256);
-        let wire = h.encode(&data);
-        assert!(SegHeader::decode(&wire).is_some());
-        // Every truncation either decodes as a shorter (corrupt) view or
-        // is rejected — never a panic or out-of-bounds read.
-        for cut in 0..wire.len() {
-            let _ = SegHeader::decode(&wire[..cut]);
-        }
-        // Single-byte mutations anywhere in the segment must be caught:
-        // populated fields and data by the checksum, the checksum by
-        // itself, and the reserved padding [27..40) by the explicit
-        // must-be-zero rule (the checksum skips those bytes).
-        for i in 0..wire.len() {
-            let mut bent = wire.clone();
-            bent[i] ^= 0x10;
-            assert!(
-                SegHeader::decode(&bent).is_none(),
-                "mutation at byte {i} went undetected"
-            );
+        for round in 0..24u64 {
+            let len = match round {
+                0 => 0,
+                1 => MSS,
+                _ => usize::try_from(g.next_u64() % (MSS as u64 + 1)).expect("at most MSS"),
+            };
+            let h = SegHeader {
+                chan: u16::try_from(g.next_u64() >> 48).expect("16 bits"),
+                seq: g.next_u64(),
+                ack: g.next_u64(),
+                has_data: len > 0,
+                window: u32::try_from(g.next_u64() >> 32).expect("32 bits"),
+            };
+            let wire = h.encode(&g.bytes(len));
+            assert!(decode(&wire).is_some(), "clean {len}-byte segment decodes");
+            for cut in 0..wire.len() {
+                let _ = decode(&wire[..cut]);
+            }
+            for i in 0..wire.len() {
+                let random = 1 + (g.next_u64() % 255) as u8;
+                for mask in [0x10, random] {
+                    let mut bent = wire.clone();
+                    bent[i] ^= mask;
+                    assert!(
+                        decode(&bent).is_none(),
+                        "{len}-byte segment: byte {i} ^ {mask:#x} went undetected"
+                    );
+                }
+            }
         }
     }
 }

@@ -4,6 +4,7 @@
 //! never conflates streams. Driven by a seeded splitmix64 stream so every
 //! failure reproduces from the fixed seeds.
 
+use acc_net::PayloadView;
 use acc_proto::{packet_count, packetize, InicPacket, StreamDemux, StreamRx, INIC_PAYLOAD};
 
 /// Minimal splitmix64 stream for generating test cases.
@@ -35,6 +36,11 @@ impl Gen {
     }
 }
 
+/// Decode bytes as a frame payload of their own.
+fn decode(bytes: &[u8]) -> Result<InicPacket, acc_proto::WireError> {
+    InicPacket::decode(&PayloadView::from(bytes))
+}
+
 #[test]
 fn header_roundtrip() {
     let mut g = Gen(0xD1);
@@ -48,35 +54,51 @@ fn header_roundtrip() {
             nack: false,
             ack: false,
             busy: g.below(2) == 1,
-            data: g.bytes(INIC_PAYLOAD as u64 + 1),
+            data: g.bytes(INIC_PAYLOAD as u64 + 1).into(),
         };
-        assert_eq!(InicPacket::decode(&p.encode()).unwrap(), p);
+        assert_eq!(decode(&p.encode()).unwrap(), p);
     }
 }
 
 #[test]
 fn corruption_never_decodes() {
+    // For packets of every size up to the largest payload, changing any
+    // one byte makes decode fail: the checksum covers the other header
+    // fields and the data, the checksum field fails its own comparison,
+    // and the length field fails the length check. Two masks per
+    // position: one random bit, and a random non-zero byte.
     let mut g = Gen(0xD2);
-    for _ in 0..128 {
+    for round in 0..48 {
+        let len = match round {
+            0 => 0,
+            1 => INIC_PAYLOAD as u64,
+            _ => g.below(INIC_PAYLOAD as u64 + 1),
+        };
         let p = InicPacket {
-            src_rank: g.below(1 << 8) as u32,
-            stream: g.below(1 << 8) as u32,
+            src_rank: g.below(1 << 16) as u32,
+            stream: g.below(1 << 16) as u32,
             offset: g.next_u64() as u32,
             fin: g.below(2) == 1,
             credit: false,
             nack: false,
             ack: false,
             busy: false,
-            data: g.bytes(INIC_PAYLOAD as u64 + 1),
+            data: (0..len)
+                .map(|_| g.next_u64() as u8)
+                .collect::<Vec<u8>>()
+                .into(),
         };
-        let mut bytes = p.encode();
-        let i = g.below(bytes.len() as u64) as usize;
-        let mask = 1u8 << g.below(8);
-        bytes[i] ^= mask;
-        assert!(
-            InicPacket::decode(&bytes).is_err(),
-            "flip of bit {mask:#x} at byte {i} went undetected"
-        );
+        let wire = p.encode();
+        for i in 0..wire.len() {
+            for mask in [1u8 << g.below(8), 1 + g.below(255) as u8] {
+                let mut bent = wire.clone();
+                bent[i] ^= mask;
+                assert!(
+                    decode(&bent).is_err(),
+                    "{len}-byte packet: byte {i} ^ {mask:#x} went undetected"
+                );
+            }
+        }
     }
 }
 
@@ -89,7 +111,7 @@ fn decode_never_panics_on_arbitrary_inputs() {
     let mut g = Gen(0xD7);
     for _ in 0..256 {
         let noise = g.bytes(2200);
-        let _ = InicPacket::decode(&noise);
+        let _ = decode(&noise);
     }
     for _ in 0..64 {
         let p = InicPacket {
@@ -101,17 +123,17 @@ fn decode_never_panics_on_arbitrary_inputs() {
             nack: false,
             ack: false,
             busy: false,
-            data: g.bytes(INIC_PAYLOAD as u64 + 1),
+            data: g.bytes(INIC_PAYLOAD as u64 + 1).into(),
         };
         let bytes = p.encode();
         let cut = g.below(bytes.len() as u64 + 1) as usize;
-        let _ = InicPacket::decode(&bytes[..cut]);
+        let _ = decode(&bytes[..cut]);
         let mut bent = bytes.clone();
         for _ in 0..1 + g.below(4) {
             let i = g.below(bent.len() as u64) as usize;
             bent[i] ^= 1u8 << g.below(8);
         }
-        let _ = InicPacket::decode(&bent);
+        let _ = decode(&bent);
     }
 }
 

@@ -26,8 +26,13 @@ echo "== acc-verify --schedules --smoke (static collective-schedule proofs, p <=
 # without running the engine. The nightly job extends this to p=4096.
 ./target/release/acc-verify --schedules --smoke --max-p 64 --quiet
 
-echo "== cargo test"
-cargo test -q
+echo "== cargo test --workspace"
+# --workspace for the same reason as the build: a bare `cargo test`
+# tests only the umbrella package's tests/, skipping every crate's unit
+# tests and crates/*/tests suites (the wire-codec, scheduler and verify
+# properties among them). About 5 min on a 2-vCPU host, debug build of
+# all 71 test binaries included.
+cargo test -q --workspace
 
 echo "== cargo doc (deny warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps
