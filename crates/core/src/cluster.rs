@@ -26,7 +26,7 @@ use acc_net::{
     PartitionReport, RouteUpdate, Switch, SwitchKill, SwitchParams, TrunkOutage,
 };
 use acc_proto::{HostPathCosts, TcpHostNic, TcpParams};
-use acc_sim::{ComponentId, HangKind, SimDuration, SimTime, Simulation};
+use acc_sim::{Component, ComponentId, HangKind, SimDuration, SimTime, Simulation};
 
 use crate::audit::{self, AuditConfig, Auditor};
 use crate::deadline::DeadlineHierarchy;
@@ -34,7 +34,8 @@ use crate::drivers::coll::CollDriver;
 use crate::drivers::fft::FftDriver;
 use crate::drivers::sort::{SortDriver, SortVariant};
 use crate::drivers::{
-    Attachment, CardFailed, DriverProgress, FaultCtl, RecoveryCoordinator, RecoveryPolicy,
+    Attachment, CardFailed, DriverProgress, FaultCtl, Recoverable, RecoveryCoordinator,
+    RecoveryPolicy,
 };
 use crate::liveness::{HangCause, HangReport};
 use crate::report::FaultDiagnostics;
@@ -288,9 +289,9 @@ fn to_port_routes(
 /// Build the sim, switch, and per-node network attachment for `spec`;
 /// `make_driver` turns each rank's attachment (plus its fault-handling
 /// configuration) into its driver.
-fn wire(
+fn wire<D: Component + 'static>(
     spec: &ClusterSpec,
-    make_driver: impl Fn(usize, Attachment, FaultCtl) -> DriverBox,
+    make_driver: impl Fn(usize, Attachment, FaultCtl) -> D,
 ) -> Wiring {
     let mut sim = Simulation::new(spec.seed);
     if spec.quiet {
@@ -529,11 +530,7 @@ fn wire(
             policy,
             coordinator,
         };
-        match make_driver(rank, attachment, fault_ctl) {
-            DriverBox::Fft(d) => sim.register(driver_ids[rank], *d),
-            DriverBox::Sort(d) => sim.register(driver_ids[rank], *d),
-            DriverBox::Coll(d) => sim.register(driver_ids[rank], *d),
-        }
+        sim.register(driver_ids[rank], make_driver(rank, attachment, fault_ctl));
     }
     // Trunk ports append after every host attachment, so both ends'
     // indices are computable up front: walk the canonical (sorted)
@@ -713,21 +710,15 @@ impl Wiring {
     /// Three hang shapes all land here as a structured [`HangReport`]:
     /// a watchdog abort (event budget, livelock, run deadline), and the
     /// quieter *deadlock* — the event queue drains while drivers still
-    /// wait on peers that will never send. `progress` reads one
-    /// driver's phase snapshot (the driver type is workload-specific).
-    fn run_to_completion(
+    /// wait on peers that will never send.
+    fn run_to_completion<D: Recoverable>(
         &mut self,
         hierarchy: &DeadlineHierarchy,
-        progress: impl Fn(&Simulation, ComponentId) -> DriverProgress,
     ) -> Result<(), Box<HangReport>> {
         let wd = hierarchy.watchdog();
         // acc-lint: allow(R6, reason = "this is the deadline-aware wrapper itself: the watchdog built two lines up bounds the run")
         let outcome = self.sim.run_guarded(&wd);
-        let ranks: Vec<DriverProgress> = self
-            .drivers
-            .iter()
-            .map(|&d| progress(&self.sim, d))
-            .collect();
+        let ranks: Vec<DriverProgress> = self.ranks::<D>().map(D::progress).collect();
         match outcome {
             Ok(_) if ranks.iter().all(|r| r.done) => Ok(()),
             Ok(_) => {
@@ -809,14 +800,51 @@ impl Wiring {
             .sum()
     }
 
+    /// Every rank's driver, in rank order.
+    fn ranks<D: Recoverable>(&self) -> impl Iterator<Item = &D> + '_ {
+        self.drivers.iter().map(|&d| self.sim.component::<D>(d))
+    }
+
+    /// The epilogue every runner shares once its result is verified:
+    /// the span from the first start to the last finish, the
+    /// single-switch INIC no-drop guarantee, the final audit, and the
+    /// fault telemetry (degraded ranks, the latest resume point).
+    fn summarize<D: Recoverable>(&self, spec: &ClusterSpec) -> RunSummary {
+        let (mut start, mut end) = (SimTime::MAX, SimTime::ZERO);
+        for drv in self.ranks::<D>() {
+            let (began, done) = drv.span();
+            start = start.min(began);
+            end = end.max(done);
+        }
+        let switch_drops = self.switch_drops();
+        // The card's no-loss scheduling guarantee is single-switch: shared
+        // trunks of a multi-switch fabric can contend, and INIC reliability
+        // recovers those drops instead.
+        if spec.technology.is_inic()
+            && spec.fault_plan.is_none()
+            && spec.fabric == FabricSpec::SingleSwitch
+        {
+            assert_eq!(
+                switch_drops, 0,
+                "INIC schedule must never oversubscribe switch buffers"
+            );
+        }
+        // The end-of-run audit pass (faulted runs only).
+        if let Some(cfg) = &self.audit {
+            audit::final_check(self.sim.stats(), cfg);
+        }
+        RunSummary {
+            total: end.since(start),
+            switch_drops,
+            faults: self.fault_diagnostics::<D>(),
+        }
+    }
+
     /// Assemble the fault telemetry after a run: retransmits from
     /// whichever stack did them, stall/reconfigure counters from the
-    /// drivers and cards, degradation and resume data from the callers.
-    fn fault_diagnostics(
-        &self,
-        degraded_nodes: u64,
-        resumed_from_phase: Option<u32>,
-    ) -> FaultDiagnostics {
+    /// drivers and cards, degradation and resume data from the drivers'
+    /// failover cores.
+    fn fault_diagnostics<D: Recoverable>(&self) -> FaultDiagnostics {
         let stats = self.sim.stats();
         let stalled_nodes = stats
             .counters()
@@ -829,17 +857,13 @@ impl Wiring {
             .sum();
         FaultDiagnostics {
             retransmits: self.total_retransmits(),
-            degraded_nodes,
+            degraded_nodes: self.ranks::<D>().filter(|d| d.fo().degraded()).count() as u64,
             stalled_nodes,
             reconfig_windows_survived,
-            resumed_from_phase,
-        }
-    }
-
-    /// Run the end-of-run audit pass (faulted runs only).
-    fn final_audit(&self) {
-        if let Some(cfg) = &self.audit {
-            audit::final_check(self.sim.stats(), cfg);
+            resumed_from_phase: self
+                .ranks::<D>()
+                .filter_map(|d| d.fo().resumed_from())
+                .max(),
         }
     }
 
@@ -871,11 +895,11 @@ impl Wiring {
     }
 }
 
-/// Type-erased driver hand-off from the closure to the registry.
-enum DriverBox {
-    Fft(Box<FftDriver>),
-    Sort(Box<SortDriver>),
-    Coll(Box<CollDriver>),
+/// What [`Wiring::summarize`] reports for every workload.
+struct RunSummary {
+    total: SimDuration,
+    switch_drops: u64,
+    faults: FaultDiagnostics,
 }
 
 /// Run the 2D-FFT application on a `rows × rows` matrix.
@@ -903,52 +927,27 @@ pub fn try_run_fft(spec: ClusterSpec, rows: usize) -> Result<FftRunResult, Box<H
     let slabs = split_row_blocks(&matrix, spec.p);
     let kernels = HostKernels::athlon_1ghz();
     let mut w = wire(&spec, |rank, attachment, fault_ctl| {
-        DriverBox::Fft(Box::new(
-            FftDriver::new(
-                rank,
-                spec.p,
-                rows,
-                slabs[rank].clone(),
-                attachment,
-                kernels.clone(),
-            )
-            .with_fault_ctl(fault_ctl),
-        ))
+        FftDriver::new(
+            rank,
+            spec.p,
+            rows,
+            slabs[rank].clone(),
+            attachment,
+            kernels.clone(),
+        )
+        .with_fault_ctl(fault_ctl)
     });
     let hierarchy = DeadlineHierarchy::for_run(&spec, &Workload::Fft { rows });
-    w.run_to_completion(&hierarchy, |sim, d| {
-        sim.component::<FftDriver>(d).progress()
-    })?;
-    let mut total_end = SimTime::ZERO;
-    let mut start = SimTime::MAX;
+    w.run_to_completion::<FftDriver>(&hierarchy)?;
     let mut compute = SimDuration::ZERO;
     let mut transpose = SimDuration::ZERO;
     let mut transpose_compute = SimDuration::ZERO;
     let mut transpose_comm = SimDuration::ZERO;
-    let mut degraded_nodes = 0u64;
-    let mut resumed_from: Option<u32> = None;
     let mut out_slabs: Vec<Matrix> = Vec::new();
-    for &d in &w.drivers {
-        let drv = w.sim.component::<FftDriver>(d);
-        if drv.degraded() {
-            degraded_nodes += 1;
-        }
-        resumed_from = resumed_from.max(drv.resumed_from());
+    for drv in w.ranks::<FftDriver>() {
         let t = &drv.timings;
-        let done = t.done_at.expect("done");
-        let began = t.started_at.expect("started");
-        if done > total_end {
-            total_end = done;
-        }
-        if began < start {
-            start = began;
-        }
-        if t.compute > compute {
-            compute = t.compute;
-        }
-        if t.transpose > transpose {
-            transpose = t.transpose;
-        }
+        compute = compute.max(t.compute);
+        transpose = transpose.max(t.transpose);
         transpose_compute = transpose_compute.max(t.transpose_compute);
         transpose_comm = transpose_comm.max(t.transpose - t.transpose_compute);
         out_slabs.push(drv.result().clone());
@@ -965,32 +964,19 @@ pub fn try_run_fft(spec: ClusterSpec, rows: usize) -> Result<FftRunResult, Box<H
     } else {
         false
     };
-    let switch_drops = w.switch_drops();
-    // The card's no-loss scheduling guarantee is single-switch: shared
-    // trunks of a multi-switch fabric can contend, and INIC reliability
-    // recovers those drops instead.
-    if spec.technology.is_inic()
-        && spec.fault_plan.is_none()
-        && spec.fabric == FabricSpec::SingleSwitch
-    {
-        assert_eq!(
-            switch_drops, 0,
-            "INIC schedule must never oversubscribe switch buffers"
-        );
-    }
+    let summary = w.summarize::<FftDriver>(&spec);
     let (protocol_cpu, interrupts) = w.protocol_costs();
-    w.final_audit();
     Ok(FftRunResult {
-        total: total_end.since(start),
+        total: summary.total,
         compute,
         transpose,
         transpose_compute,
         transpose_comm,
         verified,
-        switch_drops,
+        switch_drops: summary.switch_drops,
         protocol_cpu,
         interrupts,
-        faults: w.fault_diagnostics(degraded_nodes, resumed_from),
+        faults: summary.faults,
     })
 }
 
@@ -1102,38 +1088,19 @@ pub fn try_run_sort_custom(
         if let Some(sp) = &splitters {
             driver = driver.with_splitters(sp.clone());
         }
-        DriverBox::Sort(Box::new(driver))
+        driver
     });
     let hierarchy = DeadlineHierarchy::for_run(&spec, &Workload::Sort { total_keys });
-    w.run_to_completion(&hierarchy, |sim, d| {
-        sim.component::<SortDriver>(d).progress()
-    })?;
-    let mut total_end = SimTime::ZERO;
-    let mut start = SimTime::MAX;
+    w.run_to_completion::<SortDriver>(&hierarchy)?;
     let (mut bucket1, mut comm, mut bucket2, mut count) = (
         SimDuration::ZERO,
         SimDuration::ZERO,
         SimDuration::ZERO,
         SimDuration::ZERO,
     );
-    let mut degraded_nodes = 0u64;
-    let mut resumed_from: Option<u32> = None;
     let mut outputs: Vec<Vec<u32>> = Vec::new();
-    for &d in &w.drivers {
-        let drv = w.sim.component::<SortDriver>(d);
-        if drv.degraded() {
-            degraded_nodes += 1;
-        }
-        resumed_from = resumed_from.max(drv.resumed_from());
+    for drv in w.ranks::<SortDriver>() {
         let t = &drv.timings;
-        let done = t.done_at.expect("done");
-        let began = t.started_at.expect("started");
-        if done > total_end {
-            total_end = done;
-        }
-        if began < start {
-            start = began;
-        }
         bucket1 = bucket1.max(t.bucket1);
         comm = comm.max(t.comm);
         bucket2 = bucket2.max(t.bucket2);
@@ -1153,32 +1120,19 @@ pub fn try_run_sort_custom(
     } else {
         false
     };
-    let switch_drops = w.switch_drops();
-    // The card's no-loss scheduling guarantee is single-switch: shared
-    // trunks of a multi-switch fabric can contend, and INIC reliability
-    // recovers those drops instead.
-    if spec.technology.is_inic()
-        && spec.fault_plan.is_none()
-        && spec.fabric == FabricSpec::SingleSwitch
-    {
-        assert_eq!(
-            switch_drops, 0,
-            "INIC schedule must never oversubscribe switch buffers"
-        );
-    }
+    let summary = w.summarize::<SortDriver>(&spec);
     let (protocol_cpu, interrupts) = w.protocol_costs();
-    w.final_audit();
     Ok(SortRunResult {
-        total: total_end.since(start),
+        total: summary.total,
         bucket1,
         comm,
         bucket2,
         count,
         verified,
-        switch_drops,
+        switch_drops: summary.switch_drops,
         protocol_cpu,
         interrupts,
-        faults: w.fault_diagnostics(degraded_nodes, resumed_from),
+        faults: summary.faults,
     })
 }
 
@@ -1444,41 +1398,25 @@ fn run_schedules(
     }
     let kernels = HostKernels::athlon_1ghz();
     let mut w = wire(spec, |rank, attachment, fault_ctl| {
-        DriverBox::Coll(Box::new(
-            CollDriver::new(
-                rank,
-                spec.p,
-                schedules[rank].clone(),
-                inputs[rank].clone(),
-                attachment,
-                kernels.clone(),
-                offload.as_ref().map(|plans| plans[rank].clone()),
-            )
-            .with_fault_ctl(fault_ctl),
-        ))
+        CollDriver::new(
+            rank,
+            spec.p,
+            schedules[rank].clone(),
+            inputs[rank].clone(),
+            attachment,
+            kernels.clone(),
+            offload.as_ref().map(|plans| plans[rank].clone()),
+        )
+        .with_fault_ctl(fault_ctl)
     });
     let hierarchy = DeadlineHierarchy::for_run(spec, workload);
-    w.run_to_completion(&hierarchy, |sim, d| {
-        sim.component::<CollDriver>(d).progress()
-    })?;
-    let mut total_end = SimTime::ZERO;
-    let mut start = SimTime::MAX;
+    w.run_to_completion::<CollDriver>(&hierarchy)?;
     let mut comm = SimDuration::ZERO;
     let mut compute = SimDuration::ZERO;
     let mut results: Vec<Vec<f64>> = Vec::new();
-    let mut degraded_nodes = 0u64;
-    let mut resumed_from: Option<u32> = None;
-    for &d in &w.drivers {
-        let drv = w.sim.component::<CollDriver>(d);
-        let t = &drv.timings;
-        total_end = total_end.max(t.done_at.expect("done"));
-        start = start.min(t.started_at.expect("started"));
-        comm = comm.max(t.comm);
-        compute = compute.max(t.compute);
-        if drv.degraded() {
-            degraded_nodes += 1;
-        }
-        resumed_from = resumed_from.max(drv.resumed_from());
+    for drv in w.ranks::<CollDriver>() {
+        comm = comm.max(drv.timings.comm);
+        compute = compute.max(drv.timings.compute);
         results.push(drv.result());
     }
     let verified = if spec.verify {
@@ -1487,22 +1425,13 @@ fn run_schedules(
     } else {
         false
     };
-    // Single-switch only, as in the application runners: fabric trunks
-    // may contend and rely on INIC reliability instead.
-    if spec.technology.is_inic()
-        && spec.fault_plan.is_none()
-        && spec.fabric == FabricSpec::SingleSwitch
-    {
-        assert_eq!(w.switch_drops(), 0, "INIC collective must not drop");
-    }
-    w.final_audit();
-    let faults = w.fault_diagnostics(degraded_nodes, resumed_from);
+    let summary = w.summarize::<CollDriver>(spec);
     Ok(CollRunResult {
-        total: total_end.since(start),
+        total: summary.total,
         comm,
         compute,
         verified,
-        faults,
+        faults: summary.faults,
     })
 }
 

@@ -32,49 +32,43 @@
 //! # Fault recovery
 //!
 //! The driver survives mid-schedule card deaths under every
-//! [`RecoveryPolicy`], mirroring the FFT/sort drivers' protocol:
+//! [`RecoveryPolicy`](super::RecoveryPolicy) through the failover core
+//! the drivers share (`failover.rs`), which also parks a resume that
+//! lands inside the 60 ms bitstream load until `InicConfigured`. What
+//! is the collective's own:
 //!
-//! * **Round checkpoints** — under [`RecoveryPolicy::Checkpointed`]
+//! * **Round checkpoints** — under `RecoveryPolicy::Checkpointed`
 //!   every completed round snapshots the working state, so a resume
 //!   re-enters at the cluster-wide minimum completed round instead of
 //!   from scratch.
-//! * **Failover epochs** — every `CardFailed` bumps an epoch counter
-//!   on *every* rank (the broadcast is cluster-wide), and streams,
-//!   TCP channels and self-timers are epoch-namespaced, so pre-failure
-//!   traffic can never complete a post-failure round.
+//! * **Epoch-namespaced rounds** — the core bumps the failover epoch
+//!   on *every* rank (the broadcast is cluster-wide), and each round's
+//!   stream and TCP channel carry it, so pre-failure traffic can never
+//!   complete a post-failure round.
 //! * **Mixed-technology rounds** — after a rank-local failover the
 //!   healthy ranks keep their cards and split each remaining round via
 //!   [`acc_coll::recovery::split_round`]: legs touching the dead rank
 //!   ride the fallback `TcpHostNic`, and a combined-mode fold whose
 //!   source died falls back to host arithmetic.
-//! * **Config-window parking** — a failure landing inside the 60 ms
-//!   bitstream load parks the resume until `InicConfigured` arrives,
-//!   exactly like the FFT driver.
 
 use std::any::Any;
 use std::collections::btree_map::Entry;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::ops::Range;
 
 use acc_coll::plan::{ranges_elems, Round};
 use acc_coll::recovery::{split_round, RoundLegs};
 use acc_coll::{OffloadPlan, RecvOp, Schedule};
 use acc_fpga::{
-    GatherKind, InicConfigure, InicConfigured, InicExpect, InicGatherComplete, InicRecover,
-    InicScatter, InicScatterDone, ScatterKind,
+    Bitstream, GatherKind, InicExpect, InicGatherComplete, InicScatter, InicScatterDone,
+    ScatterKind,
 };
 use acc_host::HostKernels;
 use acc_proto::{TcpDelivered, TcpSend};
-use acc_sim::{Component, ComponentId, Ctx, SimDuration, SimTime};
+use acc_sim::{Component, Ctx, SimDuration, SimTime};
 
-use super::{
-    Attachment, CardFailed, Deferred, FaultCtl, RecoveryPolicy, RecoveryReport, ResumeAt,
-    RECOVERY_LATENCY,
-};
-
-/// Self event closing a round's host-compute charge window, tagged
-/// with the failover epoch that armed it (stale epochs are dropped).
-struct RoundChargeDone(u64);
+use super::failover::{self, Failover, Recoverable};
+use super::{Attachment, FaultCtl};
 
 /// Timing record of one collective run.
 #[derive(Clone, Debug, Default)]
@@ -93,9 +87,8 @@ pub struct CollTimings {
 
 /// Per-node schedule interpreter.
 pub struct CollDriver {
-    label: String,
-    rank: usize,
-    attachment: Attachment,
+    /// Network attachment and failover state.
+    fo: Failover,
     kernels: HostKernels,
     schedule: Schedule,
     /// The pre-validated card datapath (INIC attachments only).
@@ -123,30 +116,9 @@ pub struct CollDriver {
     current_phase: &'static str,
     started: bool,
     done: bool,
-    /// Fault-handling configuration (stall windows, recovery policy,
-    /// coordinator). Default on clean runs.
-    fault_ctl: FaultCtl,
-    /// Failover epoch: bumped once per processed `CardFailed`, on every
-    /// rank, so streams/channels/timers from before a failure can never
-    /// satisfy a round issued after it.
-    epoch: u64,
-    /// Whether *this* rank abandoned its card for the fallback NIC.
-    failed_over: bool,
-    /// Ranks whose cards died (rank-local recovery only).
-    dead: BTreeSet<usize>,
     /// Round-level checkpoints: completed-round count → state snapshot.
     /// Armed only under the checkpointed policy with a coordinator.
     ckpts: BTreeMap<u32, Vec<f64>>,
-    /// Parked awaiting the coordinator's `ResumeAt`.
-    paused: bool,
-    /// Whether the card finished loading its bitstream (a resume that
-    /// beats `InicConfigured` parks in `pending_resume`).
-    configured: bool,
-    pending_resume: Option<ResumeAt>,
-    /// The round the last coordinated resume re-entered at.
-    resumed_from: Option<u32>,
-    /// Guards the cluster-wide `drivers_done` counter across restarts.
-    reported_done: bool,
     /// Timing decomposition.
     pub timings: CollTimings,
 }
@@ -184,9 +156,7 @@ impl CollDriver {
             "round index must fit the TCP channel id"
         );
         CollDriver {
-            label: format!("coll-driver{rank}"),
-            rank,
-            attachment,
+            fo: Failover::new(format!("coll-driver{rank}"), rank, attachment),
             kernels,
             schedule,
             offload,
@@ -205,16 +175,7 @@ impl CollDriver {
             current_phase: "init",
             started: false,
             done: false,
-            fault_ctl: FaultCtl::default(),
-            epoch: 0,
-            failed_over: false,
-            dead: BTreeSet::new(),
             ckpts: BTreeMap::new(),
-            paused: false,
-            configured: false,
-            pending_resume: None,
-            resumed_from: None,
-            reported_done: false,
             timings: CollTimings::default(),
         }
     }
@@ -222,7 +183,7 @@ impl CollDriver {
     /// Attach the fault-handling configuration (builder style).
     #[must_use]
     pub fn with_fault_ctl(mut self, ctl: FaultCtl) -> CollDriver {
-        self.fault_ctl = ctl;
+        self.fo.ctl = ctl;
         self
     }
 
@@ -230,36 +191,6 @@ impl CollDriver {
     pub fn result(&self) -> Vec<f64> {
         assert!(self.done, "driver not finished");
         self.state[self.schedule.output.clone()].to_vec()
-    }
-
-    /// Whether the run completed.
-    pub fn is_done(&self) -> bool {
-        self.done
-    }
-
-    /// Whether this rank abandoned its card for the commodity fallback.
-    pub fn degraded(&self) -> bool {
-        self.failed_over
-    }
-
-    /// The round the last coordinated resume re-entered at, if any.
-    pub fn resumed_from(&self) -> Option<u32> {
-        self.resumed_from
-    }
-
-    fn phase_name(&self) -> &'static str {
-        self.current_phase
-    }
-
-    /// Phase snapshot for the liveness layer.
-    pub fn progress(&self) -> super::DriverProgress {
-        super::DriverProgress {
-            rank: self.rank,
-            phase: self.phase_name(),
-            entered: self.phase_entered,
-            paused: self.paused,
-            done: self.done,
-        }
     }
 
     fn current_round(&self) -> &Round {
@@ -270,12 +201,12 @@ impl CollDriver {
     /// the bare round index, so its wire traffic is byte-identical to
     /// the pre-recovery engine.
     fn round_tag(&self) -> u64 {
-        let tag = self.epoch * (self.schedule.rounds.len() as u64 + 1) + self.round as u64;
+        let tag = self.fo.epoch * (self.schedule.rounds.len() as u64 + 1) + self.round as u64;
         assert!(
             tag < u16::MAX as u64,
             "{}: epoch {} round {} overflows the channel id",
-            self.label,
-            self.epoch,
+            self.fo.label,
+            self.fo.epoch,
             self.round
         );
         tag
@@ -289,27 +220,11 @@ impl CollDriver {
         self.round_tag() as u16
     }
 
-    /// Whether round checkpoints are being captured.
-    fn ckpt_armed(&self) -> bool {
-        self.fault_ctl.coordinator.is_some()
-            && self.fault_ctl.policy == RecoveryPolicy::Checkpointed
-    }
-
-    /// Rounds this rank can prove complete: the resume point it reports
-    /// to the coordinator. Without checkpoints (rank-local policy) the
-    /// honest answer is 0 — a from-scratch restart.
-    fn completed_round(&self) -> u32 {
-        if self.done {
-            return self.schedule.rounds.len() as u32;
-        }
-        self.ckpts.keys().next_back().copied().unwrap_or(0)
-    }
-
     /// Advance past a completed round, snapshotting the state when
     /// checkpoints are armed.
     fn advance_round(&mut self) {
         self.round += 1;
-        if self.ckpt_armed() {
+        if self.fo.ckpt_armed() {
             self.ckpts.insert(self.round as u32, self.state.clone());
         }
     }
@@ -327,7 +242,7 @@ impl CollDriver {
     fn expected_rx_bytes(&self, src: usize, chan: u16) -> usize {
         let rounds = self.schedule.rounds.len() as u64;
         u64::from(chan)
-            .checked_sub(self.epoch * (rounds + 1))
+            .checked_sub(self.fo.epoch * (rounds + 1))
             .filter(|&r| r < rounds)
             .and_then(|r| {
                 self.schedule.rounds[r as usize]
@@ -336,14 +251,6 @@ impl CollDriver {
                     .find(|recv| recv.from == src)
             })
             .map_or(0, |recv| ranges_elems(&recv.ranges) * 8)
-    }
-
-    fn begin(&mut self, ctx: &mut Ctx) {
-        self.timings.started_at = Some(ctx.now());
-        self.started = true;
-        self.state = self.schedule.init_state(&self.input);
-        self.phase_entered = ctx.now();
-        self.start_round(ctx);
     }
 
     /// Enter rounds from `self.round` until one blocks on the network
@@ -390,13 +297,13 @@ impl CollDriver {
     fn charge(&mut self, ctx: &mut Ctx, t: SimDuration) {
         self.in_charge = true;
         self.charge_started = ctx.now();
-        ctx.self_in(t, RoundChargeDone(self.epoch));
+        self.fo.compute(t, ctx);
     }
 
     // ---- host-TCP path -------------------------------------------------
 
     fn issue_tcp_round(&mut self, ctx: &mut Ctx) {
-        let Attachment::Tcp { nic, macs } = &self.attachment else {
+        let Attachment::Tcp { nic, macs } = &self.fo.attachment else {
             unreachable!("TCP round on an INIC attachment")
         };
         let chan = self.chan();
@@ -415,7 +322,7 @@ impl CollDriver {
     }
 
     fn try_complete_tcp_round(&mut self, ctx: &mut Ctx) {
-        if self.done || !self.started || self.paused || self.in_charge || !self.is_tcp() {
+        if self.done || !self.started || self.fo.paused || self.in_charge || !self.is_tcp() {
             return;
         }
         if self.round == self.schedule.rounds.len() {
@@ -441,7 +348,7 @@ impl CollDriver {
                 bytes.len(),
                 ranges_elems(&recv.ranges) * 8,
                 "{}: round {} message from rank {} over-delivered",
-                self.label,
+                self.fo.label,
                 self.round,
                 recv.from
             );
@@ -454,7 +361,7 @@ impl CollDriver {
     }
 
     fn is_tcp(&self) -> bool {
-        matches!(self.attachment, Attachment::Tcp { .. })
+        matches!(self.fo.attachment, Attachment::Tcp { .. })
     }
 
     // ---- INIC paths ----------------------------------------------------
@@ -467,11 +374,11 @@ impl CollDriver {
     /// The current round's transport partition. With no dead peers this
     /// reproduces the round exactly (everything on the card).
     fn current_legs(&self) -> RoundLegs {
-        split_round(self.current_round(), &self.dead, self.card_folds())
+        split_round(self.current_round(), &self.fo.dead, self.card_folds())
     }
 
     fn issue_inic_round(&mut self, ctx: &mut Ctx) {
-        let (card, macs) = match &self.attachment {
+        let (card, macs) = match &self.fo.attachment {
             Attachment::Inic { card, macs, .. } => (*card, macs.clone()),
             Attachment::Tcp { .. } => unreachable!("INIC round on a TCP attachment"),
         };
@@ -502,7 +409,7 @@ impl CollDriver {
             let elems = ranges_elems(&recv.ranges);
             let start = data.len();
             Schedule::gather_bytes(&recv.ranges, &self.state, &mut data);
-            parts.push((self.rank as u32, data.len() - start));
+            parts.push((self.fo.rank as u32, data.len() - start));
             ctx.send_now(
                 card,
                 InicExpect {
@@ -510,7 +417,7 @@ impl CollDriver {
                     kind: GatherKind::ReduceF64 { elems },
                     sources: vec![
                         (recv.from as u32, Some(elems * 8)),
-                        (self.rank as u32, Some(elems * 8)),
+                        (self.fo.rank as u32, Some(elems * 8)),
                     ],
                 },
             );
@@ -554,13 +461,13 @@ impl CollDriver {
         }
         // Legs around dead peers ride the commodity fallback NIC.
         if legs.uses_tcp() {
-            let (fb_nic, fb_macs) = match &self.attachment {
+            let (fb_nic, fb_macs) = match &self.fo.attachment {
                 Attachment::Inic {
                     fallback: Some(fb), ..
                 } => fb.clone(),
                 _ => panic!(
                     "{}: degraded round without a wired fallback path",
-                    self.label
+                    self.fo.label
                 ),
             };
             let chan = self.chan();
@@ -576,7 +483,7 @@ impl CollDriver {
             }
             self.await_tcp = !legs.tcp_recvs.is_empty();
         }
-        if self.epoch == 0 {
+        if self.fo.epoch == 0 {
             debug_assert!(
                 self.await_gather || self.await_scatter,
                 "a non-local round must touch the card"
@@ -596,7 +503,7 @@ impl CollDriver {
     /// Complete the fallback-TCP legs of the current INIC round, if all
     /// their bytes have arrived.
     fn try_complete_inic_tcp_legs(&mut self, ctx: &mut Ctx) {
-        if !self.await_tcp || self.done || self.paused || self.in_charge {
+        if !self.await_tcp || self.done || self.fo.paused || self.in_charge {
             return;
         }
         let chan = self.chan();
@@ -620,7 +527,7 @@ impl CollDriver {
                 bytes.len(),
                 ranges_elems(&recv.ranges) * 8,
                 "{}: round {} fallback leg from rank {} over-delivered",
-                self.label,
+                self.fo.label,
                 self.round,
                 recv.from
             );
@@ -634,12 +541,12 @@ impl CollDriver {
     }
 
     fn on_gather_complete(&mut self, g: InicGatherComplete, ctx: &mut Ctx) {
-        if self.epoch > 0 && (self.done || g.stream != self.stream() || !self.await_gather) {
+        if self.fo.epoch > 0 && (self.done || g.stream != self.stream() || !self.await_gather) {
             // A pre-failover stream completing against a dead epoch.
             return;
         }
-        assert_eq!(g.stream, self.stream(), "{}: stale gather", self.label);
-        assert!(self.await_gather, "{}: unexpected gather", self.label);
+        assert_eq!(g.stream, self.stream(), "{}: stale gather", self.fo.label);
+        assert!(self.await_gather, "{}: unexpected gather", self.fo.label);
         self.await_gather = false;
         let legs = self.current_legs();
         let mut host_sum_elems = 0u64;
@@ -704,255 +611,61 @@ impl CollDriver {
         self.done = true;
         self.current_phase = "done";
         self.phase_entered = ctx.now();
-        if self.epoch == 0 {
+        if self.fo.epoch == 0 {
             // Post-failover, bytes parked on dead-epoch channels are
             // expected leftovers; on a clean run they are a protocol bug.
             assert!(
                 self.rx.is_empty(),
                 "{}: leftover peer bytes at completion",
-                self.label
+                self.fo.label
             );
         }
-        if !self.reported_done {
-            self.reported_done = true;
-            ctx.stats().counter("cluster", "drivers_done").inc();
-        }
-    }
-
-    // ---- card-failure recovery ----------------------------------------
-
-    fn on_card_failed(&mut self, node: u32, ctx: &mut Ctx) {
-        match self.fault_ctl.coordinator {
-            None => self.full_restart_failover(node, ctx),
-            Some(coord) => self.rank_local_failover(node, coord, ctx),
-        }
-    }
-
-    /// Abandon the card and restart the whole schedule over the
-    /// fallback NIC (every rank does this, healthy cards included).
-    fn full_restart_failover(&mut self, node: u32, ctx: &mut Ctx) {
-        if self.failed_over {
-            return;
-        }
-        let (nic, macs) = match &self.attachment {
-            Attachment::Inic {
-                fallback: Some((nic, macs)),
-                ..
-            } => (*nic, macs.clone()),
-            Attachment::Inic { .. } => {
-                panic!("{}: card failure without a wired fallback path", self.label)
-            }
-            // Already on the commodity path: a card death elsewhere in
-            // the plan cannot degrade this rank further.
-            Attachment::Tcp { .. } => return,
-        };
-        // Before abandoning a still-healthy card, tell it the peer is
-        // dead and cancel the in-flight stream: otherwise its
-        // retransmit backoff into the void outlives the run deadline.
-        if let Attachment::Inic {
-            card, macs: own, ..
-        } = &self.attachment
-        {
-            if self.rank != node as usize {
-                let abort_stream = (self.await_gather || self.await_scatter).then(|| self.stream());
-                ctx.send_now(
-                    *card,
-                    InicRecover {
-                        dead: own[node as usize],
-                        abort_stream,
-                    },
-                );
-            }
-        }
-        ctx.stats().counter(&self.label, "card_failovers").inc();
-        self.failed_over = true;
-        self.epoch += 1;
-        self.attachment = Attachment::Tcp { nic, macs };
-        self.rx.clear();
-        self.await_gather = false;
-        self.await_scatter = false;
-        self.await_tcp = false;
-        self.in_charge = false;
-        self.pending_sum_elems = 0;
-        self.ckpts.clear();
-        self.done = false;
-        let started = self.timings.started_at;
-        self.timings = CollTimings::default();
-        self.timings.started_at = started.or(Some(ctx.now()));
-        self.round = 0;
-        self.state = self.schedule.init_state(&self.input);
-        self.current_phase = "init";
-        self.phase_entered = ctx.now();
-        self.started = true;
-        self.start_round(ctx);
-    }
-
-    /// Rank-local failover: only the dead rank degrades; healthy ranks
-    /// purge the casualty from their cards, and everyone reports its
-    /// resumable round to the coordinator.
-    fn rank_local_failover(&mut self, node: u32, coord: ComponentId, ctx: &mut Ctx) {
-        let node_idx = node as usize;
-        if !self.dead.insert(node_idx) {
-            return;
-        }
-        // Streams announced before the bump can never complete once the
-        // peer set changed; tell the card which one to abort.
-        let abort_stream = (self.await_gather || self.await_scatter).then(|| self.stream());
-        self.epoch += 1;
-        self.paused = true;
-        self.await_gather = false;
-        self.await_scatter = false;
-        self.await_tcp = false;
-        self.in_charge = false;
-        self.pending_sum_elems = 0;
-        if self.rank == node_idx {
-            let (nic, macs) = match &self.attachment {
-                Attachment::Inic {
-                    fallback: Some(fb), ..
-                } => fb.clone(),
-                Attachment::Inic { .. } => {
-                    panic!("{}: card failure without a wired fallback path", self.label)
-                }
-                Attachment::Tcp { .. } => unreachable!("a TCP rank's card cannot die twice"),
-            };
-            ctx.stats().counter(&self.label, "card_failovers").inc();
-            self.failed_over = true;
-            self.attachment = Attachment::Tcp { nic, macs };
-        } else if let Attachment::Inic { card, macs, .. } = &self.attachment {
-            ctx.send_now(
-                *card,
-                InicRecover {
-                    dead: macs[node_idx],
-                    abort_stream,
-                },
-            );
-        }
-        ctx.send_in(
-            RECOVERY_LATENCY,
-            coord,
-            RecoveryReport {
-                rank: self.rank as u32,
-                round: self.epoch,
-                phase: self.completed_round(),
-            },
-        );
-    }
-
-    /// Coordinator verdict: every rank resumes from the cluster-wide
-    /// minimum completed round. Ranks that already finished rejoin —
-    /// peers re-executing earlier rounds need their messages, and the
-    /// lockstep determinism makes the re-execution bit-identical.
-    fn on_resume_at(&mut self, r: ResumeAt, ctx: &mut Ctx) {
-        if r.round != self.epoch {
-            return;
-        }
-        if !self.configured && matches!(self.attachment, Attachment::Inic { .. }) {
-            // The failure landed inside the configuration window: park
-            // the resume until the bitstream load completes.
-            self.pending_resume = Some(r);
-            return;
-        }
-        self.paused = false;
-        self.resumed_from = Some(r.phase);
-        ctx.stats().counter(&self.label, "phase_resumes").inc();
-        if r.phase as usize >= self.schedule.rounds.len() {
-            // Every rank had already completed the schedule; nothing to
-            // re-run.
-            return;
-        }
-        self.done = false;
-        self.round = r.phase as usize;
-        self.state = if r.phase == 0 {
-            self.schedule.init_state(&self.input)
-        } else {
-            self.ckpts
-                .get(&r.phase)
-                .unwrap_or_else(|| {
-                    panic!(
-                        "{}: resume round {} without its checkpoint",
-                        self.label, r.phase
-                    )
-                })
-                .clone()
-        };
-        self.started = true;
-        if self.timings.started_at.is_none() {
-            self.timings.started_at = Some(ctx.now());
-        }
-        self.phase_entered = ctx.now();
-        self.start_round(ctx);
-        // Degraded peers running ahead may have pre-delivered their
-        // legs for the resumed round.
-        self.try_complete_tcp_round(ctx);
-        self.try_complete_inic_tcp_legs(ctx);
+        self.fo.report_done(ctx);
     }
 }
 
-impl Component for CollDriver {
-    fn handle(&mut self, ev: Box<dyn Any>, ctx: &mut Ctx) {
-        // A stalled host defers everything it would have serviced.
-        let ev = match ev.downcast::<Deferred>() {
-            Ok(d) => d.0,
-            Err(ev) => ev,
-        };
-        if let Some(release) = self.fault_ctl.stalls.deferral(ctx.now()) {
-            ctx.stats().counter(&self.label, "stall_deferrals").inc();
-            ctx.self_in(release.since(ctx.now()), Deferred(ev));
-            return;
-        }
-        if ev.downcast_ref::<()>().is_some() {
-            match (&self.attachment, &self.offload) {
-                (Attachment::Inic { card, .. }, Some(plan)) => {
-                    let card = *card;
-                    ctx.send_now(
-                        card,
-                        InicConfigure {
-                            bitstream: plan.bitstream.clone(),
-                        },
-                    );
-                }
-                _ => self.begin(ctx),
-            }
-            return;
-        }
-        let ev = match ev.downcast::<CardFailed>() {
-            Ok(f) => {
-                self.on_card_failed(f.node, ctx);
-                return;
-            }
-            Err(ev) => ev,
-        };
-        let ev = match ev.downcast::<ResumeAt>() {
-            Ok(r) => {
-                self.on_resume_at(*r, ctx);
-                return;
-            }
-            Err(ev) => ev,
-        };
-        let ev = match ev.downcast::<InicConfigured>() {
-            Ok(cfg) => {
-                if self.failed_over {
-                    // The configuration completed after this rank had
-                    // already abandoned its card.
-                    return;
-                }
-                cfg.result.unwrap_or_else(|e| {
-                    panic!("{}: collective bitstream rejected: {e}", self.label)
-                });
-                self.configured = true;
-                if let Some(r) = self.pending_resume.take() {
-                    self.on_resume_at(r, ctx);
-                } else if !self.paused {
-                    self.begin(ctx);
-                }
-                return;
-            }
-            Err(ev) => ev,
-        };
+impl Recoverable for CollDriver {
+    fn fo(&self) -> &Failover {
+        &self.fo
+    }
+
+    fn fo_mut(&mut self) -> &mut Failover {
+        &mut self.fo
+    }
+
+    fn bitstream(&self) -> Bitstream {
+        let plan = self
+            .offload
+            .as_ref()
+            .expect("INIC attachment carries a plan");
+        plan.bitstream.clone()
+    }
+
+    fn begin(&mut self, ctx: &mut Ctx) {
+        self.timings.started_at = Some(ctx.now());
+        self.started = true;
+        self.state = self.schedule.init_state(&self.input);
+        self.phase_entered = ctx.now();
+        self.start_round(ctx);
+    }
+
+    fn compute_done(&mut self, ctx: &mut Ctx) {
+        assert!(self.in_charge, "{}: stray charge completion", self.fo.label);
+        self.in_charge = false;
+        self.timings.compute += ctx.now().since(self.charge_started);
+        self.advance_round();
+        self.start_round(ctx);
+        // A peer may have pre-delivered the next round.
+        self.try_complete_tcp_round(ctx);
+        self.try_complete_inic_tcp_legs(ctx);
+    }
+
+    fn on_event(&mut self, ev: Box<dyn Any>, ctx: &mut Ctx) {
         let ev = match ev.downcast::<TcpDelivered>() {
             Ok(d) => {
                 let TcpDelivered { peer, chan, data } = *d;
                 let src = self
+                    .fo
                     .attachment
                     .resolve_src(peer)
                     .expect("delivery from an unknown peer");
@@ -980,42 +693,109 @@ impl Component for CollDriver {
             }
             Err(ev) => ev,
         };
-        let ev = match ev.downcast::<InicScatterDone>() {
-            Ok(s) => {
-                if self.epoch > 0 && (self.done || s.stream != self.stream() || !self.await_scatter)
-                {
-                    // A pre-failover scatter completing against a dead
-                    // epoch.
-                    return;
-                }
-                assert_eq!(s.stream, self.stream(), "{}: stale scatter", self.label);
-                assert!(self.await_scatter, "{}: unexpected scatter", self.label);
-                self.await_scatter = false;
-                self.maybe_close_inic_round(ctx, 0);
-                return;
-            }
-            Err(ev) => ev,
+        let Ok(s) = ev.downcast::<InicScatterDone>() else {
+            panic!("{}: unknown event", self.fo.label);
         };
-        if let Some(done) = ev.downcast_ref::<RoundChargeDone>() {
-            if done.0 != self.epoch {
-                // A charge window armed before a failover.
-                return;
-            }
-            assert!(self.in_charge, "{}: stray charge completion", self.label);
-            self.in_charge = false;
-            self.timings.compute += ctx.now().since(self.charge_started);
-            self.advance_round();
-            self.start_round(ctx);
-            // A peer may have pre-delivered the next round.
-            self.try_complete_tcp_round(ctx);
-            self.try_complete_inic_tcp_legs(ctx);
+        if self.fo.epoch > 0 && (self.done || s.stream != self.stream() || !self.await_scatter) {
+            // A pre-failover scatter completing against a dead epoch.
             return;
         }
-        panic!("{}: unknown event", self.label);
+        assert_eq!(s.stream, self.stream(), "{}: stale scatter", self.fo.label);
+        assert!(self.await_scatter, "{}: unexpected scatter", self.fo.label);
+        self.await_scatter = false;
+        self.maybe_close_inic_round(ctx, 0);
+    }
+
+    /// Streams announced before the bump can never complete once the
+    /// peer set changed.
+    fn abort_stream(&self) -> Option<u32> {
+        (self.await_gather || self.await_scatter).then(|| self.stream())
+    }
+
+    fn park(&mut self) {
+        self.await_gather = false;
+        self.await_scatter = false;
+        self.await_tcp = false;
+        self.in_charge = false;
+        self.pending_sum_elems = 0;
+    }
+
+    /// Completed rounds this rank can prove: without checkpoints
+    /// (rank-local policy) the honest answer is 0, a from-scratch
+    /// restart.
+    fn checkpoint(&self) -> u32 {
+        self.ckpts.keys().next_back().copied().unwrap_or(0)
+    }
+
+    fn finished(&self) -> u32 {
+        self.schedule.rounds.len() as u32
+    }
+
+    /// Every rank restarts the whole schedule over the fallback NIC,
+    /// healthy cards included.
+    fn restart(&mut self, ctx: &mut Ctx) {
+        self.park();
+        self.rx.clear();
+        self.ckpts.clear();
+        self.timings = CollTimings {
+            started_at: self.timings.started_at,
+            ..CollTimings::default()
+        };
+        self.restore(0, ctx);
+    }
+
+    /// Re-enter at round `phase`. Ranks that already finished rejoin —
+    /// peers re-executing earlier rounds need their messages, and the
+    /// lockstep determinism makes the re-execution bit-identical.
+    fn restore(&mut self, phase: u32, ctx: &mut Ctx) {
+        self.done = false;
+        self.round = phase as usize;
+        self.state = if phase == 0 {
+            self.schedule.init_state(&self.input)
+        } else {
+            self.ckpts
+                .get(&phase)
+                .unwrap_or_else(|| {
+                    panic!(
+                        "{}: resume round {phase} without its checkpoint",
+                        self.fo.label
+                    )
+                })
+                .clone()
+        };
+        self.started = true;
+        if self.timings.started_at.is_none() {
+            self.timings.started_at = Some(ctx.now());
+        }
+        self.phase_entered = ctx.now();
+        self.start_round(ctx);
+        // Degraded peers running ahead may have pre-delivered their
+        // legs for the resumed round.
+        self.try_complete_tcp_round(ctx);
+        self.try_complete_inic_tcp_legs(ctx);
+    }
+
+    fn phase(&self) -> (&'static str, SimTime) {
+        (self.current_phase, self.phase_entered)
+    }
+
+    fn is_done(&self) -> bool {
+        self.done
+    }
+
+    fn span(&self) -> (SimTime, SimTime) {
+        let t = &self.timings;
+        (t.started_at.expect("started"), t.done_at.expect("done"))
+    }
+}
+
+impl Component for CollDriver {
+    fn handle(&mut self, ev: Box<dyn Any>, ctx: &mut Ctx) {
+        failover::handle(self, ev, ctx);
     }
 
     fn name(&self) -> &str {
-        &self.label
+        &self.fo.label
     }
 
     fn wait_state(&self) -> Option<String> {
@@ -1024,20 +804,16 @@ impl Component for CollDriver {
         }
         Some(format!(
             "rank {} in {} (round {}/{}, epoch {}, gather={}, scatter={}, tcp={}, charge={}{})",
-            self.rank,
-            self.phase_name(),
+            self.fo.rank,
+            self.current_phase,
             self.round,
             self.schedule.rounds.len(),
-            self.epoch,
+            self.fo.epoch,
             self.await_gather,
             self.await_scatter,
             self.await_tcp,
             self.in_charge,
-            if self.paused {
-                ", parked for recovery resume"
-            } else {
-                ""
-            },
+            self.fo.parked_note(),
         ))
     }
 }

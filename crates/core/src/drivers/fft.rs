@@ -17,36 +17,32 @@
 //!
 //! # Fault handling
 //!
-//! With a [`FaultCtl`] wired, the driver also models a host that can
-//! stall (every event is deferred to the end of the stall window) and a
-//! collective that survives card deaths rank-locally: the dead rank
-//! degrades to its fallback `TcpHostNic` while healthy ranks keep the
-//! card datapath, running a **mixed-technology transpose** — the card
-//! exchanges blocks among healthy ranks, the host carries the dead
+//! Stalls, failovers and resumes run through the failover core the
+//! drivers share (`failover.rs`). Under rank-local recovery the dead
+//! rank degrades to its fallback `TcpHostNic` while healthy ranks keep
+//! the card datapath, running a **mixed-technology transpose** — the
+//! card exchanges blocks among healthy ranks, the host carries the dead
 //! ranks' blocks over TCP and interleaves them into the card's slab.
 //! Each completed phase can checkpoint the slab so a failover resumes
-//! from the last phase every rank completed, negotiated through the
-//! [`RecoveryCoordinator`](super::RecoveryCoordinator).
+//! from the last phase every rank completed.
 
 use std::any::Any;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use acc_algos::fft::{fft_in_place, Direction, Matrix};
 use acc_algos::transpose::{
     bytes_to_slab, extract_transposed_block, interleave_block, slab_to_bytes,
 };
 use acc_fpga::{
-    Bitstream, GatherKind, InicConfigure, InicConfigured, InicExpect, InicGatherComplete, InicMode,
-    InicRecover, InicScatter, InicScatterDone, ScatterKind,
+    Bitstream, GatherKind, InicExpect, InicGatherComplete, InicMode, InicScatter, InicScatterDone,
+    ScatterKind,
 };
 use acc_host::HostKernels;
 use acc_proto::{TcpDelivered, TcpSend};
 use acc_sim::{Component, Ctx, DataSize, SimDuration, SimTime};
 
-use super::{
-    Attachment, CardFailed, Deferred, FaultCtl, RecoveryPolicy, RecoveryReport, ResumeAt,
-    RECOVERY_LATENCY,
-};
+use super::failover::{self, Failover, Recoverable};
+use super::{Attachment, FaultCtl};
 
 /// Where the state machine is.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -64,14 +60,6 @@ enum Phase {
     /// Finished.
     Done,
 }
-
-/// Self events marking the end of charged compute. Each carries the
-/// epoch it was scheduled in: a card failover bumps the epoch and
-/// restarts the state machine, and compute timers from the abandoned
-/// attempt must not fire into the new one.
-struct FftComputeDone(u64);
-struct LocalTransposeDone(u64);
-struct PermuteDone(u64);
 
 /// Timing record of one completed run, readable after `sim.run()`.
 #[derive(Clone, Debug, Default)]
@@ -93,12 +81,11 @@ pub struct FftTimings {
 
 /// The per-node FFT application driver.
 pub struct FftDriver {
-    label: String,
-    rank: usize,
+    /// Network attachment and failover state.
+    fo: Failover,
     p: usize,
     rows: usize,
     m: usize,
-    attachment: Attachment,
     kernels: HostKernels,
     slab: Matrix,
     phase: Phase,
@@ -126,32 +113,10 @@ pub struct FftDriver {
     /// Untouched copy of the input slab: `begin_fft` transforms `slab`
     /// in place, so a card-failure restart needs the original back.
     pristine: Matrix,
-    /// Restart epoch; bumped on card failover so stale self events die.
-    epoch: u64,
-    /// Whether this driver abandoned its INIC card and degraded to the
-    /// commodity fallback path.
-    failed_over: bool,
-    /// Fault-handling configuration (default when no plan is wired).
-    fault_ctl: FaultCtl,
-    /// Ranks whose cards died (rank-local recovery only).
-    dead: BTreeSet<usize>,
     /// Phase checkpoints: slab snapshots keyed by completed phase
     /// (1 = row FFTs #1, 2 = transpose #1, 3 = row FFTs #2). Captured
-    /// only under [`RecoveryPolicy::Checkpointed`] with a coordinator.
+    /// only under `RecoveryPolicy::Checkpointed` with a coordinator.
     ckpts: BTreeMap<u32, Matrix>,
-    /// Parked between reporting a failure and the coordinator's resume.
-    paused: bool,
-    /// Whether the card finished loading its bitstream. A failover that
-    /// lands inside the configuration window must defer its resume
-    /// until the card is usable.
-    configured: bool,
-    /// A [`ResumeAt`] verdict received before `configured`; replayed
-    /// when the bitstream lands.
-    pending_resume: Option<ResumeAt>,
-    /// The checkpoint phase the last resume restarted from.
-    resumed_from: Option<u32>,
-    /// Whether this driver already counted itself in `drivers_done`.
-    reported_done: bool,
     /// Timings, filled as the run progresses.
     pub timings: FftTimings,
 }
@@ -170,12 +135,10 @@ impl FftDriver {
         assert_eq!(slab.rows(), rows / p, "slab height");
         assert_eq!(slab.cols(), rows, "slab width");
         FftDriver {
-            label: format!("fft-driver{rank}"),
-            rank,
+            fo: Failover::new(format!("fft-driver{rank}"), rank, attachment),
             p,
             rows,
             m: rows / p,
-            attachment,
             kernels,
             pristine: slab.clone(),
             slab,
@@ -186,16 +149,7 @@ impl FftDriver {
             exchange_step: 0,
             early_gathers: BTreeMap::new(),
             raw_gather: None,
-            epoch: 0,
-            failed_over: false,
-            fault_ctl: FaultCtl::default(),
-            dead: BTreeSet::new(),
             ckpts: BTreeMap::new(),
-            paused: false,
-            configured: false,
-            pending_resume: None,
-            resumed_from: None,
-            reported_done: false,
             timings: FftTimings::default(),
         }
     }
@@ -203,7 +157,7 @@ impl FftDriver {
     /// Attach fault-handling configuration (builder style).
     #[must_use]
     pub fn with_fault_ctl(mut self, ctl: FaultCtl) -> FftDriver {
-        self.fault_ctl = ctl;
+        self.fo.ctl = ctl;
         self
     }
 
@@ -211,21 +165,6 @@ impl FftDriver {
     pub fn result(&self) -> &Matrix {
         assert_eq!(self.phase, Phase::Done, "driver not finished");
         &self.slab
-    }
-
-    /// Whether the run completed.
-    pub fn is_done(&self) -> bool {
-        self.phase == Phase::Done
-    }
-
-    /// Whether the driver completed over the degraded fallback path.
-    pub fn degraded(&self) -> bool {
-        self.failed_over
-    }
-
-    /// The checkpoint phase the last failover resumed from, if any.
-    pub fn resumed_from(&self) -> Option<u32> {
-        self.resumed_from
     }
 
     /// Phase name for liveness attribution; the two transposes report
@@ -241,17 +180,6 @@ impl FftDriver {
         }
     }
 
-    /// Phase snapshot for the liveness layer.
-    pub fn progress(&self) -> super::DriverProgress {
-        super::DriverProgress {
-            rank: self.rank,
-            phase: self.phase_name(),
-            entered: self.phase_entered,
-            paused: self.paused,
-            done: self.is_done(),
-        }
-    }
-
     fn partition_bytes(&self) -> DataSize {
         DataSize::from_bytes((self.m * self.rows * 16) as u64)
     }
@@ -260,29 +188,12 @@ impl FftDriver {
     /// restarted exchange never collides with the aborted one's demux
     /// state (epoch 0 keeps the historical ids 1 and 2).
     fn stream(&self, which: u8) -> u32 {
-        (self.epoch as u32) * 8 + u32::from(which)
+        (self.fo.epoch as u32) * 8 + u32::from(which)
     }
 
     /// TCP channel for transpose `which`, namespaced like [`stream`].
     fn chan(&self, which: u8) -> u16 {
-        (self.epoch as u16) * 4 + u16::from(which)
-    }
-
-    /// Whether phase checkpoints are being captured.
-    fn ckpt_armed(&self) -> bool {
-        self.fault_ctl.coordinator.is_some()
-            && self.fault_ctl.policy == RecoveryPolicy::Checkpointed
-    }
-
-    /// Highest phase this rank could resume from (4 = finished).
-    fn completed_phase(&self) -> u32 {
-        if self.phase == Phase::Done {
-            return 4;
-        }
-        (1..=3u32)
-            .rev()
-            .find(|k| self.ckpts.contains_key(k))
-            .unwrap_or(0)
+        (self.fo.epoch as u16) * 4 + u16::from(which)
     }
 
     // ---- phase transitions ----
@@ -301,15 +212,12 @@ impl FftDriver {
         }
         // The charged time: one of the two Eq. 4 halves.
         let charge = self.kernels.fft_compute_time(self.rows, self.p) / 2;
-        ctx.self_in(charge, FftComputeDone(self.epoch));
+        self.fo.compute(charge, ctx);
     }
 
-    fn on_fft_done(&mut self, ctx: &mut Ctx) {
-        let Phase::Fft(which) = self.phase else {
-            panic!("{}: FftComputeDone outside Fft phase", self.label);
-        };
+    fn on_fft_done(&mut self, which: u8, ctx: &mut Ctx) {
         self.timings.compute += ctx.now().since(self.phase_entered);
-        if self.ckpt_armed() {
+        if self.fo.ckpt_armed() {
             let k = if which == 1 { 1 } else { 3 };
             self.ckpts.insert(k, self.slab.clone());
         }
@@ -319,7 +227,7 @@ impl FftDriver {
     fn begin_transpose(&mut self, which: u8, ctx: &mut Ctx) {
         self.phase_entered = ctx.now();
         if matches!(
-            self.attachment.inic_mode(),
+            self.fo.attachment.inic_mode(),
             None | Some(InicMode::ProtocolProcessor)
         ) {
             // Host performs the data manipulation (commodity NIC, or an
@@ -327,10 +235,10 @@ impl FftDriver {
             self.phase = Phase::LocalTranspose(which);
             self.subphase_entered = ctx.now();
             let charge = self.kernels.local_transpose_time(self.partition_bytes());
-            ctx.self_in(charge, LocalTransposeDone(self.epoch));
+            self.fo.compute(charge, ctx);
             return;
         }
-        match &self.attachment {
+        match &self.fo.attachment {
             Attachment::Inic {
                 card,
                 macs,
@@ -342,7 +250,7 @@ impl FftDriver {
                 let fallback = fallback.clone();
                 let stream = self.stream(which);
                 self.phase = Phase::Exchange(which);
-                let dead = self.dead.clone();
+                let dead = self.fo.dead.clone();
                 ctx.send_now(
                     card,
                     InicExpect {
@@ -396,15 +304,12 @@ impl FftDriver {
     /// Local transpose charge done. Commodity path: begin the
     /// serialized pairwise exchange. Protocol-processor path: hand the
     /// pre-transposed blocks to the card for transmission.
-    fn on_local_transpose_done(&mut self, ctx: &mut Ctx) {
-        let Phase::LocalTranspose(which) = self.phase else {
-            panic!("{}: LocalTransposeDone out of phase", self.label);
-        };
+    fn on_local_transpose_done(&mut self, which: u8, ctx: &mut Ctx) {
         self.timings.transpose_compute += ctx.now().since(self.subphase_entered);
         self.phase = Phase::Exchange(which);
         if let Attachment::Inic {
             card, macs, mode, ..
-        } = &self.attachment
+        } = &self.fo.attachment
         {
             debug_assert_eq!(*mode, InicMode::ProtocolProcessor);
             let card = *card;
@@ -415,7 +320,7 @@ impl FftDriver {
             // host — the card only packetizes.
             let mut data = Vec::with_capacity(self.p * block_bytes);
             for step in 0..self.p {
-                let q = (self.rank + step) % self.p;
+                let q = (self.fo.rank + step) % self.p;
                 data.extend(slab_to_bytes(&extract_transposed_block(&self.slab, q)));
             }
             ctx.send_now(
@@ -449,11 +354,11 @@ impl FftDriver {
         if self.exchange_step >= self.p {
             return;
         }
-        let Attachment::Tcp { nic, macs } = &self.attachment else {
+        let Attachment::Tcp { nic, macs } = &self.fo.attachment else {
             unreachable!("pairwise exchange only on the commodity path");
         };
         let nic = *nic;
-        let q = (self.rank + self.exchange_step) % self.p;
+        let q = (self.fo.rank + self.exchange_step) % self.p;
         let peer = macs[q];
         let block = extract_transposed_block(&self.slab, q);
         ctx.send_now(
@@ -468,6 +373,7 @@ impl FftDriver {
 
     fn on_tcp_delivered(&mut self, d: TcpDelivered, ctx: &mut Ctx) {
         let src = self
+            .fo
             .attachment
             .resolve_src(d.peer)
             .expect("delivery from unknown MAC");
@@ -475,10 +381,10 @@ impl FftDriver {
             .entry((src, d.chan))
             .or_default()
             .extend_from_slice(&d.data);
-        if self.paused {
+        if self.fo.paused {
             return; // buffered; consumed after the coordinator resumes us
         }
-        if matches!(self.attachment, Attachment::Inic { .. }) {
+        if matches!(self.fo.attachment, Attachment::Inic { .. }) {
             if let Phase::Exchange(which) = self.phase {
                 self.try_finish_inic_exchange(which, ctx);
             }
@@ -494,13 +400,13 @@ impl FftDriver {
         let Phase::Exchange(which) = self.phase else {
             return;
         };
-        if matches!(self.attachment, Attachment::Inic { .. }) {
+        if matches!(self.fo.attachment, Attachment::Inic { .. }) {
             return; // completion is signalled by the card
         }
         let block_bytes = self.m * self.m * 16;
         let chan = self.chan(which);
         while self.exchange_step < self.p {
-            let from = (self.rank + self.p - self.exchange_step) % self.p;
+            let from = (self.fo.rank + self.p - self.exchange_step) % self.p;
             let have = self
                 .rx
                 .get(&(from, chan))
@@ -515,14 +421,11 @@ impl FftDriver {
         self.phase = Phase::Permute(which);
         self.subphase_entered = ctx.now();
         let charge = self.kernels.final_permutation_time(self.partition_bytes());
-        ctx.self_in(charge, PermuteDone(self.epoch));
+        self.fo.compute(charge, ctx);
     }
 
     /// Commodity path: permutation charge done — assemble the new slab.
-    fn on_permute_done(&mut self, ctx: &mut Ctx) {
-        let Phase::Permute(which) = self.phase else {
-            panic!("{}: PermuteDone out of phase", self.label);
-        };
+    fn on_permute_done(&mut self, which: u8, ctx: &mut Ctx) {
         self.timings.transpose_compute += ctx.now().since(self.subphase_entered);
         let block_bytes = self.m * self.m * 16;
         let chan = self.chan(which);
@@ -538,8 +441,8 @@ impl FftDriver {
             }
         } else {
             for s in 0..self.p {
-                let block = if s == self.rank {
-                    extract_transposed_block(&self.slab, self.rank)
+                let block = if s == self.fo.rank {
+                    extract_transposed_block(&self.slab, self.fo.rank)
                 } else {
                     let buf = self.rx.get_mut(&(s, chan)).expect("checked complete");
                     let bytes: Vec<u8> = buf.drain(..block_bytes).collect();
@@ -558,7 +461,7 @@ impl FftDriver {
     /// blocks into the same slab (they arrive over TCP, pre-transposed
     /// by the degraded sender's host).
     fn try_finish_inic_exchange(&mut self, which: u8, ctx: &mut Ctx) {
-        if self.paused {
+        if self.fo.paused {
             return;
         }
         let stream = self.stream(which);
@@ -567,7 +470,7 @@ impl FftDriver {
         }
         let block_bytes = self.m * self.m * 16;
         let chan = self.chan(which);
-        let ready = self.dead.iter().all(|&d| {
+        let ready = self.fo.dead.iter().all(|&d| {
             self.rx
                 .get(&(d, chan))
                 .is_some_and(|b| b.len() >= block_bytes)
@@ -577,7 +480,7 @@ impl FftDriver {
         }
         let bytes = self.early_gathers.remove(&stream).expect("checked present");
         let mut out = bytes_to_slab(&bytes, self.m, self.rows);
-        let dead = self.dead.clone();
+        let dead = self.fo.dead.clone();
         for &d in &dead {
             let buf = self.rx.get_mut(&(d, chan)).expect("checked ready");
             let block_bytes_vec: Vec<u8> = buf.drain(..block_bytes).collect();
@@ -592,7 +495,7 @@ impl FftDriver {
         self.timings.transpose += ctx.now().since(self.phase_entered);
         match which {
             1 => {
-                if self.ckpt_armed() {
+                if self.fo.ckpt_armed() {
                     self.ckpts.insert(2, self.slab.clone());
                 }
                 self.begin_fft(2, ctx);
@@ -600,243 +503,50 @@ impl FftDriver {
             2 => {
                 self.phase = Phase::Done;
                 self.timings.done_at = Some(ctx.now());
-                if !self.reported_done {
-                    self.reported_done = true;
-                    ctx.stats().counter("cluster", "drivers_done").inc();
-                }
-            }
-            _ => unreachable!(),
-        }
-    }
-
-    // ---- failure handling ----
-
-    fn on_card_failed(&mut self, node: u32, ctx: &mut Ctx) {
-        match self.fault_ctl.coordinator {
-            None => self.full_restart_failover(ctx),
-            Some(coord) => self.rank_local_failover(node, coord, ctx),
-        }
-    }
-
-    /// The whole cluster degrades together (PR 1 behaviour, still used
-    /// under [`RecoveryPolicy::FullRestart`] and for the
-    /// protocol-processor mode, which has no card datapath worth
-    /// keeping): drop the dead card — even a healthy one, peers can no
-    /// longer reach every rank through the INIC path — and restart from
-    /// the pristine slab copy over the commodity fallback NIC.
-    fn full_restart_failover(&mut self, ctx: &mut Ctx) {
-        if self.failed_over {
-            return; // a second card death changes nothing
-        }
-        let (nic, macs) = match &self.attachment {
-            Attachment::Inic {
-                fallback: Some((nic, macs)),
-                ..
-            } => (*nic, macs.clone()),
-            _ => panic!("{}: card failure without a wired fallback path", self.label),
-        };
-        ctx.stats().counter(&self.label, "card_failovers").inc();
-        self.failed_over = true;
-        self.epoch += 1;
-        self.attachment = Attachment::Tcp { nic, macs };
-        // Discard all partial progress — `slab` was transformed in place
-        // by the aborted attempt, so restart from the pristine copy.
-        // Only the original start instant survives into the timings.
-        self.slab = self.pristine.clone();
-        self.rx.clear();
-        self.exchange_step = 0;
-        self.early_gathers.clear();
-        self.raw_gather = None;
-        let started = self.timings.started_at;
-        self.timings = FftTimings::default();
-        self.timings.started_at = started;
-        self.phase = Phase::Init;
-        self.begin_fft(1, ctx);
-    }
-
-    /// Rank-local degradation: only the dead rank abandons its card.
-    /// Every rank pauses, tells its card to forget the dead peer (and
-    /// abort the in-flight exchange stream, if any), and reports its
-    /// highest completed checkpoint to the coordinator, which answers
-    /// with the cluster-wide resume phase.
-    fn rank_local_failover(&mut self, node: u32, coord: acc_sim::ComponentId, ctx: &mut Ctx) {
-        let node_idx = node as usize;
-        if !self.dead.insert(node_idx) {
-            return; // duplicate death notice
-        }
-        // The stream to abort is the pre-bump one: that is what the
-        // card's demux and retransmit state still reference.
-        let abort_stream = match self.phase {
-            Phase::Exchange(which) => Some(self.stream(which)),
-            _ => None,
-        };
-        self.epoch += 1;
-        self.paused = true;
-        if self.rank == node_idx {
-            let (nic, macs) = match &self.attachment {
-                Attachment::Inic {
-                    fallback: Some((nic, macs)),
-                    ..
-                } => (*nic, macs.clone()),
-                _ => panic!("{}: card failure without a wired fallback path", self.label),
-            };
-            ctx.stats().counter(&self.label, "card_failovers").inc();
-            self.failed_over = true;
-            self.attachment = Attachment::Tcp { nic, macs };
-        } else if let Attachment::Inic { card, macs, .. } = &self.attachment {
-            // Healthy rank: keep the card, purge the dead peer from its
-            // retransmit machinery and abort the stranded stream.
-            let dead_mac = macs[node_idx];
-            ctx.send_now(
-                *card,
-                InicRecover {
-                    dead: dead_mac,
-                    abort_stream,
-                },
-            );
-        }
-        ctx.send_in(
-            RECOVERY_LATENCY,
-            coord,
-            RecoveryReport {
-                rank: self.rank as u32,
-                round: self.epoch,
-                phase: self.completed_phase(),
-            },
-        );
-    }
-
-    /// Coordinator verdict: restore the agreed checkpoint and resume.
-    fn on_resume_at(&mut self, r: ResumeAt, ctx: &mut Ctx) {
-        if r.round != self.epoch {
-            return; // a newer failure superseded this round
-        }
-        if !self.configured && matches!(self.attachment, Attachment::Inic { .. }) {
-            // The failure landed inside the card's configuration
-            // window. Every INIC phase needs a usable card, so the
-            // rank stays paused (buffering whatever arrives) until the
-            // bitstream lands, then replays this verdict.
-            self.pending_resume = Some(r);
-            return;
-        }
-        self.paused = false;
-        self.resumed_from = Some(r.phase);
-        ctx.stats().counter(&self.label, "phase_resumes").inc();
-        if r.phase >= 4 {
-            return; // every rank had already finished
-        }
-        self.early_gathers.clear();
-        self.raw_gather = None;
-        self.exchange_step = 0;
-        let restore = |ckpts: &BTreeMap<u32, Matrix>, k: u32| {
-            ckpts
-                .get(&k)
-                .cloned()
-                .unwrap_or_else(|| panic!("resume phase {k} without its checkpoint"))
-        };
-        match r.phase {
-            0 => {
-                self.slab = self.pristine.clone();
-                self.begin_fft(1, ctx);
-            }
-            1 => {
-                self.slab = restore(&self.ckpts, 1);
-                self.begin_transpose(1, ctx);
-            }
-            2 => {
-                self.slab = restore(&self.ckpts, 2);
-                self.begin_fft(2, ctx);
-            }
-            3 => {
-                self.slab = restore(&self.ckpts, 3);
-                self.begin_transpose(2, ctx);
+                self.fo.report_done(ctx);
             }
             _ => unreachable!(),
         }
     }
 }
 
-impl Component for FftDriver {
-    fn handle(&mut self, ev: Box<dyn Any>, ctx: &mut Ctx) {
-        // Unwrap an event this host already deferred once.
-        let ev = match ev.downcast::<Deferred>() {
-            Ok(d) => d.0,
-            Err(ev) => ev,
-        };
-        // A stalled host services nothing: kernel completions, NIC
-        // interrupts and failure notices all wait for the window's end.
-        if let Some(release) = self.fault_ctl.stalls.deferral(ctx.now()) {
-            ctx.stats().counter(&self.label, "stall_deferrals").inc();
-            ctx.self_in(release.since(ctx.now()), Deferred(ev));
-            return;
+impl Recoverable for FftDriver {
+    fn fo(&self) -> &Failover {
+        &self.fo
+    }
+
+    fn fo_mut(&mut self) -> &mut Failover {
+        &mut self.fo
+    }
+
+    fn bitstream(&self) -> Bitstream {
+        match self.fo.attachment.inic_mode() {
+            Some(InicMode::ProtocolProcessor) => Bitstream::protocol_only(),
+            _ => Bitstream::fft_transpose(self.m),
         }
-        if ev.downcast_ref::<()>().is_some() {
-            match &self.attachment {
-                Attachment::Inic { card, mode, .. } => {
-                    let card = *card;
-                    let bitstream = match mode {
-                        InicMode::ProtocolProcessor => Bitstream::protocol_only(),
-                        _ => Bitstream::fft_transpose(self.m),
-                    };
-                    ctx.send_now(card, InicConfigure { bitstream });
-                }
-                Attachment::Tcp { .. } => self.begin_fft(1, ctx),
-            }
-            return;
+    }
+
+    fn begin(&mut self, ctx: &mut Ctx) {
+        self.begin_fft(1, ctx);
+    }
+
+    fn compute_done(&mut self, ctx: &mut Ctx) {
+        match self.phase {
+            Phase::Fft(which) => self.on_fft_done(which, ctx),
+            Phase::LocalTranspose(which) => self.on_local_transpose_done(which, ctx),
+            Phase::Permute(which) => self.on_permute_done(which, ctx),
+            phase => panic!("{}: compute completion in {phase:?}", self.fo.label),
         }
-        if let Some(cf) = ev.downcast_ref::<CardFailed>() {
-            return self.on_card_failed(cf.node, ctx);
-        }
-        if let Some(r) = ev.downcast_ref::<ResumeAt>() {
-            return self.on_resume_at(*r, ctx);
-        }
-        let ev = match ev.downcast::<InicConfigured>() {
-            Ok(cfg) => {
-                if self.failed_over {
-                    return; // the card answered just before it died
-                }
-                cfg.result
-                    .unwrap_or_else(|e| panic!("{}: FFT bitstream rejected: {e}", self.label));
-                self.configured = true;
-                if let Some(r) = self.pending_resume.take() {
-                    // A failover interrupted the configuration; run
-                    // the deferred resume instead of a fresh start.
-                    self.on_resume_at(r, ctx);
-                    return;
-                }
-                self.begin_fft(1, ctx);
-                return;
-            }
-            Err(ev) => ev,
-        };
-        if let Some(FftComputeDone(epoch)) = ev.downcast_ref::<FftComputeDone>() {
-            if *epoch == self.epoch {
-                return self.on_fft_done(ctx);
-            }
-            return; // compute timer from an abandoned attempt
-        }
-        if let Some(LocalTransposeDone(epoch)) = ev.downcast_ref::<LocalTransposeDone>() {
-            if *epoch == self.epoch {
-                return self.on_local_transpose_done(ctx);
-            }
-            return;
-        }
-        if let Some(PermuteDone(epoch)) = ev.downcast_ref::<PermuteDone>() {
-            if *epoch == self.epoch {
-                return self.on_permute_done(ctx);
-            }
-            return;
-        }
+    }
+
+    fn on_event(&mut self, ev: Box<dyn Any>, ctx: &mut Ctx) {
         let ev = match ev.downcast::<TcpDelivered>() {
             Ok(d) => return self.on_tcp_delivered(*d, ctx),
             Err(ev) => ev,
         };
         let ev = match ev.downcast::<InicGatherComplete>() {
             Ok(g) => {
-                if self.failed_over {
-                    return; // stale card traffic from before the failure
-                }
-                if self.attachment.inic_mode() == Some(InicMode::ProtocolProcessor) {
+                if self.fo.attachment.inic_mode() == Some(InicMode::ProtocolProcessor) {
                     match self.phase {
                         Phase::Exchange(which) if self.stream(which) == g.stream => {
                             // Host still owes the final permutation.
@@ -846,7 +556,7 @@ impl Component for FftDriver {
                             self.subphase_entered = ctx.now();
                             let charge =
                                 self.kernels.final_permutation_time(self.partition_bytes());
-                            ctx.self_in(charge, PermuteDone(self.epoch));
+                            self.fo.compute(charge, ctx);
                         }
                         _ => {
                             // Stale or early; hold it (a stale stream id
@@ -867,11 +577,81 @@ impl Component for FftDriver {
         if ev.downcast_ref::<InicScatterDone>().is_some() {
             return; // send-side completion is informational here
         }
-        panic!("{}: unknown event", self.label);
+        panic!("{}: unknown event", self.fo.label);
+    }
+
+    fn abort_stream(&self) -> Option<u32> {
+        match self.phase {
+            Phase::Exchange(which) => Some(self.stream(which)),
+            _ => None,
+        }
+    }
+
+    /// Slab snapshots keyed by completed phase: 1 = row FFTs #1,
+    /// 2 = transpose #1, 3 = row FFTs #2; 4 = finished.
+    fn checkpoint(&self) -> u32 {
+        self.ckpts.keys().next_back().copied().unwrap_or(0)
+    }
+
+    fn finished(&self) -> u32 {
+        4
+    }
+
+    fn restart(&mut self, ctx: &mut Ctx) {
+        // Discard all partial progress; only the original start instant
+        // survives into the timings.
+        self.rx.clear();
+        self.timings = FftTimings {
+            started_at: self.timings.started_at,
+            ..FftTimings::default()
+        };
+        self.restore(0, ctx);
+    }
+
+    fn restore(&mut self, phase: u32, ctx: &mut Ctx) {
+        self.early_gathers.clear();
+        self.raw_gather = None;
+        self.exchange_step = 0;
+        // `begin_fft` transforms the slab in place, so phase 0 restarts
+        // from the pristine copy.
+        self.slab = match phase {
+            0 => self.pristine.clone(),
+            k => self
+                .ckpts
+                .get(&k)
+                .cloned()
+                .unwrap_or_else(|| panic!("resume phase {k} without its checkpoint")),
+        };
+        match phase {
+            0 => self.begin_fft(1, ctx),
+            1 => self.begin_transpose(1, ctx),
+            2 => self.begin_fft(2, ctx),
+            3 => self.begin_transpose(2, ctx),
+            _ => unreachable!(),
+        }
+    }
+
+    fn phase(&self) -> (&'static str, SimTime) {
+        (self.phase_name(), self.phase_entered)
+    }
+
+    fn is_done(&self) -> bool {
+        self.phase == Phase::Done
+    }
+
+    fn span(&self) -> (SimTime, SimTime) {
+        let t = &self.timings;
+        (t.started_at.expect("started"), t.done_at.expect("done"))
+    }
+}
+
+impl Component for FftDriver {
+    fn handle(&mut self, ev: Box<dyn Any>, ctx: &mut Ctx) {
+        failover::handle(self, ev, ctx);
     }
 
     fn name(&self) -> &str {
-        &self.label
+        &self.fo.label
     }
 
     fn wait_state(&self) -> Option<String> {
@@ -880,16 +660,12 @@ impl Component for FftDriver {
         }
         Some(format!(
             "rank {} in {} since {} (epoch {}, exchange step {}{})",
-            self.rank,
+            self.fo.rank,
             self.phase_name(),
             self.phase_entered,
-            self.epoch,
+            self.fo.epoch,
             self.exchange_step,
-            if self.paused {
-                ", parked for recovery resume"
-            } else {
-                ""
-            }
+            self.fo.parked_note(),
         ))
     }
 }

@@ -7,10 +7,18 @@
 //! network attachment — a [`TcpHostNic`](acc_proto::TcpHostNic) for the
 //! commodity technologies or an [`InicCard`](acc_fpga::InicCard) for
 //! the INIC technologies.
+//!
+//! Stalls, card failovers and coordinated resumes run through one
+//! failover core (`failover.rs`) shared by all three drivers; each
+//! driver supplies only its checkpoint payload, the card stream a
+//! failover aborts, and its state reset and restore.
 
 pub mod coll;
+mod failover;
 pub mod fft;
 pub mod sort;
+
+pub(crate) use failover::Recoverable;
 
 use std::any::Any;
 use std::collections::BTreeMap;
@@ -103,11 +111,6 @@ pub struct DriverProgress {
 /// kernel path, daemon wakeup). Charged on each report and each resume
 /// broadcast.
 pub const RECOVERY_LATENCY: SimDuration = SimDuration::from_micros(200);
-
-/// Wrapper for an event a stalled host could not service: the driver
-/// re-enqueues the original event for the end of the stall window.
-/// (A plain re-send would double-box the `Box<dyn Any>`.)
-pub struct Deferred(pub Box<dyn Any>);
 
 /// Per-driver fault-handling configuration, wired by the cluster
 /// builder only when a fault plan is attached.

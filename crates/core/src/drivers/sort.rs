@@ -16,33 +16,31 @@
 //!   provide higher performance than having the host sort directly into
 //!   16 × N buckets".
 //!
-//! Fault handling mirrors [`FftDriver`](super::fft::FftDriver): stalled
-//! hosts defer every event, and under rank-local recovery a dead rank
-//! degrades to [`SortVariant::HostOnly`] over its fallback NIC while
-//! healthy ranks keep the card, carrying the dead ranks' buckets as
-//! length-prefixed TCP side streams next to the card exchange. The
+//! Stalls, failovers and resumes run through the failover core the
+//! drivers share (`failover.rs`). Under rank-local recovery a dead
+//! rank degrades to [`SortVariant::HostOnly`] over its fallback NIC
+//! while healthy ranks keep the card, carrying the dead ranks' buckets
+//! as length-prefixed TCP side streams next to the card exchange. The
 //! post-exchange state can be checkpointed so a later failure resumes
 //! from the exchange instead of re-running it.
 
 use std::any::Any;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use acc_algos::sort::{
     bucket_index, bucket_sort, bytes_to_keys, count_sort, destination_by_splitters,
     destination_rank, is_sorted, keys_to_bytes,
 };
 use acc_fpga::{
-    Bitstream, GatherKind, InicConfigure, InicConfigured, InicExpect, InicGatherComplete, InicMode,
-    InicRecover, InicScatter, InicScatterDone, ScatterKind,
+    Bitstream, GatherKind, InicExpect, InicGatherComplete, InicMode, InicScatter, InicScatterDone,
+    ScatterKind,
 };
 use acc_host::HostKernels;
 use acc_proto::{TcpDelivered, TcpSend};
 use acc_sim::{Component, Ctx, DataSize, SimDuration, SimTime};
 
-use super::{
-    recv_buckets_for, Attachment, CardFailed, Deferred, FaultCtl, RecoveryPolicy, RecoveryReport,
-    ResumeAt, RECOVERY_LATENCY,
-};
+use super::failover::{self, Failover, Recoverable};
+use super::{recv_buckets_for, Attachment, FaultCtl};
 
 /// How the receive-side bucketing is split between card and host.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -72,16 +70,8 @@ enum Phase {
     Done,
 }
 
-/// Self events marking the end of charged compute. Each carries the
-/// epoch it was scheduled in: a card failover bumps the epoch and
-/// restarts the state machine, and compute timers from the abandoned
-/// attempt must not fire into the new one.
-struct Bucket1Done(u64);
-struct Bucket2Done(u64);
-struct CountDone(u64);
-
 /// Snapshot of the post-exchange state, captured under
-/// [`RecoveryPolicy::Checkpointed`] so a later card failure resumes
+/// `RecoveryPolicy::Checkpointed` so a later card failure resumes
 /// from the exchange instead of re-running it.
 #[derive(Clone)]
 struct ExchangeCkpt {
@@ -116,11 +106,10 @@ pub struct SortTimings {
 
 /// The per-node integer-sort driver.
 pub struct SortDriver {
-    label: String,
-    rank: usize,
+    /// Network attachment and failover state.
+    fo: Failover,
     p: usize,
     variant: SortVariant,
-    attachment: Attachment,
     kernels: HostKernels,
     keys: Vec<u32>,
     /// Optional range splitters for the destination partitioning (the
@@ -147,30 +136,8 @@ pub struct SortDriver {
     /// INIC gather result (16 or N card buckets, concatenated).
     card_bucket_data: Option<(Vec<u8>, Vec<usize>)>,
     sorted: Vec<u32>,
-    /// Restart epoch; bumped on card failover so stale self events die.
-    epoch: u64,
-    /// Whether this driver abandoned its INIC card and restarted over
-    /// the commodity fallback path.
-    failed_over: bool,
-    /// Fault-handling configuration (default when no plan is wired).
-    fault_ctl: FaultCtl,
-    /// Ranks whose cards died (rank-local recovery only).
-    dead: BTreeSet<usize>,
     /// Post-exchange checkpoint, when armed and captured.
     ckpt1: Option<ExchangeCkpt>,
-    /// Parked between reporting a failure and the coordinator's resume.
-    paused: bool,
-    /// Whether the card finished loading its bitstream. A failover that
-    /// lands inside the configuration window must defer its resume
-    /// until the card is usable.
-    configured: bool,
-    /// A [`ResumeAt`] verdict received before `configured`; replayed
-    /// when the bitstream lands.
-    pending_resume: Option<ResumeAt>,
-    /// The checkpoint phase the last resume restarted from.
-    resumed_from: Option<u32>,
-    /// Whether this driver already counted itself in `drivers_done`.
-    reported_done: bool,
     /// Timing decomposition.
     pub timings: SortTimings,
 }
@@ -187,11 +154,9 @@ impl SortDriver {
     ) -> SortDriver {
         let recv_buckets = recv_buckets_for(keys.len() as u64);
         SortDriver {
-            label: format!("sort-driver{rank}"),
-            rank,
+            fo: Failover::new(format!("sort-driver{rank}"), rank, attachment),
             p,
             variant,
-            attachment,
             kernels,
             keys,
             splitters: None,
@@ -205,16 +170,7 @@ impl SortDriver {
             tcp_pending: 0,
             card_bucket_data: None,
             sorted: Vec::new(),
-            epoch: 0,
-            failed_over: false,
-            fault_ctl: FaultCtl::default(),
-            dead: BTreeSet::new(),
             ckpt1: None,
-            paused: false,
-            configured: false,
-            pending_resume: None,
-            resumed_from: None,
-            reported_done: false,
             timings: SortTimings::default(),
         }
     }
@@ -231,7 +187,7 @@ impl SortDriver {
     /// Attach fault-handling configuration (builder style).
     #[must_use]
     pub fn with_fault_ctl(mut self, ctl: FaultCtl) -> SortDriver {
-        self.fault_ctl = ctl;
+        self.fo.ctl = ctl;
         self
     }
 
@@ -257,21 +213,6 @@ impl SortDriver {
         &self.sorted
     }
 
-    /// Whether the run completed.
-    pub fn is_done(&self) -> bool {
-        self.phase == Phase::Done
-    }
-
-    /// Whether the driver completed over the degraded fallback path.
-    pub fn degraded(&self) -> bool {
-        self.failed_over
-    }
-
-    /// The checkpoint phase the last failover resumed from, if any.
-    pub fn resumed_from(&self) -> Option<u32> {
-        self.resumed_from
-    }
-
     /// Phase name for liveness attribution.
     fn phase_name(&self) -> &'static str {
         match self.phase {
@@ -284,17 +225,6 @@ impl SortDriver {
         }
     }
 
-    /// Phase snapshot for the liveness layer.
-    pub fn progress(&self) -> super::DriverProgress {
-        super::DriverProgress {
-            rank: self.rank,
-            phase: self.phase_name(),
-            entered: self.phase_entered,
-            paused: self.paused,
-            done: self.is_done(),
-        }
-    }
-
     fn local_bytes(&self) -> DataSize {
         DataSize::from_bytes(self.keys.len() as u64 * 4)
     }
@@ -303,36 +233,18 @@ impl SortDriver {
     /// restarted exchange never collides with the aborted one's demux
     /// state (epoch 0 keeps the historical id 1).
     fn stream(&self) -> u32 {
-        (self.epoch as u32) * 8 + 1
+        (self.fo.epoch as u32) * 8 + 1
     }
 
     /// TCP channel for the exchange, namespaced like [`stream`].
     fn chan(&self) -> u16 {
-        (self.epoch as u16) * 4 + 1
-    }
-
-    /// Whether phase checkpoints are being captured.
-    fn ckpt_armed(&self) -> bool {
-        self.fault_ctl.coordinator.is_some()
-            && self.fault_ctl.policy == RecoveryPolicy::Checkpointed
-    }
-
-    /// Highest phase this rank could resume from (0 = start, 1 = after
-    /// the exchange, 2 = finished).
-    fn completed_phase(&self) -> u32 {
-        if self.phase == Phase::Done {
-            return 2;
-        }
-        if self.ckpt1.is_some() {
-            return 1;
-        }
-        0
+        (self.fo.epoch as u16) * 4 + 1
     }
 
     /// Capture the post-exchange checkpoint (called at exchange
     /// completion, before any phase consumes the buffers).
     fn capture_ckpt(&mut self) {
-        if !self.ckpt_armed() {
+        if !self.fo.ckpt_armed() {
             return;
         }
         self.ckpt1 = Some(ExchangeCkpt {
@@ -345,7 +257,10 @@ impl SortDriver {
 
     // ---- start ----
 
-    fn begin(&mut self, ctx: &mut Ctx) {
+    /// Phase 1, partitioning the keys by destination rank: a host
+    /// bucket pass on the commodity and protocol-only paths, the card's
+    /// datapath (straight into the exchange) on the INIC paths.
+    fn begin_partition(&mut self, ctx: &mut Ctx) {
         // A failover restart keeps the original start instant: the cost
         // of the aborted attempt is part of the degraded run's time.
         if self.timings.started_at.is_none() {
@@ -359,7 +274,7 @@ impl SortDriver {
                 let charge = self
                     .kernels
                     .bucket_sort_time(self.keys.len() as u64, self.local_bytes());
-                ctx.self_in(charge, Bucket1Done(self.epoch));
+                self.fo.compute(charge, ctx);
             }
             SortVariant::InicFull | SortVariant::InicTwoPhase => {
                 // Card does phase 1; hand the raw keys straight over.
@@ -370,7 +285,7 @@ impl SortDriver {
                     macs,
                     fallback,
                     ..
-                } = &self.attachment
+                } = &self.fo.attachment
                 else {
                     panic!("INIC variant without INIC attachment");
                 };
@@ -378,7 +293,7 @@ impl SortDriver {
                 let macs = macs.clone();
                 let fallback = fallback.clone();
                 let k = self.card_recv_buckets();
-                let dead = self.dead.clone();
+                let dead = self.fo.dead.clone();
                 let stream = self.stream();
                 ctx.send_now(
                     card,
@@ -453,14 +368,13 @@ impl SortDriver {
     // ---- commodity path ----
 
     fn on_bucket1_done(&mut self, ctx: &mut Ctx) {
-        assert_eq!(self.phase, Phase::Bucket1);
         self.timings.bucket1 += ctx.now().since(self.phase_entered);
         self.phase = Phase::Exchange;
         self.phase_entered = ctx.now();
         if self.variant == SortVariant::ProtocolOnly {
             return self.raw_exchange_via_card(ctx);
         }
-        let Attachment::Tcp { nic, macs } = &self.attachment else {
+        let Attachment::Tcp { nic, macs } = &self.fo.attachment else {
             panic!("HostOnly variant without TCP attachment");
         };
         let nic = *nic;
@@ -468,7 +382,7 @@ impl SortDriver {
         let chan = self.chan();
         let buckets = self.partition_keys();
         for step in 1..self.p {
-            let q = (self.rank + step) % self.p;
+            let q = (self.fo.rank + step) % self.p;
             // Length-prefixed key stream: the receiver learns each
             // sender's (data-dependent) total from the first 8 bytes.
             let body = keys_to_bytes(&buckets[q]);
@@ -484,7 +398,7 @@ impl SortDriver {
             );
         }
         // Our own bucket stays home.
-        self.received_keys.push(buckets[self.rank].clone());
+        self.received_keys.push(buckets[self.fo.rank].clone());
         self.check_exchange_complete(ctx);
     }
 
@@ -493,7 +407,7 @@ impl SortDriver {
     fn raw_exchange_via_card(&mut self, ctx: &mut Ctx) {
         let Attachment::Inic {
             card, macs, mode, ..
-        } = &self.attachment
+        } = &self.fo.attachment
         else {
             panic!("ProtocolOnly variant without INIC attachment");
         };
@@ -505,7 +419,7 @@ impl SortDriver {
         let mut parts = vec![0usize; self.p];
         let mut data = Vec::with_capacity(self.keys.len() * 4);
         for step in 0..self.p {
-            let q = (self.rank + step) % self.p;
+            let q = (self.fo.rank + step) % self.p;
             parts[q] = buckets[q].len() * 4;
             data.extend(keys_to_bytes(&buckets[q]));
         }
@@ -556,13 +470,14 @@ impl SortDriver {
 
     fn on_tcp_delivered(&mut self, d: TcpDelivered, ctx: &mut Ctx) {
         let src = self
+            .fo
             .attachment
             .resolve_src(d.peer)
             .expect("delivery from unknown MAC");
         let chan_now = self.chan();
         let buf = self.rx.entry((src, d.chan)).or_default();
         buf.extend_from_slice(&d.data);
-        if self.paused || d.chan != chan_now {
+        if self.fo.paused || d.chan != chan_now {
             // Stale epoch (the exchange it belonged to was abandoned) or
             // a paused host: leave it buffered, it is never consumed.
             return;
@@ -570,7 +485,7 @@ impl SortDriver {
         let Some(keys) = self.take_complete_stream(src, d.chan) else {
             return; // stream still in flight
         };
-        if matches!(self.attachment, Attachment::Inic { .. }) {
+        if matches!(self.fo.attachment, Attachment::Inic { .. }) {
             // Mixed-technology side stream from a degraded peer.
             assert!(self.tcp_pending > 0, "unexpected TCP stream on INIC rank");
             self.mixed_tcp_keys.push(keys);
@@ -584,7 +499,7 @@ impl SortDriver {
     }
 
     fn check_exchange_complete(&mut self, ctx: &mut Ctx) {
-        if self.paused || self.phase != Phase::Exchange || self.streams_pending > 0 {
+        if self.fo.paused || self.phase != Phase::Exchange || self.streams_pending > 0 {
             return;
         }
         if matches!(self.variant, SortVariant::HostOnly) {
@@ -614,11 +529,10 @@ impl SortDriver {
         };
         let working = DataSize::from_bytes(n_keys * 4);
         let charge = self.kernels.bucket_sort_time(n_keys, working);
-        ctx.self_in(charge, Bucket2Done(self.epoch));
+        self.fo.compute(charge, ctx);
     }
 
     fn on_bucket2_done(&mut self, ctx: &mut Ctx) {
-        assert_eq!(self.phase, Phase::Bucket2);
         self.timings.bucket2 += ctx.now().since(self.phase_entered);
         self.begin_count(ctx);
     }
@@ -672,186 +586,35 @@ impl SortDriver {
         }
         debug_assert!(is_sorted(&sorted));
         self.sorted = sorted;
-        ctx.self_in(charge, CountDone(self.epoch));
+        self.fo.compute(charge, ctx);
     }
 
     fn on_count_done(&mut self, ctx: &mut Ctx) {
-        assert_eq!(self.phase, Phase::Count);
         self.timings.count += ctx.now().since(self.phase_entered);
         self.phase = Phase::Done;
         self.timings.done_at = Some(ctx.now());
-        if !self.reported_done {
-            self.reported_done = true;
-            ctx.stats().counter("cluster", "drivers_done").inc();
-        }
+        self.fo.report_done(ctx);
         // Every key we hold belongs to this rank.
         debug_assert!(match &self.splitters {
             Some(sp) => self
                 .sorted
                 .iter()
-                .all(|&k| destination_by_splitters(k, sp) == self.rank),
+                .all(|&k| destination_by_splitters(k, sp) == self.fo.rank),
             None =>
                 self.p == 1
                     || self
                         .sorted
                         .iter()
-                        .all(|&k| destination_rank(k, self.p) == self.rank),
+                        .all(|&k| destination_rank(k, self.p) == self.fo.rank),
         });
     }
 
     // ---- INIC path ----
 
-    fn on_card_failed(&mut self, node: u32, ctx: &mut Ctx) {
-        match self.fault_ctl.coordinator {
-            None => self.full_restart_failover(ctx),
-            Some(coord) => self.rank_local_failover(node, coord, ctx),
-        }
-    }
-
-    /// The whole cluster degrades together (PR 1 behaviour, still used
-    /// under [`RecoveryPolicy::FullRestart`] and for the
-    /// protocol-processor mode): drop the dead card — even a healthy
-    /// one, peers can no longer reach every rank through the INIC path —
-    /// and restart from the retained input keys over the commodity
-    /// fallback NIC.
-    fn full_restart_failover(&mut self, ctx: &mut Ctx) {
-        if self.failed_over {
-            return; // a second card death changes nothing
-        }
-        let (nic, macs) = match &self.attachment {
-            Attachment::Inic {
-                fallback: Some((nic, macs)),
-                ..
-            } => (*nic, macs.clone()),
-            _ => panic!("{}: card failure without a wired fallback path", self.label),
-        };
-        ctx.stats().counter(&self.label, "card_failovers").inc();
-        self.failed_over = true;
-        self.epoch += 1;
-        self.attachment = Attachment::Tcp { nic, macs };
-        self.variant = SortVariant::HostOnly;
-        // Discard every trace of the aborted exchange. The input keys
-        // were never mutated, so the restart recomputes from scratch;
-        // only the original start instant survives into the timings.
-        self.rx.clear();
-        self.received_keys.clear();
-        self.card_bucket_data = None;
-        self.sorted.clear();
-        let started = self.timings.started_at;
-        self.timings = SortTimings::default();
-        self.timings.started_at = started;
-        self.begin(ctx);
-    }
-
-    /// Rank-local degradation: only the dead rank abandons its card
-    /// (degrading to [`SortVariant::HostOnly`]); every rank pauses,
-    /// healthy ranks purge the dead peer from their cards, and all
-    /// report their highest completed checkpoint to the coordinator.
-    fn rank_local_failover(&mut self, node: u32, coord: acc_sim::ComponentId, ctx: &mut Ctx) {
-        let node_idx = node as usize;
-        if !self.dead.insert(node_idx) {
-            return; // duplicate death notice
-        }
-        // The stream to abort is the pre-bump one: that is what the
-        // card's demux and retransmit state still reference.
-        let abort_stream = if matches!(self.attachment, Attachment::Inic { .. })
-            && self.phase == Phase::Exchange
-        {
-            Some(self.stream())
-        } else {
-            None
-        };
-        self.epoch += 1;
-        self.paused = true;
-        if self.rank == node_idx {
-            let (nic, macs) = match &self.attachment {
-                Attachment::Inic {
-                    fallback: Some((nic, macs)),
-                    ..
-                } => (*nic, macs.clone()),
-                _ => panic!("{}: card failure without a wired fallback path", self.label),
-            };
-            ctx.stats().counter(&self.label, "card_failovers").inc();
-            self.failed_over = true;
-            self.attachment = Attachment::Tcp { nic, macs };
-            self.variant = SortVariant::HostOnly;
-        } else if let Attachment::Inic { card, macs, .. } = &self.attachment {
-            let dead_mac = macs[node_idx];
-            ctx.send_now(
-                *card,
-                InicRecover {
-                    dead: dead_mac,
-                    abort_stream,
-                },
-            );
-        }
-        ctx.send_in(
-            RECOVERY_LATENCY,
-            coord,
-            RecoveryReport {
-                rank: self.rank as u32,
-                round: self.epoch,
-                phase: self.completed_phase(),
-            },
-        );
-    }
-
-    /// Coordinator verdict: restore the agreed checkpoint and resume.
-    fn on_resume_at(&mut self, r: ResumeAt, ctx: &mut Ctx) {
-        if r.round != self.epoch {
-            return; // a newer failure superseded this round
-        }
-        if !self.configured && matches!(self.attachment, Attachment::Inic { .. }) {
-            // The failure landed inside the card's configuration
-            // window. The exchange needs a usable card, so the rank
-            // stays paused (buffering whatever arrives) until the
-            // bitstream lands, then replays this verdict.
-            self.pending_resume = Some(r);
-            return;
-        }
-        self.paused = false;
-        self.resumed_from = Some(r.phase);
-        ctx.stats().counter(&self.label, "phase_resumes").inc();
-        if r.phase >= 2 {
-            return; // every rank had already finished
-        }
-        self.card_bucket_data = None;
-        self.sorted.clear();
-        match r.phase {
-            0 => {
-                self.received_keys.clear();
-                self.mixed_tcp_keys.clear();
-                self.tcp_pending = 0;
-                if self.failed_over {
-                    self.variant = SortVariant::HostOnly;
-                }
-                self.begin(ctx);
-            }
-            1 => {
-                let ck = self
-                    .ckpt1
-                    .clone()
-                    .expect("resume phase 1 without its checkpoint");
-                self.card_bucket_data = ck.card;
-                self.received_keys = ck.received;
-                self.mixed_tcp_keys = ck.tcp;
-                // Resume under the snapshot's variant: it names the data
-                // layout, and the remaining phases are pure host compute
-                // even if this rank has since lost its card.
-                self.variant = ck.variant;
-                match self.variant {
-                    SortVariant::InicFull => self.begin_count(ctx),
-                    _ => self.begin_bucket2(ctx),
-                }
-            }
-            _ => unreachable!(),
-        }
-    }
-
     /// Card gather stored; finish the exchange once the mixed-technology
     /// TCP side streams (if any) are also in.
     fn try_finish_inic_exchange(&mut self, ctx: &mut Ctx) {
-        if self.paused || self.phase != Phase::Exchange {
+        if self.fo.paused || self.phase != Phase::Exchange {
             return;
         }
         if self.card_bucket_data.is_none() || self.tcp_pending > 0 {
@@ -867,7 +630,7 @@ impl SortDriver {
     }
 
     fn on_gather(&mut self, g: InicGatherComplete, ctx: &mut Ctx) {
-        if self.paused || self.phase != Phase::Exchange || g.stream != self.stream() {
+        if self.fo.paused || self.phase != Phase::Exchange || g.stream != self.stream() {
             return; // gather of an abandoned exchange
         }
         let bounds = g.bucket_bounds.expect("bucket/raw gather carries bounds");
@@ -886,111 +649,129 @@ fn bucket_sort_into_n(keys: &[u32], n: usize) -> Vec<Vec<u32>> {
     buckets
 }
 
-impl Component for SortDriver {
-    fn handle(&mut self, ev: Box<dyn Any>, ctx: &mut Ctx) {
-        // Unwrap an event this host already deferred once.
-        let ev = match ev.downcast::<Deferred>() {
-            Ok(d) => d.0,
-            Err(ev) => ev,
-        };
-        // A stalled host services nothing until the window ends.
-        if let Some(release) = self.fault_ctl.stalls.deferral(ctx.now()) {
-            ctx.stats().counter(&self.label, "stall_deferrals").inc();
-            ctx.self_in(release.since(ctx.now()), Deferred(ev));
-            return;
-        }
-        if ev.downcast_ref::<()>().is_some() {
-            match (&self.attachment, self.variant) {
-                (Attachment::Inic { card, .. }, SortVariant::ProtocolOnly) => {
-                    let card = *card;
-                    ctx.send_now(
-                        card,
-                        InicConfigure {
-                            bitstream: Bitstream::protocol_only(),
-                        },
-                    );
-                }
-                (Attachment::Inic { card, .. }, v) => {
-                    assert_ne!(v, SortVariant::HostOnly);
-                    let card = *card;
-                    let send_k = self.p.next_power_of_two().max(2);
-                    let recv_k = self.card_recv_buckets();
-                    ctx.send_now(
-                        card,
-                        InicConfigure {
-                            bitstream: Bitstream::int_sort(send_k.max(16), recv_k),
-                        },
-                    );
-                }
-                (Attachment::Tcp { .. }, SortVariant::HostOnly) => self.begin(ctx),
-                _ => panic!("{}: attachment/variant mismatch", self.label),
+impl Recoverable for SortDriver {
+    fn fo(&self) -> &Failover {
+        &self.fo
+    }
+
+    fn fo_mut(&mut self) -> &mut Failover {
+        &mut self.fo
+    }
+
+    fn bitstream(&self) -> Bitstream {
+        match self.variant {
+            SortVariant::ProtocolOnly => Bitstream::protocol_only(),
+            SortVariant::InicFull | SortVariant::InicTwoPhase => {
+                Bitstream::int_sort(self.p.next_power_of_two().max(16), self.card_recv_buckets())
             }
-            return;
+            SortVariant::HostOnly => panic!("{}: INIC attachment, host variant", self.fo.label),
         }
-        if let Some(cf) = ev.downcast_ref::<CardFailed>() {
-            return self.on_card_failed(cf.node, ctx);
+    }
+
+    fn begin(&mut self, ctx: &mut Ctx) {
+        self.begin_partition(ctx);
+    }
+
+    fn compute_done(&mut self, ctx: &mut Ctx) {
+        match self.phase {
+            Phase::Bucket1 => self.on_bucket1_done(ctx),
+            Phase::Bucket2 => self.on_bucket2_done(ctx),
+            Phase::Count => self.on_count_done(ctx),
+            phase => panic!("{}: compute completion in {phase:?}", self.fo.label),
         }
-        if let Some(r) = ev.downcast_ref::<ResumeAt>() {
-            return self.on_resume_at(*r, ctx);
-        }
-        let ev = match ev.downcast::<InicConfigured>() {
-            Ok(cfg) => {
-                if self.failed_over {
-                    return; // the card answered just before it died
-                }
-                cfg.result
-                    .unwrap_or_else(|e| panic!("{}: sort bitstream rejected: {e}", self.label));
-                self.configured = true;
-                if let Some(r) = self.pending_resume.take() {
-                    // A failover interrupted the configuration; run
-                    // the deferred resume instead of a fresh start.
-                    self.on_resume_at(r, ctx);
-                    return;
-                }
-                self.begin(ctx);
-                return;
-            }
-            Err(ev) => ev,
-        };
-        if let Some(Bucket1Done(epoch)) = ev.downcast_ref::<Bucket1Done>() {
-            if *epoch == self.epoch {
-                return self.on_bucket1_done(ctx);
-            }
-            return; // compute timer from an abandoned attempt
-        }
-        if let Some(Bucket2Done(epoch)) = ev.downcast_ref::<Bucket2Done>() {
-            if *epoch == self.epoch {
-                return self.on_bucket2_done(ctx);
-            }
-            return;
-        }
-        if let Some(CountDone(epoch)) = ev.downcast_ref::<CountDone>() {
-            if *epoch == self.epoch {
-                return self.on_count_done(ctx);
-            }
-            return;
-        }
+    }
+
+    fn on_event(&mut self, ev: Box<dyn Any>, ctx: &mut Ctx) {
         let ev = match ev.downcast::<TcpDelivered>() {
             Ok(d) => return self.on_tcp_delivered(*d, ctx),
             Err(ev) => ev,
         };
         let ev = match ev.downcast::<InicGatherComplete>() {
-            Ok(g) => {
-                if self.failed_over {
-                    return; // stale card traffic from before the failure
-                }
-                return self.on_gather(*g, ctx);
-            }
+            Ok(g) => return self.on_gather(*g, ctx),
             Err(ev) => ev,
         };
         if ev.downcast_ref::<InicScatterDone>().is_some() {
             return;
         }
-        panic!("{}: unknown event", self.label);
+        panic!("{}: unknown event", self.fo.label);
+    }
+
+    fn abort_stream(&self) -> Option<u32> {
+        (matches!(self.fo.attachment, Attachment::Inic { .. }) && self.phase == Phase::Exchange)
+            .then(|| self.stream())
+    }
+
+    /// 0 = start, 1 = after the exchange, 2 = finished.
+    fn checkpoint(&self) -> u32 {
+        u32::from(self.ckpt1.is_some())
+    }
+
+    fn finished(&self) -> u32 {
+        2
+    }
+
+    fn restart(&mut self, ctx: &mut Ctx) {
+        // Discard every trace of the aborted exchange. The input keys
+        // were never mutated, so the restart recomputes from scratch;
+        // only the original start instant survives into the timings.
+        self.rx.clear();
+        self.timings = SortTimings {
+            started_at: self.timings.started_at,
+            ..SortTimings::default()
+        };
+        self.restore(0, ctx);
+    }
+
+    fn restore(&mut self, phase: u32, ctx: &mut Ctx) {
+        self.card_bucket_data = None;
+        self.sorted.clear();
+        if phase == 0 {
+            self.received_keys.clear();
+            self.mixed_tcp_keys.clear();
+            self.tcp_pending = 0;
+            if self.fo.degraded() {
+                self.variant = SortVariant::HostOnly;
+            }
+            return self.begin_partition(ctx);
+        }
+        let ck = self
+            .ckpt1
+            .clone()
+            .expect("resume phase 1 without its checkpoint");
+        self.card_bucket_data = ck.card;
+        self.received_keys = ck.received;
+        self.mixed_tcp_keys = ck.tcp;
+        // Resume under the snapshot's variant: it names the data layout,
+        // and the remaining phases are pure host compute even if this
+        // rank has since lost its card.
+        self.variant = ck.variant;
+        match self.variant {
+            SortVariant::InicFull => self.begin_count(ctx),
+            _ => self.begin_bucket2(ctx),
+        }
+    }
+
+    fn phase(&self) -> (&'static str, SimTime) {
+        (self.phase_name(), self.phase_entered)
+    }
+
+    fn is_done(&self) -> bool {
+        self.phase == Phase::Done
+    }
+
+    fn span(&self) -> (SimTime, SimTime) {
+        let t = &self.timings;
+        (t.started_at.expect("started"), t.done_at.expect("done"))
+    }
+}
+
+impl Component for SortDriver {
+    fn handle(&mut self, ev: Box<dyn Any>, ctx: &mut Ctx) {
+        failover::handle(self, ev, ctx);
     }
 
     fn name(&self) -> &str {
-        &self.label
+        &self.fo.label
     }
 
     fn wait_state(&self) -> Option<String> {
@@ -999,17 +780,13 @@ impl Component for SortDriver {
         }
         Some(format!(
             "rank {} in {} since {} (epoch {}, {} card streams + {} tcp streams pending{})",
-            self.rank,
+            self.fo.rank,
             self.phase_name(),
             self.phase_entered,
-            self.epoch,
+            self.fo.epoch,
             self.streams_pending,
             self.tcp_pending,
-            if self.paused {
-                ", parked for recovery resume"
-            } else {
-                ""
-            }
+            self.fo.parked_note(),
         ))
     }
 }

@@ -78,30 +78,59 @@ fn every_cell_survives_a_card_kill_under_every_policy() {
 
 /// A kill landing inside the 60 ms configuration window: the resume is
 /// parked until `InicConfigured` and the run still completes correctly
-/// with the survivors' cards intact.
+/// with the survivors' cards intact. The last instants (59.7–60.0 ms)
+/// put the coordinator's verdict on the far side of the bitstream load,
+/// so the card finishes configuring while every rank is parked: no
+/// driver may start then, or the resume announces its streams twice.
+/// FFT and sort share the collective's failover core and must hold the
+/// same line.
 #[test]
 fn config_window_kill_parks_the_resume_until_configured() {
-    for at_ms in [1u64, 30] {
-        let plan = FaultPlan::new(0xAB5E).with(FaultEvent::CardFailure {
-            node: 2,
-            at: ms(at_ms),
-        });
-        let spec = ClusterSpec::new(P, Technology::InicIdeal).with_fault_plan(plan);
-        let outcome =
-            RunRequest::collective(spec, CollectiveOp::AllReduce, Algorithm::Ring, ELEMS).execute();
-        assert!(
-            !outcome.is_hung(),
-            "config-window kill must not hang:\n{:?}",
-            outcome.hang()
-        );
-        let r = outcome.into_coll();
-        assert!(r.verified);
-        assert_eq!(r.faults.degraded_nodes, 1);
-        assert_eq!(
-            r.faults.resumed_from_phase,
-            Some(0),
-            "nothing completed before the kill: resume from round 0"
-        );
+    for at_us in [1_000u64, 30_000, 59_700, 59_900, 60_000] {
+        let spec = || {
+            let plan = FaultPlan::new(0xAB5E).with(FaultEvent::CardFailure {
+                node: 2,
+                at: SimTime::ZERO + SimDuration::from_micros(at_us),
+            });
+            ClusterSpec::new(P, Technology::InicIdeal).with_fault_plan(plan)
+        };
+        let requests = [
+            (
+                "allreduce",
+                RunRequest::collective(spec(), CollectiveOp::AllReduce, Algorithm::Ring, ELEMS),
+            ),
+            ("fft", RunRequest::fft(spec(), 64)),
+            ("sort", RunRequest::sort(spec(), 1 << 14)),
+        ];
+        for (name, request) in requests {
+            let outcome = request.execute();
+            assert!(
+                !outcome.is_hung(),
+                "{name} kill at {at_us} us must not hang:\n{:?}",
+                outcome.hang()
+            );
+            let faults = match outcome {
+                RunOutcome::Coll(r) => {
+                    assert!(r.verified, "{name} kill at {at_us} us: wrong data");
+                    r.faults
+                }
+                RunOutcome::Fft(r) => {
+                    assert!(r.verified, "{name} kill at {at_us} us: wrong data");
+                    r.faults
+                }
+                RunOutcome::Sort(r) => {
+                    assert!(r.verified, "{name} kill at {at_us} us: wrong data");
+                    r.faults
+                }
+                other => panic!("{name}: unexpected outcome {other:?}"),
+            };
+            assert_eq!(faults.degraded_nodes, 1, "{name} kill at {at_us} us");
+            assert_eq!(
+                faults.resumed_from_phase,
+                Some(0),
+                "{name} kill at {at_us} us: nothing completed before the kill, resume from the start"
+            );
+        }
     }
 }
 

@@ -9,6 +9,9 @@
 use acc::coll::{Algorithm, CollectiveOp};
 use acc::core::cluster::{run_collective, run_fft, run_sort, ClusterSpec, Technology};
 use acc::core::model::{FftModel, SortModel};
+use acc::core::RecoveryPolicy;
+use acc::sim::{SimDuration, SimTime};
+use acc_chaos::{FaultEvent, FaultPlan};
 
 #[test]
 fn analytic_models_are_pinned() {
@@ -27,29 +30,26 @@ fn analytic_models_are_pinned() {
 #[test]
 fn simulated_scenarios_are_pinned() {
     // Full end-to-end runs; exact picosecond totals. Small sizes keep
-    // this fast while still exercising the entire stack.
+    // this fast while still exercising the entire stack. If any of
+    // these change, regenerate EXPERIMENTS.md.
     let fft_inic = run_fft(ClusterSpec::new(4, Technology::InicIdeal), 64);
     let fft_gige = run_fft(ClusterSpec::new(4, Technology::GigabitTcp), 64);
     let sort_inic = run_sort(ClusterSpec::new(4, Technology::InicIdeal), 1 << 16);
     assert!(fft_inic.verified && fft_gige.verified && sort_inic.verified);
-    // If any of these change, regenerate EXPERIMENTS.md.
-    let golden = [
-        ("fft inic-ideal p4 n64", fft_inic.total.as_ps()),
-        ("fft gigabit p4 n64", fft_gige.total.as_ps()),
-        ("sort inic-ideal p4 2^16", sort_inic.total.as_ps()),
-    ];
-    // Determinism: the same runs repeated give identical totals.
+    assert_eq!(
+        fft_inic.total.as_ps(),
+        1_187_879_754,
+        "fft inic-ideal p4 n64"
+    );
+    assert_eq!(fft_gige.total.as_ps(), 3_317_776_996, "fft gigabit p4 n64");
+    assert_eq!(
+        sort_inic.total.as_ps(),
+        2_915_325_717,
+        "sort inic-ideal p4 2^16"
+    );
+    // Determinism: the same run repeated gives the identical total.
     let fft_inic2 = run_fft(ClusterSpec::new(4, Technology::InicIdeal), 64);
-    assert_eq!(golden[0].1, fft_inic2.total.as_ps());
-    // Sanity envelope: totals are in the right decade (ms scale), so a
-    // units regression (ns↔ps) cannot pass silently.
-    for (name, ps) in golden {
-        let ms = ps as f64 / 1e9;
-        assert!(
-            (0.05..100.0).contains(&ms),
-            "{name}: {ms} ms out of envelope"
-        );
-    }
+    assert_eq!(fft_inic.total.as_ps(), fft_inic2.total.as_ps());
 }
 
 #[test]
@@ -70,6 +70,16 @@ fn simulated_collectives_are_pinned() {
         256,
     );
     assert!(ring_inic.verified && rd_gige.verified);
+    assert_eq!(
+        ring_inic.total.as_ps(),
+        3_757_111_770,
+        "allreduce ring inic-ideal p4 8192"
+    );
+    assert_eq!(
+        rd_gige.total.as_ps(),
+        392_091_820,
+        "allreduce rd gigabit p4 256"
+    );
     // Determinism: repeating the run reproduces the total exactly.
     let ring_inic2 = run_collective(
         ClusterSpec::new(4, Technology::InicIdeal),
@@ -78,16 +88,70 @@ fn simulated_collectives_are_pinned() {
         8192,
     );
     assert_eq!(ring_inic.total.as_ps(), ring_inic2.total.as_ps());
-    // Sanity envelope (ms scale) so a units regression cannot hide.
-    for (name, ps) in [
-        ("allreduce ring inic-ideal p4 8192", ring_inic.total.as_ps()),
-        ("allreduce rd gigabit p4 256", rd_gige.total.as_ps()),
+}
+
+/// Node 2's card dies at 61 ms, just after the 60 ms bitstream load,
+/// on a 4-node ideal-INIC cluster under `policy`.
+fn card_kill(policy: RecoveryPolicy) -> ClusterSpec {
+    let plan = FaultPlan::new(0xAB5E).with(FaultEvent::CardFailure {
+        node: 2,
+        at: SimTime::ZERO + SimDuration::from_millis(61),
+    });
+    ClusterSpec::new(4, Technology::InicIdeal)
+        .with_fault_plan(plan)
+        .with_recovery_policy(policy)
+}
+
+#[test]
+fn card_kill_recoveries_are_pinned() {
+    // The application drivers' failover paths, end to end. A full
+    // restart abandons every card, so the healthy ones must be told the
+    // peer is dead and stop retransmitting to it: no retransmits at all.
+    let fft_ckpt = run_fft(card_kill(RecoveryPolicy::Checkpointed), 64);
+    let sort_ckpt = run_sort(card_kill(RecoveryPolicy::Checkpointed), 1 << 16);
+    let fft_full = run_fft(card_kill(RecoveryPolicy::FullRestart), 64);
+    let sort_full = run_sort(card_kill(RecoveryPolicy::FullRestart), 1 << 16);
+    for (name, verified, total, faults, ps) in [
+        (
+            "fft checkpointed",
+            fft_ckpt.verified,
+            fft_ckpt.total,
+            &fft_ckpt.faults,
+            2_655_759_074,
+        ),
+        (
+            "sort checkpointed",
+            sort_ckpt.verified,
+            sort_ckpt.total,
+            &sort_ckpt.faults,
+            5_023_491_533,
+        ),
+        (
+            "fft full restart",
+            fft_full.verified,
+            fft_full.total,
+            &fft_full.faults,
+            4_317_776_996,
+        ),
+        (
+            "sort full restart",
+            sort_full.verified,
+            sort_full.total,
+            &sort_full.faults,
+            4_801_910_811,
+        ),
     ] {
-        let ms = ps as f64 / 1e9;
-        assert!(
-            (0.05..100.0).contains(&ms),
-            "{name}: {ms} ms out of envelope"
-        );
+        assert!(verified, "{name}: wrong data");
+        assert_eq!(total.as_ps(), ps, "{name}");
+        assert_eq!(faults.retransmits, 0, "{name}: retransmits");
+    }
+    assert_eq!(fft_ckpt.faults.degraded_nodes, 1);
+    assert_eq!(fft_ckpt.faults.resumed_from_phase, Some(3));
+    assert_eq!(sort_ckpt.faults.degraded_nodes, 1);
+    assert_eq!(sort_ckpt.faults.resumed_from_phase, Some(0));
+    for full in [&fft_full.faults, &sort_full.faults] {
+        assert_eq!(full.degraded_nodes, 4);
+        assert_eq!(full.resumed_from_phase, None);
     }
 }
 
