@@ -8,18 +8,20 @@
 //!   processor; on the receiving node it splits them into buckets small
 //!   enough to fit the processor cache ("on a problem size of 2²¹ keys or
 //!   more, a minimum of 128 buckets are needed").
-//! * **Count sort** (Agarwal's super-scalar sort) — counting passes over
-//!   the remaining key bits sort each bucket. "With 32-bit integers and
-//!   more than 128 buckets there is no need for the final bubble sort":
-//!   our count sort is exact, so no cleanup pass exists at all.
+//! * **Count sort** (Agarwal's super-scalar sort) — stable LSD counting
+//!   passes over the key bits that vary, sized to the input by
+//!   [`digit_plan`], sort each bucket. "With 32-bit integers and more
+//!   than 128 buckets there is no need for the final bubble sort": our
+//!   count sort is exact, so no cleanup pass exists at all.
 //!
 //! The prototype INIC cannot fit the full receive-side bucket sort in its
 //! Xilinx 4085XLA (Section 6), so it splits bucketing into **two phases**:
 //! 16 buckets on the card, then `N` sub-buckets on the host —
 //! [`two_phase_bucket_sort`] reproduces that path.
 
-/// Number of buckets must be a power of two so bucketing is a shift.
-fn bucket_shift(k: usize) -> u32 {
+/// The right shift that maps a key to one of `k` top-bits buckets. `k`
+/// must be a power of two ≥ 2; per-key loops hoist this check.
+pub fn bucket_shift(k: usize) -> u32 {
     assert!(
         k.is_power_of_two() && k >= 2,
         "bucket count must be a power of two ≥ 2, got {k}"
@@ -35,20 +37,47 @@ pub fn bucket_index(key: u32, k: usize) -> usize {
     (key >> bucket_shift(k)) as usize
 }
 
-/// Stable single-pass bucket distribution of `keys` into `k` buckets by
-/// top bits. This is *the* operation the INIC absorbs into the datapath.
-pub fn bucket_sort(keys: &[u32], k: usize) -> Vec<Vec<u32>> {
+/// Stable distribution of `items` into `k` buckets by `bucket_of`
+/// (`< k`), counted first and then placed once each into one flat
+/// vector: returns it and each bucket's end offset within it.
+pub fn bucket_flat<T, I>(items: I, k: usize, bucket_of: impl Fn(T) -> usize) -> (Vec<T>, Vec<usize>)
+where
+    T: Copy + Default,
+    I: IntoIterator<Item = T, IntoIter: Clone>,
+{
+    let items = items.into_iter();
+    let mut ends = vec![0usize; k];
+    for item in items.clone() {
+        ends[bucket_of(item)] += 1;
+    }
+    // Exclusive prefix sum: each bucket's next free slot, which the
+    // placement pass advances to the bucket's end.
+    let mut sum = 0;
+    for e in &mut ends {
+        (*e, sum) = (sum, sum + *e);
+    }
+    let mut out = vec![T::default(); sum];
+    for item in items {
+        let slot = &mut ends[bucket_of(item)];
+        out[*slot] = item;
+        *slot += 1;
+    }
+    (out, ends)
+}
+
+/// [`bucket_flat`] by top bits: *the* operation the INIC absorbs into
+/// the datapath.
+pub fn bucket_sort_flat(keys: &[u32], k: usize) -> (Vec<u32>, Vec<usize>) {
     let shift = bucket_shift(k);
-    let mut buckets: Vec<Vec<u32>> = vec![Vec::new(); k];
-    // Pre-size using the uniform expectation to avoid re-allocation churn.
-    let expect = keys.len() / k + 16;
-    for b in &mut buckets {
-        b.reserve(expect);
-    }
-    for &key in keys {
-        buckets[(key >> shift) as usize].push(key);
-    }
-    buckets
+    bucket_flat(keys.iter().copied(), k, |key| (key >> shift) as usize)
+}
+
+/// [`bucket_sort_flat`] with each bucket in a vector of its own.
+pub fn bucket_sort(keys: &[u32], k: usize) -> Vec<Vec<u32>> {
+    let (flat, ends) = bucket_sort_flat(keys, k);
+    let mut start = 0;
+    let mut bucket = |end| flat[std::mem::replace(&mut start, end)..end].to_vec();
+    ends.iter().map(|&end| bucket(end)).collect()
 }
 
 /// One stable counting pass on `bits` bits starting at `shift`.
@@ -56,49 +85,96 @@ pub fn bucket_sort(keys: &[u32], k: usize) -> Vec<Vec<u32>> {
 pub fn counting_pass(keys: &[u32], shift: u32, bits: u32) -> Vec<u32> {
     assert!((1..=16).contains(&bits), "counting pass digit width 1..=16");
     assert!(shift + bits <= 32);
-    let radix = 1usize << bits;
-    let mask = (radix - 1) as u32;
-    let mut counts = vec![0usize; radix];
-    for &k in keys {
-        counts[((k >> shift) & mask) as usize] += 1;
-    }
-    // Exclusive prefix sum → starting offsets.
-    let mut sum = 0usize;
-    for c in &mut counts {
-        let here = *c;
-        *c = sum;
-        sum += here;
-    }
     let mut out = vec![0u32; keys.len()];
-    for &k in keys {
-        let d = ((k >> shift) & mask) as usize;
-        out[counts[d]] = k;
-        counts[d] += 1;
-    }
+    counting_pass_into(keys, &mut out, shift, bits, &mut vec![0; 1 << bits]);
     out
 }
 
-/// Agarwal-style count sort of 32-bit keys: two stable 16-bit counting
-/// passes (LSD). Each pass's count table is 2¹⁶ entries — it lives in L2
-/// cache, which is why the paper bucket-sorts first so the *data* fits
-/// cache too.
-pub fn count_sort(keys: &[u32]) -> Vec<u32> {
-    if keys.len() <= 1 {
-        return keys.to_vec();
+/// [`counting_pass`] from `src` into `dst`, with `counts[..2^bits]` as
+/// the count table.
+fn counting_pass_into(src: &[u32], dst: &mut [u32], shift: u32, bits: u32, counts: &mut [u32]) {
+    let (counts, mask) = (&mut counts[..1 << bits], (1u32 << bits) - 1);
+    counts.fill(0);
+    for &k in src {
+        counts[((k >> shift) & mask) as usize] += 1;
     }
-    let pass1 = counting_pass(keys, 0, 16);
-    counting_pass(&pass1, 16, 16)
+    let mut sum = 0;
+    for c in counts.iter_mut() {
+        (*c, sum) = (sum, sum + *c);
+    }
+    for &k in src {
+        let slot = &mut counts[((k >> shift) & mask) as usize];
+        dst[*slot as usize] = k;
+        *slot += 1;
+    }
+}
+
+/// The count sort's digit plan `(passes, bits)` for `n` keys whose low
+/// `span` bits vary: the pass count minimising key plus count-table
+/// work, `passes × (n + 2^⌈span/passes⌉)`, with digits of at most 16
+/// bits (the last pass takes what is left). 2²¹ full-span keys keep the
+/// paper's two 16-bit passes; a 4096-key, 25-bit bucket gets three 9-bit
+/// passes; `span` 0 needs none.
+pub fn digit_plan(n: usize, span: u32) -> (u32, u32) {
+    assert!(span <= 32, "a key has 32 bits, not {span}");
+    (span.div_ceil(16).max(1)..=span)
+        .map(|passes| (passes, span.div_ceil(passes)))
+        .min_by_key(|&(passes, bits)| u64::from(passes) * (n as u64 + (1 << bits)))
+        .unwrap_or((0, 0))
+}
+
+/// Agarwal-style count sort of 32-bit keys, in place: stable counting
+/// passes over the bits that vary across `keys` (`32 − lz(AND ^ OR)`),
+/// split by [`digit_plan`]. `scratch` grows to one copy of the keys plus
+/// one count table; reusing it across buckets allocates once.
+pub fn count_sort_in_place(keys: &mut [u32], scratch: &mut Vec<u32>) {
+    let n = keys.len();
+    assert!(u32::try_from(n).is_ok(), "{n} keys overflow u32 counts");
+    let k0 = keys.first().copied().unwrap_or(0);
+    let (and, or) = keys.iter().fold((k0, k0), |(a, o), &k| (a & k, o | k));
+    let span = 32 - (and ^ or).leading_zeros();
+    let (passes, bits) = digit_plan(n, span);
+    if passes == 0 {
+        return;
+    }
+    if scratch.len() < n + (1 << bits) {
+        *scratch = vec![0; n + (1 << bits)]; // fresh zeroed pages, no fill pass
+    }
+    let (buf, counts) = scratch.split_at_mut(n);
+    let (mut src, mut dst) = (&mut *keys, buf);
+    for pass in 0..passes {
+        let shift = pass * bits;
+        counting_pass_into(src, dst, shift, bits.min(span - shift), counts);
+        std::mem::swap(&mut src, &mut dst);
+    }
+    if passes % 2 == 1 {
+        dst.copy_from_slice(src);
+    }
+}
+
+/// [`count_sort_in_place`] into a new vector.
+pub fn count_sort(keys: &[u32]) -> Vec<u32> {
+    let mut out = keys.to_vec();
+    count_sort_in_place(&mut out, &mut Vec::new());
+    out
+}
+
+/// Count-sort each bucket of a flat layout (`ends` as [`bucket_flat`]
+/// returns them) in place with one shared scratch buffer.
+pub fn count_sort_buckets(keys: &mut [u32], ends: &[usize]) {
+    let (mut scratch, mut start) = (Vec::new(), 0);
+    for &end in ends {
+        count_sort_in_place(&mut keys[start..end], &mut scratch);
+        start = end;
+    }
 }
 
 /// The full receive-side pipeline of the parallel implementation
 /// (Fig. 3a): bucket sort into `k` cache-sized buckets, count-sort each
-/// bucket, concatenate. Produces fully sorted output.
+/// bucket. Produces fully sorted output.
 pub fn bucket_then_count_sort(keys: &[u32], k: usize) -> Vec<u32> {
-    let buckets = bucket_sort(keys, k);
-    let mut out = Vec::with_capacity(keys.len());
-    for b in buckets {
-        out.extend(count_sort(&b));
-    }
+    let (mut out, ends) = bucket_sort_flat(keys, k);
+    count_sort_buckets(&mut out, &ends);
     out
 }
 
@@ -110,42 +186,16 @@ pub fn bucket_then_count_sort(keys: &[u32], k: usize) -> Vec<u32> {
 /// keys the *host* had to re-bucket — the second-phase work the ideal INIC
 /// eliminates; the cost models consume it.
 pub fn two_phase_bucket_sort(keys: &[u32], first: usize, second: usize) -> (Vec<u32>, u64) {
-    let phase1 = bucket_sort(keys, first);
-    let mut host_ops = 0u64;
-    let mut out = Vec::with_capacity(keys.len());
     let total = first
         .checked_mul(second)
         .expect("bucket-count product overflow");
     assert!(total <= 1 << 30, "combined bucket count unreasonably large");
-    for (i, b) in phase1.into_iter().enumerate() {
-        host_ops += b.len() as u64;
-        // Sub-bucket on the next log2(second) bits below the first-phase
-        // bits: equivalent to bucketing the whole stream into
-        // `first*second` buckets, restricted to this first-phase bucket.
-        let sub = sub_bucket(&b, first, second, i);
-        for s in sub {
-            out.extend(count_sort(&s));
-        }
-    }
-    (out, host_ops)
-}
-
-/// Distribute keys (all belonging to first-phase bucket `which`) into
-/// `second` sub-buckets using the bit range just below the first-phase
-/// bits.
-fn sub_bucket(keys: &[u32], first: usize, second: usize, which: usize) -> Vec<Vec<u32>> {
     assert!(second.is_power_of_two() && second >= 2);
-    let first_bits = first.trailing_zeros();
-    let second_bits = second.trailing_zeros();
-    assert!(first_bits + second_bits <= 32);
-    let shift = 32 - first_bits - second_bits;
-    let mask = (second - 1) as u32;
-    let mut buckets: Vec<Vec<u32>> = vec![Vec::new(); second];
-    for &k in keys {
-        debug_assert_eq!(bucket_index(k, first), which, "key in wrong phase-1 bucket");
-        buckets[((k >> shift) & mask) as usize].push(k);
-    }
-    buckets
+    let (phase1, _) = bucket_sort_flat(keys, first);
+    // Sub-bucketing each first-phase bucket on the next bits down is one
+    // stable pass into all `first × second` buckets: the first-phase
+    // buckets are already contiguous and in order.
+    (bucket_then_count_sort(&phase1, total), keys.len() as u64)
 }
 
 /// Quicksort baseline — the comparator the paper measured count sort to be
@@ -252,12 +302,23 @@ pub fn destination_by_splitters(key: u32, splitters: &[u32]) -> usize {
     splitters.partition_point(|&s| s <= key)
 }
 
+/// Each key's destination rank among `p`: by `splitters` when given,
+/// else by [`destination_rank`]; with `p` = 1 every key stays home.
+pub fn destination_of(p: usize, splitters: Option<&[u32]>) -> impl Fn(u32) -> usize + '_ {
+    let shift = (p > 1 && splitters.is_none()).then(|| bucket_shift(p));
+    move |key| match (splitters, shift) {
+        (Some(sp), _) => destination_by_splitters(key, sp),
+        (None, Some(shift)) => (key >> shift) as usize,
+        (None, None) => 0,
+    }
+}
+
 /// Serialize keys to the 4-byte little-endian wire stream of the INIC
 /// datapath (Eq. 12: "4 is the number of bytes to store an integer").
 pub fn keys_to_bytes(keys: &[u32]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(keys.len() * 4);
-    for k in keys {
-        out.extend_from_slice(&k.to_le_bytes());
+    let mut out = vec![0u8; keys.len() * 4];
+    for (chunk, k) in out.chunks_exact_mut(4).zip(keys) {
+        chunk.copy_from_slice(&k.to_le_bytes());
     }
     out
 }

@@ -194,9 +194,9 @@ pub fn apply_permutation_bytes(data: &[u8], map: &[usize], elem_size: usize) -> 
 /// Serialize a slab to the 16-byte-per-element stream that crosses the
 /// INIC datapath.
 pub fn slab_to_bytes(slab: &Matrix) -> Vec<u8> {
-    let mut out = Vec::with_capacity(slab.data().len() * 16);
-    for z in slab.data() {
-        out.extend_from_slice(&z.to_le_bytes());
+    let mut out = vec![0u8; slab.data().len() * 16];
+    for (chunk, z) in out.chunks_exact_mut(16).zip(slab.data()) {
+        chunk.copy_from_slice(&z.to_le_bytes());
     }
     out
 }

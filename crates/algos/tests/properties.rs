@@ -8,8 +8,9 @@
 use acc_algos::complex::approx_eq;
 use acc_algos::fft::{fft, fft_2d, ifft, naive_dft, Matrix};
 use acc_algos::sort::{
-    bucket_index, bucket_sort, bucket_then_count_sort, bytes_to_keys, count_sort, counting_pass,
-    is_sorted, keys_to_bytes, quicksort, two_phase_bucket_sort,
+    bucket_index, bucket_sort, bucket_then_count_sort, bytes_to_keys, count_sort,
+    count_sort_in_place, counting_pass, digit_plan, is_sorted, keys_to_bytes, quicksort,
+    two_phase_bucket_sort,
 };
 use acc_algos::transpose::{
     apply_permutation_bytes, block_transpose_index_map, bytes_to_slab, distributed_transpose,
@@ -176,6 +177,46 @@ fn count_sort_equals_std() {
         expect.sort_unstable();
         assert_eq!(got, expect);
     }
+}
+
+#[test]
+fn in_place_count_sort_equals_std_across_lengths_and_spans() {
+    let mut g = Gen::new(0xB1);
+    // One scratch buffer across every case: reuse must not leak state.
+    let mut scratch = Vec::new();
+    for n in [0usize, 1, 2, 255, 256, 4096] {
+        for span in [0u32, 1, 7, 13, 25, 32] {
+            let low = if span == 32 {
+                u32::MAX
+            } else {
+                (1u32 << span) - 1
+            };
+            // Constant high bits above the span, varying bits below it.
+            let high = g.next_u32() & !low;
+            let varying: Vec<u32> = (0..n).map(|_| high | (g.next_u32() & low)).collect();
+            // Duplicate-heavy: a handful of values spread over the span.
+            let pool: Vec<u32> = (0..5).map(|_| high | (g.next_u32() & low)).collect();
+            let dups: Vec<u32> = (0..n).map(|_| pool[g.below(5) as usize]).collect();
+            for keys in [varying, dups] {
+                let mut got = keys.clone();
+                count_sort_in_place(&mut got, &mut scratch);
+                let mut expect = keys;
+                expect.sort_unstable();
+                assert_eq!(got, expect, "n={n} span={span}");
+            }
+        }
+    }
+}
+
+#[test]
+fn digit_plan_sizes_tables_to_the_input() {
+    // Large full-span inputs keep the paper's two 16-bit passes.
+    assert_eq!(digit_plan(1 << 21, 32), (2, 16));
+    // Small buckets get narrow tables: a few dozen entries, not 2¹⁶.
+    let (passes, bits) = digit_plan(256, 25);
+    assert!(bits <= 8 && passes * bits >= 25, "({passes}, {bits})");
+    assert_eq!(digit_plan(4096, 25), (3, 9));
+    assert_eq!(digit_plan(1000, 0), (0, 0));
 }
 
 #[test]

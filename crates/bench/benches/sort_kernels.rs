@@ -8,6 +8,11 @@
 //! * Section 3.2.1: "a minimum of 128 buckets are needed for the
 //!   problem to map well into cache" at 2²¹ keys — sweep the bucket
 //!   count and watch the count-sort pipeline's throughput.
+//!
+//! `bucket_shapes_25bit` times `count_sort` on the cache buckets the
+//! cluster sorts actually hand it: 256 and 4096 keys sharing their top 7
+//! bits (a 25-bit span), where fixed 2¹⁶-entry count tables would cost
+//! far more than the keys themselves.
 
 use std::hint::black_box;
 
@@ -45,6 +50,20 @@ fn main() {
             20,
             Some(n as u64),
             || bucket_then_count_sort(black_box(&keys), k),
+        );
+    }
+
+    for n in [256usize, 4096] {
+        let keys: Vec<u32> = uniform_keys(n, 2503)
+            .iter()
+            .map(|k| (0x2A << 25) | (k & ((1 << 25) - 1)))
+            .collect();
+        bench(
+            "bucket_shapes_25bit",
+            &format!("count_sort_{n}"),
+            2000,
+            Some(n as u64),
+            || count_sort(black_box(&keys)),
         );
     }
 

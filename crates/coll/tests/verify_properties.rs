@@ -18,7 +18,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use acc_coll::plan::{self, build_all, oracle, run_lockstep, RecvOp, Schedule};
 use acc_coll::verify::{default_elems, verify_conservation, verify_schedules};
-use acc_coll::{Algorithm, CollectiveOp};
+use acc_coll::CollectiveOp;
 
 /// xorshift64: deterministic, seedable, no external deps.
 struct Rng(u64);

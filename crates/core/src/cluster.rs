@@ -291,7 +291,7 @@ fn to_port_routes(
 /// configuration) into its driver.
 fn wire<D: Component + 'static>(
     spec: &ClusterSpec,
-    make_driver: impl Fn(usize, Attachment, FaultCtl) -> D,
+    mut make_driver: impl FnMut(usize, Attachment, FaultCtl) -> D,
 ) -> Wiring {
     let mut sim = Simulation::new(spec.seed);
     if spec.quiet {
@@ -1047,7 +1047,7 @@ pub fn try_run_sort_custom(
 ) -> Result<SortRunResult, Box<HangReport>> {
     assert!(spec.p >= 1);
     let per_node = (total_keys / spec.p as u64) as usize;
-    let inputs: Vec<Vec<u32>> = match distribution {
+    let mut inputs: Vec<Vec<u32>> = match distribution {
         KeyDistribution::Uniform => distributed_uniform_keys(per_node, spec.p, spec.seed),
         KeyDistribution::Gaussian => (0..spec.p)
             .map(|rank| gaussian_keys(per_node, spec.seed.wrapping_add(rank as u64 * 0x9E37_79B9)))
@@ -1076,15 +1076,15 @@ pub fn try_run_sort_custom(
     };
     let kernels = HostKernels::athlon_1ghz();
     let mut w = wire(&spec, |rank, attachment, fault_ctl| {
-        let mut driver = SortDriver::new(
-            rank,
-            spec.p,
-            inputs[rank].clone(),
-            variant,
-            attachment,
-            kernels.clone(),
-        )
-        .with_fault_ctl(fault_ctl);
+        // Only verification reads the inputs again; otherwise the
+        // drivers take them.
+        let keys = if spec.verify {
+            inputs[rank].clone()
+        } else {
+            std::mem::take(&mut inputs[rank])
+        };
+        let mut driver = SortDriver::new(rank, spec.p, keys, variant, attachment, kernels.clone())
+            .with_fault_ctl(fault_ctl);
         if let Some(sp) = &splitters {
             driver = driver.with_splitters(sp.clone());
         }
@@ -1098,20 +1098,21 @@ pub fn try_run_sort_custom(
         SimDuration::ZERO,
         SimDuration::ZERO,
     );
-    let mut outputs: Vec<Vec<u32>> = Vec::new();
+    // Concatenated per-rank outputs form the globally sorted key
+    // sequence; collected for verification only.
+    let mut got: Vec<u32> = Vec::new();
     for drv in w.ranks::<SortDriver>() {
         let t = &drv.timings;
         bucket1 = bucket1.max(t.bucket1);
         comm = comm.max(t.comm);
         bucket2 = bucket2.max(t.bucket2);
         count = count.max(t.count);
-        outputs.push(drv.result().to_vec());
+        if spec.verify {
+            got.extend_from_slice(drv.result());
+        }
     }
     let verified = if spec.verify {
-        // Concatenated per-rank outputs form the globally sorted key
-        // sequence, equal (as a multiset and order) to a serial sort of
-        // all inputs.
-        let got: Vec<u32> = outputs.concat();
+        // Equal (as a multiset and order) to a serial sort of all inputs.
         assert!(is_sorted(&got), "global output not sorted");
         let mut expect: Vec<u32> = inputs.concat();
         expect.sort_unstable();

@@ -28,8 +28,8 @@ use std::any::Any;
 use std::collections::BTreeMap;
 
 use acc_algos::sort::{
-    bucket_index, bucket_sort, bytes_to_keys, count_sort, destination_by_splitters,
-    destination_rank, is_sorted, keys_to_bytes,
+    bucket_flat, bucket_sort_flat, bytes_to_keys, count_sort_buckets, destination_of, is_sorted,
+    keys_to_bytes,
 };
 use acc_fpga::{
     Bitstream, GatherKind, InicExpect, InicGatherComplete, InicMode, InicScatter, InicScatterDone,
@@ -77,10 +77,8 @@ enum Phase {
 struct ExchangeCkpt {
     /// Card gather result (INIC variants).
     card: Option<(Vec<u8>, Vec<usize>)>,
-    /// Keys received over TCP (commodity path).
-    received: Vec<Vec<u32>>,
-    /// Keys received over the mixed-technology TCP side streams.
-    tcp: Vec<Vec<u32>>,
+    /// Keys received over TCP.
+    tcp: Vec<u32>,
     /// The variant the exchange ran under — the data layout to resume
     /// with, even if this rank degraded afterwards (the remaining
     /// phases are pure host compute).
@@ -124,13 +122,12 @@ pub struct SortDriver {
     /// channel namespaces the exchange by epoch, so bytes from an
     /// aborted attempt never leak into the restarted one.
     rx: BTreeMap<(usize, u16), Vec<u8>>,
-    /// Commodity: keys received (parsed once each stream's length-prefix
-    /// is satisfied).
-    received_keys: Vec<Vec<u32>>,
+    /// Keys received over TCP, parsed once each stream's length prefix
+    /// is satisfied: the whole commodity exchange (our own bucket
+    /// included), or on an INIC rank the mixed-technology side streams
+    /// from degraded peers, carried next to the card exchange.
+    tcp_keys: Vec<u32>,
     streams_pending: usize,
-    /// Mixed-technology exchange: keys from degraded peers, carried over
-    /// TCP next to the card exchange.
-    mixed_tcp_keys: Vec<Vec<u32>>,
     /// Mixed-technology exchange: TCP side streams still outstanding.
     tcp_pending: usize,
     /// INIC gather result (16 or N card buckets, concatenated).
@@ -164,9 +161,8 @@ impl SortDriver {
             phase: Phase::Init,
             phase_entered: SimTime::ZERO,
             rx: BTreeMap::new(),
-            received_keys: Vec::new(),
+            tcp_keys: Vec::new(),
             streams_pending: 0,
-            mixed_tcp_keys: Vec::new(),
             tcp_pending: 0,
             card_bucket_data: None,
             sorted: Vec::new(),
@@ -192,19 +188,11 @@ impl SortDriver {
     }
 
     /// Distribute this node's keys to their destination ranks using the
-    /// active partitioning (top bits or splitters).
-    fn partition_keys(&self) -> Vec<Vec<u32>> {
-        match &self.splitters {
-            Some(sp) => {
-                let mut buckets: Vec<Vec<u32>> = vec![Vec::new(); self.p];
-                for &k in &self.keys {
-                    buckets[destination_by_splitters(k, sp)].push(k);
-                }
-                buckets
-            }
-            None if self.p == 1 => vec![self.keys.clone()],
-            None => bucket_sort(&self.keys, self.p),
-        }
+    /// active partitioning (top bits or splitters): the keys grouped by
+    /// destination, with each destination's end offset.
+    fn partition_keys(&self) -> (Vec<u32>, Vec<usize>) {
+        let dest_of = destination_of(self.p, self.splitters.as_deref());
+        bucket_flat(self.keys.iter().copied(), self.p, dest_of)
     }
 
     /// This rank's sorted key range, available when done.
@@ -249,8 +237,7 @@ impl SortDriver {
         }
         self.ckpt1 = Some(ExchangeCkpt {
             card: self.card_bucket_data.clone(),
-            received: self.received_keys.clone(),
-            tcp: self.mixed_tcp_keys.clone(),
+            tcp: self.tcp_keys.clone(),
             variant: self.variant,
         });
     }
@@ -326,17 +313,14 @@ impl SortDriver {
                     let (fb_nic, fb_macs) =
                         fallback.expect("rank-local degradation needs a fallback path");
                     let chan = self.chan();
-                    let buckets = self.partition_keys();
+                    let (keys, ends) = self.partition_keys();
                     for &d in &dead {
-                        let body = keys_to_bytes(&buckets[d]);
-                        let mut data = (body.len() as u64).to_le_bytes().to_vec();
-                        data.extend_from_slice(&body);
                         ctx.send_now(
                             fb_nic,
                             TcpSend {
                                 peer: fb_macs[d],
                                 chan,
-                                data,
+                                data: length_prefixed(part(&keys, &ends, d)),
                             },
                         );
                     }
@@ -345,8 +329,7 @@ impl SortDriver {
                     // them now — no further delivery will re-trigger
                     // the parse.
                     for &d in &dead {
-                        if let Some(keys) = self.take_complete_stream(d, chan) {
-                            self.mixed_tcp_keys.push(keys);
+                        if self.take_complete_stream(d, chan) {
                             self.tcp_pending -= 1;
                         }
                     }
@@ -380,25 +363,21 @@ impl SortDriver {
         let nic = *nic;
         let macs = macs.clone();
         let chan = self.chan();
-        let buckets = self.partition_keys();
+        let (keys, ends) = self.partition_keys();
         for step in 1..self.p {
             let q = (self.fo.rank + step) % self.p;
-            // Length-prefixed key stream: the receiver learns each
-            // sender's (data-dependent) total from the first 8 bytes.
-            let body = keys_to_bytes(&buckets[q]);
-            let mut data = (body.len() as u64).to_le_bytes().to_vec();
-            data.extend_from_slice(&body);
             ctx.send_now(
                 nic,
                 TcpSend {
                     peer: macs[q],
                     chan,
-                    data,
+                    data: length_prefixed(part(&keys, &ends, q)),
                 },
             );
         }
         // Our own bucket stays home.
-        self.received_keys.push(buckets[self.fo.rank].clone());
+        self.tcp_keys
+            .extend_from_slice(part(&keys, &ends, self.fo.rank));
         self.check_exchange_complete(ctx);
     }
 
@@ -415,13 +394,14 @@ impl SortDriver {
         let card = *card;
         let macs = macs.clone();
         let stream = self.stream();
-        let buckets = self.partition_keys();
+        let (keys, ends) = self.partition_keys();
         let mut parts = vec![0usize; self.p];
         let mut data = Vec::with_capacity(self.keys.len() * 4);
         for step in 0..self.p {
             let q = (self.fo.rank + step) % self.p;
-            parts[q] = buckets[q].len() * 4;
-            data.extend(keys_to_bytes(&buckets[q]));
+            let to_q = part(&keys, &ends, q);
+            parts[q] = to_q.len() * 4;
+            data.extend_from_slice(&keys_to_bytes(to_q));
         }
         ctx.send_now(
             card,
@@ -442,13 +422,12 @@ impl SortDriver {
         );
     }
 
-    /// Pop the buffered stream from `(src, chan)` if it is complete
-    /// (8-byte length prefix + body), decoded to keys.
-    fn take_complete_stream(&mut self, src: usize, chan: u16) -> Option<Vec<u32>> {
-        let buf = self.rx.get(&(src, chan))?;
-        if buf.len() < 8 {
-            return None;
-        }
+    /// Pop the buffered stream from `(src, chan)` into `tcp_keys` if it
+    /// is complete (8-byte length prefix + body); whether it was.
+    fn take_complete_stream(&mut self, src: usize, chan: u16) -> bool {
+        let Some(buf) = self.rx.get(&(src, chan)).filter(|buf| buf.len() >= 8) else {
+            return false;
+        };
         let want = usize::try_from(u64::from_le_bytes(
             buf[..8]
                 .try_into()
@@ -456,16 +435,16 @@ impl SortDriver {
         ))
         .expect("sort stream length fits usize");
         if buf.len() < 8 + want {
-            return None;
+            return false;
         }
         assert_eq!(
             buf.len(),
             8 + want,
             "sender sent more than one stream on this channel"
         );
-        let keys = bytes_to_keys(&buf[8..]);
+        self.tcp_keys.extend_from_slice(&bytes_to_keys(&buf[8..]));
         self.rx.remove(&(src, chan));
-        Some(keys)
+        true
     }
 
     fn on_tcp_delivered(&mut self, d: TcpDelivered, ctx: &mut Ctx) {
@@ -482,17 +461,15 @@ impl SortDriver {
             // a paused host: leave it buffered, it is never consumed.
             return;
         }
-        let Some(keys) = self.take_complete_stream(src, d.chan) else {
+        if !self.take_complete_stream(src, d.chan) {
             return; // stream still in flight
-        };
+        }
         if matches!(self.fo.attachment, Attachment::Inic { .. }) {
             // Mixed-technology side stream from a degraded peer.
             assert!(self.tcp_pending > 0, "unexpected TCP stream on INIC rank");
-            self.mixed_tcp_keys.push(keys);
             self.tcp_pending -= 1;
             self.try_finish_inic_exchange(ctx);
         } else {
-            self.received_keys.push(keys);
             self.streams_pending -= 1;
             self.check_exchange_complete(ctx);
         }
@@ -514,19 +491,16 @@ impl SortDriver {
     fn begin_bucket2(&mut self, ctx: &mut Ctx) {
         self.phase = Phase::Bucket2;
         self.phase_entered = ctx.now();
-        let n_keys: u64 = match self.variant {
-            SortVariant::HostOnly => self.received_keys.iter().map(|v| v.len() as u64).sum(),
-            SortVariant::InicTwoPhase | SortVariant::ProtocolOnly => {
-                let (data, _) = self.card_bucket_data.as_ref().expect("gather data");
-                (data.len() / 4) as u64
-                    + self
-                        .mixed_tcp_keys
-                        .iter()
-                        .map(|v| v.len() as u64)
-                        .sum::<u64>()
-            }
-            SortVariant::InicFull => unreachable!("ideal INIC skips phase 2"),
-        };
+        debug_assert_ne!(
+            self.variant,
+            SortVariant::InicFull,
+            "ideal INIC skips phase 2"
+        );
+        let card_keys = self
+            .card_bucket_data
+            .as_ref()
+            .map_or(0, |(data, _)| data.len() / 4);
+        let n_keys = (card_keys + self.tcp_keys.len()) as u64;
         let working = DataSize::from_bytes(n_keys * 4);
         let charge = self.kernels.bucket_sort_time(n_keys, working);
         self.fo.compute(charge, ctx);
@@ -542,50 +516,33 @@ impl SortDriver {
     fn begin_count(&mut self, ctx: &mut Ctx) {
         self.phase = Phase::Count;
         self.phase_entered = ctx.now();
-        // Assemble the node's keys grouped into N cache-sized buckets.
-        let grouped: Vec<Vec<u32>> = match self.variant {
-            SortVariant::HostOnly => {
-                let all: Vec<u32> = self.received_keys.concat();
-                bucket_sort_into_n(&all, self.recv_buckets)
-            }
-            SortVariant::InicTwoPhase | SortVariant::ProtocolOnly => {
-                let (data, _bounds) = self.card_bucket_data.take().expect("gather data");
-                let mut all = bytes_to_keys(&data);
-                for keys in &self.mixed_tcp_keys {
-                    all.extend_from_slice(keys);
+        // This node's keys in one flat buffer of N cache-sized buckets.
+        let n = self.recv_buckets;
+        let card_has_all = self.variant == SortVariant::InicFull && self.tcp_keys.is_empty();
+        let (mut keys, ends) = match self.card_bucket_data.take() {
+            // The ideal card delivers the final buckets.
+            Some((data, bounds)) if card_has_all => (
+                bytes_to_keys(&data),
+                bounds.iter().map(|&b| b / 4).collect(),
+            ),
+            // Everything else is bucketed here: keys received over TCP,
+            // the prototype's 16 coarse card buckets, or the ideal card's
+            // buckets plus degraded peers' keys (which arrive unbucketed).
+            card => {
+                let mut all = std::mem::take(&mut self.tcp_keys);
+                if let Some((data, _)) = card {
+                    all.extend(bytes_to_keys(&data));
                 }
-                bucket_sort_into_n(&all, self.recv_buckets)
-            }
-            SortVariant::InicFull => {
-                let (data, bounds) = self.card_bucket_data.take().expect("gather data");
-                let keys = bytes_to_keys(&data);
-                let mut out = Vec::with_capacity(bounds.len());
-                let mut start = 0usize;
-                for &end in &bounds {
-                    out.push(keys[start / 4..end / 4].to_vec());
-                    start = end;
-                }
-                // Mixed-technology keys arrive unbucketed; sprinkle them
-                // into the card's buckets (order within a bucket is
-                // irrelevant — count-sort sorts each fully).
-                for keys in &self.mixed_tcp_keys {
-                    for &k in keys {
-                        out[bucket_index(k, self.recv_buckets)].push(k);
-                    }
-                }
-                out
+                bucket_sort_flat(&all, n)
             }
         };
-        let n_keys: u64 = grouped.iter().map(|b| b.len() as u64).sum();
-        let bucket_bytes = DataSize::from_bytes((n_keys * 4 / self.recv_buckets as u64).max(1));
+        let n_keys = keys.len() as u64;
+        let bucket_bytes = DataSize::from_bytes((n_keys * 4 / n as u64).max(1));
         let charge = self.kernels.count_sort_time(n_keys, bucket_bytes);
         // The real sort.
-        let mut sorted = Vec::with_capacity(n_keys as usize);
-        for b in grouped {
-            sorted.extend(count_sort(&b));
-        }
-        debug_assert!(is_sorted(&sorted));
-        self.sorted = sorted;
+        count_sort_buckets(&mut keys, &ends);
+        debug_assert!(is_sorted(&keys));
+        self.sorted = keys;
         self.fo.compute(charge, ctx);
     }
 
@@ -595,17 +552,9 @@ impl SortDriver {
         self.timings.done_at = Some(ctx.now());
         self.fo.report_done(ctx);
         // Every key we hold belongs to this rank.
-        debug_assert!(match &self.splitters {
-            Some(sp) => self
-                .sorted
-                .iter()
-                .all(|&k| destination_by_splitters(k, sp) == self.fo.rank),
-            None =>
-                self.p == 1
-                    || self
-                        .sorted
-                        .iter()
-                        .all(|&k| destination_rank(k, self.p) == self.fo.rank),
+        debug_assert!({
+            let dest_of = destination_of(self.p, self.splitters.as_deref());
+            self.sorted.iter().all(|&k| dest_of(k) == self.fo.rank)
         });
     }
 
@@ -639,14 +588,16 @@ impl SortDriver {
     }
 }
 
-/// Group keys into `n` buckets by top bits, preserving order (the
-/// host-side phase-2 pass, shared by the commodity and prototype paths).
-fn bucket_sort_into_n(keys: &[u32], n: usize) -> Vec<Vec<u32>> {
-    let mut buckets: Vec<Vec<u32>> = vec![Vec::new(); n];
-    for &k in keys {
-        buckets[bucket_index(k, n)].push(k);
-    }
-    buckets
+/// Destination `q`'s keys within a [`SortDriver::partition_keys`] layout.
+fn part<'a>(keys: &'a [u32], ends: &[usize], q: usize) -> &'a [u32] {
+    &keys[q.checked_sub(1).map_or(0, |prev| ends[prev])..ends[q]]
+}
+
+/// A length-prefixed TCP key stream: the receiver learns each sender's
+/// (data-dependent) total from the first 8 bytes.
+fn length_prefixed(keys: &[u32]) -> Vec<u8> {
+    let prefix = (keys.len() as u64 * 4).to_le_bytes();
+    [&prefix[..], &keys_to_bytes(keys)].concat()
 }
 
 impl Recoverable for SortDriver {
@@ -726,8 +677,7 @@ impl Recoverable for SortDriver {
         self.card_bucket_data = None;
         self.sorted.clear();
         if phase == 0 {
-            self.received_keys.clear();
-            self.mixed_tcp_keys.clear();
+            self.tcp_keys.clear();
             self.tcp_pending = 0;
             if self.fo.degraded() {
                 self.variant = SortVariant::HostOnly;
@@ -739,8 +689,7 @@ impl Recoverable for SortDriver {
             .clone()
             .expect("resume phase 1 without its checkpoint");
         self.card_bucket_data = ck.card;
-        self.received_keys = ck.received;
-        self.mixed_tcp_keys = ck.tcp;
+        self.tcp_keys = ck.tcp;
         // Resume under the snapshot's variant: it names the data layout,
         // and the remaining phases are pure host compute even if this
         // rank has since lost its card.

@@ -29,7 +29,7 @@
 use std::any::Any;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-use acc_algos::sort::{bucket_index, bytes_to_keys, keys_to_bytes};
+use acc_algos::sort::{bucket_flat, bucket_shift, destination_of};
 use acc_algos::transpose::{
     bytes_to_slab, extract_transposed_block, interleave_block, slab_to_bytes,
 };
@@ -740,9 +740,9 @@ impl InicCard {
         out
     }
 
-    /// Route keys to their destination ranks, emitting each packet as
-    /// soon as a destination's staging buffer fills (one-packet
-    /// threshold).
+    /// Route keys, in their wire form, to their destination ranks,
+    /// emitting each packet as soon as a destination's staging buffer
+    /// fills (one-packet threshold).
     fn plan_bucket_scatter(
         &self,
         stream: u32,
@@ -751,18 +751,12 @@ impl InicCard {
         splitters: Option<&[u32]>,
     ) -> Vec<(Option<MacAddr>, InicPacket)> {
         let p = dests.len();
-        let keys = bytes_to_keys(data);
-        let mut staging: Vec<Vec<u32>> = vec![Vec::new(); p];
+        assert_eq!(data.len() % 4, 0, "key stream holds a partial key");
+        let dest_of = destination_of(p, splitters);
+        let mut staging: Vec<Vec<u8>> = (0..p).map(|_| Vec::with_capacity(INIC_PAYLOAD)).collect();
         let mut offsets: Vec<u32> = vec![0; p];
-        let keys_per_pkt = INIC_PAYLOAD / 4;
         let mut out = Vec::new();
-        let emit = |q: usize,
-                    staging: &mut Vec<Vec<u32>>,
-                    offsets: &mut Vec<u32>,
-                    fin: bool,
-                    out: &mut Vec<(Option<MacAddr>, InicPacket)>| {
-            let bytes = keys_to_bytes(&staging[q]);
-            staging[q].clear();
+        let mut emit = |q: usize, bytes: Vec<u8>, fin: bool| {
             let pkt = InicPacket {
                 src_rank: self.my_rank,
                 stream,
@@ -777,22 +771,18 @@ impl InicCard {
             offsets[q] += pkt.data.len() as u32;
             out.push((self.route(dests, q), pkt));
         };
-        for &key in &keys {
-            // P=1 degenerates to a local pass-through.
-            let q = match splitters {
-                Some(sp) => acc_algos::sort::destination_by_splitters(key, sp),
-                None if p == 1 => 0,
-                None => bucket_index(key, p),
-            };
-            staging[q].push(key);
-            if staging[q].len() == keys_per_pkt {
-                emit(q, &mut staging, &mut offsets, false, &mut out);
+        for wire in data.chunks_exact(4) {
+            let q = dest_of(u32::from_le_bytes(wire.try_into().expect("4-byte key")));
+            staging[q].extend_from_slice(wire);
+            if staging[q].len() == INIC_PAYLOAD {
+                let full = std::mem::replace(&mut staging[q], Vec::with_capacity(INIC_PAYLOAD));
+                emit(q, full, false);
             }
         }
         // Flush every destination with a fin packet (possibly empty) so
         // receivers learn the totals.
-        for q in 0..p {
-            emit(q, &mut staging, &mut offsets, true, &mut out);
+        for (q, rest) in staging.into_iter().enumerate() {
+            emit(q, rest, true);
         }
         out
     }
@@ -1308,19 +1298,17 @@ impl InicCard {
             GatherKind::BucketKeys { k } => {
                 // Keys grouped into the card's k buckets, preserving
                 // (src-rank, arrival) order within each bucket.
-                let mut buckets: Vec<Vec<u32>> = vec![Vec::new(); k];
-                for (_src, bytes) in &gather.done {
-                    for key in bytes_to_keys(bytes) {
-                        buckets[bucket_index(key, k)].push(key);
-                    }
-                }
-                let mut bounds = Vec::with_capacity(k);
-                let mut flat = Vec::new();
-                for b in &buckets {
-                    flat.extend_from_slice(b);
-                    bounds.push(flat.len() * 4);
-                }
-                (keys_to_bytes(&flat), Some(bounds))
+                let shift = bucket_shift(k);
+                let keys = gather.done.iter().flat_map(|(src, bytes)| {
+                    assert_eq!(bytes.len() % 4, 0, "source {src} sent a partial key");
+                    bytes
+                        .chunks_exact(4)
+                        .map(|c| <[u8; 4]>::try_from(c).expect("4-byte key"))
+                });
+                let (flat, ends) =
+                    bucket_flat(keys, k, |key| (u32::from_le_bytes(key) >> shift) as usize);
+                let bounds = ends.iter().map(|&end| end * 4).collect();
+                (flat.into_flattened(), Some(bounds))
             }
             GatherKind::Raw => {
                 // Per-source concatenation (already sorted by rank),

@@ -6,7 +6,7 @@
 use std::any::Any;
 
 use acc_algos::fft::Matrix;
-use acc_algos::sort::{bucket_index, bytes_to_keys, destination_rank, keys_to_bytes};
+use acc_algos::sort::{bucket_sort, destination_rank, keys_to_bytes};
 use acc_algos::transpose::{
     bytes_to_slab, distributed_transpose, join_row_blocks, slab_to_bytes, split_row_blocks,
 };
@@ -280,35 +280,31 @@ fn inic_sort_scatter_routes_every_key_to_its_rank() {
             .result
             .as_ref()
             .expect("gather completed");
-        let keys = bytes_to_keys(bytes);
-        received_total += keys.len();
-        // Every key this rank received belongs to this rank.
-        for &k in &keys {
-            assert_eq!(destination_rank(k, p), rank, "stray key {k:#x}");
-        }
-        // Bucket bounds are consistent: keys within each card bucket
-        // share the card-bucket index.
-        let bounds = bounds.as_ref().expect("bucket gather has bounds");
-        assert_eq!(bounds.len(), 16);
-        let mut start = 0usize;
-        for (b, &end) in bounds.iter().enumerate() {
-            for &k in &keys[start / 4..end / 4] {
-                assert_eq!(bucket_index(k, 16), b);
-            }
-            start = end;
-        }
-        // Multiset check: the keys this rank received are exactly the
-        // keys every node's input destined for it.
-        let mut got = keys.clone();
-        got.sort_unstable();
-        let mut expect: Vec<u32> = inputs
+        received_total += bytes.len() / 4;
+        // Exactly a stable bucket sort of the keys every source destined
+        // for this rank, taken source by source in rank order: the same
+        // bytes, and the same bucket bounds.
+        let mine: Vec<u32> = inputs
             .iter()
             .flatten()
             .copied()
             .filter(|&k| destination_rank(k, p) == rank)
             .collect();
-        expect.sort_unstable();
-        assert_eq!(got, expect, "rank {rank} key multiset mismatch");
+        let buckets = bucket_sort(&mine, 16);
+        assert_eq!(
+            *bytes,
+            keys_to_bytes(&buckets.concat()),
+            "rank {rank} bytes"
+        );
+        let mut end = 0;
+        let expect: Vec<usize> = buckets
+            .iter()
+            .map(|b| {
+                end += b.len() * 4;
+                end
+            })
+            .collect();
+        assert_eq!(bounds.as_ref(), Some(&expect), "rank {rank} bucket bounds");
     }
     assert_eq!(received_total, p * n_per, "keys lost or duplicated");
 }

@@ -77,10 +77,9 @@ fn ident_at(code: &str, at: usize) -> String {
 /// Does `code` contain keyword `kw` as a whole word, and if so where
 /// does the text after it begin?
 fn after_keyword(code: &str, kw: &str) -> Option<usize> {
-    for at in crate::word_occurrences(code, kw) {
-        return Some(at + kw.len());
-    }
-    None
+    crate::word_occurrences(code, kw)
+        .first()
+        .map(|at| at + kw.len())
 }
 
 /// Find the line index holding the brace that closes the block whose

@@ -484,7 +484,7 @@ mod tests {
         assert_eq!(part.unreachable_ranks, vec![3]);
         assert_eq!(part.cut_trunks, vec![(0, 3), (2, 3)]);
         assert!(part.dead_switches.is_empty());
-        assert!(mid.tables[0].get(&MacAddr::for_node(3, 0)).is_none());
+        assert!(!mid.tables[0].contains_key(&MacAddr::for_node(3, 0)));
         // Healed epoch routes again.
         assert!(sched.epoch_at(at(30)).partition.is_none());
     }

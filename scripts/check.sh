@@ -9,7 +9,7 @@ echo "== cargo fmt --check"
 cargo fmt --check
 
 echo "== cargo clippy (deny warnings)"
-cargo clippy -q --all-targets -- -D warnings
+cargo clippy -q --workspace --all-targets -- -D warnings
 
 echo "== cargo build --release"
 # --workspace: the root manifest is also the umbrella package, and a
