@@ -57,13 +57,17 @@ impl Component for Incast {
                         },
                     );
                 } else {
-                    let mut parts = vec![0usize; self.p];
-                    parts[0] = self.payload;
+                    // All data to rank 0 and a lone fin to every other
+                    // peer, in ring order from our own rank.
+                    let parts = (1..self.p)
+                        .map(|step| ((self.rank as usize + step) % self.p) as u32)
+                        .map(|q| (q, if q == 0 { self.payload } else { 0 }))
+                        .collect();
                     ctx.send_now(
                         self.card,
                         InicScatter {
                             stream: 1,
-                            kind: ScatterKind::Raw { parts },
+                            kind: ScatterKind::Unicast { parts },
                             data: vec![self.rank as u8; self.payload],
                             dests: self.macs.clone(),
                         },

@@ -14,7 +14,8 @@
 //! executor's determinism contract, checked on every invocation — and
 //! the JSON records both wall times plus the measured speedup. On a
 //! single-core host (`host_parallelism: 1`) the parallel pass degrades
-//! to the serial loop and the speedup hovers around 1.
+//! to the serial loop, so the speedup is recorded as `null` (printed
+//! `n/a`): the pass still runs for its determinism assert.
 //!
 //! ```text
 //! cargo run --release -p acc-bench --bin bench_wallclock            # full
@@ -313,7 +314,8 @@ fn main() {
         "parallel outcomes diverged from serial — determinism contract broken"
     );
 
-    let speedup = serial_secs / parallel_secs;
+    // One core measures no concurrency: the ratio would be noise.
+    let speedup = (executor::default_parallelism() > 1).then(|| serial_secs / parallel_secs);
     let mode = if smoke { "smoke" } else { "full" };
     let mut json = String::new();
     let _ = writeln!(json, "{{");
@@ -345,7 +347,10 @@ fn main() {
     let _ = writeln!(json, "  ],");
     let _ = writeln!(json, "  \"serial_secs\": {serial_secs:.3},");
     let _ = writeln!(json, "  \"parallel_secs\": {parallel_secs:.3},");
-    let _ = writeln!(json, "  \"speedup\": {speedup:.3}");
+    let _ = match speedup {
+        Some(s) => writeln!(json, "  \"speedup\": {s:.3}"),
+        None => writeln!(json, "  \"speedup\": null"),
+    };
     let _ = writeln!(json, "}}");
 
     let file = if smoke {
@@ -380,8 +385,9 @@ fn main() {
     for (label, secs) in &per_point {
         println!("{label:<28} {:>8.3} s", secs);
     }
+    let speedup = speedup.map_or("n/a".to_owned(), |s| format!("{s:.2}x"));
     println!(
-        "serial {serial_secs:.3} s | parallel {parallel_secs:.3} s (jobs={}) | speedup {speedup:.2}x",
+        "serial {serial_secs:.3} s | parallel {parallel_secs:.3} s (jobs={}) | speedup {speedup}",
         ex.jobs()
     );
     println!("wrote {}", path.display());

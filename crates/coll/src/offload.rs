@@ -4,7 +4,7 @@
 //! sPIN's lesson, applied to the paper's INIC: offload capacity is a
 //! *budget*, not a free lunch. Every offloaded collective is expressed
 //! as a concrete [`Bitstream`] — protocol operators, a
-//! per-destination [`OperatorKind::StreamRouter`] sized to the cluster,
+//! per-destination [`OperatorKind::StreamRouter`](acc_fpga::OperatorKind::StreamRouter) sized to the cluster,
 //! and a `ReduceSum` stage only if the schedule actually folds data on
 //! the card — and charged against the device's CLB pool through the
 //! same [`Bitstream::check`] the FFT and sort bitstreams pass. A

@@ -45,7 +45,7 @@
 //! ## Memory-bounded depth
 //!
 //! [`verify_cell`] streams one rank's schedule at a time: build, check
-//! structurally, compress into a flat [`Compact`] image, drop the
+//! structurally, compress into a flat `Compact` image, drop the
 //! builder output. When the projected footprint of holding every
 //! rank's compact image plus the modular state exceeds the budget
 //! (`ACC_VERIFY_MEM_MB`, default 512 MiB), the cell downgrades to

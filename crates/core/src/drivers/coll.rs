@@ -1,10 +1,10 @@
 //! The collective-engine driver — one rank of any `acc-coll` schedule.
 //!
-//! Where the FFT and sort drivers hard-code their application's
-//! exchange pattern, this driver *interprets* a per-rank
-//! [`Schedule`](acc_coll::Schedule) compiled by `acc-coll`'s builders:
-//! the same rounds drive all three execution paths, so adding an
-//! algorithm to the engine needs no driver changes at all.
+//! The FFT and sort drivers share one fixed all-to-all exchange
+//! (`exchange.rs`); this driver *interprets* a per-rank [`Schedule`]
+//! compiled by `acc-coll`'s builders: the same rounds drive all three
+//! execution paths, so adding an algorithm to the engine needs no
+//! driver changes at all.
 //!
 //! * **Host-TCP path** (commodity technologies): each round's sends go
 //!   out as one TCP message per peer on a per-round channel; `Sum`
@@ -52,11 +52,10 @@
 //!   source died falls back to host arithmetic.
 
 use std::any::Any;
-use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::ops::Range;
 
-use acc_coll::plan::{ranges_elems, Round};
+use acc_coll::plan::{ranges_elems, RecvSpec, Round};
 use acc_coll::recovery::{split_round, RoundLegs};
 use acc_coll::{OffloadPlan, RecvOp, Schedule};
 use acc_fpga::{
@@ -67,6 +66,7 @@ use acc_host::HostKernels;
 use acc_proto::{TcpDelivered, TcpSend};
 use acc_sim::{Component, Ctx, SimDuration, SimTime};
 
+use super::exchange::Inbox;
 use super::failover::{self, Failover, Recoverable};
 use super::{Attachment, FaultCtl};
 
@@ -96,11 +96,9 @@ pub struct CollDriver {
     state: Vec<f64>,
     input: Vec<f64>,
     round: usize,
-    /// Inbound TCP bytes keyed by `(src rank, round channel)` — peers
-    /// may run ahead, so future rounds accumulate here until we arrive.
-    /// Each buffer is sized once, from the receive spec, on its first
-    /// delivery.
-    rx: BTreeMap<(usize, u16), Vec<u8>>,
+    /// Inbound TCP messages by `(src rank, round channel)` — peers may
+    /// run ahead, so future rounds accumulate here until we arrive.
+    inbox: Inbox,
     await_gather: bool,
     await_scatter: bool,
     /// Whether the current INIC round still waits on fallback-TCP legs
@@ -163,7 +161,7 @@ impl CollDriver {
             state: Vec::new(),
             input,
             round: 0,
-            rx: BTreeMap::new(),
+            inbox: Inbox::default(),
             await_gather: false,
             await_scatter: false,
             await_tcp: false,
@@ -318,46 +316,32 @@ impl CollDriver {
             );
         }
         // Peers running ahead may already have delivered everything.
-        self.try_complete_tcp_round(ctx);
+        self.try_complete_tcp(ctx);
     }
 
-    fn try_complete_tcp_round(&mut self, ctx: &mut Ctx) {
-        if self.done || !self.started || self.fo.paused || self.in_charge || !self.is_tcp() {
+    /// Fold the current round's TCP receives once all of them are in:
+    /// the whole round on the host path, the fallback legs (receives
+    /// rerouted around a dead peer) of an INIC round.
+    fn try_complete_tcp(&mut self, ctx: &mut Ctx) {
+        if self.done || !self.started || self.fo.paused || self.in_charge {
             return;
         }
         if self.round == self.schedule.rounds.len() {
             return;
         }
         let chan = self.chan();
-        let complete = self.current_round().recvs.iter().all(|r| {
-            let want = ranges_elems(&r.ranges) * 8;
-            self.rx
-                .get(&(r.from, chan))
-                .is_some_and(|b| b.len() >= want)
-        });
-        if !complete {
-            return;
-        }
-        let mut sum_elems = 0u64;
-        for recv in &self.schedule.rounds[self.round].recvs {
-            let bytes = self
-                .rx
-                .remove(&(recv.from, chan))
-                .expect("completeness checked");
-            assert_eq!(
-                bytes.len(),
-                ranges_elems(&recv.ranges) * 8,
-                "{}: round {} message from rank {} over-delivered",
-                self.fo.label,
-                self.round,
-                recv.from
-            );
-            if recv.op == RecvOp::Sum {
-                sum_elems += ranges_elems(&recv.ranges) as u64;
+        if self.is_tcp() {
+            let recvs = &self.schedule.rounds[self.round].recvs;
+            if let Some(sum_elems) = fold_tcp(&mut self.inbox, &mut self.state, chan, recvs) {
+                self.close_round(ctx, sum_elems);
             }
-            Schedule::fold_bytes(&recv.ranges, recv.op, &bytes, &mut self.state);
+        } else if self.await_tcp {
+            let recvs = self.current_legs().tcp_recvs;
+            if let Some(sum_elems) = fold_tcp(&mut self.inbox, &mut self.state, chan, &recvs) {
+                self.await_tcp = false;
+                self.maybe_close_inic_round(ctx, sum_elems);
+            }
         }
-        self.close_round(ctx, sum_elems);
     }
 
     fn is_tcp(&self) -> bool {
@@ -497,47 +481,7 @@ impl CollDriver {
             return;
         }
         // A degraded peer running ahead may have pre-delivered its legs.
-        self.try_complete_inic_tcp_legs(ctx);
-    }
-
-    /// Complete the fallback-TCP legs of the current INIC round, if all
-    /// their bytes have arrived.
-    fn try_complete_inic_tcp_legs(&mut self, ctx: &mut Ctx) {
-        if !self.await_tcp || self.done || self.fo.paused || self.in_charge {
-            return;
-        }
-        let chan = self.chan();
-        let legs = self.current_legs();
-        let complete = legs.tcp_recvs.iter().all(|r| {
-            let want = ranges_elems(&r.ranges) * 8;
-            self.rx
-                .get(&(r.from, chan))
-                .is_some_and(|b| b.len() >= want)
-        });
-        if !complete {
-            return;
-        }
-        let mut host_sum_elems = 0u64;
-        for recv in &legs.tcp_recvs {
-            let bytes = self
-                .rx
-                .remove(&(recv.from, chan))
-                .expect("completeness checked");
-            assert_eq!(
-                bytes.len(),
-                ranges_elems(&recv.ranges) * 8,
-                "{}: round {} fallback leg from rank {} over-delivered",
-                self.fo.label,
-                self.round,
-                recv.from
-            );
-            if recv.op == RecvOp::Sum {
-                host_sum_elems += ranges_elems(&recv.ranges) as u64;
-            }
-            Schedule::fold_bytes(&recv.ranges, recv.op, &bytes, &mut self.state);
-        }
-        self.await_tcp = false;
-        self.maybe_close_inic_round(ctx, host_sum_elems);
+        self.try_complete_tcp(ctx);
     }
 
     fn on_gather_complete(&mut self, g: InicGatherComplete, ctx: &mut Ctx) {
@@ -615,13 +559,33 @@ impl CollDriver {
             // Post-failover, bytes parked on dead-epoch channels are
             // expected leftovers; on a clean run they are a protocol bug.
             assert!(
-                self.rx.is_empty(),
+                self.inbox.is_empty(),
                 "{}: leftover peer bytes at completion",
                 self.fo.label
             );
         }
         self.fo.report_done(ctx);
     }
+}
+
+/// Fold every receive of `recvs` out of the inbox once all of them have
+/// arrived on `chan`: the host-summed element count, or `None` while any
+/// is still in flight.
+fn fold_tcp(inbox: &mut Inbox, state: &mut [f64], chan: u16, recvs: &[RecvSpec]) -> Option<u64> {
+    let size = |r: &RecvSpec| Some(ranges_elems(&r.ranges) * 8);
+    if !recvs.iter().all(|r| inbox.complete(r.from, chan, size(r))) {
+        return None;
+    }
+    let mut sum_elems = 0u64;
+    for recv in recvs {
+        let bytes = inbox.take(recv.from, chan, size(recv));
+        if recv.op == RecvOp::Sum {
+            sum_elems += ranges_elems(&recv.ranges) as u64;
+        }
+        let bytes = bytes.expect("checked complete");
+        Schedule::fold_bytes(&recv.ranges, recv.op, &bytes, state);
+    }
+    Some(sum_elems)
 }
 
 impl Recoverable for CollDriver {
@@ -656,41 +620,22 @@ impl Recoverable for CollDriver {
         self.advance_round();
         self.start_round(ctx);
         // A peer may have pre-delivered the next round.
-        self.try_complete_tcp_round(ctx);
-        self.try_complete_inic_tcp_legs(ctx);
+        self.try_complete_tcp(ctx);
     }
 
     fn on_event(&mut self, ev: Box<dyn Any>, ctx: &mut Ctx) {
         let ev = match ev.downcast::<TcpDelivered>() {
             Ok(d) => {
-                let TcpDelivered { peer, chan, data } = *d;
-                let src = self
-                    .fo
-                    .attachment
-                    .resolve_src(peer)
-                    .expect("delivery from an unknown peer");
-                let want = self.expected_rx_bytes(src, chan);
-                match self.rx.entry((src, chan)) {
-                    Entry::Vacant(slot) => {
-                        // The first delivery becomes the buffer, grown
-                        // once to the whole message.
-                        let mut buf = data;
-                        buf.reserve_exact(want.saturating_sub(buf.len()));
-                        slot.insert(buf);
-                    }
-                    Entry::Occupied(mut slot) => slot.get_mut().extend_from_slice(&data),
-                }
-                self.try_complete_tcp_round(ctx);
-                self.try_complete_inic_tcp_legs(ctx);
-                return;
+                let src = self.fo.attachment.resolve_src(d.peer);
+                let src = src.expect("delivery from an unknown peer");
+                let size = self.expected_rx_bytes(src, d.chan);
+                self.inbox.deliver(src, d.chan, d.data, Some(size));
+                return self.try_complete_tcp(ctx);
             }
             Err(ev) => ev,
         };
         let ev = match ev.downcast::<InicGatherComplete>() {
-            Ok(g) => {
-                self.on_gather_complete(*g, ctx);
-                return;
-            }
+            Ok(g) => return self.on_gather_complete(*g, ctx),
             Err(ev) => ev,
         };
         let Ok(s) = ev.downcast::<InicScatterDone>() else {
@@ -735,7 +680,7 @@ impl Recoverable for CollDriver {
     /// healthy cards included.
     fn restart(&mut self, ctx: &mut Ctx) {
         self.park();
-        self.rx.clear();
+        self.inbox = Inbox::default();
         self.ckpts.clear();
         self.timings = CollTimings {
             started_at: self.timings.started_at,
@@ -771,8 +716,7 @@ impl Recoverable for CollDriver {
         self.start_round(ctx);
         // Degraded peers running ahead may have pre-delivered their
         // legs for the resumed round.
-        self.try_complete_tcp_round(ctx);
-        self.try_complete_inic_tcp_legs(ctx);
+        self.try_complete_tcp(ctx);
     }
 
     fn phase(&self) -> (&'static str, SimTime) {

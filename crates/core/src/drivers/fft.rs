@@ -4,16 +4,21 @@
 //! The four steps (❶ row FFTs, ❷ transpose, ❸ row FFTs, ❹ transpose) are
 //! a per-node state machine. Compute steps are identical across
 //! technologies (charged through [`HostKernels`], executed for real on
-//! the slab). The transpose differs:
+//! the slab). Each transpose runs through the exchange the drivers
+//! share (`exchange.rs`); what the FFT adds is where its data
+//! manipulation runs:
 //!
 //! * **commodity NIC** (Fig. 2(a)): the host charges the local-transpose
-//!   memory pass, sends each transposed block to its peer over TCP,
-//!   accumulates inbound blocks, then charges the final-permutation pass
-//!   before assembling the new slab;
+//!   memory pass, then runs FFTW's serialized pairwise exchange — p−1
+//!   single-peer steps, step `s` sending to `(rank+s) mod P` and waiting
+//!   for the block from `(rank−s) mod P` — and charges the
+//!   final-permutation pass before the new slab is used;
+//! * **INIC as a protocol processor**: the same two host passes around
+//!   one exchange of the host-transposed blocks through the card;
 //! * **INIC** (Fig. 2(b)): the whole manipulation — local transpose,
 //!   packetize, de-packetize, interleave — runs on the card; the host
-//!   hands the slab to [`InicScatter`] and receives the assembled result
-//!   with [`InicGatherComplete`], paying no memory passes at all.
+//!   hands over the slab and receives the assembled result, paying no
+//!   memory passes at all.
 //!
 //! # Fault handling
 //!
@@ -33,14 +38,11 @@ use acc_algos::fft::{fft_in_place, Direction, Matrix};
 use acc_algos::transpose::{
     bytes_to_slab, extract_transposed_block, interleave_block, slab_to_bytes,
 };
-use acc_fpga::{
-    Bitstream, GatherKind, InicExpect, InicGatherComplete, InicMode, InicScatter, InicScatterDone,
-    ScatterKind,
-};
+use acc_fpga::{Bitstream, GatherKind, InicMode, ScatterKind};
 use acc_host::HostKernels;
-use acc_proto::{TcpDelivered, TcpSend};
 use acc_sim::{Component, Ctx, DataSize, SimDuration, SimTime};
 
+use super::exchange::{Exchange, Received, Route};
 use super::failover::{self, Failover, Recoverable};
 use super::{Attachment, FaultCtl};
 
@@ -51,11 +53,11 @@ enum Phase {
     Init,
     /// Row FFTs number `i` (1 or 2).
     Fft(u8),
-    /// Transpose number `i`: commodity local-transpose charge running.
+    /// Transpose number `i`: host local-transpose charge running.
     LocalTranspose(u8),
     /// Transpose number `i`: blocks in flight / being gathered.
     Exchange(u8),
-    /// Transpose number `i`: final-permutation charge running.
+    /// Transpose number `i`: host final-permutation charge running.
     Permute(u8),
     /// Finished.
     Done,
@@ -93,23 +95,14 @@ pub struct FftDriver {
     /// Start of the current transpose sub-phase (local transpose or
     /// final permutation) for the compute/comm decomposition.
     subphase_entered: SimTime,
-    /// Inbound block bytes per (src_rank, channel) — TCP legs. The
-    /// channel namespaces the transpose number by epoch, so bytes from
-    /// an aborted attempt never leak into the restarted one.
-    rx: BTreeMap<(usize, u16), Vec<u8>>,
-    /// Current pairwise exchange step (1-based) — commodity path. The
-    /// transpose is "a serialized communications step" (Section 3.1.2):
-    /// step `s` sends to `(rank+s) mod P` and waits for the block from
-    /// `(rank−s) mod P` before proceeding, as FFTW's pairwise exchange
-    /// does.
+    /// The transpose's block exchange.
+    xchg: Exchange,
+    /// Current pairwise exchange step (1-based) — commodity path.
     exchange_step: usize,
-    /// Assembled results delivered by the card, keyed by stream, held
-    /// until the TCP legs of a mixed exchange also complete.
-    early_gathers: BTreeMap<u32, Vec<u8>>,
-    /// Raw gather held while the final-permutation charge runs
-    /// (protocol-processor mode): per-source concatenated blocks plus
-    /// per-source end offsets.
-    raw_gather: Option<(Vec<u8>, Vec<usize>)>,
+    /// The transposed slab, assembled as the exchange delivers blocks;
+    /// swapped with `slab` when the transpose completes. Every transpose
+    /// writes all `p` blocks, so the buffer is never cleared.
+    incoming: Matrix,
     /// Untouched copy of the input slab: `begin_fft` transforms `slab`
     /// in place, so a card-failure restart needs the original back.
     pristine: Matrix,
@@ -134,21 +127,21 @@ impl FftDriver {
     ) -> FftDriver {
         assert_eq!(slab.rows(), rows / p, "slab height");
         assert_eq!(slab.cols(), rows, "slab width");
+        let m = rows / p;
         FftDriver {
             fo: Failover::new(format!("fft-driver{rank}"), rank, attachment),
             p,
             rows,
-            m: rows / p,
+            m,
             kernels,
             pristine: slab.clone(),
             slab,
             phase: Phase::Init,
             phase_entered: SimTime::ZERO,
             subphase_entered: SimTime::ZERO,
-            rx: BTreeMap::new(),
+            xchg: Exchange::new(Some(m * m * 16)),
             exchange_step: 0,
-            early_gathers: BTreeMap::new(),
-            raw_gather: None,
+            incoming: Matrix::zeros(m, rows),
             ckpts: BTreeMap::new(),
             timings: FftTimings::default(),
         }
@@ -184,18 +177,6 @@ impl FftDriver {
         DataSize::from_bytes((self.m * self.rows * 16) as u64)
     }
 
-    /// INIC stream id for transpose `which`, namespaced by epoch so a
-    /// restarted exchange never collides with the aborted one's demux
-    /// state (epoch 0 keeps the historical ids 1 and 2).
-    fn stream(&self, which: u8) -> u32 {
-        (self.fo.epoch as u32) * 8 + u32::from(which)
-    }
-
-    /// TCP channel for transpose `which`, namespaced like [`stream`].
-    fn chan(&self, which: u8) -> u16 {
-        (self.fo.epoch as u16) * 4 + u16::from(which)
-    }
-
     // ---- phase transitions ----
 
     fn begin_fft(&mut self, which: u8, ctx: &mut Ctx) {
@@ -226,268 +207,121 @@ impl FftDriver {
 
     fn begin_transpose(&mut self, which: u8, ctx: &mut Ctx) {
         self.phase_entered = ctx.now();
-        if matches!(
+        if !matches!(
             self.fo.attachment.inic_mode(),
             None | Some(InicMode::ProtocolProcessor)
         ) {
-            // Host performs the data manipulation (commodity NIC, or an
-            // INIC used purely as a protocol processor).
-            self.phase = Phase::LocalTranspose(which);
-            self.subphase_entered = ctx.now();
-            let charge = self.kernels.local_transpose_time(self.partition_bytes());
-            self.fo.compute(charge, ctx);
-            return;
+            return self.begin_exchange(which, ctx);
         }
-        match &self.fo.attachment {
-            Attachment::Inic {
-                card,
-                macs,
-                fallback,
-                ..
-            } => {
-                let card = *card;
-                let macs = macs.clone();
-                let fallback = fallback.clone();
-                let stream = self.stream(which);
-                self.phase = Phase::Exchange(which);
-                let dead = self.fo.dead.clone();
-                ctx.send_now(
-                    card,
-                    InicExpect {
-                        stream,
-                        kind: GatherKind::InterleaveBlocks {
-                            m: self.m,
-                            rows: self.rows,
-                        },
-                        sources: (0..self.p as u32)
-                            .filter(|s| !dead.contains(&(*s as usize)))
-                            .map(|s| (s, Some(self.m * self.m * 16)))
-                            .collect(),
-                    },
-                );
-                ctx.send_now(
-                    card,
-                    InicScatter {
-                        stream,
-                        kind: ScatterKind::TransposeBlocks { m: self.m },
-                        data: slab_to_bytes(&self.slab),
-                        dests: macs,
-                    },
-                );
-                // Mixed-technology legs: the dead ranks' blocks cannot
-                // ride the card (their cards are gone), so the host
-                // extracts and ships them over the fallback TCP path.
-                if !dead.is_empty() {
-                    let (fb_nic, fb_macs) =
-                        fallback.expect("rank-local degradation needs a fallback path");
-                    let chan = self.chan(which);
-                    for &d in &dead {
-                        let block = extract_transposed_block(&self.slab, d);
-                        ctx.send_now(
-                            fb_nic,
-                            TcpSend {
-                                peer: fb_macs[d],
-                                chan,
-                                data: slab_to_bytes(&block),
-                            },
-                        );
-                    }
-                }
-                // The card (or a TCP leg) might already have everything
-                // (tiny P, fast peers, resume races): finish if so.
-                self.try_finish_inic_exchange(which, ctx);
-            }
-            Attachment::Tcp { .. } => unreachable!("handled above"),
-        }
+        // Host performs the data manipulation (commodity NIC, or an
+        // INIC used purely as a protocol processor).
+        self.phase = Phase::LocalTranspose(which);
+        self.subphase_entered = ctx.now();
+        let charge = self.kernels.local_transpose_time(self.partition_bytes());
+        self.fo.compute(charge, ctx);
     }
 
-    /// Local transpose charge done. Commodity path: begin the
-    /// serialized pairwise exchange. Protocol-processor path: hand the
-    /// pre-transposed blocks to the card for transmission.
     fn on_local_transpose_done(&mut self, which: u8, ctx: &mut Ctx) {
         self.timings.transpose_compute += ctx.now().since(self.subphase_entered);
+        self.begin_exchange(which, ctx);
+    }
+
+    /// Exchange the blocks of transpose `which`: one step through the
+    /// card, or the first of the commodity path's pairwise steps.
+    fn begin_exchange(&mut self, which: u8, ctx: &mut Ctx) {
         self.phase = Phase::Exchange(which);
-        if let Attachment::Inic {
-            card, macs, mode, ..
-        } = &self.fo.attachment
-        {
-            debug_assert_eq!(*mode, InicMode::ProtocolProcessor);
-            let card = *card;
-            let macs = macs.clone();
-            let stream = self.stream(which);
-            let block_bytes = self.m * self.m * 16;
-            // Blocks in ring order (own rank first), transposed on the
-            // host — the card only packetizes.
-            let mut data = Vec::with_capacity(self.p * block_bytes);
-            for step in 0..self.p {
-                let q = (self.fo.rank + step) % self.p;
-                data.extend(slab_to_bytes(&extract_transposed_block(&self.slab, q)));
+        self.exchange_step = 0;
+        let route = match self.fo.attachment.inic_mode() {
+            None => {
+                // Our own block stays home.
+                let own = extract_transposed_block(&self.slab, self.fo.rank);
+                interleave_block(&mut self.incoming, self.fo.rank, &own);
+                return self.next_pairwise_step(which, ctx);
             }
-            ctx.send_now(
-                card,
-                InicExpect {
-                    stream,
-                    kind: GatherKind::Raw,
-                    sources: (0..self.p as u32).map(|s| (s, Some(block_bytes))).collect(),
+            Some(InicMode::ProtocolProcessor) => Route::Relay,
+            Some(_) => Route::Datapath {
+                scatter: ScatterKind::TransposeBlocks { m: self.m },
+                data: slab_to_bytes(&self.slab),
+                gather: GatherKind::InterleaveBlocks {
+                    m: self.m,
+                    rows: self.rows,
                 },
-            );
-            ctx.send_now(
-                card,
-                InicScatter {
-                    stream,
-                    kind: ScatterKind::Raw {
-                        parts: vec![block_bytes; self.p],
-                    },
-                    data,
-                    dests: macs,
-                },
-            );
-            return;
-        }
-        self.exchange_step = 1;
-        self.send_current_step_block(which, ctx);
-        self.check_exchange_complete(ctx);
-    }
-
-    /// Post the block for the current exchange step.
-    fn send_current_step_block(&mut self, which: u8, ctx: &mut Ctx) {
-        if self.exchange_step >= self.p {
-            return;
-        }
-        let Attachment::Tcp { nic, macs } = &self.fo.attachment else {
-            unreachable!("pairwise exchange only on the commodity path");
-        };
-        let nic = *nic;
-        let q = (self.fo.rank + self.exchange_step) % self.p;
-        let peer = macs[q];
-        let block = extract_transposed_block(&self.slab, q);
-        ctx.send_now(
-            nic,
-            TcpSend {
-                peer,
-                chan: self.chan(which),
-                data: slab_to_bytes(&block),
             },
-        );
-    }
-
-    fn on_tcp_delivered(&mut self, d: TcpDelivered, ctx: &mut Ctx) {
-        let src = self
-            .fo
-            .attachment
-            .resolve_src(d.peer)
-            .expect("delivery from unknown MAC");
-        self.rx
-            .entry((src, d.chan))
-            .or_default()
-            .extend_from_slice(&d.data);
-        if self.fo.paused {
-            return; // buffered; consumed after the coordinator resumes us
-        }
-        if matches!(self.fo.attachment, Attachment::Inic { .. }) {
-            if let Phase::Exchange(which) = self.phase {
-                self.try_finish_inic_exchange(which, ctx);
-            }
-            return;
-        }
-        self.check_exchange_complete(ctx);
-    }
-
-    /// Advance the serialized exchange as far as received data allows:
-    /// step `s` completes only when the block from `(rank−s) mod P` has
-    /// fully arrived; only then is step `s+1`'s block posted.
-    fn check_exchange_complete(&mut self, ctx: &mut Ctx) {
-        let Phase::Exchange(which) = self.phase else {
-            return;
         };
-        if matches!(self.fo.attachment, Attachment::Inic { .. }) {
-            return; // completion is signalled by the card
+        self.start_step(which, route, ctx);
+    }
+
+    /// Commodity path: post the next pairwise step or, once all p−1 are
+    /// done, charge the final permutation.
+    fn next_pairwise_step(&mut self, which: u8, ctx: &mut Ctx) {
+        self.exchange_step += 1;
+        let (s, rank, p) = (self.exchange_step, self.fo.rank, self.p);
+        if s == p {
+            return self.begin_permute(which, ctx);
         }
-        let block_bytes = self.m * self.m * 16;
-        let chan = self.chan(which);
-        while self.exchange_step < self.p {
-            let from = (self.fo.rank + self.p - self.exchange_step) % self.p;
-            let have = self
-                .rx
-                .get(&(from, chan))
-                .is_some_and(|b| b.len() >= block_bytes);
-            if !have {
-                return;
+        let (to, from) = (vec![(rank + s) % p], vec![(rank + p - s) % p]);
+        self.start_step(which, Route::Tcp { to, from }, ctx);
+    }
+
+    /// Start one exchange step; the host-side parts are the transposed
+    /// blocks of the current slab.
+    fn start_step(&mut self, which: u8, route: Route, ctx: &mut Ctx) {
+        let slab = &self.slab;
+        let part = |q| slab_to_bytes(&extract_transposed_block(slab, q));
+        self.xchg.start(&self.fo, which, route, part, ctx);
+        self.advance(ctx);
+    }
+
+    /// Complete exchange steps as long as the inbox and the card allow.
+    fn advance(&mut self, ctx: &mut Ctx) {
+        while let Some(got) = self.xchg.poll(&self.fo) {
+            let Phase::Exchange(which) = self.phase else {
+                unreachable!("{}: exchange step outside a transpose", self.fo.label);
+            };
+            self.on_step_done(which, got, ctx);
+        }
+    }
+
+    /// Interleave a step's blocks into the new slab, then move on.
+    fn on_step_done(&mut self, which: u8, got: Received, ctx: &mut Ctx) {
+        let (m, block_bytes) = (self.m, self.m * self.m * 16);
+        match got.gather {
+            // The card datapath interleaved the healthy ranks' blocks.
+            Some((data, None)) => self.incoming = bytes_to_slab(&data, m, self.rows),
+            // Relayed blocks, one per healthy source in rank order,
+            // already transposed by their senders.
+            Some((data, Some(_))) => {
+                let live = (0..self.p).filter(|s| !self.fo.dead.contains(s));
+                for (s, block) in live.zip(data.chunks_exact(block_bytes)) {
+                    interleave_block(&mut self.incoming, s, &bytes_to_slab(block, m, m));
+                }
             }
-            self.exchange_step += 1;
-            self.send_current_step_block(which, ctx);
+            None => {}
         }
-        // All steps done: charge the final permutation.
+        for (s, block) in got.msgs {
+            interleave_block(&mut self.incoming, s, &bytes_to_slab(&block, m, m));
+        }
+        match self.fo.attachment.inic_mode() {
+            None => self.next_pairwise_step(which, ctx),
+            Some(InicMode::ProtocolProcessor) => self.begin_permute(which, ctx),
+            Some(_) => {
+                std::mem::swap(&mut self.slab, &mut self.incoming);
+                self.finish_transpose(which, ctx);
+            }
+        }
+    }
+
+    /// Host paths: charge the final permutation.
+    fn begin_permute(&mut self, which: u8, ctx: &mut Ctx) {
         self.phase = Phase::Permute(which);
         self.subphase_entered = ctx.now();
         let charge = self.kernels.final_permutation_time(self.partition_bytes());
         self.fo.compute(charge, ctx);
     }
 
-    /// Commodity path: permutation charge done — assemble the new slab.
     fn on_permute_done(&mut self, which: u8, ctx: &mut Ctx) {
         self.timings.transpose_compute += ctx.now().since(self.subphase_entered);
-        let block_bytes = self.m * self.m * 16;
-        let chan = self.chan(which);
-        let mut out = Matrix::zeros(self.m, self.rows);
-        if let Some((data, bounds)) = self.raw_gather.take() {
-            // Protocol-processor path: per-source blocks arrived via the
-            // card, already transposed by this host's peers.
-            let mut start = 0usize;
-            for (s, &end) in bounds.iter().enumerate() {
-                let block = bytes_to_slab(&data[start..end], self.m, self.m);
-                interleave_block(&mut out, s, &block);
-                start = end;
-            }
-        } else {
-            for s in 0..self.p {
-                let block = if s == self.fo.rank {
-                    extract_transposed_block(&self.slab, self.fo.rank)
-                } else {
-                    let buf = self.rx.get_mut(&(s, chan)).expect("checked complete");
-                    let bytes: Vec<u8> = buf.drain(..block_bytes).collect();
-                    bytes_to_slab(&bytes, self.m, self.m)
-                };
-                interleave_block(&mut out, s, &block);
-            }
-        }
-        self.slab = out;
-        self.finish_transpose(which, ctx);
-    }
-
-    /// INIC path: finish transpose `which` once the card's gather *and*
-    /// every mixed-technology TCP leg have arrived. The card interleaves
-    /// the healthy ranks' blocks; the host interleaves the dead ranks'
-    /// blocks into the same slab (they arrive over TCP, pre-transposed
-    /// by the degraded sender's host).
-    fn try_finish_inic_exchange(&mut self, which: u8, ctx: &mut Ctx) {
-        if self.fo.paused {
-            return;
-        }
-        let stream = self.stream(which);
-        if !self.early_gathers.contains_key(&stream) {
-            return;
-        }
-        let block_bytes = self.m * self.m * 16;
-        let chan = self.chan(which);
-        let ready = self.fo.dead.iter().all(|&d| {
-            self.rx
-                .get(&(d, chan))
-                .is_some_and(|b| b.len() >= block_bytes)
-        });
-        if !ready {
-            return;
-        }
-        let bytes = self.early_gathers.remove(&stream).expect("checked present");
-        let mut out = bytes_to_slab(&bytes, self.m, self.rows);
-        let dead = self.fo.dead.clone();
-        for &d in &dead {
-            let buf = self.rx.get_mut(&(d, chan)).expect("checked ready");
-            let block_bytes_vec: Vec<u8> = buf.drain(..block_bytes).collect();
-            let block = bytes_to_slab(&block_bytes_vec, self.m, self.m);
-            interleave_block(&mut out, d, &block);
-        }
-        self.slab = out;
+        std::mem::swap(&mut self.slab, &mut self.incoming);
         self.finish_transpose(which, ctx);
     }
 
@@ -540,51 +374,12 @@ impl Recoverable for FftDriver {
     }
 
     fn on_event(&mut self, ev: Box<dyn Any>, ctx: &mut Ctx) {
-        let ev = match ev.downcast::<TcpDelivered>() {
-            Ok(d) => return self.on_tcp_delivered(*d, ctx),
-            Err(ev) => ev,
-        };
-        let ev = match ev.downcast::<InicGatherComplete>() {
-            Ok(g) => {
-                if self.fo.attachment.inic_mode() == Some(InicMode::ProtocolProcessor) {
-                    match self.phase {
-                        Phase::Exchange(which) if self.stream(which) == g.stream => {
-                            // Host still owes the final permutation.
-                            self.raw_gather =
-                                Some((g.data, g.bucket_bounds.expect("raw gather carries bounds")));
-                            self.phase = Phase::Permute(which);
-                            self.subphase_entered = ctx.now();
-                            let charge =
-                                self.kernels.final_permutation_time(self.partition_bytes());
-                            self.fo.compute(charge, ctx);
-                        }
-                        _ => {
-                            // Stale or early; hold it (a stale stream id
-                            // can never match a future one).
-                            self.early_gathers.insert(g.stream, g.data);
-                        }
-                    }
-                    return;
-                }
-                self.early_gathers.insert(g.stream, g.data);
-                if let Phase::Exchange(which) = self.phase {
-                    self.try_finish_inic_exchange(which, ctx);
-                }
-                return;
-            }
-            Err(ev) => ev,
-        };
-        if ev.downcast_ref::<InicScatterDone>().is_some() {
-            return; // send-side completion is informational here
-        }
-        panic!("{}: unknown event", self.fo.label);
+        self.xchg.on_event(ev, &self.fo);
+        self.advance(ctx);
     }
 
     fn abort_stream(&self) -> Option<u32> {
-        match self.phase {
-            Phase::Exchange(which) => Some(self.stream(which)),
-            _ => None,
-        }
+        self.xchg.abort_stream(&self.fo)
     }
 
     /// Slab snapshots keyed by completed phase: 1 = row FFTs #1,
@@ -600,7 +395,7 @@ impl Recoverable for FftDriver {
     fn restart(&mut self, ctx: &mut Ctx) {
         // Discard all partial progress; only the original start instant
         // survives into the timings.
-        self.rx.clear();
+        self.xchg = Exchange::new(Some(self.m * self.m * 16));
         self.timings = FftTimings {
             started_at: self.timings.started_at,
             ..FftTimings::default()
@@ -609,9 +404,7 @@ impl Recoverable for FftDriver {
     }
 
     fn restore(&mut self, phase: u32, ctx: &mut Ctx) {
-        self.early_gathers.clear();
-        self.raw_gather = None;
-        self.exchange_step = 0;
+        self.xchg.cancel();
         // `begin_fft` transforms the slab in place, so phase 0 restarts
         // from the pristine copy.
         self.slab = match phase {
@@ -659,12 +452,13 @@ impl Component for FftDriver {
             return None;
         }
         Some(format!(
-            "rank {} in {} since {} (epoch {}, exchange step {}{})",
+            "rank {} in {} since {} (epoch {}, exchange step {}: {}{})",
             self.fo.rank,
             self.phase_name(),
             self.phase_entered,
             self.fo.epoch,
             self.exchange_step,
+            self.xchg.waiting_for(),
             self.fo.parked_note(),
         ))
     }

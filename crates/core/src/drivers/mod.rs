@@ -11,9 +11,13 @@
 //! Stalls, card failovers and coordinated resumes run through one
 //! failover core (`failover.rs`) shared by all three drivers; each
 //! driver supplies only its checkpoint payload, the card stream a
-//! failover aborts, and its state reset and restore.
+//! failover aborts, and its state reset and restore. The FFT and sort
+//! drivers move their data through one all-to-all exchange
+//! (`exchange.rs`) and keep only their transforms and phase timings;
+//! all three buffer TCP deliveries in its one inbox.
 
 pub mod coll;
+mod exchange;
 mod failover;
 pub mod fft;
 pub mod sort;

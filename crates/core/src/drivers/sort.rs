@@ -1,10 +1,11 @@
 //! The per-node integer-sort driver — Section 3.2 on every network
 //! technology.
 //!
-//! Pipeline: bucket the local keys by destination rank, exchange
-//! (bucket `i` goes to rank `i`), bucket the received keys into
-//! cache-sized buckets, count-sort every bucket. Where each step runs
-//! depends on the technology:
+//! Pipeline: bucket the local keys by destination rank, exchange them
+//! through the exchange the drivers share (`exchange.rs`; bucket `i`
+//! goes to rank `i`), bucket the received keys into cache-sized
+//! buckets, count-sort every bucket. Where each step runs depends on
+//! the technology:
 //!
 //! * **commodity NIC** (Fig. 3(a)): both bucket passes on the host CPU;
 //!   TCP carries length-prefixed key streams.
@@ -15,6 +16,8 @@
 //!   second bucket pass before count-sorting — "surprisingly, this can
 //!   provide higher performance than having the host sort directly into
 //!   16 × N buckets".
+//! * **INIC as a protocol processor**: the commodity pipeline, with the
+//!   card relaying the host-bucketed parts.
 //!
 //! Stalls, failovers and resumes run through the failover core the
 //! drivers share (`failover.rs`). Under rank-local recovery a dead
@@ -25,20 +28,16 @@
 //! from the exchange instead of re-running it.
 
 use std::any::Any;
-use std::collections::BTreeMap;
 
 use acc_algos::sort::{
     bucket_flat, bucket_sort_flat, bytes_to_keys, count_sort_buckets, destination_of, is_sorted,
     keys_to_bytes,
 };
-use acc_fpga::{
-    Bitstream, GatherKind, InicExpect, InicGatherComplete, InicMode, InicScatter, InicScatterDone,
-    ScatterKind,
-};
+use acc_fpga::{Bitstream, GatherKind, ScatterKind};
 use acc_host::HostKernels;
-use acc_proto::{TcpDelivered, TcpSend};
 use acc_sim::{Component, Ctx, DataSize, SimDuration, SimTime};
 
+use super::exchange::{Exchange, Received, Route};
 use super::failover::{self, Failover, Recoverable};
 use super::{recv_buckets_for, Attachment, FaultCtl};
 
@@ -118,18 +117,12 @@ pub struct SortDriver {
     recv_buckets: usize,
     phase: Phase,
     phase_entered: SimTime,
-    /// TCP receive reassembly: raw bytes per (src rank, channel). The
-    /// channel namespaces the exchange by epoch, so bytes from an
-    /// aborted attempt never leak into the restarted one.
-    rx: BTreeMap<(usize, u16), Vec<u8>>,
-    /// Keys received over TCP, parsed once each stream's length prefix
-    /// is satisfied: the whole commodity exchange (our own bucket
-    /// included), or on an INIC rank the mixed-technology side streams
-    /// from degraded peers, carried next to the card exchange.
+    /// The key exchange; its TCP messages are length-prefixed.
+    xchg: Exchange,
+    /// Keys received over TCP: the whole commodity exchange (our own
+    /// bucket included), or on an INIC rank the mixed-technology side
+    /// streams from degraded peers, carried next to the card exchange.
     tcp_keys: Vec<u32>,
-    streams_pending: usize,
-    /// Mixed-technology exchange: TCP side streams still outstanding.
-    tcp_pending: usize,
     /// INIC gather result (16 or N card buckets, concatenated).
     card_bucket_data: Option<(Vec<u8>, Vec<usize>)>,
     sorted: Vec<u32>,
@@ -160,10 +153,8 @@ impl SortDriver {
             recv_buckets,
             phase: Phase::Init,
             phase_entered: SimTime::ZERO,
-            rx: BTreeMap::new(),
+            xchg: Exchange::new(None),
             tcp_keys: Vec::new(),
-            streams_pending: 0,
-            tcp_pending: 0,
             card_bucket_data: None,
             sorted: Vec::new(),
             ckpt1: None,
@@ -185,14 +176,6 @@ impl SortDriver {
     pub fn with_fault_ctl(mut self, ctl: FaultCtl) -> SortDriver {
         self.fo.ctl = ctl;
         self
-    }
-
-    /// Distribute this node's keys to their destination ranks using the
-    /// active partitioning (top bits or splitters): the keys grouped by
-    /// destination, with each destination's end offset.
-    fn partition_keys(&self) -> (Vec<u32>, Vec<usize>) {
-        let dest_of = destination_of(self.p, self.splitters.as_deref());
-        bucket_flat(self.keys.iter().copied(), self.p, dest_of)
     }
 
     /// This rank's sorted key range, available when done.
@@ -217,18 +200,6 @@ impl SortDriver {
         DataSize::from_bytes(self.keys.len() as u64 * 4)
     }
 
-    /// INIC stream id for the exchange, namespaced by epoch so a
-    /// restarted exchange never collides with the aborted one's demux
-    /// state (epoch 0 keeps the historical id 1).
-    fn stream(&self) -> u32 {
-        (self.fo.epoch as u32) * 8 + 1
-    }
-
-    /// TCP channel for the exchange, namespaced like [`stream`].
-    fn chan(&self) -> u16 {
-        (self.fo.epoch as u16) * 4 + 1
-    }
-
     /// Capture the post-exchange checkpoint (called at exchange
     /// completion, before any phase consumes the buffers).
     fn capture_ckpt(&mut self) {
@@ -242,7 +213,7 @@ impl SortDriver {
         });
     }
 
-    // ---- start ----
+    // ---- partition and exchange ----
 
     /// Phase 1, partitioning the keys by destination rank: a host
     /// bucket pass on the commodity and protocol-only paths, the card's
@@ -253,89 +224,23 @@ impl SortDriver {
         if self.timings.started_at.is_none() {
             self.timings.started_at = Some(ctx.now());
         }
-        self.streams_pending = self.p - 1;
-        match self.variant {
-            SortVariant::HostOnly | SortVariant::ProtocolOnly => {
-                self.phase = Phase::Bucket1;
-                self.phase_entered = ctx.now();
-                let charge = self
-                    .kernels
-                    .bucket_sort_time(self.keys.len() as u64, self.local_bytes());
-                self.fo.compute(charge, ctx);
-            }
-            SortVariant::InicFull | SortVariant::InicTwoPhase => {
-                // Card does phase 1; hand the raw keys straight over.
-                self.phase = Phase::Exchange;
-                self.phase_entered = ctx.now();
-                let Attachment::Inic {
-                    card,
-                    macs,
-                    fallback,
-                    ..
-                } = &self.fo.attachment
-                else {
-                    panic!("INIC variant without INIC attachment");
-                };
-                let card = *card;
-                let macs = macs.clone();
-                let fallback = fallback.clone();
-                let k = self.card_recv_buckets();
-                let dead = self.fo.dead.clone();
-                let stream = self.stream();
-                ctx.send_now(
-                    card,
-                    InicExpect {
-                        stream,
-                        kind: GatherKind::BucketKeys { k },
-                        sources: (0..self.p as u32)
-                            .filter(|s| !dead.contains(&(*s as usize)))
-                            .map(|s| (s, None))
-                            .collect(),
-                    },
-                );
-                ctx.send_now(
-                    card,
-                    InicScatter {
-                        stream,
-                        kind: ScatterKind::BucketKeys {
-                            p: self.p,
-                            splitters: self.splitters.clone(),
-                        },
-                        data: keys_to_bytes(&self.keys),
-                        dests: macs,
-                    },
-                );
-                // Mixed-technology side streams: the card drops chunks
-                // destined to dead peers, so the host carries those
-                // buckets over the fallback TCP path instead.
-                self.tcp_pending = dead.len();
-                if !dead.is_empty() {
-                    let (fb_nic, fb_macs) =
-                        fallback.expect("rank-local degradation needs a fallback path");
-                    let chan = self.chan();
-                    let (keys, ends) = self.partition_keys();
-                    for &d in &dead {
-                        ctx.send_now(
-                            fb_nic,
-                            TcpSend {
-                                peer: fb_macs[d],
-                                chan,
-                                data: length_prefixed(part(&keys, &ends, d)),
-                            },
-                        );
-                    }
-                    // Streams the degraded peers sent while this rank
-                    // was still paused are already buffered; consume
-                    // them now — no further delivery will re-trigger
-                    // the parse.
-                    for &d in &dead {
-                        if self.take_complete_stream(d, chan) {
-                            self.tcp_pending -= 1;
-                        }
-                    }
-                }
-            }
+        self.phase_entered = ctx.now();
+        if self.card_buckets() {
+            return self.begin_exchange(ctx);
         }
+        self.phase = Phase::Bucket1;
+        let charge = self
+            .kernels
+            .bucket_sort_time(self.keys.len() as u64, self.local_bytes());
+        self.fo.compute(charge, ctx);
+    }
+
+    /// Whether the card datapath buckets the keys (the INIC variants).
+    fn card_buckets(&self) -> bool {
+        matches!(
+            self.variant,
+            SortVariant::InicFull | SortVariant::InicTwoPhase
+        )
     }
 
     /// On-card receive bucket count: the final N on the ideal card, 16
@@ -348,141 +253,74 @@ impl SortDriver {
         }
     }
 
-    // ---- commodity path ----
-
     fn on_bucket1_done(&mut self, ctx: &mut Ctx) {
         self.timings.bucket1 += ctx.now().since(self.phase_entered);
-        self.phase = Phase::Exchange;
         self.phase_entered = ctx.now();
-        if self.variant == SortVariant::ProtocolOnly {
-            return self.raw_exchange_via_card(ctx);
-        }
-        let Attachment::Tcp { nic, macs } = &self.fo.attachment else {
-            panic!("HostOnly variant without TCP attachment");
-        };
-        let nic = *nic;
-        let macs = macs.clone();
-        let chan = self.chan();
-        let (keys, ends) = self.partition_keys();
-        for step in 1..self.p {
-            let q = (self.fo.rank + step) % self.p;
-            ctx.send_now(
-                nic,
-                TcpSend {
-                    peer: macs[q],
-                    chan,
-                    data: length_prefixed(part(&keys, &ends, q)),
-                },
-            );
-        }
-        // Our own bucket stays home.
-        self.tcp_keys
-            .extend_from_slice(part(&keys, &ends, self.fo.rank));
-        self.check_exchange_complete(ctx);
+        self.begin_exchange(ctx);
     }
 
-    /// Protocol-processor path: host-bucketed parts ride the card's
-    /// lightweight protocol.
-    fn raw_exchange_via_card(&mut self, ctx: &mut Ctx) {
-        let Attachment::Inic {
-            card, macs, mode, ..
-        } = &self.fo.attachment
-        else {
-            panic!("ProtocolOnly variant without INIC attachment");
-        };
-        debug_assert_eq!(*mode, InicMode::ProtocolProcessor);
-        let card = *card;
-        let macs = macs.clone();
-        let stream = self.stream();
-        let (keys, ends) = self.partition_keys();
-        let mut parts = vec![0usize; self.p];
-        let mut data = Vec::with_capacity(self.keys.len() * 4);
-        for step in 0..self.p {
-            let q = (self.fo.rank + step) % self.p;
-            let to_q = part(&keys, &ends, q);
-            parts[q] = to_q.len() * 4;
-            data.extend_from_slice(&keys_to_bytes(to_q));
-        }
-        ctx.send_now(
-            card,
-            InicExpect {
-                stream,
-                kind: GatherKind::Raw,
-                sources: (0..self.p as u32).map(|s| (s, None)).collect(),
-            },
-        );
-        ctx.send_now(
-            card,
-            InicScatter {
-                stream,
-                kind: ScatterKind::Raw { parts },
-                data,
-                dests: macs,
-            },
-        );
-    }
-
-    /// Pop the buffered stream from `(src, chan)` into `tcp_keys` if it
-    /// is complete (8-byte length prefix + body); whether it was.
-    fn take_complete_stream(&mut self, src: usize, chan: u16) -> bool {
-        let Some(buf) = self.rx.get(&(src, chan)).filter(|buf| buf.len() >= 8) else {
-            return false;
-        };
-        let want = usize::try_from(u64::from_le_bytes(
-            buf[..8]
-                .try_into()
-                .expect("sort stream length prefix is 8 bytes"),
-        ))
-        .expect("sort stream length fits usize");
-        if buf.len() < 8 + want {
-            return false;
-        }
-        assert_eq!(
-            buf.len(),
-            8 + want,
-            "sender sent more than one stream on this channel"
-        );
-        self.tcp_keys.extend_from_slice(&bytes_to_keys(&buf[8..]));
-        self.rx.remove(&(src, chan));
-        true
-    }
-
-    fn on_tcp_delivered(&mut self, d: TcpDelivered, ctx: &mut Ctx) {
-        let src = self
-            .fo
-            .attachment
-            .resolve_src(d.peer)
-            .expect("delivery from unknown MAC");
-        let chan_now = self.chan();
-        let buf = self.rx.entry((src, d.chan)).or_default();
-        buf.extend_from_slice(&d.data);
-        if self.fo.paused || d.chan != chan_now {
-            // Stale epoch (the exchange it belonged to was abandoned) or
-            // a paused host: leave it buffered, it is never consumed.
-            return;
-        }
-        if !self.take_complete_stream(src, d.chan) {
-            return; // stream still in flight
-        }
-        if matches!(self.fo.attachment, Attachment::Inic { .. }) {
-            // Mixed-technology side stream from a degraded peer.
-            assert!(self.tcp_pending > 0, "unexpected TCP stream on INIC rank");
-            self.tcp_pending -= 1;
-            self.try_finish_inic_exchange(ctx);
+    /// Send bucket `i` to rank `i`: over TCP on the commodity path, the
+    /// host-bucketed parts relayed by the card on the protocol-only
+    /// path, the raw keys into the card's bucket datapath otherwise.
+    fn begin_exchange(&mut self, ctx: &mut Ctx) {
+        self.phase = Phase::Exchange;
+        let (rank, p) = (self.fo.rank, self.p);
+        // The host partition: every part on the host paths, only the
+        // degraded peers' side streams on the card paths.
+        let (keys, ends) = if self.card_buckets() && self.fo.dead.is_empty() {
+            (Vec::new(), Vec::new())
         } else {
-            self.streams_pending -= 1;
-            self.check_exchange_complete(ctx);
+            let dest_of = destination_of(p, self.splitters.as_deref());
+            bucket_flat(self.keys.iter().copied(), p, dest_of)
+        };
+        let route = match self.variant {
+            SortVariant::HostOnly => {
+                // Our own bucket stays home.
+                self.tcp_keys.extend_from_slice(part(&keys, &ends, rank));
+                let to = (1..p).map(|step| (rank + step) % p).collect();
+                let from = (0..p).filter(|&q| q != rank).collect();
+                Route::Tcp { to, from }
+            }
+            SortVariant::ProtocolOnly => Route::Relay,
+            SortVariant::InicFull | SortVariant::InicTwoPhase => Route::Datapath {
+                scatter: ScatterKind::BucketKeys {
+                    p,
+                    splitters: self.splitters.clone(),
+                },
+                data: keys_to_bytes(&self.keys),
+                gather: GatherKind::BucketKeys {
+                    k: self.card_recv_buckets(),
+                },
+            },
+        };
+        let body = |q| keys_to_bytes(part(&keys, &ends, q));
+        self.xchg.start(&self.fo, 1, route, body, ctx);
+        self.advance(ctx);
+    }
+
+    /// Finish the exchange once the card and the inbox allow.
+    fn advance(&mut self, ctx: &mut Ctx) {
+        if let Some(got) = self.xchg.poll(&self.fo) {
+            self.on_exchange_done(got, ctx);
         }
     }
 
-    fn check_exchange_complete(&mut self, ctx: &mut Ctx) {
-        if self.fo.paused || self.phase != Phase::Exchange || self.streams_pending > 0 {
-            return;
+    /// Decode every TCP message straight into `tcp_keys`, checkpoint,
+    /// and move on to the receive-side bucketing.
+    fn on_exchange_done(&mut self, got: Received, ctx: &mut Ctx) {
+        self.timings.comm += ctx.now().since(self.phase_entered);
+        self.card_bucket_data = got
+            .gather
+            .map(|(data, bounds)| (data, bounds.expect("bucket/raw gather carries bounds")));
+        let n: usize = got.msgs.iter().map(|(_, msg)| msg.len() / 4).sum();
+        self.tcp_keys.reserve_exact(n);
+        for (_, msg) in got.msgs {
+            extend_keys(&mut self.tcp_keys, &msg);
         }
-        if matches!(self.variant, SortVariant::HostOnly) {
-            self.timings.comm += ctx.now().since(self.phase_entered);
-            self.capture_ckpt();
-            self.begin_bucket2(ctx);
+        self.capture_ckpt();
+        match self.variant {
+            SortVariant::InicFull => self.begin_count(ctx),
+            _ => self.begin_bucket2(ctx),
         }
     }
 
@@ -531,7 +369,7 @@ impl SortDriver {
             card => {
                 let mut all = std::mem::take(&mut self.tcp_keys);
                 if let Some((data, _)) = card {
-                    all.extend(bytes_to_keys(&data));
+                    extend_keys(&mut all, &data);
                 }
                 bucket_sort_flat(&all, n)
             }
@@ -557,47 +395,18 @@ impl SortDriver {
             self.sorted.iter().all(|&k| dest_of(k) == self.fo.rank)
         });
     }
-
-    // ---- INIC path ----
-
-    /// Card gather stored; finish the exchange once the mixed-technology
-    /// TCP side streams (if any) are also in.
-    fn try_finish_inic_exchange(&mut self, ctx: &mut Ctx) {
-        if self.fo.paused || self.phase != Phase::Exchange {
-            return;
-        }
-        if self.card_bucket_data.is_none() || self.tcp_pending > 0 {
-            return;
-        }
-        self.timings.comm += ctx.now().since(self.phase_entered);
-        self.capture_ckpt();
-        match self.variant {
-            SortVariant::InicFull => self.begin_count(ctx),
-            SortVariant::InicTwoPhase | SortVariant::ProtocolOnly => self.begin_bucket2(ctx),
-            SortVariant::HostOnly => unreachable!(),
-        }
-    }
-
-    fn on_gather(&mut self, g: InicGatherComplete, ctx: &mut Ctx) {
-        if self.fo.paused || self.phase != Phase::Exchange || g.stream != self.stream() {
-            return; // gather of an abandoned exchange
-        }
-        let bounds = g.bucket_bounds.expect("bucket/raw gather carries bounds");
-        self.card_bucket_data = Some((g.data, bounds));
-        self.try_finish_inic_exchange(ctx);
-    }
 }
 
-/// Destination `q`'s keys within a [`SortDriver::partition_keys`] layout.
+/// Destination `q`'s keys within a `bucket_flat` partition by rank.
 fn part<'a>(keys: &'a [u32], ends: &[usize], q: usize) -> &'a [u32] {
     &keys[q.checked_sub(1).map_or(0, |prev| ends[prev])..ends[q]]
 }
 
-/// A length-prefixed TCP key stream: the receiver learns each sender's
-/// (data-dependent) total from the first 8 bytes.
-fn length_prefixed(keys: &[u32]) -> Vec<u8> {
-    let prefix = (keys.len() as u64 * 4).to_le_bytes();
-    [&prefix[..], &keys_to_bytes(keys)].concat()
+/// Decode 4-byte wire keys onto the end of `keys`.
+fn extend_keys(keys: &mut Vec<u32>, bytes: &[u8]) {
+    assert_eq!(bytes.len() % 4, 0, "key stream holds a partial key");
+    let key = |c: &[u8]| u32::from_le_bytes(c.try_into().expect("4-byte key"));
+    keys.extend(bytes.chunks_exact(4).map(key));
 }
 
 impl Recoverable for SortDriver {
@@ -633,23 +442,12 @@ impl Recoverable for SortDriver {
     }
 
     fn on_event(&mut self, ev: Box<dyn Any>, ctx: &mut Ctx) {
-        let ev = match ev.downcast::<TcpDelivered>() {
-            Ok(d) => return self.on_tcp_delivered(*d, ctx),
-            Err(ev) => ev,
-        };
-        let ev = match ev.downcast::<InicGatherComplete>() {
-            Ok(g) => return self.on_gather(*g, ctx),
-            Err(ev) => ev,
-        };
-        if ev.downcast_ref::<InicScatterDone>().is_some() {
-            return;
-        }
-        panic!("{}: unknown event", self.fo.label);
+        self.xchg.on_event(ev, &self.fo);
+        self.advance(ctx);
     }
 
     fn abort_stream(&self) -> Option<u32> {
-        (matches!(self.fo.attachment, Attachment::Inic { .. }) && self.phase == Phase::Exchange)
-            .then(|| self.stream())
+        self.xchg.abort_stream(&self.fo)
     }
 
     /// 0 = start, 1 = after the exchange, 2 = finished.
@@ -665,7 +463,7 @@ impl Recoverable for SortDriver {
         // Discard every trace of the aborted exchange. The input keys
         // were never mutated, so the restart recomputes from scratch;
         // only the original start instant survives into the timings.
-        self.rx.clear();
+        self.xchg = Exchange::new(None);
         self.timings = SortTimings {
             started_at: self.timings.started_at,
             ..SortTimings::default()
@@ -674,11 +472,11 @@ impl Recoverable for SortDriver {
     }
 
     fn restore(&mut self, phase: u32, ctx: &mut Ctx) {
+        self.xchg.cancel();
         self.card_bucket_data = None;
         self.sorted.clear();
         if phase == 0 {
             self.tcp_keys.clear();
-            self.tcp_pending = 0;
             if self.fo.degraded() {
                 self.variant = SortVariant::HostOnly;
             }
@@ -728,13 +526,12 @@ impl Component for SortDriver {
             return None;
         }
         Some(format!(
-            "rank {} in {} since {} (epoch {}, {} card streams + {} tcp streams pending{})",
+            "rank {} in {} since {} (epoch {}, {}{})",
             self.fo.rank,
             self.phase_name(),
             self.phase_entered,
             self.fo.epoch,
-            self.streams_pending,
-            self.tcp_pending,
+            self.xchg.waiting_for(),
             self.fo.parked_note(),
         ))
     }

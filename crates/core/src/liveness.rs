@@ -3,7 +3,7 @@
 //! A guarded run ends in one of three ways: completion, a simulation
 //! [`Watchdog`](acc_sim::Watchdog) abort (event budget, same-timestamp
 //! livelock, or the whole-run deadline of the
-//! [`DeadlineHierarchy`](crate::deadline::DeadlineHierarchy)), or a
+//! [`DeadlineHierarchy`]), or a
 //! *deadlock* — the event queue drains while drivers are still waiting
 //! on peers that will never send. All three non-completions produce a
 //! [`HangReport`] naming the stuck phase and rank instead of a panic or

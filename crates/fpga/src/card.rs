@@ -157,32 +157,22 @@ pub enum ScatterKind {
         /// Optional `p − 1` range splitters (ascending).
         splitters: Option<Vec<u32>>,
     },
-    /// Protocol-processor mode: the host already performed the data
-    /// manipulation; the card only packetizes and transmits.
-    /// `parts[q]` is the byte length destined for rank `q`; `data` is
-    /// their concatenation in ring order (own rank's part first, then
-    /// `rank+1`, `rank+2`, …).
-    Raw {
-        /// Rank-indexed part lengths.
-        parts: Vec<usize>,
-    },
-    /// Collective extension: replicate the whole buffer to every
-    /// destination (the send half of the naive AllReduce).
-    Broadcast,
-    /// Collective engine rounds: a sparse per-destination send list.
-    /// `parts` names `(rank, byte length)` pairs — only the peers this
-    /// schedule round actually talks to — and `data` is the
-    /// concatenation of the parts in listed order. Unlike [`Raw`],
-    /// silent peers get no fin packet: the engine's schedules omit
-    /// zero-length transfers symmetrically on both sides, so a fin to a
-    /// peer that expects nothing would poison its stream demux. A part
-    /// addressed to our own rank loops back through card memory (the
-    /// reduce accumulator's own contribution).
-    ///
-    /// [`Raw`]: ScatterKind::Raw
+    /// No transform: the host already prepared every part, and the
+    /// card only packetizes and transmits (protocol-processor mode, and
+    /// the collective engine's schedule rounds). `parts` names
+    /// `(rank, byte length)` pairs and `data` is the concatenation of
+    /// the parts in listed order; a host exchange lists every rank in
+    /// ring order (own rank first, then `rank+1`, `rank+2`, …). A
+    /// zero-length part to a remote rank is a lone fin packet, so the
+    /// receiver learns a zero total; a rank not listed gets nothing —
+    /// the engine's schedules omit zero-length transfers on both sides,
+    /// and a fin to a peer that expects nothing would poison its stream
+    /// demux. A part addressed to our own rank loops back through card
+    /// memory (the reduce accumulator's own contribution).
     Unicast {
-        /// `(destination rank, byte length)`, each length > 0, ranks
-        /// distinct; `data` is the parts' concatenation in this order.
+        /// `(destination rank, byte length)`, ranks distinct, a length
+        /// of 0 only for a remote rank; `data` is the parts'
+        /// concatenation in this order.
         parts: Vec<(u32, usize)>,
     },
 }
@@ -360,10 +350,6 @@ struct GatherDmaDone {
 struct SendChunk {
     dest: Option<MacAddr>,
     pkt: InicPacket,
-    /// Whether this chunk's bytes cross host→card DMA. Broadcast
-    /// replicas are cloned in card memory, so only the first copy pays
-    /// the host bus.
-    charge_host: bool,
     /// Last chunk of its scatter: emit [`InicScatterDone`] after it.
     ends_scatter: bool,
 }
@@ -626,34 +612,17 @@ impl InicCard {
                         );
                     }
                 }
-                ScatterKind::Raw { parts } => {
-                    assert_eq!(
-                        parts.len(),
-                        scatter.dests.len(),
-                        "raw parts must cover every destination"
-                    );
-                    assert_eq!(
-                        parts.iter().sum::<usize>(),
-                        scatter.data.len(),
-                        "raw parts must cover the data exactly"
-                    );
-                }
-                ScatterKind::Broadcast => {}
                 ScatterKind::Unicast { parts } => {
                     assert!(!parts.is_empty(), "unicast scatter with no parts");
+                    let mut ranks = BTreeSet::new();
                     assert!(
                         parts
                             .iter()
-                            .all(|&(q, len)| (q as usize) < scatter.dests.len() && len > 0),
-                        "unicast parts must name in-range ranks with non-empty payloads"
-                    );
-                    let mut ranks: Vec<u32> = parts.iter().map(|&(q, _)| q).collect();
-                    ranks.sort_unstable();
-                    ranks.dedup();
-                    assert_eq!(
-                        ranks.len(),
-                        parts.len(),
-                        "unicast parts must name distinct ranks"
+                            .all(|&(q, len)| (q as usize) < scatter.dests.len()
+                                && (len > 0 || q != self.my_rank)
+                                && ranks.insert(q)),
+                        "unicast parts must name distinct in-range ranks, with a payload \
+                         for our own"
                     );
                     assert_eq!(
                         parts.iter().map(|&(_, len)| len).sum::<usize>(),
@@ -683,23 +652,15 @@ impl InicCard {
                 assert_eq!(*kp, p, "bucket fan-out must match dests");
                 self.plan_bucket_scatter(stream, &data, &dests, splitters.as_deref())
             }
-            ScatterKind::Raw { parts } => self.plan_raw_scatter(stream, &data, &dests, parts),
-            ScatterKind::Broadcast => self.plan_broadcast_scatter(stream, &data, &dests),
             ScatterKind::Unicast { parts } => {
                 self.plan_unicast_scatter(stream, &data, &dests, parts)
             }
         };
-        let broadcast = matches!(kind, ScatterKind::Broadcast);
         let n = chunks.len();
-        let mut seen_offsets: BTreeSet<u32> = BTreeSet::new();
         for (i, (dest, pkt)) in chunks.into_iter().enumerate() {
-            // Broadcast replicas of an already-fetched packet stay in
-            // card memory; every other scatter pays host DMA per chunk.
-            let charge_host = !broadcast || seen_offsets.insert(pkt.offset);
             self.send_queue.push_back(SendChunk {
                 dest,
                 pkt,
-                charge_host,
                 ends_scatter: i == n - 1,
             });
         }
@@ -787,41 +748,10 @@ impl InicCard {
         out
     }
 
-    /// Cut host-prepared per-destination parts into packets without any
-    /// transform (protocol-processor mode).
-    fn plan_raw_scatter(
-        &self,
-        stream: u32,
-        data: &PayloadView,
-        dests: &[MacAddr],
-        parts: &[usize],
-    ) -> Vec<(Option<MacAddr>, InicPacket)> {
-        let p = dests.len();
-        let mut out = Vec::new();
-        let mut offset = 0usize;
-        for step in 0..p {
-            let q = (self.my_rank as usize + step) % p;
-            let len = parts[q];
-            let segment = data.subview(offset, offset + len);
-            offset += len;
-            let dest = self.route(dests, q);
-            if dest.is_none() && len == 0 {
-                // Nothing for ourselves: no loopback fin needed (remote
-                // peers still get one so they learn a zero total).
-                continue;
-            }
-            for pkt in packetize_view(self.my_rank, stream, &segment) {
-                out.push((dest, pkt));
-            }
-        }
-        assert_eq!(offset, data.len(), "raw parts did not consume data");
-        out
-    }
-
-    /// Cut a sparse per-destination part list into packets in listed
-    /// order (the collective engine's schedule rounds). Every part is
-    /// non-empty (asserted in `on_scatter`), so the final chunk — and
-    /// with it the `InicScatterDone` — always exists.
+    /// Cut host-prepared per-destination parts into packets in listed
+    /// order, without any transform. A zero-length part is one empty fin
+    /// packet, so the final chunk — and with it the `InicScatterDone` —
+    /// always exists.
     fn plan_unicast_scatter(
         &self,
         stream: u32,
@@ -840,27 +770,6 @@ impl InicCard {
             }
         }
         assert_eq!(offset, data.len(), "unicast parts did not consume data");
-        out
-    }
-
-    /// Replicate the buffer to every destination (AllReduce send half).
-    /// Packet-major order: each packet is fetched from host memory once
-    /// and its card-memory replicas follow immediately.
-    fn plan_broadcast_scatter(
-        &self,
-        stream: u32,
-        data: &PayloadView,
-        dests: &[MacAddr],
-    ) -> Vec<(Option<MacAddr>, InicPacket)> {
-        let p = dests.len();
-        let pkts = packetize_view(self.my_rank, stream, data);
-        let mut out = Vec::with_capacity(pkts.len() * p);
-        for pkt in pkts {
-            for step in 0..p {
-                let q = (self.my_rank as usize + step) % p;
-                out.push((self.route(dests, q), pkt.clone()));
-            }
-        }
         out
     }
 
@@ -917,14 +826,9 @@ impl InicCard {
                 }
                 let bytes = DataSize::from_bytes((chunk.pkt.data.len() + INIC_HEADER) as u64);
                 self.host_in_busy = true;
-                if chunk.charge_host {
-                    let t1 = self.ports.host_in(ctx.now(), bytes);
-                    let t2 = self.xform_send.reserve(t1, bytes);
-                    ctx.self_in(t2.since(ctx.now()), ChunkStaged);
-                } else {
-                    // Card-memory replica: no host DMA, no transform.
-                    ctx.self_in(acc_sim::SimDuration::ZERO, ChunkStaged);
-                }
+                let t1 = self.ports.host_in(ctx.now(), bytes);
+                let t2 = self.xform_send.reserve(t1, bytes);
+                ctx.self_in(t2.since(ctx.now()), ChunkStaged);
                 return;
             }
             let blocked = self.send_queue.pop_front().expect("checked");

@@ -22,8 +22,21 @@ use acc_sim::{Component, ComponentId, Ctx, SimTime, Simulation};
 /// What the driver should run after configuration completes.
 #[derive(Clone)]
 enum Plan {
-    Transpose { slab: Vec<u8>, m: usize },
-    Sort { keys: Vec<u8> },
+    Transpose {
+        slab: Vec<u8>,
+        m: usize,
+    },
+    Sort {
+        keys: Vec<u8>,
+    },
+    /// Host-prepared parts: a `Unicast` scatter of `parts` over `data`
+    /// (skipped when empty) and a `Raw` gather from `from` (skipped
+    /// when empty).
+    Relay {
+        parts: Vec<(u32, usize)>,
+        data: Vec<u8>,
+        from: Vec<u32>,
+    },
 }
 
 /// Minimal per-node driver: configure → expect + scatter → record result.
@@ -75,6 +88,31 @@ impl Component for Driver {
                                 dests: self.macs.clone(),
                             },
                         );
+                    }
+                    Plan::Relay { parts, data, from } => {
+                        if !from.is_empty() {
+                            ctx.send_now(
+                                self.card,
+                                InicExpect {
+                                    stream: 1,
+                                    kind: GatherKind::Raw,
+                                    sources: from.iter().map(|&s| (s, None)).collect(),
+                                },
+                            );
+                        }
+                        if !parts.is_empty() {
+                            ctx.send_now(
+                                self.card,
+                                InicScatter {
+                                    stream: 1,
+                                    kind: ScatterKind::Unicast {
+                                        parts: parts.clone(),
+                                    },
+                                    data: data.clone(),
+                                    dests: self.macs.clone(),
+                                },
+                            );
+                        }
                     }
                     Plan::Sort { keys } => {
                         ctx.send_now(
@@ -307,6 +345,41 @@ fn inic_sort_scatter_routes_every_key_to_its_rank() {
         assert_eq!(bounds.as_ref(), Some(&expect), "rank {rank} bucket bounds");
     }
     assert_eq!(received_total, p * n_per, "keys lost or duplicated");
+}
+
+#[test]
+fn empty_unicast_part_to_a_peer_is_one_empty_fin() {
+    let p = 2;
+    let (mut sim, drivers) = build_cluster(
+        p,
+        CardPorts::ideal,
+        FpgaDevice::virtex_next_gen(),
+        Bitstream::protocol_only(),
+        |i| match i {
+            0 => Plan::Relay {
+                parts: vec![(1, 0)],
+                data: Vec::new(),
+                from: Vec::new(),
+            },
+            _ => Plan::Relay {
+                parts: Vec::new(),
+                data: Vec::new(),
+                from: vec![0],
+            },
+        },
+    );
+    sim.run();
+    let (_, bytes, bounds) = sim
+        .component::<Driver>(drivers[1])
+        .result
+        .as_ref()
+        .expect("the fin completes rank 1's gather");
+    assert!(bytes.is_empty(), "a zero-length part carries no data");
+    assert_eq!(bounds.as_deref(), Some(&[0][..]), "one empty source");
+    // Ids: drivers 0..p, cards p..2p, then the switch; port 1 faces
+    // rank 1.
+    let switch = sim.component::<Switch>(acc_sim::ComponentId::from_raw(2 * p));
+    assert_eq!(switch.port(1).sent(), 1, "exactly one packet to rank 1");
 }
 
 #[test]

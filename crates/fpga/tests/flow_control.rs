@@ -50,22 +50,23 @@ impl Component for IncastDriver {
                         },
                     );
                 } else {
-                    // All data to rank 0; empty parts elsewhere.
-                    let mut parts = vec![0usize; self.p];
-                    parts[0] = self.payload;
+                    // All data to rank 0; empty parts (lone fins) to the
+                    // other peers, in ring order from our own rank.
+                    let parts = (1..self.p)
+                        .map(|step| ((self.rank as usize + step) % self.p) as u32)
+                        .map(|q| (q, if q == 0 { self.payload } else { 0 }))
+                        .collect();
                     let mut data = vec![0u8; self.payload];
                     for (i, b) in data.iter_mut().enumerate() {
                         *b = (i as u8).wrapping_mul(self.rank as u8);
                     }
-                    // Ring order starting at own rank: rank 0's part is
-                    // somewhere inside; build accordingly (all other
-                    // parts are zero-length, so the data is just the
-                    // rank-0 part).
+                    // Every other part is zero-length, so the data is
+                    // just the rank-0 part.
                     ctx.send_now(
                         self.card,
                         InicScatter {
                             stream: 1,
-                            kind: ScatterKind::Raw { parts },
+                            kind: ScatterKind::Unicast { parts },
                             data,
                             dests: self.macs.clone(),
                         },
@@ -195,21 +196,17 @@ fn balanced_all_to_all_pays_no_measurable_credit_cost() {
                                 .collect(),
                         },
                     );
-                    let parts: Vec<usize> = (0..self.p)
-                        .map(|q| {
-                            if q == self.rank as usize {
-                                0
-                            } else {
-                                self.part
-                            }
-                        })
+                    // Every peer but ourselves, in ring order.
+                    let parts = (1..self.p)
+                        .map(|step| ((self.rank as usize + step) % self.p) as u32)
+                        .map(|q| (q, self.part))
                         .collect();
                     let data = vec![self.rank as u8; self.part * (self.p - 1)];
                     ctx.send_now(
                         self.card,
                         InicScatter {
                             stream: 1,
-                            kind: ScatterKind::Raw { parts },
+                            kind: ScatterKind::Unicast { parts },
                             data,
                             dests: self.macs.clone(),
                         },

@@ -33,7 +33,7 @@
 //!   `.run_guarded()`) outside `crates/sim` itself and test code. Every
 //!   production run must go through the deadline-aware wrapper
 //!   (`Wiring::run_to_completion` in acc-core), which arms the
-//!   watchdog derived from the [`DeadlineHierarchy`] so a wedged run
+//!   watchdog derived from the `DeadlineHierarchy` so a wedged run
 //!   aborts with a structured hang report instead of spinning forever.
 //!   The wrapper itself, and micro-simulations that provably terminate
 //!   (bounded ablation probes), carry allow annotations.
@@ -57,7 +57,7 @@
 //!   `truncate` on the field) or carry a justified allow naming the
 //!   invariant that bounds it.
 //!
-//! R7–R9 ride on the item/symbol pass (see [`symbols`]): module, impl
+//! R7–R9 ride on the item/symbol pass (see `symbols`): module, impl
 //! and fn spans, struct fields with textual types, and integer consts,
 //! aggregated into per-crate symbol tables by the workspace walk.
 //!

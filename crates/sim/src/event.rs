@@ -33,7 +33,7 @@
 //! invariant: every wheel event's level-0 slot is strictly after
 //! `base`'s, so every wheel event is strictly later than every near
 //! event, and the sorted near ring always holds the global minimum at
-//! its front. When the near ring drains, [`TimingWheel::settle`]
+//! its front. When the near ring drains, `TimingWheel::settle`
 //! advances `base` to the earliest occupied slot *start* across all
 //! levels (never past a pending event) and cascades that slot down one
 //! level — re-bucketed by the same rules — until the near ring is

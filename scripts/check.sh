@@ -34,8 +34,11 @@ echo "== cargo test --workspace"
 # all 71 test binaries included.
 cargo test -q --workspace
 
-echo "== cargo doc (deny warnings)"
-RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps
+echo "== cargo doc --workspace (deny warnings)"
+# --workspace for the same reason as the build: a bare `cargo doc`
+# documents only the umbrella package, so broken intra-doc links in
+# the member crates would go unnoticed.
+RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps --workspace
 
 echo "== bench_wallclock --smoke --check (gating: per-point noise bounds)"
 # ACC_JOBS=2 forces the threaded work-queue path even on one core, so

@@ -156,6 +156,80 @@ fn card_kill_recoveries_are_pinned() {
 }
 
 #[test]
+fn exchange_paths_are_pinned() {
+    // Every path of the exchange the FFT and sort drivers share: the
+    // all-at-once length-prefixed TCP exchange, the ring-order card
+    // relay of the protocol-only mode, the prototype's 16-bucket card
+    // gather, and the mixed-technology side legs of rank-local recovery
+    // without checkpoints.
+    let sort_gige = run_sort(ClusterSpec::new(4, Technology::GigabitTcp), 1 << 16);
+    let fft_proto = run_fft(ClusterSpec::new(4, Technology::InicProtocol), 64);
+    let sort_proto = run_sort(ClusterSpec::new(4, Technology::InicProtocol), 1 << 16);
+    let sort_aceii = run_sort(ClusterSpec::new(4, Technology::InicPrototype), 1 << 16);
+    let fft_local = run_fft(card_kill(RecoveryPolicy::RankLocal), 64);
+    let sort_local = run_sort(card_kill(RecoveryPolicy::RankLocal), 1 << 16);
+    for (name, verified, total, interrupts, ps, irqs) in [
+        (
+            "sort gigabit p4 2^16",
+            sort_gige.verified,
+            sort_gige.total,
+            sort_gige.interrupts,
+            3_801_910_811,
+            68,
+        ),
+        (
+            "fft inic-protocol p4 n64",
+            fft_proto.verified,
+            fft_proto.total,
+            fft_proto.interrupts,
+            1_178_851_664,
+            8,
+        ),
+        (
+            "sort inic-protocol p4 2^16",
+            sort_proto.verified,
+            sort_proto.total,
+            sort_proto.interrupts,
+            3_728_639_587,
+            4,
+        ),
+        (
+            "sort inic-prototype p4 2^16",
+            sort_aceii.verified,
+            sort_aceii.total,
+            sort_aceii.interrupts,
+            3_983_757_116,
+            4,
+        ),
+        (
+            "fft rank-local",
+            fft_local.verified,
+            fft_local.total,
+            fft_local.interrupts,
+            3_967_683_595,
+            10,
+        ),
+        (
+            "sort rank-local",
+            sort_local.verified,
+            sort_local.total,
+            sort_local.interrupts,
+            5_023_491_533,
+            3,
+        ),
+    ] {
+        assert!(verified, "{name}: wrong data");
+        assert_eq!(total.as_ps(), ps, "{name}");
+        assert_eq!(interrupts, irqs, "{name}: interrupts");
+    }
+    for local in [&fft_local.faults, &sort_local.faults] {
+        assert_eq!(local.degraded_nodes, 1);
+        assert_eq!(local.resumed_from_phase, Some(0));
+        assert_eq!(local.retransmits, 0);
+    }
+}
+
+#[test]
 fn fft_speedup_shape_is_pinned() {
     // The Fig. 4(a) INIC model curve at the paper's anchor points, to
     // three decimals.
