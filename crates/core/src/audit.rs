@@ -8,6 +8,14 @@
 //! final, stricter pass ([`final_check`]) runs after the simulation
 //! quiesces.
 //!
+//! A tick re-checks only when the stats registry moved since the
+//! previous tick (its [change count](acc_sim::StatsRegistry::changes)
+//! differs). [`check_running`] is a pure function of counters and
+//! gauges, so an unchanged registry cannot newly violate an invariant:
+//! the skip is exact, not sampled. Lossy runs spend long RTO backoffs
+//! with nothing moving, and the skip turns those idle ticks into one
+//! comparison each.
+//!
 //! The invariants:
 //!
 //! * **frame conservation**, per instrumented port: `frames_offered ≥
@@ -36,7 +44,7 @@
 
 use std::any::Any;
 
-use acc_sim::{Component, Ctx, SimDuration, StatsRegistry};
+use acc_sim::{Component, CounterHandle, Ctx, SimDuration, StatsRegistry};
 
 /// What the Auditor watches. Built by the cluster wiring, which knows
 /// every instrumented stats scope.
@@ -64,13 +72,38 @@ pub struct AuditConfig {
 /// Self event driving the periodic audit.
 struct AuditTick;
 
-/// The online auditor component. Checks run every [`Auditor::PERIOD`]
+/// The online auditor component. Ticks run every [`Auditor::PERIOD`]
 /// until every driver has reported done (or the tick cap is reached, a
-/// backstop so a wedged run cannot tick forever).
+/// backstop so a wedged run cannot tick forever); a tick checks only if
+/// the registry changed since the previous tick.
 pub struct Auditor {
-    label: String,
     cfg: AuditConfig,
     ticks: u64,
+    /// The registry's change count right after the last tick (0, an
+    /// empty registry, before the first).
+    seen: u64,
+    ticks_counter: CounterHandle,
+    checks_counter: CounterHandle,
+}
+
+/// What the Auditor did over a run: ticks taken and checks actually
+/// run (a tick skips its check when no counter or gauge moved).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct AuditCounts {
+    /// Audit ticks (`auditor.audit_ticks`).
+    pub ticks: u64,
+    /// Ticks that ran [`check_running`] (`auditor.audit_checks`).
+    pub checks: u64,
+}
+
+impl AuditCounts {
+    /// Read the Auditor's counters out of a finished run's registry.
+    pub(crate) fn from_stats(stats: &StatsRegistry) -> AuditCounts {
+        AuditCounts {
+            ticks: counter(stats, Auditor::LABEL, "audit_ticks"),
+            checks: counter(stats, Auditor::LABEL, "audit_checks"),
+        }
+    }
 }
 
 impl Auditor {
@@ -82,12 +115,17 @@ impl Auditor {
     /// quiet after this many ticks so the simulation can drain.
     const MAX_TICKS: u64 = 2_000_000;
 
+    /// The Auditor's stats scope.
+    const LABEL: &'static str = "auditor";
+
     /// Build an auditor for one wired cluster.
     pub fn new(cfg: AuditConfig) -> Auditor {
         Auditor {
-            label: "auditor".to_owned(),
             cfg,
             ticks: 0,
+            seen: 0,
+            ticks_counter: CounterHandle::default(),
+            checks_counter: CounterHandle::default(),
         }
     }
 }
@@ -96,20 +134,32 @@ impl Component for Auditor {
     fn handle(&mut self, ev: Box<dyn Any>, ctx: &mut Ctx) {
         assert!(ev.downcast_ref::<AuditTick>().is_some() || ev.downcast_ref::<()>().is_some());
         self.ticks += 1;
-        let done = ctx
-            .stats()
-            .counter_value("cluster", "drivers_done")
-            .unwrap_or(0);
-        if done >= self.cfg.p || self.ticks > Auditor::MAX_TICKS {
+        if self.ticks > Auditor::MAX_TICKS {
             return; // stop rescheduling; the final check takes over
         }
-        check_running(ctx.stats(), &self.cfg);
-        ctx.stats().counter(&self.label, "audit_ticks").inc();
+        let stats = ctx.stats();
+        // `drivers_done` and every checked input live in the registry:
+        // while its change count stands still, the previous tick's
+        // verdicts (not all done, no violation) stand too.
+        if stats.changes() != self.seen {
+            if counter(stats, "cluster", "drivers_done") >= self.cfg.p {
+                return; // stop rescheduling; the final check takes over
+            }
+            check_running(stats, &self.cfg);
+            stats
+                .counter_by(&mut self.checks_counter, Auditor::LABEL, "audit_checks")
+                .inc();
+        }
+        stats
+            .counter_by(&mut self.ticks_counter, Auditor::LABEL, "audit_ticks")
+            .inc();
+        // Read after our own bumps, so they alone never force a check.
+        self.seen = stats.changes();
         ctx.self_in(Auditor::PERIOD, AuditTick);
     }
 
     fn name(&self) -> &str {
-        &self.label
+        Auditor::LABEL
     }
 }
 
@@ -228,6 +278,54 @@ mod tests {
             expect_quiescent_ports: true,
             p: 1,
         }
+    }
+
+    /// A simulation holding only an Auditor over [`cfg`], first tick at 0.
+    fn audited_sim() -> acc_sim::Simulation {
+        let mut sim = acc_sim::Simulation::new(0);
+        let id = sim.add(Auditor::new(cfg()));
+        sim.schedule_at(acc_sim::SimTime::ZERO, id, ());
+        sim
+    }
+
+    /// `(ticks, checks)` so far.
+    fn counts(sim: &acc_sim::Simulation) -> (u64, u64) {
+        let c = AuditCounts::from_stats(sim.stats());
+        (c.ticks, c.checks)
+    }
+
+    #[test]
+    fn untouched_registry_skips_the_check() {
+        let mut sim = audited_sim();
+        sim.run_until(acc_sim::SimTime::ZERO + Auditor::PERIOD * 10);
+        // Nothing but the Auditor's own counters ever moved.
+        assert_eq!(counts(&sim), (11, 0));
+
+        let mut sim = audited_sim();
+        sim.stats_mut().counter("up0", "frames_offered").add(3);
+        sim.run_until(acc_sim::SimTime::ZERO + Auditor::PERIOD * 10);
+        // The seeded counter is checked once, at the first tick.
+        assert_eq!(counts(&sim), (11, 1));
+    }
+
+    #[test]
+    fn violation_after_idle_ticks_is_caught_at_the_next_tick() {
+        let mut sim = audited_sim();
+        sim.stats_mut().counter("up0", "frames_offered").add(5);
+        sim.stats_mut().counter("up0", "frames_delivered").add(5);
+        let idle_until = acc_sim::SimTime::ZERO + Auditor::PERIOD * 20;
+        sim.run_until(idle_until + acc_sim::SimDuration::from_micros(1));
+        assert_eq!(counts(&sim), (21, 1));
+        // Over-deliver between two ticks: the very next tick checks and
+        // catches it.
+        sim.stats_mut().counter("up0", "frames_delivered").inc();
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sim.step()))
+            .expect_err("the next tick must report the violation");
+        let msg = caught
+            .downcast_ref::<String>()
+            .expect("formatted panic message");
+        assert!(msg.contains("more frames than were offered"), "{msg}");
+        assert_eq!(sim.now(), idle_until + Auditor::PERIOD);
     }
 
     #[test]

@@ -28,7 +28,7 @@ use acc_net::{
 use acc_proto::{HostPathCosts, TcpHostNic, TcpParams};
 use acc_sim::{Component, ComponentId, HangKind, SimDuration, SimTime, Simulation};
 
-use crate::audit::{self, AuditConfig, Auditor};
+use crate::audit::{self, AuditConfig, AuditCounts, Auditor};
 use crate::deadline::DeadlineHierarchy;
 use crate::drivers::coll::CollDriver;
 use crate::drivers::fft::FftDriver;
@@ -231,6 +231,9 @@ pub struct FftRunResult {
     pub interrupts: u64,
     /// Fault-handling telemetry (all zero/`None` on a fault-free run).
     pub faults: FaultDiagnostics,
+    /// What the online Auditor did (`None` on runs without one, i.e.
+    /// without a fault plan).
+    pub audit: Option<AuditCounts>,
 }
 
 /// Result of one sort run.
@@ -256,6 +259,9 @@ pub struct SortRunResult {
     pub interrupts: u64,
     /// Fault-handling telemetry (all zero/`None` on a fault-free run).
     pub faults: FaultDiagnostics,
+    /// What the online Auditor did (`None` on runs without one, i.e.
+    /// without a fault plan).
+    pub audit: Option<AuditCounts>,
 }
 
 /// Everything wired up for one run.
@@ -748,6 +754,7 @@ impl Wiring {
                 Ok(())
             }
             Err(sim_report) => {
+                self.sim.announce_hang(&sim_report);
                 let mut report = HangReport::diagnose(
                     HangCause::Watchdog(sim_report.kind),
                     self.technology,
@@ -830,13 +837,15 @@ impl Wiring {
             );
         }
         // The end-of-run audit pass (faulted runs only).
-        if let Some(cfg) = &self.audit {
+        let audit = self.audit.as_ref().map(|cfg| {
             audit::final_check(self.sim.stats(), cfg);
-        }
+            AuditCounts::from_stats(self.sim.stats())
+        });
         RunSummary {
             total: end.since(start),
             switch_drops,
             faults: self.fault_diagnostics::<D>(),
+            audit,
         }
     }
 
@@ -900,6 +909,7 @@ struct RunSummary {
     total: SimDuration,
     switch_drops: u64,
     faults: FaultDiagnostics,
+    audit: Option<AuditCounts>,
 }
 
 /// Run the 2D-FFT application on a `rows × rows` matrix.
@@ -977,6 +987,7 @@ pub fn try_run_fft(spec: ClusterSpec, rows: usize) -> Result<FftRunResult, Box<H
         protocol_cpu,
         interrupts,
         faults: summary.faults,
+        audit: summary.audit,
     })
 }
 
@@ -1134,6 +1145,7 @@ pub fn try_run_sort_custom(
         protocol_cpu,
         interrupts,
         faults: summary.faults,
+        audit: summary.audit,
     })
 }
 
@@ -1164,6 +1176,9 @@ pub struct CollRunResult {
     pub verified: bool,
     /// What the fault plan did to the run (all zeros on a clean run).
     pub faults: FaultDiagnostics,
+    /// What the online Auditor did (`None` on runs without one, i.e.
+    /// without a fault plan).
+    pub audit: Option<AuditCounts>,
 }
 
 /// The acc-coll execution-path class a technology reduces to.
@@ -1414,13 +1429,13 @@ fn run_schedules(
     w.run_to_completion::<CollDriver>(&hierarchy)?;
     let mut comm = SimDuration::ZERO;
     let mut compute = SimDuration::ZERO;
-    let mut results: Vec<Vec<f64>> = Vec::new();
     for drv in w.ranks::<CollDriver>() {
         comm = comm.max(drv.timings.comm);
         compute = compute.max(drv.timings.compute);
-        results.push(drv.result());
     }
+    // Only the oracle reads the outputs; copy them out only for it.
     let verified = if spec.verify {
+        let results: Vec<Vec<f64>> = w.ranks::<CollDriver>().map(CollDriver::result).collect();
         check(&results);
         true
     } else {
@@ -1433,6 +1448,7 @@ fn run_schedules(
         compute,
         verified,
         faults: summary.faults,
+        audit: summary.audit,
     })
 }
 

@@ -33,7 +33,7 @@ pub mod model;
 pub mod report;
 pub mod runner;
 
-pub use audit::{AuditConfig, Auditor};
+pub use audit::{AuditConfig, AuditCounts, Auditor};
 pub use cluster::{ClusterSpec, CollRunResult, FftRunResult, SortRunResult, Technology};
 pub use deadline::{DeadlineHierarchy, PhaseBudget};
 pub use drivers::{DriverProgress, RecoveryPolicy};

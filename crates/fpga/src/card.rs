@@ -36,7 +36,9 @@ use acc_algos::transpose::{
 use acc_net::port::EgressPort;
 use acc_net::{EtherType, Frame, FrameArrival, MacAddr, PayloadView, PortTxDone};
 use acc_proto::{packetize_view, InicPacket, StreamDemux, INIC_HEADER, INIC_PAYLOAD};
-use acc_sim::{Bandwidth, Component, ComponentId, Ctx, DataSize, SimDuration, SimTime};
+use acc_sim::{
+    Bandwidth, Component, ComponentId, CounterHandle, Ctx, DataSize, SimDuration, SimTime,
+};
 
 use crate::device::{Bitstream, ConfigError, FpgaDevice};
 use crate::ops::OperatorKind;
@@ -470,6 +472,11 @@ pub struct InicCard {
     /// gather accumulation).
     mem_in_use: u64,
     interrupts_raised: u64,
+    /// Per-packet counter handles (`gather_bytes_in`,
+    /// `credit_bytes_consumed`, `credit_bytes_granted`).
+    gather_bytes_in: CounterHandle,
+    credit_bytes_consumed: CounterHandle,
+    credit_bytes_granted: CounterHandle,
 }
 
 impl InicCard {
@@ -519,6 +526,9 @@ impl InicCard {
             completion_interrupt: SimDuration::from_micros(12),
             mem_in_use: 0,
             interrupts_raised: 0,
+            gather_bytes_in: CounterHandle::default(),
+            credit_bytes_consumed: CounterHandle::default(),
+            credit_bytes_granted: CounterHandle::default(),
         }
     }
 
@@ -1014,7 +1024,11 @@ impl InicCard {
             *entry = entry.saturating_sub(u64::from(pkt.offset));
             if self.reliability {
                 ctx.stats()
-                    .counter(&self.label, "credit_bytes_consumed")
+                    .counter_by(
+                        &mut self.credit_bytes_consumed,
+                        &self.label,
+                        "credit_bytes_consumed",
+                    )
                     .add(u64::from(pkt.offset));
             }
             self.admit_next_chunk(ctx);
@@ -1081,7 +1095,7 @@ impl InicCard {
         let stream = pkt.stream;
         if self.reliability {
             ctx.stats()
-                .counter(&self.label, "gather_bytes_in")
+                .counter_by(&mut self.gather_bytes_in, &self.label, "gather_bytes_in")
                 .add(pkt.data.len() as u64);
         }
         let gather = self.gathers.get_mut(&stream).expect("gather announced");
@@ -1280,7 +1294,11 @@ impl InicCard {
     fn send_credit(&mut self, mac: MacAddr, stream: u32, amount: u64, ctx: &mut Ctx) {
         if self.reliability {
             ctx.stats()
-                .counter(&self.label, "credit_bytes_granted")
+                .counter_by(
+                    &mut self.credit_bytes_granted,
+                    &self.label,
+                    "credit_bytes_granted",
+                )
                 .add(amount);
         }
         let pkt = InicPacket::credit_grant(self.my_rank, stream, amount as u32);

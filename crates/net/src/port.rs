@@ -7,7 +7,7 @@
 //! next frame; the peer receives a [`FrameArrival`] when the last bit
 //! lands.
 
-use acc_sim::{Bandwidth, ComponentId, Ctx, DataSize, SimDuration};
+use acc_sim::{Bandwidth, ComponentId, CounterHandle, Ctx, DataSize, SimDuration};
 use std::collections::VecDeque;
 
 use crate::frame::Frame;
@@ -62,7 +62,14 @@ pub struct EgressPort {
     /// counters (`frames_offered` = `frames_delivered` + `queue_drops` +
     /// `impair_drops`) into the registry so an external auditor can
     /// check them. `None` on the happy path — no per-frame stats cost.
-    stats_label: Option<String>,
+    stats: Option<PortStats>,
+}
+
+/// A labelled port's stats scope and its per-frame counter handles.
+struct PortStats {
+    label: String,
+    offered: CounterHandle,
+    delivered: CounterHandle,
 }
 
 impl EgressPort {
@@ -89,13 +96,17 @@ impl EgressPort {
             drops: 0,
             sent: 0,
             impair: None,
-            stats_label: None,
+            stats: None,
         }
     }
 
     /// Publish conservation counters for this port under `label`.
     pub fn set_stats_label(&mut self, label: impl Into<String>) {
-        self.stats_label = Some(label.into());
+        self.stats = Some(PortStats {
+            label: label.into(),
+            offered: CounterHandle::default(),
+            delivered: CounterHandle::default(),
+        });
     }
 
     /// Attach a fault model; every subsequent frame is judged by it.
@@ -112,8 +123,10 @@ impl EgressPort {
     /// drop) if the buffer cannot hold it.
     pub fn enqueue(&mut self, frame: Frame, ctx: &mut Ctx) -> bool {
         let size = frame.buffer_size();
-        if let Some(label) = &self.stats_label {
-            ctx.stats().counter(label, "frames_offered").inc();
+        if let Some(st) = &mut self.stats {
+            ctx.stats()
+                .counter_by(&mut st.offered, &st.label, "frames_offered")
+                .inc();
         }
         let capacity = self
             .impair
@@ -122,8 +135,8 @@ impl EgressPort {
             .map_or(self.capacity, |cap| cap.min(self.capacity));
         if self.buffered + size > capacity {
             self.drops += 1;
-            if let Some(label) = &self.stats_label {
-                ctx.stats().counter(label, "queue_drops").inc();
+            if let Some(st) = &self.stats {
+                ctx.stats().counter(&st.label, "queue_drops").inc();
             }
             return false;
         }
@@ -162,8 +175,8 @@ impl EgressPort {
         if let Some(imp) = self.impair.as_mut() {
             match imp.judge(ctx.now()) {
                 Verdict::Drop => {
-                    if let Some(label) = &self.stats_label {
-                        ctx.stats().counter(label, "impair_drops").inc();
+                    if let Some(st) = &self.stats {
+                        ctx.stats().counter(&st.label, "impair_drops").inc();
                     }
                     return;
                 }
@@ -176,8 +189,10 @@ impl EgressPort {
             }
         }
         self.sent += 1;
-        if let Some(label) = &self.stats_label {
-            ctx.stats().counter(label, "frames_delivered").inc();
+        if let Some(st) = &mut self.stats {
+            ctx.stats()
+                .counter_by(&mut st.delivered, &st.label, "frames_delivered")
+                .inc();
         }
         ctx.send_in(
             ser + self.prop_delay + extra,

@@ -3,7 +3,7 @@
 use std::any::Any;
 use std::collections::BTreeMap;
 
-use acc_sim::{Component, ComponentId, Ctx};
+use acc_sim::{Component, ComponentId, CounterHandle, Ctx};
 
 use crate::frame::{Frame, MacAddr};
 use crate::port::{EgressPort, FrameArrival, PortTxDone};
@@ -54,6 +54,9 @@ pub struct Switch {
     dead: bool,
     blackhole_drops: u64,
     unroutable_drops: u64,
+    /// Per-frame counter handles (`frames_in`, `frames_fwd`).
+    frames_in: CounterHandle,
+    frames_fwd: CounterHandle,
 }
 
 impl Switch {
@@ -68,6 +71,8 @@ impl Switch {
             dead: false,
             blackhole_drops: 0,
             unroutable_drops: 0,
+            frames_in: CounterHandle::default(),
+            frames_fwd: CounterHandle::default(),
         }
     }
 
@@ -258,7 +263,9 @@ impl Component for Switch {
     fn handle(&mut self, ev: Box<dyn Any>, ctx: &mut Ctx) {
         let ev = match ev.downcast::<FrameArrival>() {
             Ok(arrival) => {
-                ctx.stats().counter(&self.label, "frames_in").inc();
+                ctx.stats()
+                    .counter_by(&mut self.frames_in, &self.label, "frames_in")
+                    .inc();
                 if self.dead {
                     self.drop_blackhole(ctx);
                 } else {
@@ -278,7 +285,9 @@ impl Component for Switch {
                 }
                 let ok = self.ports[fwd.out].enqueue(fwd.frame, ctx);
                 if ok {
-                    ctx.stats().counter(&self.label, "frames_fwd").inc();
+                    ctx.stats()
+                        .counter_by(&mut self.frames_fwd, &self.label, "frames_fwd")
+                        .inc();
                 } else {
                     ctx.stats().counter(&self.label, "frames_dropped").inc();
                 }

@@ -74,8 +74,8 @@ impl Simulation {
     }
 
     /// Suppress stderr diagnostics (trace-tail dumps on component panics
-    /// and watchdog aborts). The structured [`LivenessReport`] still
-    /// carries the trace tail; only the eager printing is silenced.
+    /// and announced hangs). The structured [`LivenessReport`] still
+    /// carries the trace tail; only the printing is silenced.
     pub fn set_quiet(&mut self, quiet: bool) {
         self.quiet = quiet;
     }
@@ -259,9 +259,10 @@ impl Simulation {
     ///
     /// On a tripped bound this returns a structured [`LivenessReport`]
     /// instead of panicking or looping forever: per-component wait
-    /// states, the queue head, and the trace tail (also dumped to stderr
-    /// unless [`set_quiet`](Self::set_quiet) was called — the same
-    /// post-mortem surface a component panic produces). The clock is
+    /// states, the queue head, and the trace tail. Nothing is printed
+    /// here: a caller may still accept the trip (a deadline after all
+    /// work finished), so only the caller knows whether to
+    /// [`announce_hang`](Self::announce_hang). The clock is
     /// never advanced past the last committed event, and the guarded
     /// loop itself schedules **no events**, so a run that completes
     /// under `run_guarded` is bit-identical to the same run under
@@ -292,8 +293,7 @@ impl Simulation {
         }
     }
 
-    /// Snapshot the engine's liveness state into a report (and dump the
-    /// trace tail to stderr unless quiet, mirroring the panic path).
+    /// Snapshot the engine's liveness state into a report.
     fn liveness_report(&self, kind: HangKind) -> Box<LivenessReport> {
         let components = self
             .components
@@ -309,7 +309,7 @@ impl Simulation {
                 })
             })
             .collect();
-        let report = Box::new(LivenessReport {
+        Box::new(LivenessReport {
             kind,
             now: self.now,
             events_processed: self.events_processed,
@@ -317,14 +317,22 @@ impl Simulation {
             queue_head: self.queue.peek_head(),
             components,
             trace_tail: self.trace.dump_to_string(),
-        });
-        if self.trace.enabled() && !self.quiet {
+        })
+    }
+
+    /// Dump a kept hang's trace tail to stderr under a header naming
+    /// the bound, the post-mortem surface a component panic produces —
+    /// unless [quiet](Self::set_quiet) or the tail is empty (a header
+    /// with nothing under it tells the reader nothing). Call it only for
+    /// a [`run_guarded`](Self::run_guarded) trip the caller keeps as a
+    /// hang.
+    pub fn announce_hang(&self, report: &LivenessReport) {
+        if !self.quiet && !report.trace_tail.is_empty() {
             eprintln!(
-                "--- trace tail at liveness failure ({kind}, t={}) ---\n{}",
-                self.now, report.trace_tail
+                "--- trace tail at liveness failure ({}, t={}) ---\n{}",
+                report.kind, report.now, report.trace_tail
             );
         }
-        report
     }
 
     /// Run until the queue empties or `deadline` is reached, whichever is

@@ -64,5 +64,5 @@ pub use engine::Simulation;
 pub use event::{EventQueue, HeapQueue, TimingWheel};
 pub use liveness::{ComponentWait, HangKind, LivenessReport, Watchdog};
 pub use rng::SimRng;
-pub use stats::StatsRegistry;
+pub use stats::{CounterHandle, StatsRegistry};
 pub use time::{Bandwidth, DataSize, SimDuration, SimTime};

@@ -2,7 +2,8 @@
 //!
 //! Keys are `(scope, name)` string pairs — scope is usually a component
 //! name such as `"nic3"` or `"switch"`. Cheap enough for simulation-rate
-//! updates; values are pulled after a run for report generation.
+//! updates (per-frame sites bump through a [`CounterHandle`]); values are
+//! pulled after a run for report generation.
 
 use std::collections::BTreeMap;
 
@@ -168,19 +169,77 @@ impl Histogram {
     }
 }
 
+/// A two-level `scope → name → T` map. Lookups borrow both keys as
+/// `&str`, so an existing entry is found with **zero allocations**; only
+/// creating one allocates its key strings. Iteration order equals that
+/// of a flat `(scope, name)`-keyed map.
+type Scoped<T> = BTreeMap<String, BTreeMap<String, T>>;
+
+/// Fetch or create the entry at `(scope, name)`, building it with `make`.
+fn scoped_entry<'m, T>(
+    map: &'m mut Scoped<T>,
+    scope: &str,
+    name: &str,
+    make: impl FnOnce() -> T,
+) -> &'m mut T {
+    if !map.contains_key(scope) {
+        map.insert(scope.to_owned(), BTreeMap::new());
+    }
+    let scoped = map.get_mut(scope).expect("scope just ensured");
+    if !scoped.contains_key(name) {
+        scoped.insert(name.to_owned(), make());
+    }
+    scoped.get_mut(name).expect("entry just ensured")
+}
+
+/// Read the entry at `(scope, name)` without creating it.
+fn scoped_get<'m, T>(map: &'m Scoped<T>, scope: &str, name: &str) -> Option<&'m T> {
+    map.get(scope).and_then(|scoped| scoped.get(name))
+}
+
+/// Iterate `((scope, name), entry)` in sorted key order.
+fn scoped_iter<T>(map: &Scoped<T>) -> impl Iterator<Item = ((&str, &str), &T)> {
+    map.iter().flat_map(|(scope, scoped)| {
+        scoped
+            .iter()
+            .map(move |(name, v)| ((scope.as_str(), name.as_str()), v))
+    })
+}
+
+/// Index of a counter in [`StatsRegistry`]'s counter storage.
+#[derive(Clone, Copy, Debug)]
+struct CounterId(u32);
+
+/// One call site's handle on a counter: resolved by name on the site's
+/// first use, then a plain index into the registry. Per-frame sites keep
+/// one in their component and bump through
+/// [`StatsRegistry::counter_by`]; the counter is still created (and
+/// appears in [`StatsRegistry::counters`]) exactly when it first moves.
+///
+/// A handle belongs to the registry that resolved it — a component lives
+/// in one simulation, so its handles do too.
+#[derive(Default, Debug, Clone, Copy)]
+pub struct CounterHandle(Option<CounterId>);
+
 /// Registry of all metrics, keyed by `(scope, name)`.
 ///
-/// Counters live in a two-level map (`scope → name → Counter`) so the
-/// per-event hot path — components bump counters on every frame — is a
-/// pair of `&str` lookups with **zero allocations** once the counter
-/// exists. The flat `(String, String)` key the registry used before
-/// cost two `String` allocations per increment just to form the lookup
-/// key.
+/// Counters live in one `Vec`, indexed through a two-level name index
+/// (`scope → name → id`): cold paths look them up by name with a pair
+/// of `&str` lookups and **zero allocations** once the counter exists,
+/// and per-frame paths skip the lookup entirely through a
+/// [`CounterHandle`]. Gauges and series use the same borrowed-key
+/// two-level maps.
+///
+/// Every mutable accessor bumps a [change count](Self::changes); reads
+/// never do. An observer that sees the count unchanged knows no metric
+/// was touched in between.
 #[derive(Default)]
 pub struct StatsRegistry {
-    counters: BTreeMap<String, BTreeMap<String, Counter>>,
-    gauges: BTreeMap<(String, String), Gauge>,
-    series: BTreeMap<(String, String), Series>,
+    counter_index: Scoped<CounterId>,
+    counters: Vec<Counter>,
+    gauges: Scoped<Gauge>,
+    series: Scoped<Series>,
+    changes: u64,
 }
 
 impl StatsRegistry {
@@ -189,67 +248,86 @@ impl StatsRegistry {
         Self::default()
     }
 
+    /// How many times a mutable accessor ([`counter`](Self::counter),
+    /// [`counter_by`](Self::counter_by), [`gauge`](Self::gauge),
+    /// [`series`](Self::series)) was called. Equal counts at two
+    /// instants mean every counter, gauge and series is unchanged.
+    pub fn changes(&self) -> u64 {
+        self.changes
+    }
+
+    /// The id of the counter `(scope, name)`, creating it at zero.
+    fn intern(&mut self, scope: &str, name: &str) -> CounterId {
+        let counters = &mut self.counters;
+        *scoped_entry(&mut self.counter_index, scope, name, || {
+            let id = u32::try_from(counters.len()).expect("fewer than 2^32 counters");
+            counters.push(Counter::default());
+            CounterId(id)
+        })
+    }
+
     /// Fetch or create a counter. Allocation-free after the counter's
     /// first use.
     pub fn counter(&mut self, scope: &str, name: &str) -> &mut Counter {
-        if !self.counters.contains_key(scope) {
-            self.counters.insert(scope.to_owned(), BTreeMap::new());
-        }
-        let scoped = self.counters.get_mut(scope).expect("scope just ensured");
-        if !scoped.contains_key(name) {
-            scoped.insert(name.to_owned(), Counter::default());
-        }
-        scoped.get_mut(name).expect("counter just ensured")
+        self.changes += 1;
+        let id = self.intern(scope, name);
+        &mut self.counters[id.0 as usize]
     }
 
-    /// Fetch or create a gauge.
+    /// Fetch or create a counter through a call site's `handle`. The
+    /// name is looked up only on the handle's first use; afterwards
+    /// `(scope, name)` are ignored and the counter is one index away.
+    pub fn counter_by(
+        &mut self,
+        handle: &mut CounterHandle,
+        scope: &str,
+        name: &str,
+    ) -> &mut Counter {
+        self.changes += 1;
+        let id = match handle.0 {
+            Some(id) => id,
+            None => *handle.0.insert(self.intern(scope, name)),
+        };
+        &mut self.counters[id.0 as usize]
+    }
+
+    /// Fetch or create a gauge. Allocation-free after the gauge's first
+    /// use.
     pub fn gauge(&mut self, scope: &str, name: &str) -> &mut Gauge {
-        self.gauges
-            .entry((scope.to_owned(), name.to_owned()))
-            .or_default()
+        self.changes += 1;
+        scoped_entry(&mut self.gauges, scope, name, Gauge::default)
     }
 
-    /// Fetch or create a time series.
+    /// Fetch or create a time series. Allocation-free (bar the sample
+    /// push) after the series' first use.
     pub fn series(&mut self, scope: &str, name: &str) -> &mut Series {
-        self.series
-            .entry((scope.to_owned(), name.to_owned()))
-            .or_default()
+        self.changes += 1;
+        scoped_entry(&mut self.series, scope, name, Series::default)
     }
 
     /// Read a counter value if it exists.
     pub fn counter_value(&self, scope: &str, name: &str) -> Option<u64> {
-        self.counters
-            .get(scope)
-            .and_then(|scoped| scoped.get(name))
-            .map(Counter::get)
+        scoped_get(&self.counter_index, scope, name).map(|id| self.counters[id.0 as usize].get())
     }
 
     /// Read a gauge value if it exists.
     pub fn gauge_value(&self, scope: &str, name: &str) -> Option<f64> {
-        self.gauges
-            .get(&(scope.to_owned(), name.to_owned()))
-            .map(Gauge::get)
+        scoped_get(&self.gauges, scope, name).map(Gauge::get)
     }
 
     /// Read a gauge's maximum-ever value if it exists.
     pub fn gauge_max(&self, scope: &str, name: &str) -> Option<f64> {
-        self.gauges
-            .get(&(scope.to_owned(), name.to_owned()))
-            .map(Gauge::max)
+        scoped_get(&self.gauges, scope, name).map(Gauge::max)
     }
 
     /// Read a series if it exists.
     pub fn series_ref(&self, scope: &str, name: &str) -> Option<&Series> {
-        self.series.get(&(scope.to_owned(), name.to_owned()))
+        scoped_get(&self.series, scope, name)
     }
 
     /// Iterate all counters in deterministic (sorted key) order.
     pub fn counters(&self) -> impl Iterator<Item = ((&str, &str), u64)> {
-        self.counters.iter().flat_map(|(scope, scoped)| {
-            scoped
-                .iter()
-                .map(move |(name, c)| ((scope.as_str(), name.as_str()), c.get()))
-        })
+        scoped_iter(&self.counter_index).map(|(key, id)| (key, self.counters[id.0 as usize].get()))
     }
 
     /// Render every metric as a sorted text block (debugging, goldens).
@@ -259,7 +337,7 @@ impl StatsRegistry {
         for ((scope, name), v) in self.counters() {
             let _ = writeln!(out, "counter {scope}.{name} = {v}");
         }
-        for ((scope, name), g) in &self.gauges {
+        for ((scope, name), g) in scoped_iter(&self.gauges) {
             let _ = writeln!(
                 out,
                 "gauge   {scope}.{name} = {} (max {})",
@@ -267,7 +345,7 @@ impl StatsRegistry {
                 g.max()
             );
         }
-        for ((scope, name), s) in &self.series {
+        for ((scope, name), s) in scoped_iter(&self.series) {
             let _ = writeln!(
                 out,
                 "series  {scope}.{name}: n={} mean={:.3} max={:.3}",
@@ -368,6 +446,88 @@ mod tests {
     #[should_panic(expected = "strictly ascending")]
     fn histogram_rejects_bad_bounds() {
         Histogram::new(vec![1.0, 1.0]);
+    }
+
+    #[test]
+    fn every_mutable_accessor_moves_the_change_count() {
+        let mut reg = StatsRegistry::new();
+        let mut handle = CounterHandle::default();
+        let mut last = reg.changes();
+        let mut moved = |reg: &StatsRegistry, what: &str| {
+            assert!(reg.changes() > last, "{what} must move the change count");
+            last = reg.changes();
+        };
+        reg.counter("nic0", "frames_tx").inc();
+        moved(&reg, "counter (create)");
+        reg.counter("nic0", "frames_tx").inc();
+        moved(&reg, "counter (existing)");
+        reg.counter_by(&mut handle, "nic0", "frames_rx").inc();
+        moved(&reg, "counter_by (resolving)");
+        reg.counter_by(&mut handle, "nic0", "frames_rx").add(3);
+        moved(&reg, "counter_by (resolved)");
+        reg.gauge("nic0", "depth").set(1.0);
+        moved(&reg, "gauge (create)");
+        reg.gauge("nic0", "depth").set(1.0);
+        moved(&reg, "gauge (existing)");
+        reg.series("nic0", "depth").push(SimTime::from_ps(1), 1.0);
+        moved(&reg, "series (create)");
+        reg.series("nic0", "depth").push(SimTime::from_ps(2), 2.0);
+        moved(&reg, "series (existing)");
+    }
+
+    #[test]
+    fn reads_neither_move_the_change_count_nor_create_entries() {
+        let mut reg = StatsRegistry::new();
+        reg.counter("nic0", "frames_tx").inc();
+        reg.gauge("nic0", "depth").set(2.0);
+        reg.series("nic0", "depth").push(SimTime::from_ps(1), 2.0);
+        let before = reg.changes();
+        let dump = reg.dump();
+        for scope in ["nic0", "nic1"] {
+            for name in ["frames_tx", "depth", "missing"] {
+                let _ = reg.counter_value(scope, name);
+                let _ = reg.gauge_value(scope, name);
+                let _ = reg.gauge_max(scope, name);
+                let _ = reg.series_ref(scope, name);
+            }
+        }
+        assert_eq!(reg.counters().count(), 1);
+        assert_eq!(reg.counter_value("nic1", "frames_tx"), None);
+        assert_eq!(reg.gauge_value("nic0", "frames_tx"), None);
+        assert!(reg.series_ref("nic0", "missing").is_none());
+        assert_eq!(
+            reg.changes(),
+            before,
+            "reads must not move the change count"
+        );
+        assert_eq!(reg.dump(), dump, "reads must not create entries");
+    }
+
+    #[test]
+    fn handle_counters_match_string_counters() {
+        let mut by_name = StatsRegistry::new();
+        let mut by_handle = StatsRegistry::new();
+        let (mut fwd, mut frames_in) = (CounterHandle::default(), CounterHandle::default());
+        for _ in 0..3 {
+            by_name.counter("sw1", "frames_in").inc();
+            by_handle
+                .counter_by(&mut frames_in, "sw1", "frames_in")
+                .inc();
+        }
+        by_name.counter("sw0", "frames_fwd").add(2);
+        by_handle.counter_by(&mut fwd, "sw0", "frames_fwd").add(2);
+        // A cold string-path bump lands on the handle's counter.
+        by_name.counter("sw1", "frames_in").inc();
+        by_handle.counter("sw1", "frames_in").inc();
+        assert_eq!(by_handle.counter_value("sw1", "frames_in"), Some(4));
+        assert_eq!(
+            by_handle.counters().collect::<Vec<_>>(),
+            by_name.counters().collect::<Vec<_>>()
+        );
+        assert_eq!(by_handle.dump(), by_name.dump());
+        // An unused handle creates nothing.
+        let _unused = CounterHandle::default();
+        assert_eq!(by_handle.counters().count(), 2);
     }
 
     #[test]

@@ -34,6 +34,13 @@ echo "== cargo test --workspace"
 # all 71 test binaries included.
 cargo test -q --workspace
 
+echo "== cargo test acc_benchmark (its own workspace)"
+# The benchmark package is a workspace of its own, so the --workspace
+# steps above neither build nor test it: a sim/core API change that
+# breaks it would otherwise surface only when the benchmark runs. About
+# 70 s to build and 2 s to test on a 2-vCPU host.
+cargo test --release --offline --manifest-path crates/bench/src/bin/acc_benchmark/Cargo.toml
+
 echo "== cargo doc --workspace (deny warnings)"
 # --workspace for the same reason as the build: a bare `cargo doc`
 # documents only the umbrella package, so broken intra-doc links in

@@ -248,3 +248,60 @@ fn armed_protocol_on_clean_links_is_quiet() {
         assert_eq!(r.faults.stalled_nodes, 0);
     }
 }
+
+/// A pinned lossy draw whose RTO backoff stretches the gigabit sort of
+/// 2^14 keys to ~4 s of simulated time: 6,529 Auditor ticks, almost all
+/// of them while every connection waits out a timer and no counter
+/// moves.
+fn long_lossy_gigabit_sort() -> ClusterSpec {
+    ClusterSpec::new(4, Technology::GigabitTcp).with_fault_plan(lossy_plan(5, 1.0))
+}
+
+#[test]
+fn auditor_checks_only_when_counters_move() {
+    let r = run_sort(long_lossy_gigabit_sort(), 1 << 14);
+    assert!(r.verified);
+    let audit = r.audit.expect("faulted runs carry the Auditor");
+    // The tick cadence is unchanged by the change-count skip: the same
+    // tick count as auditing on every tick.
+    assert_eq!(audit.ticks, 6_529);
+    assert_eq!(audit.checks, 7);
+    let clean = run_sort(ClusterSpec::new(4, Technology::GigabitTcp), 1 << 14);
+    assert_eq!(clean.audit, None, "clean runs carry no Auditor");
+}
+
+/// Plan seed 43 at 10% loss: the gigabit sort of 4096 keys finishes,
+/// but a backed-off RTO timer for a segment whose ACK was lost lies
+/// past the run deadline. The run wrapper accepts that trip because
+/// every rank is done — so it must not print a liveness-failure
+/// banner either. Runs in a child process (see below) so its stderr
+/// can be inspected.
+#[test]
+#[ignore = "child half of accepted_deadline_after_done_prints_no_banner"]
+fn accepted_deadline_after_done_child() {
+    let spec = ClusterSpec::new(4, Technology::GigabitTcp).with_fault_plan(lossy_plan(43, 10.0));
+    let r = run_sort(spec, 1 << 12);
+    assert!(r.verified);
+}
+
+#[test]
+fn accepted_deadline_after_done_prints_no_banner() {
+    let out = std::process::Command::new(std::env::current_exe().expect("test binary path"))
+        .args([
+            "--ignored",
+            "--exact",
+            "accepted_deadline_after_done_child",
+            "--nocapture",
+            "--test-threads=1",
+        ])
+        .output()
+        .expect("spawn the child test");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "child failed:\n{stdout}\n{stderr}");
+    assert!(stdout.contains("1 passed"), "child did not run:\n{stdout}");
+    assert!(
+        !stderr.contains("liveness failure"),
+        "accepted deadline printed a report:\n{stderr}"
+    );
+}
