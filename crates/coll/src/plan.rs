@@ -793,8 +793,10 @@ pub fn build_all(op: CollectiveOp, algo: Algorithm, p: usize, elems: usize) -> V
 /// Execute a set of per-rank schedules in lockstep, with no network,
 /// no clock and no card: the reference interpreter the unit tests pit
 /// against [`oracle`], and the structural check that sends and recvs
-/// pair up exactly.
-pub fn run_lockstep(schedules: &[Schedule], inputs: &[Vec<f64>]) -> Vec<Vec<f64>> {
+/// pair up exactly. `inputs` holds one vector per rank, in any owning
+/// or shared form (`Vec<f64>`, `Rc<[f64]>`, `&[f64]`): nothing is
+/// copied out of them but the schedules' own initial states.
+pub fn run_lockstep<I: AsRef<[f64]>>(schedules: &[Schedule], inputs: &[I]) -> Vec<Vec<f64>> {
     let p = schedules.len();
     assert_eq!(inputs.len(), p, "one input vector per rank");
     let rounds = schedules[0].rounds.len();
@@ -805,7 +807,7 @@ pub fn run_lockstep(schedules: &[Schedule], inputs: &[Vec<f64>]) -> Vec<Vec<f64>
     let mut states: Vec<Vec<f64>> = schedules
         .iter()
         .zip(inputs)
-        .map(|(s, input)| s.init_state(input))
+        .map(|(s, input)| s.init_state(input.as_ref()))
         .collect();
     for t in 0..rounds {
         for (s, state) in schedules.iter().zip(states.iter_mut()) {
@@ -861,10 +863,11 @@ pub fn simulate(
 /// First-principles expected outputs of a collective, one vector per
 /// rank — independent of any algorithm or schedule machinery, so the
 /// lockstep interpreter and the cluster drivers verify against
-/// something they share no code with.
-pub fn oracle(op: CollectiveOp, p: usize, inputs: &[Vec<f64>]) -> Vec<Vec<f64>> {
+/// something they share no code with. `inputs` holds one vector per
+/// rank, in any owning or shared form, read in place.
+pub fn oracle<I: AsRef<[f64]>>(op: CollectiveOp, p: usize, inputs: &[I]) -> Vec<Vec<f64>> {
     assert_eq!(inputs.len(), p, "one input vector per rank");
-    let elems = inputs.first().map_or(0, Vec::len);
+    let elems = inputs.first().map_or(0, |v| v.as_ref().len());
     match op {
         CollectiveOp::AllReduce => {
             let sum = elementwise_sum(inputs, elems);
@@ -878,17 +881,24 @@ pub fn oracle(op: CollectiveOp, p: usize, inputs: &[Vec<f64>]) -> Vec<Vec<f64>> 
                 .collect()
         }
         CollectiveOp::AllGather => {
-            let all: Vec<f64> = inputs.iter().flatten().copied().collect();
+            let all: Vec<f64> = inputs
+                .iter()
+                .flat_map(|v| v.as_ref().iter().copied())
+                .collect();
             vec![all; p]
         }
-        CollectiveOp::Broadcast => vec![inputs[0].clone(); p],
+        CollectiveOp::Broadcast => vec![inputs[0].as_ref().to_vec(); p],
         CollectiveOp::Barrier => vec![Vec::new(); p],
         CollectiveOp::AllToAll => {
             let bounds = seg_bounds(elems, p);
             (0..p)
                 .map(|r| {
                     (0..p)
-                        .flat_map(|src| inputs[src][bounds[r]..bounds[r + 1]].iter().copied())
+                        .flat_map(|src| {
+                            inputs[src].as_ref()[bounds[r]..bounds[r + 1]]
+                                .iter()
+                                .copied()
+                        })
                         .collect()
                 })
                 .collect()
@@ -896,10 +906,10 @@ pub fn oracle(op: CollectiveOp, p: usize, inputs: &[Vec<f64>]) -> Vec<Vec<f64>> 
     }
 }
 
-fn elementwise_sum(inputs: &[Vec<f64>], elems: usize) -> Vec<f64> {
+fn elementwise_sum<I: AsRef<[f64]>>(inputs: &[I], elems: usize) -> Vec<f64> {
     let mut sum = vec![0.0f64; elems];
     for v in inputs {
-        for (dst, x) in sum.iter_mut().zip(v) {
+        for (dst, x) in sum.iter_mut().zip(v.as_ref()) {
             *dst += x;
         }
     }

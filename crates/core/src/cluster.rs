@@ -18,6 +18,7 @@ use acc_fpga::{
 };
 use acc_host::{HostKernels, InterruptCosts, ModerationPolicy, StallSchedule};
 use std::collections::BTreeMap;
+use std::rc::Rc;
 
 use acc_net::port::EgressPort;
 use acc_net::routing::Attachment as FabricAttachment;
@@ -234,6 +235,11 @@ pub struct FftRunResult {
     /// What the online Auditor did (`None` on runs without one, i.e.
     /// without a fault plan).
     pub audit: Option<AuditCounts>,
+    /// Frames a receiver discarded because they failed the wire
+    /// codec's length, padding or checksum check: TCP
+    /// `rx_checksum_drops` plus INIC `rx_decode_drops`. Nonzero only
+    /// under frame corruption.
+    pub rejected_frames: u64,
 }
 
 /// Result of one sort run.
@@ -262,6 +268,11 @@ pub struct SortRunResult {
     /// What the online Auditor did (`None` on runs without one, i.e.
     /// without a fault plan).
     pub audit: Option<AuditCounts>,
+    /// Frames a receiver discarded because they failed the wire
+    /// codec's length, padding or checksum check: TCP
+    /// `rx_checksum_drops` plus INIC `rx_decode_drops`. Nonzero only
+    /// under frame corruption.
+    pub rejected_frames: u64,
 }
 
 /// Everything wired up for one run.
@@ -794,15 +805,15 @@ impl Wiring {
     /// Total retransmissions across the cluster, whichever stack did
     /// them: INIC recovery resends plus TCP RTO and fast retransmits.
     fn total_retransmits(&self) -> u64 {
+        self.sum_counters(&["retransmits", "rto_retransmits", "fast_retransmits"])
+    }
+
+    /// The sum of every component's counters with one of `names`.
+    fn sum_counters(&self, names: &[&str]) -> u64 {
         self.sim
             .stats()
             .counters()
-            .filter(|((_, name), _)| {
-                matches!(
-                    *name,
-                    "retransmits" | "rto_retransmits" | "fast_retransmits"
-                )
-            })
+            .filter(|((_, name), _)| names.contains(name))
             .map(|(_, v)| v)
             .sum()
     }
@@ -846,6 +857,7 @@ impl Wiring {
             switch_drops,
             faults: self.fault_diagnostics::<D>(),
             audit,
+            rejected_frames: self.sum_counters(&["rx_checksum_drops", "rx_decode_drops"]),
         }
     }
 
@@ -910,6 +922,7 @@ struct RunSummary {
     switch_drops: u64,
     faults: FaultDiagnostics,
     audit: Option<AuditCounts>,
+    rejected_frames: u64,
 }
 
 /// Run the 2D-FFT application on a `rows × rows` matrix.
@@ -988,6 +1001,7 @@ pub fn try_run_fft(spec: ClusterSpec, rows: usize) -> Result<FftRunResult, Box<H
         interrupts,
         faults: summary.faults,
         audit: summary.audit,
+        rejected_frames: summary.rejected_frames,
     })
 }
 
@@ -1146,6 +1160,7 @@ pub fn try_run_sort_custom(
         interrupts,
         faults: summary.faults,
         audit: summary.audit,
+        rejected_frames: summary.rejected_frames,
     })
 }
 
@@ -1179,6 +1194,11 @@ pub struct CollRunResult {
     /// What the online Auditor did (`None` on runs without one, i.e.
     /// without a fault plan).
     pub audit: Option<AuditCounts>,
+    /// Frames a receiver discarded because they failed the wire
+    /// codec's length, padding or checksum check: TCP
+    /// `rx_checksum_drops` plus INIC `rx_decode_drops`. Nonzero only
+    /// under frame corruption.
+    pub rejected_frames: u64,
 }
 
 /// The acc-coll execution-path class a technology reduces to.
@@ -1242,10 +1262,23 @@ fn inic_device_mode(technology: Technology) -> Option<(FpgaDevice, InicMode)> {
 
 /// Deterministic per-rank contributions with an exactly computable
 /// sum (integers below 2^52 stay exact in f64 regardless of the
-/// reduction order).
-fn collective_input(rank: usize, elems: usize) -> Vec<f64> {
+/// reduction order): `(rank + 1) · (i mod 1000 + 1)`, built as one
+/// 1000-element period repeated. Built once per rank and shared by the
+/// rank's driver and the oracle.
+fn collective_input(rank: usize, elems: usize) -> Rc<[f64]> {
+    const PERIOD: usize = 1000;
+    let period: Vec<f64> = (1..=PERIOD.min(elems))
+        .map(|k| ((rank + 1) * k) as f64)
+        .collect();
+    let mut at = 0;
+    // A mapped range is an exact-size iterator, so the shared slice is
+    // allocated once, at its final size.
     (0..elems)
-        .map(|i| ((rank + 1) * (i % 1000 + 1)) as f64)
+        .map(|_| {
+            let v = period[at];
+            at = if at + 1 == PERIOD { 0 } else { at + 1 };
+            v
+        })
         .collect()
 }
 
@@ -1279,7 +1312,7 @@ pub fn try_run_collective(
         spec.p
     );
     let schedules = acc_coll::plan::build_all(op, algo, spec.p, elems);
-    let inputs: Vec<Vec<f64>> = (0..spec.p)
+    let inputs: Vec<Rc<[f64]>> = (0..spec.p)
         .map(|rank| collective_input(rank, elems))
         .collect();
     run_schedules(
@@ -1317,7 +1350,7 @@ pub fn try_run_halo(
     let schedules: Vec<Schedule> = (0..spec.p)
         .map(|rank| acc_coll::plan::halo(rank, spec.p, elems, iters))
         .collect();
-    let inputs: Vec<Vec<f64>> = (0..spec.p)
+    let inputs: Vec<Rc<[f64]>> = (0..spec.p)
         .map(|rank| collective_input(rank, elems))
         .collect();
     run_schedules(
@@ -1340,7 +1373,7 @@ pub fn try_run_halo(
 fn run_schedules(
     spec: &ClusterSpec,
     schedules: &[Schedule],
-    inputs: &[Vec<f64>],
+    inputs: &[Rc<[f64]>],
     workload: &Workload,
     check: impl FnOnce(&[Vec<f64>]),
 ) -> Result<CollRunResult, Box<HangReport>> {
@@ -1418,7 +1451,7 @@ fn run_schedules(
             rank,
             spec.p,
             schedules[rank].clone(),
-            inputs[rank].clone(),
+            Rc::clone(&inputs[rank]),
             attachment,
             kernels.clone(),
             offload.as_ref().map(|plans| plans[rank].clone()),
@@ -1449,6 +1482,7 @@ fn run_schedules(
         verified,
         faults: summary.faults,
         audit: summary.audit,
+        rejected_frames: summary.rejected_frames,
     })
 }
 

@@ -54,6 +54,7 @@
 use std::any::Any;
 use std::collections::BTreeMap;
 use std::ops::Range;
+use std::rc::Rc;
 
 use acc_coll::plan::{ranges_elems, RecvSpec, Round};
 use acc_coll::recovery::{split_round, RoundLegs};
@@ -94,7 +95,8 @@ pub struct CollDriver {
     /// The pre-validated card datapath (INIC attachments only).
     offload: Option<OffloadPlan>,
     state: Vec<f64>,
-    input: Vec<f64>,
+    /// This rank's contribution, shared with the run's oracle.
+    input: Rc<[f64]>,
     round: usize,
     /// Inbound TCP messages by `(src rank, round channel)` — peers may
     /// run ahead, so future rounds accumulate here until we arrive.
@@ -131,7 +133,7 @@ impl CollDriver {
         rank: usize,
         p: usize,
         schedule: Schedule,
-        input: Vec<f64>,
+        input: Rc<[f64]>,
         attachment: Attachment,
         kernels: HostKernels,
         offload: Option<OffloadPlan>,

@@ -403,6 +403,30 @@ struct Gather {
     finishing: bool,
 }
 
+/// Sum the sources' little-endian f64 vectors elementwise, in place in
+/// the first source's buffer, and hand that buffer over as the result.
+/// `done` is in rank order and every vector has the same length. Each
+/// element is folded in one pass as `((0.0 + s₀) + s₁) + …`, the same
+/// rank-ordered arithmetic as a zeroed accumulator (the leading `0.0 +`
+/// turns a −0.0 sum into +0.0), with no scratch vector. With no source
+/// the result is `elems` zeros.
+fn fold_f64_in_place(done: &mut [(u32, Vec<u8>)], elems: usize) -> Vec<u8> {
+    let Some(((_, out), rest)) = done.split_first_mut() else {
+        return vec![0; elems * 8];
+    };
+    let word = |bytes: &[u8], at: usize| {
+        f64::from_le_bytes(bytes[at..at + 8].try_into().expect("8-byte f64"))
+    };
+    for (at, slot) in (0..).step_by(8).zip(out.chunks_exact_mut(8)) {
+        let mut v = 0.0 + word(slot, 0);
+        for (_, bytes) in rest.iter() {
+            v += word(bytes, at);
+        }
+        slot.copy_from_slice(&v.to_le_bytes());
+    }
+    std::mem::take(out)
+}
+
 /// The INIC card component (NIC + FPGA datapath).
 pub struct InicCard {
     label: String,
@@ -888,8 +912,7 @@ impl InicCard {
         match dest {
             Some(mac) => {
                 let t3 = self.ports.net_out(ctx.now(), bytes);
-                let frame = Frame::try_new(self.mac, mac, EtherType::Inic, pkt.encode())
-                    .unwrap_or_else(|e| panic!("{}: tx packet exceeds MTU ({e})", self.label));
+                let frame = self.frame_for(mac, &pkt);
                 ctx.self_in(t3.since(ctx.now()), EmitFrame { frame });
                 if self.reliability {
                     // Keep the packet (a view: no copy) until the
@@ -925,6 +948,19 @@ impl InicCard {
                 }
             }
         }
+    }
+
+    /// Frame `pkt` for `dest`: the header inline, the data the
+    /// packet's own view (no copy, so the frame costs no allocation).
+    fn frame_for(&self, dest: MacAddr, pkt: &InicPacket) -> Frame {
+        Frame::try_with_header(
+            self.mac,
+            dest,
+            EtherType::Inic,
+            pkt.encode(),
+            pkt.data.clone(),
+        )
+        .unwrap_or_else(|e| panic!("{}: INIC packet exceeds MTU ({e})", self.label))
     }
 
     // ---- gather (receive) path ----
@@ -988,10 +1024,10 @@ impl InicCard {
 
     fn on_frame(&mut self, frame: Frame, ctx: &mut Ctx) {
         debug_assert_eq!(frame.ethertype, EtherType::Inic);
-        let bytes = DataSize::from_bytes(frame.payload.len() as u64);
+        let bytes = DataSize::from_bytes(frame.len() as u64);
         let t1 = self.ports.net_in(ctx.now(), bytes);
         let t2 = self.xform_recv.reserve(t1, bytes);
-        let pkt = match InicPacket::decode(&frame.payload) {
+        let pkt = match InicPacket::decode(&frame.header, &frame.payload) {
             Ok(pkt) => pkt,
             // Corrupted on the wire: drop it; the sender's timeout (or
             // the receiver's gap NACK) recovers the payload. Without
@@ -1249,23 +1285,15 @@ impl InicCard {
                 (flat, Some(bounds))
             }
             GatherKind::ReduceF64 { elems } => {
-                let mut acc = vec![0.0f64; elems];
                 for (src, bytes) in &gather.done {
                     assert_eq!(
                         bytes.len(),
                         elems * 8,
                         "source {src} vector length mismatch"
                     );
-                    for (i, chunk) in bytes.chunks_exact(8).enumerate() {
-                        acc[i] += f64::from_le_bytes(chunk.try_into().expect("8 bytes"));
-                    }
                 }
                 self.release_memory(elems as u64 * 8);
-                let mut out = vec![0u8; elems * 8];
-                for (chunk, v) in out.chunks_exact_mut(8).zip(&acc) {
-                    chunk.copy_from_slice(&v.to_le_bytes());
-                }
-                (out, None)
+                (fold_f64_in_place(&mut gather.done, elems), None)
             }
         };
         if self.reliability {
@@ -1324,8 +1352,7 @@ impl InicCard {
     fn send_control(&mut self, mac: MacAddr, pkt: InicPacket, ctx: &mut Ctx) {
         let bytes = DataSize::from_bytes(INIC_HEADER as u64);
         let t = self.ports.net_out(ctx.now(), bytes);
-        let frame = Frame::try_new(self.mac, mac, EtherType::Inic, pkt.encode())
-            .unwrap_or_else(|e| panic!("{}: control packet exceeds MTU ({e})", self.label));
+        let frame = self.frame_for(mac, &pkt);
         ctx.self_in(t.since(ctx.now()), EmitFrame { frame });
     }
 
@@ -1348,8 +1375,7 @@ impl InicCard {
         ctx.stats().counter(&self.label, "retransmits").inc();
         let bytes = DataSize::from_bytes((pkt.data.len() + INIC_HEADER) as u64);
         let t = self.ports.net_out(ctx.now(), bytes);
-        let frame = Frame::try_new(self.mac, mac, EtherType::Inic, pkt.encode())
-            .unwrap_or_else(|e| panic!("{}: resend packet exceeds MTU ({e})", self.label));
+        let frame = self.frame_for(mac, &pkt);
         ctx.self_in(t.since(ctx.now()), EmitFrame { frame });
     }
 
@@ -1427,8 +1453,7 @@ impl InicCard {
             ctx.stats().counter(&label, "retransmits").inc();
             let bytes = DataSize::from_bytes((pkt.data.len() + INIC_HEADER) as u64);
             let t = self.ports.net_out(ctx.now(), bytes);
-            let frame = Frame::try_new(self.mac, dest, EtherType::Inic, pkt.encode())
-                .unwrap_or_else(|e| panic!("{label}: retransmit exceeds MTU ({e})"));
+            let frame = self.frame_for(dest, &pkt);
             ctx.self_in(t.since(ctx.now()), EmitFrame { frame });
         }
     }

@@ -30,12 +30,13 @@ enum Plan {
         keys: Vec<u8>,
     },
     /// Host-prepared parts: a `Unicast` scatter of `parts` over `data`
-    /// (skipped when empty) and a `Raw` gather from `from` (skipped
-    /// when empty).
+    /// (skipped when empty) and a `gather` of unknown-length streams
+    /// from `from` (skipped when empty).
     Relay {
         parts: Vec<(u32, usize)>,
         data: Vec<u8>,
         from: Vec<u32>,
+        gather: GatherKind,
     },
 }
 
@@ -89,13 +90,18 @@ impl Component for Driver {
                             },
                         );
                     }
-                    Plan::Relay { parts, data, from } => {
+                    Plan::Relay {
+                        parts,
+                        data,
+                        from,
+                        gather,
+                    } => {
                         if !from.is_empty() {
                             ctx.send_now(
                                 self.card,
                                 InicExpect {
                                     stream: 1,
-                                    kind: GatherKind::Raw,
+                                    kind: *gather,
                                     sources: from.iter().map(|&s| (s, None)).collect(),
                                 },
                             );
@@ -360,11 +366,13 @@ fn empty_unicast_part_to_a_peer_is_one_empty_fin() {
                 parts: vec![(1, 0)],
                 data: Vec::new(),
                 from: Vec::new(),
+                gather: GatherKind::Raw,
             },
             _ => Plan::Relay {
                 parts: Vec::new(),
                 data: Vec::new(),
                 from: vec![0],
+                gather: GatherKind::Raw,
             },
         },
     );
@@ -380,6 +388,79 @@ fn empty_unicast_part_to_a_peer_is_one_empty_fin() {
     // rank 1.
     let switch = sim.component::<Switch>(acc_sim::ComponentId::from_raw(2 * p));
     assert_eq!(switch.port(1).sent(), 1, "exactly one packet to rank 1");
+}
+
+/// Every rank unicasts its vector to rank 0, whose card folds them in a
+/// `ReduceF64` gather; returns rank 0's result.
+fn reduce_on_card(vectors: &[Vec<f64>]) -> Vec<f64> {
+    let p = vectors.len();
+    let elems = vectors[0].len();
+    let (mut sim, drivers) = build_cluster(
+        p,
+        CardPorts::ideal,
+        FpgaDevice::virtex_next_gen(),
+        Bitstream::collective(p, true),
+        |i| Plan::Relay {
+            parts: vec![(0, elems * 8)],
+            data: vectors[i].iter().flat_map(|v| v.to_le_bytes()).collect(),
+            from: if i == 0 {
+                (0..p as u32).collect()
+            } else {
+                Vec::new()
+            },
+            gather: GatherKind::ReduceF64 { elems },
+        },
+    );
+    sim.run();
+    let (_, bytes, bounds) = sim
+        .component::<Driver>(drivers[0])
+        .result
+        .as_ref()
+        .expect("the reduce gather completes");
+    assert!(bounds.is_none(), "a reduce has no bucket bounds");
+    bytes
+        .chunks_exact(8)
+        .map(|c| f64::from_le_bytes(c.try_into().expect("8 bytes")))
+        .collect()
+}
+
+#[test]
+fn reduce_gather_is_the_rank_ordered_fold_bit_for_bit() {
+    // Signed zeros (a zeroed accumulator turns -0.0 sums into +0.0),
+    // sums that round differently in another order, and a vector longer
+    // than one packet.
+    let tail: Vec<f64> = (0..300).map(|i| 0.1 * f64::from(i)).collect();
+    let columns: [&[f64]; 3] = [
+        &[-0.0, 1e16, 0.1, -0.0, 1.0, 3.0],
+        &[-0.0, 1.0, 0.2, 0.0, 1e-16, -3.0],
+        &[-0.0, -1e16, 0.3, -0.0, 1e-16, -0.0],
+    ];
+    for p in [2usize, 3] {
+        let vectors: Vec<Vec<f64>> = (0..p)
+            .map(|r| {
+                let mut v = columns[r].to_vec();
+                v.extend(tail.iter().map(|x| x * (r as f64 + 1.5)));
+                v
+            })
+            .collect();
+        let got = reduce_on_card(&vectors);
+        let elems = vectors[0].len();
+        assert_eq!(got.len(), elems);
+        for i in 0..elems {
+            let want = vectors.iter().fold(0.0, |acc, v| acc + v[i]);
+            assert_eq!(
+                got[i].to_bits(),
+                want.to_bits(),
+                "p={p} element {i}: {} vs {want}",
+                got[i]
+            );
+        }
+        assert_eq!(
+            got[0].to_bits(),
+            0.0f64.to_bits(),
+            "p={p}: -0.0 sums to +0.0"
+        );
+    }
 }
 
 #[test]

@@ -37,13 +37,14 @@
 //!   aborts with a structured hang report instead of spinning forever.
 //!   The wrapper itself, and micro-simulations that provably terminate
 //!   (bounded ablation probes), carry allow annotations.
-//! * **R7** — no deep payload copies (`.to_vec()`, `Vec::from`,
-//!   `.clone()` on a `Vec<u8>`-typed buffer) inside the acc-net/acc-sim
-//!   hot-path modules. PR 8's zero-copy forwarding holds because a
-//!   frame's payload is a refcounted `PayloadView`; cloning the *view*
-//!   is a refcount bump and stays legal, materializing the bytes is the
-//!   regression this rule kills. The view's own explicit copy API
-//!   carries justified allows.
+//! * **R7** — no deep payload copies (`.to_vec()`, `.extend_from_slice`,
+//!   `Vec::from`, `.clone()` on a `Vec<u8>`-typed buffer) inside the
+//!   acc-net/acc-sim hot-path modules and the acc-proto wire codecs.
+//!   Zero-copy forwarding holds because a frame's payload is a
+//!   refcounted `PayloadView` behind an inline header; cloning the
+//!   *view* is a refcount bump and stays legal, materializing the bytes
+//!   is the regression this rule kills. The view's own explicit copy
+//!   API and the codecs' few deliberate copies carry justified allows.
 //! * **R8** — wire-codec encode/decode field symmetry in acc-proto:
 //!   every header byte an encode-family fn (`encode`/`try_encode`)
 //!   writes must be read back by the paired `decode` in the same
@@ -680,10 +681,14 @@ impl CrateSymbols {
 }
 
 /// The hot-path modules R7 governs: the zero-copy forwarding plane
-/// (PR 8). `frame.rs` is included deliberately — the `PayloadView`
-/// definition itself must justify each of its materializing escape
-/// hatches with an allow.
+/// and the two wire codecs that frame every bulk byte (a frame carries
+/// its header inline and its data as a view). `frame.rs` is included
+/// deliberately — the `PayloadView` definition itself must justify
+/// each of its materializing escape hatches with an allow, as must each
+/// copy the codecs keep (the reassembly append, TCP delivery).
 const R7_HOT_MODULES: &[&str] = &[
+    "crates/proto/src/inic_wire.rs",
+    "crates/proto/src/tcp.rs",
     "crates/net/src/switch.rs",
     "crates/net/src/port.rs",
     "crates/net/src/frame.rs",
@@ -910,9 +915,21 @@ pub fn analyze_source_with(
 // ---------------------------------------------------------------------------
 
 /// The deep-copy pattern `code` contains, if any: `.to_vec()`,
-/// `Vec::from(...)`, or `.clone()` whose receiver's trailing identifier
-/// is a crate-known `Vec<u8>` payload field.
+/// `.extend_from_slice(...)`, `Vec::from(...)`, or `.clone()` whose
+/// receiver's trailing identifier is a crate-known `Vec<u8>` payload
+/// field.
 fn r7_deep_copy(code: &str, payload: &CrateSymbols) -> Option<String> {
+    for at in word_occurrences(code, "extend_from_slice") {
+        let preceded = code[..at].trim_end().ends_with('.');
+        let rest = code[at + "extend_from_slice".len()..].trim_start();
+        if preceded && rest.starts_with('(') {
+            return Some(
+                "`.extend_from_slice()` appends a payload copy on the zero-copy hot path; \
+                 forward the PayloadView (refcount bump) instead"
+                    .to_string(),
+            );
+        }
+    }
     for at in word_occurrences(code, "to_vec") {
         let preceded = code[..at].trim_end().ends_with('.');
         let rest = code[at + "to_vec".len()..].trim_start();

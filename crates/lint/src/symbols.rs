@@ -85,9 +85,11 @@ fn after_keyword(code: &str, kw: &str) -> Option<usize> {
 /// Find the line index holding the brace that closes the block whose
 /// `{` first opens at or after line `start`. Returns `None` when a `;`
 /// ends the item before any `{` (a declaration, e.g. `mod x;` or a
-/// trait method signature).
+/// trait method signature). A `;` inside brackets or parentheses of the
+/// signature (an array type such as `-> [u8; 16]`) ends nothing.
 pub(crate) fn block_end(lines: &[ScanLine], start: usize) -> Option<usize> {
     let mut depth: i64 = 0;
+    let mut nest: i64 = 0;
     let mut opened = false;
     for (k, line) in lines.iter().enumerate().skip(start) {
         for c in line.code.chars() {
@@ -97,7 +99,9 @@ pub(crate) fn block_end(lines: &[ScanLine], start: usize) -> Option<usize> {
                     opened = true;
                 }
                 '}' => depth -= 1,
-                ';' if !opened => return None,
+                '[' | '(' if !opened => nest += 1,
+                ']' | ')' if !opened => nest -= 1,
+                ';' if !opened && nest <= 0 => return None,
                 _ => {}
             }
         }
@@ -326,6 +330,22 @@ mod shadow {
         let imp = &syms.impls[0];
         let enc = &syms.fns[0];
         assert!(imp.start < enc.start && enc.end < imp.end);
+    }
+
+    #[test]
+    fn array_types_in_a_signature_do_not_end_the_item() {
+        let src = "fn header(&self) -> [u8; 16] {\n    [0; 16]\n}\nfn sig(x: [u8; 2]);\n";
+        let syms = collect(&scan_lines(src));
+        let fns: Vec<(&str, usize, usize)> = syms
+            .fns
+            .iter()
+            .map(|f| (f.name.as_str(), f.start, f.end))
+            .collect();
+        assert_eq!(
+            fns,
+            vec![("header", 0, 2)],
+            "a body-less signature is still skipped"
+        );
     }
 
     #[test]

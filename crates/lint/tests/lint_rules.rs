@@ -241,6 +241,21 @@ fn r7_deep_copies_flag_in_hot_modules_only() {
 }
 
 #[test]
+fn r7_covers_the_proto_framing_modules() {
+    // The INIC and TCP codecs frame every bulk byte: a copy there is a
+    // copy per packet, as on the forwarding plane.
+    for module in ["crates/proto/src/inic_wire.rs", "crates/proto/src/tcp.rs"] {
+        let report = check("r7_violate.rs", module);
+        assert_eq!(rules_of(&report), vec![Rule::R7; 3], "{module}: {report:?}");
+        let report = check("r7_extend_violate.rs", module);
+        assert_eq!(rules_of(&report), vec![Rule::R7], "{module}: {report:?}");
+        assert_eq!(report.violations[0].line, 9, "the append line");
+    }
+    let cold = check("r7_extend_violate.rs", "crates/proto/src/lib.rs");
+    assert!(cold.violations.is_empty(), "{cold:?}");
+}
+
+#[test]
 fn r7_payload_view_clone_is_clean() {
     let report = check("r7_clean.rs", "crates/net/src/switch.rs");
     assert!(
@@ -280,6 +295,23 @@ fn r8_symmetric_codec_passes_and_rule_is_proto_scoped() {
     assert!(
         elsewhere.violations.is_empty(),
         "R8 is proto-only: {elsewhere:?}"
+    );
+}
+
+#[test]
+fn r8_pairs_a_header_encoder_with_its_two_part_decoder() {
+    // The header encoders return only the header and the decoders take
+    // (header, body): R8 checks the header parameter's reads against
+    // the encoder's writes.
+    let clean = check("r8_two_part.rs", "crates/proto/src/codec.rs");
+    assert!(clean.violations.is_empty(), "{clean:?}");
+    let bent = check("r8_two_part_violate.rs", "crates/proto/src/codec.rs");
+    assert_eq!(rules_of(&bent), vec![Rule::R8], "{bent:?}");
+    assert!(
+        bent.violations[0]
+            .message
+            .contains("decode reads header bytes 6..8"),
+        "{bent:?}"
     );
 }
 

@@ -87,11 +87,18 @@ pub struct PayloadView {
     len: u32,
 }
 
+thread_local! {
+    /// The one backing buffer every empty view shares, so control
+    /// packets and pure ACKs carry a payload without allocating one.
+    static EMPTY: Rc<Vec<u8>> = Rc::new(Vec::new());
+}
+
 impl PayloadView {
-    /// An empty view.
+    /// An empty view. Every empty view shares one backing buffer: no
+    /// allocation.
     pub fn empty() -> PayloadView {
         PayloadView {
-            bytes: Rc::new(Vec::new()),
+            bytes: EMPTY.with(Rc::clone),
             off: 0,
             len: 0,
         }
@@ -225,11 +232,90 @@ impl fmt::Debug for PayloadView {
     }
 }
 
-/// A simulated Ethernet frame.
+/// Largest protocol header a [`Frame`] carries inline: the modelled
+/// IP+TCP header (40 bytes); the INIC header is 16.
+pub const MAX_HEADER: usize = 40;
+
+/// A protocol header held inline in its [`Frame`], in front of the
+/// frame's [`PayloadView`]: at most [`MAX_HEADER`] bytes, no heap
+/// allocation. A codec writes the header and leaves the data where it
+/// already is, so framing a packet copies no payload byte.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub struct FrameHeader {
+    bytes: [u8; MAX_HEADER],
+    len: u8,
+}
+
+impl FrameHeader {
+    /// The empty header of a raw frame (all bytes in the payload).
+    pub const EMPTY: FrameHeader = FrameHeader {
+        bytes: [0; MAX_HEADER],
+        len: 0,
+    };
+
+    /// A header holding a copy of `bytes`.
+    ///
+    /// # Panics
+    /// Panics if `bytes` exceeds [`MAX_HEADER`]: codecs build their
+    /// headers from fixed-size arrays, so an overrun is a codec bug.
+    pub fn new(bytes: &[u8]) -> FrameHeader {
+        assert!(
+            bytes.len() <= MAX_HEADER,
+            "frame header of {} bytes exceeds {MAX_HEADER}",
+            bytes.len()
+        );
+        let mut h = FrameHeader::EMPTY;
+        h.bytes[..bytes.len()].copy_from_slice(bytes);
+        h.len = u8::try_from(bytes.len()).expect("header length bounded by MAX_HEADER");
+        h
+    }
+
+    /// Header bytes.
+    pub fn len(&self) -> usize {
+        usize::from(self.len)
+    }
+
+    /// Whether the frame carries no header.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The header bytes as a slice.
+    pub fn as_slice(&self) -> &[u8] {
+        &self.bytes[..self.len()]
+    }
+
+    /// Mutable access to the header bytes (they are the frame's own:
+    /// no copy-on-write needed).
+    pub fn as_mut_slice(&mut self) -> &mut [u8] {
+        let len = self.len();
+        &mut self.bytes[..len]
+    }
+}
+
+impl Deref for FrameHeader {
+    type Target = [u8];
+    fn deref(&self) -> &[u8] {
+        self.as_slice()
+    }
+}
+
+impl fmt::Debug for FrameHeader {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("FrameHeader")
+            .field("len", &self.len)
+            .finish()
+    }
+}
+
+/// A simulated Ethernet frame: an inline protocol [`FrameHeader`] in
+/// front of a shared [`PayloadView`] of the data.
 ///
 /// The payload carries *real bytes* — the data that applications sort and
 /// transform — so end-to-end correctness is checked, not just timing.
-/// Cloning a frame shares the payload allocation (see [`PayloadView`]).
+/// Cloning a frame copies the header and shares the payload allocation.
+/// The Ethernet payload on the wire is the header followed by the
+/// payload view; sizes count both.
 #[derive(Clone, Debug)]
 pub struct Frame {
     /// Source address.
@@ -238,33 +324,47 @@ pub struct Frame {
     pub dst: MacAddr,
     /// Carried protocol.
     pub ethertype: EtherType,
-    /// Payload bytes (shared, copy-on-write).
+    /// Protocol header, inline (empty on raw frames).
+    pub header: FrameHeader,
+    /// Payload bytes after the header (shared, copy-on-write).
     pub payload: PayloadView,
 }
 
 impl Frame {
-    /// Build a frame, rejecting oversize payloads.
+    /// Build a raw frame (empty header), rejecting oversize payloads.
     pub fn try_new(
         src: MacAddr,
         dst: MacAddr,
         ethertype: EtherType,
         payload: impl Into<PayloadView>,
     ) -> Result<Frame, FrameError> {
-        let payload = payload.into();
-        if payload.len() as u64 > MAX_PAYLOAD {
-            return Err(FrameError::Oversize {
-                len: payload.len() as u64,
-            });
+        Frame::try_with_header(src, dst, ethertype, FrameHeader::EMPTY, payload.into())
+    }
+
+    /// Build a frame from a protocol header and the data it frames,
+    /// rejecting frames whose header plus data exceed [`MAX_PAYLOAD`].
+    /// The data view is moved in, not copied.
+    pub fn try_with_header(
+        src: MacAddr,
+        dst: MacAddr,
+        ethertype: EtherType,
+        header: FrameHeader,
+        payload: PayloadView,
+    ) -> Result<Frame, FrameError> {
+        let len = (header.len() + payload.len()) as u64;
+        if len > MAX_PAYLOAD {
+            return Err(FrameError::Oversize { len });
         }
         Ok(Frame {
             src,
             dst,
             ethertype,
+            header,
             payload,
         })
     }
 
-    /// Build a frame.
+    /// Build a raw frame (empty header).
     ///
     /// # Panics
     /// Panics if the payload exceeds [`MAX_PAYLOAD`]; segmentation is the
@@ -280,17 +380,28 @@ impl Frame {
             .unwrap_or_else(|e| panic!("frame {src:?} -> {dst:?}: {e}"))
     }
 
+    /// Ethernet payload bytes: the header plus the data after it.
+    pub fn len(&self) -> usize {
+        self.header.len() + self.payload.len()
+    }
+
+    /// Whether the frame carries no bytes at all.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
     /// Bytes this frame occupies on the wire, including overhead, padding
     /// and the inter-frame gap — what serialization time is computed from.
     pub fn wire_size(&self) -> DataSize {
-        let payload = (self.payload.len() as u64).max(MIN_PAYLOAD);
+        let payload = (self.len() as u64).max(MIN_PAYLOAD);
         DataSize::from_bytes(payload + WIRE_OVERHEAD)
     }
 
-    /// Bytes buffered for this frame in NIC/switch memory (header + actual
-    /// payload; the gap and preamble are not stored).
+    /// Bytes buffered for this frame in NIC/switch memory (Ethernet
+    /// header + protocol header + data; the gap and preamble are not
+    /// stored).
     pub fn buffer_size(&self) -> DataSize {
-        DataSize::from_bytes(self.payload.len() as u64 + 18)
+        DataSize::from_bytes(self.len() as u64 + 18)
     }
 }
 
@@ -405,6 +516,90 @@ mod tests {
     #[should_panic(expected = "out of bounds")]
     fn subview_past_end_rejected() {
         PayloadView::new(vec![0; 10]).subview(5, 11);
+    }
+
+    #[test]
+    fn empty_views_share_one_backing_buffer() {
+        let a = PayloadView::empty();
+        let b = PayloadView::empty();
+        assert!(
+            Rc::ptr_eq(&a.bytes, &b.bytes),
+            "no allocation per empty view"
+        );
+        let shared = a.ref_count();
+        assert!(shared >= 2, "both views count: {shared}");
+        drop(b);
+        assert_eq!(a.ref_count(), shared - 1);
+        let mut c = a.clone();
+        assert!(c.make_mut().is_empty());
+        assert!(
+            !Rc::ptr_eq(&a.bytes, &c.bytes),
+            "make_mut detaches a private buffer"
+        );
+        assert_eq!(c.ref_count(), 1);
+        assert_eq!(
+            a.ref_count(),
+            shared - 1,
+            "the shared empty buffer is untouched"
+        );
+        assert!(a.is_empty() && a.as_slice().is_empty());
+    }
+
+    fn framed(header: usize, data: usize) -> Frame {
+        Frame::try_with_header(
+            MacAddr::for_node(0, 0),
+            MacAddr::for_node(1, 0),
+            EtherType::Other(0),
+            FrameHeader::new(&vec![0xAB; header]),
+            PayloadView::new(vec![0u8; data]),
+        )
+        .expect("fits the MTU")
+    }
+
+    #[test]
+    fn sizes_count_the_inline_header() {
+        let f = framed(16, 1024);
+        assert_eq!(f.len(), 1040);
+        assert_eq!(f.buffer_size().bytes(), 1040 + 18);
+        assert_eq!(f.wire_size().bytes(), 1040 + WIRE_OVERHEAD);
+        // The same bytes as a raw frame occupy the same space.
+        let raw = frame(1040);
+        assert_eq!(f.wire_size(), raw.wire_size());
+        assert_eq!(f.buffer_size(), raw.buffer_size());
+        // A header-only frame still pads to the minimum payload.
+        assert_eq!(
+            framed(40, 0).wire_size().bytes(),
+            MIN_PAYLOAD + WIRE_OVERHEAD
+        );
+        assert_eq!(framed(40, 1460).wire_size().bytes(), 1538);
+    }
+
+    #[test]
+    fn header_plus_data_over_the_mtu_is_rejected() {
+        let err = Frame::try_with_header(
+            MacAddr::for_node(0, 0),
+            MacAddr::for_node(1, 0),
+            EtherType::Other(0),
+            FrameHeader::new(&[0; 40]),
+            PayloadView::new(vec![0; 1461]),
+        )
+        .unwrap_err();
+        assert_eq!(err, FrameError::Oversize { len: 1501 });
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds 40")]
+    fn header_over_the_inline_capacity_panics() {
+        FrameHeader::new(&[0; MAX_HEADER + 1]);
+    }
+
+    #[test]
+    fn cloned_frame_copies_the_header_and_shares_the_data() {
+        let f = framed(16, 100);
+        let mut g = f.clone();
+        g.header.as_mut_slice()[0] ^= 0xFF;
+        assert_eq!(f.header[0], 0xAB, "headers are per frame");
+        assert_eq!(f.payload.ref_count(), 2);
     }
 
     #[test]

@@ -10,6 +10,8 @@
 
 use acc_sim::{DataSize, SimDuration, SimRng, SimTime};
 
+use crate::frame::Frame;
+
 /// What happened to the frames a link impaired, readable after a run.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct ImpairCounters {
@@ -171,13 +173,38 @@ impl Impairment {
     /// Flip one to three payload bytes (never a no-op on a non-empty
     /// payload, so checksums must catch it).
     pub fn corrupt_payload(&mut self, payload: &mut [u8]) {
-        if payload.is_empty() {
+        self.draw_flips(payload.len(), |i, mask| payload[i] ^= mask);
+    }
+
+    /// [`corrupt_payload`](Self::corrupt_payload) over a frame's
+    /// Ethernet payload, `header ++ payload`: the same RNG draws flip
+    /// the same bytes as on the concatenated buffer. The header is the
+    /// frame's own; the shared payload view is copied (copy-on-write)
+    /// only when a flip lands in it, so a sender's retained copy of the
+    /// data is never touched.
+    pub fn corrupt(&mut self, frame: &mut Frame) {
+        let Frame {
+            header, payload, ..
+        } = frame;
+        let split = header.len();
+        self.draw_flips(split + payload.len(), |i, mask| {
+            match i.checked_sub(split) {
+                None => header.as_mut_slice()[i] ^= mask,
+                Some(j) => payload.make_mut()[j] ^= mask,
+            }
+        });
+    }
+
+    /// Draw one to three flips over `len` bytes and apply each as
+    /// `flip(index, mask)`. Nothing is drawn for an empty buffer.
+    fn draw_flips(&mut self, len: usize, mut flip: impl FnMut(usize, u8)) {
+        if len == 0 {
             return;
         }
         let flips = 1 + self.rng.gen_range(3) as usize;
         for &mask in &FLIP_MASKS[..flips] {
-            let i = self.rng.gen_range(payload.len() as u64) as usize;
-            payload[i] ^= mask;
+            let i = self.rng.gen_range(len as u64) as usize;
+            flip(i, mask);
         }
     }
 
@@ -200,6 +227,7 @@ impl Impairment {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frame::{EtherType, FrameHeader, MacAddr, PayloadView};
 
     fn imp() -> Impairment {
         Impairment::new(SimRng::seed_from(7))
@@ -256,6 +284,77 @@ mod tests {
                 assert_ne!(p, orig, "payload of {n} bytes unchanged at draw {draw}");
             }
         }
+    }
+
+    fn test_frame(header: &[u8], payload: &PayloadView) -> Frame {
+        Frame::try_with_header(
+            MacAddr::for_node(0, 0),
+            MacAddr::for_node(1, 0),
+            EtherType::Other(0),
+            FrameHeader::new(header),
+            payload.clone(),
+        )
+        .expect("fits the MTU")
+    }
+
+    #[test]
+    fn frame_corruption_flips_what_payload_corruption_flips() {
+        // Same seed, same draws: corrupting `header ++ payload` as a
+        // frame flips exactly the bytes corrupt_payload flips on the
+        // concatenated buffer, for headers of every codec's size.
+        for header_len in [0usize, 16, 40] {
+            for data_len in [0usize, 1, 7, 1024, 1460] {
+                let header: Vec<u8> = (0..header_len).map(|i| i as u8).collect();
+                let data: Vec<u8> = (0..data_len).map(|i| (i * 7) as u8).collect();
+                let mut framewise = imp().with_corruption(1.0);
+                let mut flat = imp().with_corruption(1.0);
+                for draw in 0..200 {
+                    let mut f = test_frame(&header, &PayloadView::new(data.clone()));
+                    framewise.corrupt(&mut f);
+                    let mut whole = [&header[..], &data[..]].concat();
+                    flat.corrupt_payload(&mut whole);
+                    let got = [&f.header[..], &f.payload[..]].concat();
+                    assert_eq!(
+                        got, whole,
+                        "header {header_len} + data {data_len}, draw {draw}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn corrupting_a_frame_never_touches_other_views_of_its_data() {
+        let data = PayloadView::new((0..1024).map(|i| i as u8).collect());
+        let retained = data.subview(0, 1024);
+        let mut i = imp().with_corruption(1.0);
+        let mut body_copies = 0;
+        for _ in 0..500 {
+            let mut f = test_frame(&[0x11; 16], &data);
+            i.corrupt(&mut f);
+            if f.payload.as_slice() != data.as_slice() {
+                body_copies += 1;
+                assert_eq!(
+                    f.payload.ref_count(),
+                    1,
+                    "a body flip detaches a private copy"
+                );
+            }
+        }
+        assert!(
+            body_copies > 400,
+            "most flips land in the body: {body_copies}"
+        );
+        assert_eq!(
+            retained.as_slice(),
+            &(0..1024).map(|i| i as u8).collect::<Vec<u8>>()[..]
+        );
+        assert_eq!(data, retained);
+        assert_eq!(
+            data.ref_count(),
+            2,
+            "frames dropped, only the two views remain"
+        );
     }
 
     #[test]

@@ -27,7 +27,7 @@ pub mod routing;
 pub mod switch;
 
 pub use fabric::{FabricSpec, Topology};
-pub use frame::{EtherType, Frame, FrameError, MacAddr, PayloadView};
+pub use frame::{EtherType, Frame, FrameError, FrameHeader, MacAddr, PayloadView};
 pub use impair::{ImpairCounters, Impairment, Verdict};
 pub use port::{EgressPort, FrameArrival, PortTxDone};
 pub use presets::{EthernetKind, LinkParams, SwitchParams};

@@ -180,10 +180,10 @@ impl EgressPort {
                     }
                     return;
                 }
-                // COW: a frame replicated by switch fan-out detaches its
-                // private payload copy here, so corruption on this link
-                // never leaks into the other replicas.
-                Verdict::Corrupt => imp.corrupt_payload(frame.payload.make_mut()),
+                // COW: a flip in the payload detaches a private copy of
+                // it here, so corruption on this link never leaks into
+                // switch fan-out replicas or the sender's retained data.
+                Verdict::Corrupt => imp.corrupt(&mut frame),
                 Verdict::Delay(d) => extra = d,
                 Verdict::Deliver => {}
             }

@@ -29,7 +29,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use acc_net::PayloadView;
+use acc_net::{FrameHeader, PayloadView};
 
 use crate::checksum::wire_checksum;
 
@@ -159,14 +159,15 @@ impl InicPacket {
         self.credit || self.nack || self.ack || self.busy
     }
 
-    /// Serialize to wire bytes.
+    /// Serialize the 16-byte header. The data stays where it is: a
+    /// frame carries this header inline in front of [`data`](Self::data).
     ///
     /// # Panics
     /// Panics if the payload exceeds [`INIC_PAYLOAD`] or an id field
     /// overflows its wire width — protocol bugs, not runtime
     /// conditions. Callers that would rather surface the error than
     /// unwind use [`try_encode`](Self::try_encode).
-    pub fn encode(&self) -> Vec<u8> {
+    pub fn encode(&self) -> FrameHeader {
         self.try_encode().unwrap_or_else(|e| {
             panic!(
                 "unencodable INIC packet (src_rank {}, stream {}, {} data bytes): {e:?}",
@@ -177,15 +178,16 @@ impl InicPacket {
         })
     }
 
-    /// Serialize to wire bytes, rejecting packets the 16-byte header
-    /// cannot faithfully represent.
+    /// Serialize the 16-byte header, rejecting packets it cannot
+    /// faithfully represent. The checksum covers the header and the
+    /// data, as on the wire.
     ///
     /// Regression guard: the wire format carries `src_rank` and
     /// `stream` as u16, and encode used to truncate the u32 fields with
     /// a bare `as u16` — a rank or stream id ≥ 65536 wrapped on the
     /// wire and decoded as the *wrong peer*. Out-of-range ids now fail
     /// with [`WireError::IdOverflow`] instead of wrapping.
-    pub fn try_encode(&self) -> Result<Vec<u8>, WireError> {
+    pub fn try_encode(&self) -> Result<FrameHeader, WireError> {
         if self.data.len() > INIC_PAYLOAD {
             return Err(WireError::Oversize);
         }
@@ -193,7 +195,7 @@ impl InicPacket {
         let stream = u16::try_from(self.stream).map_err(|_| WireError::IdOverflow)?;
         let len = u16::try_from(self.data.len())
             .expect("inic payload length bounded by INIC_PAYLOAD (1024)");
-        let mut out = vec![0u8; INIC_HEADER + self.data.len()];
+        let mut out = [0u8; INIC_HEADER];
         out[0..2].copy_from_slice(&src_rank.to_le_bytes());
         out[2..4].copy_from_slice(&stream.to_le_bytes());
         out[4..8].copy_from_slice(&self.offset.to_le_bytes());
@@ -217,48 +219,48 @@ impl InicPacket {
         out[10..12].copy_from_slice(&flags.to_le_bytes());
         let sum = wire_checksum(&out[0..12], &self.data);
         out[12..16].copy_from_slice(&sum.to_le_bytes());
-        out[INIC_HEADER..].copy_from_slice(&self.data);
-        Ok(out)
+        Ok(FrameHeader::new(&out))
     }
 
-    /// Parse a frame payload, verifying structure and checksum. The
-    /// packet's data is a sub-view of `bytes`: no payload copy.
-    pub fn decode(bytes: &PayloadView) -> Result<InicPacket, WireError> {
-        if bytes.len() < INIC_HEADER {
+    /// Parse a frame's `header` and the `body` that follows it,
+    /// verifying structure and checksum. The packet's data is `body`
+    /// itself (a refcount bump): no payload copy.
+    pub fn decode(header: &[u8], body: &PayloadView) -> Result<InicPacket, WireError> {
+        if header.len() < INIC_HEADER {
             return Err(WireError::Short);
         }
         let len = usize::from(u16::from_le_bytes(
-            bytes[8..10].try_into().expect("inic len slice is 2 bytes"),
+            header[8..10].try_into().expect("inic len slice is 2 bytes"),
         ));
-        if bytes.len() != INIC_HEADER + len {
+        if header.len() != INIC_HEADER || body.len() != len {
             return Err(WireError::LengthMismatch);
         }
         let want = u32::from_le_bytes(
-            bytes[12..16]
+            header[12..16]
                 .try_into()
                 .expect("inic checksum slice is 4 bytes"),
         );
-        if wire_checksum(&bytes[0..12], &bytes[INIC_HEADER..]) != want {
+        if wire_checksum(&header[0..12], body) != want {
             return Err(WireError::Checksum);
         }
         let flags = u16::from_le_bytes(
-            bytes[10..12]
+            header[10..12]
                 .try_into()
                 .expect("inic flags slice is 2 bytes"),
         );
         Ok(InicPacket {
             src_rank: u32::from(u16::from_le_bytes(
-                bytes[0..2]
+                header[0..2]
                     .try_into()
                     .expect("inic src_rank slice is 2 bytes"),
             )),
             stream: u32::from(u16::from_le_bytes(
-                bytes[2..4]
+                header[2..4]
                     .try_into()
                     .expect("inic stream slice is 2 bytes"),
             )),
             offset: u32::from_le_bytes(
-                bytes[4..8]
+                header[4..8]
                     .try_into()
                     .expect("inic offset slice is 4 bytes"),
             ),
@@ -267,7 +269,7 @@ impl InicPacket {
             nack: flags & FLAG_NACK != 0,
             ack: flags & FLAG_ACK != 0,
             busy: flags & FLAG_BUSY != 0,
-            data: bytes.subview(INIC_HEADER, bytes.len()),
+            data: body.clone(),
         })
     }
 }
@@ -317,20 +319,26 @@ pub fn wire_payload_bytes(bytes: usize) -> usize {
     bytes + packet_count(bytes) * INIC_HEADER
 }
 
-/// Reassembly state of one incoming stream from one source.
+/// Reassembly state of one incoming stream from one source, kept as an
+/// in-order prefix (the watermark) plus the packets that arrived ahead
+/// of it.
 ///
-/// Each accepted packet's bytes are copied once, to their offset in the
-/// stream buffer; the packet itself is not kept. Duplicate packets
-/// (retransmissions) are detected by offset and ignored, so sender-side
-/// recovery is idempotent here.
+/// A packet at the watermark is appended to the stream buffer —
+/// reserved from the total when it is known, never zero-filled — and
+/// pulls along any held packets it makes contiguous; that append is
+/// the one copy of each byte. A packet beyond the watermark is held as
+/// its view of the frame it arrived in, until the gap below it fills.
+/// Duplicates (retransmissions) are ignored: below the watermark by
+/// position, above it by offset. Sender-side recovery is therefore
+/// idempotent here.
 pub struct StreamRx {
     total: Option<usize>,
-    received: usize,
-    /// Offset → length of every accepted segment (duplicate detection
-    /// and the gap search).
-    segments: BTreeMap<u32, usize>,
-    /// The stream's bytes at their offsets: sized once when the total is
-    /// known up front, grown as segments land when the FIN reveals it.
+    /// Bytes held beyond the watermark.
+    held: usize,
+    /// Out-of-order packets beyond the watermark, by offset (duplicate
+    /// detection and the gap search).
+    ahead: BTreeMap<u32, PayloadView>,
+    /// The in-order prefix: `buf.len()` is the watermark.
     buf: Vec<u8>,
 }
 
@@ -339,9 +347,9 @@ impl StreamRx {
     pub fn new(total: usize) -> StreamRx {
         StreamRx {
             total: Some(total),
-            received: 0,
-            segments: BTreeMap::new(),
-            buf: vec![0; total],
+            held: 0,
+            ahead: BTreeMap::new(),
+            buf: Vec::with_capacity(total),
         }
     }
 
@@ -350,14 +358,14 @@ impl StreamRx {
     pub fn new_unknown() -> StreamRx {
         StreamRx {
             total: None,
-            received: 0,
-            segments: BTreeMap::new(),
+            held: 0,
+            ahead: BTreeMap::new(),
             buf: Vec::new(),
         }
     }
 
     /// Fold one packet in. Returns `true` if it carried new bytes,
-    /// `false` for a duplicate (already-seen offset), which is ignored.
+    /// `false` for a duplicate, which is ignored.
     ///
     /// # Panics
     /// Panics on control packets and on structural inconsistencies
@@ -365,50 +373,73 @@ impl StreamRx {
     /// is already filtered out by the decode checksum.
     pub fn accept(&mut self, pkt: &InicPacket) -> bool {
         assert!(!pkt.is_control(), "control packets never enter reassembly");
-        if self.segments.contains_key(&pkt.offset) {
+        let start = usize::try_from(pkt.offset).expect("inic offset fits usize");
+        if start < self.buf.len() || self.ahead.contains_key(&pkt.offset) {
             // A retransmission of a segment we already hold.
             return false;
         }
-        let start = usize::try_from(pkt.offset).expect("inic offset fits usize");
         let end = start + pkt.data.len();
         if pkt.fin {
             match self.total {
                 Some(t) => assert_eq!(t, end, "fin total disagrees with announced total"),
-                None => self.total = Some(end),
+                None => {
+                    self.total = Some(end);
+                    self.buf.reserve_exact(end - self.buf.len());
+                }
             }
         }
-        self.received += pkt.data.len();
         if let Some(t) = self.total {
-            assert!(self.received <= t && end <= t, "stream overran its total");
+            assert!(
+                self.received() + pkt.data.len() <= t && end <= t,
+                "stream overran its total"
+            );
         }
-        if self.buf.len() < end {
-            self.buf.resize(end, 0);
+        if start > self.buf.len() {
+            self.held += pkt.data.len();
+            // Held as a view of the frame it arrived in: no copy yet.
+            self.ahead.insert(pkt.offset, PayloadView::clone(&pkt.data));
+            return true;
         }
-        self.buf[start..end].copy_from_slice(&pkt.data);
-        self.segments.insert(pkt.offset, pkt.data.len());
+        self.append(&pkt.data);
+        while let Some(entry) = self.ahead.first_entry() {
+            let at = usize::try_from(*entry.key()).expect("inic offset fits usize");
+            if at != self.buf.len() {
+                break;
+            }
+            let data = entry.remove();
+            self.held -= data.len();
+            self.append(&data);
+        }
         true
+    }
+
+    /// Extend the in-order prefix by `data`.
+    fn append(&mut self, data: &[u8]) {
+        // acc-lint: allow(R7, reason = "reassembly append: the one copy of each received byte, into the stream buffer handed to the gather")
+        self.buf.extend_from_slice(data);
     }
 
     /// Bytes received so far.
     pub fn received(&self) -> usize {
-        self.received
+        self.buf.len() + self.held
     }
 
     /// Whether every byte has arrived.
     pub fn complete(&self) -> bool {
-        self.total == Some(self.received)
+        self.total == Some(self.received())
     }
 
     /// The first missing byte offset, or `None` if no gap is known
     /// (stream complete, or tail still open with an unknown total).
     pub fn missing(&self) -> Option<u32> {
-        let mut expected = 0u32;
-        for (&off, &len) in &self.segments {
+        let mut expected =
+            u32::try_from(self.buf.len()).expect("inic watermark fits the 32-bit offset");
+        for (&off, data) in &self.ahead {
             if off > expected {
                 return Some(expected);
             }
-            expected =
-                off + u32::try_from(len).expect("inic segment length fits the 32-bit offset");
+            expected = off
+                + u32::try_from(data.len()).expect("inic segment length fits the 32-bit offset");
         }
         match self.total {
             Some(t) if usize::try_from(expected).expect("inic offset fits usize") < t => {
@@ -424,11 +455,7 @@ impl StreamRx {
     /// Panics if the stream is incomplete.
     pub fn into_bytes(self) -> Vec<u8> {
         assert!(self.complete(), "stream incomplete");
-        assert_eq!(
-            self.buf.len(),
-            self.received,
-            "stream segments overlap or overran"
-        );
+        assert!(self.ahead.is_empty(), "stream segments overlap or overran");
         self.buf
     }
 }
@@ -533,9 +560,16 @@ mod tests {
         }
     }
 
-    /// Decode bytes as a frame payload of their own.
+    /// The packet as contiguous wire bytes: header, then data.
+    fn wire(pkt: &InicPacket) -> Vec<u8> {
+        [&pkt.encode()[..], &pkt.data[..]].concat()
+    }
+
+    /// Decode contiguous wire bytes, split where a frame splits them:
+    /// the first [`INIC_HEADER`] bytes are the header.
     fn decode(bytes: &[u8]) -> Result<InicPacket, WireError> {
-        InicPacket::decode(&PayloadView::from(bytes))
+        let split = bytes.len().min(INIC_HEADER);
+        InicPacket::decode(&bytes[..split], &PayloadView::from(&bytes[split..]))
     }
 
     /// Known answer: pins the checksum the INIC header carries (a change
@@ -553,8 +587,10 @@ mod tests {
 
     #[test]
     fn decoded_packet_shares_the_frame_allocation() {
-        let frame = PayloadView::new(data_pkt(1, 2, 0, true, vec![0x5A; 700]).encode());
-        let pkt = InicPacket::decode(&frame).expect("clean frame decodes");
+        let sent = data_pkt(1, 2, 0, true, vec![0x5A; 700]);
+        let header = sent.encode();
+        let frame = sent.data;
+        let pkt = InicPacket::decode(&header, &frame).expect("clean frame decodes");
         assert_eq!(frame.ref_count(), 2, "decode must view, not copy");
         assert_eq!(pkt.data, vec![0x5A; 700]);
         let copy = pkt.clone();
@@ -580,7 +616,7 @@ mod tests {
     #[test]
     fn encode_decode_roundtrip() {
         let pkt = data_pkt(3, 7, 2048, true, (0..255).collect());
-        let decoded = decode(&pkt.encode()).unwrap();
+        let decoded = decode(&wire(&pkt)).unwrap();
         assert_eq!(decoded, pkt);
     }
 
@@ -593,7 +629,7 @@ mod tests {
             InicPacket::reconfig_busy(3, 2000),
         ] {
             assert!(pkt.is_control());
-            assert_eq!(decode(&pkt.encode()).unwrap(), pkt);
+            assert_eq!(decode(&wire(&pkt)).unwrap(), pkt);
         }
     }
 
@@ -612,8 +648,8 @@ mod tests {
     fn try_encode_accepts_maximum_representable_ids() {
         let max = u32::from(u16::MAX);
         let pkt = data_pkt(max, max, 0, true, vec![0xEE; 8]);
-        let bytes = pkt.try_encode().expect("65535 fits the u16 wire field");
-        assert_eq!(decode(&bytes).unwrap(), pkt);
+        let header = pkt.try_encode().expect("65535 fits the u16 wire field");
+        assert_eq!(InicPacket::decode(&header, &pkt.data).unwrap(), pkt);
     }
 
     #[test]
@@ -635,14 +671,14 @@ mod tests {
 
     #[test]
     fn truncated_payload_rejected() {
-        let mut bytes = data_pkt(0, 0, 0, true, vec![1; 100]).encode();
+        let mut bytes = wire(&data_pkt(0, 0, 0, true, vec![1; 100]));
         bytes.truncate(bytes.len() - 1);
         assert_eq!(decode(&bytes), Err(WireError::LengthMismatch));
     }
 
     #[test]
     fn checksum_catches_single_byte_flips() {
-        let clean = data_pkt(2, 3, 1024, false, vec![0xAB; 256]).encode();
+        let clean = wire(&data_pkt(2, 3, 1024, false, vec![0xAB; 256]));
         assert!(decode(&clean).is_ok());
         // Flip one byte anywhere — header, data, or the checksum field
         // itself — and decode must fail. (A flip in the length field is
@@ -728,6 +764,119 @@ mod tests {
             rx.missing(),
             Some(2 * u32::try_from(INIC_PAYLOAD).expect("INIC_PAYLOAD fits u32"))
         );
+    }
+
+    fn ramp(len: usize) -> Vec<u8> {
+        (0..len)
+            .map(|i| u8::try_from(i % 239).expect("below 239"))
+            .collect()
+    }
+
+    #[test]
+    fn in_order_arrival_never_holds_a_packet() {
+        let data = ramp(5 * INIC_PAYLOAD + 17);
+        let mut rx = StreamRx::new(data.len());
+        for p in &packetize(0, 1, &data) {
+            assert!(rx.accept(p));
+            assert!(
+                rx.ahead.is_empty(),
+                "in-order packets go straight to the prefix"
+            );
+        }
+        assert_eq!(
+            rx.buf.capacity(),
+            data.len(),
+            "buffer reserved from the total"
+        );
+        assert_eq!(rx.into_bytes(), data);
+    }
+
+    #[test]
+    fn reversed_arrival_holds_until_the_head_lands() {
+        let data = ramp(4 * INIC_PAYLOAD);
+        let pkts = packetize(0, 1, &data);
+        let mut rx = StreamRx::new(data.len());
+        for p in pkts.iter().rev().take(3) {
+            assert!(rx.accept(p));
+        }
+        assert_eq!((rx.buf.len(), rx.ahead.len()), (0, 3));
+        assert_eq!(rx.received(), 3 * INIC_PAYLOAD);
+        assert!(rx.accept(&pkts[0]));
+        assert!(rx.ahead.is_empty(), "the head drains every held packet");
+        assert_eq!(rx.into_bytes(), data);
+    }
+
+    #[test]
+    fn interleaved_arrival_advances_the_watermark_in_steps() {
+        let data = ramp(6 * INIC_PAYLOAD - 5);
+        let pkts = packetize(0, 1, &data);
+        let mut rx = StreamRx::new(data.len());
+        for i in [1, 0, 3, 2, 5, 4] {
+            assert!(rx.accept(&pkts[i]));
+            let expect = if i % 2 == 0 {
+                (i + 2) * INIC_PAYLOAD
+            } else {
+                i * INIC_PAYLOAD - INIC_PAYLOAD
+            };
+            assert_eq!(rx.buf.len(), expect.min(data.len()), "after packet {i}");
+        }
+        assert_eq!(rx.into_bytes(), data);
+    }
+
+    #[test]
+    fn duplicates_below_and_above_the_watermark_are_dropped() {
+        let data = ramp(4 * INIC_PAYLOAD);
+        let pkts = packetize(0, 1, &data);
+        let mut rx = StreamRx::new(data.len());
+        assert!(rx.accept(&pkts[0]));
+        assert!(rx.accept(&pkts[2]));
+        assert!(!rx.accept(&pkts[0]), "duplicate below the watermark");
+        assert!(!rx.accept(&pkts[2]), "duplicate of a held packet");
+        assert_eq!(rx.received(), 2 * INIC_PAYLOAD);
+        assert!(rx.accept(&pkts[1]));
+        assert!(
+            !rx.accept(&pkts[2]),
+            "a drained packet is below the watermark now"
+        );
+        assert!(rx.accept(&pkts[3]));
+        assert_eq!(rx.into_bytes(), data);
+    }
+
+    #[test]
+    fn missing_starts_at_the_watermark() {
+        let data = ramp(5 * INIC_PAYLOAD);
+        let pkts = packetize(0, 1, &data);
+        let at = |k: usize| u32::try_from(k * INIC_PAYLOAD).expect("fits u32");
+        let mut rx = StreamRx::new(data.len());
+        rx.accept(&pkts[0]);
+        rx.accept(&pkts[1]);
+        rx.accept(&pkts[3]);
+        assert_eq!(rx.missing(), Some(at(2)), "the gap above the prefix");
+        rx.accept(&pkts[2]);
+        assert_eq!(rx.missing(), Some(at(4)), "the open tail");
+        rx.accept(&pkts[4]);
+        assert_eq!(rx.missing(), None);
+    }
+
+    #[test]
+    fn fin_reveals_an_unknown_total() {
+        let data = ramp(3 * INIC_PAYLOAD + 9);
+        let pkts = packetize(0, 1, &data);
+        let mut rx = StreamRx::new_unknown();
+        rx.accept(&pkts[1]);
+        assert_eq!(rx.missing(), Some(0), "a held packet proves a gap");
+        rx.accept(&pkts[0]);
+        assert_eq!(rx.missing(), None, "open tail, total unknown");
+        assert!(!rx.complete());
+        rx.accept(&pkts[3]);
+        assert_eq!(rx.total, Some(data.len()), "fin announces the total");
+        assert_eq!(
+            rx.missing(),
+            Some(u32::try_from(2 * INIC_PAYLOAD).expect("fits u32"))
+        );
+        rx.accept(&pkts[2]);
+        assert!(rx.complete());
+        assert_eq!(rx.into_bytes(), data);
     }
 
     #[test]

@@ -23,16 +23,18 @@
 //! The byte stream is real: applications hand `Vec<u8>` in and receive
 //! the identical bytes in order on the far side, which the property
 //! tests verify under loss and reordering. A sent message is wrapped
-//! once in a shared [`PayloadView`]; its segments, the retransmission
-//! store and the receiver's out-of-order queue all hold sub-views, so
-//! the bytes are copied only into each frame and, on delivery, into
-//! the in-order buffer handed to the application.
+//! once in a shared [`PayloadView`]; its segments, the frames that
+//! carry them (header inline, data a view), the retransmission store
+//! and the receiver's out-of-order queue all hold sub-views, so the
+//! bytes are copied only on delivery, into the in-order buffer handed
+//! to the application (and once more for the rare segment that spans
+//! two queued messages).
 
 use std::any::Any;
 use std::collections::{BTreeMap, VecDeque};
 
 use acc_net::port::EgressPort;
-use acc_net::{EtherType, Frame, FrameArrival, MacAddr, PayloadView, PortTxDone};
+use acc_net::{EtherType, Frame, FrameArrival, FrameHeader, MacAddr, PayloadView, PortTxDone};
 use acc_sim::{Bandwidth, Component, ComponentId, Ctx, DataSize, SimDuration, SimTime};
 
 use acc_host::interrupts::{InterruptCosts, InterruptModerator, ModerationPolicy, ModeratorAction};
@@ -149,13 +151,13 @@ struct SegHeader {
 }
 
 impl SegHeader {
-    /// Serialize header and data into one buffer of exactly the frame's
-    /// size. The checksum at `[23..27)` is [`wire_checksum`] over the
+    /// Serialize the 40-byte header a frame carries inline in front of
+    /// `data`. The checksum at `[23..27)` is [`wire_checksum`] over the
     /// populated header bytes `[0..23)` plus the data — it stands in
     /// for the real TCP checksum within the modelled 40-byte header, and
     /// changes under any single-byte mutation of what it covers.
-    fn encode(&self, data: &[u8]) -> Vec<u8> {
-        let mut out = vec![0u8; IP_TCP_HEADER + data.len()];
+    fn encode(&self, data: &[u8]) -> FrameHeader {
+        let mut out = [0u8; IP_TCP_HEADER];
         out[0..2].copy_from_slice(&self.chan.to_le_bytes());
         out[2..10].copy_from_slice(&self.seq.to_le_bytes());
         out[10..18].copy_from_slice(&self.ack.to_le_bytes());
@@ -163,17 +165,17 @@ impl SegHeader {
         out[19..23].copy_from_slice(&self.window.to_le_bytes());
         let sum = wire_checksum(&out[0..23], data);
         out[23..27].copy_from_slice(&sum.to_le_bytes());
-        out[IP_TCP_HEADER..].copy_from_slice(data);
-        out
+        FrameHeader::new(&out)
     }
 
-    /// Parse a segment; `None` means the segment is malformed and must
-    /// be discarded — either the checksum failed (corruption on the
-    /// wire) or the reserved padding carries nonzero bytes — and the
-    /// normal TCP loss recovery then repairs the stream. The data is a
-    /// sub-view of `payload`: no copy.
-    fn decode(payload: &PayloadView) -> Option<(SegHeader, PayloadView)> {
-        if payload.len() < IP_TCP_HEADER {
+    /// Parse a segment from a frame's `header` and the `body` after it;
+    /// `None` means the segment is malformed and must be discarded —
+    /// the header has the wrong length, the checksum failed (corruption
+    /// on the wire) or the reserved padding carries nonzero bytes — and
+    /// the normal TCP loss recovery then repairs the stream. The data is
+    /// `body` itself (a refcount bump): no copy.
+    fn decode(header: &[u8], body: &PayloadView) -> Option<(SegHeader, PayloadView)> {
+        if header.len() != IP_TCP_HEADER {
             return None;
         }
         // The encoder always zeroes the reserved tail of the modelled
@@ -181,34 +183,30 @@ impl SegHeader {
         // this check corrupted-but-accepted segments could differ on the
         // wire yet decode identically — a hole both the corruption
         // property tests and real middlebox behaviour care about.
-        // acc-lint: allow(R8, reason = "reserved padding 27..40: the encoder zero-fills it implicitly (fresh buffer), and decode reads it only to reject nonzero bytes, never into a field")
-        if payload[27..IP_TCP_HEADER].iter().any(|&b| b != 0) {
+        // acc-lint: allow(R8, reason = "reserved padding 27..40: the encoder zero-fills it implicitly (zeroed header array), and decode reads it only to reject nonzero bytes, never into a field")
+        if header[27..IP_TCP_HEADER].iter().any(|&b| b != 0) {
             return None;
         }
         let want = u32::from_le_bytes(
-            payload[23..27]
+            header[23..27]
                 .try_into()
                 .expect("tcp header checksum slice is 4 bytes"),
         );
-        if wire_checksum(&payload[0..23], &payload[IP_TCP_HEADER..]) != want {
+        if wire_checksum(&header[0..23], body) != want {
             return None;
         }
         let h = SegHeader {
-            chan: u16::from_le_bytes(payload[0..2].try_into().expect("tcp chan slice is 2 bytes")),
-            seq: u64::from_le_bytes(payload[2..10].try_into().expect("tcp seq slice is 8 bytes")),
-            ack: u64::from_le_bytes(
-                payload[10..18]
-                    .try_into()
-                    .expect("tcp ack slice is 8 bytes"),
-            ),
-            has_data: payload[18] != 0,
+            chan: u16::from_le_bytes(header[0..2].try_into().expect("tcp chan slice is 2 bytes")),
+            seq: u64::from_le_bytes(header[2..10].try_into().expect("tcp seq slice is 8 bytes")),
+            ack: u64::from_le_bytes(header[10..18].try_into().expect("tcp ack slice is 8 bytes")),
+            has_data: header[18] != 0,
             window: u32::from_le_bytes(
-                payload[19..23]
+                header[19..23]
                     .try_into()
                     .expect("tcp window slice is 4 bytes"),
             ),
         };
-        Some((h, payload.subview(IP_TCP_HEADER, payload.len())))
+        Some((h, body.clone()))
     }
 }
 
@@ -340,6 +338,7 @@ impl TcpConn {
                 .front_mut()
                 .expect("segment within the unsent bytes");
             let n = (take - bytes.len()).min(front.len());
+            // acc-lint: allow(R7, reason = "a segment spanning two queued messages needs one buffer of its own; a segment within one message stays a view")
             bytes.extend_from_slice(&front[..n]);
             if n == front.len() {
                 self.send_buf.pop_front();
@@ -542,11 +541,13 @@ impl TcpHostNic {
     }
 
     /// Build and pace one segment onto the wire (data or pure ACK).
+    /// The frame carries the header inline and `data` as a view: no
+    /// payload copy.
     fn transmit_segment(
         &mut self,
         key: FlowKey,
         seq: u64,
-        data: &[u8],
+        data: &PayloadView,
         ack_only: bool,
         ctx: &mut Ctx,
     ) {
@@ -559,16 +560,21 @@ impl TcpHostNic {
             window: self.params.rwnd,
         };
         conn.segs_since_ack = 0;
-        let payload = header.encode(data);
-        let frame = Frame::try_new(self.mac, key.peer, EtherType::Ipv4, payload)
-            .unwrap_or_else(|e| panic!("{}: segment exceeds MTU ({e})", self.label));
+        let frame = Frame::try_with_header(
+            self.mac,
+            key.peer,
+            EtherType::Ipv4,
+            header.encode(data),
+            PayloadView::clone(data),
+        )
+        .unwrap_or_else(|e| panic!("{}: segment exceeds MTU ({e})", self.label));
         // Pace by the host TX path: fixed per-segment cost plus PCI
         // streaming time, serialized through one DMA engine.
         let dma = self.path.per_segment_tx
             + self
                 .path
                 .tx_stream_rate
-                .transfer_time(DataSize::from_bytes(frame.payload.len() as u64));
+                .transfer_time(DataSize::from_bytes(frame.len() as u64));
         let start = self.tx_free_at.max(ctx.now());
         self.tx_free_at = start + dma;
         let delay = self.tx_free_at.since(ctx.now());
@@ -660,7 +666,7 @@ impl TcpHostNic {
             self.rx_ring.len()
         );
         let frames = std::mem::take(&mut self.rx_ring);
-        let bytes: u64 = frames.iter().map(|f| f.payload.len() as u64).sum();
+        let bytes: u64 = frames.iter().map(|f| f.len() as u64).sum();
         let service = self.costs.service_time(n)
             + self
                 .path
@@ -694,7 +700,7 @@ impl TcpHostNic {
         let mut acks_to_send: Vec<FlowKey> = Vec::new();
         let mut pump_flows: Vec<FlowKey> = Vec::new();
         for frame in frames {
-            let Some((h, data)) = SegHeader::decode(&frame.payload) else {
+            let Some((h, data)) = SegHeader::decode(&frame.header, &frame.payload) else {
                 // Corrupted on the wire: drop silently and let the
                 // sender's RTO / fast-retransmit machinery recover.
                 ctx.stats().counter(&self.label, "rx_checksum_drops").inc();
@@ -771,7 +777,7 @@ impl TcpHostNic {
         }
         for key in acks_to_send {
             let seq = self.conns.get(&key).expect("ack flow").snd_nxt;
-            self.transmit_segment(key, seq, &[], true, ctx);
+            self.transmit_segment(key, seq, &PayloadView::empty(), true, ctx);
         }
         for key in pump_flows {
             self.pump(key, ctx);
@@ -779,6 +785,7 @@ impl TcpHostNic {
         for (key, views) in delivered {
             let mut data = Vec::with_capacity(views.iter().map(|v| v.len()).sum());
             for v in &views {
+                // acc-lint: allow(R7, reason = "delivery: the application receives one in-order Vec per flow and batch, the one copy of each byte on the receive side")
                 data.extend_from_slice(v);
             }
             self.bytes_delivered_total += data.len() as u64;
@@ -1014,9 +1021,16 @@ mod tests {
         }
     }
 
-    /// Decode bytes as a frame payload of their own.
+    /// The segment as contiguous wire bytes: header, then data.
+    fn wire(h: &SegHeader, data: &[u8]) -> Vec<u8> {
+        [&h.encode(data)[..], data].concat()
+    }
+
+    /// Decode contiguous wire bytes, split where a frame splits them:
+    /// the first [`IP_TCP_HEADER`] bytes are the header.
     fn decode(bytes: &[u8]) -> Option<(SegHeader, PayloadView)> {
-        SegHeader::decode(&PayloadView::from(bytes))
+        let split = bytes.len().min(IP_TCP_HEADER);
+        SegHeader::decode(&bytes[..split], &PayloadView::from(&bytes[split..]))
     }
 
     #[test]
@@ -1028,8 +1042,7 @@ mod tests {
             has_data: true,
             window: 1 << 20,
         };
-        let wire = h.encode(b"payload");
-        let (back, data) = decode(&wire).expect("clean segment decodes");
+        let (back, data) = decode(&wire(&h, b"payload")).expect("clean segment decodes");
         assert_eq!(back.chan, h.chan);
         assert_eq!(back.seq, h.seq);
         assert_eq!(back.ack, h.ack);
@@ -1050,13 +1063,68 @@ mod tests {
             window: 65_535,
         };
         let data: Vec<u8> = (0..=255).collect();
-        let wire = h.encode(&data);
-        assert_eq!(wire.len(), IP_TCP_HEADER + data.len());
-        let sum = u32::from_le_bytes(wire[23..27].try_into().expect("4 bytes"));
+        let header = h.encode(&data);
+        assert_eq!(header.len(), IP_TCP_HEADER);
+        let sum = u32::from_le_bytes(header[23..27].try_into().expect("4 bytes"));
         assert_eq!(sum, 0x4946_F2C5);
         let ack = h.encode(&[]);
         let sum = u32::from_le_bytes(ack[23..27].try_into().expect("4 bytes"));
         assert_eq!(sum, 0xF1D0_0D71);
+    }
+
+    /// The header encodes alone and decodes against the data view the
+    /// frame carries, for every data length a segment can have.
+    #[test]
+    fn two_part_codec_round_trips_every_data_length() {
+        let mut g = Gen(0x2_9A27);
+        for len in 0..=MSS {
+            let h = SegHeader {
+                chan: u16::try_from(g.next_u64() >> 48).expect("16 bits"),
+                seq: g.next_u64(),
+                ack: g.next_u64(),
+                has_data: len > 0,
+                window: u32::try_from(g.next_u64() >> 32).expect("32 bits"),
+            };
+            let data = PayloadView::new(g.bytes(len));
+            let header = h.encode(&data);
+            assert_eq!(header.len(), IP_TCP_HEADER);
+            let (back, body) = SegHeader::decode(&header, &data).expect("clean segment decodes");
+            assert_eq!(
+                (back.chan, back.seq, back.ack, back.has_data, back.window),
+                (h.chan, h.seq, h.ack, h.has_data, h.window),
+                "{len}-byte segment"
+            );
+            assert_eq!(body, data);
+            assert_eq!(data.ref_count(), 2, "decode views the body, no copy");
+        }
+    }
+
+    /// A header of the wrong length, or a body one byte short or long,
+    /// is rejected.
+    #[test]
+    fn truncated_and_oversize_parts_are_rejected() {
+        let h = SegHeader {
+            chan: 1,
+            seq: 2,
+            ack: 3,
+            has_data: true,
+            window: 4,
+        };
+        let data = Gen(0x7C).bytes(MSS);
+        let header = h.encode(&data);
+        let body = PayloadView::new(data.clone());
+        for cut in 0..IP_TCP_HEADER {
+            assert!(
+                SegHeader::decode(&header[..cut], &body).is_none(),
+                "cut {cut}"
+            );
+        }
+        let long_header = [&header[..], &[0]].concat();
+        assert!(SegHeader::decode(&long_header, &body).is_none());
+        let short = PayloadView::from(&data[..MSS - 1]);
+        assert!(SegHeader::decode(&header, &short).is_none());
+        let long = PayloadView::new([&data[..], &[0]].concat());
+        assert!(SegHeader::decode(&header, &long).is_none());
     }
 
     /// Records every frame that reaches it and answers nothing: as the
@@ -1121,16 +1189,19 @@ mod tests {
         sim.run_until(before_rto);
         let first = sim.component::<Blackhole>(wire).0.clone();
         assert_eq!(first.len(), params.initial_cwnd_segments as usize);
-        // Every in-flight segment and the unsent tail view the message's
-        // one buffer.
+        // Every in-flight segment, every frame and the unsent tail view
+        // the message's one buffer.
         let tcp = sim.component::<TcpHostNic>(nic);
         let key = FlowKey { peer, chan: 3 };
         let seg0 = &tcp.retx_store[&(key, 0)];
         assert_eq!(&seg0[..], &data[..MSS]);
+        // Holders: the retransmission store's views, the unsent tail,
+        // and the frames (which carry views, not copies) on the wire and
+        // in this test's clone of them.
         assert_eq!(
             seg0.ref_count(),
-            first.len() + 1,
-            "segments share the message"
+            3 * first.len() + 1,
+            "segments and frames share the message"
         );
         sim.run_until(before_rto + SimDuration::from_millis(2));
         let frames = &sim.component::<Blackhole>(wire).0;
@@ -1141,10 +1212,12 @@ mod tests {
         );
         let retx = &frames[first.len()];
         assert_eq!(
-            retx.payload, first[0].payload,
+            (retx.header, &retx.payload),
+            (first[0].header, &first[0].payload),
             "the retransmission re-sends the original segment byte for byte"
         );
-        let (h, bytes) = SegHeader::decode(&retx.payload).expect("retransmission decodes");
+        let (h, bytes) =
+            SegHeader::decode(&retx.header, &retx.payload).expect("retransmission decodes");
         assert_eq!((h.seq, h.has_data), (0, true));
         assert_eq!(&bytes[..], &data[..MSS]);
     }
@@ -1189,7 +1262,7 @@ mod tests {
                 has_data: len > 0,
                 window: u32::try_from(g.next_u64() >> 32).expect("32 bits"),
             };
-            let wire = h.encode(&g.bytes(len));
+            let wire = wire(&h, &g.bytes(len));
             assert!(decode(&wire).is_some(), "clean {len}-byte segment decodes");
             for cut in 0..wire.len() {
                 let _ = decode(&wire[..cut]);

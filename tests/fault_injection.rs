@@ -84,10 +84,22 @@ fn corruption_and_reorder_do_not_corrupt_results() {
             prob: 0.02,
             delay: SimDuration::from_micros(200),
         });
-    for technology in [Technology::GigabitTcp, Technology::InicIdeal] {
+    // Pinned: the corruption path draws the same RNG stream over the
+    // frame's header and payload and rejects the same frames, so the
+    // simulated total, the codec rejections (TCP checksum drops, INIC
+    // decode drops) and the retransmissions stay exactly these.
+    for (technology, total_ps, rejected, retransmits) in [
+        (Technology::GigabitTcp, 204_276_117_283, 8, 7),
+        (Technology::InicIdeal, 2_959_569_225, 8, 14),
+    ] {
         let spec = ClusterSpec::new(4, technology).with_fault_plan(plan.clone());
         let r = run_sort(spec, 1 << 16);
         assert!(r.verified, "{technology:?} result diverged");
+        assert_eq!(
+            (r.total.as_ps(), r.rejected_frames, r.faults.retransmits),
+            (total_ps, rejected, retransmits),
+            "{technology:?}: (total ps, rejected frames, retransmits)"
+        );
     }
 }
 
