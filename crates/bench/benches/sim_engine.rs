@@ -1,35 +1,16 @@
-//! Benchmarks over the simulation substrate itself: raw event
-//! throughput of the discrete-event kernel and end-to-end rates for the
-//! two NIC stacks. Plain `harness = false` binaries on
-//! [`acc_bench::harness`].
+//! Benchmarks over the simulation substrate itself: broadcast fan-out
+//! through the switch and the stats-registry counter path. Plain
+//! `harness = false` binaries on [`acc_bench::harness`]. Event dispatch,
+//! queue churn and the end-to-end paper cells are measured by the
+//! repository benchmark (`acc_benchmark`), not here.
 
 use std::any::Any;
 
 use acc_bench::harness::bench;
-use acc_core::cluster::{run_fft, run_sort, ClusterSpec, Technology};
 use acc_net::{
     EtherType, EthernetKind, Frame, FrameArrival, LinkParams, MacAddr, Switch, SwitchParams,
 };
-use acc_sim::{
-    Component, ComponentId, Ctx, EventQueue, SimDuration, SimTime, Simulation, StatsRegistry,
-};
-
-/// A component that bounces an event to itself `n` times.
-struct Bouncer {
-    remaining: u64,
-}
-
-impl Component for Bouncer {
-    fn handle(&mut self, _ev: Box<dyn Any>, ctx: &mut Ctx) {
-        if self.remaining > 0 {
-            self.remaining -= 1;
-            ctx.self_in(SimDuration::from_nanos(10), ());
-        }
-    }
-    fn name(&self) -> &str {
-        "bouncer"
-    }
-}
+use acc_sim::{Component, Ctx, SimDuration, SimTime, Simulation, StatsRegistry};
 
 /// Absorbs frame arrivals; the far end of every switch port in the
 /// broadcast-fanout bench.
@@ -43,47 +24,6 @@ impl Component for Sink {
 }
 
 fn main() {
-    let events = 100_000u64;
-    bench(
-        "des_kernel",
-        "self_event_chain_100k",
-        20,
-        Some(events),
-        || {
-            let mut sim = Simulation::new(0);
-            let id = sim.add(Bouncer { remaining: events });
-            sim.schedule_at(SimTime::ZERO, id, ());
-            sim.run();
-            sim.events_processed()
-        },
-    );
-
-    // The scheduler under a deep pending set — the shape of sort_2e24
-    // at p=1024, where the heap paid O(log n) per operation. Steady
-    // state: 10k live events, every pop schedules a replacement far in
-    // the future so events migrate down the wheel hierarchy.
-    let churn_pops = 200_000u64;
-    bench(
-        "des_kernel",
-        "queue_churn_depth_10k",
-        20,
-        Some(churn_pops),
-        || {
-            let mut q = EventQueue::new();
-            let id = ComponentId::from_raw(0);
-            for i in 0..10_000u64 {
-                q.push(SimTime::from_ps(i * 37_321), id, Box::new(()));
-            }
-            let mut last = 0u64;
-            for _ in 0..churn_pops {
-                let ev = q.pop().expect("queue stays at depth 10k");
-                last = ev.time.as_ps();
-                q.push(SimTime::from_ps(last + 373_210_000), id, Box::new(()));
-            }
-            last
-        },
-    );
-
     // Broadcast fan-out through the store-and-forward switch: every
     // broadcast replicates to 31 egress ports, which before the shared
     // PayloadView deep-copied ~1 KiB per replica.
@@ -144,26 +84,4 @@ fn main() {
         }
         stats.counter_value("switch", "frames_in").unwrap_or(0)
     });
-
-    let spec = |tech| {
-        let mut s = ClusterSpec::new(4, tech);
-        s.verify = false;
-        s
-    };
-    bench("cluster_scenarios", "fft_64_gigabit", 10, None, || {
-        run_fft(spec(Technology::GigabitTcp), 64)
-    });
-    bench("cluster_scenarios", "fft_64_inic_ideal", 10, None, || {
-        run_fft(spec(Technology::InicIdeal), 64)
-    });
-    bench("cluster_scenarios", "sort_2e16_gigabit", 10, None, || {
-        run_sort(spec(Technology::GigabitTcp), 1 << 16)
-    });
-    bench(
-        "cluster_scenarios",
-        "sort_2e16_inic_ideal",
-        10,
-        None,
-        || run_sort(spec(Technology::InicIdeal), 1 << 16),
-    );
 }

@@ -6,7 +6,7 @@
 //! cargo run --release -p acc-bench --example hang_demo
 //! ```
 
-use acc_bench::repro::{self, ReproArtifact, ReproWorkload, EXPECTED_CLEAN};
+use acc_bench::repro::{self, ReproArtifact, EXPECTED_CLEAN};
 use acc_bench::Executor;
 use acc_chaos::{FaultEvent, FaultPlan, LinkId};
 use acc_core::{ClusterSpec, RunOutcome, RunRequest, Technology};
@@ -42,7 +42,8 @@ fn spec() -> ClusterSpec {
 }
 
 fn main() {
-    let workload = ReproWorkload::Sort { keys: KEYS };
+    let request = RunRequest::sort(spec(), KEYS);
+    let workload = request.workload;
     println!(
         "seeded plan: {} events (seed {:#x}) on inic-ideal sort, P={P}, 2^12 keys",
         hang_plan().events().len(),
@@ -50,7 +51,7 @@ fn main() {
     );
 
     // 1. Detection and attribution.
-    let outcome = RunRequest::sort(spec(), KEYS).execute();
+    let outcome = request.execute();
     let RunOutcome::Hung(report) = &outcome else {
         panic!("demo plan should hang, got {outcome:?}");
     };

@@ -12,7 +12,7 @@
 
 use acc_bench::{figure_spec, Executor};
 use acc_core::cluster::{KeyDistribution, PartitionStrategy, Technology};
-use acc_core::RunRequest;
+use acc_core::{RunRequest, Workload};
 
 /// The three columns: (distribution, partitioning).
 const CONFIGS: [(KeyDistribution, PartitionStrategy); 3] = [
@@ -32,9 +32,16 @@ fn main() {
     let requests: Vec<RunRequest> = procs
         .iter()
         .flat_map(|&p| {
-            CONFIGS.iter().map(move |&(dist, strat)| {
-                RunRequest::sort_custom(figure_spec(p, tech), total_keys, dist, strat)
-            })
+            CONFIGS
+                .iter()
+                .map(move |&(distribution, strategy)| RunRequest {
+                    spec: figure_spec(p, tech),
+                    workload: Workload::Sort {
+                        total_keys,
+                        distribution,
+                        strategy,
+                    },
+                })
         })
         .collect();
     let mut outcomes = ex.run_all(requests).into_iter();

@@ -17,7 +17,7 @@
 
 use acc_bench::Executor;
 use acc_chaos::{FaultEvent, FaultPlan};
-use acc_core::cluster::{run_sort, ClusterSpec, Technology};
+use acc_core::cluster::{ClusterSpec, Technology};
 use acc_core::report::{FigureReport, Series};
 use acc_core::{RecoveryPolicy, RunRequest};
 use acc_sim::{SimDuration, SimTime};
@@ -52,7 +52,7 @@ fn main() {
     let baseline = {
         let spec =
             ClusterSpec::new(P, Technology::InicIdeal).with_fault_plan(FaultPlan::new(0x7E57));
-        let r = run_sort(spec, KEYS);
+        let r = RunRequest::sort(spec, KEYS).execute().into_sort();
         assert!(r.verified, "baseline run diverged");
         r.total.as_millis_f64()
     };

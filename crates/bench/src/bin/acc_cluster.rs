@@ -8,7 +8,8 @@
 //! cargo run --release -p acc-bench --bin acc_cluster -- --topology=fat-tree:4 allreduce inic-ideal 16 262144
 //! ```
 
-use acc_core::cluster::{run_allreduce, run_fft, run_sort, ClusterSpec, Technology};
+use acc_core::cluster::{ClusterSpec, Technology};
+use acc_core::RunRequest;
 use acc_net::FabricSpec;
 
 fn usage() -> ! {
@@ -59,7 +60,7 @@ fn main() {
     let spec = ClusterSpec::new(p, tech).with_fabric(fabric);
     match app.as_str() {
         "fft" => {
-            let r = run_fft(spec, size as usize);
+            let r = RunRequest::fft(spec, size as usize).execute().into_fft();
             println!(
                 "fft {}x{} on {} x{}: total {:.3} ms (compute {:.3} ms, transpose {:.3} ms \
                  [comm {:.3} / host {:.3}]), verified={}",
@@ -76,7 +77,7 @@ fn main() {
             );
         }
         "sort" => {
-            let r = run_sort(spec, size);
+            let r = RunRequest::sort(spec, size).execute().into_sort();
             println!(
                 "sort {} keys on {} x{}: total {:.3} ms (bucket1 {:.3}, comm {:.3}, \
                  bucket2 {:.3}, count {:.3}), verified={}",
@@ -92,7 +93,9 @@ fn main() {
             );
         }
         "allreduce" => {
-            let r = run_allreduce(spec, size as usize);
+            let r = RunRequest::allreduce(spec, size as usize)
+                .execute()
+                .into_reduce();
             println!(
                 "allreduce {} f64 on {} x{}: total {:.3} ms (comm {:.3}, host reduce {:.3}), \
                  verified={}",
@@ -101,7 +104,7 @@ fn main() {
                 p,
                 r.total.as_millis_f64(),
                 r.comm.as_millis_f64(),
-                r.reduce.as_millis_f64(),
+                r.compute.as_millis_f64(),
                 r.verified
             );
         }

@@ -42,13 +42,13 @@
 //! ```
 
 use acc_bench::repro::{
-    self, execute_caught, failure_of, ReproArtifact, ReproWorkload, EXPECTED_CLEAN,
+    self, execute_caught, failure_of, workload_label, ReproArtifact, EXPECTED_CLEAN,
 };
 use acc_bench::Executor;
 use acc_chaos::{FaultEvent, FaultPlan, LinkId};
 use acc_coll::{Algorithm, CollectiveOp};
 use acc_core::cluster::{ClusterSpec, Technology};
-use acc_core::{FaultDiagnostics, RunRequest};
+use acc_core::{FaultDiagnostics, RunRequest, Workload};
 use acc_net::FabricSpec;
 use acc_sim::{DataSize, SimDuration, SimRng, SimTime};
 
@@ -217,7 +217,7 @@ fn fault_line(f: &FaultDiagnostics) -> String {
 struct CellFailure {
     round: u64,
     tech: Technology,
-    workload: ReproWorkload,
+    workload: Workload,
     observed: String,
 }
 
@@ -234,70 +234,35 @@ fn run_cell(
     plan: &FaultPlan,
     coll: Option<(CollectiveOp, Algorithm, usize)>,
 ) -> Result<Vec<String>, CellFailure> {
-    let line = |kind: &str, total: SimDuration, faults: &FaultDiagnostics| {
-        format!(
+    let spec = ClusterSpec::new(P, tech)
+        .with_fabric(fabric)
+        .with_fault_plan(plan.clone());
+    let mut requests = vec![
+        ("sort", RunRequest::sort(spec.clone(), SORT_KEYS)),
+        ("fft ", RunRequest::fft(spec.clone(), FFT_ROWS)),
+    ];
+    if let Some((op, algo, elems)) = coll {
+        requests.push(("coll", RunRequest::collective(spec, op, algo, elems)));
+    }
+    let mut lines = Vec::new();
+    for (kind, request) in requests {
+        let workload = request.workload;
+        let outcome = execute_caught(request);
+        if let Some(observed) = failure_of(&outcome) {
+            return Err(CellFailure {
+                round,
+                tech,
+                workload,
+                observed,
+            });
+        }
+        let outcome = outcome.expect("no failure implies an outcome");
+        lines.push(format!(
             "round {round:03} {kind} {:<10} total={:>10.3}ms {}",
             tech_label(tech),
-            total.as_millis_f64(),
-            fault_line(faults),
-        )
-    };
-    let spec = ClusterSpec::new(P, tech)
-        .with_fabric(fabric)
-        .with_fault_plan(plan.clone());
-    let outcome = execute_caught(RunRequest::sort(spec, SORT_KEYS));
-    let sort_line = match failure_of(&outcome) {
-        Some(observed) => {
-            return Err(CellFailure {
-                round,
-                tech,
-                workload: ReproWorkload::Sort { keys: SORT_KEYS },
-                observed,
-            });
-        }
-        None => {
-            let r = outcome.expect("no failure implies an outcome").into_sort();
-            line("sort", r.total, &r.faults)
-        }
-    };
-    let spec = ClusterSpec::new(P, tech)
-        .with_fabric(fabric)
-        .with_fault_plan(plan.clone());
-    let outcome = execute_caught(RunRequest::fft(spec, FFT_ROWS));
-    let fft_line = match failure_of(&outcome) {
-        Some(observed) => {
-            return Err(CellFailure {
-                round,
-                tech,
-                workload: ReproWorkload::Fft { rows: FFT_ROWS },
-                observed,
-            });
-        }
-        None => {
-            let r = outcome.expect("no failure implies an outcome").into_fft();
-            line("fft ", r.total, &r.faults)
-        }
-    };
-    let mut lines = vec![sort_line, fft_line];
-    if let Some((op, algo, elems)) = coll {
-        let spec = ClusterSpec::new(P, tech)
-            .with_fabric(fabric)
-            .with_fault_plan(plan.clone());
-        let outcome = execute_caught(RunRequest::collective(spec, op, algo, elems));
-        match failure_of(&outcome) {
-            Some(observed) => {
-                return Err(CellFailure {
-                    round,
-                    tech,
-                    workload: ReproWorkload::Coll { op, algo, elems },
-                    observed,
-                });
-            }
-            None => {
-                let r = outcome.expect("no failure implies an outcome").into_coll();
-                lines.push(line("coll", r.total, &r.faults));
-            }
-        }
+            outcome.total().as_millis_f64(),
+            fault_line(outcome.faults()),
+        ));
     }
     Ok(lines)
 }
@@ -312,7 +277,7 @@ fn replay(path: &str) -> ! {
     println!(
         "replaying {path}: round {} {} {} under a {}-event plan",
         artifact.round,
-        artifact.workload.label(),
+        workload_label(&artifact.workload),
         artifact.technology.label(),
         artifact.plan.events().len(),
     );
@@ -338,7 +303,7 @@ fn emit_repro(ex: &Executor, seed: u64, failure: &CellFailure) {
     println!(
         "minimizing round {:03} {} {} plan ({} events) ...",
         failure.round,
-        failure.workload.label(),
+        workload_label(&failure.workload),
         tech_label(failure.tech),
         plan.events().len(),
     );
@@ -465,7 +430,7 @@ fn main() {
                     println!(
                         "round {:03} {} {:<10} FAILED: {}",
                         failure.round,
-                        failure.workload.label(),
+                        workload_label(&failure.workload),
                         tech_label(failure.tech),
                         failure.observed,
                     );
@@ -479,7 +444,7 @@ fn main() {
             "soak FAILED: {} failing cell(s); first: round {:03} {} {}",
             failures.len(),
             first.round,
-            first.workload.label(),
+            workload_label(&first.workload),
             tech_label(first.tech),
         );
         emit_repro(&ex, seed, first);

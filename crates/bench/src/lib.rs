@@ -1,10 +1,14 @@
 //! # acc-bench — figure regenerators and benchmarks
 //!
 //! One binary per evaluation figure in the paper (`fig4a`, `fig4b`,
-//! `fig5a`, `fig5b`, `fig8a`, `fig8b`), two ablation binaries, and three
-//! criterion benchmark suites over the real kernels and the simulation
-//! engine. See `EXPERIMENTS.md` at the repository root for the
-//! paper-vs-measured record of every figure.
+//! `fig5a`, `fig5b`, `fig8a`, `fig8b`), eleven `ablation_*` binaries,
+//! the `soak` chaos campaign, the `acc_cluster` scenario runner and the
+//! `bench_wallclock` timing campaign, plus three plain
+//! (`harness = false`) benchmark binaries under `benches/` over the
+//! real kernels and the simulation engine. Every binary runs its
+//! clusters through [`acc_core::RunRequest::execute`]. See
+//! `EXPERIMENTS.md` at the repository root for the paper-vs-measured
+//! record of every figure.
 //!
 //! ## Conventions
 //!
@@ -23,7 +27,7 @@
 
 #![forbid(unsafe_code)]
 
-use acc_core::cluster::{run_fft, run_sort, ClusterSpec, Technology};
+use acc_core::cluster::{ClusterSpec, Technology};
 use acc_core::report::Series;
 use acc_core::RunRequest;
 
@@ -76,8 +80,9 @@ pub fn fft_speedup_series(
 /// The serial FFT baseline: simulated Gigabit run at P=1 (no network
 /// activity — pure compute + local transposes).
 pub fn fft_serial_time(rows: usize) -> f64 {
-    run_fft(figure_spec(1, Technology::GigabitTcp), rows)
-        .total
+    RunRequest::fft(figure_spec(1, Technology::GigabitTcp), rows)
+        .execute()
+        .total()
         .as_secs_f64()
 }
 
@@ -96,8 +101,9 @@ pub fn sort_totals(ex: &Executor, technology: Technology, total_keys: u64) -> Ve
 
 /// The serial sort baseline: simulated Gigabit run at P=1.
 pub fn sort_serial_time(total_keys: u64) -> f64 {
-    run_sort(figure_spec(1, Technology::GigabitTcp), total_keys)
-        .total
+    RunRequest::sort(figure_spec(1, Technology::GigabitTcp), total_keys)
+        .execute()
+        .total()
         .as_secs_f64()
 }
 

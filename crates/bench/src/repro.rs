@@ -20,9 +20,14 @@
 //! expected verified completion
 //! observed hung: simulated-time deadline exceeded; stuck in exchange on rank 2
 //! # minimized fault plan
-//! seed 0x93c4...
+//! # acc fault plan v1
+//! seed 0x93c4e1d2b7a05f68
 //! link-outage link=up:2 from=1000000 until=30000000000000
 //! ```
+//!
+//! The `workload` line encodes the three shapes the soak runs: the
+//! paper's sort (`sort <keys>`), the FFT (`fft <rows>`) and one engine
+//! collective (`coll <op> <algo> <elems>`).
 //!
 //! Everything here is deterministic: the observation string for a
 //! given `(spec, plan, workload)` is a pure function of the simulation,
@@ -32,6 +37,7 @@
 
 use acc_chaos::FaultPlan;
 use acc_coll::{Algorithm, CollectiveOp};
+use acc_core::cluster::{KeyDistribution, PartitionStrategy};
 use acc_core::{ClusterSpec, RunOutcome, RunRequest, Technology, Workload};
 use acc_net::FabricSpec;
 use acc_sim::SimTime;
@@ -42,86 +48,64 @@ use crate::executor::Executor;
 /// artifacts diff cleanly.
 pub const EXPECTED_CLEAN: &str = "verified completion";
 
-/// The workload of one soak cell, in artifact-codable form.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum ReproWorkload {
-    /// Integer sort of `keys` keys.
-    Sort {
-        /// Total keys across the cluster.
-        keys: u64,
-    },
-    /// 2D FFT on a `rows × rows` matrix.
-    Fft {
-        /// Matrix dimension.
-        rows: usize,
-    },
-    /// One engine collective over an `elems`-element f64 vector.
-    Coll {
-        /// The collective operation.
-        op: CollectiveOp,
-        /// The schedule algorithm.
-        algo: Algorithm,
-        /// Vector elements per rank.
-        elems: usize,
-    },
-}
-
-impl ReproWorkload {
-    /// The artifact line fragment: `sort 16384` / `fft 32` /
-    /// `coll allreduce ring 4096`.
-    pub fn label(self) -> String {
-        match self {
-            ReproWorkload::Sort { keys } => format!("sort {keys}"),
-            ReproWorkload::Fft { rows } => format!("fft {rows}"),
-            ReproWorkload::Coll { op, algo, elems } => {
-                format!("coll {} {} {elems}", op.label(), algo.label())
-            }
+/// The artifact's `workload` line fragment: `sort 16384` (the paper's
+/// sort), `fft 32` or `coll allreduce ring 4096`.
+///
+/// # Panics
+/// Panics on any other workload, naming it: the soak runs only these
+/// three shapes, so the codec encodes no others.
+pub fn workload_label(workload: &Workload) -> String {
+    match *workload {
+        Workload::Sort {
+            total_keys,
+            distribution: KeyDistribution::Uniform,
+            strategy: PartitionStrategy::TopBits,
+        } => format!("sort {total_keys}"),
+        Workload::Fft { rows } => format!("fft {rows}"),
+        Workload::Collective { op, algo, elems } => {
+            format!("coll {} {} {elems}", op.label(), algo.label())
         }
-    }
-
-    fn parse(v: &str, ln: usize) -> Result<ReproWorkload, String> {
-        let (kind, rest) = v
-            .split_once(' ')
-            .ok_or_else(|| format!("line {ln}: workload needs '<kind> <size>', got '{v}'"))?;
-        match kind {
-            "sort" => rest
-                .parse()
-                .map(|keys| ReproWorkload::Sort { keys })
-                .map_err(|_| format!("line {ln}: bad sort key count '{rest}'")),
-            "fft" => rest
-                .parse()
-                .map(|rows| ReproWorkload::Fft { rows })
-                .map_err(|_| format!("line {ln}: bad fft rows '{rest}'")),
-            "coll" => {
-                let mut parts = rest.split(' ');
-                let (Some(op), Some(algo), Some(elems), None) =
-                    (parts.next(), parts.next(), parts.next(), parts.next())
-                else {
-                    return Err(format!(
-                        "line {ln}: coll workload needs '<op> <algo> <elems>', got '{rest}'"
-                    ));
-                };
-                let op = CollectiveOp::parse(op)
-                    .ok_or_else(|| format!("line {ln}: unknown collective '{op}'"))?;
-                let algo = Algorithm::parse(algo)
-                    .ok_or_else(|| format!("line {ln}: unknown algorithm '{algo}'"))?;
-                let elems = elems
-                    .parse()
-                    .map_err(|_| format!("line {ln}: bad element count '{elems}'"))?;
-                Ok(ReproWorkload::Coll { op, algo, elems })
-            }
-            other => Err(format!("line {ln}: unknown workload kind '{other}'")),
-        }
+        other => panic!("repro artifacts cannot encode the workload {other:?}"),
     }
 }
 
-impl From<ReproWorkload> for Workload {
-    fn from(w: ReproWorkload) -> Workload {
-        match w {
-            ReproWorkload::Sort { keys } => Workload::Sort { total_keys: keys },
-            ReproWorkload::Fft { rows } => Workload::Fft { rows },
-            ReproWorkload::Coll { op, algo, elems } => Workload::Collective { op, algo, elems },
+/// Parse a [`workload_label`] fragment back.
+fn parse_workload(v: &str, ln: usize) -> Result<Workload, String> {
+    let (kind, rest) = v
+        .split_once(' ')
+        .ok_or_else(|| format!("line {ln}: workload needs '<kind> <size>', got '{v}'"))?;
+    match kind {
+        "sort" => rest
+            .parse()
+            .map(|total_keys| Workload::Sort {
+                total_keys,
+                distribution: KeyDistribution::Uniform,
+                strategy: PartitionStrategy::TopBits,
+            })
+            .map_err(|_| format!("line {ln}: bad sort key count '{rest}'")),
+        "fft" => rest
+            .parse()
+            .map(|rows| Workload::Fft { rows })
+            .map_err(|_| format!("line {ln}: bad fft rows '{rest}'")),
+        "coll" => {
+            let mut parts = rest.split(' ');
+            let (Some(op), Some(algo), Some(elems), None) =
+                (parts.next(), parts.next(), parts.next(), parts.next())
+            else {
+                return Err(format!(
+                    "line {ln}: coll workload needs '<op> <algo> <elems>', got '{rest}'"
+                ));
+            };
+            let op = CollectiveOp::parse(op)
+                .ok_or_else(|| format!("line {ln}: unknown collective '{op}'"))?;
+            let algo = Algorithm::parse(algo)
+                .ok_or_else(|| format!("line {ln}: unknown algorithm '{algo}'"))?;
+            let elems = elems
+                .parse()
+                .map_err(|_| format!("line {ln}: bad element count '{elems}'"))?;
+            Ok(Workload::Collective { op, algo, elems })
         }
+        other => Err(format!("line {ln}: unknown workload kind '{other}'")),
     }
 }
 
@@ -136,8 +120,9 @@ pub struct ReproArtifact {
     pub p: usize,
     /// Cluster technology.
     pub technology: Technology,
-    /// The failing workload.
-    pub workload: ReproWorkload,
+    /// The failing workload: one of the three shapes
+    /// [`workload_label`] encodes.
+    pub workload: Workload,
     /// The fabric the cluster was wired with. Single-switch artifacts
     /// omit the `topology` line, so pre-fabric artifacts parse
     /// unchanged.
@@ -152,6 +137,9 @@ pub struct ReproArtifact {
 
 impl ReproArtifact {
     /// Serialize to the `# acc soak repro v1` text format.
+    ///
+    /// # Panics
+    /// Panics if the workload is not one [`workload_label`] encodes.
     pub fn to_text(&self) -> String {
         let topology = match self.fabric {
             FabricSpec::SingleSwitch => String::new(),
@@ -172,7 +160,7 @@ impl ReproArtifact {
             self.round,
             self.p,
             self.technology.label(),
-            self.workload.label(),
+            workload_label(&self.workload),
             self.expected,
             self.observed,
             self.plan.to_text(),
@@ -220,7 +208,7 @@ impl ReproArtifact {
                             .ok_or_else(|| format!("line {ln}: unknown technology '{value}'"))?,
                     );
                 }
-                "workload" => workload = Some(ReproWorkload::parse(value, ln)?),
+                "workload" => workload = Some(parse_workload(value, ln)?),
                 "topology" => {
                     fabric = FabricSpec::parse(value).map_err(|e| format!("line {ln}: {e}"))?;
                 }
@@ -271,11 +259,7 @@ impl ReproArtifact {
     /// `Err` describes the divergence: the run completed, or failed in
     /// a different way than the artifact recorded.
     pub fn replay(&self) -> Result<String, String> {
-        let outcome = execute_caught(RunRequest {
-            spec: self.spec(),
-            workload: self.workload.into(),
-        });
-        match failure_of(&outcome) {
+        match observe(self.spec(), self.workload) {
             Some(obs) if obs == self.observed => Ok(obs),
             Some(obs) => Err(format!(
                 "replay failed differently:\n  recorded: {}\n  observed: {obs}",
@@ -330,11 +314,8 @@ pub fn failure_of(outcome: &Result<RunOutcome, String>) -> Option<String> {
 }
 
 /// Run one quiet cell and report its failure, if any.
-pub fn observe(spec: ClusterSpec, workload: ReproWorkload) -> Option<String> {
-    failure_of(&execute_caught(RunRequest {
-        spec,
-        workload: workload.into(),
-    }))
+pub fn observe(spec: ClusterSpec, workload: Workload) -> Option<String> {
+    failure_of(&execute_caught(RunRequest { spec, workload }))
 }
 
 /// Minimize a failing cell's fault plan, testing candidate plans in
@@ -352,7 +333,7 @@ pub fn minimize_failure(
     ex: &Executor,
     p: usize,
     technology: Technology,
-    workload: ReproWorkload,
+    workload: Workload,
     fabric: FabricSpec,
     plan: &FaultPlan,
 ) -> FaultPlan {
@@ -401,7 +382,8 @@ mod tests {
             round: 7,
             p: 4,
             technology: Technology::InicIdeal,
-            workload: ReproWorkload::Sort { keys: 1 << 14 },
+            workload: RunRequest::sort(ClusterSpec::new(4, Technology::InicIdeal), 1 << 14)
+                .workload,
             fabric: FabricSpec::SingleSwitch,
             expected: EXPECTED_CLEAN.to_owned(),
             observed: "hung: simulated-time deadline exceeded; stuck in exchange on rank 1"
@@ -420,7 +402,7 @@ mod tests {
     #[test]
     fn fft_workloads_roundtrip_too() {
         let mut a = artifact();
-        a.workload = ReproWorkload::Fft { rows: 32 };
+        a.workload = Workload::Fft { rows: 32 };
         assert_eq!(ReproArtifact::from_text(&a.to_text()), Ok(a));
     }
 
@@ -429,7 +411,7 @@ mod tests {
         let mut a = artifact();
         for op in CollectiveOp::ALL {
             for algo in op.algorithms() {
-                a.workload = ReproWorkload::Coll {
+                a.workload = Workload::Collective {
                     op,
                     algo,
                     elems: 4096,
@@ -447,6 +429,56 @@ mod tests {
         );
         let err = ReproArtifact::from_text(&garbled).unwrap_err();
         assert!(err.contains("warp-speed"), "{err}");
+    }
+
+    /// The `coll` artifact `soak --rounds 64 --coll` writes to
+    /// `soak-repro.txt` for its round-036 hang.
+    const SOAK_COLL_ARTIFACT: &str = "\
+# acc soak repro v1
+campaign-seed 0xacc50ac
+round 36
+p 4
+technology gigabit-tcp
+workload coll allreduce ring 4096
+expected verified completion
+observed hung: simulated-time deadline exceeded; stuck in collective ring step on rank 0
+# minimized fault plan
+# acc fault plan v1
+seed 0x223e8d49fe76cde5
+frame-loss link=all prob=0.01308
+link-jitter link=all max=17000000
+frame-corruption link=all prob=8.153915405273437e-10
+";
+
+    /// The example artifact of this module's doc comment, with the
+    /// `//! ` prefixes stripped.
+    fn module_doc_artifact() -> String {
+        let source = include_str!("repro.rs");
+        let start = source.find("//! ```text\n").expect("doc example") + "//! ```text\n".len();
+        let len = source[start..].find("//! ```\n").expect("doc example ends");
+        source[start..start + len]
+            .lines()
+            .map(|l| format!("{}\n", l.strip_prefix("//! ").unwrap_or("")))
+            .collect()
+    }
+
+    #[test]
+    fn written_artifacts_reparse_to_the_same_text() {
+        for text in [module_doc_artifact(), SOAK_COLL_ARTIFACT.to_owned()] {
+            let parsed = ReproArtifact::from_text(&text).unwrap_or_else(|e| panic!("{e}\n{text}"));
+            assert_eq!(parsed.to_text(), text);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot encode the workload Halo")]
+    fn workloads_the_soak_never_runs_do_not_encode() {
+        let mut a = artifact();
+        a.workload = Workload::Halo {
+            elems: 256,
+            iters: 3,
+        };
+        a.to_text();
     }
 
     #[test]

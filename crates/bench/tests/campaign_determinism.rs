@@ -5,7 +5,8 @@
 use acc_bench::campaign::{fault_campaign, CampaignConfig};
 use acc_bench::executor::Executor;
 use acc_chaos::{FaultEvent, FaultPlan};
-use acc_core::cluster::{run_sort, ClusterSpec, Technology};
+use acc_core::cluster::{ClusterSpec, Technology};
+use acc_core::RunRequest;
 use acc_sim::{SimDuration, SimTime};
 
 fn small_config(seed: u64) -> CampaignConfig {
@@ -59,7 +60,7 @@ fn transient_plan_replays_byte_identically() {
         });
     let run = || {
         let spec = ClusterSpec::new(4, Technology::InicIdeal).with_fault_plan(plan.clone());
-        let r = run_sort(spec, 1 << 15);
+        let r = RunRequest::sort(spec, 1 << 15).execute().into_sort();
         assert!(r.verified);
         format!("{:?} {:?} {:?}", r.total, r.faults, r.switch_drops)
     };
@@ -80,7 +81,7 @@ fn bounded_hold_never_changes_the_answer() {
             hold: SimDuration::from_millis(hold_ms),
         });
         let spec = ClusterSpec::new(4, Technology::InicIdeal).with_fault_plan(plan);
-        let r = run_sort(spec, 1 << 15);
+        let r = RunRequest::sort(spec, 1 << 15).execute().into_sort();
         assert!(r.verified, "hold={hold_ms}ms corrupted the sort");
         assert_eq!(
             r.faults.degraded_nodes, 0,

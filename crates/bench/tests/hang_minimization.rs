@@ -13,7 +13,7 @@
 //! discard, and the oversized window gives parameter shrinking
 //! something real to halve.
 
-use acc_bench::repro::{self, ReproArtifact, ReproWorkload, EXPECTED_CLEAN};
+use acc_bench::repro::{self, ReproArtifact, EXPECTED_CLEAN};
 use acc_bench::Executor;
 use acc_chaos::{FaultEvent, FaultPlan, LinkId};
 use acc_core::{ClusterSpec, HangCause, RunOutcome, RunRequest, Technology};
@@ -53,7 +53,9 @@ fn spec(plan: &FaultPlan) -> ClusterSpec {
 #[test]
 fn seeded_hang_is_detected_attributed_minimized_and_replayable() {
     // --- Detection and attribution -----------------------------------
-    let outcome = RunRequest::sort(spec(&hang_plan()), KEYS).execute();
+    let request = RunRequest::sort(spec(&hang_plan()), KEYS);
+    let workload = request.workload;
+    let outcome = request.execute();
     let report = match &outcome {
         RunOutcome::Hung(report) => report,
         other => panic!("expected a hang, got {other:?}"),
@@ -71,13 +73,11 @@ fn seeded_hang_is_detected_attributed_minimized_and_replayable() {
     );
 
     // The observation string the minimizer and artifacts key on.
-    let observed = repro::observe(spec(&hang_plan()), ReproWorkload::Sort { keys: KEYS })
-        .expect("the hang is a failure");
+    let observed = repro::observe(spec(&hang_plan()), workload).expect("the hang is a failure");
     assert!(observed.contains("hung:"), "{observed}");
     assert!(observed.contains("exchange on rank"), "{observed}");
 
     // --- Minimization, at two worker counts --------------------------
-    let workload = ReproWorkload::Sort { keys: KEYS };
     let minimize = |jobs: usize| {
         repro::with_silent_panics(|| {
             repro::minimize_failure(

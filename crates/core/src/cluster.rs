@@ -1,10 +1,11 @@
-//! Cluster construction and end-to-end scenario runners.
+//! Cluster construction and the end-to-end workload bodies.
 //!
-//! [`run_fft`] and [`run_sort`] build a P-node cluster of the requested
-//! [`Technology`], run the application to completion, verify the result
-//! against a serial oracle, and return a timing decomposition. These two
-//! functions are what the figure regenerators, the integration tests and
-//! the examples all call.
+//! A [`ClusterSpec`] describes a P-node cluster of one [`Technology`].
+//! The workload bodies here (FFT, sort, engine collective, halo) build
+//! it, run the application to completion, verify the result against a
+//! serial oracle, and return a timing decomposition. They are private
+//! to the crate: [`crate::RunRequest::execute`] is their one caller and
+//! the one way to run a cluster.
 
 use acc_algos::fft::{fft_2d, Matrix};
 use acc_algos::sort::is_sorted;
@@ -925,22 +926,12 @@ struct RunSummary {
     rejected_frames: u64,
 }
 
-/// Run the 2D-FFT application on a `rows × rows` matrix.
-///
-/// # Panics
-/// Panics if `rows` is not a power of two or `spec.p` does not divide
-/// it, or if the run hangs (see [`try_run_fft`] for the non-panicking
-/// variant).
-pub fn run_fft(spec: ClusterSpec, rows: usize) -> FftRunResult {
-    try_run_fft(spec, rows).unwrap_or_else(|report| panic!("FFT run hung\n{report}"))
-}
-
-/// Run the 2D-FFT application, returning a structured [`HangReport`]
-/// instead of panicking when the run fails to terminate.
+/// Run the 2D-FFT application on a `rows × rows` matrix. A run that
+/// fails to terminate returns its structured [`HangReport`].
 ///
 /// # Panics
 /// Panics if `rows` is not a power of two or `spec.p` does not divide it.
-pub fn try_run_fft(spec: ClusterSpec, rows: usize) -> Result<FftRunResult, Box<HangReport>> {
+pub(crate) fn fft(spec: ClusterSpec, rows: usize) -> Result<FftRunResult, Box<HangReport>> {
     assert!(rows.is_power_of_two(), "matrix edge must be a power of two");
     assert!(
         spec.p >= 1 && rows.is_multiple_of(spec.p),
@@ -1028,43 +1019,11 @@ pub enum PartitionStrategy {
     SampledSplitters,
 }
 
-/// Run the integer-sort application on `total_keys` uniform keys spread
-/// evenly over the nodes (the paper's configuration).
-///
-/// # Panics
-/// Panics if the run hangs (see [`try_run_sort`]).
-pub fn run_sort(spec: ClusterSpec, total_keys: u64) -> SortRunResult {
-    try_run_sort(spec, total_keys).unwrap_or_else(|report| panic!("sort run hung\n{report}"))
-}
-
-/// Non-panicking variant of [`run_sort`].
-pub fn try_run_sort(spec: ClusterSpec, total_keys: u64) -> Result<SortRunResult, Box<HangReport>> {
-    try_run_sort_custom(
-        spec,
-        total_keys,
-        KeyDistribution::Uniform,
-        PartitionStrategy::TopBits,
-    )
-}
-
-/// Run the integer sort with an explicit key distribution and
-/// partitioning strategy (the skew ablation).
-///
-/// # Panics
-/// Panics if the run hangs (see [`try_run_sort_custom`]).
-pub fn run_sort_custom(
-    spec: ClusterSpec,
-    total_keys: u64,
-    distribution: KeyDistribution,
-    strategy: PartitionStrategy,
-) -> SortRunResult {
-    try_run_sort_custom(spec, total_keys, distribution, strategy)
-        .unwrap_or_else(|report| panic!("sort run hung\n{report}"))
-}
-
-/// Non-panicking variant of [`run_sort_custom`]: a hung run returns a
-/// structured [`HangReport`] naming the stuck phase and rank.
-pub fn try_run_sort_custom(
+/// Run the integer sort of `total_keys` keys spread evenly over the
+/// nodes, with the given key distribution and partitioning strategy. A
+/// hung run returns a structured [`HangReport`] naming the stuck phase
+/// and rank.
+pub(crate) fn sort(
     spec: ClusterSpec,
     total_keys: u64,
     distribution: KeyDistribution,
@@ -1115,7 +1074,14 @@ pub fn try_run_sort_custom(
         }
         driver
     });
-    let hierarchy = DeadlineHierarchy::for_run(&spec, &Workload::Sort { total_keys });
+    let hierarchy = DeadlineHierarchy::for_run(
+        &spec,
+        &Workload::Sort {
+            total_keys,
+            distribution,
+            strategy,
+        },
+    );
     w.run_to_completion::<SortDriver>(&hierarchy)?;
     let (mut bucket1, mut comm, mut bucket2, mut count) = (
         SimDuration::ZERO,
@@ -1162,19 +1128,6 @@ pub fn try_run_sort_custom(
         audit: summary.audit,
         rejected_frames: summary.rejected_frames,
     })
-}
-
-/// Result of one AllReduce run (collective-operations extension).
-#[derive(Clone, Debug)]
-pub struct ReduceRunResult {
-    /// Wall time from start (post-configuration) to the last node done.
-    pub total: SimDuration,
-    /// Max per-node exchange wall time.
-    pub comm: SimDuration,
-    /// Max per-node host reduction time (zero on INIC paths).
-    pub reduce: SimDuration,
-    /// Whether every node obtained the exact element-wise sum.
-    pub verified: bool,
 }
 
 /// Result of one collective-engine run.
@@ -1282,25 +1235,14 @@ fn collective_input(rank: usize, elems: usize) -> Rc<[f64]> {
         .collect()
 }
 
-/// Run one collective through the engine with an explicit algorithm.
+/// Run one collective through the engine with an explicit algorithm. A
+/// hung run returns its structured [`HangReport`].
 ///
 /// # Panics
-/// Panics if the (op, algorithm, p, elems) cell is unsupported, if the
-/// offload plan exceeds the device's CLB budget (pre-check with
-/// [`plan_collective_offload`] to get the structured error instead), or
-/// if the run hangs (see [`try_run_collective`]).
-pub fn run_collective(
-    spec: ClusterSpec,
-    op: CollectiveOp,
-    algo: Algorithm,
-    elems: usize,
-) -> CollRunResult {
-    try_run_collective(spec, op, algo, elems)
-        .unwrap_or_else(|report| panic!("{op}/{algo} run hung\n{report}"))
-}
-
-/// Non-panicking variant of [`run_collective`].
-pub fn try_run_collective(
+/// Panics if the (op, algorithm, p, elems) cell is unsupported, or if
+/// the offload plan exceeds the device's CLB budget (pre-check with
+/// [`plan_collective_offload`] to get the structured error instead).
+pub(crate) fn collective(
     spec: ClusterSpec,
     op: CollectiveOp,
     algo: Algorithm,
@@ -1332,17 +1274,11 @@ pub fn try_run_collective(
 /// Run the halo-exchange workload: `iters` stencil sweeps over a
 /// 1-D strip decomposition, each sweep a neighbour halo exchange plus a
 /// local update, closed by a residual allreduce (allreduce-heavy by
-/// construction).
+/// construction). A hung run returns its structured [`HangReport`].
 ///
 /// # Panics
-/// Panics if `spec.p` is not a power of two or `elems < 2`, or if the
-/// run hangs (see [`try_run_halo`]).
-pub fn run_halo(spec: ClusterSpec, elems: usize, iters: usize) -> CollRunResult {
-    try_run_halo(spec, elems, iters).unwrap_or_else(|report| panic!("halo run hung\n{report}"))
-}
-
-/// Non-panicking variant of [`run_halo`].
-pub fn try_run_halo(
+/// Panics if `spec.p` is not a power of two or `elems < 2`.
+pub(crate) fn halo(
     spec: ClusterSpec,
     elems: usize,
     iters: usize,
@@ -1483,31 +1419,5 @@ fn run_schedules(
         faults: summary.faults,
         audit: summary.audit,
         rejected_frames: summary.rejected_frames,
-    })
-}
-
-/// Run a flat AllReduce (sum) of one `elems`-element f64 vector per
-/// node on the chosen technology — now a thin veneer over the
-/// collective engine, with the algorithm policy-selected for the
-/// technology's execution path.
-///
-/// # Panics
-/// Panics if the run hangs (see [`try_run_allreduce`]).
-pub fn run_allreduce(spec: ClusterSpec, elems: usize) -> ReduceRunResult {
-    try_run_allreduce(spec, elems).unwrap_or_else(|report| panic!("AllReduce run hung\n{report}"))
-}
-
-/// Non-panicking variant of [`run_allreduce`].
-pub fn try_run_allreduce(
-    spec: ClusterSpec,
-    elems: usize,
-) -> Result<ReduceRunResult, Box<HangReport>> {
-    let algo = select_algorithm(spec.technology, CollectiveOp::AllReduce, spec.p, elems);
-    let r = try_run_collective(spec, CollectiveOp::AllReduce, algo, elems)?;
-    Ok(ReduceRunResult {
-        total: r.total,
-        comm: r.comm,
-        reduce: r.compute,
-        verified: r.verified,
     })
 }

@@ -139,7 +139,7 @@ impl DeadlineHierarchy {
                 let kib = (rows as u64 * rows as u64 * 16 * 2) / 1024;
                 (phases, kib)
             }
-            Workload::Sort { total_keys } | Workload::SortCustom { total_keys, .. } => {
+            Workload::Sort { total_keys, .. } => {
                 let model = SortModel::new(total_keys);
                 let host = scaled(model.t_countsort(p));
                 let exchange = scaled(model.t_inic(p));
@@ -345,8 +345,17 @@ fn scale(predicted: SimDuration, slack: u64) -> SimDuration {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cluster::Technology;
+    use crate::cluster::{KeyDistribution, PartitionStrategy, Technology};
     use acc_chaos::{FaultEvent, LinkId};
+
+    /// The paper's sort of `total_keys` keys.
+    fn sort(total_keys: u64) -> Workload {
+        Workload::Sort {
+            total_keys,
+            distribution: KeyDistribution::Uniform,
+            strategy: PartitionStrategy::TopBits,
+        }
+    }
 
     #[test]
     fn phase_budgets_scale_with_problem_size() {
@@ -373,7 +382,7 @@ mod tests {
     #[test]
     fn budgets_never_fall_below_the_floor() {
         let spec = ClusterSpec::new(2, Technology::InicIdeal);
-        let h = DeadlineHierarchy::for_run(&spec, &Workload::Sort { total_keys: 1 << 8 });
+        let h = DeadlineHierarchy::for_run(&spec, &sort(1 << 8));
         for ph in &h.phases {
             assert!(ph.budget >= PHASE_FLOOR, "{} below floor", ph.name);
         }
@@ -384,24 +393,14 @@ mod tests {
     #[test]
     fn fault_plan_extends_the_run_deadline() {
         let clean = ClusterSpec::new(4, Technology::InicIdeal);
-        let base = DeadlineHierarchy::for_run(
-            &clean,
-            &Workload::Sort {
-                total_keys: 1 << 12,
-            },
-        );
+        let base = DeadlineHierarchy::for_run(&clean, &sort(1 << 12));
         let plan = acc_chaos::FaultPlan::new(1).with(FaultEvent::LinkOutage {
             link: LinkId::NodeUplink(1),
             from: SimTime::ZERO + SimDuration::from_millis(1),
             until: SimTime::ZERO + SimDuration::from_millis(900),
         });
         let faulted = clean.with_fault_plan(plan);
-        let fh = DeadlineHierarchy::for_run(
-            &faulted,
-            &Workload::Sort {
-                total_keys: 1 << 12,
-            },
-        );
+        let fh = DeadlineHierarchy::for_run(&faulted, &sort(1 << 12));
         assert!(fh.run_deadline > base.run_deadline);
     }
 

@@ -6,9 +6,13 @@
 //! TCP stack) or an **INIC** — reconfigurable computing inserted in the
 //! network datapath (ideal Section-4 card or ACEII prototype).
 //!
-//! * [`cluster`] — build a P-node cluster of a chosen
-//!   [`cluster::Technology`] and run the two evaluation applications on
-//!   it end-to-end (real data, checked against serial oracles).
+//! * [`runner`] — the one way to run a cluster: a [`ClusterSpec`] and a
+//!   [`Workload`] make a [`RunRequest`], and [`RunRequest::execute`]
+//!   returns a [`RunOutcome`].
+//! * [`cluster`] — the P-node cluster of a chosen
+//!   [`cluster::Technology`] and the workload bodies that run the
+//!   evaluation applications on it end-to-end (real data, checked
+//!   against serial oracles).
 //! * [`drivers`] — the per-node application drivers: the FFTW-template
 //!   2D FFT (Section 3.1) and the distributed integer sort
 //!   (Section 3.2), each with a commodity-NIC and an INIC

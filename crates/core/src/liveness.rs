@@ -165,15 +165,11 @@ impl fmt::Display for HangReport {
 mod tests {
     use super::*;
     use crate::cluster::ClusterSpec;
-    use crate::runner::Workload;
+    use crate::runner::RunRequest;
 
     fn hierarchy() -> DeadlineHierarchy {
-        DeadlineHierarchy::for_run(
-            &ClusterSpec::new(4, Technology::InicIdeal),
-            &Workload::Sort {
-                total_keys: 1 << 10,
-            },
-        )
+        let request = RunRequest::sort(ClusterSpec::new(4, Technology::InicIdeal), 1 << 10);
+        DeadlineHierarchy::for_run(&request.spec, &request.workload)
     }
 
     fn rank(rank: usize, phase: &'static str, entered_ms: u64, done: bool) -> DriverProgress {

@@ -1,11 +1,14 @@
-//! A uniform "one run" description shared by every campaign driver.
+//! The one way to run a cluster: [`RunRequest::execute`].
 //!
-//! The figure regenerators, ablations, soak and fault campaigns in
-//! `acc-bench` all reduce to the same shape: build a [`ClusterSpec`],
-//! pick a workload, execute, read the result. [`RunRequest`] captures
-//! that shape as a value, so a campaign can *describe* its whole run
-//! matrix up front and hand the list to an executor — serial or
-//! parallel — instead of interleaving description and execution.
+//! Every caller — the figure regenerators, ablations, soak and fault
+//! campaigns in `acc-bench`, the tests and the examples — has the same
+//! shape: build a [`ClusterSpec`], pick a [`Workload`], execute, read
+//! the [`RunOutcome`]. [`RunRequest`] captures that shape as a value,
+//! so a campaign can *describe* its whole run matrix up front and hand
+//! the list to an executor — serial or parallel — instead of
+//! interleaving description and execution. A run that fails to
+//! terminate comes back as [`RunOutcome::Hung`]; the `into_*`
+//! accessors panic on it with the hang report.
 //!
 //! Each request is self-contained and owns its spec, so executing it
 //! needs no shared state: the foundation of the deterministic parallel
@@ -17,27 +20,23 @@ use acc_coll::{Algorithm, CollectiveOp};
 
 use crate::cluster::{
     self, ClusterSpec, CollRunResult, FftRunResult, KeyDistribution, PartitionStrategy,
-    ReduceRunResult, SortRunResult,
+    SortRunResult,
 };
 use crate::liveness::HangReport;
+use crate::report::FaultDiagnostics;
 
 /// Which application a run executes, with its size parameters.
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Workload {
     /// The 2D FFT of Section 3.1 on an `rows × rows` matrix.
     Fft {
         /// Matrix dimension (rows == columns).
         rows: usize,
     },
-    /// The integer sort of Section 3.2 (uniform keys, top-bits
-    /// partitioning — the paper's configuration).
+    /// The integer sort of Section 3.2. The paper's configuration is
+    /// uniform keys with top-bits partitioning ([`RunRequest::sort`]);
+    /// the skew ablation varies both.
     Sort {
-        /// Total keys across the cluster.
-        total_keys: u64,
-    },
-    /// The integer sort with explicit distribution and partitioning
-    /// (the skew ablation).
-    SortCustom {
         /// Total keys across the cluster.
         total_keys: u64,
         /// Key distribution.
@@ -45,7 +44,8 @@ pub enum Workload {
         /// Destination-rank assignment strategy.
         strategy: PartitionStrategy,
     },
-    /// A flat AllReduce (sum) of one `elems`-element vector per node.
+    /// A flat AllReduce (sum) of one `elems`-element vector per node,
+    /// on the engine with the technology's policy-selected algorithm.
     AllReduce {
         /// Elements per node vector.
         elems: usize,
@@ -87,27 +87,15 @@ impl RunRequest {
         }
     }
 
-    /// A sort run with the paper's default key configuration.
+    /// A sort run with the paper's key configuration: uniform keys,
+    /// top-bits partitioning.
     pub fn sort(spec: ClusterSpec, total_keys: u64) -> RunRequest {
         RunRequest {
             spec,
-            workload: Workload::Sort { total_keys },
-        }
-    }
-
-    /// A sort run with explicit distribution and partitioning.
-    pub fn sort_custom(
-        spec: ClusterSpec,
-        total_keys: u64,
-        distribution: KeyDistribution,
-        strategy: PartitionStrategy,
-    ) -> RunRequest {
-        RunRequest {
-            spec,
-            workload: Workload::SortCustom {
+            workload: Workload::Sort {
                 total_keys,
-                distribution,
-                strategy,
+                distribution: KeyDistribution::Uniform,
+                strategy: PartitionStrategy::TopBits,
             },
         }
     }
@@ -145,26 +133,30 @@ impl RunRequest {
     /// that fails to terminate comes back as [`RunOutcome::Hung`] with
     /// the structured hang diagnosis — not a panic and not an infinite
     /// loop.
+    ///
+    /// # Panics
+    /// Panics on a workload its cluster cannot run: an FFT whose `rows`
+    /// is not a power of two divisible by `p`, an unsupported
+    /// collective cell, an offload over the card's CLB budget.
     pub fn execute(self) -> RunOutcome {
-        let result = match self.workload {
-            Workload::Fft { rows } => cluster::try_run_fft(self.spec, rows).map(RunOutcome::Fft),
-            Workload::Sort { total_keys } => {
-                cluster::try_run_sort(self.spec, total_keys).map(RunOutcome::Sort)
-            }
-            Workload::SortCustom {
+        let RunRequest { spec, workload } = self;
+        let result = match workload {
+            Workload::Fft { rows } => cluster::fft(spec, rows).map(RunOutcome::Fft),
+            Workload::Sort {
                 total_keys,
                 distribution,
                 strategy,
-            } => cluster::try_run_sort_custom(self.spec, total_keys, distribution, strategy)
-                .map(RunOutcome::Sort),
+            } => cluster::sort(spec, total_keys, distribution, strategy).map(RunOutcome::Sort),
             Workload::AllReduce { elems } => {
-                cluster::try_run_allreduce(self.spec, elems).map(RunOutcome::Reduce)
+                let op = CollectiveOp::AllReduce;
+                let algo = cluster::select_algorithm(spec.technology, op, spec.p, elems);
+                cluster::collective(spec, op, algo, elems).map(RunOutcome::Reduce)
             }
             Workload::Collective { op, algo, elems } => {
-                cluster::try_run_collective(self.spec, op, algo, elems).map(RunOutcome::Coll)
+                cluster::collective(spec, op, algo, elems).map(RunOutcome::Coll)
             }
             Workload::Halo { elems, iters } => {
-                cluster::try_run_halo(self.spec, elems, iters).map(RunOutcome::Coll)
+                cluster::halo(spec, elems, iters).map(RunOutcome::Coll)
             }
         };
         result.unwrap_or_else(RunOutcome::Hung)
@@ -179,8 +171,9 @@ pub enum RunOutcome {
     Fft(FftRunResult),
     /// Result of a sort run (default or custom).
     Sort(SortRunResult),
-    /// Result of an AllReduce run.
-    Reduce(ReduceRunResult),
+    /// Result of an AllReduce run: the engine collective it ran, with
+    /// the host reduction time in `compute`.
+    Reduce(CollRunResult),
     /// Result of a collective-engine or halo run.
     Coll(CollRunResult),
     /// The run failed to terminate; the report names the stuck phase
@@ -198,9 +191,22 @@ impl RunOutcome {
         match self {
             RunOutcome::Fft(r) => r.total,
             RunOutcome::Sort(r) => r.total,
-            RunOutcome::Reduce(r) => r.total,
-            RunOutcome::Coll(r) => r.total,
+            RunOutcome::Reduce(r) | RunOutcome::Coll(r) => r.total,
             RunOutcome::Hung(report) => panic!("run hung, no wall time\n{report}"),
+        }
+    }
+
+    /// What the fault plan did to the run, whatever its workload (all
+    /// zeros on a clean run).
+    ///
+    /// # Panics
+    /// Panics on a hung run, like [`RunOutcome::total`].
+    pub fn faults(&self) -> &FaultDiagnostics {
+        match self {
+            RunOutcome::Fft(r) => &r.faults,
+            RunOutcome::Sort(r) => &r.faults,
+            RunOutcome::Reduce(r) | RunOutcome::Coll(r) => &r.faults,
+            RunOutcome::Hung(report) => panic!("run hung, no fault diagnostics\n{report}"),
         }
     }
 
@@ -210,8 +216,7 @@ impl RunOutcome {
         match self {
             RunOutcome::Fft(r) => r.verified,
             RunOutcome::Sort(r) => r.verified,
-            RunOutcome::Reduce(r) => r.verified,
-            RunOutcome::Coll(r) => r.verified,
+            RunOutcome::Reduce(r) | RunOutcome::Coll(r) => r.verified,
             RunOutcome::Hung(_) => false,
         }
     }
@@ -232,10 +237,12 @@ impl RunOutcome {
     /// The FFT result.
     ///
     /// # Panics
-    /// Panics if the outcome is not from an FFT run.
+    /// Panics if the outcome is not from an FFT run, naming the hang if
+    /// the run hung.
     pub fn into_fft(self) -> FftRunResult {
         match self {
             RunOutcome::Fft(r) => r,
+            RunOutcome::Hung(report) => panic!("FFT run hung\n{report}"),
             other => panic!("expected an FFT outcome, got {other:?}"),
         }
     }
@@ -243,10 +250,12 @@ impl RunOutcome {
     /// The sort result.
     ///
     /// # Panics
-    /// Panics if the outcome is not from a sort run.
+    /// Panics if the outcome is not from a sort run, naming the hang if
+    /// the run hung.
     pub fn into_sort(self) -> SortRunResult {
         match self {
             RunOutcome::Sort(r) => r,
+            RunOutcome::Hung(report) => panic!("sort run hung\n{report}"),
             other => panic!("expected a sort outcome, got {other:?}"),
         }
     }
@@ -254,10 +263,12 @@ impl RunOutcome {
     /// The AllReduce result.
     ///
     /// # Panics
-    /// Panics if the outcome is not from an AllReduce run.
-    pub fn into_reduce(self) -> ReduceRunResult {
+    /// Panics if the outcome is not from an AllReduce run, naming the
+    /// hang if the run hung.
+    pub fn into_reduce(self) -> CollRunResult {
         match self {
             RunOutcome::Reduce(r) => r,
+            RunOutcome::Hung(report) => panic!("AllReduce run hung\n{report}"),
             other => panic!("expected an AllReduce outcome, got {other:?}"),
         }
     }
@@ -265,10 +276,12 @@ impl RunOutcome {
     /// The collective-engine result.
     ///
     /// # Panics
-    /// Panics if the outcome is not from a collective or halo run.
+    /// Panics if the outcome is not from a collective or halo run,
+    /// naming the hang if the run hung.
     pub fn into_coll(self) -> CollRunResult {
         match self {
             RunOutcome::Coll(r) => r,
+            RunOutcome::Hung(report) => panic!("collective run hung\n{report}"),
             other => panic!("expected a collective outcome, got {other:?}"),
         }
     }
@@ -278,27 +291,67 @@ impl RunOutcome {
 mod tests {
     use super::*;
     use crate::cluster::Technology;
-
-    #[test]
-    fn request_execute_matches_direct_call() {
-        let spec = ClusterSpec::new(2, Technology::InicIdeal);
-        let direct = cluster::run_sort(spec.clone(), 1 << 10);
-        let via_request = RunRequest::sort(spec, 1 << 10).execute().into_sort();
-        assert_eq!(direct.total, via_request.total);
-        assert_eq!(direct.interrupts, via_request.interrupts);
-        assert!(via_request.verified);
-    }
+    use acc_chaos::{FaultEvent, FaultPlan, LinkId};
+    use acc_sim::{SimDuration, SimTime};
 
     #[test]
     fn outcome_accessors_route_by_workload() {
-        let fft = RunRequest::fft(ClusterSpec::new(2, Technology::InicIdeal), 16).execute();
-        assert!(matches!(fft, RunOutcome::Fft(_)));
-        assert!(fft.verified());
-        assert!(fft.total() > acc_sim::SimDuration::ZERO);
-        let reduce =
-            RunRequest::allreduce(ClusterSpec::new(2, Technology::GigabitTcp), 64).execute();
-        assert!(reduce.verified());
-        reduce.into_reduce();
+        let spec = |tech| ClusterSpec::new(2, tech);
+        let gaussian = Workload::Sort {
+            total_keys: 1 << 10,
+            distribution: KeyDistribution::Gaussian,
+            strategy: PartitionStrategy::SampledSplitters,
+        };
+        let cells = [
+            ("fft", RunRequest::fft(spec(Technology::InicIdeal), 16)),
+            (
+                "sort",
+                RunRequest::sort(spec(Technology::InicIdeal), 1 << 10),
+            ),
+            (
+                "sort",
+                RunRequest {
+                    spec: spec(Technology::GigabitTcp),
+                    workload: gaussian,
+                },
+            ),
+            (
+                "reduce",
+                RunRequest::allreduce(spec(Technology::GigabitTcp), 64),
+            ),
+            (
+                "coll",
+                RunRequest::collective(
+                    spec(Technology::InicIdeal),
+                    CollectiveOp::AllGather,
+                    Algorithm::Ring,
+                    64,
+                ),
+            ),
+            (
+                "coll",
+                RunRequest::halo(spec(Technology::GigabitTcp), 64, 2),
+            ),
+        ];
+        for (kind, request) in cells {
+            let workload = request.workload;
+            let outcome = request.execute();
+            let variant = match outcome {
+                RunOutcome::Fft(_) => "fft",
+                RunOutcome::Sort(_) => "sort",
+                RunOutcome::Reduce(_) => "reduce",
+                RunOutcome::Coll(_) => "coll",
+                RunOutcome::Hung(_) => "hung",
+            };
+            assert_eq!(variant, kind, "{workload:?}");
+            assert!(outcome.verified(), "{workload:?}");
+            assert!(outcome.total() > SimDuration::ZERO, "{workload:?}");
+            assert_eq!(
+                outcome.faults(),
+                &FaultDiagnostics::default(),
+                "{workload:?}"
+            );
+        }
     }
 
     #[test]
@@ -307,5 +360,23 @@ mod tests {
         RunRequest::fft(ClusterSpec::new(2, Technology::InicIdeal), 16)
             .execute()
             .into_sort();
+    }
+
+    #[test]
+    #[should_panic(expected = "collective run hung")]
+    fn accessor_on_a_hung_run_panics_with_the_hang_report() {
+        // A 600 s outage on rank 1's uplink wedges a p=4 ring allreduce
+        // on its first round.
+        let plan = FaultPlan::new(0xC011).with(FaultEvent::LinkOutage {
+            link: LinkId::NodeUplink(1),
+            from: SimTime::ZERO + SimDuration::from_micros(1),
+            until: SimTime::ZERO + SimDuration::from_secs(600),
+        });
+        let spec = ClusterSpec::new(4, Technology::InicIdeal)
+            .with_fault_plan(plan)
+            .with_quiet(true);
+        RunRequest::collective(spec, CollectiveOp::AllReduce, Algorithm::Ring, 8192)
+            .execute()
+            .into_coll();
     }
 }

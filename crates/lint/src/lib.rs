@@ -425,7 +425,7 @@ const RUN_FAMILY: &[&str] = &["run", "run_until", "run_guarded"];
 
 /// The run-family method name `code` invokes (`.run(`, `.run_until(`,
 /// `.run_guarded(` — whole-word, dot-preceded, call-parenthesised), if
-/// any. `ex.run_all(...)` and free functions like `run_sort(...)` do
+/// any. `ex.run_all(...)` and free functions like `run_cell(...)` do
 /// not match.
 fn run_family_call(code: &str) -> Option<&'static str> {
     for &name in RUN_FAMILY {

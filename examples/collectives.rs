@@ -15,7 +15,8 @@
 //! cargo run --release --example collectives
 //! ```
 
-use acc::core::cluster::{run_allreduce, ClusterSpec, Technology};
+use acc::core::cluster::{ClusterSpec, Technology};
+use acc::core::RunRequest;
 
 fn main() {
     let elems = 1 << 18; // 2 MiB vector per node
@@ -31,13 +32,15 @@ fn main() {
             Technology::InicPrototype,
             Technology::InicIdeal,
         ] {
-            let r = run_allreduce(ClusterSpec::new(p, tech), elems);
+            let r = RunRequest::allreduce(ClusterSpec::new(p, tech), elems)
+                .execute()
+                .into_reduce();
             println!(
                 "{:<16} {:>7.2} ms {:>7.2} ms {:>9.2} ms  {}",
                 tech.label(),
                 r.total.as_millis_f64(),
                 r.comm.as_millis_f64(),
-                r.reduce.as_millis_f64(),
+                r.compute.as_millis_f64(),
                 r.verified
             );
         }

@@ -11,7 +11,8 @@
 //! cargo run --release --example intsort_cluster
 //! ```
 
-use acc::core::cluster::{run_sort, ClusterSpec, Technology};
+use acc::core::cluster::{ClusterSpec, Technology};
+use acc::core::RunRequest;
 
 fn main() {
     let p = 8;
@@ -22,7 +23,9 @@ fn main() {
         "technology", "total", "bucket1", "comm", "bucket2", "count"
     );
     for tech in Technology::ALL {
-        let r = run_sort(ClusterSpec::new(p, tech), total_keys);
+        let r = RunRequest::sort(ClusterSpec::new(p, tech), total_keys)
+            .execute()
+            .into_sort();
         println!(
             "{:<16} {:>7.2} ms {:>7.2} ms {:>7.2} ms {:>7.2} ms {:>7.2} ms  {}",
             tech.label(),

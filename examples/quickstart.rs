@@ -10,7 +10,8 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use acc::core::cluster::{run_fft, ClusterSpec, Technology};
+use acc::core::cluster::{ClusterSpec, Technology};
+use acc::core::RunRequest;
 
 fn main() {
     let p = 8;
@@ -21,7 +22,9 @@ fn main() {
         "technology", "total", "compute", "transpose", "irqs", "proto cpu"
     );
     for tech in Technology::ALL {
-        let r = run_fft(ClusterSpec::new(p, tech), rows);
+        let r = RunRequest::fft(ClusterSpec::new(p, tech), rows)
+            .execute()
+            .into_fft();
         println!(
             "{:<18} {:>9.3} ms {:>9.3} ms {:>9.3} ms {:>11} {:>8.3} ms  {}",
             tech.label(),

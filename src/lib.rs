@@ -13,18 +13,23 @@
 //! * [`algos`] — FFT / transpose / sorting kernels and workloads,
 //! * [`coll`] — the collective engine: pluggable algorithms, per-rank
 //!   schedules, selection policy, CLB-budgeted offload plans,
-//! * [`core`] — the Adaptable Computing Cluster: scenario runners,
-//!   application drivers, Section-4 analytic models, reports.
+//! * [`core`] — the Adaptable Computing Cluster: cluster specs and the
+//!   one run entry point (`RunRequest::execute`), application drivers,
+//!   Section-4 analytic models, reports.
 //!
 //! ## Quickstart
 //!
 //! ```
-//! use acc::core::{cluster, Technology, ClusterSpec};
+//! use acc::core::{ClusterSpec, RunRequest, Technology};
 //!
 //! // A 4-node Gigabit-Ethernet cluster vs the same cluster with ideal
 //! // INICs, running a 64×64 distributed 2D FFT end to end.
-//! let gige = cluster::run_fft(ClusterSpec::new(4, Technology::GigabitTcp), 64);
-//! let inic = cluster::run_fft(ClusterSpec::new(4, Technology::InicIdeal), 64);
+//! let gige = RunRequest::fft(ClusterSpec::new(4, Technology::GigabitTcp), 64)
+//!     .execute()
+//!     .into_fft();
+//! let inic = RunRequest::fft(ClusterSpec::new(4, Technology::InicIdeal), 64)
+//!     .execute()
+//!     .into_fft();
 //! assert!(gige.verified && inic.verified);
 //! assert!(inic.transpose < gige.transpose);
 //! ```

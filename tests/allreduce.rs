@@ -1,6 +1,7 @@
 //! End-to-end AllReduce (collective-operations extension) tests.
 
-use acc::core::cluster::{run_allreduce, ClusterSpec, Technology};
+use acc::core::cluster::{ClusterSpec, Technology};
+use acc::core::RunRequest;
 
 #[test]
 fn allreduce_verifies_on_every_technology() {
@@ -8,7 +9,9 @@ fn allreduce_verifies_on_every_technology() {
     // schedules run the raw-gather/unicast-scatter path there, with the
     // fold on the host.
     for tech in Technology::ALL {
-        let r = run_allreduce(ClusterSpec::new(4, tech), 10_000);
+        let r = RunRequest::allreduce(ClusterSpec::new(4, tech), 10_000)
+            .execute()
+            .into_reduce();
         assert!(r.verified, "{}", tech.label());
     }
 }
@@ -17,7 +20,9 @@ fn allreduce_verifies_on_every_technology() {
 fn allreduce_across_processor_counts() {
     for p in [1usize, 2, 4, 8, 16] {
         for tech in [Technology::GigabitTcp, Technology::InicIdeal] {
-            let r = run_allreduce(ClusterSpec::new(p, tech), 4096);
+            let r = RunRequest::allreduce(ClusterSpec::new(p, tech), 4096)
+                .execute()
+                .into_reduce();
             assert!(r.verified, "p={p} {}", tech.label());
         }
     }
@@ -26,10 +31,14 @@ fn allreduce_across_processor_counts() {
 #[test]
 fn inic_allreduce_eliminates_host_reduction() {
     let elems = 100_000;
-    let inic = run_allreduce(ClusterSpec::new(8, Technology::InicIdeal), elems);
-    assert!(inic.reduce.is_zero(), "card must absorb the arithmetic");
-    let tcp = run_allreduce(ClusterSpec::new(8, Technology::GigabitTcp), elems);
-    assert!(!tcp.reduce.is_zero());
+    let inic = RunRequest::allreduce(ClusterSpec::new(8, Technology::InicIdeal), elems)
+        .execute()
+        .into_reduce();
+    assert!(inic.compute.is_zero(), "card must absorb the arithmetic");
+    let tcp = RunRequest::allreduce(ClusterSpec::new(8, Technology::GigabitTcp), elems)
+        .execute()
+        .into_reduce();
+    assert!(!tcp.compute.is_zero());
     assert!(
         inic.total < tcp.total,
         "INIC {:?} should beat TCP {:?}",
@@ -40,7 +49,11 @@ fn inic_allreduce_eliminates_host_reduction() {
 
 #[test]
 fn allreduce_is_deterministic() {
-    let a = run_allreduce(ClusterSpec::new(4, Technology::InicIdeal), 50_000);
-    let b = run_allreduce(ClusterSpec::new(4, Technology::InicIdeal), 50_000);
+    let a = RunRequest::allreduce(ClusterSpec::new(4, Technology::InicIdeal), 50_000)
+        .execute()
+        .into_reduce();
+    let b = RunRequest::allreduce(ClusterSpec::new(4, Technology::InicIdeal), 50_000)
+        .execute()
+        .into_reduce();
     assert_eq!(a.total, b.total);
 }

@@ -1,16 +1,34 @@
 //! Cross-crate integration: full cluster runs on every technology, with
-//! results verified against serial oracles (the `run_*` functions panic
-//! internally on any mismatch) and the paper's qualitative orderings
-//! asserted.
+//! results verified against serial oracles (`RunRequest::execute`
+//! panics internally on any mismatch) and the paper's qualitative
+//! orderings asserted.
 
 use acc::core::cluster::{
-    run_fft, run_sort, run_sort_custom, ClusterSpec, KeyDistribution, PartitionStrategy, Technology,
+    ClusterSpec, KeyDistribution, PartitionStrategy, SortRunResult, Technology,
 };
+use acc::core::{RunRequest, Workload};
+
+/// The integer sort with an explicit key distribution and partitioning.
+fn sort_with(
+    spec: ClusterSpec,
+    total_keys: u64,
+    distribution: KeyDistribution,
+    strategy: PartitionStrategy,
+) -> SortRunResult {
+    let workload = Workload::Sort {
+        total_keys,
+        distribution,
+        strategy,
+    };
+    RunRequest { spec, workload }.execute().into_sort()
+}
 
 #[test]
 fn fft_verifies_on_every_technology() {
     for tech in Technology::ALL {
-        let r = run_fft(ClusterSpec::new(4, tech), 64);
+        let r = RunRequest::fft(ClusterSpec::new(4, tech), 64)
+            .execute()
+            .into_fft();
         assert!(r.verified, "{}", tech.label());
         assert!(r.total >= r.compute, "{}", tech.label());
     }
@@ -20,7 +38,9 @@ fn fft_verifies_on_every_technology() {
 fn fft_verifies_across_processor_counts() {
     for p in [1usize, 2, 4, 8] {
         for tech in [Technology::GigabitTcp, Technology::InicIdeal] {
-            let r = run_fft(ClusterSpec::new(p, tech), 64);
+            let r = RunRequest::fft(ClusterSpec::new(p, tech), 64)
+                .execute()
+                .into_fft();
             assert!(r.verified, "p={p} {}", tech.label());
         }
     }
@@ -32,7 +52,12 @@ fn fft_transpose_ordering_matches_the_paper() {
     // prototype beats Gigabit TCP beats Fast Ethernet.
     let p = 8;
     let rows = 256;
-    let t = |tech| run_fft(ClusterSpec::new(p, tech), rows).transpose;
+    let t = |tech| {
+        RunRequest::fft(ClusterSpec::new(p, tech), rows)
+            .execute()
+            .into_fft()
+            .transpose
+    };
     let ideal = t(Technology::InicIdeal);
     let proto = t(Technology::InicPrototype);
     let gige = t(Technology::GigabitTcp);
@@ -44,10 +69,12 @@ fn fft_transpose_ordering_matches_the_paper() {
 
 #[test]
 fn fft_inic_runs_never_drop_frames() {
-    // The INIC protocol's loss-freedom invariant (`run_fft` also
+    // The INIC protocol's loss-freedom invariant (`execute` also
     // asserts it internally; this documents it at the API level).
     for tech in [Technology::InicIdeal, Technology::InicPrototype] {
-        let r = run_fft(ClusterSpec::new(8, tech), 128);
+        let r = RunRequest::fft(ClusterSpec::new(8, tech), 128)
+            .execute()
+            .into_fft();
         assert_eq!(r.switch_drops, 0, "{}", tech.label());
     }
 }
@@ -55,7 +82,9 @@ fn fft_inic_runs_never_drop_frames() {
 #[test]
 fn sort_verifies_on_every_technology() {
     for tech in Technology::ALL {
-        let r = run_sort(ClusterSpec::new(4, tech), 1 << 16);
+        let r = RunRequest::sort(ClusterSpec::new(4, tech), 1 << 16)
+            .execute()
+            .into_sort();
         assert!(r.verified, "{}", tech.label());
     }
 }
@@ -68,7 +97,9 @@ fn sort_verifies_across_processor_counts() {
             Technology::InicIdeal,
             Technology::InicPrototype,
         ] {
-            let r = run_sort(ClusterSpec::new(p, tech), 1 << 16);
+            let r = RunRequest::sort(ClusterSpec::new(p, tech), 1 << 16)
+                .execute()
+                .into_sort();
             assert!(r.verified, "p={p} {}", tech.label());
         }
     }
@@ -80,12 +111,18 @@ fn inic_absorbs_the_bucket_sorts() {
     // must be zero on the ideal INIC, and only phase 2 returns on the
     // prototype (Fig. 7).
     let total = 1u64 << 18;
-    let ideal = run_sort(ClusterSpec::new(4, Technology::InicIdeal), total);
+    let ideal = RunRequest::sort(ClusterSpec::new(4, Technology::InicIdeal), total)
+        .execute()
+        .into_sort();
     assert!(ideal.bucket1.is_zero() && ideal.bucket2.is_zero());
-    let proto = run_sort(ClusterSpec::new(4, Technology::InicPrototype), total);
+    let proto = RunRequest::sort(ClusterSpec::new(4, Technology::InicPrototype), total)
+        .execute()
+        .into_sort();
     assert!(proto.bucket1.is_zero());
     assert!(!proto.bucket2.is_zero(), "prototype host must re-bucket");
-    let gige = run_sort(ClusterSpec::new(4, Technology::GigabitTcp), total);
+    let gige = RunRequest::sort(ClusterSpec::new(4, Technology::GigabitTcp), total)
+        .execute()
+        .into_sort();
     assert!(!gige.bucket1.is_zero() && !gige.bucket2.is_zero());
 }
 
@@ -95,7 +132,12 @@ fn sort_total_ordering_matches_the_paper() {
     // still beats Gigabit ("the partial bucket sort can improve memory
     // access patterns enough for a performance improvement").
     let total = 1u64 << 20;
-    let t = |tech| run_sort(ClusterSpec::new(8, tech), total).total;
+    let t = |tech| {
+        RunRequest::sort(ClusterSpec::new(8, tech), total)
+            .execute()
+            .into_sort()
+            .total
+    };
     let ideal = t(Technology::InicIdeal);
     let proto = t(Technology::InicPrototype);
     let gige = t(Technology::GigabitTcp);
@@ -110,7 +152,12 @@ fn count_sort_time_is_technology_independent() {
     let total = 1u64 << 18;
     let counts: Vec<_> = Technology::ALL
         .iter()
-        .map(|&tech| run_sort(ClusterSpec::new(4, tech), total).count)
+        .map(|&tech| {
+            RunRequest::sort(ClusterSpec::new(4, tech), total)
+                .execute()
+                .into_sort()
+                .count
+        })
         .collect();
     for w in counts.windows(2) {
         let a = w[0].as_secs_f64();
@@ -130,8 +177,12 @@ fn protocol_offload_alone_is_not_enough() {
     // resident partitions protocol-only can tie or win — the host passes
     // become nearly free; the ablation binary shows both regimes.)
     let p = 8;
-    let fft_proto = run_fft(ClusterSpec::new(p, Technology::InicProtocol), 512);
-    let fft_comb = run_fft(ClusterSpec::new(p, Technology::InicIdeal), 512);
+    let fft_proto = RunRequest::fft(ClusterSpec::new(p, Technology::InicProtocol), 512)
+        .execute()
+        .into_fft();
+    let fft_comb = RunRequest::fft(ClusterSpec::new(p, Technology::InicIdeal), 512)
+        .execute()
+        .into_fft();
     assert!(fft_proto.verified && fft_comb.verified);
     assert!(
         fft_comb.total < fft_proto.total,
@@ -144,9 +195,15 @@ fn protocol_offload_alone_is_not_enough() {
     assert!(!fft_proto.transpose_compute.is_zero());
 
     let total = 1u64 << 20;
-    let sort_tcp = run_sort(ClusterSpec::new(p, Technology::GigabitTcp), total);
-    let sort_proto = run_sort(ClusterSpec::new(p, Technology::InicProtocol), total);
-    let sort_comb = run_sort(ClusterSpec::new(p, Technology::InicIdeal), total);
+    let sort_tcp = RunRequest::sort(ClusterSpec::new(p, Technology::GigabitTcp), total)
+        .execute()
+        .into_sort();
+    let sort_proto = RunRequest::sort(ClusterSpec::new(p, Technology::InicProtocol), total)
+        .execute()
+        .into_sort();
+    let sort_comb = RunRequest::sort(ClusterSpec::new(p, Technology::InicIdeal), total)
+        .execute()
+        .into_sort();
     assert!(sort_proto.verified && sort_comb.verified);
     assert!(sort_comb.total < sort_proto.total);
     assert!(sort_proto.total < sort_tcp.total);
@@ -161,8 +218,12 @@ fn inic_eliminates_protocol_cpu_and_almost_all_interrupts() {
     // the stack; the INIC path takes exactly one completion interrupt
     // per node per transpose and zero protocol CPU.
     let p = 8;
-    let gige = run_fft(ClusterSpec::new(p, Technology::GigabitTcp), 256);
-    let inic = run_fft(ClusterSpec::new(p, Technology::InicIdeal), 256);
+    let gige = RunRequest::fft(ClusterSpec::new(p, Technology::GigabitTcp), 256)
+        .execute()
+        .into_fft();
+    let inic = RunRequest::fft(ClusterSpec::new(p, Technology::InicIdeal), 256)
+        .execute()
+        .into_fft();
     assert!(!gige.protocol_cpu.is_zero());
     assert!(
         gige.interrupts > 100,
@@ -184,14 +245,14 @@ fn skewed_keys_stay_correct_and_splitters_restore_balance() {
     // paper recommends — recover it.
     let p = 8;
     let total = 1u64 << 20;
-    let skewed = run_sort_custom(
+    let skewed = sort_with(
         ClusterSpec::new(p, Technology::InicIdeal),
         total,
         KeyDistribution::Gaussian,
         PartitionStrategy::TopBits,
     );
     assert!(skewed.verified);
-    let balanced = run_sort_custom(
+    let balanced = sort_with(
         ClusterSpec::new(p, Technology::InicIdeal),
         total,
         KeyDistribution::Gaussian,
@@ -205,13 +266,15 @@ fn skewed_keys_stay_correct_and_splitters_restore_balance() {
         skewed.total
     );
     // And on uniform keys, splitters cost (almost) nothing.
-    let uniform_split = run_sort_custom(
+    let uniform_split = sort_with(
         ClusterSpec::new(p, Technology::InicIdeal),
         total,
         KeyDistribution::Uniform,
         PartitionStrategy::SampledSplitters,
     );
-    let uniform_top = run_sort(ClusterSpec::new(p, Technology::InicIdeal), total);
+    let uniform_top = RunRequest::sort(ClusterSpec::new(p, Technology::InicIdeal), total)
+        .execute()
+        .into_sort();
     assert!(uniform_split.verified);
     let ratio = uniform_split.total.as_secs_f64() / uniform_top.total.as_secs_f64();
     assert!(
@@ -222,7 +285,7 @@ fn skewed_keys_stay_correct_and_splitters_restore_balance() {
 
 #[test]
 fn skewed_keys_work_over_tcp_too() {
-    let r = run_sort_custom(
+    let r = sort_with(
         ClusterSpec::new(4, Technology::GigabitTcp),
         1 << 18,
         KeyDistribution::Gaussian,
@@ -234,12 +297,14 @@ fn skewed_keys_work_over_tcp_too() {
 #[test]
 fn runs_are_reproducible() {
     let spec = ClusterSpec::new(4, Technology::GigabitTcp);
-    let a = run_fft(spec.clone(), 64);
-    let b = run_fft(spec.clone(), 64);
+    let a = RunRequest::fft(spec.clone(), 64).execute().into_fft();
+    let b = RunRequest::fft(spec.clone(), 64).execute().into_fft();
     assert_eq!(a.total, b.total);
     assert_eq!(a.transpose, b.transpose);
-    let c = run_sort(spec.clone(), 1 << 16);
-    let d = run_sort(spec, 1 << 16);
+    let c = RunRequest::sort(spec.clone(), 1 << 16)
+        .execute()
+        .into_sort();
+    let d = RunRequest::sort(spec, 1 << 16).execute().into_sort();
     assert_eq!(c.total, d.total);
 }
 
@@ -248,7 +313,12 @@ fn seed_changes_workload_but_not_correctness() {
     for seed in [1u64, 99, 0xDEAD] {
         let mut spec = ClusterSpec::new(4, Technology::InicIdeal);
         spec.seed = seed;
-        assert!(run_sort(spec.clone(), 1 << 16).verified);
-        assert!(run_fft(spec, 64).verified);
+        assert!(
+            RunRequest::sort(spec.clone(), 1 << 16)
+                .execute()
+                .into_sort()
+                .verified
+        );
+        assert!(RunRequest::fft(spec, 64).execute().into_fft().verified);
     }
 }

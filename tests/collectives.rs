@@ -5,9 +5,7 @@
 //! error, and hangs attributably when a fault plan wedges a round.
 
 use acc::coll::{Algorithm, CollectiveOp, OffloadError};
-use acc::core::cluster::{
-    plan_collective_offload, run_collective, run_halo, ClusterSpec, Technology,
-};
+use acc::core::cluster::{plan_collective_offload, ClusterSpec, Technology};
 use acc::core::{RunOutcome, RunRequest};
 use acc::sim::{SimDuration, SimTime};
 use acc_chaos::{FaultEvent, FaultPlan, LinkId};
@@ -27,7 +25,9 @@ fn every_cell_verifies_on_every_technology() {
                     continue;
                 }
                 for tech in Technology::ALL {
-                    let r = run_collective(ClusterSpec::new(p, tech), op, algo, ELEMS);
+                    let r = RunRequest::collective(ClusterSpec::new(p, tech), op, algo, ELEMS)
+                        .execute()
+                        .into_coll();
                     assert!(r.verified, "{op}/{algo} p={p} {}", tech.label());
                 }
             }
@@ -47,7 +47,9 @@ fn uneven_vectors_verify_where_supported() {
                     continue;
                 }
                 for tech in [Technology::GigabitTcp, Technology::InicIdeal] {
-                    let r = run_collective(ClusterSpec::new(p, tech), op, algo, elems);
+                    let r = RunRequest::collective(ClusterSpec::new(p, tech), op, algo, elems)
+                        .execute()
+                        .into_coll();
                     assert!(r.verified, "{op}/{algo} p={p} {} uneven", tech.label());
                 }
             }
@@ -58,18 +60,22 @@ fn uneven_vectors_verify_where_supported() {
 #[test]
 fn collective_runs_are_deterministic() {
     for tech in [Technology::GigabitTcp, Technology::InicIdeal] {
-        let a = run_collective(
+        let a = RunRequest::collective(
             ClusterSpec::new(8, tech),
             CollectiveOp::ReduceScatter,
             Algorithm::Ring,
             4096,
-        );
-        let b = run_collective(
+        )
+        .execute()
+        .into_coll();
+        let b = RunRequest::collective(
             ClusterSpec::new(8, tech),
             CollectiveOp::ReduceScatter,
             Algorithm::Ring,
             4096,
-        );
+        )
+        .execute()
+        .into_coll();
         assert_eq!(a.total, b.total, "{}", tech.label());
         assert_eq!(a.comm, b.comm);
         assert_eq!(a.compute, b.compute);
@@ -110,7 +116,9 @@ fn halo_exchange_verifies_and_is_allreduce_heavy() {
         Technology::InicIdeal,
         Technology::InicProtocol,
     ] {
-        let r = run_halo(ClusterSpec::new(4, tech), 256, 3);
+        let r = RunRequest::halo(ClusterSpec::new(4, tech), 256, 3)
+            .execute()
+            .into_coll();
         assert!(r.verified, "halo {}", tech.label());
         assert!(r.comm > SimDuration::ZERO);
     }

@@ -8,8 +8,8 @@
 //! conservation invariants it checks during the run.
 
 use acc_chaos::{FaultEvent, FaultPlan, LinkId};
-use acc_core::cluster::{run_fft, run_sort, ClusterSpec, Technology};
-use acc_core::RecoveryPolicy;
+use acc_core::cluster::{ClusterSpec, Technology};
+use acc_core::{RecoveryPolicy, RunRequest};
 use acc_sim::{SimDuration, SimTime};
 
 /// A plan losing `pct`% of frames independently on every link.
@@ -30,7 +30,9 @@ fn ms(n: u64) -> SimTime {
 
 #[test]
 fn sort_correct_under_loss_gigabit() {
-    let r = run_sort(spec_with_loss(Technology::GigabitTcp, 2.0), 1 << 16);
+    let r = RunRequest::sort(spec_with_loss(Technology::GigabitTcp, 2.0), 1 << 16)
+        .execute()
+        .into_sort();
     assert!(r.verified, "sorted output must equal the fault-free result");
     assert!(
         r.faults.retransmits > 0,
@@ -41,7 +43,9 @@ fn sort_correct_under_loss_gigabit() {
 
 #[test]
 fn sort_correct_under_loss_inic() {
-    let r = run_sort(spec_with_loss(Technology::InicIdeal, 2.0), 1 << 16);
+    let r = RunRequest::sort(spec_with_loss(Technology::InicIdeal, 2.0), 1 << 16)
+        .execute()
+        .into_sort();
     assert!(r.verified, "sorted output must equal the fault-free result");
     assert!(
         r.faults.retransmits > 0,
@@ -52,7 +56,9 @@ fn sort_correct_under_loss_inic() {
 
 #[test]
 fn fft_correct_under_loss_gigabit() {
-    let r = run_fft(spec_with_loss(Technology::GigabitTcp, 1.0), 64);
+    let r = RunRequest::fft(spec_with_loss(Technology::GigabitTcp, 1.0), 64)
+        .execute()
+        .into_fft();
     assert!(r.verified, "FFT output must equal the fault-free result");
     assert!(
         r.faults.retransmits > 0,
@@ -63,7 +69,9 @@ fn fft_correct_under_loss_gigabit() {
 
 #[test]
 fn fft_correct_under_loss_inic() {
-    let r = run_fft(spec_with_loss(Technology::InicIdeal, 1.0), 64);
+    let r = RunRequest::fft(spec_with_loss(Technology::InicIdeal, 1.0), 64)
+        .execute()
+        .into_fft();
     assert!(r.verified, "FFT output must equal the fault-free result");
     assert!(
         r.faults.retransmits > 0,
@@ -93,7 +101,7 @@ fn corruption_and_reorder_do_not_corrupt_results() {
         (Technology::InicIdeal, 2_959_569_225, 8, 14),
     ] {
         let spec = ClusterSpec::new(4, technology).with_fault_plan(plan.clone());
-        let r = run_sort(spec, 1 << 16);
+        let r = RunRequest::sort(spec, 1 << 16).execute().into_sort();
         assert!(r.verified, "{technology:?} result diverged");
         assert_eq!(
             (r.total.as_ps(), r.rejected_frames, r.faults.retransmits),
@@ -111,7 +119,7 @@ fn corruption_and_reorder_do_not_corrupt_results() {
 fn sort_survives_mid_run_card_failure() {
     let plan = FaultPlan::new(0xDEAD).with(FaultEvent::CardFailure { node: 1, at: ms(1) });
     let spec = ClusterSpec::new(4, Technology::InicIdeal).with_fault_plan(plan);
-    let r = run_sort(spec, 1 << 16);
+    let r = RunRequest::sort(spec, 1 << 16).execute().into_sort();
     assert!(r.verified, "degraded run must still sort correctly");
     assert_eq!(
         r.faults.degraded_nodes, 1,
@@ -127,7 +135,7 @@ fn sort_survives_mid_run_card_failure() {
 fn fft_survives_mid_run_card_failure() {
     let plan = FaultPlan::new(0xF0F0).with(FaultEvent::CardFailure { node: 2, at: ms(1) });
     let spec = ClusterSpec::new(4, Technology::InicIdeal).with_fault_plan(plan);
-    let r = run_fft(spec, 64);
+    let r = RunRequest::fft(spec, 64).execute().into_fft();
     assert!(r.verified, "degraded run must still compute the right FFT");
     assert_eq!(
         r.faults.degraded_nodes, 1,
@@ -149,7 +157,7 @@ fn full_restart_policy_degrades_every_rank() {
     let spec = ClusterSpec::new(4, Technology::InicIdeal)
         .with_fault_plan(plan)
         .with_recovery_policy(RecoveryPolicy::FullRestart);
-    let r = run_sort(spec, 1 << 16);
+    let r = RunRequest::sort(spec, 1 << 16).execute().into_sort();
     assert!(r.verified, "full-restart run must still sort correctly");
     assert_eq!(
         r.faults.degraded_nodes, 4,
@@ -160,7 +168,7 @@ fn full_restart_policy_degrades_every_rank() {
     let spec = ClusterSpec::new(4, Technology::InicIdeal)
         .with_fault_plan(plan)
         .with_recovery_policy(RecoveryPolicy::FullRestart);
-    let r = run_fft(spec, 64);
+    let r = RunRequest::fft(spec, 64).execute().into_fft();
     assert!(r.verified, "full-restart run must still compute the FFT");
     assert_eq!(r.faults.degraded_nodes, 4);
 }
@@ -173,7 +181,7 @@ fn rank_local_policy_degrades_one_rank() {
     let spec = ClusterSpec::new(4, Technology::InicIdeal)
         .with_fault_plan(plan)
         .with_recovery_policy(RecoveryPolicy::RankLocal);
-    let r = run_sort(spec, 1 << 16);
+    let r = RunRequest::sort(spec, 1 << 16).execute().into_sort();
     assert!(r.verified, "rank-local run must still sort correctly");
     assert_eq!(r.faults.degraded_nodes, 1);
     assert_eq!(
@@ -197,14 +205,14 @@ fn bounded_reconfigure_window_is_survived() {
             hold: SimDuration::from_millis(2),
         });
         let spec = ClusterSpec::new(4, Technology::InicIdeal).with_fault_plan(plan.clone());
-        let r = run_sort(spec, 1 << 16);
+        let r = RunRequest::sort(spec, 1 << 16).execute().into_sort();
         assert!(r.verified, "reconfigure window must not corrupt the sort");
         assert_eq!(r.faults.degraded_nodes, 0, "no rank may fail over");
         assert!(r.faults.reconfig_windows_survived >= 1);
         assert_eq!(r.faults.resumed_from_phase, None);
 
         let spec = ClusterSpec::new(4, Technology::InicIdeal).with_fault_plan(plan);
-        let r = run_fft(spec, 64);
+        let r = RunRequest::fft(spec, 64).execute().into_fft();
         assert!(r.verified, "reconfigure window must not corrupt the FFT");
         assert_eq!(r.faults.degraded_nodes, 0);
         assert!(r.faults.reconfig_windows_survived >= 1);
@@ -232,7 +240,7 @@ fn node_stall_defers_but_does_not_corrupt() {
         });
     for technology in [Technology::GigabitTcp, Technology::InicIdeal] {
         let spec = ClusterSpec::new(4, technology).with_fault_plan(plan.clone());
-        let r = run_sort(spec, 1 << 16);
+        let r = RunRequest::sort(spec, 1 << 16).execute().into_sort();
         assert!(r.verified, "{technology:?} result diverged under stall");
         assert_eq!(r.faults.degraded_nodes, 0);
         assert!(
@@ -241,7 +249,7 @@ fn node_stall_defers_but_does_not_corrupt() {
         );
     }
     let spec = ClusterSpec::new(4, Technology::InicIdeal).with_fault_plan(plan);
-    let r = run_fft(spec, 64);
+    let r = RunRequest::fft(spec, 64).execute().into_fft();
     assert!(r.verified, "FFT result diverged under stall");
     assert!(r.faults.stalled_nodes >= 1);
 }
@@ -253,7 +261,7 @@ fn node_stall_defers_but_does_not_corrupt() {
 fn armed_protocol_on_clean_links_is_quiet() {
     for technology in [Technology::GigabitTcp, Technology::InicIdeal] {
         let spec = ClusterSpec::new(4, technology).with_fault_plan(FaultPlan::new(5));
-        let r = run_sort(spec, 1 << 16);
+        let r = RunRequest::sort(spec, 1 << 16).execute().into_sort();
         assert!(r.verified);
         assert_eq!(r.faults.retransmits, 0);
         assert_eq!(r.switch_drops, 0);
@@ -271,14 +279,18 @@ fn long_lossy_gigabit_sort() -> ClusterSpec {
 
 #[test]
 fn auditor_checks_only_when_counters_move() {
-    let r = run_sort(long_lossy_gigabit_sort(), 1 << 14);
+    let r = RunRequest::sort(long_lossy_gigabit_sort(), 1 << 14)
+        .execute()
+        .into_sort();
     assert!(r.verified);
     let audit = r.audit.expect("faulted runs carry the Auditor");
     // The tick cadence is unchanged by the change-count skip: the same
     // tick count as auditing on every tick.
     assert_eq!(audit.ticks, 6_529);
     assert_eq!(audit.checks, 7);
-    let clean = run_sort(ClusterSpec::new(4, Technology::GigabitTcp), 1 << 14);
+    let clean = RunRequest::sort(ClusterSpec::new(4, Technology::GigabitTcp), 1 << 14)
+        .execute()
+        .into_sort();
     assert_eq!(clean.audit, None, "clean runs carry no Auditor");
 }
 
@@ -292,7 +304,7 @@ fn auditor_checks_only_when_counters_move() {
 #[ignore = "child half of accepted_deadline_after_done_prints_no_banner"]
 fn accepted_deadline_after_done_child() {
     let spec = ClusterSpec::new(4, Technology::GigabitTcp).with_fault_plan(lossy_plan(43, 10.0));
-    let r = run_sort(spec, 1 << 12);
+    let r = RunRequest::sort(spec, 1 << 12).execute().into_sort();
     assert!(r.verified);
 }
 

@@ -7,9 +7,9 @@
 //! re-generated; this test makes that visible instead of silent.
 
 use acc::coll::{Algorithm, CollectiveOp};
-use acc::core::cluster::{run_collective, run_fft, run_sort, ClusterSpec, Technology};
+use acc::core::cluster::{ClusterSpec, Technology};
 use acc::core::model::{FftModel, SortModel};
-use acc::core::RecoveryPolicy;
+use acc::core::{RecoveryPolicy, RunRequest};
 use acc::sim::{SimDuration, SimTime};
 use acc_chaos::{FaultEvent, FaultPlan};
 
@@ -32,9 +32,15 @@ fn simulated_scenarios_are_pinned() {
     // Full end-to-end runs; exact picosecond totals. Small sizes keep
     // this fast while still exercising the entire stack. If any of
     // these change, regenerate EXPERIMENTS.md.
-    let fft_inic = run_fft(ClusterSpec::new(4, Technology::InicIdeal), 64);
-    let fft_gige = run_fft(ClusterSpec::new(4, Technology::GigabitTcp), 64);
-    let sort_inic = run_sort(ClusterSpec::new(4, Technology::InicIdeal), 1 << 16);
+    let fft_inic = RunRequest::fft(ClusterSpec::new(4, Technology::InicIdeal), 64)
+        .execute()
+        .into_fft();
+    let fft_gige = RunRequest::fft(ClusterSpec::new(4, Technology::GigabitTcp), 64)
+        .execute()
+        .into_fft();
+    let sort_inic = RunRequest::sort(ClusterSpec::new(4, Technology::InicIdeal), 1 << 16)
+        .execute()
+        .into_sort();
     assert!(fft_inic.verified && fft_gige.verified && sort_inic.verified);
     assert_eq!(
         fft_inic.total.as_ps(),
@@ -48,7 +54,9 @@ fn simulated_scenarios_are_pinned() {
         "sort inic-ideal p4 2^16"
     );
     // Determinism: the same run repeated gives the identical total.
-    let fft_inic2 = run_fft(ClusterSpec::new(4, Technology::InicIdeal), 64);
+    let fft_inic2 = RunRequest::fft(ClusterSpec::new(4, Technology::InicIdeal), 64)
+        .execute()
+        .into_fft();
     assert_eq!(fft_inic.total.as_ps(), fft_inic2.total.as_ps());
 }
 
@@ -57,18 +65,22 @@ fn simulated_collectives_are_pinned() {
     // One bandwidth-bound and one latency-bound engine cell, on a host
     // path and the combined INIC. Same contract as the scenarios above:
     // if a number moves, a schedule or protocol change is real.
-    let ring_inic = run_collective(
+    let ring_inic = RunRequest::collective(
         ClusterSpec::new(4, Technology::InicIdeal),
         CollectiveOp::AllReduce,
         Algorithm::Ring,
         8192,
-    );
-    let rd_gige = run_collective(
+    )
+    .execute()
+    .into_coll();
+    let rd_gige = RunRequest::collective(
         ClusterSpec::new(4, Technology::GigabitTcp),
         CollectiveOp::AllReduce,
         Algorithm::RecursiveDoubling,
         256,
-    );
+    )
+    .execute()
+    .into_coll();
     assert!(ring_inic.verified && rd_gige.verified);
     assert_eq!(
         ring_inic.total.as_ps(),
@@ -81,12 +93,14 @@ fn simulated_collectives_are_pinned() {
         "allreduce rd gigabit p4 256"
     );
     // Determinism: repeating the run reproduces the total exactly.
-    let ring_inic2 = run_collective(
+    let ring_inic2 = RunRequest::collective(
         ClusterSpec::new(4, Technology::InicIdeal),
         CollectiveOp::AllReduce,
         Algorithm::Ring,
         8192,
-    );
+    )
+    .execute()
+    .into_coll();
     assert_eq!(ring_inic.total.as_ps(), ring_inic2.total.as_ps());
 }
 
@@ -107,10 +121,18 @@ fn card_kill_recoveries_are_pinned() {
     // The application drivers' failover paths, end to end. A full
     // restart abandons every card, so the healthy ones must be told the
     // peer is dead and stop retransmitting to it: no retransmits at all.
-    let fft_ckpt = run_fft(card_kill(RecoveryPolicy::Checkpointed), 64);
-    let sort_ckpt = run_sort(card_kill(RecoveryPolicy::Checkpointed), 1 << 16);
-    let fft_full = run_fft(card_kill(RecoveryPolicy::FullRestart), 64);
-    let sort_full = run_sort(card_kill(RecoveryPolicy::FullRestart), 1 << 16);
+    let fft_ckpt = RunRequest::fft(card_kill(RecoveryPolicy::Checkpointed), 64)
+        .execute()
+        .into_fft();
+    let sort_ckpt = RunRequest::sort(card_kill(RecoveryPolicy::Checkpointed), 1 << 16)
+        .execute()
+        .into_sort();
+    let fft_full = RunRequest::fft(card_kill(RecoveryPolicy::FullRestart), 64)
+        .execute()
+        .into_fft();
+    let sort_full = RunRequest::sort(card_kill(RecoveryPolicy::FullRestart), 1 << 16)
+        .execute()
+        .into_sort();
     for (name, verified, total, faults, ps) in [
         (
             "fft checkpointed",
@@ -162,12 +184,24 @@ fn exchange_paths_are_pinned() {
     // relay of the protocol-only mode, the prototype's 16-bucket card
     // gather, and the mixed-technology side legs of rank-local recovery
     // without checkpoints.
-    let sort_gige = run_sort(ClusterSpec::new(4, Technology::GigabitTcp), 1 << 16);
-    let fft_proto = run_fft(ClusterSpec::new(4, Technology::InicProtocol), 64);
-    let sort_proto = run_sort(ClusterSpec::new(4, Technology::InicProtocol), 1 << 16);
-    let sort_aceii = run_sort(ClusterSpec::new(4, Technology::InicPrototype), 1 << 16);
-    let fft_local = run_fft(card_kill(RecoveryPolicy::RankLocal), 64);
-    let sort_local = run_sort(card_kill(RecoveryPolicy::RankLocal), 1 << 16);
+    let sort_gige = RunRequest::sort(ClusterSpec::new(4, Technology::GigabitTcp), 1 << 16)
+        .execute()
+        .into_sort();
+    let fft_proto = RunRequest::fft(ClusterSpec::new(4, Technology::InicProtocol), 64)
+        .execute()
+        .into_fft();
+    let sort_proto = RunRequest::sort(ClusterSpec::new(4, Technology::InicProtocol), 1 << 16)
+        .execute()
+        .into_sort();
+    let sort_aceii = RunRequest::sort(ClusterSpec::new(4, Technology::InicPrototype), 1 << 16)
+        .execute()
+        .into_sort();
+    let fft_local = RunRequest::fft(card_kill(RecoveryPolicy::RankLocal), 64)
+        .execute()
+        .into_fft();
+    let sort_local = RunRequest::sort(card_kill(RecoveryPolicy::RankLocal), 1 << 16)
+        .execute()
+        .into_sort();
     for (name, verified, total, interrupts, ps, irqs) in [
         (
             "sort gigabit p4 2^16",

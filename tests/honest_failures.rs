@@ -2,7 +2,8 @@
 //! the real hardware could not run, rather than silently producing
 //! numbers for them.
 
-use acc::core::cluster::{run_fft, ClusterSpec, Technology};
+use acc::core::cluster::{ClusterSpec, Technology};
+use acc::core::RunRequest;
 
 #[test]
 #[should_panic(expected = "card memory exhausted")]
@@ -13,7 +14,7 @@ fn prototype_card_rejects_partitions_beyond_its_memory() {
     // not fake a timing.
     let mut spec = ClusterSpec::new(2, Technology::InicPrototype);
     spec.verify = false;
-    run_fft(spec, 1024);
+    RunRequest::fft(spec, 1024).execute().into_fft();
 }
 
 #[test]
@@ -21,18 +22,22 @@ fn ideal_card_handles_the_same_partition() {
     // Same scenario on the next-generation card (64 MiB) is fine.
     let mut spec = ClusterSpec::new(2, Technology::InicIdeal);
     spec.verify = false;
-    let r = run_fft(spec, 1024);
+    let r = RunRequest::fft(spec, 1024).execute().into_fft();
     assert!(r.total.as_millis_f64() > 0.0);
 }
 
 #[test]
 #[should_panic(expected = "P must divide rows")]
 fn fft_rejects_indivisible_node_counts() {
-    run_fft(ClusterSpec::new(3, Technology::GigabitTcp), 64);
+    RunRequest::fft(ClusterSpec::new(3, Technology::GigabitTcp), 64)
+        .execute()
+        .into_fft();
 }
 
 #[test]
 #[should_panic(expected = "power of two")]
 fn fft_rejects_non_power_of_two_matrices() {
-    run_fft(ClusterSpec::new(2, Technology::GigabitTcp), 96);
+    RunRequest::fft(ClusterSpec::new(2, Technology::GigabitTcp), 96)
+        .execute()
+        .into_fft();
 }

@@ -6,15 +6,18 @@
 //! track the simulated ideal INIC within a factor band across the
 //! processor sweep, and to order technologies identically.
 
-use acc::core::cluster::{run_fft, run_sort, ClusterSpec, Technology};
+use acc::core::cluster::{ClusterSpec, Technology};
 use acc::core::model::{FftModel, SortModel};
+use acc::core::RunRequest;
 
 #[test]
 fn fft_transpose_model_tracks_simulated_inic() {
     let rows = 256;
     let model = FftModel::new(rows);
     for p in [2usize, 4, 8] {
-        let sim = run_fft(ClusterSpec::new(p, Technology::InicIdeal), rows)
+        let sim = RunRequest::fft(ClusterSpec::new(p, Technology::InicIdeal), rows)
+            .execute()
+            .into_fft()
             .transpose
             .as_secs_f64();
         let analytic = model.t_trans(p).as_secs_f64();
@@ -33,7 +36,9 @@ fn fft_model_and_sim_agree_on_scaling_direction() {
     let mut prev_sim = f64::MAX;
     let mut prev_model = f64::MAX;
     for p in [2usize, 4, 8] {
-        let sim = run_fft(ClusterSpec::new(p, Technology::InicIdeal), rows)
+        let sim = RunRequest::fft(ClusterSpec::new(p, Technology::InicIdeal), rows)
+            .execute()
+            .into_fft()
             .transpose
             .as_secs_f64();
         let analytic = model.t_trans(p).as_secs_f64();
@@ -57,7 +62,9 @@ fn sort_redistribution_model_tracks_simulated_inic() {
     let total = 1u64 << 24;
     let model = SortModel::new(total);
     for p in [2usize, 4] {
-        let sim = run_sort(ClusterSpec::new(p, Technology::InicIdeal), total)
+        let sim = RunRequest::sort(ClusterSpec::new(p, Technology::InicIdeal), total)
+            .execute()
+            .into_sort()
             .comm
             .as_secs_f64();
         let analytic = model.t_inic(p).as_secs_f64();
@@ -74,7 +81,9 @@ fn count_sort_model_matches_simulated_count_phase() {
     let total = 1u64 << 20;
     let model = SortModel::new(total);
     for p in [2usize, 4, 8] {
-        let sim = run_sort(ClusterSpec::new(p, Technology::InicIdeal), total)
+        let sim = RunRequest::sort(ClusterSpec::new(p, Technology::InicIdeal), total)
+            .execute()
+            .into_sort()
             .count
             .as_secs_f64();
         let analytic = model.t_countsort(p).as_secs_f64();
@@ -96,7 +105,6 @@ fn count_sort_model_matches_simulated_count_phase() {
 #[test]
 fn collective_model_bounds_every_cell_within_2x() {
     use acc::coll::CollectiveOp;
-    use acc::core::cluster::run_collective;
     use acc::core::model::CollModel;
     let p = 4;
     let elems = 1 << 13;
@@ -107,7 +115,9 @@ fn collective_model_bounds_every_cell_within_2x() {
             }
             let model = CollModel::collective(op, algo, p, elems);
             for tech in Technology::ALL {
-                let sim = run_collective(ClusterSpec::new(p, tech), op, algo, elems)
+                let sim = RunRequest::collective(ClusterSpec::new(p, tech), op, algo, elems)
+                    .execute()
+                    .into_coll()
                     .total
                     .as_secs_f64();
                 let analytic = model.total(tech).as_secs_f64();
@@ -128,7 +138,6 @@ fn collective_model_bounds_every_cell_within_2x() {
 #[test]
 fn collective_model_extrapolates_to_more_ranks() {
     use acc::coll::{Algorithm, CollectiveOp};
-    use acc::core::cluster::run_collective;
     use acc::core::model::CollModel;
     let p = 8;
     let elems = 1 << 13;
@@ -143,7 +152,9 @@ fn collective_model_extrapolates_to_more_ranks() {
             Technology::InicIdeal,
             Technology::InicProtocol,
         ] {
-            let sim = run_collective(ClusterSpec::new(p, tech), op, algo, elems)
+            let sim = RunRequest::collective(ClusterSpec::new(p, tech), op, algo, elems)
+                .execute()
+                .into_coll()
                 .total
                 .as_secs_f64();
             let analytic = model.total(tech).as_secs_f64();
