@@ -21,9 +21,6 @@ pub struct OffloadPlan {
     /// The bitstream to configure (already CLB-checked against the
     /// target device).
     pub bitstream: Bitstream,
-    /// Router fan-out the plan was sized for (0 on the protocol-only
-    /// path, which needs no per-destination steering logic).
-    pub router_ways: usize,
     /// Whether the schedule folds `Sum` rounds on the card.
     pub needs_reduce: bool,
 }
@@ -77,19 +74,18 @@ pub fn plan(
     mode: InicMode,
     device: &FpgaDevice,
 ) -> Result<OffloadPlan, OffloadError> {
-    let (bitstream, router_ways, reduce) = match mode {
+    let (bitstream, reduce) = match mode {
         // Protocol processing only: the host performs every data
         // manipulation, the card just strips the protocol tax.
-        InicMode::ProtocolProcessor => (Bitstream::protocol_only(), 0, false),
+        InicMode::ProtocolProcessor => (Bitstream::protocol_only(), false),
         InicMode::ComputeAccelerator | InicMode::Combined => {
             let reduce = needs_reduce(schedule);
-            (Bitstream::collective(p, reduce), p, reduce)
+            (Bitstream::collective(p, reduce), reduce)
         }
     };
     match bitstream.check(device) {
         Ok(()) => Ok(OffloadPlan {
             bitstream,
-            router_ways,
             needs_reduce: reduce,
         }),
         Err(ConfigError::InsufficientLogic {
@@ -106,6 +102,7 @@ pub fn plan(
 mod tests {
     use super::*;
     use crate::{build, Algorithm, CollectiveOp};
+    use acc_fpga::OperatorKind;
 
     #[test]
     fn reduce_stage_tracks_the_schedule() {
@@ -130,7 +127,7 @@ mod tests {
             let s = build(CollectiveOp::AllReduce, Algorithm::Ring, 0, p, 64 * p);
             let plan = plan(&s, p, InicMode::Combined, &device)
                 .unwrap_or_else(|e| panic!("p={p} should fit the prototype card: {e}"));
-            assert_eq!(plan.router_ways, p);
+            assert!(plan.bitstream.has(OperatorKind::StreamRouter { ways: p }));
         }
     }
 
@@ -161,7 +158,11 @@ mod tests {
             &FpgaDevice::xc4085xla(),
         )
         .expect("protocol-only always fits");
-        assert_eq!(plan.router_ways, 0);
+        assert!(!plan
+            .bitstream
+            .operators()
+            .iter()
+            .any(|o| matches!(o.kind, OperatorKind::StreamRouter { .. })));
         assert!(!plan.needs_reduce);
     }
 }

@@ -1,45 +1,52 @@
-//! The Intelligent NIC card component.
+//! The INIC card's protocol engine.
 //!
 //! One [`InicCard`] per node replaces the TCP stack of the commodity
-//! path. The host driver (in `acc-core`) interacts with it through four
-//! messages:
+//! path. The paper draws the card datapath as protocol blocks around
+//! application operators (Figs 2(b), 3(b), 7). This module is the
+//! protocol blocks; the operators are methods on [`ScatterKind`] and
+//! [`GatherKind`] in `datapath.rs`, and the engine keeps no per-kind
+//! code. The engine owns timing, flow control (a per-destination
+//! [`CREDIT_WINDOW`]), the reliability protocol (stream ACKs, gap NACKs,
+//! timeout retransmission), dark windows ([`InicReconfigure`]), death
+//! and recovery ([`InicKill`], [`InicRecover`]), card memory (a gather's
+//! reservation is taken when it is announced and given back at
+//! completion or abort), and host DMA with one completion interrupt per
+//! gather — "virtual elimination of interrupts" (Section 4.1).
+//!
+//! The host driver (in `acc-core`) talks to it through four messages:
 //!
 //! * [`InicConfigure`] — load a bitstream (checked against the device's
 //!   CLB capacity; the prototype *cannot* load the 128-bucket sorter).
 //! * [`InicScatter`] — hand over a local partition; the card streams it
-//!   host→FPGA, applies the send-side operator (block transpose or
-//!   bucket distribution), packetizes and transmits each piece to its
-//!   destination node. Transmission starts as soon as one packet's worth
-//!   of a destination's data exists — the "no computational cost for
-//!   starting a send" property of Section 3.2.2.
+//!   host→FPGA, applies the send-side operator, packetizes and
+//!   transmits each piece to its destination node as soon as one
+//!   packet's worth exists — the "no computational cost for starting a
+//!   send" property of Section 3.2.2.
 //! * [`InicExpect`] — announce the inbound streams of an all-to-all.
-//! * incoming frames — de-packetized, transformed (interleave/bucket)
-//!   and accumulated in INIC memory; bucket gathers DMA to the host in
-//!   64 KiB pieces as thresholds fill (Eq. 15), interleave gathers DMA
-//!   once all data is present (Eq. 9). One completion interrupt per
-//!   gather — "virtual elimination of interrupts" (Section 4.1).
+//! * incoming frames — de-packetized, transformed by the receive-side
+//!   operator and accumulated in INIC memory until one
+//!   [`InicGatherComplete`] delivers the gather.
 //!
-//! Timing flows through [`EngineTimeline`]s. The **ideal** card has four
-//! independent engines (host-in/out at 80 MiB/s, net-in/out at
-//! 90 MiB/s — the Eq. 6–9 rates); the **prototype** funnels all four
-//! directions through a single 132 MB/s timeline, reproducing the ACEII
-//! bottleneck. Data transforms are *functional*: the bytes delivered to
-//! the host are checked against host-side oracles in tests.
+//! Timing flows through [`EngineTimeline`]s. The ideal card
+//! ([`CardPorts::ideal`]) has four independent engines (host-in/out at
+//! 80 MiB/s, net-in/out at 90 MiB/s — the Eq. 6–9 rates); the prototype
+//! ([`CardPorts::aceii`]) funnels all four directions through one
+//! 132 MB/s timeline, reproducing the ACEII bottleneck. Both transform
+//! stages stream at the bitstream's [`Bitstream::min_rate`]. Data
+//! transforms are *functional*: the bytes delivered to the host are
+//! checked against host-side oracles in tests.
 
 use std::any::Any;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-use acc_algos::sort::{bucket_flat, bucket_shift, destination_of};
-use acc_algos::transpose::{
-    bytes_to_slab, extract_transposed_block, interleave_block, slab_to_bytes,
-};
 use acc_net::port::EgressPort;
 use acc_net::{EtherType, Frame, FrameArrival, MacAddr, PayloadView, PortTxDone};
-use acc_proto::{packetize_view, InicPacket, StreamDemux, INIC_HEADER, INIC_PAYLOAD};
+use acc_proto::{InicPacket, StreamDemux, INIC_HEADER};
 use acc_sim::{
     Bandwidth, Component, ComponentId, CounterHandle, Ctx, DataSize, SimDuration, SimTime,
 };
 
+use crate::datapath::{GatherKind, ScatterKind};
 use crate::device::{Bitstream, ConfigError, FpgaDevice};
 use crate::ops::OperatorKind;
 use crate::timeline::EngineTimeline;
@@ -53,12 +60,9 @@ pub const DMA_THRESHOLD: u64 = 65_536;
 /// P−1 ≤ 15 senders converging on one receiver, 24 KiB per sender keeps
 /// the switch's 512 KiB output buffer from overflowing even under
 /// pathological skew — the guarantee the paper gets from its balanced
-/// schedule, generalised to unbalanced traffic.
+/// schedule, generalised to unbalanced traffic. The receiver returns
+/// credit in quarters of the window (`InicCard::credit_quantum`).
 pub const CREDIT_WINDOW: u64 = 24 * 1024;
-
-/// The receiver returns a credit packet after consuming this many bytes
-/// from one sender.
-pub const CREDIT_QUANTUM: u64 = CREDIT_WINDOW / 4;
 
 /// Base retransmission timeout when protocol recovery is enabled. The
 /// timer only penalises a stream when no flow-control credit arrived
@@ -137,78 +141,6 @@ impl CardPorts {
             CardPorts::Shared { bus } => bus.reserve(now, bytes),
         }
     }
-}
-
-/// The send-side transform of a scatter.
-#[derive(Clone, Debug)]
-pub enum ScatterKind {
-    /// FFT transpose: the data is an `M × rows` slab; block `q`
-    /// (transposed on the fly) goes to destination `q`.
-    TransposeBlocks {
-        /// Block edge (rows per processor).
-        m: usize,
-    },
-    /// Integer sort: the data is a key stream; key `k` goes to
-    /// destination `bucket_index(k, p)` — or, when `splitters` is set,
-    /// to the rank whose sampled key range contains it. The splitter
-    /// table is a small comparator cascade on the card (the pre-sort
-    /// sampling extension for non-uniform keys).
-    BucketKeys {
-        /// Number of destinations (processors).
-        p: usize,
-        /// Optional `p − 1` range splitters (ascending).
-        splitters: Option<Vec<u32>>,
-    },
-    /// No transform: the host already prepared every part, and the
-    /// card only packetizes and transmits (protocol-processor mode, and
-    /// the collective engine's schedule rounds). `parts` names
-    /// `(rank, byte length)` pairs and `data` is the concatenation of
-    /// the parts in listed order; a host exchange lists every rank in
-    /// ring order (own rank first, then `rank+1`, `rank+2`, …). A
-    /// zero-length part to a remote rank is a lone fin packet, so the
-    /// receiver learns a zero total; a rank not listed gets nothing —
-    /// the engine's schedules omit zero-length transfers on both sides,
-    /// and a fin to a peer that expects nothing would poison its stream
-    /// demux. A part addressed to our own rank loops back through card
-    /// memory (the reduce accumulator's own contribution).
-    Unicast {
-        /// `(destination rank, byte length)`, ranks distinct, a length
-        /// of 0 only for a remote rank; `data` is the parts'
-        /// concatenation in this order.
-        parts: Vec<(u32, usize)>,
-    },
-}
-
-/// The receive-side transform and DMA policy of a gather.
-#[derive(Clone, Copy, Debug)]
-pub enum GatherKind {
-    /// FFT transpose receive: interleave each source's `M × M` block
-    /// into column-block position `src` of the output slab; DMA the slab
-    /// to the host only once complete (Eq. 9).
-    InterleaveBlocks {
-        /// Block edge.
-        m: usize,
-        /// Output slab width (= m × P).
-        rows: usize,
-    },
-    /// Sort receive: distribute incoming keys into `k` on-card buckets;
-    /// DMA to the host in 64 KiB pieces as data accumulates (Eq. 15).
-    BucketKeys {
-        /// On-card bucket count (16 on the prototype, ≥128 ideal).
-        k: usize,
-    },
-    /// Protocol-processor mode: no transform; streams trickle to the
-    /// host as they arrive and are delivered per source (the
-    /// `bucket_bounds` of [`InicGatherComplete`] carry the per-source
-    /// end offsets, ordered by source rank).
-    Raw,
-    /// Collective extension: element-wise sum of every source's f64
-    /// vector in card memory; only the reduced vector crosses to the
-    /// host (the receive half of AllReduce).
-    ReduceF64 {
-        /// Vector length in elements.
-        elems: usize,
-    },
 }
 
 /// Driver → card: load a bitstream.
@@ -386,45 +318,36 @@ impl TxStream {
             credit_mark: 0,
         }
     }
+
+    /// Arm a new timer generation, firing after `delay`; every earlier
+    /// generation goes stale.
+    fn rearm(&mut self, dest: MacAddr, stream: u32, delay: SimDuration, ctx: &mut Ctx) {
+        self.gen += 1;
+        let timer = RetransTimer {
+            dest,
+            stream,
+            gen: self.gen,
+        };
+        ctx.self_in(delay, timer);
+    }
 }
 
 /// Per-gather receive state.
 struct Gather {
     kind: GatherKind,
+    /// Card memory reserved at announcement, given back when the
+    /// gather is taken (completion or abort).
+    reservation: u64,
     /// Streams still open.
     remaining: usize,
     /// Completed per-source payloads (src_rank → bytes).
     done: Vec<(u32, Vec<u8>)>,
-    /// Bytes received but not yet DMA'd to the host (bucket gathers).
+    /// Bytes received but not yet DMA'd to the host (trickling gathers).
     undma: u64,
     /// Completion time of the last host-out DMA issued for this gather.
     dma_done_at: SimTime,
     /// Whether final assembly has been scheduled.
     finishing: bool,
-}
-
-/// Sum the sources' little-endian f64 vectors elementwise, in place in
-/// the first source's buffer, and hand that buffer over as the result.
-/// `done` is in rank order and every vector has the same length. Each
-/// element is folded in one pass as `((0.0 + s₀) + s₁) + …`, the same
-/// rank-ordered arithmetic as a zeroed accumulator (the leading `0.0 +`
-/// turns a −0.0 sum into +0.0), with no scratch vector. With no source
-/// the result is `elems` zeros.
-fn fold_f64_in_place(done: &mut [(u32, Vec<u8>)], elems: usize) -> Vec<u8> {
-    let Some(((_, out), rest)) = done.split_first_mut() else {
-        return vec![0; elems * 8];
-    };
-    let word = |bytes: &[u8], at: usize| {
-        f64::from_le_bytes(bytes[at..at + 8].try_into().expect("8-byte f64"))
-    };
-    for (at, slot) in (0..).step_by(8).zip(out.chunks_exact_mut(8)) {
-        let mut v = 0.0 + word(slot, 0);
-        for (_, bytes) in rest.iter() {
-            v += word(bytes, at);
-        }
-        slot.copy_from_slice(&v.to_le_bytes());
-    }
-    std::mem::take(out)
 }
 
 /// The INIC card component (NIC + FPGA datapath).
@@ -484,7 +407,8 @@ pub struct InicCard {
     /// Data packets retransmitted (timeout blasts + NACK repairs).
     retransmits: u64,
     /// Per-destination flow-control window (defaults to
-    /// [`CREDIT_WINDOW`]; the credit-window ablation sweeps it).
+    /// [`CREDIT_WINDOW`]; the credit-window ablation sweeps it). The
+    /// receiver's credit step is `credit_quantum`.
     credit_window: u64,
     /// Un-credited payload bytes in flight per destination MAC.
     outstanding: BTreeMap<MacAddr, u64>,
@@ -492,8 +416,8 @@ pub struct InicCard {
     pending_credit: BTreeMap<MacAddr, u64>,
     /// Cost of the single completion interrupt per gather.
     completion_interrupt: SimDuration,
-    /// Bytes of card memory currently committed (scatter staging +
-    /// gather accumulation).
+    /// Bytes of card memory currently reserved by announced gathers
+    /// (scatter data streams through and reserves none).
     mem_in_use: u64,
     interrupts_raised: u64,
     /// Per-packet counter handles (`gather_bytes_in`,
@@ -525,7 +449,7 @@ impl InicCard {
             bitstream: None,
             ports,
             // Until configured, transforms run at a placeholder rate;
-            // configure() resets these from the bitstream.
+            // on_configure resets these from the bitstream.
             xform_send: EngineTimeline::new(Bandwidth::from_mib_per_sec(300), SimDuration::ZERO),
             xform_recv: EngineTimeline::new(Bandwidth::from_mib_per_sec(300), SimDuration::ZERO),
             send_queue: VecDeque::new(),
@@ -585,6 +509,13 @@ impl InicCard {
         self
     }
 
+    /// The receiver returns a credit packet to a sender once it has
+    /// consumed this many of its bytes (or on the stream's fin): a
+    /// quarter of the flow-control window.
+    fn credit_quantum(&self) -> u64 {
+        self.credit_window / 4
+    }
+
     /// Completion interrupts raised so far (the paper's "single
     /// interrupt per transpose" claim is asserted against this).
     pub fn interrupts_raised(&self) -> u64 {
@@ -619,79 +550,24 @@ impl InicCard {
     // ---- scatter (send) path ----
 
     fn on_scatter(&mut self, scatter: InicScatter, ctx: &mut Ctx) {
-        {
-            let bs = self
-                .bitstream
-                .as_ref()
-                .expect("scatter before configuration");
-            assert!(bs.has(OperatorKind::Packetize), "bitstream lacks Packetize");
-            match &scatter.kind {
-                ScatterKind::TransposeBlocks { m } => assert!(
-                    bs.has(OperatorKind::LocalTranspose { m: *m }),
-                    "bitstream lacks LocalTranspose{{{m}}}"
-                ),
-                ScatterKind::BucketKeys { p, splitters } => {
-                    assert!(
-                        bs.operators().iter().any(|o| matches!(
-                            o.kind,
-                            OperatorKind::BucketSort { k } if k >= *p
-                        )),
-                        "bitstream lacks a BucketSort wide enough for P={p}"
-                    );
-                    if let Some(sp) = splitters {
-                        assert_eq!(sp.len() + 1, *p, "need P-1 splitters");
-                        assert!(
-                            sp.windows(2).all(|w| w[0] <= w[1]),
-                            "splitters must be ascending"
-                        );
-                    }
-                }
-                ScatterKind::Unicast { parts } => {
-                    assert!(!parts.is_empty(), "unicast scatter with no parts");
-                    let mut ranks = BTreeSet::new();
-                    assert!(
-                        parts
-                            .iter()
-                            .all(|&(q, len)| (q as usize) < scatter.dests.len()
-                                && (len > 0 || q != self.my_rank)
-                                && ranks.insert(q)),
-                        "unicast parts must name distinct in-range ranks, with a payload \
-                         for our own"
-                    );
-                    assert_eq!(
-                        parts.iter().map(|&(_, len)| len).sum::<usize>(),
-                        scatter.data.len(),
-                        "unicast parts must cover the data exactly"
-                    );
-                }
-            }
-        }
+        let bs = self
+            .bitstream
+            .as_ref()
+            .expect("scatter before configuration");
+        assert!(bs.has(OperatorKind::Packetize), "bitstream lacks Packetize");
+        let p = scatter.dests.len();
+        scatter.kind.check(bs, self.my_rank, p, scatter.data.len());
         // Scatter data is streamed, never resident: only a FIFO's worth
         // of packets occupies card memory at any instant, so no
         // reservation is taken against the device's memory budget.
         // Packets cut from the host buffer view it rather than copy it.
-        let InicScatter {
-            stream,
-            kind,
-            data,
-            dests,
-        } = scatter;
-        let data = PayloadView::new(data);
-        let p = dests.len();
-        let chunks: Vec<(Option<MacAddr>, InicPacket)> = match &kind {
-            ScatterKind::TransposeBlocks { m } => {
-                self.plan_transpose_scatter(stream, &data, &dests, *m)
-            }
-            ScatterKind::BucketKeys { p: kp, splitters } => {
-                assert_eq!(*kp, p, "bucket fan-out must match dests");
-                self.plan_bucket_scatter(stream, &data, &dests, splitters.as_deref())
-            }
-            ScatterKind::Unicast { parts } => {
-                self.plan_unicast_scatter(stream, &data, &dests, parts)
-            }
-        };
+        let data = PayloadView::new(scatter.data);
+        let chunks = scatter.kind.plan(self.my_rank, scatter.stream, &data, p);
         let n = chunks.len();
-        for (i, (dest, pkt)) in chunks.into_iter().enumerate() {
+        for (i, (q, pkt)) in chunks.into_iter().enumerate() {
+            // Our own rank loops back through card memory; every other
+            // rank is its MAC.
+            let dest = (q != self.my_rank as usize).then(|| scatter.dests[q]);
             self.send_queue.push_back(SendChunk {
                 dest,
                 pkt,
@@ -701,110 +577,23 @@ impl InicCard {
         self.admit_next_chunk(ctx);
     }
 
-    /// Where a packet for rank `q` goes: `None` loops back through card
-    /// memory (our own rank), otherwise the rank's MAC.
-    fn route(&self, dests: &[MacAddr], q: usize) -> Option<MacAddr> {
-        (q != self.my_rank as usize).then(|| dests[q])
-    }
-
-    /// Cut an FFT slab into per-destination transposed blocks.
-    fn plan_transpose_scatter(
-        &self,
-        stream: u32,
-        data: &[u8],
-        dests: &[MacAddr],
-        m: usize,
-    ) -> Vec<(Option<MacAddr>, InicPacket)> {
-        let p = dests.len();
-        let elem = 16;
-        let total_elems = data.len() / elem;
-        let rows = total_elems / m;
-        assert_eq!(rows, m * p, "slab shape inconsistent with dests");
-        let slab = bytes_to_slab(data, m, rows);
-        let mut out = Vec::new();
-        // Destinations in ring-schedule order: start with our own block
-        // (it never touches the wire), then (rank+1), (rank+2), …
-        for step in 0..p {
-            let q = (self.my_rank as usize + step) % p;
-            let block = PayloadView::new(slab_to_bytes(&extract_transposed_block(&slab, q)));
-            let dest = self.route(dests, q);
-            for pkt in packetize_view(self.my_rank, stream, &block) {
-                out.push((dest, pkt));
+    /// Drop `chunk` if it is aimed at a dead peer or belongs to an
+    /// aborted collective, instead of letting it hold a window that can
+    /// never reopen; the scatter still completes. Returns whether it
+    /// was dropped.
+    fn drop_if_doomed(&self, chunk: &SendChunk, ctx: &mut Ctx) -> bool {
+        let doomed = self.canceled.contains(&chunk.pkt.stream)
+            || chunk.dest.is_some_and(|mac| self.dead_peers.contains(&mac));
+        if doomed {
+            ctx.stats()
+                .counter(&self.label, "chunks_dropped_dead")
+                .inc();
+            if chunk.ends_scatter {
+                let stream = chunk.pkt.stream;
+                ctx.send_now(self.app, InicScatterDone { stream });
             }
         }
-        out
-    }
-
-    /// Route keys, in their wire form, to their destination ranks,
-    /// emitting each packet as soon as a destination's staging buffer
-    /// fills (one-packet threshold).
-    fn plan_bucket_scatter(
-        &self,
-        stream: u32,
-        data: &[u8],
-        dests: &[MacAddr],
-        splitters: Option<&[u32]>,
-    ) -> Vec<(Option<MacAddr>, InicPacket)> {
-        let p = dests.len();
-        assert_eq!(data.len() % 4, 0, "key stream holds a partial key");
-        let dest_of = destination_of(p, splitters);
-        let mut staging: Vec<Vec<u8>> = (0..p).map(|_| Vec::with_capacity(INIC_PAYLOAD)).collect();
-        let mut offsets: Vec<u32> = vec![0; p];
-        let mut out = Vec::new();
-        let mut emit = |q: usize, bytes: Vec<u8>, fin: bool| {
-            let pkt = InicPacket {
-                src_rank: self.my_rank,
-                stream,
-                offset: offsets[q],
-                fin,
-                credit: false,
-                nack: false,
-                ack: false,
-                busy: false,
-                data: PayloadView::new(bytes),
-            };
-            offsets[q] += pkt.data.len() as u32;
-            out.push((self.route(dests, q), pkt));
-        };
-        for wire in data.chunks_exact(4) {
-            let q = dest_of(u32::from_le_bytes(wire.try_into().expect("4-byte key")));
-            staging[q].extend_from_slice(wire);
-            if staging[q].len() == INIC_PAYLOAD {
-                let full = std::mem::replace(&mut staging[q], Vec::with_capacity(INIC_PAYLOAD));
-                emit(q, full, false);
-            }
-        }
-        // Flush every destination with a fin packet (possibly empty) so
-        // receivers learn the totals.
-        for (q, rest) in staging.into_iter().enumerate() {
-            emit(q, rest, true);
-        }
-        out
-    }
-
-    /// Cut host-prepared per-destination parts into packets in listed
-    /// order, without any transform. A zero-length part is one empty fin
-    /// packet, so the final chunk — and with it the `InicScatterDone` —
-    /// always exists.
-    fn plan_unicast_scatter(
-        &self,
-        stream: u32,
-        data: &PayloadView,
-        dests: &[MacAddr],
-        parts: &[(u32, usize)],
-    ) -> Vec<(Option<MacAddr>, InicPacket)> {
-        let mut out = Vec::new();
-        let mut offset = 0usize;
-        for &(q, len) in parts {
-            let segment = data.subview(offset, offset + len);
-            offset += len;
-            let dest = self.route(dests, q as usize);
-            for pkt in packetize_view(self.my_rank, stream, &segment) {
-                out.push((dest, pkt));
-            }
-        }
-        assert_eq!(offset, data.len(), "unicast parts did not consume data");
-        out
+        doomed
     }
 
     fn admit_next_chunk(&mut self, ctx: &mut Ctx) {
@@ -818,38 +607,19 @@ impl InicCard {
         let mut scanned = 0usize;
         let mut total = self.send_queue.len();
         while scanned < total {
-            // Chunks aimed at a dead peer or belonging to an aborted
-            // collective are dropped here instead of holding a window
-            // that can never reopen.
-            let doomed = {
-                let chunk = self.send_queue.front().expect("scanned < len");
-                self.canceled.contains(&chunk.pkt.stream)
-                    || chunk.dest.is_some_and(|mac| self.dead_peers.contains(&mac))
-            };
-            if doomed {
-                let chunk = self.send_queue.pop_front().expect("checked");
-                ctx.stats()
-                    .counter(&self.label, "chunks_dropped_dead")
-                    .inc();
-                if chunk.ends_scatter {
-                    let stream = chunk.pkt.stream;
-                    ctx.send_now(self.app, InicScatterDone { stream });
-                }
+            let chunk = self.send_queue.pop_front().expect("scanned < len");
+            if self.drop_if_doomed(&chunk, ctx) {
                 total -= 1;
                 continue;
             }
-            let admissible = {
-                let chunk = self.send_queue.front().expect("scanned < len");
-                match chunk.dest {
-                    None => true,
-                    Some(mac) => {
-                        let inflight = self.outstanding.get(&mac).copied().unwrap_or(0);
-                        inflight + chunk.pkt.data.len() as u64 <= self.credit_window
-                    }
+            let admissible = match chunk.dest {
+                None => true,
+                Some(mac) => {
+                    let inflight = self.outstanding.get(&mac).copied().unwrap_or(0);
+                    inflight + chunk.pkt.data.len() as u64 <= self.credit_window
                 }
             };
             if admissible {
-                let chunk = self.send_queue.front().expect("checked");
                 if let Some(mac) = chunk.dest {
                     let inflight = self.outstanding.entry(mac).or_insert(0);
                     *inflight += chunk.pkt.data.len() as u64;
@@ -859,14 +629,15 @@ impl InicCard {
                     }
                 }
                 let bytes = DataSize::from_bytes((chunk.pkt.data.len() + INIC_HEADER) as u64);
+                // The admitted chunk stays at the front until staged.
+                self.send_queue.push_front(chunk);
                 self.host_in_busy = true;
                 let t1 = self.ports.host_in(ctx.now(), bytes);
                 let t2 = self.xform_send.reserve(t1, bytes);
                 ctx.self_in(t2.since(ctx.now()), ChunkStaged);
                 return;
             }
-            let blocked = self.send_queue.pop_front().expect("checked");
-            self.send_queue.push_back(blocked);
+            self.send_queue.push_back(chunk);
             scanned += 1;
         }
         // Every queued destination is window-blocked; a returning
@@ -880,21 +651,12 @@ impl InicCard {
             .pop_front()
             .expect("ChunkStaged with empty queue");
         // The destination died (or the collective was aborted) while
-        // this chunk crossed host→card DMA: return its window charge
-        // and drop it on the floor.
-        if self.canceled.contains(&chunk.pkt.stream)
-            || chunk.dest.is_some_and(|mac| self.dead_peers.contains(&mac))
-        {
+        // this chunk crossed host→card DMA: drop it and return its
+        // window charge.
+        if self.drop_if_doomed(&chunk, ctx) {
             if let Some(mac) = chunk.dest {
                 let entry = self.outstanding.entry(mac).or_insert(0);
                 *entry = entry.saturating_sub(chunk.pkt.data.len() as u64);
-            }
-            ctx.stats()
-                .counter(&self.label, "chunks_dropped_dead")
-                .inc();
-            if chunk.ends_scatter {
-                let stream = chunk.pkt.stream;
-                ctx.send_now(self.app, InicScatterDone { stream });
             }
             self.admit_next_chunk(ctx);
             return;
@@ -905,15 +667,11 @@ impl InicCard {
             dest,
             pkt,
             ends_scatter,
-            ..
         } = chunk;
         let stream = pkt.stream;
-        let bytes = DataSize::from_bytes((pkt.data.len() + INIC_HEADER) as u64);
         match dest {
             Some(mac) => {
-                let t3 = self.ports.net_out(ctx.now(), bytes);
-                let frame = self.frame_for(mac, &pkt);
-                ctx.self_in(t3.since(ctx.now()), EmitFrame { frame });
+                let t3 = self.emit(mac, &pkt, ctx);
                 if self.reliability {
                     // Keep the packet (a view: no copy) until the
                     // receiver ACKs the stream, and make sure a
@@ -925,14 +683,7 @@ impl InicCard {
                     entry.pending.insert(pkt.offset, pkt);
                     if !entry.armed {
                         entry.armed = true;
-                        entry.gen += 1;
-                        let timer = RetransTimer {
-                            dest: mac,
-                            stream,
-                            gen: entry.gen,
-                        };
-                        let timeout = entry.timeout;
-                        ctx.self_in(timeout, timer);
+                        entry.rearm(mac, stream, entry.timeout, ctx);
                     }
                 }
                 if ends_scatter {
@@ -941,6 +692,7 @@ impl InicCard {
             }
             None => {
                 // Local loopback: pass straight to the receive transform.
+                let bytes = DataSize::from_bytes((pkt.data.len() + INIC_HEADER) as u64);
                 let t3 = self.xform_recv.reserve(ctx.now(), bytes);
                 ctx.self_in(t3.since(ctx.now()), RecvProcessed { pkt, src_mac: None });
                 if ends_scatter {
@@ -950,17 +702,23 @@ impl InicCard {
         }
     }
 
-    /// Frame `pkt` for `dest`: the header inline, the data the
-    /// packet's own view (no copy, so the frame costs no allocation).
-    fn frame_for(&self, dest: MacAddr, pkt: &InicPacket) -> Frame {
-        Frame::try_with_header(
+    /// Put `pkt` through the card→net engine toward `dest` and emit its
+    /// frame when the engine is done; returns that instant. The frame
+    /// carries the header inline and the data as the packet's own view
+    /// (no copy, so the frame costs no allocation).
+    fn emit(&mut self, dest: MacAddr, pkt: &InicPacket, ctx: &mut Ctx) -> SimTime {
+        let bytes = DataSize::from_bytes((pkt.data.len() + INIC_HEADER) as u64);
+        let t = self.ports.net_out(ctx.now(), bytes);
+        let frame = Frame::try_with_header(
             self.mac,
             dest,
             EtherType::Inic,
             pkt.encode(),
             pkt.data.clone(),
         )
-        .unwrap_or_else(|e| panic!("{}: INIC packet exceeds MTU ({e})", self.label))
+        .unwrap_or_else(|e| panic!("{}: INIC packet exceeds MTU ({e})", self.label));
+        ctx.self_in(t.since(ctx.now()), EmitFrame { frame });
+        t
     }
 
     // ---- gather (receive) path ----
@@ -970,31 +728,8 @@ impl InicCard {
             .bitstream
             .as_ref()
             .expect("expect before configuration");
-        match expect.kind {
-            GatherKind::InterleaveBlocks { m, rows } => {
-                assert!(
-                    bs.has(OperatorKind::InterleaveBlocks { m }),
-                    "bitstream lacks InterleaveBlocks{{{m}}}"
-                );
-                // The full output slab accumulates in card memory.
-                self.reserve_memory((m * rows * 16) as u64);
-            }
-            GatherKind::BucketKeys { k } => {
-                assert!(
-                    bs.has(OperatorKind::BucketSort { k }),
-                    "bitstream lacks BucketSort{{{k}}}"
-                );
-            }
-            GatherKind::Raw => {
-                // Pure protocol processing; any datapath can pass data
-                // through.
-            }
-            GatherKind::ReduceF64 { elems } => {
-                assert!(bs.has(OperatorKind::ReduceSum), "bitstream lacks ReduceSum");
-                // The accumulator vector lives in card memory.
-                self.reserve_memory(elems as u64 * 8);
-            }
-        }
+        let reservation = expect.kind.check(bs);
+        self.reserve_memory(reservation);
         for &(src, total) in &expect.sources {
             match total {
                 Some(t) => self.demux.expect(src, expect.stream, t),
@@ -1005,6 +740,7 @@ impl InicCard {
             expect.stream,
             Gather {
                 kind: expect.kind,
+                reservation,
                 remaining: expect.sources.len(),
                 done: Vec::new(),
                 undma: 0,
@@ -1017,7 +753,8 @@ impl InicCard {
         // already granted when they first arrived).
         if let Some(early) = self.early_pkts.remove(&expect.stream) {
             for (pkt, src_mac) in early {
-                self.replay_recv(pkt, src_mac, ctx);
+                debug_assert!(!pkt.is_control());
+                self.accept_into_gather(pkt, src_mac, ctx);
             }
         }
     }
@@ -1097,9 +834,10 @@ impl InicCard {
         }
         // Grant credit back to remote senders as their data is consumed.
         if let Some(mac) = src_mac {
+            let quantum = self.credit_quantum();
             let pending = self.pending_credit.entry(mac).or_insert(0);
             *pending += pkt.data.len() as u64;
-            if *pending >= self.credit_window / 4 || pkt.fin {
+            if *pending >= quantum || pkt.fin {
                 let amount = *pending;
                 *pending = 0;
                 self.send_credit(mac, pkt.stream, amount, ctx);
@@ -1125,7 +863,7 @@ impl InicCard {
     }
 
     /// Account a data packet against its gather: trickle DMA for
-    /// bucket/raw gathers, stream reassembly, recovery control traffic,
+    /// trickling gathers, stream reassembly, recovery control traffic,
     /// and completion.
     fn accept_into_gather(&mut self, pkt: InicPacket, src_mac: Option<MacAddr>, ctx: &mut Ctx) {
         let stream = pkt.stream;
@@ -1135,24 +873,18 @@ impl InicCard {
                 .add(pkt.data.len() as u64);
         }
         let gather = self.gathers.get_mut(&stream).expect("gather announced");
-        // Bucket gathers trickle data to the host in DMA_THRESHOLD
-        // pieces as it accumulates (Eq. 15); interleave gathers hold
-        // everything on the card until complete (Eq. 9).
-        if matches!(gather.kind, GatherKind::BucketKeys { .. } | GatherKind::Raw) {
+        // Trickling gathers move data to the host in DMA_THRESHOLD
+        // pieces as it accumulates (Eq. 15); the others hold everything
+        // on the card until complete (Eq. 9).
+        if gather.kind.trickles() {
             gather.undma += pkt.data.len() as u64;
-            let mut dma_pieces = 0u64;
-            while gather.undma >= DMA_THRESHOLD {
-                gather.undma -= DMA_THRESHOLD;
-                dma_pieces += 1;
-            }
-            for _ in 0..dma_pieces {
+            let pieces = gather.undma / DMA_THRESHOLD;
+            gather.undma %= DMA_THRESHOLD;
+            for _ in 0..pieces {
                 let end = self
                     .ports
                     .host_out(ctx.now(), DataSize::from_bytes(DMA_THRESHOLD));
-                let g = self.gathers.get_mut(&stream).expect("still present");
-                if end > g.dma_done_at {
-                    g.dma_done_at = end;
-                }
+                gather.dma_done_at = gather.dma_done_at.max(end);
             }
         }
         if let Some((src, _s, data)) = self.demux.accept(&pkt) {
@@ -1189,31 +921,19 @@ impl InicCard {
     /// All streams complete: issue the remaining host DMA and schedule
     /// final assembly.
     fn finish_gather(&mut self, stream: u32, ctx: &mut Ctx) {
-        let (kind, undma, total_bytes) = {
+        let mut left = {
             let g = &self.gathers[&stream];
-            let total: usize = g.done.iter().map(|(_, d)| d.len()).sum();
-            (g.kind, g.undma, total as u64)
-        };
-        let tail = match kind {
-            // Interleave: the whole slab crosses to the host now, in
-            // efficient DMA-threshold pieces.
-            GatherKind::InterleaveBlocks { .. } => total_bytes,
-            // Bucket/raw: only the sub-threshold remainder is left.
-            GatherKind::BucketKeys { .. } | GatherKind::Raw => undma,
-            // Reduce: only the reduced vector crosses to the host.
-            GatherKind::ReduceF64 { elems } => elems as u64 * 8,
+            let received: usize = g.done.iter().map(|(_, d)| d.len()).sum();
+            g.kind.tail(received as u64, g.undma)
         };
         let mut last = ctx.now();
-        let mut left = tail;
         while left > 0 {
             let piece = left.min(DMA_THRESHOLD);
             last = self.ports.host_out(ctx.now(), DataSize::from_bytes(piece));
             left -= piece;
         }
         let g = self.gathers.get_mut(&stream).expect("present");
-        if last > g.dma_done_at {
-            g.dma_done_at = last;
-        }
+        g.dma_done_at = g.dma_done_at.max(last);
         let delay = g.dma_done_at.saturating_since(ctx.now()) + self.completion_interrupt;
         ctx.self_in(delay, GatherDmaDone { stream });
     }
@@ -1221,81 +941,14 @@ impl InicCard {
     fn on_gather_dma_done(&mut self, stream: u32, ctx: &mut Ctx) {
         // The gather may have been canceled (aborted collective) while
         // the final DMA was in flight; nothing left to deliver.
-        let Some(mut gather) = self.gathers.remove(&stream) else {
+        let Some(gather) = self.take_gather(stream) else {
             return;
         };
         self.interrupts_raised += 1;
         ctx.stats()
             .counter(&self.label, "completion_interrupts")
             .inc();
-        // Deterministic assembly order: by source rank.
-        gather.done.sort_by_key(|&(src, _)| src);
-        let mut padded_bytes = 0u64;
-        let (data, bucket_bounds) = match gather.kind {
-            GatherKind::InterleaveBlocks { m, rows } => {
-                let mut out = acc_algos::fft::Matrix::zeros(m, rows);
-                for (src, bytes) in &gather.done {
-                    let block = bytes_to_slab(bytes, m, m);
-                    interleave_block(&mut out, *src as usize, &block);
-                }
-                self.release_memory((m * rows * 16) as u64);
-                // The assembly is fixed-size: regions of sources that
-                // never arrived (dead peers whose blocks travel the
-                // mixed-technology TCP path instead, for the host to
-                // patch) leave zero-filled holes the datapath emits
-                // without having received — account for them so the
-                // conservation audit stays exact.
-                let received: usize = gather.done.iter().map(|(_, b)| b.len()).sum();
-                padded_bytes = (m * rows * 16).saturating_sub(received) as u64;
-                (slab_to_bytes(&out), None)
-            }
-            GatherKind::BucketKeys { k } => {
-                // Keys grouped into the card's k buckets, preserving
-                // (src-rank, arrival) order within each bucket.
-                let shift = bucket_shift(k);
-                let keys = gather.done.iter().flat_map(|(src, bytes)| {
-                    assert_eq!(bytes.len() % 4, 0, "source {src} sent a partial key");
-                    bytes
-                        .chunks_exact(4)
-                        .map(|c| <[u8; 4]>::try_from(c).expect("4-byte key"))
-                });
-                let (flat, ends) =
-                    bucket_flat(keys, k, |key| (u32::from_le_bytes(key) >> shift) as usize);
-                let bounds = ends.iter().map(|&end| end * 4).collect();
-                (flat.into_flattened(), Some(bounds))
-            }
-            GatherKind::Raw => {
-                // Per-source concatenation (already sorted by rank),
-                // with per-source end offsets in the bounds. A single
-                // source's stream is handed over as assembled.
-                let mut bounds = Vec::with_capacity(gather.done.len());
-                let flat = if gather.done.len() == 1 {
-                    let (_src, bytes) = gather.done.pop().expect("one source");
-                    bounds.push(bytes.len());
-                    bytes
-                } else {
-                    let total = gather.done.iter().map(|(_, b)| b.len()).sum();
-                    let mut flat = Vec::with_capacity(total);
-                    for (_src, bytes) in &gather.done {
-                        flat.extend_from_slice(bytes);
-                        bounds.push(flat.len());
-                    }
-                    flat
-                };
-                (flat, Some(bounds))
-            }
-            GatherKind::ReduceF64 { elems } => {
-                for (src, bytes) in &gather.done {
-                    assert_eq!(
-                        bytes.len(),
-                        elems * 8,
-                        "source {src} vector length mismatch"
-                    );
-                }
-                self.release_memory(elems as u64 * 8);
-                (fold_f64_in_place(&mut gather.done, elems), None)
-            }
-        };
+        let (data, bucket_bounds, padded_bytes) = gather.kind.assemble(gather.done);
         if self.reliability {
             ctx.stats()
                 .counter(&self.label, "gather_bytes_out")
@@ -1330,37 +983,35 @@ impl InicCard {
                 .add(amount);
         }
         let pkt = InicPacket::credit_grant(self.my_rank, stream, amount as u32);
-        self.send_control(mac, pkt, ctx);
+        self.emit(mac, &pkt, ctx);
     }
 
     /// Receiver → sender: the whole stream arrived and was consumed.
     fn send_ack(&mut self, mac: MacAddr, stream: u32, ctx: &mut Ctx) {
         ctx.stats().counter(&self.label, "acks_sent").inc();
         let pkt = InicPacket::stream_ack(self.my_rank, stream);
-        self.send_control(mac, pkt, ctx);
+        self.emit(mac, &pkt, ctx);
     }
 
     /// Receiver → sender: the stream has a hole at `missing`; resend it.
     fn send_nack(&mut self, mac: MacAddr, stream: u32, missing: u32, ctx: &mut Ctx) {
         ctx.stats().counter(&self.label, "nacks_sent").inc();
         let pkt = InicPacket::repair_nack(self.my_rank, stream, missing);
-        self.send_control(mac, pkt, ctx);
-    }
-
-    /// Emit a zero-data control packet over the normal net-out path
-    /// (it costs a minimum-size frame of wire time).
-    fn send_control(&mut self, mac: MacAddr, pkt: InicPacket, ctx: &mut Ctx) {
-        let bytes = DataSize::from_bytes(INIC_HEADER as u64);
-        let t = self.ports.net_out(ctx.now(), bytes);
-        let frame = self.frame_for(mac, &pkt);
-        ctx.self_in(t.since(ctx.now()), EmitFrame { frame });
+        self.emit(mac, &pkt, ctx);
     }
 
     // ---- loss recovery (sender side) ----
 
+    /// Resend a still-pending packet. Retransmissions bypass host DMA
+    /// and the send transform (the packet lives in card memory) but pay
+    /// the net-out engine.
+    fn retransmit(&mut self, mac: MacAddr, pkt: &InicPacket, ctx: &mut Ctx) {
+        self.retransmits += 1;
+        ctx.stats().counter(&self.label, "retransmits").inc();
+        self.emit(mac, pkt, ctx);
+    }
+
     /// Resend one still-pending packet in response to a NACK.
-    /// Retransmissions bypass host DMA and the send transform (the
-    /// packet lives in card memory) but pay the net-out engine.
     fn resend_one(&mut self, mac: MacAddr, stream: u32, offset: u32, ctx: &mut Ctx) {
         let Some(pkt) = self
             .tx_window
@@ -1371,12 +1022,7 @@ impl InicCard {
             // Already abandoned (or a stale NACK for an ACKed stream).
             return;
         };
-        self.retransmits += 1;
-        ctx.stats().counter(&self.label, "retransmits").inc();
-        let bytes = DataSize::from_bytes((pkt.data.len() + INIC_HEADER) as u64);
-        let t = self.ports.net_out(ctx.now(), bytes);
-        let frame = self.frame_for(mac, &pkt);
-        ctx.self_in(t.since(ctx.now()), EmitFrame { frame });
+        self.retransmit(mac, &pkt, ctx);
     }
 
     /// Timeout for one `(dest, stream)` window. Credit arrivals from
@@ -1387,7 +1033,6 @@ impl InicCard {
     /// the destination up for dead after [`MAX_RETRIES`] silent rounds
     /// so the rest of the schedule can still drain.
     fn on_retrans_timer(&mut self, dest: MacAddr, stream: u32, gen: u64, ctx: &mut Ctx) {
-        let label = self.label.clone();
         let credits_seen = self.credits_from.get(&dest).copied().unwrap_or(0);
         let Some(entry) = self.tx_window.get_mut(&(dest, stream)) else {
             return; // ACKed since the timer was armed.
@@ -1398,14 +1043,7 @@ impl InicCard {
         if credits_seen != entry.credit_mark {
             entry.credit_mark = credits_seen;
             entry.retries = 0;
-            entry.gen += 1;
-            let timer = RetransTimer {
-                dest,
-                stream,
-                gen: entry.gen,
-            };
-            let timeout = entry.timeout;
-            ctx.self_in(timeout, timer);
+            entry.rearm(dest, stream, entry.timeout, ctx);
             return;
         }
         // The peer announced a reconfiguration hold covering this
@@ -1414,15 +1052,9 @@ impl InicCard {
         // blasting packets it would only buffer.
         if let Some(&busy) = self.busy_until.get(&dest) {
             if ctx.now() < busy {
-                entry.gen += 1;
-                let timer = RetransTimer {
-                    dest,
-                    stream,
-                    gen: entry.gen,
-                };
                 let wait = busy.since(ctx.now()) + entry.timeout;
-                ctx.self_in(wait, timer);
-                ctx.stats().counter(&label, "reconfig_waits").inc();
+                entry.rearm(dest, stream, wait, ctx);
+                ctx.stats().counter(&self.label, "reconfig_waits").inc();
                 return;
             }
         }
@@ -1434,27 +1066,15 @@ impl InicCard {
             // whose completion the failed-over driver ignores — still
             // quiesces.
             self.outstanding.remove(&dest);
-            ctx.stats().counter(&label, "retrans_abandoned").inc();
+            ctx.stats().counter(&self.label, "retrans_abandoned").inc();
             self.admit_next_chunk(ctx);
             return;
         }
         entry.timeout = entry.timeout * 2;
-        entry.gen += 1;
-        let timer = RetransTimer {
-            dest,
-            stream,
-            gen: entry.gen,
-        };
-        let timeout = entry.timeout;
+        entry.rearm(dest, stream, entry.timeout, ctx);
         let pkts: Vec<InicPacket> = entry.pending.values().cloned().collect();
-        ctx.self_in(timeout, timer);
         for pkt in pkts {
-            self.retransmits += 1;
-            ctx.stats().counter(&label, "retransmits").inc();
-            let bytes = DataSize::from_bytes((pkt.data.len() + INIC_HEADER) as u64);
-            let t = self.ports.net_out(ctx.now(), bytes);
-            let frame = self.frame_for(dest, &pkt);
-            ctx.self_in(t.since(ctx.now()), EmitFrame { frame });
+            self.retransmit(dest, &pkt, ctx);
         }
     }
 
@@ -1484,7 +1104,7 @@ impl InicCard {
             .collect();
         for mac in notice {
             let pkt = InicPacket::reconfig_busy(self.my_rank, hold_micros);
-            self.send_control(mac, pkt, ctx);
+            self.emit(mac, &pkt, ctx);
         }
     }
 
@@ -1518,17 +1138,7 @@ impl InicCard {
             self.pending_credit.clear();
             self.early_pkts.remove(&stream);
             self.last_nacked.retain(|&(_, s), _| s != stream);
-            if let Some(g) = self.gathers.remove(&stream) {
-                match g.kind {
-                    GatherKind::InterleaveBlocks { m, rows } => {
-                        self.release_memory((m * rows * 16) as u64);
-                    }
-                    GatherKind::ReduceF64 { elems } => {
-                        self.release_memory(elems as u64 * 8);
-                    }
-                    GatherKind::BucketKeys { .. } | GatherKind::Raw => {}
-                }
-            }
+            self.take_gather(stream);
         } else {
             self.outstanding.remove(&dead);
             self.pending_credit.remove(&dead);
@@ -1557,18 +1167,6 @@ impl InicCard {
         }
     }
 
-    /// Re-deliver an early-buffered data packet to its (now announced)
-    /// gather, skipping the credit bookkeeping already done on arrival.
-    fn replay_recv(&mut self, pkt: InicPacket, src_mac: Option<MacAddr>, ctx: &mut Ctx) {
-        debug_assert!(!pkt.is_control());
-        let stream = pkt.stream;
-        assert!(
-            self.gathers.contains_key(&stream),
-            "replay into missing gather"
-        );
-        self.accept_into_gather(pkt, src_mac, ctx);
-    }
-
     // ---- card memory accounting ----
 
     fn reserve_memory(&mut self, bytes: u64) {
@@ -1583,8 +1181,12 @@ impl InicCard {
         );
     }
 
-    fn release_memory(&mut self, bytes: u64) {
-        self.mem_in_use = self.mem_in_use.saturating_sub(bytes);
+    /// Remove a gather and give its card memory back: the one release
+    /// point, shared by completion and abort.
+    fn take_gather(&mut self, stream: u32) -> Option<Gather> {
+        let gather = self.gathers.remove(&stream)?;
+        self.mem_in_use = self.mem_in_use.saturating_sub(gather.reservation);
+        Some(gather)
     }
 }
 
@@ -1642,14 +1244,8 @@ impl Component for InicCard {
         };
         let ev = match ev.downcast::<ConfigDone>() {
             Ok(done) => {
-                let app = self.app;
-                ctx.send_now(
-                    app,
-                    InicConfigured {
-                        result: done.result,
-                    },
-                );
-                return;
+                let result = done.result;
+                return ctx.send_now(self.app, InicConfigured { result });
             }
             Err(ev) => ev,
         };

@@ -152,17 +152,6 @@ impl Bitstream {
             .with(OperatorKind::Fifo)
     }
 
-    /// The AllReduce datapath (collective-operations extension): a
-    /// floating-point reduction tree behind the protocol blocks.
-    pub fn allreduce() -> Bitstream {
-        Bitstream::new()
-            .with(OperatorKind::Fifo)
-            .with(OperatorKind::Packetize)
-            .with(OperatorKind::Depacketize)
-            .with(OperatorKind::ReduceSum)
-            .with(OperatorKind::Fifo)
-    }
-
     /// The general collective datapath (acc-coll): protocol blocks, a
     /// `p`-way stream router to steer per-destination schedule rounds,
     /// and — only when the schedule folds data on arrival — the
@@ -226,16 +215,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn allreduce_fits_both_generations() {
-        assert!(Bitstream::allreduce()
-            .check(&FpgaDevice::xc4085xla())
-            .is_ok());
-        assert!(Bitstream::allreduce()
-            .check(&FpgaDevice::virtex_next_gen())
-            .is_ok());
     }
 
     #[test]

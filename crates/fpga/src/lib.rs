@@ -24,15 +24,16 @@
 #![forbid(unsafe_code)]
 
 pub mod card;
+mod datapath;
 pub mod device;
 pub mod ops;
 pub mod timeline;
 
 pub use card::{
-    CardPorts, GatherKind, InicCard, InicConfigure, InicConfigured, InicExpect, InicGatherComplete,
-    InicKill, InicReconfigure, InicRecover, InicScatter, InicScatterDone, ScatterKind,
-    CREDIT_WINDOW,
+    CardPorts, InicCard, InicConfigure, InicConfigured, InicExpect, InicGatherComplete, InicKill,
+    InicReconfigure, InicRecover, InicScatter, InicScatterDone, CREDIT_WINDOW,
 };
+pub use datapath::{GatherKind, ScatterKind};
 pub use device::{Bitstream, ConfigError, FpgaDevice};
 pub use ops::{OperatorKind, OperatorSpec};
 pub use timeline::EngineTimeline;

@@ -565,3 +565,87 @@ fn oversized_bitstream_is_rejected_via_event() {
         "4085XLA must reject the 128-bucket sorter"
     );
 }
+
+#[test]
+fn aborted_gather_gives_its_card_memory_back() {
+    // A 1024-row transpose gather over three ranks holds its 48 MiB
+    // output slab in card memory; the 64 MiB next-generation card holds
+    // one such slab, not two. Aborting the first gather must release
+    // its slab, or announcing the second exhausts the card.
+    let (m, p) = (1024, 3);
+    let kind = GatherKind::InterleaveBlocks { m, rows: m * p };
+    let slab = (m * m * p * 16) as u64;
+    let device = FpgaDevice::virtex_next_gen();
+    assert!(slab <= device.memory.bytes() && 2 * slab > device.memory.bytes());
+
+    struct AbortApp {
+        card: ComponentId,
+        kind: GatherKind,
+        announced: u32,
+    }
+    impl AbortApp {
+        fn expect(&mut self, stream: u32, ctx: &mut Ctx) {
+            let block = 1024 * 1024 * 16;
+            let sources = (0..3).map(|s| (s, Some(block))).collect();
+            let kind = self.kind;
+            ctx.send_now(
+                self.card,
+                InicExpect {
+                    stream,
+                    kind,
+                    sources,
+                },
+            );
+            self.announced += 1;
+        }
+    }
+    impl Component for AbortApp {
+        fn handle(&mut self, ev: Box<dyn Any>, ctx: &mut Ctx) {
+            if ev.downcast_ref::<()>().is_some() {
+                let bitstream = Bitstream::fft_transpose(1024);
+                ctx.send_now(self.card, InicConfigure { bitstream });
+            } else if let Ok(cfg) = ev.downcast::<InicConfigured>() {
+                cfg.result.expect("the transpose datapath fits");
+                self.expect(1, ctx);
+                let dead = MacAddr::for_node(1, 1);
+                let abort_stream = Some(1);
+                ctx.send_now(self.card, acc_fpga::InicRecover { dead, abort_stream });
+                self.expect(2, ctx);
+            } else {
+                panic!("unexpected event");
+            }
+        }
+        fn name(&self) -> &str {
+            "abort-app"
+        }
+    }
+
+    let mut sim = Simulation::new(0);
+    let app_id = sim.reserve_id();
+    let card_id = sim.reserve_id();
+    let switch_id = sim.reserve_id();
+    let link = LinkParams::for_kind(EthernetKind::Gigabit);
+    let mut switch = Switch::new("sw", SwitchParams::default());
+    let mac = MacAddr::for_node(0, 1);
+    let sw_port = switch.attach(mac, card_id, 0, link);
+    let uplink = EgressPort::new(
+        link.rate,
+        link.prop_delay,
+        acc_net::presets::NIC_BUFFER,
+        switch_id,
+        sw_port,
+        0,
+    );
+    let card = InicCard::new("inic0", 0, mac, app_id, uplink, device, CardPorts::ideal());
+    sim.register(card_id, card);
+    sim.register(switch_id, switch);
+    let app = AbortApp {
+        card: card_id,
+        kind,
+        announced: 0,
+    };
+    sim.register(app_id, app);
+    sim.schedule_at(SimTime::ZERO, app_id, ());
+    sim.run();
+    assert_eq!(sim.component::<AbortApp>(app_id).announced, 2);
+}

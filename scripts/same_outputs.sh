@@ -1,19 +1,26 @@
 #!/usr/bin/env sh
-# Byte-identity check for refactors: do the figures, ablations and soak
-# campaigns print exactly what they printed at <rev>?
+# Byte-identity check for refactors: do the figures, ablations, soak
+# campaigns and the benchmark's simulated outputs match what they were
+# at <rev>?
 #
 #   scripts/same_outputs.sh <rev>
 #
-# Builds <rev> in a git worktree under target/same-outputs/ (its own
-# target dir, --offline) and the working tree as usual, then runs on
-# both:
+# Exports <rev> with `git archive` into target/same-outputs/tree and
+# builds it there (its own target dir, --offline); builds the working
+# tree as usual. The acc_benchmark package is a workspace of its own,
+# so it is built for each side into target/same-outputs/bench-<side>.
+# Then runs on both:
 #   - every fig* and ablation_* binary at ACC_JOBS=1 and ACC_JOBS=4;
-#   - soak --rounds 256 and soak --rounds 64 --coll, at both job counts.
+#   - soak --rounds 256 and soak --rounds 64 --coll, at both job counts;
+#   - acc_benchmark --seconds 1 --trace 0 on every workload at seeds 7
+#     and 11, keeping its exit status and the results file's
+#     sim_fingerprint and sim_ms (host times are noise, not outputs).
 # Each run gets a fresh cwd (soak writes soak-repro.txt to its cwd; that
 # file is compared too). Stdout and exit status are compared per run;
-# the script lists the runs that differ and exits nonzero on any
-# difference. About 3 min on a 2-vCPU host once both trees are built.
-# Not part of check.sh: it needs a second build.
+# the script lists the runs that differ, shows the benchmark fields that
+# differ, and exits nonzero on any difference. About 6 min on a 2-vCPU
+# host with warm workspace builds, the two acc_benchmark builds (about
+# 1 min each) included. Not part of check.sh: it needs second builds.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -21,20 +28,21 @@ rev=${1:?usage: scripts/same_outputs.sh <rev>}
 root=$(pwd)
 work=$root/target/same-outputs
 tree=$work/tree
-
-cleanup() {
-    git -C "$root" worktree remove --force "$tree" 2>/dev/null || true
-}
-cleanup
-trap cleanup EXIT
-trap 'exit 130' INT TERM
+bench=crates/bench/src/bin/acc_benchmark
+workloads="paper coll_latency coll_bandwidth faults"
 
 echo "== building $rev in $tree"
-git worktree add --detach --force "$tree" "$rev" > /dev/null
+rm -rf "$tree"
+mkdir -p "$tree"
+git archive "$rev" | tar -x -C "$tree"
 cargo build --release --offline -q -p acc-bench --bins \
     --manifest-path "$tree/Cargo.toml" --target-dir "$work/target"
+cargo build --release --offline -q \
+    --manifest-path "$tree/$bench/Cargo.toml" --target-dir "$work/bench-base"
 echo "== building the working tree"
 cargo build --release --offline -q -p acc-bench --bins
+cargo build --release --offline -q \
+    --manifest-path "$bench/Cargo.toml" --target-dir "$work/bench-head"
 
 bins=$(cd crates/bench/src/bin && ls fig*.rs ablation_*.rs | sed 's/\.rs$//')
 rm -rf "$work/out" "$work/cwd"
@@ -55,6 +63,21 @@ run() {
     fi
 }
 
+# bench <side> <workload> <seed>: acc_benchmark's exit status and the
+# results file's sim_fingerprint and sim_ms lines, into
+# $work/out/<side>/bench-<workload>-seed<seed>.
+bench() {
+    side=$1 workload=$2 seed=$3
+    out=$work/out/$side/bench-$workload-seed$seed
+    dir=$work/cwd/$side/bench-$workload-seed$seed
+    mkdir -p "$dir"
+    status=0
+    "$work/bench-$side/release/acc_benchmark" --workload "$workload" --seed "$seed" \
+        --seconds 1 --trace 0 --out "$dir" > /dev/null 2>&1 || status=$?
+    echo "exit status $status" > "$out"
+    cat "$dir"/*.json 2> /dev/null | grep -E '"sim_fingerprint"|"sim_ms": \{' >> "$out" || true
+}
+
 for side in base head; do
     if [ "$side" = base ]; then bindir=$work/target/release; else bindir=$root/target/release; fi
     echo "== running the $side binaries"
@@ -65,11 +88,24 @@ for side in base head; do
         run "$side" "$bindir" soak "$j" "soak-256.j$j" --rounds 256
         run "$side" "$bindir" soak "$j" "soak-64-coll.j$j" --rounds 64 --coll
     done
+    echo "== running the $side benchmark"
+    for w in $workloads; do
+        for seed in 7 11; do
+            bench "$side" "$w" "$seed"
+        done
+    done
 done
 
 if diff -rq "$work/out/base" "$work/out/head"; then
     echo "same outputs: $(ls "$work/out/head" | wc -l) runs byte-identical to $rev"
 else
+    for f in "$work/out/head"/bench-*; do
+        name=$(basename "$f")
+        diff "$work/out/base/$name" "$f" > /dev/null || {
+            echo "-- $name differs:"
+            diff "$work/out/base/$name" "$f" || true
+        }
+    done
     echo "outputs differ from $rev (full outputs under $work/out)"
     exit 1
 fi
