@@ -65,21 +65,6 @@ impl RoundLegs {
     }
 }
 
-/// Union the dead-card set with ranks a fabric partition (or a dead
-/// edge switch) has cut off: a rank stranded behind a failed switch is
-/// planned for exactly like a rank whose card died — its legs reroute
-/// to the dual-homed fallback path, and it rejoins from the last round
-/// checkpoint once the partition heals. Feeds [`split_round`],
-/// [`replan`] and [`degraded_offload`] unchanged.
-pub fn with_partitioned(
-    dead: &BTreeSet<usize>,
-    partitioned: impl IntoIterator<Item = usize>,
-) -> BTreeSet<usize> {
-    let mut all = dead.clone();
-    all.extend(partitioned);
-    all
-}
-
 /// Partition one round's transfers between the card and the fallback
 /// path, given the set of degraded ranks. `combined` says whether the
 /// configured bitstream carries a `ReduceSum` stage at all (protocol-

@@ -1,11 +1,12 @@
 //! Cluster construction and the end-to-end workload bodies.
 //!
 //! A [`ClusterSpec`] describes a P-node cluster of one [`Technology`].
-//! The workload bodies here (FFT, sort, engine collective, halo) build
-//! it, run the application to completion, verify the result against a
-//! serial oracle, and return a timing decomposition. They are private
-//! to the crate: [`crate::RunRequest::execute`] is their one caller and
-//! the one way to run a cluster.
+//! The workload bodies here (FFT, sort, engine collective, halo) wire
+//! it as the run's plan (`plan.rs`) describes, run the application to
+//! completion, verify the result against a serial oracle, and return a
+//! timing decomposition. They are private to the crate:
+//! [`crate::RunRequest::execute`] is their one caller and the one way
+//! to run a cluster.
 
 use acc_algos::fft::{fft_2d, Matrix};
 use acc_algos::sort::is_sorted;
@@ -18,20 +19,18 @@ use acc_fpga::{
     CardPorts, FpgaDevice, InicCard, InicKill, InicMode, InicReconfigure, CREDIT_WINDOW,
 };
 use acc_host::{HostKernels, InterruptCosts, ModerationPolicy, StallSchedule};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
 
 use acc_net::port::EgressPort;
-use acc_net::routing::Attachment as FabricAttachment;
 use acc_net::{
-    compute_schedule, EthernetKind, FabricSchedule, FabricSpec, LinkParams, MacAddr,
-    PartitionReport, RouteUpdate, Switch, SwitchKill, SwitchParams, TrunkOutage,
+    EthernetKind, FabricSpec, LinkParams, MacAddr, PartitionReport, RouteUpdate, Switch,
+    SwitchKill, SwitchParams,
 };
 use acc_proto::{HostPathCosts, TcpHostNic, TcpParams};
 use acc_sim::{Component, ComponentId, HangKind, SimDuration, SimTime, Simulation};
 
 use crate::audit::{self, AuditConfig, AuditCounts, Auditor};
-use crate::deadline::DeadlineHierarchy;
 use crate::drivers::coll::CollDriver;
 use crate::drivers::fft::FftDriver;
 use crate::drivers::sort::{SortDriver, SortVariant};
@@ -40,8 +39,8 @@ use crate::drivers::{
     RecoveryPolicy,
 };
 use crate::liveness::{HangCause, HangReport};
+use crate::plan::RunPlan;
 use crate::report::FaultDiagnostics;
-use crate::runner::Workload;
 
 /// The four network technologies the paper evaluates.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -100,7 +99,29 @@ impl Technology {
             _ => EthernetKind::Gigabit,
         }
     }
+
+    /// The card an INIC technology carries, `None` for the host-TCP
+    /// technologies.
+    pub(crate) fn card(self) -> Option<Card> {
+        let (device, ports): (_, fn() -> CardPorts) = match self {
+            Technology::FastEthernet | Technology::GigabitTcp => return None,
+            Technology::InicPrototype => (FpgaDevice::xc4085xla(), CardPorts::aceii),
+            Technology::InicIdeal | Technology::InicProtocol => {
+                (FpgaDevice::virtex_next_gen(), CardPorts::ideal)
+            }
+        };
+        let mode = if self == Technology::InicProtocol {
+            InicMode::ProtocolProcessor
+        } else {
+            InicMode::Combined
+        };
+        Some((device, ports, mode))
+    }
 }
+
+/// An INIC technology's card: its device, the constructor of its port
+/// engines (stateful, so one set per card) and its operating mode.
+pub(crate) type Card = (FpgaDevice, fn() -> CardPorts, InicMode);
 
 /// A cluster scenario.
 #[derive(Clone, Debug)]
@@ -283,9 +304,6 @@ struct Wiring {
     nics: Vec<ComponentId>,
     switches: Vec<ComponentId>,
     technology: Technology,
-    /// The precomputed routing timeline; present only on multi-switch
-    /// fabrics. Hangs consult it to attribute the stall to a partition.
-    fabric: Option<FabricSchedule>,
     /// What the Auditor watches; present only on faulted runs. The
     /// end-of-run [`audit::final_check`] reads it after `sim.run()`.
     audit: Option<AuditConfig>,
@@ -304,11 +322,12 @@ fn to_port_routes(
         .collect()
 }
 
-/// Build the sim, switch, and per-node network attachment for `spec`;
-/// `make_driver` turns each rank's attachment (plus its fault-handling
-/// configuration) into its driver.
+/// Build the sim, switches and per-node network attachments `plan`
+/// describes; `make_driver` turns each rank's attachment (plus its
+/// fault-handling configuration) into its driver.
 fn wire<D: Component + 'static>(
     spec: &ClusterSpec,
+    plan: &RunPlan,
     mut make_driver: impl FnMut(usize, Attachment, FaultCtl) -> D,
 ) -> Wiring {
     let mut sim = Simulation::new(spec.seed);
@@ -316,19 +335,9 @@ fn wire<D: Component + 'static>(
         sim.set_quiet(true);
     }
     let link = LinkParams::for_kind(spec.technology.link_kind());
-    let plan = spec.fault_plan.as_ref();
-    let topo = spec.fabric.build(spec.p);
-    let fabric_mode = spec.fabric != FabricSpec::SingleSwitch;
-    if let Some(pl) = plan {
-        if fabric_mode || pl.has_fabric_faults() {
-            // Topology-aware re-validation: fabric faults must name real
-            // trunks and switches of this concrete shape, and can never
-            // apply to the single switch (no trunks to cut).
-            if let Err(e) = pl.validate_for_fabric(spec.p as u32, SimTime::MAX, &spec.fabric) {
-                panic!("invalid fault plan for fabric {}: {e}", spec.fabric);
-            }
-        }
-    }
+    let faults = spec.fault_plan.as_ref();
+    let topo = &plan.topo;
+    let fabric_mode = plan.timeline.is_some();
     let macs: Vec<MacAddr> = (0..spec.p).map(|i| MacAddr::for_node(i, 0)).collect();
     let driver_ids: Vec<ComponentId> = (0..spec.p).map(|_| sim.reserve_id()).collect();
     let nic_ids: Vec<ComponentId> = (0..spec.p).map(|_| sim.reserve_id()).collect();
@@ -345,76 +354,45 @@ fn wire<D: Component + 'static>(
             Switch::new(label, SwitchParams::default())
         })
         .collect();
-    // A dead edge switch takes every rank homed on it off the fabric at
-    // one instant — indistinguishable, from the cluster's point of
-    // view, from all those cards dying at once. Treat the victims as
-    // card-failure casualties so the same recovery machinery (fallback
-    // NIC, round checkpoints, mixed-technology replan) applies; their
-    // fallback NICs are dual-homed on a *different* edge switch
-    // ([`Topology::fallback_home`]), so the failure never strands both
-    // attachment points.
-    let switch_kills: Vec<(usize, SimTime)> = plan
-        .map(|pl| {
-            pl.switch_failures()
-                .iter()
-                .map(|&(s, at)| (s as usize, at))
-                .collect()
-        })
-        .unwrap_or_default();
-    let mut victim_kills: Vec<(u32, SimTime)> = Vec::new();
-    for &(s, at) in &switch_kills {
-        for rank in 0..spec.p {
-            if topo.home[rank] == s {
-                victim_kills.push((rank as u32, at));
-            }
-        }
-    }
-    // Switches the plan will kill make useless fallback homes: a rank
-    // dual-homed there would lose both attachment points at once.
-    let doomed: std::collections::BTreeSet<usize> = switch_kills.iter().map(|&(s, _)| s).collect();
-    let fb_home_of = |rank: usize| topo.fallback_home_avoiding(rank, &doomed);
-    // When the plan can kill a card (or an edge switch under an INIC
-    // technology), every node gets a commodity fallback NIC on a second
-    // switch port: whichever recovery policy applies, every rank needs
-    // the path — under full restart the whole collective degrades,
-    // under rank-local recovery healthy ranks use it for the
-    // mixed-technology side streams. The fallback links carry no
-    // impairments — the scenario under test is the failure itself.
-    let with_fallback = spec.technology.is_inic()
-        && (plan.is_some_and(FaultPlan::has_card_failures) || !victim_kills.is_empty());
+    // The fallback links carry no impairments: the scenario under test
+    // is the failure itself.
     let fallback_macs: Vec<MacAddr> = (0..spec.p).map(|i| MacAddr::for_node(i, 1)).collect();
-    let fallback_ids: Vec<ComponentId> = if with_fallback {
-        (0..spec.p).map(|_| sim.reserve_id()).collect()
-    } else {
-        Vec::new()
-    };
-    // A pure protocol processor has no card datapath worth keeping, so
-    // its only recovery is the full restart.
-    let policy = if spec.technology == Technology::InicProtocol {
-        RecoveryPolicy::FullRestart
-    } else {
-        spec.recovery
+    let fallback_ids: Vec<ComponentId> = match plan.fallback_homes {
+        Some(_) => (0..spec.p).map(|_| sim.reserve_id()).collect(),
+        None => Vec::new(),
     };
     // Rank-local recovery needs the coordinator that agrees on the
     // cluster-wide resume phase.
-    let coordinator = if with_fallback && policy != RecoveryPolicy::FullRestart {
-        Some(sim.reserve_id())
-    } else {
-        None
+    let coordinator = (plan.fallback_homes.is_some() && plan.policy != RecoveryPolicy::FullRestart)
+        .then(|| sim.reserve_id());
+    let uplink_to = |switch: usize, port: usize| {
+        EgressPort::new(
+            link.rate,
+            link.prop_delay,
+            acc_net::presets::NIC_BUFFER,
+            switch_ids[switch],
+            port,
+            0,
+        )
+    };
+    let tcp_nic = |label: String, mac: MacAddr, rank: usize, uplink: EgressPort| {
+        TcpHostNic::new(
+            label,
+            mac,
+            driver_ids[rank],
+            uplink,
+            TcpParams::default(),
+            HostPathCosts::athlon_pci(),
+            InterruptCosts::athlon_linux24(),
+            ModerationPolicy::syskonnect_default(),
+        )
     };
     let mut port_labels: Vec<String> = Vec::new();
     for rank in 0..spec.p {
         let home = topo.home[rank];
         let sw_port = switches[home].attach(macs[rank], nic_ids[rank], 0, link);
-        let mut uplink = EgressPort::new(
-            link.rate,
-            link.prop_delay,
-            acc_net::presets::NIC_BUFFER,
-            switch_ids[home],
-            sw_port,
-            0,
-        );
-        if let Some(pl) = plan {
+        let mut uplink = uplink_to(home, sw_port);
+        if let Some(pl) = faults {
             if let Some(imp) = pl.impairment_for(LinkId::NodeUplink(rank as u32)) {
                 uplink.set_impairment(imp);
             }
@@ -429,70 +407,38 @@ fn wire<D: Component + 'static>(
             port_labels.push(format!("up{rank}"));
             port_labels.push(format!("swdown{rank}"));
         }
-        let fallback = if with_fallback {
-            // On the single switch `fallback_home` is the same switch —
-            // the second port of the original wiring. On a fabric it is
-            // the next host-bearing edge switch that no planned switch
-            // kill dooms.
-            let fb_home = fb_home_of(rank);
+        let fallback = plan.fallback_homes.as_ref().map(|homes| {
+            // On the single switch the fallback home is the same switch,
+            // the second port of the original wiring.
+            let fb_home = homes[rank];
             let fb_port =
                 switches[fb_home].attach(fallback_macs[rank], fallback_ids[rank], 0, link);
-            let mut fb_uplink = EgressPort::new(
-                link.rate,
-                link.prop_delay,
-                acc_net::presets::NIC_BUFFER,
-                switch_ids[fb_home],
-                fb_port,
-                0,
-            );
+            let mut fb_uplink = uplink_to(fb_home, fb_port);
             fb_uplink.set_stats_label(format!("fb{rank}"));
             switches[fb_home].set_port_stats_label(fb_port, format!("swfb{rank}"));
             port_labels.push(format!("fb{rank}"));
             port_labels.push(format!("swfb{rank}"));
-            sim.register(
-                fallback_ids[rank],
-                TcpHostNic::new(
-                    format!("tcp-fb{rank}"),
-                    fallback_macs[rank],
-                    driver_ids[rank],
-                    fb_uplink,
-                    TcpParams::default(),
-                    HostPathCosts::athlon_pci(),
-                    InterruptCosts::athlon_linux24(),
-                    ModerationPolicy::syskonnect_default(),
-                ),
+            let nic = tcp_nic(
+                format!("tcp-fb{rank}"),
+                fallback_macs[rank],
+                rank,
+                fb_uplink,
             );
-            Some((fallback_ids[rank], fallback_macs.clone()))
-        } else {
-            None
-        };
-        // INIC reliability (NACK/retransmit recovery) turns on for any
-        // faulted run, and also for every multi-switch fabric: the
-        // card's no-loss scheduling guarantee only covers the single
-        // switch it was derived for — shared trunks can legitimately
-        // drop under contention, and a re-routed path must recover the
-        // frames the old one had in flight.
-        let attachment = match spec.technology {
-            Technology::FastEthernet | Technology::GigabitTcp => {
+            sim.register(fallback_ids[rank], nic);
+            (fallback_ids[rank], fallback_macs.clone())
+        });
+        let attachment = match plan.card {
+            None => {
                 sim.register(
                     nic_ids[rank],
-                    TcpHostNic::new(
-                        format!("tcp{rank}"),
-                        macs[rank],
-                        driver_ids[rank],
-                        uplink,
-                        TcpParams::default(),
-                        HostPathCosts::athlon_pci(),
-                        InterruptCosts::athlon_linux24(),
-                        ModerationPolicy::syskonnect_default(),
-                    ),
+                    tcp_nic(format!("tcp{rank}"), macs[rank], rank, uplink),
                 );
                 Attachment::Tcp {
                     nic: nic_ids[rank],
                     macs: macs.clone(),
                 }
             }
-            Technology::InicIdeal | Technology::InicProtocol => {
+            Some((device, ports, mode)) => {
                 sim.register(
                     nic_ids[rank],
                     InicCard::new(
@@ -501,51 +447,25 @@ fn wire<D: Component + 'static>(
                         macs[rank],
                         driver_ids[rank],
                         uplink,
-                        FpgaDevice::virtex_next_gen(),
-                        CardPorts::ideal(),
+                        device,
+                        ports(),
                     )
-                    .with_reliability(plan.is_some() || fabric_mode)
+                    .with_reliability(!plan.lossless)
                     .with_peers(macs.clone()),
                 );
                 Attachment::Inic {
                     card: nic_ids[rank],
                     macs: macs.clone(),
-                    mode: if spec.technology == Technology::InicProtocol {
-                        InicMode::ProtocolProcessor
-                    } else {
-                        InicMode::Combined
-                    },
-                    fallback,
-                }
-            }
-            Technology::InicPrototype => {
-                sim.register(
-                    nic_ids[rank],
-                    InicCard::new(
-                        format!("inic{rank}"),
-                        rank as u32,
-                        macs[rank],
-                        driver_ids[rank],
-                        uplink,
-                        FpgaDevice::xc4085xla(),
-                        CardPorts::aceii(),
-                    )
-                    .with_reliability(plan.is_some() || fabric_mode)
-                    .with_peers(macs.clone()),
-                );
-                Attachment::Inic {
-                    card: nic_ids[rank],
-                    macs: macs.clone(),
-                    mode: InicMode::Combined,
+                    mode,
                     fallback,
                 }
             }
         };
         let fault_ctl = FaultCtl {
-            stalls: plan
+            stalls: faults
                 .map(|pl| StallSchedule::new(pl.stall_windows(rank as u32)))
                 .unwrap_or_default(),
-            policy,
+            policy: plan.policy,
             coordinator,
         };
         sim.register(driver_ids[rank], make_driver(rank, attachment, fault_ctl));
@@ -564,7 +484,7 @@ fn wire<D: Component + 'static>(
             assert_eq!(switches[b].attach_trunk(switch_ids[a], pa, link), pb);
             trunk_port[a].insert(b, pa);
             trunk_port[b].insert(a, pb);
-            if let Some(pl) = plan {
+            if let Some(pl) = faults {
                 // LinkDown windows darken both directions of the trunk;
                 // the two directions draw disjoint RNG streams.
                 if let Some(imp) = pl.trunk_impairment(a as u32, b as u32) {
@@ -580,40 +500,12 @@ fn wire<D: Component + 'static>(
             }
         }
     }
-    // Precompute the routing timeline and arm the fabric: epoch-0
-    // tables install before the first event, later epochs swap in via
+    // Arm the fabric from the plan's routing timeline: epoch-0 tables
+    // install before the first event, later epochs swap in via
     // RouteUpdate at their boundary instants, switch deaths fire as
-    // SwitchKill. All of it is derived deterministically from the spec,
-    // so identical specs wire identical fabrics at any thread count.
-    let fabric_sched = if fabric_mode {
-        let mut attachments: Vec<FabricAttachment> = (0..spec.p)
-            .map(|rank| FabricAttachment {
-                mac: macs[rank],
-                switch: topo.home[rank],
-                rank,
-            })
-            .collect();
-        if with_fallback {
-            attachments.extend((0..spec.p).map(|rank| FabricAttachment {
-                mac: fallback_macs[rank],
-                switch: fb_home_of(rank),
-                rank,
-            }));
-        }
-        let outages: Vec<TrunkOutage> = plan
-            .map(|pl| {
-                pl.link_downs()
-                    .iter()
-                    .map(|&(a, b, from, until)| TrunkOutage {
-                        a: a as usize,
-                        b: b as usize,
-                        from,
-                        until,
-                    })
-                    .collect()
-            })
-            .unwrap_or_default();
-        let sched = compute_schedule(&topo, &attachments, &outages, &switch_kills);
+    // SwitchKill.
+    let switch_kills = faults.map(FaultPlan::switch_failures).unwrap_or_default();
+    if let Some(sched) = &plan.timeline {
         for (s, sw) in switches.iter_mut().enumerate() {
             sw.enable_routing(to_port_routes(&sched.epochs[0].tables[s], &trunk_port[s]));
         }
@@ -629,12 +521,9 @@ fn wire<D: Component + 'static>(
             }
         }
         for &(s, at) in &switch_kills {
-            sim.schedule_at(at, switch_ids[s], SwitchKill);
+            sim.schedule_at(at, switch_ids[s as usize], SwitchKill);
         }
-        Some(sched)
-    } else {
-        None
-    };
+    }
     for (&sid, sw) in switch_ids.iter().zip(switches) {
         sim.register(sid, sw);
     }
@@ -645,13 +534,13 @@ fn wire<D: Component + 'static>(
         sim.schedule_at(SimTime::ZERO, d, ());
     }
     let mut audit_cfg = None;
-    if let Some(pl) = plan {
+    if let Some(pl) = faults {
         // Faulted runs keep a trace tail so an Auditor violation dumps
         // the events around the offence, and run under its watch.
         sim.enable_trace(256);
         let cfg = AuditConfig {
             ports: port_labels,
-            cards: if spec.technology.is_inic() {
+            cards: if plan.card.is_some() {
                 (0..spec.p).map(|i| format!("inic{i}")).collect()
             } else {
                 Vec::new()
@@ -673,40 +562,25 @@ fn wire<D: Component + 'static>(
         sim.schedule_at(SimTime::ZERO, auditor_id, ());
         audit_cfg = Some(cfg);
     }
-    if spec.technology.is_inic() {
-        if let Some(pl) = plan {
-            // Schedule the card deaths: the card itself goes dark, and
-            // every driver is told so the cluster can recover under the
-            // active policy.
-            for (node, at) in pl.card_failures() {
-                let node_idx = node as usize;
-                assert!(node_idx < spec.p, "fault plan kills a card beyond P");
-                sim.schedule_at(at, nic_ids[node_idx], InicKill);
-                for &d in &driver_ids {
-                    sim.schedule_at(at, d, CardFailed { node });
-                }
+    if plan.card.is_some() {
+        // Every stranded rank's card goes dark at its instant, and every
+        // driver is told so the cluster can recover under the active
+        // policy: from the last round checkpoint over the fallback NIC
+        // once the coordinator agrees.
+        for &(node, at) in &plan.stranded {
+            sim.schedule_at(at, nic_ids[node as usize], InicKill);
+            for &d in &driver_ids {
+                sim.schedule_at(at, d, CardFailed { node });
             }
-            // Switch-failure victims: every rank homed on a dead edge
-            // switch loses its primary datapath at that instant. The
-            // kill reuses the card-death path wholesale — the card goes
-            // dark, every driver hears CardFailed, and recovery resumes
-            // from the last round checkpoint over the dual-homed
-            // fallback NIC once the coordinator agrees.
-            for &(node, at) in &victim_kills {
-                sim.schedule_at(at, nic_ids[node as usize], InicKill);
-                for &d in &driver_ids {
-                    sim.schedule_at(at, d, CardFailed { node });
-                }
-            }
-            // Schedule the transient reconfiguration windows: the card
-            // buffers and recovers on its own, so only the card hears
-            // about them. (On commodity technologies there is no card —
-            // the window is a no-op by construction.)
-            for (node, at, hold) in pl.card_reconfigures() {
-                let node_idx = node as usize;
-                assert!(node_idx < spec.p, "fault plan reconfigures a card beyond P");
-                sim.schedule_at(at, nic_ids[node_idx], InicReconfigure { hold });
-            }
+        }
+        // Transient reconfiguration windows: the card buffers and
+        // recovers on its own, so only the card hears about them. (On
+        // commodity technologies there is no card — the window is a
+        // no-op by construction.)
+        for (node, at, hold) in faults.map(FaultPlan::card_reconfigures).unwrap_or_default() {
+            let node_idx = node as usize;
+            assert!(node_idx < spec.p, "fault plan reconfigures a card beyond P");
+            sim.schedule_at(at, nic_ids[node_idx], InicReconfigure { hold });
         }
     }
     Wiring {
@@ -715,7 +589,6 @@ fn wire<D: Component + 'static>(
         nics: nic_ids,
         switches: switch_ids,
         technology: spec.technology,
-        fabric: fabric_sched,
         audit: audit_cfg,
     }
 }
@@ -729,10 +602,8 @@ impl Wiring {
     /// a watchdog abort (event budget, livelock, run deadline), and the
     /// quieter *deadlock* — the event queue drains while drivers still
     /// wait on peers that will never send.
-    fn run_to_completion<D: Recoverable>(
-        &mut self,
-        hierarchy: &DeadlineHierarchy,
-    ) -> Result<(), Box<HangReport>> {
+    fn run_to_completion<D: Recoverable>(&mut self, plan: &RunPlan) -> Result<(), Box<HangReport>> {
+        let hierarchy = &plan.deadlines;
         let wd = hierarchy.watchdog();
         // acc-lint: allow(R6, reason = "this is the deadline-aware wrapper itself: the watchdog built two lines up bounds the run")
         let outcome = self.sim.run_guarded(&wd);
@@ -748,7 +619,7 @@ impl Wiring {
                     hierarchy,
                     None,
                 );
-                report.partition = self.partition_at_hang();
+                report.partition = self.partition_at_hang(plan);
                 Err(Box::new(report))
             }
             // A deadline that fires after every rank is done is not a
@@ -775,7 +646,7 @@ impl Wiring {
                     hierarchy,
                     Some(*sim_report),
                 );
-                report.partition = self.partition_at_hang();
+                report.partition = self.partition_at_hang(plan);
                 Err(Box::new(report))
             }
         }
@@ -785,8 +656,8 @@ impl Wiring {
     /// abort time, or — if the fabric had already healed — the first
     /// the routing timeline ever saw. `None` on single-switch runs and
     /// on fabrics whose fault schedule never disconnected anyone.
-    fn partition_at_hang(&self) -> Option<PartitionReport> {
-        let sched = self.fabric.as_ref()?;
+    fn partition_at_hang(&self, plan: &RunPlan) -> Option<PartitionReport> {
+        let sched = plan.timeline.as_ref()?;
         sched
             .epoch_at(self.sim.now())
             .partition
@@ -825,10 +696,11 @@ impl Wiring {
     }
 
     /// The epilogue every runner shares once its result is verified:
-    /// the span from the first start to the last finish, the
-    /// single-switch INIC no-drop guarantee, the final audit, and the
-    /// fault telemetry (degraded ranks, the latest resume point).
-    fn summarize<D: Recoverable>(&self, spec: &ClusterSpec) -> RunSummary {
+    /// the span from the first start to the last finish, the lossless
+    /// card's no-drop guarantee, the final audit, the fault telemetry
+    /// (degraded ranks, the latest resume point) and the host's
+    /// protocol costs.
+    fn summarize<D: Recoverable>(&self, plan: &RunPlan) -> RunSummary {
         let (mut start, mut end) = (SimTime::MAX, SimTime::ZERO);
         for drv in self.ranks::<D>() {
             let (began, done) = drv.span();
@@ -836,13 +708,7 @@ impl Wiring {
             end = end.max(done);
         }
         let switch_drops = self.switch_drops();
-        // The card's no-loss scheduling guarantee is single-switch: shared
-        // trunks of a multi-switch fabric can contend, and INIC reliability
-        // recovers those drops instead.
-        if spec.technology.is_inic()
-            && spec.fault_plan.is_none()
-            && spec.fabric == FabricSpec::SingleSwitch
-        {
+        if plan.card.is_some() && plan.lossless {
             assert_eq!(
                 switch_drops, 0,
                 "INIC schedule must never oversubscribe switch buffers"
@@ -853,9 +719,12 @@ impl Wiring {
             audit::final_check(self.sim.stats(), cfg);
             AuditCounts::from_stats(self.sim.stats())
         });
+        let (protocol_cpu, interrupts) = self.protocol_costs();
         RunSummary {
             total: end.since(start),
             switch_drops,
+            protocol_cpu,
+            interrupts,
             faults: self.fault_diagnostics::<D>(),
             audit,
             rejected_frames: self.sum_counters(&["rx_checksum_drops", "rx_decode_drops"]),
@@ -921,9 +790,27 @@ impl Wiring {
 struct RunSummary {
     total: SimDuration,
     switch_drops: u64,
+    protocol_cpu: SimDuration,
+    interrupts: u64,
     faults: FaultDiagnostics,
     audit: Option<AuditCounts>,
     rejected_frames: u64,
+}
+
+/// The sequence every workload body shares: wire the cluster with one
+/// `make_driver` driver per rank, run it under the plan's deadlines,
+/// let `read` collect the finished drivers' timings and check the
+/// result against its oracle, and summarize.
+fn run<D: Recoverable, R>(
+    spec: &ClusterSpec,
+    plan: &RunPlan,
+    make_driver: impl FnMut(usize, Attachment, FaultCtl) -> D,
+    read: impl FnOnce(&Wiring) -> R,
+) -> Result<(R, RunSummary), Box<HangReport>> {
+    let mut w = wire(spec, plan, make_driver);
+    w.run_to_completion::<D>(plan)?;
+    let read = read(&w);
+    Ok((read, w.summarize::<D>(plan)))
 }
 
 /// Run the 2D-FFT application on a `rows × rows` matrix. A run that
@@ -931,7 +818,11 @@ struct RunSummary {
 ///
 /// # Panics
 /// Panics if `rows` is not a power of two or `spec.p` does not divide it.
-pub(crate) fn fft(spec: ClusterSpec, rows: usize) -> Result<FftRunResult, Box<HangReport>> {
+pub(crate) fn fft(
+    spec: &ClusterSpec,
+    plan: &RunPlan,
+    rows: usize,
+) -> Result<FftRunResult, Box<HangReport>> {
     assert!(rows.is_power_of_two(), "matrix edge must be a power of two");
     assert!(
         spec.p >= 1 && rows.is_multiple_of(spec.p),
@@ -940,7 +831,7 @@ pub(crate) fn fft(spec: ClusterSpec, rows: usize) -> Result<FftRunResult, Box<Ha
     let matrix = random_matrix(rows, spec.seed);
     let slabs = split_row_blocks(&matrix, spec.p);
     let kernels = HostKernels::athlon_1ghz();
-    let mut w = wire(&spec, |rank, attachment, fault_ctl| {
+    let make = |rank, attachment, fault_ctl| {
         FftDriver::new(
             rank,
             spec.p,
@@ -950,49 +841,42 @@ pub(crate) fn fft(spec: ClusterSpec, rows: usize) -> Result<FftRunResult, Box<Ha
             kernels.clone(),
         )
         .with_fault_ctl(fault_ctl)
-    });
-    let hierarchy = DeadlineHierarchy::for_run(&spec, &Workload::Fft { rows });
-    w.run_to_completion::<FftDriver>(&hierarchy)?;
-    let mut compute = SimDuration::ZERO;
-    let mut transpose = SimDuration::ZERO;
-    let mut transpose_compute = SimDuration::ZERO;
-    let mut transpose_comm = SimDuration::ZERO;
-    let mut out_slabs: Vec<Matrix> = Vec::new();
-    for drv in w.ranks::<FftDriver>() {
-        let t = &drv.timings;
-        compute = compute.max(t.compute);
-        transpose = transpose.max(t.transpose);
-        transpose_compute = transpose_compute.max(t.transpose_compute);
-        transpose_comm = transpose_comm.max(t.transpose - t.transpose_compute);
-        out_slabs.push(drv.result().clone());
-    }
-    let verified = if spec.verify {
-        let got = join_row_blocks(&out_slabs);
-        let expect = fft_2d(&matrix);
-        let diff = got.max_abs_diff(&expect);
-        assert!(
-            diff < 1e-6,
-            "distributed FFT diverges from serial oracle by {diff}"
-        );
-        true
-    } else {
-        false
     };
-    let summary = w.summarize::<FftDriver>(&spec);
-    let (protocol_cpu, interrupts) = w.protocol_costs();
+    let ((compute, transpose, transpose_compute, transpose_comm), s) =
+        run(spec, plan, make, |w: &Wiring| {
+            let [mut compute, mut transpose, mut transpose_compute, mut transpose_comm] =
+                [SimDuration::ZERO; 4];
+            let mut out_slabs: Vec<Matrix> = Vec::new();
+            for drv in w.ranks::<FftDriver>() {
+                let t = &drv.timings;
+                compute = compute.max(t.compute);
+                transpose = transpose.max(t.transpose);
+                transpose_compute = transpose_compute.max(t.transpose_compute);
+                transpose_comm = transpose_comm.max(t.transpose - t.transpose_compute);
+                out_slabs.push(drv.result().clone());
+            }
+            if spec.verify {
+                let diff = join_row_blocks(&out_slabs).max_abs_diff(&fft_2d(&matrix));
+                assert!(
+                    diff < 1e-6,
+                    "distributed FFT diverges from serial oracle by {diff}"
+                );
+            }
+            (compute, transpose, transpose_compute, transpose_comm)
+        })?;
     Ok(FftRunResult {
-        total: summary.total,
+        total: s.total,
         compute,
         transpose,
         transpose_compute,
         transpose_comm,
-        verified,
-        switch_drops: summary.switch_drops,
-        protocol_cpu,
-        interrupts,
-        faults: summary.faults,
-        audit: summary.audit,
-        rejected_frames: summary.rejected_frames,
+        verified: spec.verify,
+        switch_drops: s.switch_drops,
+        protocol_cpu: s.protocol_cpu,
+        interrupts: s.interrupts,
+        faults: s.faults,
+        audit: s.audit,
+        rejected_frames: s.rejected_frames,
     })
 }
 
@@ -1024,7 +908,8 @@ pub enum PartitionStrategy {
 /// hung run returns a structured [`HangReport`] naming the stuck phase
 /// and rank.
 pub(crate) fn sort(
-    spec: ClusterSpec,
+    spec: &ClusterSpec,
+    plan: &RunPlan,
     total_keys: u64,
     distribution: KeyDistribution,
     strategy: PartitionStrategy,
@@ -1059,13 +944,18 @@ pub(crate) fn sort(
         Technology::InicProtocol => SortVariant::ProtocolOnly,
     };
     let kernels = HostKernels::athlon_1ghz();
-    let mut w = wire(&spec, |rank, attachment, fault_ctl| {
-        // Only verification reads the inputs again; otherwise the
-        // drivers take them.
+    // Only verification reads the inputs again; otherwise the drivers
+    // take them.
+    let mut taken = if spec.verify {
+        Vec::new()
+    } else {
+        std::mem::take(&mut inputs)
+    };
+    let make = |rank: usize, attachment, fault_ctl| {
         let keys = if spec.verify {
             inputs[rank].clone()
         } else {
-            std::mem::take(&mut inputs[rank])
+            std::mem::take(&mut taken[rank])
         };
         let mut driver = SortDriver::new(rank, spec.p, keys, variant, attachment, kernels.clone())
             .with_fault_ctl(fault_ctl);
@@ -1073,60 +963,44 @@ pub(crate) fn sort(
             driver = driver.with_splitters(sp.clone());
         }
         driver
-    });
-    let hierarchy = DeadlineHierarchy::for_run(
-        &spec,
-        &Workload::Sort {
-            total_keys,
-            distribution,
-            strategy,
-        },
-    );
-    w.run_to_completion::<SortDriver>(&hierarchy)?;
-    let (mut bucket1, mut comm, mut bucket2, mut count) = (
-        SimDuration::ZERO,
-        SimDuration::ZERO,
-        SimDuration::ZERO,
-        SimDuration::ZERO,
-    );
-    // Concatenated per-rank outputs form the globally sorted key
-    // sequence; collected for verification only.
-    let mut got: Vec<u32> = Vec::new();
-    for drv in w.ranks::<SortDriver>() {
-        let t = &drv.timings;
-        bucket1 = bucket1.max(t.bucket1);
-        comm = comm.max(t.comm);
-        bucket2 = bucket2.max(t.bucket2);
-        count = count.max(t.count);
-        if spec.verify {
-            got.extend_from_slice(drv.result());
-        }
-    }
-    let verified = if spec.verify {
-        // Equal (as a multiset and order) to a serial sort of all inputs.
-        assert!(is_sorted(&got), "global output not sorted");
-        let mut expect: Vec<u32> = inputs.concat();
-        expect.sort_unstable();
-        assert_eq!(got, expect, "distributed sort diverges from serial sort");
-        true
-    } else {
-        false
     };
-    let summary = w.summarize::<SortDriver>(&spec);
-    let (protocol_cpu, interrupts) = w.protocol_costs();
+    let ((bucket1, comm, bucket2, count), s) = run(spec, plan, make, |w: &Wiring| {
+        let [mut bucket1, mut comm, mut bucket2, mut count] = [SimDuration::ZERO; 4];
+        // Concatenated per-rank outputs form the globally sorted key
+        // sequence; collected for verification only.
+        let mut got: Vec<u32> = Vec::new();
+        for drv in w.ranks::<SortDriver>() {
+            let t = &drv.timings;
+            bucket1 = bucket1.max(t.bucket1);
+            comm = comm.max(t.comm);
+            bucket2 = bucket2.max(t.bucket2);
+            count = count.max(t.count);
+            if spec.verify {
+                got.extend_from_slice(drv.result());
+            }
+        }
+        if spec.verify {
+            // Equal (as a multiset and order) to a serial sort of all inputs.
+            assert!(is_sorted(&got), "global output not sorted");
+            let mut expect: Vec<u32> = inputs.concat();
+            expect.sort_unstable();
+            assert_eq!(got, expect, "distributed sort diverges from serial sort");
+        }
+        (bucket1, comm, bucket2, count)
+    })?;
     Ok(SortRunResult {
-        total: summary.total,
+        total: s.total,
         bucket1,
         comm,
         bucket2,
         count,
-        verified,
-        switch_drops: summary.switch_drops,
-        protocol_cpu,
-        interrupts,
-        faults: summary.faults,
-        audit: summary.audit,
-        rejected_frames: summary.rejected_frames,
+        verified: spec.verify,
+        switch_drops: s.switch_drops,
+        protocol_cpu: s.protocol_cpu,
+        interrupts: s.interrupts,
+        faults: s.faults,
+        audit: s.audit,
+        rejected_frames: s.rejected_frames,
     })
 }
 
@@ -1189,7 +1063,7 @@ pub fn plan_collective_offload(
     technology: Technology,
     schedules: &[Schedule],
 ) -> Result<Option<Vec<OffloadPlan>>, OffloadError> {
-    let Some((device, mode)) = inic_device_mode(technology) else {
+    let Some((device, _, mode)) = technology.card() else {
         return Ok(None);
     };
     let p = schedules.len();
@@ -1198,19 +1072,6 @@ pub fn plan_collective_offload(
         .map(|s| acc_coll::offload::plan(s, p, mode, &device))
         .collect::<Result<Vec<OffloadPlan>, OffloadError>>()
         .map(Some)
-}
-
-/// The device/mode pair each INIC technology configures, or `None` for
-/// the host-TCP technologies.
-fn inic_device_mode(technology: Technology) -> Option<(FpgaDevice, InicMode)> {
-    match technology {
-        Technology::FastEthernet | Technology::GigabitTcp => None,
-        Technology::InicIdeal => Some((FpgaDevice::virtex_next_gen(), InicMode::Combined)),
-        Technology::InicPrototype => Some((FpgaDevice::xc4085xla(), InicMode::Combined)),
-        Technology::InicProtocol => {
-            Some((FpgaDevice::virtex_next_gen(), InicMode::ProtocolProcessor))
-        }
-    }
 }
 
 /// Deterministic per-rank contributions with an exactly computable
@@ -1239,36 +1100,39 @@ fn collective_input(rank: usize, elems: usize) -> Rc<[f64]> {
 /// hung run returns its structured [`HangReport`].
 ///
 /// # Panics
-/// Panics if the (op, algorithm, p, elems) cell is unsupported, or if
-/// the offload plan exceeds the device's CLB budget (pre-check with
-/// [`plan_collective_offload`] to get the structured error instead).
+/// Panics if the offload plan exceeds the device's CLB budget (pre-check
+/// with [`plan_collective_offload`] to get the structured error
+/// instead). An unsupported (op, algorithm, p, elems) cell panics while
+/// its deadlines are priced, before this runs.
 pub(crate) fn collective(
-    spec: ClusterSpec,
+    spec: &ClusterSpec,
+    plan: &RunPlan,
     op: CollectiveOp,
     algo: Algorithm,
     elems: usize,
 ) -> Result<CollRunResult, Box<HangReport>> {
-    assert!(
-        acc_coll::supports(op, algo, spec.p, elems),
-        "unsupported collective cell: {op} via {algo} at p={}, elems={elems}",
-        spec.p
-    );
     let schedules = acc_coll::plan::build_all(op, algo, spec.p, elems);
+    // Debug builds also prove reduce conservation (halo stencils have no
+    // single-collective oracle to prove it against).
+    #[cfg(debug_assertions)]
+    if let Err(vs) = acc_coll::verify::verify_conservation(op, elems, &schedules) {
+        for v in &vs {
+            eprintln!("{v}");
+        }
+        panic!(
+            "static conservation verification failed: {} violation(s)",
+            vs.len()
+        );
+    }
     let inputs: Vec<Rc<[f64]>> = (0..spec.p)
         .map(|rank| collective_input(rank, elems))
         .collect();
-    run_schedules(
-        &spec,
-        &schedules,
-        &inputs,
-        &Workload::Collective { op, algo, elems },
-        |results| {
-            let expect = acc_coll::oracle(op, spec.p, &inputs);
-            for (rank, r) in results.iter().enumerate() {
-                assert_eq!(r, &expect[rank], "rank {rank} {op}/{algo} output mismatch");
-            }
-        },
-    )
+    run_schedules(spec, plan, &schedules, &inputs, |results| {
+        let expect = acc_coll::oracle(op, spec.p, &inputs);
+        for (rank, r) in results.iter().enumerate() {
+            assert_eq!(r, &expect[rank], "rank {rank} {op}/{algo} output mismatch");
+        }
+    })
 }
 
 /// Run the halo-exchange workload: `iters` stencil sweeps over a
@@ -1279,7 +1143,8 @@ pub(crate) fn collective(
 /// # Panics
 /// Panics if `spec.p` is not a power of two or `elems < 2`.
 pub(crate) fn halo(
-    spec: ClusterSpec,
+    spec: &ClusterSpec,
+    plan: &RunPlan,
     elems: usize,
     iters: usize,
 ) -> Result<CollRunResult, Box<HangReport>> {
@@ -1289,100 +1154,59 @@ pub(crate) fn halo(
     let inputs: Vec<Rc<[f64]>> = (0..spec.p)
         .map(|rank| collective_input(rank, elems))
         .collect();
-    run_schedules(
-        &spec,
-        &schedules,
-        &inputs,
-        &Workload::Halo { elems, iters },
-        |results| {
-            let expect = acc_coll::plan::run_lockstep(&schedules, &inputs);
-            for (rank, r) in results.iter().enumerate() {
-                assert_eq!(r, &expect[rank], "rank {rank} halo output mismatch");
-            }
-        },
-    )
+    run_schedules(spec, plan, &schedules, &inputs, |results| {
+        let expect = acc_coll::plan::run_lockstep(&schedules, &inputs);
+        for (rank, r) in results.iter().enumerate() {
+            assert_eq!(r, &expect[rank], "rank {rank} halo output mismatch");
+        }
+    })
 }
 
 /// Shared engine runner: wire one [`CollDriver`] per rank over the
-/// given schedules, run under the deadline hierarchy, aggregate
-/// timings, and verify through `check` (which asserts on mismatch).
+/// given schedules, run under the plan's deadlines, aggregate timings,
+/// and verify through `check` (which asserts on mismatch).
 fn run_schedules(
     spec: &ClusterSpec,
+    plan: &RunPlan,
     schedules: &[Schedule],
     inputs: &[Rc<[f64]>],
-    workload: &Workload,
     check: impl FnOnce(&[Vec<f64>]),
 ) -> Result<CollRunResult, Box<HangReport>> {
-    assert!(spec.p >= 1);
     let offload = plan_collective_offload(spec.technology, schedules)
         .unwrap_or_else(|e| panic!("collective offload rejected: {e}"));
-    // When the plan can kill a card under a rank-local policy, the
-    // survivors keep their datapaths while rerouting the dead rank's
-    // legs over TCP: re-validate each healthy rank's shrunken offload
-    // against the CLB budget before wiring anything, so an over-budget
-    // degraded bitstream is a structured pre-flight failure, not a
-    // sim-time surprise.
-    if let Some((device, mode)) = inic_device_mode(spec.technology) {
-        if let Some(plan) = &spec.fault_plan {
-            let card_dead: std::collections::BTreeSet<usize> = plan
-                .card_failures()
-                .iter()
-                .map(|&(node, _)| node as usize)
-                .collect();
-            // Ranks a switch failure will strand degrade exactly like
-            // card deaths (the wiring kills their cards at that
-            // instant), so the pre-flight prices them the same way.
-            let home = spec.fabric.build(spec.p).home;
-            let dead = acc_coll::recovery::with_partitioned(
-                &card_dead,
-                plan.switch_failures().iter().flat_map(|&(s, _)| {
-                    let home = &home;
-                    (0..spec.p).filter(move |&r| home[r] == s as usize)
-                }),
-            );
-            if !dead.is_empty() {
-                for (rank, s) in schedules.iter().enumerate() {
-                    if dead.contains(&rank) {
-                        continue;
-                    }
-                    acc_coll::recovery::degraded_offload(s, spec.p, &dead, 0, mode, &device)
-                        .unwrap_or_else(|e| {
-                            panic!("degraded collective offload rejected for rank {rank}: {e}")
-                        });
-                }
+    // Under a rank-local policy the survivors keep their datapaths while
+    // the stranded ranks' legs reroute over TCP: re-validate each
+    // survivor's shrunken offload against the CLB budget before wiring
+    // anything, so an over-budget degraded bitstream is a structured
+    // pre-flight failure, not a sim-time surprise. Under full restart
+    // every rank abandons its card, so no degraded bitstream is loaded.
+    let dead: BTreeSet<usize> = plan.stranded.iter().map(|&(r, _)| r as usize).collect();
+    let keeps_cards = plan.policy != RecoveryPolicy::FullRestart && !dead.is_empty();
+    if let Some((device, _, mode)) = plan.card.filter(|_| keeps_cards) {
+        for (rank, s) in schedules.iter().enumerate() {
+            if !dead.contains(&rank) {
+                acc_coll::recovery::degraded_offload(s, spec.p, &dead, 0, mode, &device)
+                    .unwrap_or_else(|e| {
+                        panic!("degraded collective offload rejected for rank {rank}: {e}")
+                    });
             }
         }
     }
-    // Debug builds statically prove the schedule set before wiring the
-    // engine: leg pairing / deadlock-freedom always, and reduce
-    // conservation for collective workloads (halo stencils have no
-    // single-collective oracle). Release builds skip the pass — the
-    // same proofs run offline via `acc-verify --schedules`.
+    // Debug builds statically prove leg pairing and deadlock-freedom
+    // before wiring the engine. Release builds skip the pass — the same
+    // proofs run offline via `acc-verify --schedules`.
     #[cfg(debug_assertions)]
-    {
-        if let Err(vs) = acc_coll::verify::verify_schedules(schedules) {
-            for v in &vs {
-                eprintln!("{v}");
-            }
-            panic!(
-                "static schedule verification failed: {} violation(s)",
-                vs.len()
-            );
+    if let Err(vs) = acc_coll::verify::verify_schedules(schedules) {
+        for v in &vs {
+            eprintln!("{v}");
         }
-        if let &Workload::Collective { op, elems, .. } = workload {
-            if let Err(vs) = acc_coll::verify::verify_conservation(op, elems, schedules) {
-                for v in &vs {
-                    eprintln!("{v}");
-                }
-                panic!(
-                    "static conservation verification failed: {} violation(s)",
-                    vs.len()
-                );
-            }
-        }
+        panic!(
+            "static schedule verification failed: {} violation(s)",
+            vs.len()
+        );
     }
     let kernels = HostKernels::athlon_1ghz();
-    let mut w = wire(spec, |rank, attachment, fault_ctl| {
+    let make = |rank, attachment, fault_ctl| {
         CollDriver::new(
             rank,
             spec.p,
@@ -1393,31 +1217,27 @@ fn run_schedules(
             offload.as_ref().map(|plans| plans[rank].clone()),
         )
         .with_fault_ctl(fault_ctl)
-    });
-    let hierarchy = DeadlineHierarchy::for_run(spec, workload);
-    w.run_to_completion::<CollDriver>(&hierarchy)?;
-    let mut comm = SimDuration::ZERO;
-    let mut compute = SimDuration::ZERO;
-    for drv in w.ranks::<CollDriver>() {
-        comm = comm.max(drv.timings.comm);
-        compute = compute.max(drv.timings.compute);
-    }
-    // Only the oracle reads the outputs; copy them out only for it.
-    let verified = if spec.verify {
-        let results: Vec<Vec<f64>> = w.ranks::<CollDriver>().map(CollDriver::result).collect();
-        check(&results);
-        true
-    } else {
-        false
     };
-    let summary = w.summarize::<CollDriver>(spec);
+    let ((comm, compute), s) = run(spec, plan, make, |w: &Wiring| {
+        let [mut comm, mut compute] = [SimDuration::ZERO; 2];
+        for drv in w.ranks::<CollDriver>() {
+            comm = comm.max(drv.timings.comm);
+            compute = compute.max(drv.timings.compute);
+        }
+        // Only the oracle reads the outputs; copy them out only for it.
+        if spec.verify {
+            let results: Vec<Vec<f64>> = w.ranks::<CollDriver>().map(CollDriver::result).collect();
+            check(&results);
+        }
+        (comm, compute)
+    })?;
     Ok(CollRunResult {
-        total: summary.total,
+        total: s.total,
         comm,
         compute,
-        verified,
-        faults: summary.faults,
-        audit: summary.audit,
-        rejected_frames: summary.rejected_frames,
+        verified: spec.verify,
+        faults: s.faults,
+        audit: s.audit,
+        rejected_frames: s.rejected_frames,
     })
 }

@@ -19,15 +19,18 @@
 //! never fire on a slow-but-live configuration, only on a wedged one —
 //! but the tighter INIC bound is what makes hang *detection* cheap
 //! enough for the fault-plan minimizer to run dozens of candidate runs.
+//!
+//! Whether a rank can degrade to the fallback NIC and how far the
+//! fabric stretches a path both come from the run's plan (`plan.rs`),
+//! the same facts the cluster wiring acts on.
 
-use acc_net::routing::Attachment as FabricAttachment;
-use acc_net::{compute_schedule, FabricSpec, MacAddr, TrunkOutage};
 use acc_sim::{SimDuration, SimTime, Watchdog};
 
 use acc_coll::CollectiveOp;
 
 use crate::cluster::{select_algorithm, ClusterSpec, Technology};
 use crate::model::{CollModel, FftModel, SortModel};
+use crate::plan::RunPlan;
 use crate::runner::Workload;
 
 /// Multiplier between a model-predicted phase time and that phase's
@@ -98,18 +101,36 @@ pub struct DeadlineHierarchy {
 
 impl DeadlineHierarchy {
     /// Derive the hierarchy for `workload` on the cluster `spec`
-    /// describes.
+    /// describes: the budgets [`crate::RunRequest::execute`] runs under,
+    /// priced from the same derived facts the wiring acts on.
     pub fn for_run(spec: &ClusterSpec, workload: &Workload) -> DeadlineHierarchy {
+        RunPlan::new(spec, workload).deadlines
+    }
+
+    /// Price `workload` on `spec`. `degraded` says some rank can end up
+    /// on the commodity Gigabit fallback NIC (a card kill, or an edge
+    /// switch kill, on an INIC run); `inflation` is the worst routed
+    /// path, in switches, over every epoch of the run's routing
+    /// timeline (1 on the single switch).
+    pub(crate) fn price(
+        spec: &ClusterSpec,
+        workload: &Workload,
+        degraded: bool,
+        inflation: u64,
+    ) -> DeadlineHierarchy {
         let p = spec.p;
         let slack = slack(spec.technology);
         let scaled = |predicted| scale(predicted, slack);
         // Collective phases are lockstep: every rank's round waits on
-        // the slowest participating rank. A fault plan that can kill a
-        // card degrades that rank to the commodity fallback NIC, so the
-        // budgets must price the *degraded* technology — otherwise a
-        // legitimately slower mixed TCP/INIC collective trips a false
-        // deadline.
-        let coll_tech = budget_technology(spec);
+        // the slowest participating rank, so a run that can strand a
+        // rank on the fallback NIC prices its collective budgets at the
+        // commodity technology — otherwise a legitimately slower mixed
+        // TCP/INIC collective trips a false deadline.
+        let coll_tech = if degraded {
+            Technology::GigabitTcp
+        } else {
+            spec.technology
+        };
         let coll_slack = self::slack(coll_tech);
         let coll_scaled = |predicted| scale(predicted, coll_slack);
         let (mut phases, payload_kib) = match *workload {
@@ -183,11 +204,8 @@ impl DeadlineHierarchy {
         // Multi-switch fabrics legitimately inflate every phase: a
         // frame crossing five switches pays five store-and-forward
         // latencies plus per-hop queueing, and failover detours stretch
-        // the worst path further. Price the budgets at the worst-case
-        // hop inflation over every routing epoch the fault plan
-        // induces, so a degraded-but-live run never trips a false
-        // deadline.
-        let inflation = fabric_inflation(spec);
+        // the worst path further. Pricing at the worst-case inflation
+        // keeps a degraded-but-live run from tripping a false deadline.
         if inflation > 1 {
             for ph in &mut phases {
                 ph.budget = ph
@@ -240,76 +258,6 @@ impl DeadlineHierarchy {
     }
 }
 
-/// The technology whose model prices a lockstep collective's phase
-/// budgets: the slowest technology any participating rank can end up
-/// on. Clean runs (and plans without card kills) use the spec's
-/// technology; a plan that can kill a card on an INIC run leaves the
-/// dead rank on the commodity Gigabit fallback NIC, and every lockstep
-/// round then waits on that rank.
-fn budget_technology(spec: &ClusterSpec) -> Technology {
-    let Some(plan) = &spec.fault_plan else {
-        return spec.technology;
-    };
-    if !spec.technology.is_inic() {
-        return spec.technology;
-    }
-    // A dead edge switch degrades every rank homed on it to the
-    // commodity fallback NIC exactly like a card death (see the cluster
-    // wiring), so it prices the budgets the same way.
-    let switch_victims =
-        spec.fabric != FabricSpec::SingleSwitch && !plan.switch_failures().is_empty() && {
-            let topo = spec.fabric.build(spec.p);
-            plan.switch_failures()
-                .iter()
-                .any(|&(s, _)| topo.home.contains(&(s as usize)))
-        };
-    if plan.has_card_failures() || switch_victims {
-        Technology::GigabitTcp
-    } else {
-        spec.technology
-    }
-}
-
-/// Worst-case routed-path length (in switches) across every routing
-/// epoch of the spec's fabric, relative to the single-switch baseline
-/// of 1. Pure: recomputed from the spec exactly as the cluster wiring
-/// computes it, so the budgets and the fabric always agree.
-fn fabric_inflation(spec: &ClusterSpec) -> u64 {
-    if spec.fabric == FabricSpec::SingleSwitch {
-        return 1;
-    }
-    let topo = spec.fabric.build(spec.p);
-    let attachments: Vec<FabricAttachment> = topo
-        .home
-        .iter()
-        .enumerate()
-        .map(|(rank, &switch)| FabricAttachment {
-            mac: MacAddr::for_node(rank, 0),
-            switch,
-            rank,
-        })
-        .collect();
-    let (outages, kills) = match &spec.fault_plan {
-        Some(pl) => (
-            pl.link_downs()
-                .iter()
-                .map(|&(a, b, from, until)| TrunkOutage {
-                    a: a as usize,
-                    b: b as usize,
-                    from,
-                    until,
-                })
-                .collect(),
-            pl.switch_failures()
-                .iter()
-                .map(|&(s, at)| (s as usize, at))
-                .collect(),
-        ),
-        None => (Vec::new(), Vec::new()),
-    };
-    compute_schedule(&topo, &attachments, &outages, &kills).max_inflation() as u64
-}
-
 /// Per-phase budgets for an engine schedule: the collective model's
 /// per-phase predictions for this technology, slack-scaled, plus the
 /// watchdog payload term from the schedule's critical-path wire volume.
@@ -347,6 +295,7 @@ mod tests {
     use super::*;
     use crate::cluster::{KeyDistribution, PartitionStrategy, Technology};
     use acc_chaos::{FaultEvent, LinkId};
+    use acc_net::FabricSpec;
 
     /// The paper's sort of `total_keys` keys.
     fn sort(total_keys: u64) -> Workload {
@@ -449,6 +398,62 @@ mod tests {
         let jh = DeadlineHierarchy::for_run(&jittered, &wl);
         for ph in &jh.phases {
             assert_eq!(ph.budget, ch.phase_budget(ph.name));
+        }
+        // A dead edge switch strands the ranks it homes exactly like
+        // card deaths, so it prices at the fallback too; a dead core
+        // switch homes no rank and keeps the INIC pricing. Each is
+        // compared on the same fabric, so hop inflation cancels out.
+        let fat = |technology, kill: Option<u32>| {
+            let spec = ClusterSpec::new(8, technology).with_fabric(FabricSpec::FatTree { k: 4 });
+            let spec = match kill {
+                Some(switch) => spec.with_fault_plan(acc_chaos::FaultPlan::new(9).with(
+                    FaultEvent::SwitchFailure {
+                        switch,
+                        at: SimTime::ZERO + SimDuration::from_millis(61),
+                    },
+                )),
+                None => spec,
+            };
+            DeadlineHierarchy::for_run(&spec, &wl)
+        };
+        let fat_clean = fat(Technology::InicIdeal, None);
+        let edge = fat(Technology::InicIdeal, Some(0));
+        let edge_gb = fat(Technology::GigabitTcp, Some(0));
+        let core = fat(Technology::InicIdeal, Some(19));
+        for ph in &edge.phases {
+            assert!(ph.budget > fat_clean.phase_budget(ph.name), "{}", ph.name);
+            assert_eq!(ph.budget, edge_gb.phase_budget(ph.name), "{}", ph.name);
+        }
+        for ph in &core.phases {
+            assert_eq!(ph.budget, fat_clean.phase_budget(ph.name), "{}", ph.name);
+        }
+    }
+
+    #[test]
+    fn degraded_budgets_price_the_fallback_detour() {
+        // On fat-tree k=4 at p=2 both ranks sit on edge switch 0, so a
+        // primary path crosses one switch. The fallback NICs a card
+        // kill brings in attach to the next edge switch, and that
+        // detour crosses three: the budgets price the path the
+        // degraded run takes, not the primary one.
+        let wl = Workload::Collective {
+            op: acc_coll::CollectiveOp::AllReduce,
+            algo: acc_coll::Algorithm::Ring,
+            elems: 1 << 20,
+        };
+        let kill = acc_chaos::FaultPlan::new(7).with(FaultEvent::CardFailure {
+            node: 1,
+            at: SimTime::ZERO + SimDuration::from_millis(61),
+        });
+        let single = ClusterSpec::new(2, Technology::InicIdeal).with_fault_plan(kill);
+        let fat = single.clone().with_fabric(FabricSpec::FatTree { k: 4 });
+        let plan = RunPlan::new(&fat, &wl);
+        let inflation = plan.timeline.as_ref().expect("fabric").max_inflation() as u64;
+        assert_eq!(inflation, 3);
+        let base = DeadlineHierarchy::for_run(&single, &wl);
+        for ph in &plan.deadlines.phases {
+            let expect = base.phase_budget(ph.name).checked_mul(inflation);
+            assert_eq!(Some(ph.budget), expect, "{}", ph.name);
         }
     }
 

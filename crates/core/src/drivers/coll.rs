@@ -73,7 +73,7 @@ use super::{Attachment, FaultCtl};
 
 /// Timing record of one collective run.
 #[derive(Clone, Debug, Default)]
-pub struct CollTimings {
+pub(crate) struct CollTimings {
     /// Wall time spent waiting on round transfers (wire + card).
     pub comm: SimDuration,
     /// Host compute time (`Sum` folds on the host paths, modelled local
@@ -87,7 +87,7 @@ pub struct CollTimings {
 }
 
 /// Per-node schedule interpreter.
-pub struct CollDriver {
+pub(crate) struct CollDriver {
     /// Network attachment and failover state.
     fo: Failover,
     kernels: HostKernels,

@@ -349,7 +349,6 @@ fn rank_local<D: Recoverable>(d: &mut D, node: usize, coord: ComponentId, ctx: &
         RECOVERY_LATENCY,
         coord,
         RecoveryReport {
-            rank: fo.rank as u32,
             round: fo.epoch,
             phase,
         },

@@ -65,7 +65,7 @@ enum Phase {
 
 /// Timing record of one completed run, readable after `sim.run()`.
 #[derive(Clone, Debug, Default)]
-pub struct FftTimings {
+pub(crate) struct FftTimings {
     /// Sum of both row-FFT phases.
     pub compute: SimDuration,
     /// Sum of both transposes (wall time per node, including overlap).
@@ -82,7 +82,7 @@ pub struct FftTimings {
 }
 
 /// The per-node FFT application driver.
-pub struct FftDriver {
+pub(crate) struct FftDriver {
     /// Network attachment and failover state.
     fo: Failover,
     p: usize,

@@ -16,11 +16,11 @@
 //! (`exchange.rs`) and keep only their transforms and phase timings;
 //! all three buffer TCP deliveries in its one inbox.
 
-pub mod coll;
+pub(crate) mod coll;
 mod exchange;
 mod failover;
-pub mod fft;
-pub mod sort;
+pub(crate) mod fft;
+pub(crate) mod sort;
 
 pub(crate) use failover::Recoverable;
 
@@ -34,7 +34,7 @@ use acc_sim::{Component, ComponentId, Ctx, SimDuration, SimTime};
 
 /// How a node reaches the network.
 #[derive(Clone, Debug)]
-pub enum Attachment {
+pub(crate) enum Attachment {
     /// Commodity NIC + kernel TCP (Fast or Gigabit Ethernet — the link
     /// rate is a property of the wiring, not the driver).
     Tcp {
@@ -71,7 +71,7 @@ pub enum Attachment {
 /// the collective resumes (from the last checkpointed phase when
 /// checkpointing is on) as a mixed-technology exchange.
 #[derive(Clone, Copy, Debug)]
-pub struct CardFailed {
+pub(crate) struct CardFailed {
     /// Rank whose card died.
     pub node: u32,
 }
@@ -114,12 +114,12 @@ pub struct DriverProgress {
 /// Host-side latency of one failure-coordination message (detection,
 /// kernel path, daemon wakeup). Charged on each report and each resume
 /// broadcast.
-pub const RECOVERY_LATENCY: SimDuration = SimDuration::from_micros(200);
+pub(crate) const RECOVERY_LATENCY: SimDuration = SimDuration::from_micros(200);
 
 /// Per-driver fault-handling configuration, wired by the cluster
 /// builder only when a fault plan is attached.
 #[derive(Default)]
-pub struct FaultCtl {
+pub(crate) struct FaultCtl {
     /// This node's stall windows from the plan (empty = never stalls).
     pub stalls: StallSchedule,
     /// Card-failure recovery policy.
@@ -133,9 +133,7 @@ pub struct FaultCtl {
 /// Driver → coordinator: this rank processed a [`CardFailed`] and can
 /// resume from checkpoint `phase` (0 = from scratch).
 #[derive(Clone, Copy, Debug)]
-pub struct RecoveryReport {
-    /// Reporting rank.
-    pub rank: u32,
+pub(crate) struct RecoveryReport {
     /// Failover round (the driver's post-bump epoch) the report belongs
     /// to; reports from different rounds are never mixed.
     pub round: u64,
@@ -150,7 +148,7 @@ pub struct RecoveryReport {
 /// the collective from checkpoint `phase` (the minimum over ranks — a
 /// collective phase needs every peer's participation).
 #[derive(Clone, Copy, Debug)]
-pub struct ResumeAt {
+pub(crate) struct ResumeAt {
     /// Failover round this decision belongs to.
     pub round: u64,
     /// Phase to restore and resume from.
@@ -162,7 +160,7 @@ pub struct ResumeAt {
 /// completed phase as the cluster-wide resume point. Models the small
 /// host-level consensus a real cluster would run over its management
 /// network; each hop is charged [`RECOVERY_LATENCY`].
-pub struct RecoveryCoordinator {
+pub(crate) struct RecoveryCoordinator {
     label: String,
     drivers: Vec<ComponentId>,
     /// Collected phases per round.
@@ -241,7 +239,7 @@ impl Attachment {
 /// that each bucket fits the processor cache, and never fewer than the
 /// paper's 128 ("on a problem size of 2²¹ keys or more, a minimum of 128
 /// buckets are needed for the problem to map well into cache").
-pub fn recv_buckets_for(keys_per_node: u64) -> usize {
+pub(crate) fn recv_buckets_for(keys_per_node: u64) -> usize {
     let target_bucket_bytes = 128 * 1024;
     let needed = (keys_per_node * 4).div_ceil(target_bucket_bytes).max(128);
     needed.next_power_of_two() as usize

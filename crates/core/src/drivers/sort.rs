@@ -43,7 +43,7 @@ use super::{recv_buckets_for, Attachment, FaultCtl};
 
 /// How the receive-side bucketing is split between card and host.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum SortVariant {
+pub(crate) enum SortVariant {
     /// Commodity NIC: host does everything.
     HostOnly,
     /// Ideal INIC: card buckets straight into the final `N` buckets.
@@ -86,7 +86,7 @@ struct ExchangeCkpt {
 
 /// Timing decomposition of one node's run.
 #[derive(Clone, Debug, Default)]
-pub struct SortTimings {
+pub(crate) struct SortTimings {
     /// Host phase-1 bucket time (zero on INIC paths).
     pub bucket1: SimDuration,
     /// Exchange wall time (first send to all-received).
@@ -102,7 +102,7 @@ pub struct SortTimings {
 }
 
 /// The per-node integer-sort driver.
-pub struct SortDriver {
+pub(crate) struct SortDriver {
     /// Network attachment and failover state.
     fo: Failover,
     p: usize,

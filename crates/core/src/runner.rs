@@ -23,6 +23,7 @@ use crate::cluster::{
     SortRunResult,
 };
 use crate::liveness::HangReport;
+use crate::plan::RunPlan;
 use crate::report::FaultDiagnostics;
 
 /// Which application a run executes, with its size parameters.
@@ -140,23 +141,25 @@ impl RunRequest {
     /// collective cell, an offload over the card's CLB budget.
     pub fn execute(self) -> RunOutcome {
         let RunRequest { spec, workload } = self;
+        let plan = RunPlan::new(&spec, &workload);
         let result = match workload {
-            Workload::Fft { rows } => cluster::fft(spec, rows).map(RunOutcome::Fft),
+            Workload::Fft { rows } => cluster::fft(&spec, &plan, rows).map(RunOutcome::Fft),
             Workload::Sort {
                 total_keys,
                 distribution,
                 strategy,
-            } => cluster::sort(spec, total_keys, distribution, strategy).map(RunOutcome::Sort),
+            } => cluster::sort(&spec, &plan, total_keys, distribution, strategy)
+                .map(RunOutcome::Sort),
             Workload::AllReduce { elems } => {
                 let op = CollectiveOp::AllReduce;
                 let algo = cluster::select_algorithm(spec.technology, op, spec.p, elems);
-                cluster::collective(spec, op, algo, elems).map(RunOutcome::Reduce)
+                cluster::collective(&spec, &plan, op, algo, elems).map(RunOutcome::Reduce)
             }
             Workload::Collective { op, algo, elems } => {
-                cluster::collective(spec, op, algo, elems).map(RunOutcome::Coll)
+                cluster::collective(&spec, &plan, op, algo, elems).map(RunOutcome::Coll)
             }
             Workload::Halo { elems, iters } => {
-                cluster::halo(spec, elems, iters).map(RunOutcome::Coll)
+                cluster::halo(&spec, &plan, elems, iters).map(RunOutcome::Coll)
             }
         };
         result.unwrap_or_else(RunOutcome::Hung)

@@ -1,7 +1,7 @@
 #!/usr/bin/env sh
 # Byte-identity check for refactors: do the figures, ablations, soak
-# campaigns and the benchmark's simulated outputs match what they were
-# at <rev>?
+# campaigns, examples and the benchmark's simulated outputs match what
+# they were at <rev>?
 #
 #   scripts/same_outputs.sh <rev>
 #
@@ -12,11 +12,13 @@
 # Then runs on both:
 #   - every fig* and ablation_* binary at ACC_JOBS=1 and ACC_JOBS=4;
 #   - soak --rounds 256 and soak --rounds 64 --coll, at both job counts;
+#   - the root examples (examples/*.rs) and acc-bench's hang_demo
+#     example (the deadline, hang-report and repro path), once each;
 #   - acc_benchmark --seconds 1 --trace 0 on every workload at seeds 7
 #     and 11, keeping its exit status and the results file's
 #     sim_fingerprint and sim_ms (host times are noise, not outputs).
-# Each run gets a fresh cwd (soak writes soak-repro.txt to its cwd; that
-# file is compared too). Stdout and exit status are compared per run;
+# Each run gets a fresh cwd. Stdout, exit status and every file the run
+# writes to its cwd (soak's soak-repro.txt, say) are compared per run;
 # the script lists the runs that differ, shows the benchmark fields that
 # differ, and exits nonzero on any difference. About 6 min on a 2-vCPU
 # host with warm workspace builds, the two acc_benchmark builds (about
@@ -35,20 +37,22 @@ echo "== building $rev in $tree"
 rm -rf "$tree"
 mkdir -p "$tree"
 git archive "$rev" | tar -x -C "$tree"
-cargo build --release --offline -q -p acc-bench --bins \
+cargo build --release --offline -q -p acc -p acc-bench --bins --examples \
     --manifest-path "$tree/Cargo.toml" --target-dir "$work/target"
 cargo build --release --offline -q \
     --manifest-path "$tree/$bench/Cargo.toml" --target-dir "$work/bench-base"
 echo "== building the working tree"
-cargo build --release --offline -q -p acc-bench --bins
+cargo build --release --offline -q -p acc -p acc-bench --bins --examples
 cargo build --release --offline -q \
     --manifest-path "$bench/Cargo.toml" --target-dir "$work/bench-head"
 
 bins=$(cd crates/bench/src/bin && ls fig*.rs ablation_*.rs | sed 's/\.rs$//')
+examples="$(cd examples && ls *.rs | sed 's/\.rs$//') hang_demo"
 rm -rf "$work/out" "$work/cwd"
 
 # run <side> <bin dir> <name> <jobs> <label> [args...]: stdout, then the
-# exit status and any soak-repro.txt, into $work/out/<side>/<label>.
+# exit status and every file written to the run's cwd, into
+# $work/out/<side>/<label>.
 run() {
     side=$1 dir=$2 name=$3 jobs=$4 label=$5
     shift 5
@@ -58,9 +62,10 @@ run() {
     status=0
     (cd "$cwd" && ACC_JOBS=$jobs "$dir/$name" "$@") > "$out" 2> /dev/null || status=$?
     echo "exit status $status" >> "$out"
-    if [ -f "$cwd/soak-repro.txt" ]; then
-        cat "$cwd/soak-repro.txt" >> "$out"
-    fi
+    (cd "$cwd" && find . -type f | sort) | while read -r f; do
+        echo "file $f:" >> "$out"
+        cat "$cwd/$f" >> "$out"
+    done
 }
 
 # bench <side> <workload> <seed>: acc_benchmark's exit status and the
@@ -87,6 +92,9 @@ for side in base head; do
         done
         run "$side" "$bindir" soak "$j" "soak-256.j$j" --rounds 256
         run "$side" "$bindir" soak "$j" "soak-64-coll.j$j" --rounds 64 --coll
+    done
+    for ex in $examples; do
+        run "$side" "$bindir/examples" "$ex" 1 "example-$ex"
     done
     echo "== running the $side benchmark"
     for w in $workloads; do
