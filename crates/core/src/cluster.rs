@@ -1096,26 +1096,24 @@ fn collective_input(rank: usize, elems: usize) -> Rc<[f64]> {
         .collect()
 }
 
-/// Run one collective through the engine with an explicit algorithm. A
+/// Run collective `op` through the engine on the plan's schedules. A
 /// hung run returns its structured [`HangReport`].
 ///
 /// # Panics
 /// Panics if the offload plan exceeds the device's CLB budget (pre-check
 /// with [`plan_collective_offload`] to get the structured error
 /// instead). An unsupported (op, algorithm, p, elems) cell panics while
-/// its deadlines are priced, before this runs.
+/// the plan builds its schedules, before this runs.
 pub(crate) fn collective(
     spec: &ClusterSpec,
     plan: &RunPlan,
     op: CollectiveOp,
-    algo: Algorithm,
     elems: usize,
 ) -> Result<CollRunResult, Box<HangReport>> {
-    let schedules = acc_coll::plan::build_all(op, algo, spec.p, elems);
     // Debug builds also prove reduce conservation (halo stencils have no
     // single-collective oracle to prove it against).
     #[cfg(debug_assertions)]
-    if let Err(vs) = acc_coll::verify::verify_conservation(op, elems, &schedules) {
+    if let Err(vs) = acc_coll::verify::verify_conservation(op, elems, &plan.schedules) {
         for v in &vs {
             eprintln!("{v}");
         }
@@ -1127,35 +1125,29 @@ pub(crate) fn collective(
     let inputs: Vec<Rc<[f64]>> = (0..spec.p)
         .map(|rank| collective_input(rank, elems))
         .collect();
-    run_schedules(spec, plan, &schedules, &inputs, |results| {
+    run_schedules(spec, plan, &inputs, |results| {
         let expect = acc_coll::oracle(op, spec.p, &inputs);
         for (rank, r) in results.iter().enumerate() {
-            assert_eq!(r, &expect[rank], "rank {rank} {op}/{algo} output mismatch");
+            assert_eq!(r, &expect[rank], "rank {rank} {op} output mismatch");
         }
     })
 }
 
-/// Run the halo-exchange workload: `iters` stencil sweeps over a
-/// 1-D strip decomposition, each sweep a neighbour halo exchange plus a
-/// local update, closed by a residual allreduce (allreduce-heavy by
-/// construction). A hung run returns its structured [`HangReport`].
-///
-/// # Panics
-/// Panics if `spec.p` is not a power of two or `elems < 2`.
+/// Run the halo-exchange workload on the plan's schedules: stencil
+/// sweeps over a 1-D strip decomposition of `elems` cells per rank,
+/// each sweep a neighbour halo exchange plus a local update, closed by
+/// a residual allreduce (allreduce-heavy by construction). A hung run
+/// returns its structured [`HangReport`].
 pub(crate) fn halo(
     spec: &ClusterSpec,
     plan: &RunPlan,
     elems: usize,
-    iters: usize,
 ) -> Result<CollRunResult, Box<HangReport>> {
-    let schedules: Vec<Schedule> = (0..spec.p)
-        .map(|rank| acc_coll::plan::halo(rank, spec.p, elems, iters))
-        .collect();
     let inputs: Vec<Rc<[f64]>> = (0..spec.p)
         .map(|rank| collective_input(rank, elems))
         .collect();
-    run_schedules(spec, plan, &schedules, &inputs, |results| {
-        let expect = acc_coll::plan::run_lockstep(&schedules, &inputs);
+    run_schedules(spec, plan, &inputs, |results| {
+        let expect = acc_coll::plan::run_lockstep(&plan.schedules, &inputs);
         for (rank, r) in results.iter().enumerate() {
             assert_eq!(r, &expect[rank], "rank {rank} halo output mismatch");
         }
@@ -1163,15 +1155,15 @@ pub(crate) fn halo(
 }
 
 /// Shared engine runner: wire one [`CollDriver`] per rank over the
-/// given schedules, run under the plan's deadlines, aggregate timings,
+/// plan's schedules, run under the plan's deadlines, aggregate timings,
 /// and verify through `check` (which asserts on mismatch).
 fn run_schedules(
     spec: &ClusterSpec,
     plan: &RunPlan,
-    schedules: &[Schedule],
     inputs: &[Rc<[f64]>],
     check: impl FnOnce(&[Vec<f64>]),
 ) -> Result<CollRunResult, Box<HangReport>> {
+    let schedules = &plan.schedules;
     let offload = plan_collective_offload(spec.technology, schedules)
         .unwrap_or_else(|e| panic!("collective offload rejected: {e}"));
     // Under a rank-local policy the survivors keep their datapaths while

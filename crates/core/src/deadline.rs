@@ -24,11 +24,10 @@
 //! fabric stretches a path both come from the run's plan (`plan.rs`),
 //! the same facts the cluster wiring acts on.
 
+use acc_coll::Schedule;
 use acc_sim::{SimDuration, SimTime, Watchdog};
 
-use acc_coll::CollectiveOp;
-
-use crate::cluster::{select_algorithm, ClusterSpec, Technology};
+use crate::cluster::{ClusterSpec, Technology};
 use crate::model::{CollModel, FftModel, SortModel};
 use crate::plan::RunPlan;
 use crate::runner::Workload;
@@ -107,14 +106,17 @@ impl DeadlineHierarchy {
         RunPlan::new(spec, workload).deadlines
     }
 
-    /// Price `workload` on `spec`. `degraded` says some rank can end up
-    /// on the commodity Gigabit fallback NIC (a card kill, or an edge
-    /// switch kill, on an INIC run); `inflation` is the worst routed
-    /// path, in switches, over every epoch of the run's routing
-    /// timeline (1 on the single switch).
+    /// Price `workload` on `spec`. `schedules` is the engine run's
+    /// per-rank schedule set (empty for the FFT and the sort);
+    /// `degraded` says some rank can end up on the commodity Gigabit
+    /// fallback NIC (a card kill, or an edge switch kill, on an INIC
+    /// run); `inflation` is the worst routed path, in switches, over
+    /// every epoch of the run's routing timeline (1 on the single
+    /// switch).
     pub(crate) fn price(
         spec: &ClusterSpec,
         workload: &Workload,
+        schedules: &[Schedule],
         degraded: bool,
         inflation: u64,
     ) -> DeadlineHierarchy {
@@ -184,21 +186,18 @@ impl DeadlineHierarchy {
                 ];
                 (phases, (total_keys * 4) / 1024)
             }
-            Workload::AllReduce { elems } => {
-                // The flat AllReduce rides the engine with its
-                // policy-selected algorithm; budget the phases that
-                // algorithm actually has.
-                let algo = select_algorithm(spec.technology, CollectiveOp::AllReduce, p, elems);
-                let model = CollModel::collective(CollectiveOp::AllReduce, algo, p, elems);
-                collective_budgets(&model, coll_tech, p, &coll_scaled)
-            }
-            Workload::Collective { op, algo, elems } => {
-                let model = CollModel::collective(op, algo, p, elems);
-                collective_budgets(&model, coll_tech, p, &coll_scaled)
-            }
-            Workload::Halo { elems, iters } => {
-                let model = CollModel::halo(p, elems, iters);
-                collective_budgets(&model, coll_tech, p, &coll_scaled)
+            // An engine run budgets the phases its schedules have (the
+            // flat AllReduce's are its policy-selected algorithm's),
+            // with the watchdog payload term from the schedules'
+            // critical-path wire volume.
+            Workload::AllReduce { .. } | Workload::Collective { .. } | Workload::Halo { .. } => {
+                let model = CollModel::of(schedules);
+                let phases = model.phase_predictions(coll_tech).into_iter();
+                let phases = phases.map(|(name, predicted)| PhaseBudget {
+                    name,
+                    budget: coll_scaled(predicted),
+                });
+                (phases.collect(), model.wire_bytes() * p as u64 / 1024)
             }
         };
         // Multi-switch fabrics legitimately inflate every phase: a
@@ -256,26 +255,6 @@ impl DeadlineHierarchy {
             .with_stall_events(self.stall_events)
             .with_deadline(self.run_deadline)
     }
-}
-
-/// Per-phase budgets for an engine schedule: the collective model's
-/// per-phase predictions for this technology, slack-scaled, plus the
-/// watchdog payload term from the schedule's critical-path wire volume.
-fn collective_budgets(
-    model: &CollModel,
-    technology: Technology,
-    p: usize,
-    scaled: &impl Fn(SimDuration) -> SimDuration,
-) -> (Vec<PhaseBudget>, u64) {
-    let phases = model
-        .phase_predictions(technology)
-        .into_iter()
-        .map(|(name, predicted)| PhaseBudget {
-            name,
-            budget: scaled(predicted),
-        })
-        .collect();
-    (phases, model.wire_bytes() * p as u64 / 1024)
 }
 
 /// Slack-multiplied, floored phase budget.

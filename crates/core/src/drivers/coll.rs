@@ -1,8 +1,10 @@
 //! The collective-engine driver — one rank of any `acc-coll` schedule.
 //!
-//! The FFT and sort drivers share one fixed all-to-all exchange
-//! (`exchange.rs`); this driver *interprets* a per-rank [`Schedule`]
-//! compiled by `acc-coll`'s builders: the same rounds drive all three
+//! The driver runs a per-rank [`Schedule`] compiled by `acc-coll`'s
+//! builders. Each round becomes one transfer step of the exchange every
+//! driver shares (`exchange.rs`), which posts it and reports when it
+//! was received and sent; the driver keeps only the encode, the folds,
+//! the charges and the checkpoints. The same rounds drive all three
 //! execution paths, so adding an algorithm to the engine needs no
 //! driver changes at all.
 //!
@@ -22,9 +24,10 @@
 //! * **Protocol-only INIC path**: raw gathers and unicast scatters —
 //!   the wire protocol is offloaded, the arithmetic stays on the host.
 //!
-//! Rounds are strictly ordered on each rank: the driver never issues
+//! Rounds are strictly ordered on each rank: a round closes only once
+//! its step was both received and sent, so the driver never issues
 //! round `t + 1` card requests before round `t`'s gather and scatter
-//! both completed, so per-round streams are announced exactly once and
+//! both completed, per-round streams are announced exactly once and
 //! stale completions cannot exist within an epoch. Ranks still slide
 //! against each other — the cards buffer early packets until the local
 //! rank announces the stream.
@@ -59,15 +62,11 @@ use std::rc::Rc;
 use acc_coll::plan::{ranges_elems, RecvSpec, Round};
 use acc_coll::recovery::{split_round, RoundLegs};
 use acc_coll::{OffloadPlan, RecvOp, Schedule};
-use acc_fpga::{
-    Bitstream, GatherKind, InicExpect, InicGatherComplete, InicScatter, InicScatterDone,
-    ScatterKind,
-};
+use acc_fpga::{Bitstream, GatherKind, ScatterKind};
 use acc_host::HostKernels;
-use acc_proto::{TcpDelivered, TcpSend};
 use acc_sim::{Component, Ctx, SimDuration, SimTime};
 
-use super::exchange::Inbox;
+use super::exchange::{CardPart, Exchange, Received, Step};
 use super::failover::{self, Failover, Recoverable};
 use super::{Attachment, FaultCtl};
 
@@ -86,7 +85,7 @@ pub(crate) struct CollTimings {
     pub started_at: Option<SimTime>,
 }
 
-/// Per-node schedule interpreter.
+/// Per-node schedule driver.
 pub(crate) struct CollDriver {
     /// Network attachment and failover state.
     fo: Failover,
@@ -98,23 +97,14 @@ pub(crate) struct CollDriver {
     /// This rank's contribution, shared with the run's oracle.
     input: Rc<[f64]>,
     round: usize,
-    /// Inbound TCP messages by `(src rank, round channel)` — peers may
-    /// run ahead, so future rounds accumulate here until we arrive.
-    inbox: Inbox,
-    await_gather: bool,
-    await_scatter: bool,
-    /// Whether the current INIC round still waits on fallback-TCP legs
-    /// (receives rerouted around a dead peer).
-    await_tcp: bool,
+    /// Each round's transfer step, and the inbox where peers running
+    /// ahead park their messages for later rounds.
+    xchg: Exchange,
     in_charge: bool,
-    /// Host-fold element count parked across the gather/scatter/TCP
-    /// completion race of one INIC round.
-    pending_sum_elems: u64,
     round_started: SimTime,
     charge_started: SimTime,
     phase_entered: SimTime,
     current_phase: &'static str,
-    started: bool,
     done: bool,
     /// Round-level checkpoints: completed-round count → state snapshot.
     /// Armed only under the checkpointed policy with a coordinator.
@@ -163,17 +153,12 @@ impl CollDriver {
             state: Vec::new(),
             input,
             round: 0,
-            inbox: Inbox::default(),
-            await_gather: false,
-            await_scatter: false,
-            await_tcp: false,
+            xchg: Exchange::default(),
             in_charge: false,
-            pending_sum_elems: 0,
             round_started: SimTime::ZERO,
             charge_started: SimTime::ZERO,
             phase_entered: SimTime::ZERO,
             current_phase: "init",
-            started: false,
             done: false,
             ckpts: BTreeMap::new(),
             timings: CollTimings::default(),
@@ -236,23 +221,6 @@ impl CollDriver {
         out
     }
 
-    /// Bytes of the message from `src` on `chan`, when `chan` names a
-    /// round of the current epoch that receives from `src` (0 otherwise:
-    /// a dead epoch's leftovers are never folded).
-    fn expected_rx_bytes(&self, src: usize, chan: u16) -> usize {
-        let rounds = self.schedule.rounds.len() as u64;
-        u64::from(chan)
-            .checked_sub(self.fo.epoch * (rounds + 1))
-            .filter(|&r| r < rounds)
-            .and_then(|r| {
-                self.schedule.rounds[r as usize]
-                    .recvs
-                    .iter()
-                    .find(|recv| recv.from == src)
-            })
-            .map_or(0, |recv| ranges_elems(&recv.ranges) * 8)
-    }
-
     /// Enter rounds from `self.round` until one blocks on the network
     /// or a charge window, or the schedule ends.
     fn start_round(&mut self, ctx: &mut Ctx) {
@@ -279,12 +247,7 @@ impl CollDriver {
                 continue;
             }
             self.round_started = ctx.now();
-            if self.is_tcp() {
-                self.issue_tcp_round(ctx);
-            } else {
-                self.issue_inic_round(ctx);
-            }
-            return;
+            return self.issue_round(ctx);
         }
     }
 
@@ -300,237 +263,146 @@ impl CollDriver {
         self.fo.compute(t, ctx);
     }
 
-    // ---- host-TCP path -------------------------------------------------
-
-    fn issue_tcp_round(&mut self, ctx: &mut Ctx) {
-        let Attachment::Tcp { nic, macs } = &self.fo.attachment else {
-            unreachable!("TCP round on an INIC attachment")
-        };
-        let chan = self.chan();
-        for send in &self.current_round().sends {
-            ctx.send_now(
-                *nic,
-                TcpSend {
-                    peer: macs[send.to],
-                    chan,
-                    data: self.encode(&send.ranges),
-                },
-            );
-        }
-        // Peers running ahead may already have delivered everything.
-        self.try_complete_tcp(ctx);
-    }
-
-    /// Fold the current round's TCP receives once all of them are in:
-    /// the whole round on the host path, the fallback legs (receives
-    /// rerouted around a dead peer) of an INIC round.
-    fn try_complete_tcp(&mut self, ctx: &mut Ctx) {
-        if self.done || !self.started || self.fo.paused || self.in_charge {
-            return;
-        }
-        if self.round == self.schedule.rounds.len() {
-            return;
-        }
-        let chan = self.chan();
-        if self.is_tcp() {
-            let recvs = &self.schedule.rounds[self.round].recvs;
-            if let Some(sum_elems) = fold_tcp(&mut self.inbox, &mut self.state, chan, recvs) {
-                self.close_round(ctx, sum_elems);
-            }
-        } else if self.await_tcp {
-            let recvs = self.current_legs().tcp_recvs;
-            if let Some(sum_elems) = fold_tcp(&mut self.inbox, &mut self.state, chan, &recvs) {
-                self.await_tcp = false;
-                self.maybe_close_inic_round(ctx, sum_elems);
-            }
-        }
+    /// Whether the configured bitstream carries a `ReduceSum` stage.
+    fn card_folds(&self) -> bool {
+        self.offload.as_ref().is_some_and(|plan| plan.needs_reduce)
     }
 
     fn is_tcp(&self) -> bool {
         matches!(self.fo.attachment, Attachment::Tcp { .. })
     }
 
-    // ---- INIC paths ----------------------------------------------------
-
-    /// Whether the configured bitstream carries a `ReduceSum` stage.
-    fn card_folds(&self) -> bool {
-        self.offload.as_ref().is_some_and(|plan| plan.needs_reduce)
-    }
-
-    /// The current round's transport partition. With no dead peers this
-    /// reproduces the round exactly (everything on the card).
+    /// The current round's transport partition: every leg on TCP on a
+    /// host attachment; on a card, the legs touching dead peers on the
+    /// fallback NIC (with no dead peers, everything on the card).
     fn current_legs(&self) -> RoundLegs {
-        split_round(self.current_round(), &self.fo.dead, self.card_folds())
+        let round = self.current_round();
+        if self.is_tcp() {
+            return RoundLegs {
+                card_sends: Vec::new(),
+                tcp_sends: round.sends.clone(),
+                card_recvs: Vec::new(),
+                tcp_recvs: round.recvs.clone(),
+                card_fold: false,
+            };
+        }
+        split_round(round, &self.fo.dead, self.card_folds())
     }
 
-    fn issue_inic_round(&mut self, ctx: &mut Ctx) {
-        let (card, macs) = match &self.fo.attachment {
-            Attachment::Inic { card, macs, .. } => (*card, macs.clone()),
-            Attachment::Tcp { .. } => unreachable!("INIC round on a TCP attachment"),
-        };
+    /// Post the current round as one transfer step.
+    fn issue_round(&mut self, ctx: &mut Ctx) {
         let legs = self.current_legs();
-        let stream = self.stream();
         // Every card-bound part, encoded straight into the one scatter
         // buffer: the sends in order, then (for a fold) this rank's own
         // contribution.
-        let own = legs.card_fold.then(|| &legs.card_recvs[0].ranges);
-        let elems: usize = legs
+        let own = legs.card_fold.then(|| &legs.card_recvs[0]);
+        let own_part = own.map(|recv| (self.fo.rank, &recv.ranges));
+        let card_parts = legs
             .card_sends
             .iter()
-            .map(|send| &send.ranges)
-            .chain(own)
-            .map(|ranges| ranges_elems(ranges))
-            .sum();
+            .map(|s| (s.to, &s.ranges))
+            .chain(own_part);
+        let elems: usize = card_parts.clone().map(|(_, r)| ranges_elems(r)).sum();
         let mut data = Vec::with_capacity(elems * 8);
         let mut parts: Vec<(u32, usize)> = Vec::new();
-        for send in &legs.card_sends {
+        for (to, ranges) in card_parts {
             let start = data.len();
-            Schedule::gather_bytes(&send.ranges, &self.state, &mut data);
-            parts.push((send.to as u32, data.len() - start));
+            Schedule::gather_bytes(ranges, &self.state, &mut data);
+            parts.push((to as u32, data.len() - start));
         }
-        if legs.card_fold {
+        let bytes = |recv: &RecvSpec| Some(ranges_elems(&recv.ranges) * 8);
+        let gather = if let Some(recv) = own {
             // One fused gather: the card folds the peer stream against
             // this rank's looped-back contribution, element-wise.
-            let recv = &legs.card_recvs[0];
             let elems = ranges_elems(&recv.ranges);
-            let start = data.len();
-            Schedule::gather_bytes(&recv.ranges, &self.state, &mut data);
-            parts.push((self.fo.rank as u32, data.len() - start));
-            ctx.send_now(
-                card,
-                InicExpect {
-                    stream,
-                    kind: GatherKind::ReduceF64 { elems },
-                    sources: vec![
-                        (recv.from as u32, Some(elems * 8)),
-                        (self.fo.rank as u32, Some(elems * 8)),
-                    ],
-                },
-            );
-            self.await_gather = true;
-        } else if !legs.card_recvs.is_empty() {
+            let sources = vec![
+                (recv.from as u32, bytes(recv)),
+                (self.fo.rank as u32, bytes(recv)),
+            ];
+            Some((GatherKind::ReduceF64 { elems }, sources))
+        } else if legs.card_recvs.is_empty() {
+            None
+        } else {
             // Raw gather, one inbound stream per source; the card hands
             // back the concatenation sorted by source rank.
-            let mut froms: Vec<u32> = legs.card_recvs.iter().map(|r| r.from as u32).collect();
+            let mut froms: Vec<usize> = legs.card_recvs.iter().map(|r| r.from).collect();
             froms.sort_unstable();
-            froms.dedup();
-            assert_eq!(
-                froms.len(),
-                legs.card_recvs.len(),
+            let distinct = froms.windows(2).all(|w| w[0] < w[1]);
+            assert!(
+                distinct,
                 "raw-gather rounds receive at most one message per source"
             );
-            ctx.send_now(
-                card,
-                InicExpect {
-                    stream,
-                    kind: GatherKind::Raw,
-                    sources: legs
-                        .card_recvs
-                        .iter()
-                        .map(|r| (r.from as u32, Some(ranges_elems(&r.ranges) * 8)))
-                        .collect(),
-                },
-            );
-            self.await_gather = true;
-        }
-        if !parts.is_empty() {
-            ctx.send_now(
-                card,
-                InicScatter {
-                    stream,
-                    kind: ScatterKind::Unicast { parts },
-                    data,
-                    dests: macs,
-                },
-            );
-            self.await_scatter = true;
-        }
-        // Legs around dead peers ride the commodity fallback NIC.
-        if legs.uses_tcp() {
-            let (fb_nic, fb_macs) = match &self.fo.attachment {
-                Attachment::Inic {
-                    fallback: Some(fb), ..
-                } => fb.clone(),
-                _ => panic!(
-                    "{}: degraded round without a wired fallback path",
-                    self.fo.label
-                ),
-            };
-            let chan = self.chan();
-            for send in &legs.tcp_sends {
-                ctx.send_now(
-                    fb_nic,
-                    TcpSend {
-                        peer: fb_macs[send.to],
-                        chan,
-                        data: self.encode(&send.ranges),
-                    },
-                );
-            }
-            self.await_tcp = !legs.tcp_recvs.is_empty();
-        }
-        if self.fo.epoch == 0 {
-            debug_assert!(
-                self.await_gather || self.await_scatter,
-                "a non-local round must touch the card"
-            );
-        }
-        if !(self.await_gather || self.await_scatter || self.await_tcp) {
-            // Every counterparty is dead and nothing is expected back:
-            // the round closes on the spot.
-            let sum = std::mem::take(&mut self.pending_sum_elems);
-            self.close_round(ctx, sum);
-            return;
-        }
-        // A degraded peer running ahead may have pre-delivered its legs.
-        self.try_complete_tcp(ctx);
+            let sources = legs.card_recvs.iter().map(|r| (r.from as u32, bytes(r)));
+            Some((GatherKind::Raw, sources.collect()))
+        };
+        let scatter = (!parts.is_empty()).then_some((ScatterKind::Unicast { parts }, data));
+        let card = (gather.is_some() || scatter.is_some()).then(|| CardPart {
+            stream: self.stream(),
+            gather,
+            scatter,
+        });
+        debug_assert!(
+            self.is_tcp() || self.fo.epoch > 0 || card.is_some(),
+            "a non-local round must touch the card"
+        );
+        // Legs around dead peers (every leg, on a host attachment) ride
+        // TCP.
+        let sends = legs
+            .tcp_sends
+            .iter()
+            .map(|s| (s.to, self.encode(&s.ranges)));
+        let step = Step {
+            chan: self.chan(),
+            card,
+            sends: sends.collect(),
+            recvs: legs.tcp_recvs.iter().map(|r| (r.from, bytes(r))).collect(),
+        };
+        self.xchg.start(&self.fo, step, ctx);
+        // Peers running ahead may already have delivered everything.
+        self.advance(ctx);
     }
 
-    fn on_gather_complete(&mut self, g: InicGatherComplete, ctx: &mut Ctx) {
-        if self.fo.epoch > 0 && (self.done || g.stream != self.stream() || !self.await_gather) {
-            // A pre-failover stream completing against a dead epoch.
-            return;
+    /// Close the current round once its step was both received and
+    /// sent.
+    fn advance(&mut self, ctx: &mut Ctx) {
+        if self.xchg.received(&self.fo) && self.xchg.sent() {
+            let got = self.xchg.take();
+            let sum_elems = self.fold(got);
+            self.close_round(ctx, sum_elems);
         }
-        assert_eq!(g.stream, self.stream(), "{}: stale gather", self.fo.label);
-        assert!(self.await_gather, "{}: unexpected gather", self.fo.label);
-        self.await_gather = false;
+    }
+
+    /// Fold the current round's card gather and TCP messages into the
+    /// state: the host-summed element count.
+    fn fold(&mut self, got: Received) -> u64 {
         let legs = self.current_legs();
-        let mut host_sum_elems = 0u64;
-        if legs.card_fold {
+        let mut sum_elems = 0;
+        match got.gather {
             // The card already folded own + peer; overwrite in place.
-            let recv = &legs.card_recvs[0];
-            Schedule::fold_bytes(&recv.ranges, RecvOp::Copy, &g.data, &mut self.state);
-        } else {
+            Some((data, _)) if legs.card_fold => {
+                let ranges = &legs.card_recvs[0].ranges;
+                Schedule::fold_bytes(ranges, RecvOp::Copy, &data, &mut self.state);
+            }
             // Raw concatenation sorted by source rank; slice it back to
             // the schedule's receives and fold on the host.
-            let mut order: Vec<usize> = (0..legs.card_recvs.len()).collect();
-            order.sort_by_key(|&i| legs.card_recvs[i].from);
-            let bounds = g.bucket_bounds.unwrap_or_else(|| vec![g.data.len()]);
-            assert_eq!(bounds.len(), legs.card_recvs.len(), "one bucket per source");
-            let mut at = 0usize;
-            for (slot, &i) in order.iter().enumerate() {
-                let recv = &legs.card_recvs[i];
-                let bytes = &g.data[at..bounds[slot]];
-                at = bounds[slot];
-                if recv.op == RecvOp::Sum {
-                    host_sum_elems += ranges_elems(&recv.ranges) as u64;
+            Some((data, bounds)) => {
+                let mut order: Vec<&RecvSpec> = legs.card_recvs.iter().collect();
+                order.sort_by_key(|recv| recv.from);
+                let bounds = bounds.unwrap_or_else(|| vec![data.len()]);
+                assert_eq!(bounds.len(), order.len(), "one bucket per source");
+                let mut at = 0;
+                for (recv, &end) in order.into_iter().zip(&bounds) {
+                    sum_elems += fold(&mut self.state, recv, &data[at..end]);
+                    at = end;
                 }
-                Schedule::fold_bytes(&recv.ranges, recv.op, bytes, &mut self.state);
             }
+            None => {}
         }
-        self.maybe_close_inic_round(ctx, host_sum_elems);
-    }
-
-    fn maybe_close_inic_round(&mut self, ctx: &mut Ctx, host_sum_elems: u64) {
-        self.pending_sum_elems += host_sum_elems;
-        if self.await_gather || self.await_scatter || self.await_tcp {
-            return;
+        for (recv, (_, msg)) in legs.tcp_recvs.iter().zip(&got.msgs) {
+            sum_elems += fold(&mut self.state, recv, msg);
         }
-        let sum_elems = std::mem::take(&mut self.pending_sum_elems);
-        self.close_round(ctx, sum_elems);
+        sum_elems
     }
-
-    // ---- shared round epilogue ----------------------------------------
 
     /// The current round's transfers are done: account comm, charge
     /// host compute (folds + the modelled sweep), then advance.
@@ -561,7 +433,7 @@ impl CollDriver {
             // Post-failover, bytes parked on dead-epoch channels are
             // expected leftovers; on a clean run they are a protocol bug.
             assert!(
-                self.inbox.is_empty(),
+                self.xchg.inbox_empty(),
                 "{}: leftover peer bytes at completion",
                 self.fo.label
             );
@@ -570,24 +442,31 @@ impl CollDriver {
     }
 }
 
-/// Fold every receive of `recvs` out of the inbox once all of them have
-/// arrived on `chan`: the host-summed element count, or `None` while any
-/// is still in flight.
-fn fold_tcp(inbox: &mut Inbox, state: &mut [f64], chan: u16, recvs: &[RecvSpec]) -> Option<u64> {
-    let size = |r: &RecvSpec| Some(ranges_elems(&r.ranges) * 8);
-    if !recvs.iter().all(|r| inbox.complete(r.from, chan, size(r))) {
-        return None;
+/// Fold one received message into `state`: the host-summed element
+/// count.
+fn fold(state: &mut [f64], recv: &RecvSpec, bytes: &[u8]) -> u64 {
+    Schedule::fold_bytes(&recv.ranges, recv.op, bytes, state);
+    match recv.op {
+        RecvOp::Sum => ranges_elems(&recv.ranges) as u64,
+        _ => 0,
     }
-    let mut sum_elems = 0u64;
-    for recv in recvs {
-        let bytes = inbox.take(recv.from, chan, size(recv));
-        if recv.op == RecvOp::Sum {
-            sum_elems += ranges_elems(&recv.ranges) as u64;
-        }
-        let bytes = bytes.expect("checked complete");
-        Schedule::fold_bytes(&recv.ranges, recv.op, &bytes, state);
-    }
-    Some(sum_elems)
+}
+
+/// Bytes of the message from `src` on `chan`, when `chan` names a round
+/// of `schedule` under failover `epoch` that receives from `src` (0
+/// otherwise: a dead epoch's leftovers are never folded).
+fn expected_rx_bytes(schedule: &Schedule, epoch: u64, src: usize, chan: u16) -> usize {
+    let rounds = schedule.rounds.len() as u64;
+    u64::from(chan)
+        .checked_sub(epoch * (rounds + 1))
+        .filter(|&r| r < rounds)
+        .and_then(|r| {
+            schedule.rounds[r as usize]
+                .recvs
+                .iter()
+                .find(|recv| recv.from == src)
+        })
+        .map_or(0, |recv| ranges_elems(&recv.ranges) * 8)
 }
 
 impl Recoverable for CollDriver {
@@ -609,7 +488,6 @@ impl Recoverable for CollDriver {
 
     fn begin(&mut self, ctx: &mut Ctx) {
         self.timings.started_at = Some(ctx.now());
-        self.started = true;
         self.state = self.schedule.init_state(&self.input);
         self.phase_entered = ctx.now();
         self.start_round(ctx);
@@ -621,50 +499,24 @@ impl Recoverable for CollDriver {
         self.timings.compute += ctx.now().since(self.charge_started);
         self.advance_round();
         self.start_round(ctx);
-        // A peer may have pre-delivered the next round.
-        self.try_complete_tcp(ctx);
     }
 
     fn on_event(&mut self, ev: Box<dyn Any>, ctx: &mut Ctx) {
-        let ev = match ev.downcast::<TcpDelivered>() {
-            Ok(d) => {
-                let src = self.fo.attachment.resolve_src(d.peer);
-                let src = src.expect("delivery from an unknown peer");
-                let size = self.expected_rx_bytes(src, d.chan);
-                self.inbox.deliver(src, d.chan, d.data, Some(size));
-                return self.try_complete_tcp(ctx);
-            }
-            Err(ev) => ev,
-        };
-        let ev = match ev.downcast::<InicGatherComplete>() {
-            Ok(g) => return self.on_gather_complete(*g, ctx),
-            Err(ev) => ev,
-        };
-        let Ok(s) = ev.downcast::<InicScatterDone>() else {
-            panic!("{}: unknown event", self.fo.label);
-        };
-        if self.fo.epoch > 0 && (self.done || s.stream != self.stream() || !self.await_scatter) {
-            // A pre-failover scatter completing against a dead epoch.
-            return;
-        }
-        assert_eq!(s.stream, self.stream(), "{}: stale scatter", self.fo.label);
-        assert!(self.await_scatter, "{}: unexpected scatter", self.fo.label);
-        self.await_scatter = false;
-        self.maybe_close_inic_round(ctx, 0);
+        let (schedule, epoch) = (&self.schedule, self.fo.epoch);
+        let size = |src, chan| Some(expected_rx_bytes(schedule, epoch, src, chan));
+        self.xchg.on_event(ev, &self.fo, size);
+        self.advance(ctx);
     }
 
     /// Streams announced before the bump can never complete once the
     /// peer set changed.
     fn abort_stream(&self) -> Option<u32> {
-        (self.await_gather || self.await_scatter).then(|| self.stream())
+        self.xchg.abort_stream()
     }
 
     fn park(&mut self) {
-        self.await_gather = false;
-        self.await_scatter = false;
-        self.await_tcp = false;
+        self.xchg.cancel();
         self.in_charge = false;
-        self.pending_sum_elems = 0;
     }
 
     /// Completed rounds this rank can prove: without checkpoints
@@ -682,7 +534,7 @@ impl Recoverable for CollDriver {
     /// healthy cards included.
     fn restart(&mut self, ctx: &mut Ctx) {
         self.park();
-        self.inbox = Inbox::default();
+        self.xchg = Exchange::default();
         self.ckpts.clear();
         self.timings = CollTimings {
             started_at: self.timings.started_at,
@@ -710,15 +562,11 @@ impl Recoverable for CollDriver {
                 })
                 .clone()
         };
-        self.started = true;
         if self.timings.started_at.is_none() {
             self.timings.started_at = Some(ctx.now());
         }
         self.phase_entered = ctx.now();
         self.start_round(ctx);
-        // Degraded peers running ahead may have pre-delivered their
-        // legs for the resumed round.
-        self.try_complete_tcp(ctx);
     }
 
     fn phase(&self) -> (&'static str, SimTime) {
@@ -748,6 +596,8 @@ impl Component for CollDriver {
         if self.done {
             return None;
         }
+        // `tcp` names the fallback legs of a card round.
+        let (gather, scatter, tcp) = self.xchg.pending();
         Some(format!(
             "rank {} in {} (round {}/{}, epoch {}, gather={}, scatter={}, tcp={}, charge={}{})",
             self.fo.rank,
@@ -755,9 +605,9 @@ impl Component for CollDriver {
             self.round,
             self.schedule.rounds.len(),
             self.fo.epoch,
-            self.await_gather,
-            self.await_scatter,
-            self.await_tcp,
+            gather,
+            scatter,
+            !self.is_tcp() && tcp > 0,
             self.in_charge,
             self.fo.parked_note(),
         ))

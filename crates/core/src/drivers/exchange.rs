@@ -1,11 +1,26 @@
-//! The one all-to-all exchange under the FFT and sort drivers, and the
-//! one TCP receive buffer under every driver.
+//! The one transfer step under every driver, and the one TCP receive
+//! buffer they share.
 //!
-//! The paper's two applications move data the same way: the FFT
-//! transpose (§3.1) and the sort's bucket exchange (§3.2) both send one
-//! part to every rank. [`Exchange`] runs one such step, epoch-tagged so
-//! an aborted attempt's traffic never completes the restarted one, over
-//! whichever path the attachment offers:
+//! The paper's combined mode makes the card the one transport both
+//! applications use, and here the FFT, sort and collective drivers
+//! share one transfer step too. A [`Step`] is data: an optional card
+//! part (a gather announced with its sources, a scatter with its
+//! bytes, both under one stream), the TCP parts to send on the
+//! channel, and the TCP messages to wait for, each with the size its
+//! receiver expects. [`Exchange`] posts a step, routes the deliveries
+//! and card completions, drops what an aborted attempt left behind,
+//! and reports two facts: [`received`](Exchange::received) (the gather
+//! and every TCP message are in) and [`sent`](Exchange::sent) (the
+//! scatter's completion is in). Each driver builds its own steps and
+//! reads the fact it needs: the FFT and sort complete an exchange on
+//! what they receive, the collective engine closes a round once it
+//! was also sent.
+//!
+//! TCP parts ride the attachment's NIC on a host attachment and the
+//! fallback NIC on a card, where they carry the legs to and from ranks
+//! whose cards died (the mixed-technology steps of rank-local
+//! recovery). The FFT and sort build their all-to-all steps through
+//! [`Route`]:
 //!
 //! * **host TCP** ([`Route::Tcp`]) — every part is posted at once on the
 //!   attachment's NIC. The FFT's serialized pairwise transpose is p−1
@@ -15,12 +30,6 @@
 //!   `Raw` gather.
 //! * **the card datapath** ([`Route::Datapath`]) — the driver's own
 //!   scatter and gather transforms.
-//!
-//! On the card, the parts for ranks whose cards died ride the fallback
-//! NIC instead (the mixed-technology exchange of rank-local recovery).
-//! A step is complete when the card gather (if any) and every expected
-//! TCP message are in; it then hands back the gather and the messages,
-//! and the driver applies its own transforms.
 //!
 //! [`Inbox`] buffers TCP deliveries by `(src rank, channel)`. A message
 //! either has a size the receiver knows or carries an 8-byte
@@ -33,9 +42,8 @@ use std::collections::BTreeMap;
 use acc_fpga::{
     GatherKind, InicExpect, InicGatherComplete, InicScatter, InicScatterDone, ScatterKind,
 };
-use acc_net::MacAddr;
 use acc_proto::{TcpDelivered, TcpSend};
-use acc_sim::{ComponentId, Ctx};
+use acc_sim::Ctx;
 
 use super::failover::Failover;
 use super::Attachment;
@@ -48,14 +56,14 @@ const PREFIX: usize = 8;
 /// here. `size` is a message's byte count when the receiver knows it,
 /// `None` when the message is length-prefixed.
 #[derive(Default)]
-pub(super) struct Inbox {
+struct Inbox {
     bufs: BTreeMap<(usize, u16), Vec<u8>>,
 }
 
 impl Inbox {
     /// Buffer one delivery. The first delivery becomes the buffer,
     /// grown once to the message size as soon as that is known.
-    pub(super) fn deliver(&mut self, src: usize, chan: u16, data: Vec<u8>, size: Option<usize>) {
+    fn deliver(&mut self, src: usize, chan: u16, data: Vec<u8>, size: Option<usize>) {
         let buf = self.bufs.entry((src, chan)).or_default();
         if buf.is_empty() {
             *buf = data;
@@ -68,7 +76,7 @@ impl Inbox {
     }
 
     /// Whether the message from `src` on `chan` has fully arrived.
-    pub(super) fn complete(&self, src: usize, chan: u16, size: Option<usize>) -> bool {
+    fn complete(&self, src: usize, chan: u16, size: Option<usize>) -> bool {
         self.bufs
             .get(&(src, chan))
             .is_some_and(|buf| total_len(buf, size).is_some_and(|total| buf.len() >= total))
@@ -77,7 +85,7 @@ impl Inbox {
     /// Remove the message from `src` on `chan` once it has fully
     /// arrived: its body, without the length prefix. Panics if the
     /// sender delivered more than one message's bytes.
-    pub(super) fn take(&mut self, src: usize, chan: u16, size: Option<usize>) -> Option<Vec<u8>> {
+    fn take(&mut self, src: usize, chan: u16, size: Option<usize>) -> Option<Vec<u8>> {
         if !self.complete(src, chan, size) {
             return None;
         }
@@ -93,11 +101,6 @@ impl Inbox {
         }
         Some(msg)
     }
-
-    /// Whether no bytes are buffered.
-    pub(super) fn is_empty(&self) -> bool {
-        self.bufs.is_empty()
-    }
 }
 
 /// A message's total byte count on the wire, once known: `size`, or the
@@ -111,7 +114,41 @@ fn total_len(buf: &[u8], size: Option<usize>) -> Option<usize> {
     Some(PREFIX + body)
 }
 
-/// How one exchange step moves its parts.
+/// `body` with the length prefix a receiver that does not know its size
+/// reads it by.
+fn prefixed(body: &[u8]) -> Vec<u8> {
+    [&(body.len() as u64).to_le_bytes()[..], body].concat()
+}
+
+/// A gather's sources: each rank with the byte count the card expects
+/// from it (`None` when the source sizes itself).
+pub(super) type Sources = Vec<(u32, Option<usize>)>;
+
+/// A step's card part: a gather and a scatter under one stream, each
+/// only when the step has one.
+pub(super) struct CardPart {
+    pub(super) stream: u32,
+    /// What the card assembles, and from which sources.
+    pub(super) gather: Option<(GatherKind, Sources)>,
+    /// What the card sends, and the bytes it transforms.
+    pub(super) scatter: Option<(ScatterKind, Vec<u8>)>,
+}
+
+/// One transfer step, as data.
+pub(super) struct Step {
+    /// The TCP channel of the step's parts and messages.
+    pub(super) chan: u16,
+    /// The card part, if the step has one.
+    pub(super) card: Option<CardPart>,
+    /// The TCP parts to send, in order: each destination rank with its
+    /// wire bytes.
+    pub(super) sends: Vec<(usize, Vec<u8>)>,
+    /// The TCP messages to wait for: each source rank with the size its
+    /// message has (`None`: length-prefixed).
+    pub(super) recvs: Vec<(usize, Option<usize>)>,
+}
+
+/// How an FFT or sort all-to-all step moves its parts.
 pub(super) enum Route {
     /// Host TCP on the attachment's NIC: a part to each of `to`, in
     /// order, and a message from each of `from`.
@@ -129,7 +166,69 @@ pub(super) enum Route {
     },
 }
 
-/// What a completed step hands back.
+impl Route {
+    /// The step of all-to-all exchange `tag` (the driver's exchange
+    /// number) over this route. Every message is `size` bytes, or
+    /// length-prefixed when `None`. `part(q)` is the body of rank `q`'s
+    /// part; it is called once per part that leaves this host. On the
+    /// card, the parts for ranks whose cards died ride the fallback NIC.
+    pub(super) fn step(
+        self,
+        fo: &Failover,
+        tag: u8,
+        size: Option<usize>,
+        mut part: impl FnMut(usize) -> Vec<u8>,
+    ) -> Step {
+        let p = fo.attachment.macs().len();
+        let live = |q: &usize| !fo.dead.contains(q);
+        let dead = || fo.dead.iter().copied().collect::<Vec<usize>>();
+        let (card, to, from) = match self {
+            Route::Tcp { to, from } => (None, to, from),
+            Route::Relay => {
+                let (mut parts, mut data) = (Vec::new(), Vec::new());
+                for q in (0..p).map(|s| (fo.rank + s) % p).filter(live) {
+                    let body = part(q);
+                    // An empty part for ourselves has nothing to loop
+                    // back.
+                    if q != fo.rank || !body.is_empty() {
+                        parts.push((q as u32, body.len()));
+                        data.extend_from_slice(&body);
+                    }
+                }
+                let kinds = (ScatterKind::Unicast { parts }, data, GatherKind::Raw);
+                (Some(kinds), dead(), dead())
+            }
+            Route::Datapath {
+                scatter,
+                data,
+                gather,
+            } => (Some((scatter, data, gather)), dead(), dead()),
+        };
+        let card = card.map(|(scatter, data, gather)| CardPart {
+            // Namespaced by the failover epoch, so a restarted step
+            // never collides with the aborted one's demux state (epoch
+            // 0 keeps the historical ids).
+            stream: (fo.epoch as u32) * 8 + u32::from(tag),
+            gather: Some((
+                gather,
+                (0..p).filter(live).map(|s| (s as u32, size)).collect(),
+            )),
+            scatter: Some((scatter, data)),
+        });
+        let mut wire = |q| match size {
+            Some(_) => (q, part(q)),
+            None => (q, prefixed(&part(q))),
+        };
+        Step {
+            chan: (fo.epoch as u16) * 4 + u16::from(tag),
+            card,
+            sends: to.into_iter().map(&mut wire).collect(),
+            recvs: from.into_iter().map(|q| (q, size)).collect(),
+        }
+    }
+}
+
+/// What a received step hands back.
 pub(super) struct Received {
     /// The card gather's bytes and, for bucket and raw gathers, its end
     /// offsets (per bucket, or per source in rank order).
@@ -139,186 +238,158 @@ pub(super) struct Received {
 }
 
 /// The step in flight.
-struct Step {
-    /// The driver's exchange number.
-    tag: u8,
-    /// The card stream, when the step runs on the card.
+#[derive(Default)]
+struct InFlight {
+    /// The card stream, when the step has a card part.
     stream: Option<u32>,
     chan: u16,
-    /// Ranks a TCP message is expected from.
-    from: Vec<usize>,
+    recvs: Vec<(usize, Option<usize>)>,
+    /// Whether the card gather is announced and not in yet.
+    awaits_gather: bool,
     /// The card gather, once it arrived.
     gather: Option<(Vec<u8>, Option<Vec<usize>>)>,
+    /// Whether the card scatter is posted and not done yet.
+    awaits_scatter: bool,
 }
 
-/// One rank's all-to-all exchange: the TCP inbox and the step in flight.
+/// One rank's transfer steps: the TCP inbox and the step in flight.
+#[derive(Default)]
 pub(super) struct Exchange {
-    /// Message size when every message has the same known size, `None`
-    /// when messages are length-prefixed.
-    size: Option<usize>,
     inbox: Inbox,
-    step: Option<Step>,
+    step: Option<InFlight>,
+    /// Card streams of taken steps whose scatter is still draining: a
+    /// step may complete on what it received before its own sends are
+    /// acknowledged.
+    draining: Vec<u32>,
 }
 
 impl Exchange {
-    /// An idle exchange whose messages are `size` bytes each, or
-    /// length-prefixed when `None`.
-    pub(super) fn new(size: Option<usize>) -> Exchange {
-        Exchange {
-            size,
-            inbox: Inbox::default(),
-            step: None,
-        }
-    }
-
-    /// Start step `tag` (the driver's exchange number) over `route`.
-    /// `part(q)` is the body of rank `q`'s part; it is called once per
-    /// part that leaves this host.
-    pub(super) fn start(
-        &mut self,
-        fo: &Failover,
-        tag: u8,
-        route: Route,
-        mut part: impl FnMut(usize) -> Vec<u8>,
-        ctx: &mut Ctx,
-    ) {
-        let chan = chan(fo.epoch, tag);
-        let live = |q: &usize| !fo.dead.contains(q);
-        let (stream, from) = match (&fo.attachment, route) {
-            (Attachment::Tcp { nic, macs }, Route::Tcp { to, from }) => {
-                for q in to {
-                    self.post(ctx, *nic, macs[q], chan, part(q));
-                }
-                (None, from)
-            }
-            (
-                Attachment::Inic {
-                    card,
-                    macs,
-                    fallback,
-                    ..
-                },
-                route,
-            ) => {
-                let (p, stream) = (macs.len(), stream(fo.epoch, tag));
-                let (scatter, data, gather) = match route {
-                    Route::Relay => {
-                        let (mut parts, mut data) = (Vec::new(), Vec::new());
-                        for q in (0..p).map(|s| (fo.rank + s) % p).filter(live) {
-                            let body = part(q);
-                            // An empty part for ourselves has nothing to
-                            // loop back.
-                            if q != fo.rank || !body.is_empty() {
-                                parts.push((q as u32, body.len()));
-                                data.extend_from_slice(&body);
-                            }
-                        }
-                        (ScatterKind::Unicast { parts }, data, GatherKind::Raw)
-                    }
-                    Route::Datapath {
-                        scatter,
-                        data,
-                        gather,
-                    } => (scatter, data, gather),
-                    Route::Tcp { .. } => panic!("{}: TCP exchange on a card", fo.label),
-                };
-                let sources = (0..p).filter(live).map(|s| (s as u32, self.size)).collect();
-                ctx.send_now(
-                    *card,
-                    InicExpect {
-                        stream,
-                        kind: gather,
-                        sources,
-                    },
-                );
-                ctx.send_now(
-                    *card,
-                    InicScatter {
-                        stream,
-                        kind: scatter,
-                        data,
-                        dests: macs.clone(),
-                    },
-                );
-                // The dead ranks' parts cannot ride the card (their cards
-                // are gone): the host ships them over the fallback NIC.
-                let dead: Vec<usize> = fo.dead.iter().copied().collect();
-                for &d in &dead {
-                    let fallback = fallback.as_ref();
-                    let (nic, macs) =
-                        fallback.expect("rank-local degradation needs a fallback path");
-                    self.post(ctx, *nic, macs[d], chan, part(d));
-                }
-                (Some(stream), dead)
-            }
-            (Attachment::Tcp { .. }, _) => panic!("{}: card exchange without a card", fo.label),
-        };
-        self.step = Some(Step {
-            tag,
-            stream,
+    /// Post `step`: announce its gather, post its scatter, then send
+    /// its TCP parts in order.
+    pub(super) fn start(&mut self, fo: &Failover, step: Step, ctx: &mut Ctx) {
+        let chan = step.chan;
+        let mut flight = InFlight {
             chan,
-            from,
-            gather: None,
-        });
-    }
-
-    /// Post `body` to `peer` over `nic`, length-prefixed unless the
-    /// receiver knows its size.
-    fn post(&self, ctx: &mut Ctx, nic: ComponentId, peer: MacAddr, chan: u16, body: Vec<u8>) {
-        let data = match self.size {
-            Some(_) => body,
-            None => [&(body.len() as u64).to_le_bytes()[..], &body].concat(),
+            recvs: step.recvs,
+            ..InFlight::default()
         };
-        ctx.send_now(nic, TcpSend { peer, chan, data });
+        if let Some(part) = step.card {
+            let Attachment::Inic { card, macs, .. } = &fo.attachment else {
+                panic!("{}: card exchange without a card", fo.label);
+            };
+            let stream = part.stream;
+            flight.stream = Some(stream);
+            flight.awaits_gather = part.gather.is_some();
+            flight.awaits_scatter = part.scatter.is_some();
+            if let Some((kind, sources)) = part.gather {
+                let expect = InicExpect {
+                    stream,
+                    kind,
+                    sources,
+                };
+                ctx.send_now(*card, expect);
+            }
+            if let Some((kind, data)) = part.scatter {
+                let dests = macs.clone();
+                let scatter = InicScatter {
+                    stream,
+                    kind,
+                    data,
+                    dests,
+                };
+                ctx.send_now(*card, scatter);
+            }
+        }
+        let tcp = match &fo.attachment {
+            Attachment::Tcp { nic, macs } => Some((nic, macs)),
+            Attachment::Inic { fallback, .. } => fallback.as_ref().map(|fb| (&fb.0, &fb.1)),
+        };
+        for (q, data) in step.sends {
+            let (nic, macs) = tcp.expect("a card's TCP parts need a fallback NIC");
+            let peer = macs[q];
+            ctx.send_now(*nic, TcpSend { peer, chan, data });
+        }
+        self.step = Some(flight);
     }
 
-    /// Take in a TCP delivery or a card completion. Panics on any other
-    /// event.
-    pub(super) fn on_event(&mut self, ev: Box<dyn Any>, fo: &Failover) {
-        match ev.downcast::<TcpDelivered>() {
+    /// Take in a TCP delivery, buffered with the byte count
+    /// `size(src, chan)` its receiver expects, or a card completion.
+    /// A completion no step awaits is a pre-failover stream completing
+    /// against a dead epoch and is dropped; on a clean run it is a
+    /// protocol bug. Panics on any other event.
+    pub(super) fn on_event(
+        &mut self,
+        ev: Box<dyn Any>,
+        fo: &Failover,
+        size: impl Fn(usize, u16) -> Option<usize>,
+    ) {
+        let ev = match ev.downcast::<TcpDelivered>() {
             Ok(d) => {
                 let src = fo.attachment.resolve_src(d.peer);
                 let src = src.expect("delivery from unknown MAC");
-                self.inbox.deliver(src, d.chan, d.data, self.size);
+                return self.inbox.deliver(src, d.chan, d.data, size(src, d.chan));
             }
-            Err(ev) => match ev.downcast::<InicGatherComplete>() {
-                // A gather of an abandoned step never matches a later
-                // stream: drop it.
-                Ok(g) => {
-                    if let Some(step) = self.step.as_mut().filter(|s| s.stream == Some(g.stream)) {
-                        step.gather = Some((g.data, g.bucket_bounds));
-                    }
+            Err(ev) => ev,
+        };
+        let step = self.step.as_mut();
+        match ev.downcast::<InicGatherComplete>() {
+            Ok(g) => match step.filter(|s| s.stream == Some(g.stream) && s.awaits_gather) {
+                Some(step) => {
+                    step.awaits_gather = false;
+                    step.gather = Some((g.data, g.bucket_bounds));
                 }
-                // Send-side completion is informational: a step
-                // completes on what it receives.
-                Err(ev) => assert!(ev.is::<InicScatterDone>(), "{}: unknown event", fo.label),
+                None => assert!(fo.epoch > 0, "{}: stale gather", fo.label),
             },
+            Err(ev) => {
+                let Ok(s) = ev.downcast::<InicScatterDone>() else {
+                    panic!("{}: unknown event", fo.label);
+                };
+                if let Some(step) =
+                    step.filter(|st| st.stream == Some(s.stream) && st.awaits_scatter)
+                {
+                    step.awaits_scatter = false;
+                } else if let Some(at) = self.draining.iter().position(|&d| d == s.stream) {
+                    self.draining.swap_remove(at);
+                } else {
+                    assert!(fo.epoch > 0, "{}: stale scatter", fo.label);
+                }
+            }
         }
     }
 
-    /// The step's results, once the card gather (if any) and every
-    /// expected TCP message are in. A parked rank completes nothing.
-    pub(super) fn poll(&mut self, fo: &Failover) -> Option<Received> {
-        let step = self.step.as_ref().filter(|_| !fo.paused)?;
-        let card_done = step.stream.is_none() || step.gather.is_some();
-        let complete = |&s: &usize| self.inbox.complete(s, step.chan, self.size);
-        if !(card_done && step.from.iter().all(complete)) {
-            return None;
+    /// Whether the step in flight received everything: its card gather
+    /// (if any) and every TCP message it waits for. A parked rank
+    /// receives nothing.
+    pub(super) fn received(&self, fo: &Failover) -> bool {
+        self.step.is_some() && !fo.paused && matches!(self.pending(), (false, _, 0))
+    }
+
+    /// Whether the step in flight's scatter (if any) completed.
+    pub(super) fn sent(&self) -> bool {
+        self.step.as_ref().is_some_and(|step| !step.awaits_scatter)
+    }
+
+    /// Hand back a [`received`](Self::received) step's results, ending
+    /// the step.
+    pub(super) fn take(&mut self) -> Received {
+        let step = self.step.take().expect("a received step");
+        if step.awaits_scatter {
+            self.draining.extend(step.stream);
         }
-        let step = self.step.take()?;
-        let (inbox, size) = (&mut self.inbox, self.size);
-        let mut take = |s| (s, inbox.take(s, step.chan, size).expect("checked complete"));
-        let msgs = step.from.iter().map(|&s| take(s)).collect();
-        Some(Received {
+        let (inbox, chan) = (&mut self.inbox, step.chan);
+        let mut take = |(s, size)| (s, inbox.take(s, chan, size).expect("checked received"));
+        Received {
             gather: step.gather,
-            msgs,
-        })
+            msgs: step.recvs.into_iter().map(&mut take).collect(),
+        }
     }
 
-    /// The card stream a failover aborts: the one the step in flight
-    /// runs under at the current epoch.
-    pub(super) fn abort_stream(&self, fo: &Failover) -> Option<u32> {
-        self.step.as_ref().map(|step| stream(fo.epoch, step.tag))
+    /// The card stream a failover aborts: the step in flight's, while
+    /// the card still owes it its gather or its scatter.
+    pub(super) fn abort_stream(&self) -> Option<u32> {
+        let (gather, scatter, _) = self.pending();
+        let stream = self.step.as_ref().and_then(|step| step.stream);
+        stream.filter(|_| gather || scatter)
     }
 
     /// Abandon the step in flight (a resume restores past it).
@@ -326,32 +397,29 @@ impl Exchange {
         self.step = None;
     }
 
+    /// Whether no TCP bytes are buffered.
+    pub(super) fn inbox_empty(&self) -> bool {
+        self.inbox.bufs.is_empty()
+    }
+
+    /// What the step in flight still waits for: the card gather, the
+    /// card scatter, and the number of TCP messages not yet in.
+    pub(super) fn pending(&self) -> (bool, bool, usize) {
+        self.step.as_ref().map_or((false, false, 0), |step| {
+            let tcp = step.recvs.iter();
+            let tcp = tcp.filter(|&&(q, size)| !self.inbox.complete(q, step.chan, size));
+            (step.awaits_gather, step.awaits_scatter, tcp.count())
+        })
+    }
+
     /// What the step in flight still waits for, for `wait_state`.
     pub(super) fn waiting_for(&self) -> String {
-        let Some(step) = &self.step else {
+        if self.step.is_none() {
             return "no exchange in flight".to_owned();
-        };
-        let tcp = step.from.iter();
-        let tcp = tcp.filter(|&&s| !self.inbox.complete(s, step.chan, self.size));
-        let card = step.stream.is_some() && step.gather.is_none();
-        format!(
-            "exchange awaits card: {card}, TCP messages: {}",
-            tcp.count()
-        )
+        }
+        let (card, _, tcp) = self.pending();
+        format!("exchange awaits card: {card}, TCP messages: {tcp}")
     }
-}
-
-/// INIC stream of exchange `tag` under failover `epoch`, namespaced so
-/// a restarted exchange never collides with the aborted one's demux
-/// state (epoch 0 keeps the historical ids).
-fn stream(epoch: u64, tag: u8) -> u32 {
-    (epoch as u32) * 8 + u32::from(tag)
-}
-
-/// TCP channel of exchange `tag` under failover `epoch`, namespaced
-/// like [`stream`].
-fn chan(epoch: u64, tag: u8) -> u16 {
-    (epoch as u16) * 4 + u16::from(tag)
 }
 
 #[cfg(test)]
@@ -369,7 +437,7 @@ mod tests {
                 inbox.deliver(3, 7, chunk.to_vec(), size);
             }
             assert_eq!(inbox.take(3, 7, size).as_ref(), Some(&msg));
-            assert!(inbox.is_empty());
+            assert!(inbox.bufs.is_empty());
         }
     }
 
@@ -389,7 +457,7 @@ mod tests {
         let mut inbox = Inbox::default();
         inbox.deliver(3, 7, 0u64.to_le_bytes().to_vec(), None);
         assert_eq!(inbox.take(3, 7, None), Some(Vec::new()));
-        assert!(inbox.is_empty());
+        assert!(inbox.bufs.is_empty());
     }
 
     #[test]

@@ -139,7 +139,7 @@ impl FftDriver {
             phase: Phase::Init,
             phase_entered: SimTime::ZERO,
             subphase_entered: SimTime::ZERO,
-            xchg: Exchange::new(Some(m * m * 16)),
+            xchg: Exchange::default(),
             exchange_step: 0,
             incoming: Matrix::zeros(m, rows),
             ckpts: BTreeMap::new(),
@@ -268,16 +268,18 @@ impl FftDriver {
     fn start_step(&mut self, which: u8, route: Route, ctx: &mut Ctx) {
         let slab = &self.slab;
         let part = |q| slab_to_bytes(&extract_transposed_block(slab, q));
-        self.xchg.start(&self.fo, which, route, part, ctx);
+        let step = route.step(&self.fo, which, Some(self.m * self.m * 16), part);
+        self.xchg.start(&self.fo, step, ctx);
         self.advance(ctx);
     }
 
     /// Complete exchange steps as long as the inbox and the card allow.
     fn advance(&mut self, ctx: &mut Ctx) {
-        while let Some(got) = self.xchg.poll(&self.fo) {
+        while self.xchg.received(&self.fo) {
             let Phase::Exchange(which) = self.phase else {
                 unreachable!("{}: exchange step outside a transpose", self.fo.label);
             };
+            let got = self.xchg.take();
             self.on_step_done(which, got, ctx);
         }
     }
@@ -374,12 +376,13 @@ impl Recoverable for FftDriver {
     }
 
     fn on_event(&mut self, ev: Box<dyn Any>, ctx: &mut Ctx) {
-        self.xchg.on_event(ev, &self.fo);
+        let size = Some(self.m * self.m * 16);
+        self.xchg.on_event(ev, &self.fo, |_, _| size);
         self.advance(ctx);
     }
 
     fn abort_stream(&self) -> Option<u32> {
-        self.xchg.abort_stream(&self.fo)
+        self.xchg.abort_stream()
     }
 
     /// Slab snapshots keyed by completed phase: 1 = row FFTs #1,
@@ -395,7 +398,7 @@ impl Recoverable for FftDriver {
     fn restart(&mut self, ctx: &mut Ctx) {
         // Discard all partial progress; only the original start instant
         // survives into the timings.
-        self.xchg = Exchange::new(Some(self.m * self.m * 16));
+        self.xchg = Exchange::default();
         self.timings = FftTimings {
             started_at: self.timings.started_at,
             ..FftTimings::default()

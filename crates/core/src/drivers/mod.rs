@@ -11,10 +11,10 @@
 //! Stalls, card failovers and coordinated resumes run through one
 //! failover core (`failover.rs`) shared by all three drivers; each
 //! driver supplies only its checkpoint payload, the card stream a
-//! failover aborts, and its state reset and restore. The FFT and sort
-//! drivers move their data through one all-to-all exchange
-//! (`exchange.rs`) and keep only their transforms and phase timings;
-//! all three buffer TCP deliveries in its one inbox.
+//! failover aborts, and its state reset and restore. All three move
+//! their data through one transfer step (`exchange.rs`): each builds
+//! its steps, reads whether a step was received or sent, and keeps
+//! only its transforms, folds and phase timings.
 
 pub(crate) mod coll;
 mod exchange;

@@ -153,7 +153,7 @@ impl SortDriver {
             recv_buckets,
             phase: Phase::Init,
             phase_entered: SimTime::ZERO,
-            xchg: Exchange::new(None),
+            xchg: Exchange::default(),
             tcp_keys: Vec::new(),
             card_bucket_data: None,
             sorted: Vec::new(),
@@ -294,13 +294,15 @@ impl SortDriver {
             },
         };
         let body = |q| keys_to_bytes(part(&keys, &ends, q));
-        self.xchg.start(&self.fo, 1, route, body, ctx);
+        let step = route.step(&self.fo, 1, None, body);
+        self.xchg.start(&self.fo, step, ctx);
         self.advance(ctx);
     }
 
     /// Finish the exchange once the card and the inbox allow.
     fn advance(&mut self, ctx: &mut Ctx) {
-        if let Some(got) = self.xchg.poll(&self.fo) {
+        if self.xchg.received(&self.fo) {
+            let got = self.xchg.take();
             self.on_exchange_done(got, ctx);
         }
     }
@@ -442,12 +444,12 @@ impl Recoverable for SortDriver {
     }
 
     fn on_event(&mut self, ev: Box<dyn Any>, ctx: &mut Ctx) {
-        self.xchg.on_event(ev, &self.fo);
+        self.xchg.on_event(ev, &self.fo, |_, _| None);
         self.advance(ctx);
     }
 
     fn abort_stream(&self) -> Option<u32> {
-        self.xchg.abort_stream(&self.fo)
+        self.xchg.abort_stream()
     }
 
     /// 0 = start, 1 = after the exchange, 2 = finished.
@@ -463,7 +465,7 @@ impl Recoverable for SortDriver {
         // Discard every trace of the aborted exchange. The input keys
         // were never mutated, so the restart recomputes from scratch;
         // only the original start instant survives into the timings.
-        self.xchg = Exchange::new(None);
+        self.xchg = Exchange::default();
         self.timings = SortTimings {
             started_at: self.timings.started_at,
             ..SortTimings::default()

@@ -23,7 +23,7 @@
 //! collective × algorithm × technology cell.
 
 use acc_coll::plan::{self, RoundCost};
-use acc_coll::{Algorithm, CollectiveOp};
+use acc_coll::{Algorithm, CollectiveOp, Schedule};
 use acc_host::HostKernels;
 use acc_sim::{Bandwidth, DataSize, SimDuration};
 
@@ -44,18 +44,14 @@ impl CollModel {
     /// Model for one collective cell with the standard Athlon
     /// calibration.
     pub fn collective(op: CollectiveOp, algo: Algorithm, p: usize, elems: usize) -> CollModel {
-        CollModel {
-            costs: plan::profile(&plan::build_all(op, algo, p, elems)),
-            kernels: HostKernels::athlon_1ghz(),
-        }
+        CollModel::of(&plan::build_all(op, algo, p, elems))
     }
 
-    /// Model for the halo-exchange driver (`iters` sweeps over a
-    /// `p × elems` strip decomposition).
-    pub fn halo(p: usize, elems: usize, iters: usize) -> CollModel {
-        let schedules: Vec<_> = (0..p).map(|r| plan::halo(r, p, elems, iters)).collect();
+    /// Model for a run's per-rank schedule set (a collective cell or a
+    /// halo-exchange workload) with the standard Athlon calibration.
+    pub(crate) fn of(schedules: &[Schedule]) -> CollModel {
         CollModel {
-            costs: plan::profile(&schedules),
+            costs: plan::profile(schedules),
             kernels: HostKernels::athlon_1ghz(),
         }
     }
@@ -208,8 +204,11 @@ mod tests {
 
     #[test]
     fn halo_model_scales_with_iterations() {
-        let one = CollModel::halo(4, 64, 1);
-        let five = CollModel::halo(4, 64, 5);
+        let halo = |iters| {
+            let schedules: Vec<_> = (0..4).map(|r| plan::halo(r, 4, 64, iters)).collect();
+            CollModel::of(&schedules)
+        };
+        let (one, five) = (halo(1), halo(5));
         assert!(five.total(Technology::GigabitTcp) > one.total(Technology::GigabitTcp) * 3);
         assert!(five.rounds() > one.rounds());
     }

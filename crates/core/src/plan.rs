@@ -6,18 +6,20 @@
 //! timeline, which ranks lose their primary datapath and when, where
 //! the fallback NICs attach, the recovery policy in force, whether the
 //! card runs without its reliability protocol, which card each rank
-//! carries, and the deadline hierarchy priced from those facts.
+//! carries, an engine run's schedules, and the deadline hierarchy
+//! priced from those facts.
 //! [`crate::RunRequest::execute`] builds one per run; nothing else
 //! re-derives them.
 
 use std::collections::BTreeSet;
 
 use acc_chaos::FaultPlan;
+use acc_coll::{CollectiveOp, Schedule};
 use acc_net::routing::Attachment;
 use acc_net::{compute_schedule, FabricSchedule, FabricSpec, MacAddr, Topology, TrunkOutage};
 use acc_sim::SimTime;
 
-use crate::cluster::{Card, ClusterSpec, Technology};
+use crate::cluster::{select_algorithm, Card, ClusterSpec, Technology};
 use crate::deadline::DeadlineHierarchy;
 use crate::drivers::RecoveryPolicy;
 use crate::runner::Workload;
@@ -55,6 +57,11 @@ pub(crate) struct RunPlan {
     /// The card every rank carries (see [`Technology::card`]), `None`
     /// on the host-TCP technologies.
     pub(crate) card: Option<Card>,
+    /// An engine run's per-rank schedules, built once (empty for the
+    /// FFT and the sort): the flat AllReduce runs its policy-selected
+    /// algorithm. The pricing, the offload pre-flights, the debug-build
+    /// proofs and the drivers all read this one set.
+    pub(crate) schedules: Vec<Schedule>,
     /// The budgets the run executes under.
     pub(crate) deadlines: DeadlineHierarchy,
 }
@@ -66,7 +73,8 @@ impl RunPlan {
     /// # Panics
     /// Panics if the fault plan does not fit the fabric (a fabric fault
     /// naming a trunk or switch the topology lacks, or any fabric fault
-    /// on the single switch) or kills a card beyond `p`.
+    /// on the single switch) or kills a card beyond `p`, and on an
+    /// engine workload `acc-coll` cannot build.
     pub(crate) fn new(spec: &ClusterSpec, workload: &Workload) -> RunPlan {
         let faults = spec.fault_plan.as_ref();
         let multi_switch = spec.fabric != FabricSpec::SingleSwitch;
@@ -139,8 +147,23 @@ impl RunPlan {
             compute_schedule(&topo, &attachments, &outages, &switch_kills)
         });
         let inflation = timeline.as_ref().map_or(1, |t| t.max_inflation() as u64);
-        let deadlines =
-            DeadlineHierarchy::price(spec, workload, fallback_homes.is_some(), inflation);
+        let p = spec.p;
+        let schedules = match *workload {
+            Workload::Fft { .. } | Workload::Sort { .. } => Vec::new(),
+            Workload::AllReduce { elems } => {
+                let op = CollectiveOp::AllReduce;
+                let algo = select_algorithm(spec.technology, op, p, elems);
+                acc_coll::plan::build_all(op, algo, p, elems)
+            }
+            Workload::Collective { op, algo, elems } => {
+                acc_coll::plan::build_all(op, algo, p, elems)
+            }
+            Workload::Halo { elems, iters } => (0..p)
+                .map(|rank| acc_coll::plan::halo(rank, p, elems, iters))
+                .collect(),
+        };
+        let degraded = fallback_homes.is_some();
+        let deadlines = DeadlineHierarchy::price(spec, workload, &schedules, degraded, inflation);
         RunPlan {
             topo,
             stranded,
@@ -153,6 +176,7 @@ impl RunPlan {
             timeline,
             lossless: faults.is_none() && !multi_switch,
             card,
+            schedules,
             deadlines,
         }
     }

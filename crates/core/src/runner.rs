@@ -151,15 +151,14 @@ impl RunRequest {
             } => cluster::sort(&spec, &plan, total_keys, distribution, strategy)
                 .map(RunOutcome::Sort),
             Workload::AllReduce { elems } => {
-                let op = CollectiveOp::AllReduce;
-                let algo = cluster::select_algorithm(spec.technology, op, spec.p, elems);
-                cluster::collective(&spec, &plan, op, algo, elems).map(RunOutcome::Reduce)
+                cluster::collective(&spec, &plan, CollectiveOp::AllReduce, elems)
+                    .map(RunOutcome::Reduce)
             }
-            Workload::Collective { op, algo, elems } => {
-                cluster::collective(&spec, &plan, op, algo, elems).map(RunOutcome::Coll)
+            Workload::Collective { op, elems, .. } => {
+                cluster::collective(&spec, &plan, op, elems).map(RunOutcome::Coll)
             }
-            Workload::Halo { elems, iters } => {
-                cluster::halo(&spec, &plan, elems, iters).map(RunOutcome::Coll)
+            Workload::Halo { elems, .. } => {
+                cluster::halo(&spec, &plan, elems).map(RunOutcome::Coll)
             }
         };
         result.unwrap_or_else(RunOutcome::Hung)

@@ -17,8 +17,13 @@
 #   - acc_benchmark --seconds 1 --trace 0 on every workload at seeds 7
 #     and 11, keeping its exit status and the results file's
 #     sim_fingerprint and sim_ms (host times are noise, not outputs).
-# Each run gets a fresh cwd. Stdout, exit status and every file the run
-# writes to its cwd (soak's soak-repro.txt, say) are compared per run;
+# Each run gets a fresh cwd. Stdout, stderr (hang trace tails, and
+# panic messages with the hang report's wait-state lines, go there),
+# exit status and every file the run writes to its cwd (soak's
+# soak-repro.txt, say) are compared per run; the same tree run twice
+# gives the same stderr for every run, so none is left out. The
+# benchmark's own output is host timing, so only its results fields
+# are kept;
 # the script lists the runs that differ, shows the benchmark fields that
 # differ, and exits nonzero on any difference. About 6 min on a 2-vCPU
 # host with warm workspace builds, the two acc_benchmark builds (about
@@ -52,7 +57,7 @@ rm -rf "$work/out" "$work/cwd"
 
 # run <side> <bin dir> <name> <jobs> <label> [args...]: stdout, then the
 # exit status and every file written to the run's cwd, into
-# $work/out/<side>/<label>.
+# $work/out/<side>/<label>; stderr into $work/out/<side>/<label>.stderr.
 run() {
     side=$1 dir=$2 name=$3 jobs=$4 label=$5
     shift 5
@@ -60,7 +65,7 @@ run() {
     cwd=$work/cwd/$side/$label
     mkdir -p "$(dirname "$out")" "$cwd"
     status=0
-    (cd "$cwd" && ACC_JOBS=$jobs "$dir/$name" "$@") > "$out" 2> /dev/null || status=$?
+    (cd "$cwd" && ACC_JOBS=$jobs "$dir/$name" "$@") > "$out" 2> "$out.stderr" || status=$?
     echo "exit status $status" >> "$out"
     (cd "$cwd" && find . -type f | sort) | while read -r f; do
         echo "file $f:" >> "$out"

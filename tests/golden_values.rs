@@ -273,3 +273,64 @@ fn fft_speedup_shape_is_pinned() {
     assert_eq!(s(8), 7.779);
     assert_eq!(s(16), 15.94);
 }
+
+#[test]
+fn degraded_collectives_are_pinned() {
+    // The collective engine's recovery paths, end to end: node 2's card
+    // dies mid-schedule. Under the rank-local policies the survivors'
+    // card folds whose source died fall back to host folds, and the
+    // AllGather's raw gathers run next to fallback-TCP legs; a full
+    // restart reruns every rank over the fallback NICs.
+    let coll = |policy, op| {
+        RunRequest::collective(card_kill(policy), op, Algorithm::Ring, 8192)
+            .execute()
+            .into_coll()
+    };
+    let (all_reduce, all_gather) = (CollectiveOp::AllReduce, CollectiveOp::AllGather);
+    for (name, r, ps, comm, compute, degraded, resumed) in [
+        (
+            "ring allreduce rank-local",
+            coll(RecoveryPolicy::RankLocal, all_reduce),
+            8_274_765_697,
+            7_592_387_644,
+            17_339_535,
+            1,
+            Some(0),
+        ),
+        (
+            "ring allreduce checkpointed",
+            coll(RecoveryPolicy::Checkpointed, all_reduce),
+            6_635_554_094,
+            5_958_955_886,
+            11_559_690,
+            1,
+            Some(1),
+        ),
+        (
+            "ring allgather checkpointed",
+            coll(RecoveryPolicy::Checkpointed, all_gather),
+            10_233_603_299,
+            8_833_603_299,
+            0,
+            1,
+            Some(0),
+        ),
+        (
+            "ring allreduce full restart",
+            coll(RecoveryPolicy::FullRestart, all_reduce),
+            9_322_561_581,
+            8_305_222_046,
+            17_339_535,
+            4,
+            None,
+        ),
+    ] {
+        assert!(r.verified, "{name}: wrong data");
+        assert_eq!(r.total.as_ps(), ps, "{name}");
+        assert_eq!(r.comm.as_ps(), comm, "{name}: comm");
+        assert_eq!(r.compute.as_ps(), compute, "{name}: compute");
+        assert_eq!(r.faults.retransmits, 0, "{name}: retransmits");
+        assert_eq!(r.faults.degraded_nodes, degraded, "{name}: degraded");
+        assert_eq!(r.faults.resumed_from_phase, resumed, "{name}: resumed");
+    }
+}
