@@ -177,11 +177,6 @@ impl Matrix {
         &self.data
     }
 
-    /// Consume into the backing vector.
-    pub fn into_data(self) -> Vec<Complex64> {
-        self.data
-    }
-
     /// Out-of-place transpose.
     pub fn transposed(&self) -> Matrix {
         let mut out = Matrix::zeros(self.cols, self.rows);

@@ -53,18 +53,6 @@ pub struct RoundLegs {
     pub card_fold: bool,
 }
 
-impl RoundLegs {
-    /// Whether any leg still touches the card.
-    pub fn uses_card(&self) -> bool {
-        !self.card_sends.is_empty() || !self.card_recvs.is_empty()
-    }
-
-    /// Whether any leg rides the fallback TCP path.
-    pub fn uses_tcp(&self) -> bool {
-        !self.tcp_sends.is_empty() || !self.tcp_recvs.is_empty()
-    }
-}
-
 /// Partition one round's transfers between the card and the fallback
 /// path, given the set of degraded ranks. `combined` says whether the
 /// configured bitstream carries a `ReduceSum` stage at all (protocol-

@@ -100,6 +100,9 @@ pub(crate) struct CollDriver {
     /// Each round's transfer step, and the inbox where peers running
     /// ahead park their messages for later rounds.
     xchg: Exchange,
+    /// The transport partition of the round whose step is in flight:
+    /// set when the step is posted, taken when it is folded.
+    legs: Option<RoundLegs>,
     in_charge: bool,
     round_started: SimTime,
     charge_started: SimTime,
@@ -154,6 +157,7 @@ impl CollDriver {
             input,
             round: 0,
             xchg: Exchange::default(),
+            legs: None,
             in_charge: false,
             round_started: SimTime::ZERO,
             charge_started: SimTime::ZERO,
@@ -357,6 +361,7 @@ impl CollDriver {
             sends: sends.collect(),
             recvs: legs.tcp_recvs.iter().map(|r| (r.from, bytes(r))).collect(),
         };
+        self.legs = Some(legs);
         self.xchg.start(&self.fo, step, ctx);
         // Peers running ahead may already have delivered everything.
         self.advance(ctx);
@@ -375,7 +380,7 @@ impl CollDriver {
     /// Fold the current round's card gather and TCP messages into the
     /// state: the host-summed element count.
     fn fold(&mut self, got: Received) -> u64 {
-        let legs = self.current_legs();
+        let legs = self.legs.take().expect("a folded round was posted");
         let mut sum_elems = 0;
         match got.gather {
             // The card already folded own + peer; overwrite in place.
@@ -516,6 +521,7 @@ impl Recoverable for CollDriver {
 
     fn park(&mut self) {
         self.xchg.cancel();
+        self.legs = None;
         self.in_charge = false;
     }
 

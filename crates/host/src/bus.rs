@@ -43,12 +43,6 @@ impl BusParams {
         }
     }
 
-    /// The ACEII card's single internal bus — same electrical class as
-    /// the system PCI (Section 6 gives 132 MB/s).
-    pub fn aceii_card_bus() -> BusParams {
-        BusParams::pci_32_33()
-    }
-
     /// Sustained rate for a long transfer under these parameters.
     pub fn sustained_rate(&self) -> Bandwidth {
         let burst_time = self.rate.transfer_time(self.burst) + self.per_burst_overhead;
