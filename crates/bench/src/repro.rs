@@ -431,8 +431,9 @@ mod tests {
         assert!(err.contains("warp-speed"), "{err}");
     }
 
-    /// The `coll` artifact `soak --rounds 64 --coll` writes to
-    /// `soak-repro.txt` for its round-036 hang.
+    /// The `coll` artifact `soak --rounds 64 --coll` wrote to
+    /// `soak-repro.txt` for its round-036 hang, before the TCP stack
+    /// followed Karn's rule.
     const SOAK_COLL_ARTIFACT: &str = "\
 # acc soak repro v1
 campaign-seed 0xacc50ac

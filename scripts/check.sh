@@ -72,12 +72,13 @@ echo "== ablation_fabric_faults --smoke (multi-switch fault-tolerance grid)"
 # fat-tree, verified bit-correct under all three recovery policies.
 ACC_JOBS=2 ./target/release/ablation_fabric_faults --smoke > /dev/null
 
-echo "== soak --rounds 256 (FFT/sort drivers under seeded fault plans)"
+echo "== soak --rounds 256 --coll (FFT/sort/collective drivers under seeded fault plans)"
 # 256 seeded fault plans (loss, jitter, stalls, outages, card deaths and
-# reconfigurations) against the classic FFT and sort cells, every run
-# verified and audited. About 9 s on a 2-vCPU host. A failure
-# minimizes its plan into soak-repro.txt (replay with
-# `soak --repro soak-repro.txt`) and exits nonzero.
-ACC_JOBS=2 ./target/release/soak --rounds 256 > /dev/null
+# reconfigurations) against the classic FFT and sort cells plus one
+# rotating engine collective per round, every run verified and
+# audited. About 2 s on a 2-vCPU host. A failure minimizes its plan
+# into soak-repro.txt (replay with `soak --repro soak-repro.txt`) and
+# exits nonzero.
+ACC_JOBS=2 ./target/release/soak --rounds 256 --coll > /dev/null
 
 echo "All tier-1 checks passed."

@@ -228,6 +228,29 @@ fn random_fault_plans_yield_correct_data_or_an_attributed_hang() {
     );
 }
 
+/// The soak's round-036 cell, replayed from its minimized plan. Rank
+/// 2's first segment to rank 3 is lost twice, and the ACK that finally
+/// covers it also covers a segment sent once. Taking an RTT sample from
+/// that ACK breaks Karn's rule: it read 3 s, the RTO became 9 s, and a
+/// later loss on the flow waited past the run deadline.
+#[test]
+fn ring_allreduce_survives_a_segment_lost_twice() {
+    let plan = FaultPlan::from_text(
+        "seed 0x223e8d49fe76cde5\n\
+         frame-loss link=all prob=0.01308\n\
+         link-jitter link=all max=17000000\n\
+         frame-corruption link=all prob=8.153915405273437e-10\n",
+    )
+    .expect("the soak artifact's plan parses");
+    let spec = ClusterSpec::new(P, Technology::GigabitTcp)
+        .with_fault_plan(plan)
+        .with_quiet(true);
+    let r = RunRequest::collective(spec, CollectiveOp::AllReduce, Algorithm::Ring, 4096)
+        .execute()
+        .into_coll();
+    assert!(r.verified);
+}
+
 /// ddmin on a lockstep schedule: a four-event plan whose only wedging
 /// ingredient is an unbounded outage must minimize to exactly that one
 /// event, with the noise (loss, jitter, a survivable stall) shed.
