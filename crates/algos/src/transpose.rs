@@ -12,8 +12,8 @@
 //!    `M × M` block into column-block position `p` of its output slab.
 //!
 //! All functions here are pure so the identical data manipulation can run
-//! on the host CPU path, inside the simulated FPGA datapath (as an index
-//! map over the element stream), and in test oracles.
+//! on the host CPU path, inside the simulated FPGA datapath, and in test
+//! oracles.
 
 use crate::complex::Complex64;
 use crate::fft::Matrix;
@@ -112,30 +112,13 @@ pub fn distributed_transpose(slabs: &[Matrix]) -> Vec<Matrix> {
 /// side. Every rank sends and receives exactly one block per step, which
 /// is the "each processor is always sending and receiving" pipelining
 /// assumption under Eq. 8.
-pub fn ring_schedule(p: usize, rank: usize) -> Vec<ExchangeStep> {
+pub fn ring_schedule(p: usize, rank: usize) -> impl ExactSizeIterator<Item = ExchangeStep> {
     assert!(rank < p);
-    (1..p)
-        .map(|s| ExchangeStep {
-            step: s,
-            send_to: (rank + s) % p,
-            recv_from: (rank + p - s) % p,
-        })
-        .collect()
-}
-
-/// XOR (hypercube) schedule for power-of-two `P`: at step `s` rank `r`
-/// exchanges both directions with `r ^ s`. Symmetric — the peer sends back
-/// in the same step, matching full-duplex links.
-pub fn xor_schedule(p: usize, rank: usize) -> Vec<ExchangeStep> {
-    assert!(p.is_power_of_two(), "XOR schedule needs power-of-two P");
-    assert!(rank < p);
-    (1..p)
-        .map(|s| ExchangeStep {
-            step: s,
-            send_to: rank ^ s,
-            recv_from: rank ^ s,
-        })
-        .collect()
+    (1..p).map(move |s| ExchangeStep {
+        step: s,
+        send_to: (rank + s) % p,
+        recv_from: (rank + p - s) % p,
+    })
 }
 
 /// One step of an all-to-all exchange schedule.
@@ -147,48 +130,6 @@ pub struct ExchangeStep {
     pub send_to: usize,
     /// Peer this rank receives a block from in this step.
     pub recv_from: usize,
-}
-
-/// Output-index → input-index permutation for transposing an `m × m`
-/// block stored row-major. `map[out] = in` means output element `out`
-/// is read from input element `in`. The FPGA `LocalTranspose` operator
-/// applies exactly this map to the element stream.
-pub fn block_transpose_index_map(m: usize) -> Vec<usize> {
-    let mut map = vec![0usize; m * m];
-    for r in 0..m {
-        for c in 0..m {
-            map[c * m + r] = r * m + c;
-        }
-    }
-    map
-}
-
-/// Apply an output←input element permutation to a byte stream of
-/// `elem_size`-byte elements.
-///
-/// # Panics
-/// Panics if sizes are inconsistent or the map is not a permutation of the
-/// element index range (checked in debug builds only, for speed).
-pub fn apply_permutation_bytes(data: &[u8], map: &[usize], elem_size: usize) -> Vec<u8> {
-    assert_eq!(
-        data.len(),
-        map.len() * elem_size,
-        "byte length does not match permutation size"
-    );
-    debug_assert!({
-        let mut seen = vec![false; map.len()];
-        map.iter().all(|&i| {
-            let fresh = !seen[i];
-            seen[i] = true;
-            fresh
-        })
-    });
-    let mut out = vec![0u8; data.len()];
-    for (o, &i) in map.iter().enumerate() {
-        out[o * elem_size..(o + 1) * elem_size]
-            .copy_from_slice(&data[i * elem_size..(i + 1) * elem_size]);
-    }
-    out
 }
 
 /// Serialize a slab to the 16-byte-per-element stream that crosses the
@@ -269,9 +210,8 @@ mod tests {
     fn ring_schedule_covers_all_peers() {
         for p in [2usize, 3, 5, 8] {
             for rank in 0..p {
-                let sched = ring_schedule(p, rank);
-                let mut sends: Vec<usize> = sched.iter().map(|e| e.send_to).collect();
-                let mut recvs: Vec<usize> = sched.iter().map(|e| e.recv_from).collect();
+                let mut sends: Vec<usize> = ring_schedule(p, rank).map(|e| e.send_to).collect();
+                let mut recvs: Vec<usize> = ring_schedule(p, rank).map(|e| e.recv_from).collect();
                 sends.sort_unstable();
                 recvs.sort_unstable();
                 let expect: Vec<usize> = (0..p).filter(|&x| x != rank).collect();
@@ -289,7 +229,7 @@ mod tests {
         for s in 1..p {
             let mut recv_count = vec![0usize; p];
             for rank in 0..p {
-                let step = &ring_schedule(p, rank)[s - 1];
+                let step = ring_schedule(p, rank).nth(s - 1).unwrap();
                 recv_count[step.send_to] += 1;
             }
             assert!(
@@ -297,36 +237,6 @@ mod tests {
                 "step {s} not a matching"
             );
         }
-    }
-
-    #[test]
-    fn xor_schedule_is_symmetric() {
-        let p = 8;
-        for rank in 0..p {
-            for e in xor_schedule(p, rank) {
-                assert_eq!(e.send_to, e.recv_from);
-                // Peer's schedule at the same step points back.
-                let peer_sched = xor_schedule(p, e.send_to);
-                assert_eq!(peer_sched[e.step - 1].send_to, rank);
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "power-of-two")]
-    fn xor_schedule_rejects_odd_p() {
-        xor_schedule(6, 0);
-    }
-
-    #[test]
-    fn index_map_transposes_byte_stream() {
-        let m = 4;
-        let slab = numbered(m, m);
-        let bytes = slab_to_bytes(&slab);
-        let map = block_transpose_index_map(m);
-        let t_bytes = apply_permutation_bytes(&bytes, &map, 16);
-        let t = bytes_to_slab(&t_bytes, m, m);
-        assert_eq!(t, slab.transposed());
     }
 
     #[test]

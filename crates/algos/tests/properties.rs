@@ -13,8 +13,7 @@ use acc_algos::sort::{
     two_phase_bucket_sort,
 };
 use acc_algos::transpose::{
-    apply_permutation_bytes, block_transpose_index_map, bytes_to_slab, distributed_transpose,
-    join_row_blocks, slab_to_bytes, split_row_blocks,
+    bytes_to_slab, distributed_transpose, join_row_blocks, slab_to_bytes, split_row_blocks,
 };
 use acc_algos::Complex64;
 
@@ -134,18 +133,6 @@ fn distributed_transpose_equals_serial() {
         let slabs = split_row_blocks(&m, p);
         let t = distributed_transpose(&slabs);
         assert_eq!(join_row_blocks(&t), m.transposed());
-    }
-}
-
-#[test]
-fn transpose_index_map_is_involution() {
-    for m in 1usize..=32 {
-        let map = block_transpose_index_map(m);
-        // Applying the map twice is the identity.
-        let data: Vec<u8> = (0..m * m * 16).map(|i| (i % 251) as u8).collect();
-        let once = apply_permutation_bytes(&data, &map, 16);
-        let twice = apply_permutation_bytes(&once, &map, 16);
-        assert_eq!(twice, data);
     }
 }
 

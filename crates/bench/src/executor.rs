@@ -69,11 +69,6 @@ impl Executor {
         }
     }
 
-    /// The worker count this executor fans out to.
-    pub fn jobs(&self) -> usize {
-        self.jobs
-    }
-
     /// Run every task, returning results in submission order.
     ///
     /// With one worker (or one task) this is a plain in-order loop; with
@@ -184,7 +179,7 @@ fn jobs_from_args(args: impl Iterator<Item = String>) -> Option<usize> {
 }
 
 /// The machine's available parallelism (1 if unknown).
-pub fn default_parallelism() -> usize {
+fn default_parallelism() -> usize {
     std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1)
@@ -193,7 +188,9 @@ pub fn default_parallelism() -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use acc_coll::{Algorithm, CollectiveOp};
     use acc_core::{ClusterSpec, Technology};
+    use acc_net::FabricSpec;
 
     #[test]
     fn map_preserves_submission_order() {
@@ -224,21 +221,47 @@ mod tests {
         assert_eq!(serial, parallel);
     }
 
+    /// The executor's determinism contract on real runs: every shape
+    /// the campaigns fan out (FFT, sort, both AllReduce algorithms, a
+    /// fat-tree and a torus fabric) yields the same simulated totals
+    /// through the two-worker queue as executed directly.
     #[test]
     fn run_all_matches_direct_execution() {
-        let requests: Vec<RunRequest> = [Technology::GigabitTcp, Technology::InicIdeal]
-            .into_iter()
-            .map(|t| RunRequest::sort(ClusterSpec::new(2, t), 1 << 10))
-            .collect();
+        let mut requests: Vec<RunRequest> = Vec::new();
+        for tech in [Technology::GigabitTcp, Technology::InicIdeal] {
+            requests.push(RunRequest::sort(ClusterSpec::new(2, tech), 1 << 10));
+            requests.push(RunRequest::fft(ClusterSpec::new(4, tech), 16));
+            for algo in [Algorithm::Ring, Algorithm::RecursiveDoubling] {
+                requests.push(RunRequest::collective(
+                    ClusterSpec::new(4, tech),
+                    CollectiveOp::AllReduce,
+                    algo,
+                    1 << 10,
+                ));
+            }
+        }
+        requests.push(RunRequest::collective(
+            ClusterSpec::new(16, Technology::InicIdeal).with_fabric(FabricSpec::FatTree { k: 4 }),
+            CollectiveOp::AllReduce,
+            Algorithm::Ring,
+            1 << 10,
+        ));
+        requests.push(RunRequest::collective(
+            ClusterSpec::new(4, Technology::InicIdeal)
+                .with_fabric(FabricSpec::Torus3D { dims: [2, 2, 1] }),
+            CollectiveOp::AllToAll,
+            Algorithm::Bruck,
+            1 << 10,
+        ));
         let direct: Vec<_> = requests
             .iter()
             .cloned()
-            .map(|r| r.execute().into_sort().total)
+            .map(|r| r.execute().total())
             .collect();
         let parallel: Vec<_> = Executor::new(2)
             .run_all(requests)
-            .into_iter()
-            .map(|o| o.into_sort().total)
+            .iter()
+            .map(RunOutcome::total)
             .collect();
         assert_eq!(direct, parallel);
     }

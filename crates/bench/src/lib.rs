@@ -2,10 +2,11 @@
 //!
 //! One binary per evaluation figure in the paper (`fig4a`, `fig4b`,
 //! `fig5a`, `fig5b`, `fig8a`, `fig8b`), eleven `ablation_*` binaries,
-//! the `soak` chaos campaign, the `acc_cluster` scenario runner and the
-//! `bench_wallclock` timing campaign, plus three plain
-//! (`harness = false`) benchmark binaries under `benches/` over the
-//! real kernels and the simulation engine. Every binary runs its
+//! the `soak` chaos campaign and the `acc_cluster` scenario runner, plus
+//! three plain (`harness = false`) benchmark binaries under `benches/`
+//! over the real kernels and the simulation engine. The simulator's
+//! end-to-end timing lives in the `acc_benchmark` package under
+//! `src/bin/acc_benchmark/`, a workspace of its own. Every binary runs its
 //! clusters through [`acc_core::RunRequest::execute`]. See
 //! `EXPERIMENTS.md` at the repository root for the paper-vs-measured
 //! record of every figure.

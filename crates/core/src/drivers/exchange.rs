@@ -39,6 +39,7 @@
 use std::any::Any;
 use std::collections::BTreeMap;
 
+use acc_algos::transpose::ring_schedule;
 use acc_fpga::{
     GatherKind, InicExpect, InicGatherComplete, InicScatter, InicScatterDone, ScatterKind,
 };
@@ -186,7 +187,8 @@ impl Route {
             Route::Tcp { to, from } => (None, to, from),
             Route::Relay => {
                 let (mut parts, mut data) = (Vec::new(), Vec::new());
-                for q in (0..p).map(|s| (fo.rank + s) % p).filter(live) {
+                let ring = ring_schedule(p, fo.rank).map(|e| e.send_to);
+                for q in std::iter::once(fo.rank).chain(ring).filter(live) {
                     let body = part(q);
                     // An empty part for ourselves has nothing to loop
                     // back.

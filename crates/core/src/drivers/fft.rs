@@ -36,7 +36,7 @@ use std::collections::BTreeMap;
 
 use acc_algos::fft::{fft_in_place, Direction, Matrix};
 use acc_algos::transpose::{
-    bytes_to_slab, extract_transposed_block, interleave_block, slab_to_bytes,
+    bytes_to_slab, extract_transposed_block, interleave_block, ring_schedule, slab_to_bytes,
 };
 use acc_fpga::{Bitstream, GatherKind, InicMode, ScatterKind};
 use acc_host::HostKernels;
@@ -259,7 +259,10 @@ impl FftDriver {
         if s == p {
             return self.begin_permute(which, ctx);
         }
-        let (to, from) = (vec![(rank + s) % p], vec![(rank + p - s) % p]);
+        let peers = ring_schedule(p, rank)
+            .nth(s - 1)
+            .expect("pairwise steps run 1..p");
+        let (to, from) = (vec![peers.send_to], vec![peers.recv_from]);
         self.start_step(which, Route::Tcp { to, from }, ctx);
     }
 

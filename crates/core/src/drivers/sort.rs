@@ -33,6 +33,7 @@ use acc_algos::sort::{
     bucket_flat, bucket_sort_flat, bytes_to_keys, count_sort_buckets, destination_of, is_sorted,
     keys_to_bytes,
 };
+use acc_algos::transpose::ring_schedule;
 use acc_fpga::{Bitstream, GatherKind, ScatterKind};
 use acc_host::HostKernels;
 use acc_sim::{Component, Ctx, DataSize, SimDuration, SimTime};
@@ -277,7 +278,7 @@ impl SortDriver {
             SortVariant::HostOnly => {
                 // Our own bucket stays home.
                 self.tcp_keys.extend_from_slice(part(&keys, &ends, rank));
-                let to = (1..p).map(|step| (rank + step) % p).collect();
+                let to = ring_schedule(p, rank).map(|e| e.send_to).collect();
                 let from = (0..p).filter(|&q| q != rank).collect();
                 Route::Tcp { to, from }
             }

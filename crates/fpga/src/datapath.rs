@@ -14,7 +14,7 @@ use std::collections::BTreeSet;
 use acc_algos::fft::Matrix;
 use acc_algos::sort::{bucket_flat, bucket_shift, destination_of};
 use acc_algos::transpose::{
-    bytes_to_slab, extract_transposed_block, interleave_block, slab_to_bytes,
+    bytes_to_slab, extract_transposed_block, interleave_block, ring_schedule, slab_to_bytes,
 };
 use acc_net::PayloadView;
 use acc_proto::{packetize_view, InicPacket, INIC_PAYLOAD};
@@ -176,8 +176,9 @@ fn plan_transpose(
     let mut out = Vec::new();
     // Destinations in ring-schedule order: start with our own block
     // (it never touches the wire), then (rank+1), (rank+2), …
-    for step in 0..p {
-        let q = (my_rank as usize + step) % p;
+    let rank = my_rank as usize;
+    let ring = ring_schedule(p, rank).map(|e| e.send_to);
+    for q in std::iter::once(rank).chain(ring) {
         let block = PayloadView::new(slab_to_bytes(&extract_transposed_block(&slab, q)));
         for pkt in packetize_view(my_rank, stream, &block) {
             out.push((q, pkt));

@@ -13,8 +13,8 @@ cargo clippy -q --workspace --all-targets -- -D warnings
 
 echo "== cargo build --release"
 # --workspace: the root manifest is also the umbrella package, and a
-# bare `cargo build` would build only it — leaving the acc-lint and
-# bench_wallclock binaries the later steps execute stale.
+# bare `cargo build` would build only it — leaving the acc-lint,
+# acc-verify, ablation and soak binaries the later steps execute stale.
 cargo build --release --workspace
 
 echo "== acc-lint (static determinism/wire-safety invariants)"
@@ -41,25 +41,35 @@ echo "== cargo test acc_benchmark (its own workspace)"
 # 70 s to build and 2 s to test on a 2-vCPU host.
 cargo test --release --offline --manifest-path crates/bench/src/bin/acc_benchmark/Cargo.toml
 
+echo "== acc_benchmark --workload coll_latency --seconds 1 (smoke run of the benchmark)"
+# The command BENCHMARK.json declares, run for one second on one
+# workload: the benchmark verifies every run it times, and its last
+# output line is the result record, which must report `"correct": true`.
+# No wall time is gated here; timing regressions are judged by
+# `acc_benchmark compare` over paired runs of two revisions. About 2 s
+# once built.
+out=$(cargo run --release --offline --quiet \
+    --manifest-path crates/bench/src/bin/acc_benchmark/Cargo.toml -- \
+    --workload coll_latency --seconds 1 --trace 0)
+last=$(printf '%s\n' "$out" | tail -n 1)
+case "$last" in
+'{"correct": true'*) ;;
+*)
+    echo "acc_benchmark smoke run did not report correct: $last" >&2
+    exit 1
+    ;;
+esac
+
 echo "== cargo doc --workspace (deny warnings)"
 # --workspace for the same reason as the build: a bare `cargo doc`
 # documents only the umbrella package, so broken intra-doc links in
 # the member crates would go unnoticed.
 RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps --workspace
 
-echo "== bench_wallclock --smoke --check (gating: per-point noise bounds)"
-# ACC_JOBS=2 forces the threaded work-queue path even on one core, so
-# the serial-vs-parallel determinism assert inside the binary always
-# compares both executor code paths. --check gates: each point is
-# compared against the median of the last five same-mode
-# BENCH_history.jsonl entries and fails past ACC_BENCH_TOLERANCE_PCT
-# (default 25%). ACC_BENCH_GATE=off reports without gating on
-# known-noisy hosts.
-ACC_JOBS=2 ./target/release/bench_wallclock --smoke --check
-
 echo "== ablation_collectives --smoke (executor-fanned collective matrix)"
 # Smoke sweep of the collective engine's full operation x algorithm x
-# mode matrix; ACC_JOBS=2 for the same two-code-path reason as above.
+# mode matrix. ACC_JOBS=2 forces the threaded work-queue path even on
+# one core, so both executor code paths run.
 ACC_JOBS=2 ./target/release/ablation_collectives --smoke > /dev/null
 
 echo "== ablation_coll_faults --smoke (collective recovery-policy grid)"
