@@ -42,9 +42,9 @@
 //!   retransmitted duplicates count on the way in, so equality is not
 //!   required).
 
-use std::any::Any;
+use acc_sim::{unknown_event, Component, CounterHandle, SimDuration, StatsRegistry};
 
-use acc_sim::{Component, CounterHandle, Ctx, SimDuration, StatsRegistry};
+use crate::msg::{CoreMsg, Ctx, Msg};
 
 /// What the Auditor watches. Built by the cluster wiring, which knows
 /// every instrumented stats scope.
@@ -68,9 +68,6 @@ pub struct AuditConfig {
     /// reaches it.
     pub p: u64,
 }
-
-/// Self event driving the periodic audit.
-struct AuditTick;
 
 /// The online auditor component. Ticks run every [`Auditor::PERIOD`]
 /// until every driver has reported done (or the tick cap is reached, a
@@ -130,9 +127,11 @@ impl Auditor {
     }
 }
 
-impl Component for Auditor {
-    fn handle(&mut self, ev: Box<dyn Any>, ctx: &mut Ctx) {
-        assert!(ev.downcast_ref::<AuditTick>().is_some() || ev.downcast_ref::<()>().is_some());
+impl Component<Msg> for Auditor {
+    fn handle(&mut self, ev: Msg, ctx: &mut Ctx) {
+        if !matches!(ev, Msg::Core(CoreMsg::Start | CoreMsg::AuditTick)) {
+            unknown_event(Auditor::LABEL);
+        }
         self.ticks += 1;
         if self.ticks > Auditor::MAX_TICKS {
             return; // stop rescheduling; the final check takes over
@@ -155,7 +154,7 @@ impl Component for Auditor {
             .inc();
         // Read after our own bumps, so they alone never force a check.
         self.seen = stats.changes();
-        ctx.self_in(Auditor::PERIOD, AuditTick);
+        ctx.self_in(Auditor::PERIOD, CoreMsg::AuditTick);
     }
 
     fn name(&self) -> &str {
@@ -281,15 +280,15 @@ mod tests {
     }
 
     /// A simulation holding only an Auditor over [`cfg`], first tick at 0.
-    fn audited_sim() -> acc_sim::Simulation {
+    fn audited_sim() -> acc_sim::Simulation<Msg> {
         let mut sim = acc_sim::Simulation::new(0);
         let id = sim.add(Auditor::new(cfg()));
-        sim.schedule_at(acc_sim::SimTime::ZERO, id, ());
+        sim.schedule_at(acc_sim::SimTime::ZERO, id, CoreMsg::Start);
         sim
     }
 
     /// `(ticks, checks)` so far.
-    fn counts(sim: &acc_sim::Simulation) -> (u64, u64) {
+    fn counts(sim: &acc_sim::Simulation<Msg>) -> (u64, u64) {
         let c = AuditCounts::from_stats(sim.stats());
         (c.ticks, c.checks)
     }

@@ -16,7 +16,7 @@ use acc_algos::workload::{distributed_uniform_keys, gaussian_keys, random_matrix
 use acc_chaos::{FaultPlan, LinkId};
 use acc_coll::{Algorithm, CollectiveOp, OffloadError, OffloadPlan, PathClass, Schedule};
 use acc_fpga::{
-    CardPorts, FpgaDevice, InicCard, InicKill, InicMode, InicReconfigure, CREDIT_WINDOW,
+    CardPorts, FpgaDevice, FpgaMsg, InicCard, InicKill, InicMode, InicReconfigure, CREDIT_WINDOW,
 };
 use acc_host::{HostKernels, InterruptCosts, ModerationPolicy, StallSchedule};
 use std::collections::{BTreeMap, BTreeSet};
@@ -24,7 +24,7 @@ use std::rc::Rc;
 
 use acc_net::port::EgressPort;
 use acc_net::{
-    EthernetKind, FabricSpec, LinkParams, MacAddr, PartitionReport, RouteUpdate, Switch,
+    EthernetKind, FabricSpec, LinkParams, MacAddr, NetMsg, PartitionReport, RouteUpdate, Switch,
     SwitchKill, SwitchParams,
 };
 use acc_proto::{HostPathCosts, TcpHostNic, TcpParams};
@@ -39,6 +39,7 @@ use crate::drivers::{
     RecoveryPolicy,
 };
 use crate::liveness::{HangCause, HangReport};
+use crate::msg::{CoreMsg, Msg};
 use crate::plan::RunPlan;
 use crate::report::FaultDiagnostics;
 
@@ -299,7 +300,7 @@ pub struct SortRunResult {
 
 /// Everything wired up for one run.
 struct Wiring {
-    sim: Simulation,
+    sim: Simulation<Msg>,
     drivers: Vec<ComponentId>,
     nics: Vec<ComponentId>,
     switches: Vec<ComponentId>,
@@ -325,7 +326,7 @@ fn to_port_routes(
 /// Build the sim, switches and per-node network attachments `plan`
 /// describes; `make_driver` turns each rank's attachment (plus its
 /// fault-handling configuration) into its driver.
-fn wire<D: Component + 'static>(
+fn wire<D: Component<Msg>>(
     spec: &ClusterSpec,
     plan: &RunPlan,
     mut make_driver: impl FnMut(usize, Attachment, FaultCtl) -> D,
@@ -511,17 +512,12 @@ fn wire<D: Component + 'static>(
         }
         for e in &sched.epochs[1..] {
             for (s, &sid) in switch_ids.iter().enumerate() {
-                sim.schedule_at(
-                    e.start,
-                    sid,
-                    RouteUpdate {
-                        routes: to_port_routes(&e.tables[s], &trunk_port[s]),
-                    },
-                );
+                let routes = to_port_routes(&e.tables[s], &trunk_port[s]);
+                sim.schedule_at(e.start, sid, NetMsg::Routes(RouteUpdate { routes }));
             }
         }
         for &(s, at) in &switch_kills {
-            sim.schedule_at(at, switch_ids[s as usize], SwitchKill);
+            sim.schedule_at(at, switch_ids[s as usize], NetMsg::Kill(SwitchKill));
         }
     }
     for (&sid, sw) in switch_ids.iter().zip(switches) {
@@ -531,7 +527,7 @@ fn wire<D: Component + 'static>(
         sim.register(coord, RecoveryCoordinator::new(driver_ids.clone()));
     }
     for &d in &driver_ids {
-        sim.schedule_at(SimTime::ZERO, d, ());
+        sim.schedule_at(SimTime::ZERO, d, CoreMsg::Start);
     }
     let mut audit_cfg = None;
     if let Some(pl) = faults {
@@ -559,7 +555,7 @@ fn wire<D: Component + 'static>(
         };
         let auditor_id = sim.reserve_id();
         sim.register(auditor_id, Auditor::new(cfg.clone()));
-        sim.schedule_at(SimTime::ZERO, auditor_id, ());
+        sim.schedule_at(SimTime::ZERO, auditor_id, CoreMsg::Start);
         audit_cfg = Some(cfg);
     }
     if plan.card.is_some() {
@@ -568,9 +564,9 @@ fn wire<D: Component + 'static>(
         // policy: from the last round checkpoint over the fallback NIC
         // once the coordinator agrees.
         for &(node, at) in &plan.stranded {
-            sim.schedule_at(at, nic_ids[node as usize], InicKill);
+            sim.schedule_at(at, nic_ids[node as usize], FpgaMsg::Kill(InicKill));
             for &d in &driver_ids {
-                sim.schedule_at(at, d, CardFailed { node });
+                sim.schedule_at(at, d, CoreMsg::CardFailed(CardFailed { node }));
             }
         }
         // Transient reconfiguration windows: the card buffers and
@@ -580,7 +576,8 @@ fn wire<D: Component + 'static>(
         for (node, at, hold) in faults.map(FaultPlan::card_reconfigures).unwrap_or_default() {
             let node_idx = node as usize;
             assert!(node_idx < spec.p, "fault plan reconfigures a card beyond P");
-            sim.schedule_at(at, nic_ids[node_idx], InicReconfigure { hold });
+            let reconfigure = InicReconfigure { hold };
+            sim.schedule_at(at, nic_ids[node_idx], FpgaMsg::Reconfigure(reconfigure));
         }
     }
     Wiring {

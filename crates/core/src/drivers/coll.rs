@@ -54,7 +54,6 @@
 //!   ride the fallback `TcpHostNic`, and a combined-mode fold whose
 //!   source died falls back to host arithmetic.
 
-use std::any::Any;
 use std::collections::BTreeMap;
 use std::ops::Range;
 use std::rc::Rc;
@@ -64,11 +63,12 @@ use acc_coll::recovery::{split_round, RoundLegs};
 use acc_coll::{OffloadPlan, RecvOp, Schedule};
 use acc_fpga::{Bitstream, GatherKind, ScatterKind};
 use acc_host::HostKernels;
-use acc_sim::{Component, Ctx, SimDuration, SimTime};
+use acc_sim::{Component, SimDuration, SimTime};
 
 use super::exchange::{CardPart, Exchange, Received, Step};
 use super::failover::{self, Failover, Recoverable};
 use super::{Attachment, FaultCtl};
+use crate::msg::{Ctx, Msg};
 
 /// Timing record of one collective run.
 #[derive(Clone, Debug, Default)]
@@ -506,7 +506,7 @@ impl Recoverable for CollDriver {
         self.start_round(ctx);
     }
 
-    fn on_event(&mut self, ev: Box<dyn Any>, ctx: &mut Ctx) {
+    fn on_event(&mut self, ev: Msg, ctx: &mut Ctx) {
         let (schedule, epoch) = (&self.schedule, self.fo.epoch);
         let size = |src, chan| Some(expected_rx_bytes(schedule, epoch, src, chan));
         self.xchg.on_event(ev, &self.fo, size);
@@ -589,8 +589,8 @@ impl Recoverable for CollDriver {
     }
 }
 
-impl Component for CollDriver {
-    fn handle(&mut self, ev: Box<dyn Any>, ctx: &mut Ctx) {
+impl Component<Msg> for CollDriver {
+    fn handle(&mut self, ev: Msg, ctx: &mut Ctx) {
         failover::handle(self, ev, ctx);
     }
 

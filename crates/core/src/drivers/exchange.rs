@@ -36,18 +36,16 @@
 //! little-endian length prefix — the same `Option<usize>` convention as
 //! `InicExpect::sources`.
 
-use std::any::Any;
 use std::collections::BTreeMap;
 
 use acc_algos::transpose::ring_schedule;
-use acc_fpga::{
-    GatherKind, InicExpect, InicGatherComplete, InicScatter, InicScatterDone, ScatterKind,
-};
-use acc_proto::{TcpDelivered, TcpSend};
-use acc_sim::Ctx;
+use acc_fpga::{FpgaMsg, GatherKind, InicExpect, InicScatter, ScatterKind};
+use acc_proto::{ProtoMsg, TcpSend};
+use acc_sim::unknown_event;
 
 use super::failover::Failover;
 use super::Attachment;
+use crate::msg::{Ctx, Msg};
 
 /// Bytes of a length-prefixed message's prefix.
 const PREFIX: usize = 8;
@@ -289,7 +287,7 @@ impl Exchange {
                     kind,
                     sources,
                 };
-                ctx.send_now(*card, expect);
+                ctx.send_now(*card, FpgaMsg::Expect(expect));
             }
             if let Some((kind, data)) = part.scatter {
                 let dests = macs.clone();
@@ -299,7 +297,7 @@ impl Exchange {
                     data,
                     dests,
                 };
-                ctx.send_now(*card, scatter);
+                ctx.send_now(*card, FpgaMsg::Scatter(Box::new(scatter)));
             }
         }
         let tcp = match &fo.attachment {
@@ -309,7 +307,7 @@ impl Exchange {
         for (q, data) in step.sends {
             let (nic, macs) = tcp.expect("a card's TCP parts need a fallback NIC");
             let peer = macs[q];
-            ctx.send_now(*nic, TcpSend { peer, chan, data });
+            ctx.send_now(*nic, ProtoMsg::Send(TcpSend { peer, chan, data }));
         }
         self.step = Some(flight);
     }
@@ -321,31 +319,27 @@ impl Exchange {
     /// protocol bug. Panics on any other event.
     pub(super) fn on_event(
         &mut self,
-        ev: Box<dyn Any>,
+        ev: Msg,
         fo: &Failover,
         size: impl Fn(usize, u16) -> Option<usize>,
     ) {
-        let ev = match ev.downcast::<TcpDelivered>() {
-            Ok(d) => {
+        let step = self.step.as_mut();
+        match ev {
+            Msg::Proto(ProtoMsg::Delivered(d)) => {
                 let src = fo.attachment.resolve_src(d.peer);
                 let src = src.expect("delivery from unknown MAC");
-                return self.inbox.deliver(src, d.chan, d.data, size(src, d.chan));
+                self.inbox.deliver(src, d.chan, d.data, size(src, d.chan));
             }
-            Err(ev) => ev,
-        };
-        let step = self.step.as_mut();
-        match ev.downcast::<InicGatherComplete>() {
-            Ok(g) => match step.filter(|s| s.stream == Some(g.stream) && s.awaits_gather) {
-                Some(step) => {
-                    step.awaits_gather = false;
-                    step.gather = Some((g.data, g.bucket_bounds));
+            Msg::Fpga(FpgaMsg::GatherComplete(g)) => {
+                match step.filter(|s| s.stream == Some(g.stream) && s.awaits_gather) {
+                    Some(step) => {
+                        step.awaits_gather = false;
+                        step.gather = Some((g.data, g.bucket_bounds));
+                    }
+                    None => assert!(fo.epoch > 0, "{}: stale gather", fo.label),
                 }
-                None => assert!(fo.epoch > 0, "{}: stale gather", fo.label),
-            },
-            Err(ev) => {
-                let Ok(s) = ev.downcast::<InicScatterDone>() else {
-                    panic!("{}: unknown event", fo.label);
-                };
+            }
+            Msg::Fpga(FpgaMsg::ScatterDone(s)) => {
                 if let Some(step) =
                     step.filter(|st| st.stream == Some(s.stream) && st.awaits_scatter)
                 {
@@ -356,6 +350,7 @@ impl Exchange {
                     assert!(fo.epoch > 0, "{}: stale scatter", fo.label);
                 }
             }
+            _ => unknown_event(&fo.label),
         }
     }
 

@@ -27,28 +27,17 @@
 //! A parked rank never starts: neither the start event nor the card's
 //! configuration begins the run ahead of the coordinator's verdict.
 
-use std::any::Any;
 use std::collections::BTreeSet;
 
-use acc_fpga::{
-    Bitstream, InicConfigure, InicConfigured, InicGatherComplete, InicRecover, InicScatterDone,
-};
+use acc_fpga::{Bitstream, FpgaMsg, InicConfigure, InicRecover};
 use acc_net::MacAddr;
-use acc_sim::{Component, ComponentId, Ctx, SimDuration, SimTime};
+use acc_sim::{Carrier, Component, ComponentId, SimDuration, SimTime};
 
 use super::{
     Attachment, CardFailed, DriverProgress, FaultCtl, RecoveryPolicy, RecoveryReport, ResumeAt,
     RECOVERY_LATENCY,
 };
-
-/// Wrapper for an event a stalled host could not service, re-enqueued
-/// for the end of the stall window. (A plain re-send would double-box
-/// the `Box<dyn Any>`.)
-struct Deferred(Box<dyn Any>);
-
-/// Self event closing a charged compute window, tagged with the epoch
-/// that armed it.
-struct ComputeDone(u64);
+use crate::msg::{CoreMsg, Ctx, Msg};
 
 /// One rank's network attachment and its place in the failover
 /// protocol.
@@ -120,7 +109,7 @@ impl Failover {
     /// [`compute_done`](Recoverable::compute_done) runs when it ends,
     /// unless a failover abandons the attempt first.
     pub(super) fn compute(&self, t: SimDuration, ctx: &mut Ctx) {
-        ctx.self_in(t, ComputeDone(self.epoch));
+        ctx.self_in(t, CoreMsg::ComputeDone(self.epoch));
     }
 
     /// Count the driver in the cluster-wide `drivers_done`, once across
@@ -166,13 +155,11 @@ impl Failover {
     /// stranded stream, purging the peer from its retransmit machinery.
     fn purge(&self, node: usize, abort_stream: Option<u32>, ctx: &mut Ctx) {
         if let Attachment::Inic { card, macs, .. } = &self.attachment {
-            ctx.send_now(
-                *card,
-                InicRecover {
-                    dead: macs[node],
-                    abort_stream,
-                },
-            );
+            let recover = InicRecover {
+                dead: macs[node],
+                abort_stream,
+            };
+            ctx.send_now(*card, FpgaMsg::Recover(recover));
         }
     }
 }
@@ -181,7 +168,7 @@ impl Failover {
 /// driver-defined indices: 0 is the start, [`finished`] the end.
 ///
 /// [`finished`]: Recoverable::finished
-pub(crate) trait Recoverable: Component {
+pub(crate) trait Recoverable: Component<Msg> {
     /// The driver's core.
     fn fo(&self) -> &Failover;
     /// The driver's core, mutably.
@@ -193,7 +180,7 @@ pub(crate) trait Recoverable: Component {
     /// The window armed by [`Failover::compute`] closed.
     fn compute_done(&mut self, ctx: &mut Ctx);
     /// An event the core does not own: deliveries and card completions.
-    fn on_event(&mut self, ev: Box<dyn Any>, ctx: &mut Ctx);
+    fn on_event(&mut self, ev: Msg, ctx: &mut Ctx);
     /// The card stream in flight under the current epoch, which a
     /// failover aborts.
     fn abort_stream(&self) -> Option<u32>;
@@ -231,59 +218,54 @@ pub(crate) trait Recoverable: Component {
 
 /// Run one event through the core; whatever it does not own goes to
 /// the driver's [`on_event`](Recoverable::on_event).
-pub(super) fn handle<D: Recoverable>(d: &mut D, ev: Box<dyn Any>, ctx: &mut Ctx) {
+pub(super) fn handle<D: Recoverable>(d: &mut D, ev: Msg, ctx: &mut Ctx) {
     // Unwrap an event this host already deferred once.
-    let ev = match ev.downcast::<Deferred>() {
-        Ok(deferred) => deferred.0,
-        Err(ev) => ev,
-    };
+    if let Msg::Deferred(parked) = ev {
+        return handle(d, *parked, ctx);
+    }
     let fo = d.fo();
     // A stalled host services nothing: kernel completions, NIC
     // interrupts and failure notices all wait for the window's end.
     if let Some(release) = fo.ctl.stalls.deferral(ctx.now()) {
         ctx.stats().counter(&fo.label, "stall_deferrals").inc();
-        ctx.self_in(release.since(ctx.now()), Deferred(ev));
+        ctx.self_in(release.since(ctx.now()), ev.defer());
         return;
     }
-    if ev.is::<()>() {
-        match &fo.attachment {
-            Attachment::Inic { card, .. } => {
-                let bitstream = d.bitstream();
-                ctx.send_now(*card, InicConfigure { bitstream });
-            }
-            Attachment::Tcp { .. } => {
-                if !fo.paused {
-                    d.begin(ctx);
+    let cfg = match ev {
+        Msg::Core(CoreMsg::Start) => {
+            match &fo.attachment {
+                Attachment::Inic { card, .. } => {
+                    let bitstream = d.bitstream();
+                    ctx.send_now(*card, FpgaMsg::Configure(InicConfigure { bitstream }));
+                }
+                Attachment::Tcp { .. } => {
+                    if !fo.paused {
+                        d.begin(ctx);
+                    }
                 }
             }
+            return;
         }
-        return;
-    }
-    if let Some(&CardFailed { node }) = ev.downcast_ref() {
-        return match fo.ctl.coordinator {
-            None => full_restart(d, node as usize, ctx),
-            Some(coord) => rank_local(d, node as usize, coord, ctx),
-        };
-    }
-    if let Some(&r) = ev.downcast_ref::<ResumeAt>() {
-        return resume(d, r, ctx);
-    }
-    if let Some(&ComputeDone(epoch)) = ev.downcast_ref() {
-        if epoch == fo.epoch {
-            d.compute_done(ctx);
+        Msg::Core(CoreMsg::CardFailed(CardFailed { node })) => {
+            return match fo.ctl.coordinator {
+                None => full_restart(d, node as usize, ctx),
+                Some(coord) => rank_local(d, node as usize, coord, ctx),
+            };
         }
-        return; // else a timer from an abandoned attempt
-    }
-    if fo.failed_over
-        && (ev.is::<InicConfigured>()
-            || ev.is::<InicGatherComplete>()
-            || ev.is::<InicScatterDone>())
-    {
-        return; // the abandoned card answered before it went quiet
-    }
-    let cfg = match ev.downcast::<InicConfigured>() {
-        Ok(cfg) => cfg,
-        Err(ev) => return d.on_event(ev, ctx),
+        Msg::Core(CoreMsg::Resume(r)) => return resume(d, r, ctx),
+        Msg::Core(CoreMsg::ComputeDone(epoch)) => {
+            if epoch == fo.epoch {
+                d.compute_done(ctx);
+            }
+            return; // else a timer from an abandoned attempt
+        }
+        Msg::Fpga(
+            FpgaMsg::Configured(_) | FpgaMsg::GatherComplete(_) | FpgaMsg::ScatterDone(_),
+        ) if fo.failed_over => {
+            return; // the abandoned card answered before it went quiet
+        }
+        Msg::Fpga(FpgaMsg::Configured(cfg)) => cfg,
+        ev => return d.on_event(ev, ctx),
     };
     let fo = d.fo_mut();
     if let Err(e) = cfg.result {
@@ -345,14 +327,11 @@ fn rank_local<D: Recoverable>(d: &mut D, node: usize, coord: ComponentId, ctx: &
         d.checkpoint()
     };
     let fo = d.fo();
-    ctx.send_in(
-        RECOVERY_LATENCY,
-        coord,
-        RecoveryReport {
-            round: fo.epoch,
-            phase,
-        },
-    );
+    let report = RecoveryReport {
+        round: fo.epoch,
+        phase,
+    };
+    ctx.send_in(RECOVERY_LATENCY, coord, CoreMsg::Report(report));
 }
 
 /// Coordinator verdict: restore the agreed checkpoint and resume.

@@ -31,7 +31,6 @@
 //! Each completed phase can checkpoint the slab so a failover resumes
 //! from the last phase every rank completed.
 
-use std::any::Any;
 use std::collections::BTreeMap;
 
 use acc_algos::fft::{fft_in_place, Direction, Matrix};
@@ -40,11 +39,12 @@ use acc_algos::transpose::{
 };
 use acc_fpga::{Bitstream, GatherKind, InicMode, ScatterKind};
 use acc_host::HostKernels;
-use acc_sim::{Component, Ctx, DataSize, SimDuration, SimTime};
+use acc_sim::{Component, DataSize, SimDuration, SimTime};
 
 use super::exchange::{Exchange, Received, Route};
 use super::failover::{self, Failover, Recoverable};
 use super::{Attachment, FaultCtl};
+use crate::msg::{Ctx, Msg};
 
 /// Where the state machine is.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -378,7 +378,7 @@ impl Recoverable for FftDriver {
         }
     }
 
-    fn on_event(&mut self, ev: Box<dyn Any>, ctx: &mut Ctx) {
+    fn on_event(&mut self, ev: Msg, ctx: &mut Ctx) {
         let size = Some(self.m * self.m * 16);
         self.xchg.on_event(ev, &self.fo, |_, _| size);
         self.advance(ctx);
@@ -444,8 +444,8 @@ impl Recoverable for FftDriver {
     }
 }
 
-impl Component for FftDriver {
-    fn handle(&mut self, ev: Box<dyn Any>, ctx: &mut Ctx) {
+impl Component<Msg> for FftDriver {
+    fn handle(&mut self, ev: Msg, ctx: &mut Ctx) {
         failover::handle(self, ev, ctx);
     }
 

@@ -24,13 +24,14 @@ pub(crate) mod sort;
 
 pub(crate) use failover::Recoverable;
 
-use std::any::Any;
 use std::collections::BTreeMap;
 
 use acc_fpga::InicMode;
 use acc_host::StallSchedule;
 use acc_net::MacAddr;
-use acc_sim::{Component, ComponentId, Ctx, SimDuration, SimTime};
+use acc_sim::{unknown_event, Component, ComponentId, SimDuration, SimTime};
+
+use crate::msg::{CoreMsg, Ctx, Msg};
 
 /// How a node reaches the network.
 #[derive(Clone, Debug)]
@@ -178,11 +179,11 @@ impl RecoveryCoordinator {
     }
 }
 
-impl Component for RecoveryCoordinator {
-    fn handle(&mut self, ev: Box<dyn Any>, ctx: &mut Ctx) {
-        let report = ev
-            .downcast::<RecoveryReport>()
-            .unwrap_or_else(|_| panic!("{}: unknown event", self.label));
+impl Component<Msg> for RecoveryCoordinator {
+    fn handle(&mut self, ev: Msg, ctx: &mut Ctx) {
+        let Msg::Core(CoreMsg::Report(report)) = ev else {
+            unknown_event(&self.label)
+        };
         let round = report.round;
         let phases = self.rounds.entry(round).or_default();
         phases.push(report.phase);
@@ -192,7 +193,11 @@ impl Component for RecoveryCoordinator {
         let phase = *phases.iter().min().expect("at least one report");
         ctx.stats().counter(&self.label, "recovery_rounds").inc();
         for &d in &self.drivers {
-            ctx.send_in(RECOVERY_LATENCY, d, ResumeAt { round, phase });
+            ctx.send_in(
+                RECOVERY_LATENCY,
+                d,
+                CoreMsg::Resume(ResumeAt { round, phase }),
+            );
         }
     }
 

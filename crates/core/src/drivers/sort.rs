@@ -27,8 +27,6 @@
 //! post-exchange state can be checkpointed so a later failure resumes
 //! from the exchange instead of re-running it.
 
-use std::any::Any;
-
 use acc_algos::sort::{
     bucket_flat, bucket_sort_flat, bytes_to_keys, count_sort_buckets, destination_of, is_sorted,
     keys_to_bytes,
@@ -36,11 +34,12 @@ use acc_algos::sort::{
 use acc_algos::transpose::ring_schedule;
 use acc_fpga::{Bitstream, GatherKind, ScatterKind};
 use acc_host::HostKernels;
-use acc_sim::{Component, Ctx, DataSize, SimDuration, SimTime};
+use acc_sim::{Component, DataSize, SimDuration, SimTime};
 
 use super::exchange::{Exchange, Received, Route};
 use super::failover::{self, Failover, Recoverable};
 use super::{recv_buckets_for, Attachment, FaultCtl};
+use crate::msg::{Ctx, Msg};
 
 /// How the receive-side bucketing is split between card and host.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -444,7 +443,7 @@ impl Recoverable for SortDriver {
         }
     }
 
-    fn on_event(&mut self, ev: Box<dyn Any>, ctx: &mut Ctx) {
+    fn on_event(&mut self, ev: Msg, ctx: &mut Ctx) {
         self.xchg.on_event(ev, &self.fo, |_, _| None);
         self.advance(ctx);
     }
@@ -515,8 +514,8 @@ impl Recoverable for SortDriver {
     }
 }
 
-impl Component for SortDriver {
-    fn handle(&mut self, ev: Box<dyn Any>, ctx: &mut Ctx) {
+impl Component<Msg> for SortDriver {
+    fn handle(&mut self, ev: Msg, ctx: &mut Ctx) {
         failover::handle(self, ev, ctx);
     }
 

@@ -34,6 +34,7 @@ pub mod deadline;
 pub mod drivers;
 pub mod liveness;
 pub mod model;
+mod msg;
 mod plan;
 pub mod report;
 pub mod runner;

@@ -36,18 +36,19 @@
 //! transforms are *functional*: the bytes delivered to the host are
 //! checked against host-side oracles in tests.
 
-use std::any::Any;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use acc_net::port::EgressPort;
-use acc_net::{EtherType, Frame, FrameArrival, MacAddr, PayloadView, PortTxDone};
+use acc_net::{EtherType, Frame, MacAddr, NetMsg, PayloadView};
 use acc_proto::{InicPacket, StreamDemux, INIC_HEADER};
 use acc_sim::{
-    Bandwidth, Component, ComponentId, CounterHandle, Ctx, DataSize, SimDuration, SimTime,
+    unknown_event, Bandwidth, Component, ComponentId, CounterHandle, Ctx, DataSize, SimDuration,
+    SimTime,
 };
 
 use crate::datapath::{GatherKind, ScatterKind};
 use crate::device::{Bitstream, ConfigError, FpgaDevice};
+use crate::msg::{FpgaCarrier, FpgaMsg};
 use crate::ops::OperatorKind;
 use crate::timeline::EngineTimeline;
 
@@ -237,18 +238,28 @@ pub struct InicRecover {
 
 // --- internal events ---
 
-/// Configuration delay elapsed.
-struct ConfigDone {
-    result: Result<(), ConfigError>,
+/// A card's own event: a datapath stage, timer or DMA completing.
+pub struct CardEvent(Own);
+
+/// What a [`CardEvent`] holds.
+enum Own {
+    /// Configuration delay elapsed.
+    ConfigDone(Result<(), ConfigError>),
+    /// A reconfiguration hold elapsed; the datapath lights back up.
+    ReconfigDone,
+    Retrans(RetransTimer),
+    /// A send chunk finished host→card DMA + send transform.
+    ChunkStaged,
+    Recv(RecvProcessed),
+    Emit(EmitFrame),
+    /// All host-out DMA for a gather completed.
+    GatherDmaDone(u32),
 }
 
-/// A reconfiguration hold elapsed; the datapath lights back up.
-struct ReconfigDone;
-
-/// An event that arrived while the card was dark, re-posted to the end
-/// of the hold window (double-boxed so the original payload survives
-/// the re-queue intact).
-struct DarkDeferred(Box<dyn Any>);
+/// Wrap one of the card's own events for the carrier.
+fn own<M: FpgaCarrier>(ev: Own) -> M {
+    M::from(FpgaMsg::Card(CardEvent(ev)))
+}
 
 /// Retransmission timer for one `(destination, stream)` send window.
 /// Stale generations (the window was re-armed or ACKed since) are
@@ -258,9 +269,6 @@ struct RetransTimer {
     stream: u32,
     gen: u64,
 }
-
-/// A send chunk finished host→card DMA + send transform.
-struct ChunkStaged;
 
 /// A frame's payload cleared net→card + receive transform.
 struct RecvProcessed {
@@ -273,11 +281,6 @@ struct RecvProcessed {
 /// Card→net engine finished; put the frame on the wire.
 struct EmitFrame {
     frame: Frame,
-}
-
-/// All host-out DMA for a gather completed.
-struct GatherDmaDone {
-    stream: u32,
 }
 
 /// One queued send chunk.
@@ -321,14 +324,20 @@ impl TxStream {
 
     /// Arm a new timer generation, firing after `delay`; every earlier
     /// generation goes stale.
-    fn rearm(&mut self, dest: MacAddr, stream: u32, delay: SimDuration, ctx: &mut Ctx) {
+    fn rearm<M: FpgaCarrier>(
+        &mut self,
+        dest: MacAddr,
+        stream: u32,
+        delay: SimDuration,
+        ctx: &mut Ctx<'_, M>,
+    ) {
         self.gen += 1;
         let timer = RetransTimer {
             dest,
             stream,
             gen: self.gen,
         };
-        ctx.self_in(delay, timer);
+        ctx.self_in(delay, own::<M>(Own::Retrans(timer)));
     }
 }
 
@@ -534,7 +543,7 @@ impl InicCard {
 
     // ---- configuration ----
 
-    fn on_configure(&mut self, bitstream: Bitstream, ctx: &mut Ctx) {
+    fn on_configure<M: FpgaCarrier>(&mut self, bitstream: Bitstream, ctx: &mut Ctx<'_, M>) {
         let result = bitstream.check(&self.device);
         if result.is_ok() {
             let rate = bitstream
@@ -544,12 +553,12 @@ impl InicCard {
             self.xform_recv = EngineTimeline::new(rate, SimDuration::ZERO);
             self.bitstream = Some(bitstream);
         }
-        ctx.self_in(self.device.config_time, ConfigDone { result });
+        ctx.self_in(self.device.config_time, own::<M>(Own::ConfigDone(result)));
     }
 
     // ---- scatter (send) path ----
 
-    fn on_scatter(&mut self, scatter: InicScatter, ctx: &mut Ctx) {
+    fn on_scatter<M: FpgaCarrier>(&mut self, scatter: InicScatter, ctx: &mut Ctx<'_, M>) {
         let bs = self
             .bitstream
             .as_ref()
@@ -581,7 +590,7 @@ impl InicCard {
     /// aborted collective, instead of letting it hold a window that can
     /// never reopen; the scatter still completes. Returns whether it
     /// was dropped.
-    fn drop_if_doomed(&self, chunk: &SendChunk, ctx: &mut Ctx) -> bool {
+    fn drop_if_doomed<M: FpgaCarrier>(&self, chunk: &SendChunk, ctx: &mut Ctx<'_, M>) -> bool {
         let doomed = self.canceled.contains(&chunk.pkt.stream)
             || chunk.dest.is_some_and(|mac| self.dead_peers.contains(&mac));
         if doomed {
@@ -590,13 +599,16 @@ impl InicCard {
                 .inc();
             if chunk.ends_scatter {
                 let stream = chunk.pkt.stream;
-                ctx.send_now(self.app, InicScatterDone { stream });
+                ctx.send_now(
+                    self.app,
+                    M::from(FpgaMsg::ScatterDone(InicScatterDone { stream })),
+                );
             }
         }
         doomed
     }
 
-    fn admit_next_chunk(&mut self, ctx: &mut Ctx) {
+    fn admit_next_chunk<M: FpgaCarrier>(&mut self, ctx: &mut Ctx<'_, M>) {
         if self.host_in_busy {
             return;
         }
@@ -634,7 +646,7 @@ impl InicCard {
                 self.host_in_busy = true;
                 let t1 = self.ports.host_in(ctx.now(), bytes);
                 let t2 = self.xform_send.reserve(t1, bytes);
-                ctx.self_in(t2.since(ctx.now()), ChunkStaged);
+                ctx.self_in(t2.since(ctx.now()), own::<M>(Own::ChunkStaged));
                 return;
             }
             self.send_queue.push_back(chunk);
@@ -644,7 +656,7 @@ impl InicCard {
         // credit will re-run admission.
     }
 
-    fn on_chunk_staged(&mut self, ctx: &mut Ctx) {
+    fn on_chunk_staged<M: FpgaCarrier>(&mut self, ctx: &mut Ctx<'_, M>) {
         self.host_in_busy = false;
         let chunk = self
             .send_queue
@@ -687,16 +699,19 @@ impl InicCard {
                     }
                 }
                 if ends_scatter {
-                    ctx.send_in(t3.since(ctx.now()), self.app, InicScatterDone { stream });
+                    let done = M::from(FpgaMsg::ScatterDone(InicScatterDone { stream }));
+                    ctx.send_in(t3.since(ctx.now()), self.app, done);
                 }
             }
             None => {
                 // Local loopback: pass straight to the receive transform.
                 let bytes = DataSize::from_bytes((pkt.data.len() + INIC_HEADER) as u64);
                 let t3 = self.xform_recv.reserve(ctx.now(), bytes);
-                ctx.self_in(t3.since(ctx.now()), RecvProcessed { pkt, src_mac: None });
+                let recv = RecvProcessed { pkt, src_mac: None };
+                ctx.self_in(t3.since(ctx.now()), own::<M>(Own::Recv(recv)));
                 if ends_scatter {
-                    ctx.send_in(t3.since(ctx.now()), self.app, InicScatterDone { stream });
+                    let done = M::from(FpgaMsg::ScatterDone(InicScatterDone { stream }));
+                    ctx.send_in(t3.since(ctx.now()), self.app, done);
                 }
             }
         }
@@ -706,7 +721,12 @@ impl InicCard {
     /// frame when the engine is done; returns that instant. The frame
     /// carries the header inline and the data as the packet's own view
     /// (no copy, so the frame costs no allocation).
-    fn emit(&mut self, dest: MacAddr, pkt: &InicPacket, ctx: &mut Ctx) -> SimTime {
+    fn emit<M: FpgaCarrier>(
+        &mut self,
+        dest: MacAddr,
+        pkt: &InicPacket,
+        ctx: &mut Ctx<'_, M>,
+    ) -> SimTime {
         let bytes = DataSize::from_bytes((pkt.data.len() + INIC_HEADER) as u64);
         let t = self.ports.net_out(ctx.now(), bytes);
         let frame = Frame::try_with_header(
@@ -717,13 +737,13 @@ impl InicCard {
             pkt.data.clone(),
         )
         .unwrap_or_else(|e| panic!("{}: INIC packet exceeds MTU ({e})", self.label));
-        ctx.self_in(t.since(ctx.now()), EmitFrame { frame });
+        ctx.self_in(t.since(ctx.now()), own::<M>(Own::Emit(EmitFrame { frame })));
         t
     }
 
     // ---- gather (receive) path ----
 
-    fn on_expect(&mut self, expect: InicExpect, ctx: &mut Ctx) {
+    fn on_expect<M: FpgaCarrier>(&mut self, expect: InicExpect, ctx: &mut Ctx<'_, M>) {
         let bs = self
             .bitstream
             .as_ref()
@@ -759,7 +779,7 @@ impl InicCard {
         }
     }
 
-    fn on_frame(&mut self, frame: Frame, ctx: &mut Ctx) {
+    fn on_frame<M: FpgaCarrier>(&mut self, frame: Frame, ctx: &mut Ctx<'_, M>) {
         debug_assert_eq!(frame.ethertype, EtherType::Inic);
         let bytes = DataSize::from_bytes(frame.len() as u64);
         let t1 = self.ports.net_in(ctx.now(), bytes);
@@ -776,10 +796,16 @@ impl InicCard {
             Err(err) => panic!("{}: undecodable INIC frame: {err:?}", self.label),
         };
         let src_mac = Some(frame.src);
-        ctx.self_in(t2.since(ctx.now()), RecvProcessed { pkt, src_mac });
+        let recv = RecvProcessed { pkt, src_mac };
+        ctx.self_in(t2.since(ctx.now()), own::<M>(Own::Recv(recv)));
     }
 
-    fn on_recv_processed(&mut self, pkt: InicPacket, src_mac: Option<MacAddr>, ctx: &mut Ctx) {
+    fn on_recv_processed<M: FpgaCarrier>(
+        &mut self,
+        pkt: InicPacket,
+        src_mac: Option<MacAddr>,
+        ctx: &mut Ctx<'_, M>,
+    ) {
         // Reconfiguration notice: the peer is alive but dark for
         // `offset` microseconds; park its retransmission clocks.
         if pkt.busy {
@@ -865,7 +891,12 @@ impl InicCard {
     /// Account a data packet against its gather: trickle DMA for
     /// trickling gathers, stream reassembly, recovery control traffic,
     /// and completion.
-    fn accept_into_gather(&mut self, pkt: InicPacket, src_mac: Option<MacAddr>, ctx: &mut Ctx) {
+    fn accept_into_gather<M: FpgaCarrier>(
+        &mut self,
+        pkt: InicPacket,
+        src_mac: Option<MacAddr>,
+        ctx: &mut Ctx<'_, M>,
+    ) {
         let stream = pkt.stream;
         if self.reliability {
             ctx.stats()
@@ -920,7 +951,7 @@ impl InicCard {
 
     /// All streams complete: issue the remaining host DMA and schedule
     /// final assembly.
-    fn finish_gather(&mut self, stream: u32, ctx: &mut Ctx) {
+    fn finish_gather<M: FpgaCarrier>(&mut self, stream: u32, ctx: &mut Ctx<'_, M>) {
         let mut left = {
             let g = &self.gathers[&stream];
             let received: usize = g.done.iter().map(|(_, d)| d.len()).sum();
@@ -935,10 +966,10 @@ impl InicCard {
         let g = self.gathers.get_mut(&stream).expect("present");
         g.dma_done_at = g.dma_done_at.max(last);
         let delay = g.dma_done_at.saturating_since(ctx.now()) + self.completion_interrupt;
-        ctx.self_in(delay, GatherDmaDone { stream });
+        ctx.self_in(delay, own::<M>(Own::GatherDmaDone(stream)));
     }
 
-    fn on_gather_dma_done(&mut self, stream: u32, ctx: &mut Ctx) {
+    fn on_gather_dma_done<M: FpgaCarrier>(&mut self, stream: u32, ctx: &mut Ctx<'_, M>) {
         // The gather may have been canceled (aborted collective) while
         // the final DMA was in flight; nothing left to deliver.
         let Some(gather) = self.take_gather(stream) else {
@@ -959,20 +990,24 @@ impl InicCard {
                     .add(padded_bytes);
             }
         }
-        ctx.send_now(
-            self.app,
-            InicGatherComplete {
-                stream,
-                data,
-                bucket_bounds,
-            },
-        );
+        let complete = InicGatherComplete {
+            stream,
+            data,
+            bucket_bounds,
+        };
+        ctx.send_now(self.app, M::from(FpgaMsg::GatherComplete(complete)));
     }
 
     /// Emit a zero-data credit packet to `mac` re-granting `amount`
     /// consumed bytes. Credits ride the normal net-out path (they cost
     /// a minimum-size frame of wire time).
-    fn send_credit(&mut self, mac: MacAddr, stream: u32, amount: u64, ctx: &mut Ctx) {
+    fn send_credit<M: FpgaCarrier>(
+        &mut self,
+        mac: MacAddr,
+        stream: u32,
+        amount: u64,
+        ctx: &mut Ctx<'_, M>,
+    ) {
         if self.reliability {
             ctx.stats()
                 .counter_by(
@@ -987,14 +1022,20 @@ impl InicCard {
     }
 
     /// Receiver → sender: the whole stream arrived and was consumed.
-    fn send_ack(&mut self, mac: MacAddr, stream: u32, ctx: &mut Ctx) {
+    fn send_ack<M: FpgaCarrier>(&mut self, mac: MacAddr, stream: u32, ctx: &mut Ctx<'_, M>) {
         ctx.stats().counter(&self.label, "acks_sent").inc();
         let pkt = InicPacket::stream_ack(self.my_rank, stream);
         self.emit(mac, &pkt, ctx);
     }
 
     /// Receiver → sender: the stream has a hole at `missing`; resend it.
-    fn send_nack(&mut self, mac: MacAddr, stream: u32, missing: u32, ctx: &mut Ctx) {
+    fn send_nack<M: FpgaCarrier>(
+        &mut self,
+        mac: MacAddr,
+        stream: u32,
+        missing: u32,
+        ctx: &mut Ctx<'_, M>,
+    ) {
         ctx.stats().counter(&self.label, "nacks_sent").inc();
         let pkt = InicPacket::repair_nack(self.my_rank, stream, missing);
         self.emit(mac, &pkt, ctx);
@@ -1005,14 +1046,20 @@ impl InicCard {
     /// Resend a still-pending packet. Retransmissions bypass host DMA
     /// and the send transform (the packet lives in card memory) but pay
     /// the net-out engine.
-    fn retransmit(&mut self, mac: MacAddr, pkt: &InicPacket, ctx: &mut Ctx) {
+    fn retransmit<M: FpgaCarrier>(&mut self, mac: MacAddr, pkt: &InicPacket, ctx: &mut Ctx<'_, M>) {
         self.retransmits += 1;
         ctx.stats().counter(&self.label, "retransmits").inc();
         self.emit(mac, pkt, ctx);
     }
 
     /// Resend one still-pending packet in response to a NACK.
-    fn resend_one(&mut self, mac: MacAddr, stream: u32, offset: u32, ctx: &mut Ctx) {
+    fn resend_one<M: FpgaCarrier>(
+        &mut self,
+        mac: MacAddr,
+        stream: u32,
+        offset: u32,
+        ctx: &mut Ctx<'_, M>,
+    ) {
         let Some(pkt) = self
             .tx_window
             .get(&(mac, stream))
@@ -1032,7 +1079,13 @@ impl InicCard {
     /// every un-ACKed packet back out with doubled timeout, and give
     /// the destination up for dead after [`MAX_RETRIES`] silent rounds
     /// so the rest of the schedule can still drain.
-    fn on_retrans_timer(&mut self, dest: MacAddr, stream: u32, gen: u64, ctx: &mut Ctx) {
+    fn on_retrans_timer<M: FpgaCarrier>(
+        &mut self,
+        dest: MacAddr,
+        stream: u32,
+        gen: u64,
+        ctx: &mut Ctx<'_, M>,
+    ) {
         let credits_seen = self.credits_from.get(&dest).copied().unwrap_or(0);
         let Some(entry) = self.tx_window.get_mut(&(dest, stream)) else {
             return; // ACKed since the timer was armed.
@@ -1088,12 +1141,12 @@ impl InicCard {
     /// Go dark for `hold`: tell every peer (so their retransmission
     /// machinery waits instead of abandoning us), then defer all
     /// datapath events until the window closes.
-    fn on_reconfigure(&mut self, hold: SimDuration, ctx: &mut Ctx) {
+    fn on_reconfigure<M: FpgaCarrier>(&mut self, hold: SimDuration, ctx: &mut Ctx<'_, M>) {
         let until = ctx.now() + hold;
         if self.dark_until.is_none_or(|t| until > t) {
             self.dark_until = Some(until);
         }
-        ctx.self_in(hold, ReconfigDone);
+        ctx.self_in(hold, own::<M>(Own::ReconfigDone));
         ctx.stats().counter(&self.label, "reconfigures").inc();
         let hold_micros = (hold.as_nanos() / 1_000) as u32;
         let notice: Vec<MacAddr> = self
@@ -1110,7 +1163,7 @@ impl InicCard {
 
     /// A hold elapsed. A later (overlapping) reconfigure may have
     /// pushed `dark_until` out; only the final wake-up counts.
-    fn on_reconfig_done(&mut self, ctx: &mut Ctx) {
+    fn on_reconfig_done<M: FpgaCarrier>(&mut self, ctx: &mut Ctx<'_, M>) {
         if self.dark_until.is_some_and(|t| ctx.now() >= t) {
             self.dark_until = None;
             ctx.stats()
@@ -1127,7 +1180,12 @@ impl InicCard {
     /// Clearing `outstanding` wholesale is sound because the drivers
     /// run one collective at a time: at recovery, every in-flight byte
     /// belongs to the aborted stream.
-    fn on_recover(&mut self, dead: MacAddr, abort_stream: Option<u32>, ctx: &mut Ctx) {
+    fn on_recover<M: FpgaCarrier>(
+        &mut self,
+        dead: MacAddr,
+        abort_stream: Option<u32>,
+        ctx: &mut Ctx<'_, M>,
+    ) {
         self.dead_peers.insert(dead);
         self.busy_until.remove(&dead);
         self.tx_window
@@ -1150,7 +1208,7 @@ impl InicCard {
     /// Put an already-staged frame on the wire (allowed even while
     /// dark: the MAC drains what the datapath handed it before the
     /// reconfigure hit).
-    fn on_emit_frame(&mut self, frame: Frame, ctx: &mut Ctx) {
+    fn on_emit_frame<M: FpgaCarrier>(&mut self, frame: Frame, ctx: &mut Ctx<'_, M>) {
         let ok = self.uplink.enqueue(frame, ctx);
         if !ok && self.reliability {
             // Retransmission bursts can exceed the NIC buffer;
@@ -1190,100 +1248,82 @@ impl InicCard {
     }
 }
 
-impl Component for InicCard {
-    fn handle(&mut self, ev: Box<dyn Any>, ctx: &mut Ctx) {
-        if ev.downcast_ref::<InicKill>().is_some() {
-            self.dead = true;
-            ctx.stats().counter(&self.label, "card_killed").inc();
-            return;
+impl InicCard {
+    /// A fabric message: the uplink's transmit completions and frame
+    /// arrivals.
+    fn on_net<M: FpgaCarrier>(&mut self, msg: NetMsg, ctx: &mut Ctx<'_, M>) {
+        match msg {
+            _ if self.dead => {}
+            NetMsg::TxDone(_) => self.uplink.tx_done(ctx),
+            msg if self.is_dark(ctx.now()) => self.park(M::from(msg), ctx),
+            NetMsg::Arrival(arr) => self.on_frame(arr.frame, ctx),
+            NetMsg::Forward(_) | NetMsg::Routes(_) | NetMsg::Kill(_) => unknown_event(&self.label),
         }
-        // A dead card swallows everything: frames rot on the wire,
-        // timers fire into the void, the driver hears nothing. Recovery
-        // happens above (peer retry abandonment, host fallback).
-        if self.dead {
-            return;
-        }
-        // Unwrap events that were parked during a reconfiguration hold
-        // (they re-enter the full dispatch below — and are re-parked if
-        // a second overlapping hold extended the window).
-        let ev = match ev.downcast::<DarkDeferred>() {
-            Ok(deferred) => deferred.0,
-            Err(ev) => ev,
-        };
-        let ev = match ev.downcast::<ReconfigDone>() {
-            Ok(_) => return self.on_reconfig_done(ctx),
-            Err(ev) => ev,
-        };
-        let ev = match ev.downcast::<InicReconfigure>() {
-            Ok(r) => return self.on_reconfigure(r.hold, ctx),
-            Err(ev) => ev,
-        };
-        if self.is_dark(ctx.now()) {
+    }
+
+    /// A card message: the driver's requests, fault injection and the
+    /// card's own events.
+    fn on_fpga<M: FpgaCarrier>(&mut self, msg: FpgaMsg, ctx: &mut Ctx<'_, M>) {
+        use FpgaMsg as F;
+        match msg {
+            F::Kill(InicKill) => {
+                self.dead = true;
+                ctx.stats().counter(&self.label, "card_killed").inc();
+            }
+            // A dead card swallows everything: frames rot on the wire,
+            // timers fire into the void, the driver hears nothing.
+            // Recovery happens above (peer retry abandonment, host
+            // fallback).
+            _ if self.dead => {}
+            F::Card(CardEvent(Own::ReconfigDone)) => self.on_reconfig_done(ctx),
+            F::Reconfigure(r) => self.on_reconfigure(r.hold, ctx),
             // The MAC keeps draining frames the datapath staged before
             // the hold began; everything else waits for the light.
-            let ev = match ev.downcast::<EmitFrame>() {
-                Ok(emit) => return self.on_emit_frame(emit.frame, ctx),
-                Err(ev) => ev,
-            };
-            let ev = match ev.downcast::<PortTxDone>() {
-                Ok(_) => return self.uplink.tx_done(ctx),
-                Err(ev) => ev,
-            };
-            let wake = self.dark_until.expect("dark").saturating_since(ctx.now());
-            ctx.stats().counter(&self.label, "dark_deferrals").inc();
-            ctx.self_in(wake, DarkDeferred(ev));
-            return;
-        }
-        let ev = match ev.downcast::<InicRecover>() {
-            Ok(r) => return self.on_recover(r.dead, r.abort_stream, ctx),
-            Err(ev) => ev,
-        };
-        let ev = match ev.downcast::<InicConfigure>() {
-            Ok(cfg) => return self.on_configure(cfg.bitstream, ctx),
-            Err(ev) => ev,
-        };
-        let ev = match ev.downcast::<ConfigDone>() {
-            Ok(done) => {
-                let result = done.result;
-                return ctx.send_now(self.app, InicConfigured { result });
+            F::Card(CardEvent(Own::Emit(emit))) => self.on_emit_frame(emit.frame, ctx),
+            msg if self.is_dark(ctx.now()) => self.park(M::from(msg), ctx),
+            F::Recover(r) => self.on_recover(r.dead, r.abort_stream, ctx),
+            F::Configure(cfg) => self.on_configure(cfg.bitstream, ctx),
+            F::Card(CardEvent(Own::ConfigDone(result))) => {
+                ctx.send_now(self.app, M::from(F::Configured(InicConfigured { result })))
             }
+            F::Scatter(s) => self.on_scatter(*s, ctx),
+            F::Expect(e) => self.on_expect(e, ctx),
+            F::Card(CardEvent(Own::ChunkStaged)) => self.on_chunk_staged(ctx),
+            F::Card(CardEvent(Own::Recv(r))) => self.on_recv_processed(r.pkt, r.src_mac, ctx),
+            F::Card(CardEvent(Own::Retrans(t))) => {
+                self.on_retrans_timer(t.dest, t.stream, t.gen, ctx)
+            }
+            F::Card(CardEvent(Own::GatherDmaDone(stream))) => self.on_gather_dma_done(stream, ctx),
+            F::Configured(_) | F::ScatterDone(_) | F::GatherComplete(_) => {
+                unknown_event(&self.label)
+            }
+        }
+    }
+
+    /// Hold an event that arrived while the card is dark until the
+    /// reconfiguration window closes.
+    fn park<M: FpgaCarrier>(&mut self, ev: M, ctx: &mut Ctx<'_, M>) {
+        let wake = self.dark_until.expect("dark").saturating_since(ctx.now());
+        ctx.stats().counter(&self.label, "dark_deferrals").inc();
+        ctx.self_in(wake, ev.defer());
+    }
+}
+
+impl<M: FpgaCarrier> Component<M> for InicCard {
+    fn handle(&mut self, ev: M, ctx: &mut Ctx<'_, M>) {
+        let ev = match ev.into_net() {
+            Ok(msg) => return self.on_net(msg, ctx),
             Err(ev) => ev,
         };
-        let ev = match ev.downcast::<InicScatter>() {
-            Ok(s) => return self.on_scatter(*s, ctx),
-            Err(ev) => ev,
-        };
-        let ev = match ev.downcast::<InicExpect>() {
-            Ok(e) => return self.on_expect(*e, ctx),
-            Err(ev) => ev,
-        };
-        let ev = match ev.downcast::<ChunkStaged>() {
-            Ok(_) => return self.on_chunk_staged(ctx),
-            Err(ev) => ev,
-        };
-        let ev = match ev.downcast::<EmitFrame>() {
-            Ok(emit) => return self.on_emit_frame(emit.frame, ctx),
-            Err(ev) => ev,
-        };
-        let ev = match ev.downcast::<FrameArrival>() {
-            Ok(arr) => return self.on_frame(arr.frame, ctx),
-            Err(ev) => ev,
-        };
-        let ev = match ev.downcast::<RecvProcessed>() {
-            Ok(r) => return self.on_recv_processed(r.pkt, r.src_mac, ctx),
-            Err(ev) => ev,
-        };
-        let ev = match ev.downcast::<PortTxDone>() {
-            Ok(_) => return self.uplink.tx_done(ctx),
-            Err(ev) => ev,
-        };
-        let ev = match ev.downcast::<RetransTimer>() {
-            Ok(t) => return self.on_retrans_timer(t.dest, t.stream, t.gen, ctx),
-            Err(ev) => ev,
-        };
-        match ev.downcast::<GatherDmaDone>() {
-            Ok(d) => self.on_gather_dma_done(d.stream, ctx),
-            Err(_) => panic!("inic {}: unknown event", self.label),
+        match ev.into_fpga() {
+            Ok(msg) => self.on_fpga(msg, ctx),
+            // An event parked during a reconfiguration hold re-enters
+            // the full dispatch (and is parked again if a second,
+            // overlapping hold extended the window).
+            Err(ev) => match ev.undefer() {
+                Ok(parked) => self.handle(parked, ctx),
+                Err(_) => unknown_event(&self.label),
+            },
         }
     }
 

@@ -26,6 +26,7 @@
 pub mod card;
 mod datapath;
 pub mod device;
+pub mod msg;
 pub mod ops;
 pub mod timeline;
 
@@ -35,6 +36,7 @@ pub use card::{
 };
 pub use datapath::{GatherKind, ScatterKind};
 pub use device::{Bitstream, ConfigError, FpgaDevice};
+pub use msg::{FpgaCarrier, FpgaMsg};
 pub use ops::{OperatorKind, OperatorSpec};
 pub use timeline::EngineTimeline;
 

@@ -15,10 +15,11 @@
 //! [`BusDone`] event is returned to the requester when its whole request
 //! has crossed.
 
-use std::any::Any;
 use std::collections::VecDeque;
 
-use acc_sim::{Bandwidth, Component, ComponentId, Ctx, DataSize, SimDuration};
+use acc_sim::{unknown_event, Bandwidth, Component, ComponentId, Ctx, DataSize, SimDuration};
+
+use crate::msg::{HostCarrier, HostMsg};
 
 /// Bus configuration.
 #[derive(Clone, Copy, Debug)]
@@ -84,8 +85,8 @@ pub struct BusDone {
     pub tag: u64,
 }
 
-/// Internal: the current burst finished.
-struct BurstDone;
+/// A bus's own event: the current burst finished.
+pub struct BurstDone(());
 
 struct Transfer {
     requester: ComponentId,
@@ -134,7 +135,7 @@ impl SharedBus {
         &mut self.lanes.last_mut().expect("just pushed").1
     }
 
-    fn start_burst_if_idle(&mut self, ctx: &mut Ctx) {
+    fn start_burst_if_idle<M: HostCarrier>(&mut self, ctx: &mut Ctx<'_, M>) {
         if self.busy {
             return;
         }
@@ -163,12 +164,12 @@ impl SharedBus {
             self.rr_next = (idx + 1) % n;
             let t = self.params.rate.transfer_time(burst_len) + self.params.per_burst_overhead;
             self.active_lane = Some(idx);
-            ctx.self_in(t, BurstDone);
+            ctx.self_in(t, M::from(HostMsg::Burst(BurstDone(()))));
             return;
         }
     }
 
-    fn finish_burst(&mut self, ctx: &mut Ctx) {
+    fn finish_burst<M: HostCarrier>(&mut self, ctx: &mut Ctx<'_, M>) {
         let idx = self
             .active_lane
             .take()
@@ -180,17 +181,21 @@ impl SharedBus {
         };
         if done {
             let t = self.lanes[idx].1.pop_front().expect("checked non-empty");
-            ctx.send_now(t.requester, BusDone { tag: t.tag });
+            let done = BusDone { tag: t.tag };
+            ctx.send_now(t.requester, M::from(HostMsg::Done(done)));
             ctx.stats().counter(&self.label, "transfers_done").inc();
         }
         self.start_burst_if_idle(ctx);
     }
 }
 
-impl Component for SharedBus {
-    fn handle(&mut self, ev: Box<dyn Any>, ctx: &mut Ctx) {
-        let ev = match ev.downcast::<BusRequest>() {
-            Ok(req) => {
+impl<M: HostCarrier> Component<M> for SharedBus {
+    fn handle(&mut self, ev: M, ctx: &mut Ctx<'_, M>) {
+        let Ok(ev) = ev.into_host() else {
+            unknown_event(&self.label)
+        };
+        match ev {
+            HostMsg::Request(req) => {
                 assert!(req.bytes.bytes() > 0, "zero-byte bus request");
                 ctx.stats().counter(&self.label, "requests").inc();
                 let requester = req.requester;
@@ -200,13 +205,9 @@ impl Component for SharedBus {
                     remaining: req.bytes,
                 });
                 self.start_burst_if_idle(ctx);
-                return;
             }
-            Err(ev) => ev,
-        };
-        match ev.downcast::<BurstDone>() {
-            Ok(_) => self.finish_burst(ctx),
-            Err(_) => panic!("bus {}: unknown event", self.label),
+            HostMsg::Burst(BurstDone(())) => self.finish_burst(ctx),
+            HostMsg::Done(_) => unknown_event(&self.label),
         }
     }
 
@@ -219,6 +220,7 @@ impl Component for SharedBus {
 mod tests {
     use super::*;
     use acc_sim::{SimTime, Simulation};
+    use std::any::Any;
 
     /// Records completion times of its bus requests.
     struct Requester {

@@ -19,6 +19,8 @@
 //! * [`interrupts`] — per-interrupt CPU costs and the interrupt
 //!   moderation (coalescing) state machine whose interaction with TCP
 //!   slow start degrades short transfers (Section 4.1).
+//! * [`msg`] — [`HostMsg`], the host models' events, and
+//!   [`HostCarrier`], the carrier trait the bus is generic over.
 //! * [`stall`] — node stall windows during which the CPU defers all
 //!   event servicing (the host half of `NodeStall` fault injection).
 
@@ -28,10 +30,12 @@ pub mod bus;
 pub mod interrupts;
 pub mod kernels;
 pub mod memory;
+pub mod msg;
 pub mod stall;
 
 pub use bus::{BusDone, BusParams, BusRequest, SharedBus};
 pub use interrupts::{InterruptCosts, InterruptModerator, ModerationPolicy};
 pub use kernels::HostKernels;
 pub use memory::{MemoryHierarchy, MemoryLevel};
+pub use msg::{HostCarrier, HostMsg};
 pub use stall::StallSchedule;

@@ -57,6 +57,15 @@
 //!   show an enforced bound in its file (a `len()` comparison or
 //!   `truncate` on the field) or carry a justified allow naming the
 //!   invariant that bounds it.
+//! * **R10** — no type-erased event dispatch in the simulated crates
+//!   (`sim`, `net`, `proto`, `fpga`, `host`, `core`): no
+//!   `downcast`/`downcast_ref`/`downcast_mut`/`is::<..>` call, and no
+//!   parameter typed `Box<dyn Any>`. Events travel in typed carriers and
+//!   a handler decodes them with one exhaustive `match`, so a mis-wired
+//!   event fails to compile instead of panicking at run time. The
+//!   legacy `Box<dyn Any>` carrier's adapter module and
+//!   `Simulation::component`'s downcast of a *component* carry
+//!   justified allows.
 //!
 //! R7–R9 ride on the item/symbol pass (see `symbols`): module, impl
 //! and fn spans, struct fields with textual types, and integer consts,
@@ -116,6 +125,7 @@ pub enum Rule {
     R7,
     R8,
     R9,
+    R10,
     A0,
 }
 
@@ -132,6 +142,7 @@ impl Rule {
             Rule::R7 => "R7",
             Rule::R8 => "R8",
             Rule::R9 => "R9",
+            Rule::R10 => "R10",
             Rule::A0 => "A0",
         }
     }
@@ -148,6 +159,7 @@ impl Rule {
             "R7" => Some(Rule::R7),
             "R8" => Some(Rule::R8),
             "R9" => Some(Rule::R9),
+            "R10" => Some(Rule::R10),
             _ => None,
         }
     }
@@ -439,6 +451,30 @@ fn run_family_call(code: &str) -> Option<&'static str> {
         }
     }
     None
+}
+
+/// Crates whose events must travel typed (R10).
+const R10_TYPED_EVENT_CRATES: &[&str] = &["sim", "net", "proto", "fpga", "host", "core"];
+
+/// The type-erased dispatch construct on the line (R10), if any: a
+/// `.downcast*` or `.is::<` method call, or a parameter typed
+/// `Box<dyn Any>`.
+fn type_erased_dispatch(code: &str) -> Option<&'static str> {
+    for name in ["downcast", "downcast_ref", "downcast_mut", "is"] {
+        let hit = word_occurrences(code, name).iter().any(|&at| {
+            let preceded = code[..at].trim_end().ends_with('.');
+            let rest = code[at + name.len()..].trim_start();
+            preceded && (rest.starts_with("::<") || (name != "is" && rest.starts_with('(')))
+        });
+        if hit {
+            return Some(name);
+        }
+    }
+    let squeezed: String = code.chars().filter(|c| !c.is_whitespace()).collect();
+    [":Box<dynAny>", ":Box<dynstd::any::Any>"]
+        .iter()
+        .any(|ty| squeezed.contains(ty))
+        .then_some("Box<dyn Any>")
 }
 
 /// The target-type identifier of the first narrowing `as` cast on the
@@ -893,6 +929,21 @@ pub fn analyze_source_with(
         if hot_module {
             if let Some(msg) = r7_deep_copy(code, payload) {
                 push(&mut report, idx, Rule::R7, msg);
+            }
+        }
+
+        if R10_TYPED_EVENT_CRATES.contains(&krate.as_str()) {
+            if let Some(what) = type_erased_dispatch(code) {
+                push(
+                    &mut report,
+                    idx,
+                    Rule::R10,
+                    format!(
+                        "type-erased event dispatch (`{what}`) in `{krate}`: decode the \
+                         crate's message enum with a `match` on a typed carrier; a \
+                         mis-wired event should not compile"
+                    ),
+                );
             }
         }
     }

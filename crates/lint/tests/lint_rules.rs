@@ -353,6 +353,41 @@ fn r9_justified_queue_is_suppressed() {
 }
 
 #[test]
+fn r10_type_erased_dispatch_is_flagged_with_lines() {
+    let report = check("r10_violate.rs", "crates/fpga/src/probe.rs");
+    let rules = rules_of(&report);
+    assert_eq!(rules, vec![Rule::R10; 4], "{report:?}");
+    let lines: Vec<usize> = report.violations.iter().map(|v| v.line).collect();
+    assert_eq!(
+        lines,
+        vec![4, 5, 8, 10],
+        "the Box<dyn Any> parameter, is::<>, downcast and downcast_ref lines"
+    );
+}
+
+#[test]
+fn r10_typed_dispatch_passes_and_a_justified_downcast_is_suppressed() {
+    let report = check("r10_clean.rs", "crates/sim/src/probe.rs");
+    assert!(report.violations.is_empty(), "{report:?}");
+    assert_eq!(report.allows.len(), 1, "{report:?}");
+    assert_eq!(report.allows[0].rule, Rule::R10);
+}
+
+#[test]
+fn r10_covers_the_simulated_crates_only() {
+    for krate in ["sim", "net", "proto", "fpga", "host", "core"] {
+        let report = check("r10_violate.rs", &format!("crates/{krate}/src/probe.rs"));
+        assert_eq!(report.violations.len(), 4, "{krate}: {report:?}");
+    }
+    // Panic payloads and foreign plugins are downcast legitimately in
+    // the bench harnesses and the algorithm crates.
+    for krate in ["bench", "algos", "coll"] {
+        let report = check("r10_violate.rs", &format!("crates/{krate}/src/probe.rs"));
+        assert!(report.violations.is_empty(), "{krate}: {report:?}");
+    }
+}
+
+#[test]
 fn module_scope_allow_covers_the_block_in_single_file_mode() {
     // Satellite fix: `--check-file` (analyze_source) must honor allows
     // bound to a `mod` header exactly as workspace mode does.

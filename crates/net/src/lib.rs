@@ -13,6 +13,8 @@
 //!   shared by NICs and switch outputs.
 //! * [`switch`] — a store-and-forward output-queued switch with a static
 //!   MAC table and per-port buffer capacity.
+//! * [`msg`] — [`NetMsg`], every event the fabric exchanges, and
+//!   [`NetCarrier`], the carrier trait its components are generic over.
 //! * [`presets`] — Fast Ethernet, Gigabit Ethernet and switch parameters
 //!   matching the prototype cluster (Section 5).
 
@@ -21,6 +23,7 @@
 pub mod fabric;
 pub mod frame;
 pub mod impair;
+pub mod msg;
 pub mod port;
 pub mod presets;
 pub mod routing;
@@ -29,6 +32,7 @@ pub mod switch;
 pub use fabric::{FabricSpec, Topology};
 pub use frame::{EtherType, Frame, FrameError, FrameHeader, MacAddr, PayloadView};
 pub use impair::{ImpairCounters, Impairment, Verdict};
+pub use msg::{NetCarrier, NetMsg};
 pub use port::{EgressPort, FrameArrival, PortTxDone};
 pub use presets::{EthernetKind, LinkParams, SwitchParams};
 pub use routing::{

@@ -12,6 +12,7 @@ use std::collections::VecDeque;
 
 use crate::frame::Frame;
 use crate::impair::{Impairment, Verdict};
+use crate::msg::{NetCarrier, NetMsg};
 
 /// Event delivered to a port's owner when the in-flight frame has fully
 /// serialized; the owner must call [`EgressPort::tx_done`].
@@ -121,7 +122,7 @@ impl EgressPort {
 
     /// Enqueue a frame for transmission. Returns `false` (and counts a
     /// drop) if the buffer cannot hold it.
-    pub fn enqueue(&mut self, frame: Frame, ctx: &mut Ctx) -> bool {
+    pub fn enqueue<M: NetCarrier>(&mut self, frame: Frame, ctx: &mut Ctx<'_, M>) -> bool {
         let size = frame.buffer_size();
         if let Some(st) = &mut self.stats {
             ctx.stats()
@@ -150,7 +151,7 @@ impl EgressPort {
 
     /// Owner callback for [`PortTxDone`]: the in-flight frame has left;
     /// start the next if any.
-    pub fn tx_done(&mut self, ctx: &mut Ctx) {
+    pub fn tx_done<M: NetCarrier>(&mut self, ctx: &mut Ctx<'_, M>) {
         debug_assert!(self.busy, "tx_done on idle port");
         self.busy = false;
         if !self.queue.is_empty() {
@@ -158,17 +159,15 @@ impl EgressPort {
         }
     }
 
-    fn start_next(&mut self, ctx: &mut Ctx) {
+    fn start_next<M: NetCarrier>(&mut self, ctx: &mut Ctx<'_, M>) {
         let mut frame = self.queue.pop_front().expect("start_next on empty queue");
         self.busy = true;
         self.buffered = self.buffered.saturating_sub(frame.buffer_size());
         let ser = self.rate.transfer_time(frame.wire_size());
-        ctx.self_in(
-            ser,
-            PortTxDone {
-                port: self.own_port,
-            },
-        );
+        let done = PortTxDone {
+            port: self.own_port,
+        };
+        ctx.self_in(ser, M::from(NetMsg::TxDone(done)));
         // The sender always pays full serialization time; the fault model
         // only decides what happens to the bits after they leave.
         let mut extra = SimDuration::ZERO;
@@ -194,13 +193,14 @@ impl EgressPort {
                 .counter_by(&mut st.delivered, &st.label, "frames_delivered")
                 .inc();
         }
+        let arrival = FrameArrival {
+            port: self.peer_port,
+            frame,
+        };
         ctx.send_in(
             ser + self.prop_delay + extra,
             self.peer,
-            FrameArrival {
-                port: self.peer_port,
-                frame,
-            },
+            M::from(NetMsg::Arrival(arrival)),
         );
     }
 

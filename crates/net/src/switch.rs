@@ -1,17 +1,17 @@
 //! A store-and-forward output-queued Ethernet switch.
 
-use std::any::Any;
 use std::collections::BTreeMap;
 
-use acc_sim::{Component, ComponentId, CounterHandle, Ctx};
+use acc_sim::{unknown_event, Component, ComponentId, CounterHandle, Ctx};
 
 use crate::frame::{Frame, MacAddr};
-use crate::port::{EgressPort, FrameArrival, PortTxDone};
+use crate::msg::{NetCarrier, NetMsg};
+use crate::port::EgressPort;
 use crate::presets::{LinkParams, SwitchParams};
 
-/// Internal event: a frame has finished the forwarding pipeline and may
-/// enter its output queue.
-struct Forward {
+/// A switch's own event: a frame has finished the forwarding pipeline
+/// and may enter its output queue.
+pub struct SwitchForward {
     out: usize,
     frame: Frame,
 }
@@ -80,6 +80,8 @@ impl Switch {
     /// port wired to `peer` (its [`FrameArrival::port`] will be
     /// `peer_port`). Returns this switch's port index, which the device
     /// must use as the `peer_port` of its own egress toward the switch.
+    ///
+    /// [`FrameArrival::port`]: crate::port::FrameArrival::port
     pub fn attach(
         &mut self,
         mac: MacAddr,
@@ -104,6 +106,8 @@ impl Switch {
     /// Attach a trunk to a peer switch: a new egress port toward `peer`
     /// (its [`FrameArrival::port`] will be `peer_port`) with no MAC
     /// table entry — trunks carry whatever the next-hop table sends.
+    ///
+    /// [`FrameArrival::port`]: crate::port::FrameArrival::port
     pub fn attach_trunk(&mut self, peer: ComponentId, peer_port: usize, link: LinkParams) -> usize {
         let idx = self.ports.len();
         self.ports.push(EgressPort::new(
@@ -184,7 +188,7 @@ impl Switch {
         self.ports.iter().map(EgressPort::sent).sum()
     }
 
-    fn forward(&mut self, ingress: usize, frame: Frame, ctx: &mut Ctx) {
+    fn forward<M: NetCarrier>(&mut self, ingress: usize, frame: Frame, ctx: &mut Ctx<'_, M>) {
         let latency = self.params.forwarding_latency;
         if frame.dst == MacAddr::BROADCAST {
             if self.routes.is_some() {
@@ -199,7 +203,7 @@ impl Switch {
         }
         if let Some(&out) = self.mac_table.get(&frame.dst) {
             debug_assert_ne!(out, ingress, "frame forwarded to its ingress port");
-            ctx.self_in(latency, Forward { out, frame });
+            ctx.self_in(latency, forward(out, frame));
             return;
         }
         match &self.routes {
@@ -209,7 +213,7 @@ impl Switch {
                     // destination, so a route never points back out the
                     // ingress trunk.
                     debug_assert_ne!(out, ingress, "frame forwarded to its ingress port");
-                    ctx.self_in(latency, Forward { out, frame });
+                    ctx.self_in(latency, forward(out, frame));
                 }
                 // Partitioned or unknown destination: structured loss,
                 // surfaced via counters and wait_state instead of a
@@ -224,12 +228,12 @@ impl Switch {
         }
     }
 
-    fn drop_unroutable(&mut self, ctx: &mut Ctx) {
+    fn drop_unroutable<M>(&mut self, ctx: &mut Ctx<'_, M>) {
         self.unroutable_drops += 1;
         ctx.stats().counter(&self.label, "frames_unroutable").inc();
     }
 
-    fn drop_blackhole(&mut self, ctx: &mut Ctx) {
+    fn drop_blackhole<M>(&mut self, ctx: &mut Ctx<'_, M>) {
         self.blackhole_drops += 1;
         ctx.stats().counter(&self.label, "frames_blackholed").inc();
     }
@@ -239,30 +243,32 @@ impl Switch {
     /// refcount — see [`crate::frame::PayloadView`]); the highest egress
     /// port takes the original by move, so an N-port flood performs zero
     /// payload copies.
-    fn flood(&mut self, ingress: usize, frame: Frame, ctx: &mut Ctx) {
+    fn flood<M: NetCarrier>(&mut self, ingress: usize, frame: Frame, ctx: &mut Ctx<'_, M>) {
         let latency = self.params.forwarding_latency;
         let Some(last) = (0..self.ports.len()).rev().find(|&out| out != ingress) else {
             return;
         };
         for out in 0..last {
             if out != ingress {
-                ctx.self_in(
-                    latency,
-                    Forward {
-                        out,
-                        frame: frame.clone(),
-                    },
-                );
+                ctx.self_in(latency, forward(out, frame.clone()));
             }
         }
-        ctx.self_in(latency, Forward { out: last, frame });
+        ctx.self_in(latency, forward(last, frame));
     }
 }
 
-impl Component for Switch {
-    fn handle(&mut self, ev: Box<dyn Any>, ctx: &mut Ctx) {
-        let ev = match ev.downcast::<FrameArrival>() {
-            Ok(arrival) => {
+/// The pipeline-completion event for `frame` bound for port `out`.
+fn forward<M: NetCarrier>(out: usize, frame: Frame) -> M {
+    M::from(NetMsg::Forward(SwitchForward { out, frame }))
+}
+
+impl<M: NetCarrier> Component<M> for Switch {
+    fn handle(&mut self, ev: M, ctx: &mut Ctx<'_, M>) {
+        let Ok(ev) = ev.into_net() else {
+            unknown_event(&self.label)
+        };
+        match ev {
+            NetMsg::Arrival(arrival) => {
                 ctx.stats()
                     .counter_by(&mut self.frames_in, &self.label, "frames_in")
                     .inc();
@@ -271,12 +277,8 @@ impl Component for Switch {
                 } else {
                     self.forward(arrival.port, arrival.frame, ctx);
                 }
-                return;
             }
-            Err(ev) => ev,
-        };
-        let ev = match ev.downcast::<Forward>() {
-            Ok(fwd) => {
+            NetMsg::Forward(fwd) => {
                 if self.dead {
                     // Died mid-pipeline: the frame was counted in but
                     // never reaches an output queue.
@@ -291,27 +293,10 @@ impl Component for Switch {
                 } else {
                     ctx.stats().counter(&self.label, "frames_dropped").inc();
                 }
-                return;
             }
-            Err(ev) => ev,
-        };
-        let ev = match ev.downcast::<PortTxDone>() {
-            Ok(done) => {
-                self.ports[done.port].tx_done(ctx);
-                return;
-            }
-            Err(ev) => ev,
-        };
-        let ev = match ev.downcast::<RouteUpdate>() {
-            Ok(update) => {
-                self.routes = Some(update.routes);
-                return;
-            }
-            Err(ev) => ev,
-        };
-        match ev.downcast::<SwitchKill>() {
-            Ok(_) => self.dead = true,
-            Err(_) => panic!("switch {}: unknown event type", self.label),
+            NetMsg::TxDone(done) => self.ports[done.port].tx_done(ctx),
+            NetMsg::Routes(update) => self.routes = Some(update.routes),
+            NetMsg::Kill(SwitchKill) => self.dead = true,
         }
     }
 
@@ -340,8 +325,10 @@ impl Component for Switch {
 mod tests {
     use super::*;
     use crate::frame::EtherType;
+    use crate::port::{FrameArrival, PortTxDone};
     use crate::presets::EthernetKind;
     use acc_sim::{Bandwidth, DataSize, SimDuration, SimTime, Simulation};
+    use std::any::Any;
 
     /// End host for switch tests: sends pre-loaded frames at t=0 through
     /// its uplink, records what it receives.
@@ -374,6 +361,11 @@ mod tests {
         fn name(&self) -> &str {
             "host"
         }
+    }
+
+    /// The switch's wait state as the legacy-carrier engine reads it.
+    fn wait_state(s: &Switch) -> Option<String> {
+        Component::<Box<dyn Any>>::wait_state(s)
     }
 
     /// Wire N hosts to one switch; host i pre-loads `outbox(i)`.
@@ -585,7 +577,7 @@ mod tests {
             let s = sim.component::<Switch>(sw);
             assert_eq!(s.unroutable_drops(), 0);
             assert_eq!(s.blackhole_drops(), 0);
-            assert!(s.wait_state().is_none());
+            assert!(wait_state(s).is_none());
         }
     }
 
@@ -610,8 +602,7 @@ mod tests {
         assert_eq!(sim.component::<Host>(hosts[1]).inbox.len(), 0);
         let a = sim.component::<Switch>(switches[0]);
         assert_eq!(a.unroutable_drops(), 2);
-        assert!(a
-            .wait_state()
+        assert!(wait_state(a)
             .expect("unroutable drops must surface in wait_state")
             .contains("unroutable"));
     }
@@ -627,8 +618,7 @@ mod tests {
         let a = sim.component::<Switch>(switches[0]);
         assert!(a.is_dead());
         assert_eq!(a.blackhole_drops(), 1);
-        assert!(a
-            .wait_state()
+        assert!(wait_state(a)
             .expect("a dead switch must surface in wait_state")
             .contains("switch failed"));
     }

@@ -17,6 +17,8 @@
 //!   checksummed header, sender-known transfer sizes, duplicate-tolerant
 //!   stream reassembly, and ACK/NACK control packets for loss recovery
 //!   under fault injection.
+//! * [`msg`] — [`ProtoMsg`], the TCP stack's events, and
+//!   [`ProtoCarrier`], the carrier trait its NIC is generic over.
 //!
 //! Both codecs carry the same word-at-a-time checksum (`checksum.rs`),
 //! and both hand payloads around as shared [`PayloadView`]s: a segment
@@ -31,10 +33,12 @@
 
 mod checksum;
 pub mod inic_wire;
+pub mod msg;
 pub mod tcp;
 
 pub use inic_wire::{
     packet_count, packetize, packetize_view, wire_payload_bytes, InicPacket, StreamDemux, StreamRx,
     WireError, INIC_HEADER, INIC_PAYLOAD,
 };
+pub use msg::{ProtoCarrier, ProtoMsg};
 pub use tcp::{HostPathCosts, TcpDelivered, TcpHostNic, TcpParams, TcpSend};

@@ -30,16 +30,18 @@
 //! to the application (and once more for the rare segment that spans
 //! two queued messages).
 
-use std::any::Any;
 use std::collections::{BTreeMap, VecDeque};
 
 use acc_net::port::EgressPort;
-use acc_net::{EtherType, Frame, FrameArrival, FrameHeader, MacAddr, PayloadView, PortTxDone};
-use acc_sim::{Bandwidth, Component, ComponentId, Ctx, DataSize, SimDuration, SimTime};
+use acc_net::{EtherType, Frame, FrameHeader, MacAddr, NetMsg, PayloadView};
+use acc_sim::{
+    unknown_event, Bandwidth, Component, ComponentId, Ctx, DataSize, SimDuration, SimTime,
+};
 
 use acc_host::interrupts::{InterruptCosts, InterruptModerator, ModerationPolicy, ModeratorAction};
 
 use crate::checksum::wire_checksum;
+use crate::msg::{ProtoCarrier, ProtoMsg};
 
 /// IP (20) + TCP (20) header bytes per segment.
 pub const IP_TCP_HEADER: usize = 40;
@@ -358,6 +360,23 @@ impl TcpConn {
 
 // --- internal events ---
 
+/// A TCP NIC's own event: a timer, a paced launch or an interrupt
+/// service completing.
+pub struct NicEvent(Own);
+
+/// What a [`NicEvent`] holds.
+enum Own {
+    Mod(ModTimer),
+    Rto(RtoTimer),
+    Service(ServiceBatch),
+    Launch(TxLaunch),
+}
+
+/// Wrap one of the NIC's own events for the carrier.
+fn own<M: ProtoCarrier>(ev: Own) -> M {
+    M::from(ProtoMsg::Nic(NicEvent(ev)))
+}
+
 /// Interrupt-moderation timer.
 struct ModTimer {
     generation: u64,
@@ -473,7 +492,7 @@ impl TcpHostNic {
 
     // ---- transmit path ----
 
-    fn on_app_send(&mut self, send: TcpSend, ctx: &mut Ctx) {
+    fn on_app_send<M: ProtoCarrier>(&mut self, send: TcpSend, ctx: &mut Ctx<'_, M>) {
         let key = FlowKey {
             peer: send.peer,
             chan: send.chan,
@@ -492,7 +511,7 @@ impl TcpHostNic {
     }
 
     /// Send as much of the flow's buffered data as cwnd/rwnd allow.
-    fn pump(&mut self, key: FlowKey, ctx: &mut Ctx) {
+    fn pump<M: ProtoCarrier>(&mut self, key: FlowKey, ctx: &mut Ctx<'_, M>) {
         let now = ctx.now();
         loop {
             let (seq, data) = {
@@ -530,13 +549,13 @@ impl TcpHostNic {
     /// Build and pace one segment onto the wire (data or pure ACK).
     /// The frame carries the header inline and `data` as a view: no
     /// payload copy.
-    fn transmit_segment(
+    fn transmit_segment<M: ProtoCarrier>(
         &mut self,
         key: FlowKey,
         seq: u64,
         data: &PayloadView,
         ack_only: bool,
-        ctx: &mut Ctx,
+        ctx: &mut Ctx<'_, M>,
     ) {
         let conn = self.conns.get_mut(&key).expect("transmit on missing conn");
         let header = SegHeader {
@@ -565,10 +584,10 @@ impl TcpHostNic {
         let start = self.tx_free_at.max(ctx.now());
         self.tx_free_at = start + dma;
         let delay = self.tx_free_at.since(ctx.now());
-        ctx.self_in(delay, TxLaunch { frame });
+        ctx.self_in(delay, own::<M>(Own::Launch(TxLaunch { frame })));
     }
 
-    fn arm_rto(&mut self, key: FlowKey, ctx: &mut Ctx) {
+    fn arm_rto<M: ProtoCarrier>(&mut self, key: FlowKey, ctx: &mut Ctx<'_, M>) {
         let conn = self.conns.get_mut(&key).expect("arm_rto on missing conn");
         if conn.rto_armed || conn.inflight.is_empty() {
             return;
@@ -577,10 +596,11 @@ impl TcpHostNic {
         conn.rto_generation += 1;
         let generation = conn.rto_generation;
         let delay = conn.rto;
-        ctx.self_in(delay, RtoTimer { key, generation });
+        let timer = RtoTimer { key, generation };
+        ctx.self_in(delay, own::<M>(Own::Rto(timer)));
     }
 
-    fn on_rto(&mut self, key: FlowKey, generation: u64, ctx: &mut Ctx) {
+    fn on_rto<M: ProtoCarrier>(&mut self, key: FlowKey, generation: u64, ctx: &mut Ctx<'_, M>) {
         let conn = self.conns.get_mut(&key).expect("rto on missing conn");
         conn.rto_armed = false;
         if generation != conn.rto_generation || conn.inflight.is_empty() {
@@ -600,7 +620,12 @@ impl TcpHostNic {
     /// The one repair path, for RTO expiry and fast retransmit alike:
     /// re-send the flow's oldest segment as first sent, marked so that
     /// it yields no RTT sample, and bump `counter`.
-    fn retransmit_head(&mut self, key: FlowKey, counter: &str, ctx: &mut Ctx) {
+    fn retransmit_head<M: ProtoCarrier>(
+        &mut self,
+        key: FlowKey,
+        counter: &str,
+        ctx: &mut Ctx<'_, M>,
+    ) {
         let conn = self.conns.get_mut(&key).expect("retx on missing conn");
         let (&seq, seg) = conn.inflight.iter_mut().next().expect("data in flight");
         seg.retransmitted = true;
@@ -613,25 +638,25 @@ impl TcpHostNic {
 
     // ---- receive path ----
 
-    fn on_frame(&mut self, frame: Frame, ctx: &mut Ctx) {
+    fn on_frame<M: ProtoCarrier>(&mut self, frame: Frame, ctx: &mut Ctx<'_, M>) {
         self.rx_ring.push(frame);
         match self.moderator.on_frame() {
             ModeratorAction::FireNow => self.raise_interrupt(ctx),
             ModeratorAction::ArmTimer(d) => {
                 let generation = self.moderator.timer_generation();
-                ctx.self_in(d, ModTimer { generation });
+                ctx.self_in(d, own::<M>(Own::Mod(ModTimer { generation })));
             }
             ModeratorAction::None => {}
         }
     }
 
-    fn on_mod_timer(&mut self, generation: u64, ctx: &mut Ctx) {
+    fn on_mod_timer<M: ProtoCarrier>(&mut self, generation: u64, ctx: &mut Ctx<'_, M>) {
         if let ModeratorAction::FireNow = self.moderator.on_timer(generation) {
             self.raise_interrupt(ctx);
         }
     }
 
-    fn raise_interrupt(&mut self, ctx: &mut Ctx) {
+    fn raise_interrupt<M: ProtoCarrier>(&mut self, ctx: &mut Ctx<'_, M>) {
         if self.servicing {
             // Interrupt while the previous batch is still being serviced:
             // frames stay in the ring; the service loop re-checks.
@@ -651,7 +676,7 @@ impl TcpHostNic {
                 .transfer_time(DataSize::from_bytes(bytes));
         self.cpu_time += service;
         self.servicing = true;
-        ctx.self_in(service, ServiceBatch { frames });
+        ctx.self_in(service, own::<M>(Own::Service(ServiceBatch { frames })));
     }
 
     /// Debug-build guard for lint rule R1: the flow table must iterate
@@ -667,7 +692,7 @@ impl TcpHostNic {
         );
     }
 
-    fn on_service_batch(&mut self, frames: Vec<Frame>, ctx: &mut Ctx) {
+    fn on_service_batch<M: ProtoCarrier>(&mut self, frames: Vec<Frame>, ctx: &mut Ctx<'_, M>) {
         self.servicing = false;
         self.debug_assert_flow_order();
         // Per-flow in-order data accumulated over the batch, as views of
@@ -769,14 +794,12 @@ impl TcpHostNic {
             ctx.stats()
                 .counter(&self.label, "bytes_delivered")
                 .add(data.len() as u64);
-            ctx.send_now(
-                self.app,
-                TcpDelivered {
-                    peer: key.peer,
-                    chan: key.chan,
-                    data,
-                },
-            );
+            let delivered = TcpDelivered {
+                peer: key.peer,
+                chan: key.chan,
+                data,
+            };
+            ctx.send_now(self.app, M::from(ProtoMsg::Delivered(delivered)));
         }
         // Frames may have arrived while we serviced: fire again.
         if self.moderator.pending() > 0 && !self.rx_ring.is_empty() {
@@ -784,14 +807,14 @@ impl TcpHostNic {
         }
     }
 
-    fn process_ack(
+    fn process_ack<M: ProtoCarrier>(
         &mut self,
         key: FlowKey,
         ack: u64,
         window: u32,
         carried_data: bool,
         pump_flows: &mut Vec<FlowKey>,
-        ctx: &mut Ctx,
+        ctx: &mut Ctx<'_, M>,
     ) {
         let now = ctx.now();
         let params = self.params;
@@ -862,60 +885,37 @@ impl TcpHostNic {
     }
 }
 
-impl Component for TcpHostNic {
-    fn handle(&mut self, ev: Box<dyn Any>, ctx: &mut Ctx) {
-        let ev = match ev.downcast::<TcpSend>() {
-            Ok(send) => {
-                // The message is wrapped once; pump() cuts its segments
-                // (kept in flight for retransmission) as sub-views.
-                self.on_app_send(*send, ctx);
-                return;
+impl<M: ProtoCarrier> Component<M> for TcpHostNic {
+    fn handle(&mut self, ev: M, ctx: &mut Ctx<'_, M>) {
+        let ev = match ev.into_net() {
+            Ok(NetMsg::Arrival(arrival)) => return self.on_frame(arrival.frame, ctx),
+            Ok(NetMsg::TxDone(_)) => return self.uplink.tx_done(ctx),
+            Ok(NetMsg::Forward(_) | NetMsg::Routes(_) | NetMsg::Kill(_)) => {
+                unknown_event(&self.label)
             }
             Err(ev) => ev,
         };
-        let ev = match ev.downcast::<FrameArrival>() {
-            Ok(arrival) => {
-                self.on_frame(arrival.frame, ctx);
-                return;
-            }
-            Err(ev) => ev,
+        let Ok(ev) = ev.into_proto() else {
+            unknown_event(&self.label)
         };
-        let ev = match ev.downcast::<PortTxDone>() {
-            Ok(_) => {
-                self.uplink.tx_done(ctx);
-                return;
-            }
-            Err(ev) => ev,
-        };
-        let ev = match ev.downcast::<TxLaunch>() {
-            Ok(launch) => {
+        match ev {
+            // The message is wrapped once; pump() cuts its segments
+            // (kept in flight for retransmission) as sub-views.
+            ProtoMsg::Send(send) => self.on_app_send(send, ctx),
+            ProtoMsg::Nic(NicEvent(Own::Launch(launch))) => {
                 let ok = self.uplink.enqueue(launch.frame, ctx);
                 if !ok {
                     // NIC buffer overrun: the segment is lost locally and
                     // will be recovered by RTO, exactly like wire loss.
                     ctx.stats().counter(&self.label, "nic_tx_drops").inc();
                 }
-                return;
             }
-            Err(ev) => ev,
-        };
-        let ev = match ev.downcast::<ModTimer>() {
-            Ok(t) => {
-                self.on_mod_timer(t.generation, ctx);
-                return;
+            ProtoMsg::Nic(NicEvent(Own::Mod(t))) => self.on_mod_timer(t.generation, ctx),
+            ProtoMsg::Nic(NicEvent(Own::Rto(t))) => self.on_rto(t.key, t.generation, ctx),
+            ProtoMsg::Nic(NicEvent(Own::Service(batch))) => {
+                self.on_service_batch(batch.frames, ctx)
             }
-            Err(ev) => ev,
-        };
-        let ev = match ev.downcast::<RtoTimer>() {
-            Ok(t) => {
-                self.on_rto(t.key, t.generation, ctx);
-                return;
-            }
-            Err(ev) => ev,
-        };
-        match ev.downcast::<ServiceBatch>() {
-            Ok(batch) => self.on_service_batch(batch.frames, ctx),
-            Err(_) => panic!("tcp {}: unknown event", self.label),
+            ProtoMsg::Delivered(_) => unknown_event(&self.label),
         }
     }
 
@@ -952,6 +952,8 @@ impl Component for TcpHostNic {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use acc_net::FrameArrival;
+    use std::any::Any;
 
     /// splitmix64 — deterministic test-local byte stream generator.
     struct Gen(u64);

@@ -3,6 +3,7 @@
 use std::any::Any;
 use std::fmt;
 
+use crate::carrier::Carry;
 use crate::event::EventQueue;
 use crate::rng::SimRng;
 use crate::stats::StatsRegistry;
@@ -35,19 +36,25 @@ impl fmt::Debug for ComponentId {
     }
 }
 
-/// A simulated hardware or software block.
+/// A simulated hardware or software block, receiving events of carrier
+/// type `M` (see [`crate::carrier`]).
 ///
-/// Implementations receive type-erased payloads and downcast to their own
-/// message enums. Unknown payload types should panic: receiving a message
-/// you cannot decode is a wiring bug in the scenario, not a runtime
-/// condition.
+/// A component decodes its message with one exhaustive `match` on its
+/// crate's message enum, reached through that crate's carrier trait
+/// (`into_net`, `into_fpga`, ...). A message it does not handle is a
+/// wiring bug in the scenario, not a runtime condition:
+/// [`unknown_event`](crate::unknown_event) panics with the component's
+/// name. Lower-crate components implement `Component<M>` for every `M`
+/// that carries their messages, so the same switch or NIC runs on a
+/// typed carrier and on the legacy `Box<dyn Any>` one, the default,
+/// which type-erased components keep using.
 ///
 /// The `Any` supertrait lets scenario drivers downcast components back to
 /// their concrete types after a run to extract results.
-pub trait Component: Any {
+pub trait Component<M = Box<dyn Any>>: Any {
     /// Deliver one event. `ctx` provides the current time, scheduling, the
     /// shared RNG, statistics and tracing.
-    fn handle(&mut self, ev: Box<dyn Any>, ctx: &mut Ctx);
+    fn handle(&mut self, ev: M, ctx: &mut Ctx<'_, M>);
 
     /// Human-readable name used in traces and stats keys.
     fn name(&self) -> &str;
@@ -64,16 +71,16 @@ pub trait Component: Any {
 
 /// Mutable simulation services available to a component while it handles an
 /// event. Borrowed pieces of the engine — never stored.
-pub struct Ctx<'a> {
+pub struct Ctx<'a, M = Box<dyn Any>> {
     pub(crate) now: SimTime,
     pub(crate) self_id: ComponentId,
-    pub(crate) queue: &'a mut EventQueue,
+    pub(crate) queue: &'a mut EventQueue<M>,
     pub(crate) rng: &'a mut SimRng,
     pub(crate) stats: &'a mut StatsRegistry,
     pub(crate) trace: &'a mut TraceBuffer,
 }
 
-impl Ctx<'_> {
+impl<M> Ctx<'_, M> {
     /// The current simulated instant.
     pub fn now(&self) -> SimTime {
         self.now
@@ -85,18 +92,30 @@ impl Ctx<'_> {
     }
 
     /// Deliver `payload` to `target` after `delay`.
-    pub fn send_in<M: Any>(&mut self, delay: SimDuration, target: ComponentId, payload: M) {
-        self.queue.push(self.now + delay, target, Box::new(payload));
+    #[inline]
+    pub fn send_in<P>(&mut self, delay: SimDuration, target: ComponentId, payload: P)
+    where
+        M: Carry<P>,
+    {
+        self.queue.push(self.now + delay, target, M::carry(payload));
     }
 
     /// Deliver `payload` to `target` at the current instant (after all
     /// events already queued for this instant).
-    pub fn send_now<M: Any>(&mut self, target: ComponentId, payload: M) {
+    #[inline]
+    pub fn send_now<P>(&mut self, target: ComponentId, payload: P)
+    where
+        M: Carry<P>,
+    {
         self.send_in(SimDuration::ZERO, target, payload);
     }
 
     /// Schedule a message back to the sending component itself.
-    pub fn self_in<M: Any>(&mut self, delay: SimDuration, payload: M) {
+    #[inline]
+    pub fn self_in<P>(&mut self, delay: SimDuration, payload: P)
+    where
+        M: Carry<P>,
+    {
         let id = self.self_id;
         self.send_in(delay, id, payload);
     }

@@ -2,23 +2,26 @@
 
 use std::any::Any;
 
+use crate::carrier::{Carrier, Carry};
 use crate::component::{Component, ComponentId, Ctx};
-use crate::event::EventQueue;
+use crate::event::{EventQueue, Head};
 use crate::liveness::{ComponentWait, HangKind, LivenessReport, Watchdog};
 use crate::rng::SimRng;
 use crate::stats::StatsRegistry;
 use crate::time::SimTime;
 use crate::trace::TraceBuffer;
 
-/// The discrete-event simulation engine.
+/// The discrete-event simulation engine, delivering events of carrier
+/// type `M` (see [`crate::carrier`]; the default is the legacy
+/// `Box<dyn Any>` carrier).
 ///
 /// Owns all components, the future-event list, the RNG, statistics and the
 /// trace buffer. Scenarios are built in two phases: reserve ids (so
 /// components can be wired to each other before construction), register the
 /// component objects, then seed initial events and [`run`](Self::run).
-pub struct Simulation {
-    components: Vec<Option<Box<dyn Component>>>,
-    queue: EventQueue,
+pub struct Simulation<M = Box<dyn Any>> {
+    components: Vec<Option<Box<dyn Component<M>>>>,
+    queue: EventQueue<M>,
     now: SimTime,
     rng: SimRng,
     stats: StatsRegistry,
@@ -34,18 +37,22 @@ pub struct Simulation {
     quiet: bool,
 }
 
-/// Pending-event headroom every engine starts with. Cluster scenarios
-/// burst hundreds of frames into the future-event list at phase
-/// boundaries; starting the heap at this size skips the early
-/// grow-and-copy cycles for ~128 KiB of memory, noise at simulation
-/// scale.
-const INITIAL_EVENT_CAPACITY: usize = 4096;
+/// Pending-event headroom every engine starts with. Every pending event
+/// holds one slot of the timing wheel's pool (128 B on x86-64 with the
+/// cluster's 96 B carrier inline) until it is delivered. Measured on
+/// acc_benchmark's cells, the most events one run had pending at once
+/// was, per workload, a median of 256 on `coll_latency` (90% of runs at
+/// or under 512, the largest 832), 293 on `faults` (97% under 512),
+/// 112 on `coll_bandwidth` and 64 on `paper`. 512 slots (64 KiB) spare
+/// most small runs every pool regrowth; a deeper run grows the pool by
+/// doubling. The near ring never held more than 134 events.
+const INITIAL_EVENT_CAPACITY: usize = 512;
 
 /// Component-registry headroom (a P=16 cluster with fallback NICs,
 /// coordinator and auditor registers ~50 components).
 const INITIAL_COMPONENT_CAPACITY: usize = 64;
 
-impl Simulation {
+impl<M: Carrier> Simulation<M> {
     /// Create an engine with the given RNG seed.
     pub fn new(seed: u64) -> Self {
         Simulation {
@@ -93,7 +100,7 @@ impl Simulation {
     ///
     /// # Panics
     /// Panics if the slot is already occupied.
-    pub fn register<C: Component + 'static>(&mut self, id: ComponentId, component: C) {
+    pub fn register<C: Component<M>>(&mut self, id: ComponentId, component: C) {
         let slot = &mut self.components[id.index()];
         assert!(slot.is_none(), "component slot {:?} registered twice", id);
         *slot = Some(Box::new(component));
@@ -101,20 +108,23 @@ impl Simulation {
 
     /// Convenience: reserve an id and register in one step, for components
     /// that do not need to know their own id before construction.
-    pub fn add<C: Component + 'static>(&mut self, component: C) -> ComponentId {
+    pub fn add<C: Component<M>>(&mut self, component: C) -> ComponentId {
         let id = self.reserve_id();
         self.register(id, component);
         id
     }
 
     /// Schedule an initial event at an absolute instant.
-    pub fn schedule_at<M: Any>(&mut self, time: SimTime, target: ComponentId, payload: M) {
+    pub fn schedule_at<P>(&mut self, time: SimTime, target: ComponentId, payload: P)
+    where
+        M: Carry<P>,
+    {
         assert!(
             time >= self.now,
             "cannot schedule into the past ({time} < {})",
             self.now
         );
-        self.queue.push(time, target, Box::new(payload));
+        self.queue.push(time, target, M::carry(payload));
     }
 
     /// Current simulated time.
@@ -147,30 +157,32 @@ impl Simulation {
     ///
     /// Scenario drivers use this after `run()` to pull results out of
     /// terminal components.
-    pub fn component<C: Component>(&self, id: ComponentId) -> &C {
-        let c: &dyn Component = self.components[id.index()]
+    pub fn component<C: Component<M>>(&self, id: ComponentId) -> &C {
+        let c: &dyn Component<M> = self.components[id.index()]
             .as_deref()
             .expect("component slot never registered");
         let any: &dyn Any = c;
+        // acc-lint: allow(R10, reason = "downcasts a registered component back to its concrete type after a run, not an event payload")
         any.downcast_ref::<C>().expect("component type mismatch")
     }
 
     /// Mutable access to a registered component, downcast to `C`.
-    pub fn component_mut<C: Component>(&mut self, id: ComponentId) -> &mut C {
-        let c: &mut dyn Component = self.components[id.index()]
+    pub fn component_mut<C: Component<M>>(&mut self, id: ComponentId) -> &mut C {
+        let c: &mut dyn Component<M> = self.components[id.index()]
             .as_deref_mut()
             .expect("component slot never registered");
         let any: &mut dyn Any = c;
+        // acc-lint: allow(R10, reason = "downcasts a registered component back to its concrete type after a run, not an event payload")
         any.downcast_mut::<C>().expect("component type mismatch")
     }
 
     /// Process a single event. Returns `false` when the queue is empty.
     #[inline]
     pub fn step(&mut self) -> bool {
-        let Some(ev) = self.queue.pop() else {
+        let Some(head) = self.queue.pop_head() else {
             return false;
         };
-        self.dispatch(ev);
+        self.dispatch(head);
         true
     }
 
@@ -178,15 +190,16 @@ impl Simulation {
     /// (limit breach, unregistered target, traced panics) are outlined
     /// so this body inlines into the run loops.
     #[inline]
-    fn dispatch(&mut self, ev: crate::event::ScheduledEvent) {
-        debug_assert!(ev.time >= self.now, "event queue produced stale event");
-        self.now = ev.time;
+    fn dispatch(&mut self, head: Head) {
+        debug_assert!(head.time >= self.now, "event queue produced stale event");
+        self.now = head.time;
         self.events_processed += 1;
         if self.events_processed > self.event_limit {
             self.event_limit_breached();
         }
-        let Some(component) = self.components[ev.target.index()].as_deref_mut() else {
-            unregistered_target(ev.target);
+        let target = head.target;
+        let Some(component) = self.components[target.index()].as_deref_mut() else {
+            unregistered_target(target);
         };
         if !self.trace.enabled() {
             // Hot path: the component is borrowed in place (disjoint from
@@ -195,20 +208,21 @@ impl Simulation {
             // the catch_unwind landing pad would be pure overhead.
             let mut ctx = Ctx {
                 now: self.now,
-                self_id: ev.target,
+                self_id: target,
                 queue: &mut self.queue,
                 rng: &mut self.rng,
                 stats: &mut self.stats,
                 trace: &mut self.trace,
             };
-            component.handle(ev.payload, &mut ctx);
+            // The payload moves from its pool slot straight into the
+            // handler's argument: no copy through a local.
+            component.handle(ctx.queue.take(head), &mut ctx);
             return;
         }
         // Traced path: catch component panics so a failing scenario
         // assertion can be annotated with the trace tail before
         // unwinding — the post-mortem surface the trace buffer exists
         // for.
-        let target = ev.target;
         let outcome = {
             let mut ctx = Ctx {
                 now: self.now,
@@ -219,7 +233,7 @@ impl Simulation {
                 trace: &mut self.trace,
             };
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                component.handle(ev.payload, &mut ctx);
+                component.handle(ctx.queue.take(head), &mut ctx);
             }))
         };
         if let Err(cause) = outcome {
@@ -248,8 +262,8 @@ impl Simulation {
 
     /// Run until the event queue is exhausted. Returns the final time.
     pub fn run(&mut self) -> SimTime {
-        while let Some(ev) = self.queue.pop() {
-            self.dispatch(ev);
+        while let Some(head) = self.queue.pop_head() {
+            self.dispatch(head);
         }
         self.now
     }

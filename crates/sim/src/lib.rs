@@ -23,16 +23,35 @@
 //!
 //! ## Quick example
 //!
+//! The engine is generic over its event carrier (see [`carrier`]): here
+//! a one-message enum that a [`Carrier`] wraps when parked.
+//!
 //! ```
-//! use acc_sim::{Simulation, Component, Ctx, SimDuration};
+//! use acc_sim::{Carrier, Carry, Component, ComponentId, Ctx, SimDuration, Simulation};
 //!
-//! struct Ping { peer: acc_sim::ComponentId, left: u32 }
+//! enum Msg { Ball, Parked(Box<Msg>) }
 //!
-//! impl Component for Ping {
-//!     fn handle(&mut self, _ev: Box<dyn std::any::Any>, ctx: &mut Ctx) {
-//!         if self.left > 0 {
-//!             self.left -= 1;
-//!             ctx.send_in(SimDuration::from_nanos(500), self.peer, ());
+//! impl Carry<Msg> for Msg {
+//!     fn carry(m: Msg) -> Msg { m }
+//! }
+//! impl Carrier for Msg {
+//!     fn defer(self) -> Msg { Msg::Parked(Box::new(self)) }
+//!     fn undefer(self) -> Result<Msg, Msg> {
+//!         match self { Msg::Parked(m) => Ok(*m), m => Err(m) }
+//!     }
+//! }
+//!
+//! struct Ping { peer: ComponentId, left: u32 }
+//!
+//! impl Component<Msg> for Ping {
+//!     fn handle(&mut self, ev: Msg, ctx: &mut Ctx<'_, Msg>) {
+//!         match ev {
+//!             Msg::Ball if self.left > 0 => {
+//!                 self.left -= 1;
+//!                 ctx.send_in(SimDuration::from_nanos(500), self.peer, Msg::Ball);
+//!             }
+//!             Msg::Ball => {}
+//!             Msg::Parked(_) => acc_sim::unknown_event(self.name()),
 //!         }
 //!     }
 //!     fn name(&self) -> &str { "ping" }
@@ -43,22 +62,25 @@
 //! let b = sim.reserve_id();
 //! sim.register(a, Ping { peer: b, left: 3 });
 //! sim.register(b, Ping { peer: a, left: 3 });
-//! sim.schedule_at(acc_sim::SimTime::ZERO, a, ());
+//! sim.schedule_at(acc_sim::SimTime::ZERO, a, Msg::Ball);
 //! sim.run();
 //! assert_eq!(sim.now().as_nanos(), 3000);
 //! ```
 
 #![forbid(unsafe_code)]
 
+pub mod carrier;
 pub mod component;
 pub mod engine;
 pub mod event;
+pub mod legacy;
 pub mod liveness;
 pub mod rng;
 pub mod stats;
 pub mod time;
 pub mod trace;
 
+pub use carrier::{unknown_event, Carrier, Carry};
 pub use component::{Component, ComponentId, Ctx};
 pub use engine::Simulation;
 pub use event::{EventQueue, HeapQueue, TimingWheel};

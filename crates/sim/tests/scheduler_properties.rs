@@ -18,7 +18,10 @@ use acc_sim::{ComponentId, EventQueue, HeapQueue, SimRng, SimTime, TimingWheel};
 /// Pop one event from each queue and assert full agreement, including
 /// the payload (guards against the wheel's slab pool handing back a
 /// recycled slot with the wrong event's payload).
-fn assert_next_identical(wheel: &mut TimingWheel, heap: &mut HeapQueue) -> Option<SimTime> {
+fn assert_next_identical(
+    wheel: &mut TimingWheel<u64>,
+    heap: &mut HeapQueue<u64>,
+) -> Option<SimTime> {
     let w = wheel.pop();
     let h = heap.pop();
     match (w, h) {
@@ -29,9 +32,10 @@ fn assert_next_identical(wheel: &mut TimingWheel, heap: &mut HeapQueue) -> Optio
                 (h.time, h.seq, h.target),
                 "wheel and heap disagree on pop order"
             );
-            let wp = w.payload.downcast::<u64>().expect("u64 payload");
-            let hp = h.payload.downcast::<u64>().expect("u64 payload");
-            assert_eq!(wp, hp, "payloads diverged for the same (time, seq)");
+            assert_eq!(
+                w.payload, h.payload,
+                "payloads diverged for the same (time, seq)"
+            );
             Some(w.time)
         }
         (w, h) => panic!(
@@ -67,8 +71,8 @@ fn random_push_pop_sequences_pop_identically() {
                     let t = SimTime::from_ps(now.saturating_add(random_delta(&mut g)));
                     let target = ComponentId::from_raw(g.gen_range(64) as usize);
                     let tag = g.next_u64();
-                    wheel.push(t, target, Box::new(tag));
-                    heap.push(t, target, Box::new(tag));
+                    wheel.push(t, target, tag);
+                    heap.push(t, target, tag);
                     live += 1;
                 }
             } else {
@@ -96,8 +100,8 @@ fn same_timestamp_bursts_break_ties_by_insertion_order() {
         for _ in 0..(2 + g.gen_range(30)) {
             let target = ComponentId::from_raw(g.gen_range(8) as usize);
             let tag = g.next_u64();
-            wheel.push(t, target, Box::new(tag));
-            heap.push(t, target, Box::new(tag));
+            wheel.push(t, target, tag);
+            heap.push(t, target, tag);
         }
         // Partially drain so some ties cross a settle() boundary.
         for _ in 0..g.gen_range(20) {
@@ -128,8 +132,8 @@ fn far_future_events_route_through_overflow_identically() {
     for (i, &t) in far_times.iter().enumerate() {
         let target = ComponentId::from_raw(i);
         let tag = g.next_u64();
-        wheel.push(SimTime::from_ps(t), target, Box::new(tag));
-        heap.push(SimTime::from_ps(t), target, Box::new(tag));
+        wheel.push(SimTime::from_ps(t), target, tag);
+        heap.push(SimTime::from_ps(t), target, tag);
     }
     let mut now = 0u64;
     for _ in 0..300 {
@@ -137,8 +141,8 @@ fn far_future_events_route_through_overflow_identically() {
             let t = SimTime::from_ps(now.saturating_add(random_delta(&mut g)));
             let target = ComponentId::from_raw(g.gen_range(64) as usize);
             let tag = g.next_u64();
-            wheel.push(t, target, Box::new(tag));
-            heap.push(t, target, Box::new(tag));
+            wheel.push(t, target, tag);
+            heap.push(t, target, tag);
         } else if let Some(t) = assert_next_identical(&mut wheel, &mut heap) {
             now = t.as_ps();
         }
@@ -162,8 +166,8 @@ fn drain_to_empty_and_rebase_preserves_order() {
             let t = SimTime::from_ps(now.saturating_add(random_delta(&mut g)));
             let target = ComponentId::from_raw(g.gen_range(16) as usize);
             let tag = g.next_u64();
-            wheel.push(t, target, Box::new(tag));
-            heap.push(t, target, Box::new(tag));
+            wheel.push(t, target, tag);
+            heap.push(t, target, tag);
         }
         while let Some(t) = assert_next_identical(&mut wheel, &mut heap) {
             now = t.as_ps();
@@ -184,7 +188,7 @@ fn facade_with_oracle_armed_survives_random_load() {
     assert!(q.oracle_enabled());
     let mut now = 0u64;
     let mut last: Option<(SimTime, u64)> = None;
-    let mut check = |ev: ScheduledEvent| {
+    let mut check = |ev: ScheduledEvent<()>| {
         if let Some((t, s)) = last {
             assert!(
                 (ev.time, ev.seq) > (t, s),
@@ -199,11 +203,7 @@ fn facade_with_oracle_armed_survives_random_load() {
     for _ in 0..600 {
         if q.is_empty() || g.gen_bool(0.55) {
             let t = SimTime::from_ps(now.saturating_add(random_delta(&mut g)));
-            q.push(
-                t,
-                ComponentId::from_raw(g.gen_range(32) as usize),
-                Box::new(()),
-            );
+            q.push(t, ComponentId::from_raw(g.gen_range(32) as usize), ());
         } else {
             now = check(q.pop().expect("non-empty"));
         }
