@@ -88,10 +88,7 @@ impl Technology {
 
     /// Whether this technology uses an INIC card.
     pub fn is_inic(self) -> bool {
-        matches!(
-            self,
-            Technology::InicIdeal | Technology::InicPrototype | Technology::InicProtocol
-        )
+        self.card().is_some()
     }
 
     fn link_kind(self) -> EthernetKind {
@@ -760,26 +757,22 @@ impl Wiring {
     /// takes only the cards' completion interrupts and spends no
     /// protocol CPU at all.
     fn protocol_costs(&self) -> (SimDuration, u64) {
-        match self.technology {
-            Technology::FastEthernet | Technology::GigabitTcp => {
-                let mut cpu = SimDuration::ZERO;
-                let mut interrupts = 0u64;
-                for &nic in &self.nics {
-                    let stack = self.sim.component::<TcpHostNic>(nic);
-                    cpu = cpu.max(stack.cpu_time());
-                    interrupts += stack.interrupt_totals().1;
-                }
-                (cpu, interrupts)
-            }
-            Technology::InicIdeal | Technology::InicPrototype | Technology::InicProtocol => {
-                let interrupts = self
-                    .nics
-                    .iter()
-                    .map(|&nic| self.sim.component::<InicCard>(nic).interrupts_raised())
-                    .sum();
-                (SimDuration::ZERO, interrupts)
-            }
+        if self.technology.is_inic() {
+            let interrupts = self
+                .nics
+                .iter()
+                .map(|&nic| self.sim.component::<InicCard>(nic).interrupts_raised())
+                .sum();
+            return (SimDuration::ZERO, interrupts);
         }
+        let mut cpu = SimDuration::ZERO;
+        let mut interrupts = 0u64;
+        for &nic in &self.nics {
+            let stack = self.sim.component::<TcpHostNic>(nic);
+            cpu = cpu.max(stack.cpu_time());
+            interrupts += stack.interrupt_totals().1;
+        }
+        (cpu, interrupts)
     }
 }
 
@@ -1027,10 +1020,10 @@ pub struct CollRunResult {
 
 /// The acc-coll execution-path class a technology reduces to.
 pub fn path_class(technology: Technology) -> PathClass {
-    match technology {
-        Technology::FastEthernet | Technology::GigabitTcp => PathClass::HostTcp,
-        Technology::InicIdeal | Technology::InicPrototype => PathClass::InicCombined,
-        Technology::InicProtocol => PathClass::InicProtocol,
+    match technology.card() {
+        None => PathClass::HostTcp,
+        Some((_, _, InicMode::ProtocolProcessor)) => PathClass::InicProtocol,
+        Some((_, _, InicMode::Combined | InicMode::ComputeAccelerator)) => PathClass::InicCombined,
     }
 }
 

@@ -10,7 +10,6 @@
 //! `carrier_fits_a_frame_arrival` test keeps it that way.
 
 use acc_fpga::{FpgaCarrier, FpgaMsg};
-use acc_host::{HostCarrier, HostMsg};
 use acc_net::{NetCarrier, NetMsg};
 use acc_proto::{ProtoCarrier, ProtoMsg};
 use acc_sim::{Carrier, Carry};
@@ -41,7 +40,6 @@ pub(crate) enum CoreMsg {
 pub(crate) enum Msg {
     Net(NetMsg),
     Proto(ProtoMsg),
-    Host(HostMsg),
     Fpga(FpgaMsg),
     Core(CoreMsg),
     /// An event a component parked for re-delivery to itself (a stalled
@@ -58,12 +56,6 @@ impl From<NetMsg> for Msg {
 impl From<ProtoMsg> for Msg {
     fn from(msg: ProtoMsg) -> Msg {
         Msg::Proto(msg)
-    }
-}
-
-impl From<HostMsg> for Msg {
-    fn from(msg: HostMsg) -> Msg {
-        Msg::Host(msg)
     }
 }
 
@@ -114,16 +106,6 @@ impl ProtoCarrier for Msg {
     fn into_proto(self) -> Result<ProtoMsg, Msg> {
         match self {
             Msg::Proto(msg) => Ok(msg),
-            msg => Err(msg),
-        }
-    }
-}
-
-impl HostCarrier for Msg {
-    #[inline]
-    fn into_host(self) -> Result<HostMsg, Msg> {
-        match self {
-            Msg::Host(msg) => Ok(msg),
             msg => Err(msg),
         }
     }

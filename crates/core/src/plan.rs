@@ -15,11 +15,12 @@ use std::collections::BTreeSet;
 
 use acc_chaos::FaultPlan;
 use acc_coll::{CollectiveOp, Schedule};
+use acc_fpga::InicMode;
 use acc_net::routing::Attachment;
 use acc_net::{compute_schedule, FabricSchedule, FabricSpec, MacAddr, Topology, TrunkOutage};
 use acc_sim::SimTime;
 
-use crate::cluster::{select_algorithm, Card, ClusterSpec, Technology};
+use crate::cluster::{select_algorithm, Card, ClusterSpec};
 use crate::deadline::DeadlineHierarchy;
 use crate::drivers::RecoveryPolicy;
 use crate::runner::Workload;
@@ -54,8 +55,9 @@ pub(crate) struct RunPlan {
     /// contention, and a re-routed path must recover the frames the
     /// old one had in flight.
     pub(crate) lossless: bool,
-    /// The card every rank carries (see [`Technology::card`]), `None`
-    /// on the host-TCP technologies.
+    /// The card every rank carries (see
+    /// [`Technology::card`](crate::cluster::Technology::card)), `None` on
+    /// the host-TCP technologies.
     pub(crate) card: Option<Card>,
     /// An engine run's per-rank schedules, built once (empty for the
     /// FFT and the sort): the flat AllReduce runs its policy-selected
@@ -168,7 +170,7 @@ impl RunPlan {
             topo,
             stranded,
             fallback_homes,
-            policy: if spec.technology == Technology::InicProtocol {
+            policy: if matches!(card, Some((_, _, InicMode::ProtocolProcessor))) {
                 RecoveryPolicy::FullRestart
             } else {
                 spec.recovery

@@ -1364,3 +1364,59 @@ impl<M: FpgaCarrier> Component<M> for InicCard {
         Some(parts.join("; "))
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn at_micros(us: u64) -> SimTime {
+        SimTime::ZERO + SimDuration::from_micros(us)
+    }
+
+    /// The prototype's one 132 MB/s bus serializes a host DMA and a
+    /// network transfer issued at the same instant: the second waits
+    /// for the first, then pays its own 1 µs overhead and its bytes.
+    #[test]
+    fn aceii_serializes_host_dma_and_network_on_one_bus() {
+        let mut ports = CardPorts::aceii();
+        // 132,000 B is 1 ms at 132 MB/s; 1,320 B is 10 µs.
+        let dma_done = ports.host_in(SimTime::ZERO, DataSize::from_bytes(132_000));
+        let net_done = ports.net_out(SimTime::ZERO, DataSize::from_bytes(1_320));
+        assert_eq!(dma_done, at_micros(1 + 1_000));
+        assert_eq!(net_done, dma_done + SimDuration::from_micros(1 + 10));
+        let CardPorts::Shared { bus } = &ports else {
+            panic!("the prototype card has one shared bus");
+        };
+        assert_eq!(bus.busy_time(), SimDuration::from_micros(1_012));
+        assert_eq!(bus.bytes_moved(), 133_320);
+    }
+
+    /// The ideal card gives each direction its own engine: the same two
+    /// transfers each end at their own engine's rate, neither waiting.
+    #[test]
+    fn ideal_card_runs_host_dma_and_network_independently() {
+        let mut ports = CardPorts::ideal();
+        // 64 KiB at 80 MiB/s is 781.25 µs; 9 KiB at 90 MiB/s is 97.65625 µs.
+        let dma_done = ports.host_in(SimTime::ZERO, DataSize::from_kib(64));
+        let net_done = ports.net_out(SimTime::ZERO, DataSize::from_kib(9));
+        assert_eq!(dma_done, SimTime::ZERO + SimDuration::from_nanos(781_250));
+        assert_eq!(net_done, SimTime::ZERO + SimDuration::from_ps(97_656_250));
+        let CardPorts::Dual {
+            host_in,
+            host_out,
+            net_in,
+            net_out,
+        } = &ports
+        else {
+            panic!("the ideal card has one engine per direction");
+        };
+        assert_eq!(host_in.busy_time(), SimDuration::from_nanos(781_250));
+        assert_eq!(host_in.bytes_moved(), 64 * 1024);
+        assert_eq!(net_out.busy_time(), SimDuration::from_ps(97_656_250));
+        assert_eq!(net_out.bytes_moved(), 9 * 1024);
+        for idle in [host_out, net_in] {
+            assert_eq!(idle.busy_time(), SimDuration::ZERO);
+            assert_eq!(idle.bytes_moved(), 0);
+        }
+    }
+}

@@ -2,6 +2,9 @@
 # Tier-1 gate: everything CI runs, runnable locally in one shot.
 # Fails fast on the first broken step.
 set -eu
+# Every cargo step that resolves dependencies runs --locked: a change to
+# a crate's dependencies must fail here, not silently rewrite a lockfile
+# (acc_benchmark's own Cargo.lock lists every path crate's dependencies).
 
 cd "$(dirname "$0")/.."
 
@@ -9,13 +12,13 @@ echo "== cargo fmt --check"
 cargo fmt --check
 
 echo "== cargo clippy (deny warnings)"
-cargo clippy -q --workspace --all-targets -- -D warnings
+cargo clippy -q --locked --workspace --all-targets -- -D warnings
 
 echo "== cargo build --release"
 # --workspace: the root manifest is also the umbrella package, and a
 # bare `cargo build` would build only it — leaving the acc-lint,
 # acc-verify, ablation and soak binaries the later steps execute stale.
-cargo build --release --workspace
+cargo build --release --locked --workspace
 
 echo "== acc-lint (static determinism/wire-safety invariants)"
 ./target/release/acc-lint
@@ -32,14 +35,14 @@ echo "== cargo test --workspace"
 # tests and crates/*/tests suites (the wire-codec, scheduler and verify
 # properties among them). About 5 min on a 2-vCPU host, debug build of
 # all 71 test binaries included.
-cargo test -q --workspace
+cargo test -q --locked --workspace
 
 echo "== cargo test acc_benchmark (its own workspace)"
 # The benchmark package is a workspace of its own, so the --workspace
 # steps above neither build nor test it: a sim/core API change that
 # breaks it would otherwise surface only when the benchmark runs. About
 # 70 s to build and 2 s to test on a 2-vCPU host.
-cargo test --release --offline --manifest-path crates/bench/src/bin/acc_benchmark/Cargo.toml
+cargo test --release --offline --locked --manifest-path crates/bench/src/bin/acc_benchmark/Cargo.toml
 
 echo "== acc_benchmark --workload coll_latency --seconds 1 (smoke run of the benchmark)"
 # The command BENCHMARK.json declares, run for one second on one
