@@ -1,5 +1,5 @@
-//! Integer sorting kernels: count sort, bucket sort, the prototype's
-//! two-phase bucket sort, and a quicksort baseline.
+//! Integer sorting kernels: count sort, bucket sort and a quicksort
+//! baseline.
 //!
 //! The paper (Section 3.2) builds its parallel sort from two pieces:
 //!
@@ -16,8 +16,9 @@
 //!
 //! The prototype INIC cannot fit the full receive-side bucket sort in its
 //! Xilinx 4085XLA (Section 6), so it splits bucketing into **two phases**:
-//! 16 buckets on the card, then `N` sub-buckets on the host —
-//! [`two_phase_bucket_sort`] reproduces that path.
+//! 16 buckets on the card, then `N` sub-buckets on the host — the core
+//! crate's sort driver runs that path with [`bucket_sort_flat`] over the
+//! card's 16 coarse buckets.
 
 /// The right shift that maps a key to one of `k` top-bits buckets. `k`
 /// must be a power of two ≥ 2; per-key loops hoist this check.
@@ -176,26 +177,6 @@ pub fn bucket_then_count_sort(keys: &[u32], k: usize) -> Vec<u32> {
     let (mut out, ends) = bucket_sort_flat(keys, k);
     count_sort_buckets(&mut out, &ends);
     out
-}
-
-/// The prototype INIC pipeline (Fig. 7): the card buckets into
-/// `first` (16 for the 4085XLA) buckets, the host buckets each of those
-/// into `second` sub-buckets, then count-sorts. Output is fully sorted.
-///
-/// Returns `(sorted, host_bucket_ops)` where `host_bucket_ops` counts the
-/// keys the *host* had to re-bucket — the second-phase work the ideal INIC
-/// eliminates; the cost models consume it.
-pub fn two_phase_bucket_sort(keys: &[u32], first: usize, second: usize) -> (Vec<u32>, u64) {
-    let total = first
-        .checked_mul(second)
-        .expect("bucket-count product overflow");
-    assert!(total <= 1 << 30, "combined bucket count unreasonably large");
-    assert!(second.is_power_of_two() && second >= 2);
-    let (phase1, _) = bucket_sort_flat(keys, first);
-    // Sub-bucketing each first-phase bucket on the next bits down is one
-    // stable pass into all `first × second` buckets: the first-phase
-    // buckets are already contiguous and in order.
-    (bucket_then_count_sort(&phase1, total), keys.len() as u64)
 }
 
 /// Quicksort baseline — the comparator the paper measured count sort to be
@@ -396,16 +377,6 @@ mod tests {
             expect.sort_unstable();
             assert_eq!(sorted, expect, "k={k}");
         }
-    }
-
-    #[test]
-    fn two_phase_equals_single_phase() {
-        let keys = uniform_keys(30_000, 13);
-        let (two, host_ops) = two_phase_bucket_sort(&keys, 16, 8);
-        let one = bucket_then_count_sort(&keys, 128);
-        assert_eq!(two, one);
-        // Host re-buckets every key exactly once in phase 2.
-        assert_eq!(host_ops, keys.len() as u64);
     }
 
     #[test]

@@ -10,7 +10,6 @@ use acc_algos::fft::{fft, fft_2d, ifft, naive_dft, Matrix};
 use acc_algos::sort::{
     bucket_index, bucket_sort, bucket_then_count_sort, bytes_to_keys, count_sort,
     count_sort_in_place, counting_pass, digit_plan, is_sorted, keys_to_bytes, quicksort,
-    two_phase_bucket_sort,
 };
 use acc_algos::transpose::{
     bytes_to_slab, distributed_transpose, join_row_blocks, slab_to_bytes, split_row_blocks,
@@ -229,18 +228,6 @@ fn bucket_then_count_equals_std() {
         let mut expect = keys;
         expect.sort_unstable();
         assert_eq!(got, expect);
-    }
-}
-
-#[test]
-fn two_phase_equals_one_phase() {
-    let mut g = Gen::new(0xAA);
-    for _ in 0..32 {
-        let keys = g.keys(4000);
-        let (two, ops) = two_phase_bucket_sort(&keys, 16, 8);
-        let one = bucket_then_count_sort(&keys, 128);
-        assert_eq!(two, one);
-        assert_eq!(ops, keys.len() as u64);
     }
 }
 

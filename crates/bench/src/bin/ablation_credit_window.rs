@@ -99,8 +99,6 @@ fn run_incast(window: u64) -> (Option<f64>, u64) {
     let p = 9usize;
     let payload = 256 * 1024;
     let mut sim = Simulation::new(5);
-    // Bound runaway scenarios (a deadlocked run simply drains early).
-    sim.set_event_limit(50_000_000);
     let link = LinkParams::for_kind(EthernetKind::Gigabit);
     let macs: Vec<MacAddr> = (0..p).map(|i| MacAddr::for_node(i, 2)).collect();
     let drivers: Vec<ComponentId> = (0..p).map(|_| sim.reserve_id()).collect();

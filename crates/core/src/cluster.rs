@@ -601,7 +601,7 @@ impl Wiring {
         let wd = hierarchy.watchdog();
         // acc-lint: allow(R6, reason = "this is the deadline-aware wrapper itself: the watchdog built two lines up bounds the run")
         let outcome = self.sim.run_guarded(&wd);
-        let ranks: Vec<DriverProgress> = self.ranks::<D>().map(D::progress).collect();
+        let ranks: Vec<DriverProgress> = self.ranks::<D>().map(|d| d.fo().progress()).collect();
         match outcome {
             Ok(_) if ranks.iter().all(|r| r.done) => Ok(()),
             Ok(_) => {
@@ -697,7 +697,7 @@ impl Wiring {
     fn summarize<D: Recoverable>(&self, plan: &RunPlan) -> RunSummary {
         let (mut start, mut end) = (SimTime::MAX, SimTime::ZERO);
         for drv in self.ranks::<D>() {
-            let (began, done) = drv.span();
+            let (began, done) = drv.fo().span();
             start = start.min(began);
             end = end.max(done);
         }
@@ -828,9 +828,9 @@ pub(crate) fn fft(
             rows,
             slabs[rank].clone(),
             attachment,
+            fault_ctl,
             kernels.clone(),
         )
-        .with_fault_ctl(fault_ctl)
     };
     let ((compute, transpose, transpose_compute, transpose_comm), s) =
         run(spec, plan, make, |w: &Wiring| {
@@ -947,8 +947,9 @@ pub(crate) fn sort(
         } else {
             std::mem::take(&mut taken[rank])
         };
-        let mut driver = SortDriver::new(rank, spec.p, keys, variant, attachment, kernels.clone())
-            .with_fault_ctl(fault_ctl);
+        let kernels = kernels.clone();
+        let mut driver =
+            SortDriver::new(rank, spec.p, keys, variant, attachment, fault_ctl, kernels);
         if let Some(sp) = &splitters {
             driver = driver.with_splitters(sp.clone());
         }
@@ -1191,14 +1192,13 @@ fn run_schedules(
     let make = |rank, attachment, fault_ctl| {
         CollDriver::new(
             rank,
-            spec.p,
             schedules[rank].clone(),
             Rc::clone(&inputs[rank]),
             attachment,
+            fault_ctl,
             kernels.clone(),
             offload.as_ref().map(|plans| plans[rank].clone()),
         )
-        .with_fault_ctl(fault_ctl)
     };
     let ((comm, compute), s) = run(spec, plan, make, |w: &Wiring| {
         let [mut comm, mut compute] = [SimDuration::ZERO; 2];

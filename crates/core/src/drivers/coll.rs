@@ -4,9 +4,9 @@
 //! builders. Each round becomes one transfer step of the exchange every
 //! driver shares (`exchange.rs`), which posts it and reports when it
 //! was received and sent; the driver keeps only the encode, the folds,
-//! the charges and the checkpoints. The same rounds drive all three
-//! execution paths, so adding an algorithm to the engine needs no
-//! driver changes at all.
+//! the charges and what each checkpoint holds. The same rounds drive
+//! all three execution paths, so adding an algorithm to the engine
+//! needs no driver changes at all.
 //!
 //! * **Host-TCP path** (commodity technologies): each round's sends go
 //!   out as one TCP message per peer on a per-round channel; `Sum`
@@ -54,7 +54,6 @@
 //!   ride the fallback `TcpHostNic`, and a combined-mode fold whose
 //!   source died falls back to host arithmetic.
 
-use std::collections::BTreeMap;
 use std::ops::Range;
 use std::rc::Rc;
 
@@ -65,7 +64,7 @@ use acc_fpga::{Bitstream, GatherKind, ScatterKind};
 use acc_host::HostKernels;
 use acc_sim::{Component, SimDuration, SimTime};
 
-use super::exchange::{CardPart, Exchange, Received, Step};
+use super::exchange::{CardPart, Received, Step};
 use super::failover::{self, Failover, Recoverable};
 use super::{Attachment, FaultCtl};
 use crate::msg::{Ctx, Msg};
@@ -79,16 +78,13 @@ pub(crate) struct CollTimings {
     /// sweeps of composed workloads). Zero for pure collectives on the
     /// combined INIC path.
     pub compute: SimDuration,
-    /// Completion instant.
-    pub done_at: Option<SimTime>,
-    /// Start instant (post-configuration).
-    pub started_at: Option<SimTime>,
 }
 
 /// Per-node schedule driver.
 pub(crate) struct CollDriver {
-    /// Network attachment and failover state.
-    fo: Failover,
+    /// The rank's lifecycle; checkpoints are state snapshots keyed by
+    /// completed-round count.
+    fo: Failover<Vec<f64>>,
     kernels: HostKernels,
     schedule: Schedule,
     /// The pre-validated card datapath (INIC attachments only).
@@ -97,21 +93,11 @@ pub(crate) struct CollDriver {
     /// This rank's contribution, shared with the run's oracle.
     input: Rc<[f64]>,
     round: usize,
-    /// Each round's transfer step, and the inbox where peers running
-    /// ahead park their messages for later rounds.
-    xchg: Exchange,
     /// The transport partition of the round whose step is in flight:
     /// set when the step is posted, taken when it is folded.
     legs: Option<RoundLegs>,
-    in_charge: bool,
+    /// When the round whose step is in flight was posted.
     round_started: SimTime,
-    charge_started: SimTime,
-    phase_entered: SimTime,
-    current_phase: &'static str,
-    done: bool,
-    /// Round-level checkpoints: completed-round count → state snapshot.
-    /// Armed only under the checkpointed policy with a coordinator.
-    ckpts: BTreeMap<u32, Vec<f64>>,
     /// Timing decomposition.
     pub timings: CollTimings,
 }
@@ -124,13 +110,14 @@ impl CollDriver {
     /// panic.
     pub fn new(
         rank: usize,
-        p: usize,
         schedule: Schedule,
         input: Rc<[f64]>,
         attachment: Attachment,
+        ctl: FaultCtl,
         kernels: HostKernels,
         offload: Option<OffloadPlan>,
     ) -> CollDriver {
+        let p = attachment.macs().len();
         assert!(rank < p, "rank {rank} out of range for p={p}");
         assert!(
             schedule
@@ -149,36 +136,22 @@ impl CollDriver {
             "round index must fit the TCP channel id"
         );
         CollDriver {
-            fo: Failover::new(format!("coll-driver{rank}"), rank, attachment),
+            fo: Failover::new(format!("coll-driver{rank}"), rank, attachment, ctl),
             kernels,
             schedule,
             offload,
             state: Vec::new(),
             input,
             round: 0,
-            xchg: Exchange::default(),
             legs: None,
-            in_charge: false,
             round_started: SimTime::ZERO,
-            charge_started: SimTime::ZERO,
-            phase_entered: SimTime::ZERO,
-            current_phase: "init",
-            done: false,
-            ckpts: BTreeMap::new(),
             timings: CollTimings::default(),
         }
     }
 
-    /// Attach the fault-handling configuration (builder style).
-    #[must_use]
-    pub fn with_fault_ctl(mut self, ctl: FaultCtl) -> CollDriver {
-        self.fo.ctl = ctl;
-        self
-    }
-
     /// The rank's output slice of the final state, once done.
     pub fn result(&self) -> Vec<f64> {
-        assert!(self.done, "driver not finished");
+        assert!(self.fo.is_done(), "driver not finished");
         self.state[self.schedule.output.clone()].to_vec()
     }
 
@@ -213,9 +186,7 @@ impl CollDriver {
     /// checkpoints are armed.
     fn advance_round(&mut self) {
         self.round += 1;
-        if self.fo.ckpt_armed() {
-            self.ckpts.insert(self.round as u32, self.state.clone());
-        }
+        self.fo.save(self.round as u32, || self.state.clone());
     }
 
     /// The wire form of `ranges` of the state, in one exact-size buffer.
@@ -234,9 +205,8 @@ impl CollDriver {
                 return;
             }
             let round = &self.schedule.rounds[self.round];
-            if round.phase != self.current_phase {
-                self.current_phase = round.phase;
-                self.phase_entered = ctx.now();
+            if round.phase != self.fo.phase().0 {
+                self.fo.enter(round.phase, ctx.now());
             }
             Schedule::apply_copies(round, &mut self.state);
             let compute_elems = round.compute_elems;
@@ -244,8 +214,7 @@ impl CollDriver {
                 // Pure local round: charge any modelled compute and move
                 // on; an entirely empty round falls straight through.
                 if compute_elems > 0 {
-                    self.charge(ctx, self.sweep_time(compute_elems));
-                    return;
+                    return self.fo.compute(self.sweep_time(compute_elems), ctx);
                 }
                 self.advance_round();
                 continue;
@@ -259,12 +228,6 @@ impl CollDriver {
     /// round's `compute_elems` doubles).
     fn sweep_time(&self, elems: usize) -> SimDuration {
         self.kernels.reduce_time(elems as u64, 1)
-    }
-
-    fn charge(&mut self, ctx: &mut Ctx, t: SimDuration) {
-        self.in_charge = true;
-        self.charge_started = ctx.now();
-        self.fo.compute(t, ctx);
     }
 
     /// Whether the configured bitstream carries a `ReduceSum` stage.
@@ -362,19 +325,9 @@ impl CollDriver {
             recvs: legs.tcp_recvs.iter().map(|r| (r.from, bytes(r))).collect(),
         };
         self.legs = Some(legs);
-        self.xchg.start(&self.fo, step, ctx);
+        self.fo.post(step, ctx);
         // Peers running ahead may already have delivered everything.
         self.advance(ctx);
-    }
-
-    /// Close the current round once its step was both received and
-    /// sent.
-    fn advance(&mut self, ctx: &mut Ctx) {
-        if self.xchg.received(&self.fo) && self.xchg.sent() {
-            let got = self.xchg.take();
-            let sum_elems = self.fold(got);
-            self.close_round(ctx, sum_elems);
-        }
     }
 
     /// Fold the current round's card gather and TCP messages into the
@@ -422,7 +375,7 @@ impl CollDriver {
             t += self.sweep_time(compute_elems);
         }
         if t > SimDuration::ZERO {
-            self.charge(ctx, t);
+            self.fo.compute(t, ctx);
         } else {
             self.advance_round();
             self.start_round(ctx);
@@ -430,20 +383,16 @@ impl CollDriver {
     }
 
     fn finish(&mut self, ctx: &mut Ctx) {
-        self.timings.done_at = Some(ctx.now());
-        self.done = true;
-        self.current_phase = "done";
-        self.phase_entered = ctx.now();
         if self.fo.epoch == 0 {
             // Post-failover, bytes parked on dead-epoch channels are
             // expected leftovers; on a clean run they are a protocol bug.
             assert!(
-                self.xchg.inbox_empty(),
+                self.fo.xchg.inbox_empty(),
                 "{}: leftover peer bytes at completion",
                 self.fo.label
             );
         }
-        self.fo.report_done(ctx);
+        self.fo.finish(ctx);
     }
 }
 
@@ -475,11 +424,13 @@ fn expected_rx_bytes(schedule: &Schedule, epoch: u64, src: usize, chan: u16) -> 
 }
 
 impl Recoverable for CollDriver {
-    fn fo(&self) -> &Failover {
+    type Checkpoint = Vec<f64>;
+
+    fn fo(&self) -> &Failover<Vec<f64>> {
         &self.fo
     }
 
-    fn fo_mut(&mut self) -> &mut Failover {
+    fn fo_mut(&mut self) -> &mut Failover<Vec<f64>> {
         &mut self.fo
     }
 
@@ -492,100 +443,57 @@ impl Recoverable for CollDriver {
     }
 
     fn begin(&mut self, ctx: &mut Ctx) {
-        self.timings.started_at = Some(ctx.now());
         self.state = self.schedule.init_state(&self.input);
-        self.phase_entered = ctx.now();
         self.start_round(ctx);
     }
 
-    fn compute_done(&mut self, ctx: &mut Ctx) {
-        assert!(self.in_charge, "{}: stray charge completion", self.fo.label);
-        self.in_charge = false;
-        self.timings.compute += ctx.now().since(self.charge_started);
+    fn compute_done(&mut self, elapsed: SimDuration, ctx: &mut Ctx) {
+        self.timings.compute += elapsed;
         self.advance_round();
         self.start_round(ctx);
     }
 
-    fn on_event(&mut self, ev: Msg, ctx: &mut Ctx) {
-        let (schedule, epoch) = (&self.schedule, self.fo.epoch);
-        let size = |src, chan| Some(expected_rx_bytes(schedule, epoch, src, chan));
-        self.xchg.on_event(ev, &self.fo, size);
-        self.advance(ctx);
+    fn rx_size(&self, src: usize, chan: u16) -> Option<usize> {
+        Some(expected_rx_bytes(&self.schedule, self.fo.epoch, src, chan))
+    }
+
+    /// Close the current round once its step was both received and
+    /// sent.
+    fn advance(&mut self, ctx: &mut Ctx) {
+        if self.fo.received() && self.fo.xchg.sent() {
+            let got = self.fo.xchg.take();
+            let sum_elems = self.fold(got);
+            self.close_round(ctx, sum_elems);
+        }
     }
 
     /// Streams announced before the bump can never complete once the
     /// peer set changed.
-    fn abort_stream(&self) -> Option<u32> {
-        self.xchg.abort_stream()
-    }
-
     fn park(&mut self) {
-        self.xchg.cancel();
+        self.fo.xchg.cancel();
         self.legs = None;
-        self.in_charge = false;
     }
 
-    /// Completed rounds this rank can prove: without checkpoints
-    /// (rank-local policy) the honest answer is 0, a from-scratch
-    /// restart.
-    fn checkpoint(&self) -> u32 {
-        self.ckpts.keys().next_back().copied().unwrap_or(0)
-    }
-
+    /// Completed rounds are the checkpoint indices; without checkpoints
+    /// (rank-local policy) a rank reports 0, a from-scratch restart.
     fn finished(&self) -> u32 {
         self.schedule.rounds.len() as u32
     }
 
-    /// Every rank restarts the whole schedule over the fallback NIC,
-    /// healthy cards included.
-    fn restart(&mut self, ctx: &mut Ctx) {
-        self.park();
-        self.xchg = Exchange::default();
-        self.ckpts.clear();
-        self.timings = CollTimings {
-            started_at: self.timings.started_at,
-            ..CollTimings::default()
-        };
-        self.restore(0, ctx);
+    fn restart(&mut self) {
+        self.timings = CollTimings::default();
     }
 
     /// Re-enter at round `phase`. Ranks that already finished rejoin —
     /// peers re-executing earlier rounds need their messages, and the
     /// lockstep determinism makes the re-execution bit-identical.
     fn restore(&mut self, phase: u32, ctx: &mut Ctx) {
-        self.done = false;
         self.round = phase as usize;
-        self.state = if phase == 0 {
-            self.schedule.init_state(&self.input)
-        } else {
-            self.ckpts
-                .get(&phase)
-                .unwrap_or_else(|| {
-                    panic!(
-                        "{}: resume round {phase} without its checkpoint",
-                        self.fo.label
-                    )
-                })
-                .clone()
+        self.state = match phase {
+            0 => self.schedule.init_state(&self.input),
+            k => self.fo.checkpoint(k).clone(),
         };
-        if self.timings.started_at.is_none() {
-            self.timings.started_at = Some(ctx.now());
-        }
-        self.phase_entered = ctx.now();
         self.start_round(ctx);
-    }
-
-    fn phase(&self) -> (&'static str, SimTime) {
-        (self.current_phase, self.phase_entered)
-    }
-
-    fn is_done(&self) -> bool {
-        self.done
-    }
-
-    fn span(&self) -> (SimTime, SimTime) {
-        let t = &self.timings;
-        (t.started_at.expect("started"), t.done_at.expect("done"))
     }
 }
 
@@ -599,22 +507,22 @@ impl Component<Msg> for CollDriver {
     }
 
     fn wait_state(&self) -> Option<String> {
-        if self.done {
+        if self.fo.is_done() {
             return None;
         }
         // `tcp` names the fallback legs of a card round.
-        let (gather, scatter, tcp) = self.xchg.pending();
+        let (gather, scatter, tcp) = self.fo.xchg.pending();
         Some(format!(
             "rank {} in {} (round {}/{}, epoch {}, gather={}, scatter={}, tcp={}, charge={}{})",
             self.fo.rank,
-            self.current_phase,
+            self.fo.phase().0,
             self.round,
             self.schedule.rounds.len(),
             self.fo.epoch,
             gather,
             scatter,
             !self.is_tcp() && tcp > 0,
-            self.in_charge,
+            self.fo.charging(),
             self.fo.parked_note(),
         ))
     }

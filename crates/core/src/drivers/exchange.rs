@@ -7,11 +7,12 @@
 //! part (a gather announced with its sources, a scatter with its
 //! bytes, both under one stream), the TCP parts to send on the
 //! channel, and the TCP messages to wait for, each with the size its
-//! receiver expects. [`Exchange`] posts a step, routes the deliveries
-//! and card completions, drops what an aborted attempt left behind,
-//! and reports two facts: [`received`](Exchange::received) (the gather
-//! and every TCP message are in) and [`sent`](Exchange::sent) (the
-//! scatter's completion is in). Each driver builds its own steps and
+//! receiver expects. [`Exchange`] posts a step, takes in the
+//! deliveries and card completions the failover core routes to it,
+//! drops what an aborted attempt left behind, and reports two facts:
+//! [`received`](Exchange::received) (the gather and every TCP message
+//! are in) and [`sent`](Exchange::sent) (the scatter's completion is
+//! in). Each driver builds its own steps and
 //! reads the fact it needs: the FFT and sort complete an exchange on
 //! what they receive, the collective engine closes a round once it
 //! was also sent.
@@ -39,13 +40,12 @@
 use std::collections::BTreeMap;
 
 use acc_algos::transpose::ring_schedule;
-use acc_fpga::{FpgaMsg, GatherKind, InicExpect, InicScatter, ScatterKind};
+use acc_fpga::{FpgaMsg, GatherKind, InicExpect, InicGatherComplete, InicScatter, ScatterKind};
 use acc_proto::{ProtoMsg, TcpSend};
-use acc_sim::unknown_event;
 
 use super::failover::Failover;
 use super::Attachment;
-use crate::msg::{Ctx, Msg};
+use crate::msg::Ctx;
 
 /// Bytes of a length-prefixed message's prefix.
 const PREFIX: usize = 8;
@@ -171,9 +171,9 @@ impl Route {
     /// length-prefixed when `None`. `part(q)` is the body of rank `q`'s
     /// part; it is called once per part that leaves this host. On the
     /// card, the parts for ranks whose cards died ride the fallback NIC.
-    pub(super) fn step(
+    pub(super) fn step<C>(
         self,
-        fo: &Failover,
+        fo: &Failover<C>,
         tag: u8,
         size: Option<usize>,
         mut part: impl FnMut(usize) -> Vec<u8>,
@@ -266,7 +266,13 @@ pub(super) struct Exchange {
 impl Exchange {
     /// Post `step`: announce its gather, post its scatter, then send
     /// its TCP parts in order.
-    pub(super) fn start(&mut self, fo: &Failover, step: Step, ctx: &mut Ctx) {
+    pub(super) fn start(
+        &mut self,
+        attachment: &Attachment,
+        label: &str,
+        step: Step,
+        ctx: &mut Ctx,
+    ) {
         let chan = step.chan;
         let mut flight = InFlight {
             chan,
@@ -274,8 +280,8 @@ impl Exchange {
             ..InFlight::default()
         };
         if let Some(part) = step.card {
-            let Attachment::Inic { card, macs, .. } = &fo.attachment else {
-                panic!("{}: card exchange without a card", fo.label);
+            let Attachment::Inic { card, macs, .. } = attachment else {
+                panic!("{label}: card exchange without a card");
             };
             let stream = part.stream;
             flight.stream = Some(stream);
@@ -300,7 +306,7 @@ impl Exchange {
                 ctx.send_now(*card, FpgaMsg::Scatter(Box::new(scatter)));
             }
         }
-        let tcp = match &fo.attachment {
+        let tcp = match attachment {
             Attachment::Tcp { nic, macs } => Some((nic, macs)),
             Attachment::Inic { fallback, .. } => fallback.as_ref().map(|fb| (&fb.0, &fb.1)),
         };
@@ -312,53 +318,41 @@ impl Exchange {
         self.step = Some(flight);
     }
 
-    /// Take in a TCP delivery, buffered with the byte count
-    /// `size(src, chan)` its receiver expects, or a card completion.
-    /// A completion no step awaits is a pre-failover stream completing
-    /// against a dead epoch and is dropped; on a clean run it is a
-    /// protocol bug. Panics on any other event.
-    pub(super) fn on_event(
-        &mut self,
-        ev: Msg,
-        fo: &Failover,
-        size: impl Fn(usize, u16) -> Option<usize>,
-    ) {
+    /// Buffer a TCP delivery from `src` on `chan` whose message has
+    /// `size` bytes (`None`: length-prefixed).
+    pub(super) fn deliver(&mut self, src: usize, chan: u16, data: Vec<u8>, size: Option<usize>) {
+        self.inbox.deliver(src, chan, data, size);
+    }
+
+    /// Take in a card gather: `false` when no step awaits it.
+    pub(super) fn gathered(&mut self, g: InicGatherComplete) -> bool {
         let step = self.step.as_mut();
-        match ev {
-            Msg::Proto(ProtoMsg::Delivered(d)) => {
-                let src = fo.attachment.resolve_src(d.peer);
-                let src = src.expect("delivery from unknown MAC");
-                self.inbox.deliver(src, d.chan, d.data, size(src, d.chan));
-            }
-            Msg::Fpga(FpgaMsg::GatherComplete(g)) => {
-                match step.filter(|s| s.stream == Some(g.stream) && s.awaits_gather) {
-                    Some(step) => {
-                        step.awaits_gather = false;
-                        step.gather = Some((g.data, g.bucket_bounds));
-                    }
-                    None => assert!(fo.epoch > 0, "{}: stale gather", fo.label),
-                }
-            }
-            Msg::Fpga(FpgaMsg::ScatterDone(s)) => {
-                if let Some(step) =
-                    step.filter(|st| st.stream == Some(s.stream) && st.awaits_scatter)
-                {
-                    step.awaits_scatter = false;
-                } else if let Some(at) = self.draining.iter().position(|&d| d == s.stream) {
-                    self.draining.swap_remove(at);
-                } else {
-                    assert!(fo.epoch > 0, "{}: stale scatter", fo.label);
-                }
-            }
-            _ => unknown_event(&fo.label),
+        let Some(step) = step.filter(|s| s.stream == Some(g.stream) && s.awaits_gather) else {
+            return false;
+        };
+        step.awaits_gather = false;
+        step.gather = Some((g.data, g.bucket_bounds));
+        true
+    }
+
+    /// Take in a card scatter's completion: `false` when neither the
+    /// step in flight nor a draining one awaits it.
+    pub(super) fn scattered(&mut self, stream: u32) -> bool {
+        let step = self.step.as_mut();
+        if let Some(step) = step.filter(|s| s.stream == Some(stream) && s.awaits_scatter) {
+            step.awaits_scatter = false;
+        } else if let Some(at) = self.draining.iter().position(|&d| d == stream) {
+            self.draining.swap_remove(at);
+        } else {
+            return false;
         }
+        true
     }
 
     /// Whether the step in flight received everything: its card gather
-    /// (if any) and every TCP message it waits for. A parked rank
-    /// receives nothing.
-    pub(super) fn received(&self, fo: &Failover) -> bool {
-        self.step.is_some() && !fo.paused && matches!(self.pending(), (false, _, 0))
+    /// (if any) and every TCP message it waits for.
+    pub(super) fn received(&self) -> bool {
+        self.step.is_some() && matches!(self.pending(), (false, _, 0))
     }
 
     /// Whether the step in flight's scatter (if any) completed.

@@ -31,17 +31,15 @@
 //! Each completed phase can checkpoint the slab so a failover resumes
 //! from the last phase every rank completed.
 
-use std::collections::BTreeMap;
-
 use acc_algos::fft::{fft_in_place, Direction, Matrix};
 use acc_algos::transpose::{
     bytes_to_slab, extract_transposed_block, interleave_block, ring_schedule, slab_to_bytes,
 };
 use acc_fpga::{Bitstream, GatherKind, InicMode, ScatterKind};
 use acc_host::HostKernels;
-use acc_sim::{Component, DataSize, SimDuration, SimTime};
+use acc_sim::{Component, DataSize, SimDuration};
 
-use super::exchange::{Exchange, Received, Route};
+use super::exchange::{Received, Route};
 use super::failover::{self, Failover, Recoverable};
 use super::{Attachment, FaultCtl};
 use crate::msg::{Ctx, Msg};
@@ -59,8 +57,6 @@ enum Phase {
     Exchange(u8),
     /// Transpose number `i`: host final-permutation charge running.
     Permute(u8),
-    /// Finished.
-    Done,
 }
 
 /// Timing record of one completed run, readable after `sim.run()`.
@@ -74,29 +70,20 @@ pub(crate) struct FftTimings {
     /// final permutation charges) — zero on INIC paths, where the card
     /// absorbs the data manipulation.
     pub transpose_compute: SimDuration,
-    /// When this node finished step ❹ (absolute).
-    pub done_at: Option<SimTime>,
-    /// When this node started step ❶ (absolute; after configuration on
-    /// INIC technologies).
-    pub started_at: Option<SimTime>,
 }
 
 /// The per-node FFT application driver.
 pub(crate) struct FftDriver {
-    /// Network attachment and failover state.
-    fo: Failover,
+    /// The rank's lifecycle; checkpoints are slab snapshots keyed by
+    /// completed phase (1 = row FFTs #1, 2 = transpose #1, 3 = row FFTs
+    /// #2).
+    fo: Failover<Matrix>,
     p: usize,
     rows: usize,
     m: usize,
     kernels: HostKernels,
     slab: Matrix,
     phase: Phase,
-    phase_entered: SimTime,
-    /// Start of the current transpose sub-phase (local transpose or
-    /// final permutation) for the compute/comm decomposition.
-    subphase_entered: SimTime,
-    /// The transpose's block exchange.
-    xchg: Exchange,
     /// Current pairwise exchange step (1-based) — commodity path.
     exchange_step: usize,
     /// The transposed slab, assembled as the exchange delivers blocks;
@@ -106,10 +93,6 @@ pub(crate) struct FftDriver {
     /// Untouched copy of the input slab: `begin_fft` transforms `slab`
     /// in place, so a card-failure restart needs the original back.
     pristine: Matrix,
-    /// Phase checkpoints: slab snapshots keyed by completed phase
-    /// (1 = row FFTs #1, 2 = transpose #1, 3 = row FFTs #2). Captured
-    /// only under `RecoveryPolicy::Checkpointed` with a coordinator.
-    ckpts: BTreeMap<u32, Matrix>,
     /// Timings, filled as the run progresses.
     pub timings: FftTimings,
 }
@@ -123,13 +106,14 @@ impl FftDriver {
         rows: usize,
         slab: Matrix,
         attachment: Attachment,
+        ctl: FaultCtl,
         kernels: HostKernels,
     ) -> FftDriver {
         assert_eq!(slab.rows(), rows / p, "slab height");
         assert_eq!(slab.cols(), rows, "slab width");
         let m = rows / p;
         FftDriver {
-            fo: Failover::new(format!("fft-driver{rank}"), rank, attachment),
+            fo: Failover::new(format!("fft-driver{rank}"), rank, attachment, ctl),
             p,
             rows,
             m,
@@ -137,40 +121,16 @@ impl FftDriver {
             pristine: slab.clone(),
             slab,
             phase: Phase::Init,
-            phase_entered: SimTime::ZERO,
-            subphase_entered: SimTime::ZERO,
-            xchg: Exchange::default(),
             exchange_step: 0,
             incoming: Matrix::zeros(m, rows),
-            ckpts: BTreeMap::new(),
             timings: FftTimings::default(),
         }
     }
 
-    /// Attach fault-handling configuration (builder style).
-    #[must_use]
-    pub fn with_fault_ctl(mut self, ctl: FaultCtl) -> FftDriver {
-        self.fo.ctl = ctl;
-        self
-    }
-
     /// The node's final slab (the 2D FFT's row block) once done.
     pub fn result(&self) -> &Matrix {
-        assert_eq!(self.phase, Phase::Done, "driver not finished");
+        assert!(self.fo.is_done(), "driver not finished");
         &self.slab
-    }
-
-    /// Phase name for liveness attribution; the two transposes report
-    /// as one phase each (their sub-phases share one model budget).
-    fn phase_name(&self) -> &'static str {
-        match self.phase {
-            Phase::Init => "init",
-            Phase::Fft(1) => "fft1",
-            Phase::Fft(_) => "fft2",
-            Phase::LocalTranspose(1) | Phase::Exchange(1) | Phase::Permute(1) => "transpose1",
-            Phase::LocalTranspose(_) | Phase::Exchange(_) | Phase::Permute(_) => "transpose2",
-            Phase::Done => "done",
-        }
     }
 
     fn partition_bytes(&self) -> DataSize {
@@ -181,12 +141,8 @@ impl FftDriver {
 
     fn begin_fft(&mut self, which: u8, ctx: &mut Ctx) {
         self.phase = Phase::Fft(which);
-        self.phase_entered = ctx.now();
-        // A failover restart keeps the original start instant: the cost
-        // of the aborted attempt is part of the degraded run's time.
-        if which == 1 && self.timings.started_at.is_none() {
-            self.timings.started_at = Some(ctx.now());
-        }
+        let name = ["fft1", "fft2"][usize::from(which) - 1];
+        self.fo.enter(name, ctx.now());
         // The real computation.
         for r in 0..self.slab.rows() {
             fft_in_place(self.slab.row_mut(r), Direction::Forward);
@@ -196,17 +152,17 @@ impl FftDriver {
         self.fo.compute(charge, ctx);
     }
 
-    fn on_fft_done(&mut self, which: u8, ctx: &mut Ctx) {
-        self.timings.compute += ctx.now().since(self.phase_entered);
-        if self.fo.ckpt_armed() {
-            let k = if which == 1 { 1 } else { 3 };
-            self.ckpts.insert(k, self.slab.clone());
-        }
+    fn on_fft_done(&mut self, which: u8, elapsed: SimDuration, ctx: &mut Ctx) {
+        self.timings.compute += elapsed;
+        self.fo.save(2 * u32::from(which) - 1, || self.slab.clone());
         self.begin_transpose(which, ctx);
     }
 
+    /// Transpose `which`; its sub-phases report as one phase (they
+    /// share one model budget).
     fn begin_transpose(&mut self, which: u8, ctx: &mut Ctx) {
-        self.phase_entered = ctx.now();
+        let name = ["transpose1", "transpose2"][usize::from(which) - 1];
+        self.fo.enter(name, ctx.now());
         if !matches!(
             self.fo.attachment.inic_mode(),
             None | Some(InicMode::ProtocolProcessor)
@@ -216,14 +172,8 @@ impl FftDriver {
         // Host performs the data manipulation (commodity NIC, or an
         // INIC used purely as a protocol processor).
         self.phase = Phase::LocalTranspose(which);
-        self.subphase_entered = ctx.now();
         let charge = self.kernels.local_transpose_time(self.partition_bytes());
         self.fo.compute(charge, ctx);
-    }
-
-    fn on_local_transpose_done(&mut self, which: u8, ctx: &mut Ctx) {
-        self.timings.transpose_compute += ctx.now().since(self.subphase_entered);
-        self.begin_exchange(which, ctx);
     }
 
     /// Exchange the blocks of transpose `which`: one step through the
@@ -272,19 +222,8 @@ impl FftDriver {
         let slab = &self.slab;
         let part = |q| slab_to_bytes(&extract_transposed_block(slab, q));
         let step = route.step(&self.fo, which, Some(self.m * self.m * 16), part);
-        self.xchg.start(&self.fo, step, ctx);
+        self.fo.post(step, ctx);
         self.advance(ctx);
-    }
-
-    /// Complete exchange steps as long as the inbox and the card allow.
-    fn advance(&mut self, ctx: &mut Ctx) {
-        while self.xchg.received(&self.fo) {
-            let Phase::Exchange(which) = self.phase else {
-                unreachable!("{}: exchange step outside a transpose", self.fo.label);
-            };
-            let got = self.xchg.take();
-            self.on_step_done(which, got, ctx);
-        }
     }
 
     /// Interleave a step's blocks into the new slab, then move on.
@@ -319,42 +258,31 @@ impl FftDriver {
     /// Host paths: charge the final permutation.
     fn begin_permute(&mut self, which: u8, ctx: &mut Ctx) {
         self.phase = Phase::Permute(which);
-        self.subphase_entered = ctx.now();
         let charge = self.kernels.final_permutation_time(self.partition_bytes());
         self.fo.compute(charge, ctx);
     }
 
-    fn on_permute_done(&mut self, which: u8, ctx: &mut Ctx) {
-        self.timings.transpose_compute += ctx.now().since(self.subphase_entered);
-        std::mem::swap(&mut self.slab, &mut self.incoming);
-        self.finish_transpose(which, ctx);
-    }
-
     fn finish_transpose(&mut self, which: u8, ctx: &mut Ctx) {
-        self.timings.transpose += ctx.now().since(self.phase_entered);
+        self.timings.transpose += ctx.now().since(self.fo.phase().1);
         match which {
             1 => {
-                if self.fo.ckpt_armed() {
-                    self.ckpts.insert(2, self.slab.clone());
-                }
+                self.fo.save(2, || self.slab.clone());
                 self.begin_fft(2, ctx);
             }
-            2 => {
-                self.phase = Phase::Done;
-                self.timings.done_at = Some(ctx.now());
-                self.fo.report_done(ctx);
-            }
+            2 => self.fo.finish(ctx),
             _ => unreachable!(),
         }
     }
 }
 
 impl Recoverable for FftDriver {
-    fn fo(&self) -> &Failover {
+    type Checkpoint = Matrix;
+
+    fn fo(&self) -> &Failover<Matrix> {
         &self.fo
     }
 
-    fn fo_mut(&mut self) -> &mut Failover {
+    fn fo_mut(&mut self) -> &mut Failover<Matrix> {
         &mut self.fo
     }
 
@@ -369,57 +297,52 @@ impl Recoverable for FftDriver {
         self.begin_fft(1, ctx);
     }
 
-    fn compute_done(&mut self, ctx: &mut Ctx) {
+    fn compute_done(&mut self, elapsed: SimDuration, ctx: &mut Ctx) {
         match self.phase {
-            Phase::Fft(which) => self.on_fft_done(which, ctx),
-            Phase::LocalTranspose(which) => self.on_local_transpose_done(which, ctx),
-            Phase::Permute(which) => self.on_permute_done(which, ctx),
+            Phase::Fft(which) => self.on_fft_done(which, elapsed, ctx),
+            Phase::LocalTranspose(which) => {
+                self.timings.transpose_compute += elapsed;
+                self.begin_exchange(which, ctx);
+            }
+            Phase::Permute(which) => {
+                self.timings.transpose_compute += elapsed;
+                std::mem::swap(&mut self.slab, &mut self.incoming);
+                self.finish_transpose(which, ctx);
+            }
             phase => panic!("{}: compute completion in {phase:?}", self.fo.label),
         }
     }
 
-    fn on_event(&mut self, ev: Msg, ctx: &mut Ctx) {
-        let size = Some(self.m * self.m * 16);
-        self.xchg.on_event(ev, &self.fo, |_, _| size);
-        self.advance(ctx);
+    fn rx_size(&self, _src: usize, _chan: u16) -> Option<usize> {
+        Some(self.m * self.m * 16)
     }
 
-    fn abort_stream(&self) -> Option<u32> {
-        self.xchg.abort_stream()
+    /// Complete exchange steps as long as the inbox and the card allow.
+    fn advance(&mut self, ctx: &mut Ctx) {
+        while self.fo.received() {
+            let Phase::Exchange(which) = self.phase else {
+                unreachable!("{}: exchange step outside a transpose", self.fo.label);
+            };
+            let got = self.fo.xchg.take();
+            self.on_step_done(which, got, ctx);
+        }
     }
 
-    /// Slab snapshots keyed by completed phase: 1 = row FFTs #1,
-    /// 2 = transpose #1, 3 = row FFTs #2; 4 = finished.
-    fn checkpoint(&self) -> u32 {
-        self.ckpts.keys().next_back().copied().unwrap_or(0)
-    }
-
+    /// 4: every slab checkpoint (1 to 3) is behind the run.
     fn finished(&self) -> u32 {
         4
     }
 
-    fn restart(&mut self, ctx: &mut Ctx) {
-        // Discard all partial progress; only the original start instant
-        // survives into the timings.
-        self.xchg = Exchange::default();
-        self.timings = FftTimings {
-            started_at: self.timings.started_at,
-            ..FftTimings::default()
-        };
-        self.restore(0, ctx);
+    fn restart(&mut self) {
+        self.timings = FftTimings::default();
     }
 
     fn restore(&mut self, phase: u32, ctx: &mut Ctx) {
-        self.xchg.cancel();
         // `begin_fft` transforms the slab in place, so phase 0 restarts
         // from the pristine copy.
         self.slab = match phase {
             0 => self.pristine.clone(),
-            k => self
-                .ckpts
-                .get(&k)
-                .cloned()
-                .unwrap_or_else(|| panic!("resume phase {k} without its checkpoint")),
+            k => self.fo.checkpoint(k).clone(),
         };
         match phase {
             0 => self.begin_fft(1, ctx),
@@ -428,19 +351,6 @@ impl Recoverable for FftDriver {
             3 => self.begin_transpose(2, ctx),
             _ => unreachable!(),
         }
-    }
-
-    fn phase(&self) -> (&'static str, SimTime) {
-        (self.phase_name(), self.phase_entered)
-    }
-
-    fn is_done(&self) -> bool {
-        self.phase == Phase::Done
-    }
-
-    fn span(&self) -> (SimTime, SimTime) {
-        let t = &self.timings;
-        (t.started_at.expect("started"), t.done_at.expect("done"))
     }
 }
 
@@ -454,17 +364,16 @@ impl Component<Msg> for FftDriver {
     }
 
     fn wait_state(&self) -> Option<String> {
-        if self.is_done() {
+        if self.fo.is_done() {
             return None;
         }
+        let (phase, entered) = self.fo.phase();
         Some(format!(
-            "rank {} in {} since {} (epoch {}, exchange step {}: {}{})",
+            "rank {} in {phase} since {entered} (epoch {}, exchange step {}: {}{})",
             self.fo.rank,
-            self.phase_name(),
-            self.phase_entered,
             self.fo.epoch,
             self.exchange_step,
-            self.xchg.waiting_for(),
+            self.fo.xchg.waiting_for(),
             self.fo.parked_note(),
         ))
     }

@@ -8,13 +8,14 @@
 //! commodity technologies or an [`InicCard`](acc_fpga::InicCard) for
 //! the INIC technologies.
 //!
-//! Stalls, card failovers and coordinated resumes run through one
-//! failover core (`failover.rs`) shared by all three drivers; each
-//! driver supplies only its checkpoint payload, the card stream a
-//! failover aborts, and its state reset and restore. All three move
-//! their data through one transfer step (`exchange.rs`): each builds
-//! its steps, reads whether a step was received or sent, and keeps
-//! only its transforms, folds and phase timings.
+//! One core (`failover.rs`) owns every rank's lifecycle: the phase
+//! clock, the run's span, the pending compute charge, the transfer step
+//! (`exchange.rs`), the checkpoints, and the stall, failover and resume
+//! protocol. A driver supplies its bitstream, its start, what to do
+//! when a charge ends or a step moves, its checkpoint payloads and
+//! indices, its restore, and a reset of its timing columns; it keeps
+//! only its transforms, folds, charge amounts, step building and
+//! timing columns.
 
 pub(crate) mod coll;
 mod exchange;

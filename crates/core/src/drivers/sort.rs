@@ -36,7 +36,7 @@ use acc_fpga::{Bitstream, GatherKind, ScatterKind};
 use acc_host::HostKernels;
 use acc_sim::{Component, DataSize, SimDuration, SimTime};
 
-use super::exchange::{Exchange, Received, Route};
+use super::exchange::{Received, Route};
 use super::failover::{self, Failover, Recoverable};
 use super::{recv_buckets_for, Attachment, FaultCtl};
 use crate::msg::{Ctx, Msg};
@@ -66,14 +66,26 @@ enum Phase {
     Bucket2,
     /// Count-sort charge running.
     Count,
-    Done,
 }
 
-/// Snapshot of the post-exchange state, captured under
+impl Phase {
+    /// Phase name for liveness attribution.
+    fn name(self) -> &'static str {
+        match self {
+            Phase::Init => "init",
+            Phase::Bucket1 => "bucket1",
+            Phase::Exchange => "exchange",
+            Phase::Bucket2 => "bucket2",
+            Phase::Count => "count",
+        }
+    }
+}
+
+/// Snapshot of the post-exchange state (checkpoint 1), captured under
 /// `RecoveryPolicy::Checkpointed` so a later card failure resumes
 /// from the exchange instead of re-running it.
 #[derive(Clone)]
-struct ExchangeCkpt {
+pub(crate) struct ExchangeCkpt {
     /// Card gather result (INIC variants).
     card: Option<(Vec<u8>, Vec<usize>)>,
     /// Keys received over TCP.
@@ -95,16 +107,12 @@ pub(crate) struct SortTimings {
     pub bucket2: SimDuration,
     /// Final count-sort time.
     pub count: SimDuration,
-    /// Absolute completion instant.
-    pub done_at: Option<SimTime>,
-    /// Absolute start instant (post-configuration).
-    pub started_at: Option<SimTime>,
 }
 
 /// The per-node integer-sort driver.
 pub(crate) struct SortDriver {
-    /// Network attachment and failover state.
-    fo: Failover,
+    /// The rank's lifecycle.
+    fo: Failover<ExchangeCkpt>,
     p: usize,
     variant: SortVariant,
     kernels: HostKernels,
@@ -116,9 +124,6 @@ pub(crate) struct SortDriver {
     /// Final cache-sized bucket count `N`.
     recv_buckets: usize,
     phase: Phase,
-    phase_entered: SimTime,
-    /// The key exchange; its TCP messages are length-prefixed.
-    xchg: Exchange,
     /// Keys received over TCP: the whole commodity exchange (our own
     /// bucket included), or on an INIC rank the mixed-technology side
     /// streams from degraded peers, carried next to the card exchange.
@@ -126,8 +131,6 @@ pub(crate) struct SortDriver {
     /// INIC gather result (16 or N card buckets, concatenated).
     card_bucket_data: Option<(Vec<u8>, Vec<usize>)>,
     sorted: Vec<u32>,
-    /// Post-exchange checkpoint, when armed and captured.
-    ckpt1: Option<ExchangeCkpt>,
     /// Timing decomposition.
     pub timings: SortTimings,
 }
@@ -140,11 +143,12 @@ impl SortDriver {
         keys: Vec<u32>,
         variant: SortVariant,
         attachment: Attachment,
+        ctl: FaultCtl,
         kernels: HostKernels,
     ) -> SortDriver {
         let recv_buckets = recv_buckets_for(keys.len() as u64);
         SortDriver {
-            fo: Failover::new(format!("sort-driver{rank}"), rank, attachment),
+            fo: Failover::new(format!("sort-driver{rank}"), rank, attachment, ctl),
             p,
             variant,
             kernels,
@@ -152,12 +156,9 @@ impl SortDriver {
             splitters: None,
             recv_buckets,
             phase: Phase::Init,
-            phase_entered: SimTime::ZERO,
-            xchg: Exchange::default(),
             tcp_keys: Vec::new(),
             card_bucket_data: None,
             sorted: Vec::new(),
-            ckpt1: None,
             timings: SortTimings::default(),
         }
     }
@@ -171,46 +172,20 @@ impl SortDriver {
         self
     }
 
-    /// Attach fault-handling configuration (builder style).
-    #[must_use]
-    pub fn with_fault_ctl(mut self, ctl: FaultCtl) -> SortDriver {
-        self.fo.ctl = ctl;
-        self
-    }
-
     /// This rank's sorted key range, available when done.
     pub fn result(&self) -> &[u32] {
-        assert_eq!(self.phase, Phase::Done, "driver not finished");
+        assert!(self.fo.is_done(), "driver not finished");
         &self.sorted
     }
 
-    /// Phase name for liveness attribution.
-    fn phase_name(&self) -> &'static str {
-        match self.phase {
-            Phase::Init => "init",
-            Phase::Bucket1 => "bucket1",
-            Phase::Exchange => "exchange",
-            Phase::Bucket2 => "bucket2",
-            Phase::Count => "count",
-            Phase::Done => "done",
-        }
+    /// Enter `phase` at `now`.
+    fn enter(&mut self, phase: Phase, now: SimTime) {
+        self.phase = phase;
+        self.fo.enter(phase.name(), now);
     }
 
     fn local_bytes(&self) -> DataSize {
         DataSize::from_bytes(self.keys.len() as u64 * 4)
-    }
-
-    /// Capture the post-exchange checkpoint (called at exchange
-    /// completion, before any phase consumes the buffers).
-    fn capture_ckpt(&mut self) {
-        if !self.fo.ckpt_armed() {
-            return;
-        }
-        self.ckpt1 = Some(ExchangeCkpt {
-            card: self.card_bucket_data.clone(),
-            tcp: self.tcp_keys.clone(),
-            variant: self.variant,
-        });
     }
 
     // ---- partition and exchange ----
@@ -219,16 +194,10 @@ impl SortDriver {
     /// bucket pass on the commodity and protocol-only paths, the card's
     /// datapath (straight into the exchange) on the INIC paths.
     fn begin_partition(&mut self, ctx: &mut Ctx) {
-        // A failover restart keeps the original start instant: the cost
-        // of the aborted attempt is part of the degraded run's time.
-        if self.timings.started_at.is_none() {
-            self.timings.started_at = Some(ctx.now());
-        }
-        self.phase_entered = ctx.now();
         if self.card_buckets() {
             return self.begin_exchange(ctx);
         }
-        self.phase = Phase::Bucket1;
+        self.enter(Phase::Bucket1, ctx.now());
         let charge = self
             .kernels
             .bucket_sort_time(self.keys.len() as u64, self.local_bytes());
@@ -253,17 +222,11 @@ impl SortDriver {
         }
     }
 
-    fn on_bucket1_done(&mut self, ctx: &mut Ctx) {
-        self.timings.bucket1 += ctx.now().since(self.phase_entered);
-        self.phase_entered = ctx.now();
-        self.begin_exchange(ctx);
-    }
-
     /// Send bucket `i` to rank `i`: over TCP on the commodity path, the
     /// host-bucketed parts relayed by the card on the protocol-only
     /// path, the raw keys into the card's bucket datapath otherwise.
     fn begin_exchange(&mut self, ctx: &mut Ctx) {
-        self.phase = Phase::Exchange;
+        self.enter(Phase::Exchange, ctx.now());
         let (rank, p) = (self.fo.rank, self.p);
         // The host partition: every part on the host paths, only the
         // degraded peers' side streams on the card paths.
@@ -295,22 +258,14 @@ impl SortDriver {
         };
         let body = |q| keys_to_bytes(part(&keys, &ends, q));
         let step = route.step(&self.fo, 1, None, body);
-        self.xchg.start(&self.fo, step, ctx);
+        self.fo.post(step, ctx);
         self.advance(ctx);
-    }
-
-    /// Finish the exchange once the card and the inbox allow.
-    fn advance(&mut self, ctx: &mut Ctx) {
-        if self.xchg.received(&self.fo) {
-            let got = self.xchg.take();
-            self.on_exchange_done(got, ctx);
-        }
     }
 
     /// Decode every TCP message straight into `tcp_keys`, checkpoint,
     /// and move on to the receive-side bucketing.
     fn on_exchange_done(&mut self, got: Received, ctx: &mut Ctx) {
-        self.timings.comm += ctx.now().since(self.phase_entered);
+        self.timings.comm += ctx.now().since(self.fo.phase().1);
         self.card_bucket_data = got
             .gather
             .map(|(data, bounds)| (data, bounds.expect("bucket/raw gather carries bounds")));
@@ -319,7 +274,13 @@ impl SortDriver {
         for (_, msg) in got.msgs {
             extend_keys(&mut self.tcp_keys, &msg);
         }
-        self.capture_ckpt();
+        // Checkpoint before any phase consumes the buffers.
+        let (card, tcp, variant) = (&self.card_bucket_data, &self.tcp_keys, self.variant);
+        self.fo.save(1, || ExchangeCkpt {
+            card: card.clone(),
+            tcp: tcp.clone(),
+            variant,
+        });
         match self.variant {
             SortVariant::InicFull => self.begin_count(ctx),
             _ => self.begin_bucket2(ctx),
@@ -329,8 +290,7 @@ impl SortDriver {
     /// Phase-2 host bucket pass (commodity; also the prototype's second
     /// phase, reached from the gather instead).
     fn begin_bucket2(&mut self, ctx: &mut Ctx) {
-        self.phase = Phase::Bucket2;
-        self.phase_entered = ctx.now();
+        self.enter(Phase::Bucket2, ctx.now());
         debug_assert_ne!(
             self.variant,
             SortVariant::InicFull,
@@ -346,16 +306,10 @@ impl SortDriver {
         self.fo.compute(charge, ctx);
     }
 
-    fn on_bucket2_done(&mut self, ctx: &mut Ctx) {
-        self.timings.bucket2 += ctx.now().since(self.phase_entered);
-        self.begin_count(ctx);
-    }
-
     // ---- final count sort (all variants) ----
 
     fn begin_count(&mut self, ctx: &mut Ctx) {
-        self.phase = Phase::Count;
-        self.phase_entered = ctx.now();
+        self.enter(Phase::Count, ctx.now());
         // This node's keys in one flat buffer of N cache-sized buckets.
         let n = self.recv_buckets;
         let card_has_all = self.variant == SortVariant::InicFull && self.tcp_keys.is_empty();
@@ -386,11 +340,9 @@ impl SortDriver {
         self.fo.compute(charge, ctx);
     }
 
-    fn on_count_done(&mut self, ctx: &mut Ctx) {
-        self.timings.count += ctx.now().since(self.phase_entered);
-        self.phase = Phase::Done;
-        self.timings.done_at = Some(ctx.now());
-        self.fo.report_done(ctx);
+    fn on_count_done(&mut self, elapsed: SimDuration, ctx: &mut Ctx) {
+        self.timings.count += elapsed;
+        self.fo.finish(ctx);
         // Every key we hold belongs to this rank.
         debug_assert!({
             let dest_of = destination_of(self.p, self.splitters.as_deref());
@@ -412,11 +364,13 @@ fn extend_keys(keys: &mut Vec<u32>, bytes: &[u8]) {
 }
 
 impl Recoverable for SortDriver {
-    fn fo(&self) -> &Failover {
+    type Checkpoint = ExchangeCkpt;
+
+    fn fo(&self) -> &Failover<ExchangeCkpt> {
         &self.fo
     }
 
-    fn fo_mut(&mut self) -> &mut Failover {
+    fn fo_mut(&mut self) -> &mut Failover<ExchangeCkpt> {
         &mut self.fo
     }
 
@@ -434,47 +388,46 @@ impl Recoverable for SortDriver {
         self.begin_partition(ctx);
     }
 
-    fn compute_done(&mut self, ctx: &mut Ctx) {
+    fn compute_done(&mut self, elapsed: SimDuration, ctx: &mut Ctx) {
         match self.phase {
-            Phase::Bucket1 => self.on_bucket1_done(ctx),
-            Phase::Bucket2 => self.on_bucket2_done(ctx),
-            Phase::Count => self.on_count_done(ctx),
+            Phase::Bucket1 => {
+                self.timings.bucket1 += elapsed;
+                self.begin_exchange(ctx);
+            }
+            Phase::Bucket2 => {
+                self.timings.bucket2 += elapsed;
+                self.begin_count(ctx);
+            }
+            Phase::Count => self.on_count_done(elapsed, ctx),
             phase => panic!("{}: compute completion in {phase:?}", self.fo.label),
         }
     }
 
-    fn on_event(&mut self, ev: Msg, ctx: &mut Ctx) {
-        self.xchg.on_event(ev, &self.fo, |_, _| None);
-        self.advance(ctx);
+    /// The key exchange's TCP messages are length-prefixed.
+    fn rx_size(&self, _src: usize, _chan: u16) -> Option<usize> {
+        None
     }
 
-    fn abort_stream(&self) -> Option<u32> {
-        self.xchg.abort_stream()
+    /// Finish the exchange once the card and the inbox allow.
+    fn advance(&mut self, ctx: &mut Ctx) {
+        if self.fo.received() {
+            let got = self.fo.xchg.take();
+            self.on_exchange_done(got, ctx);
+        }
     }
 
-    /// 0 = start, 1 = after the exchange, 2 = finished.
-    fn checkpoint(&self) -> u32 {
-        u32::from(self.ckpt1.is_some())
-    }
-
+    /// 1 is the post-exchange checkpoint, 2 a finished run.
     fn finished(&self) -> u32 {
         2
     }
 
-    fn restart(&mut self, ctx: &mut Ctx) {
-        // Discard every trace of the aborted exchange. The input keys
-        // were never mutated, so the restart recomputes from scratch;
-        // only the original start instant survives into the timings.
-        self.xchg = Exchange::default();
-        self.timings = SortTimings {
-            started_at: self.timings.started_at,
-            ..SortTimings::default()
-        };
-        self.restore(0, ctx);
+    fn restart(&mut self) {
+        // The input keys were never mutated, so the restart recomputes
+        // from scratch.
+        self.timings = SortTimings::default();
     }
 
     fn restore(&mut self, phase: u32, ctx: &mut Ctx) {
-        self.xchg.cancel();
         self.card_bucket_data = None;
         self.sorted.clear();
         if phase == 0 {
@@ -484,10 +437,7 @@ impl Recoverable for SortDriver {
             }
             return self.begin_partition(ctx);
         }
-        let ck = self
-            .ckpt1
-            .clone()
-            .expect("resume phase 1 without its checkpoint");
+        let ck = self.fo.checkpoint(1).clone();
         self.card_bucket_data = ck.card;
         self.tcp_keys = ck.tcp;
         // Resume under the snapshot's variant: it names the data layout,
@@ -498,19 +448,6 @@ impl Recoverable for SortDriver {
             SortVariant::InicFull => self.begin_count(ctx),
             _ => self.begin_bucket2(ctx),
         }
-    }
-
-    fn phase(&self) -> (&'static str, SimTime) {
-        (self.phase_name(), self.phase_entered)
-    }
-
-    fn is_done(&self) -> bool {
-        self.phase == Phase::Done
-    }
-
-    fn span(&self) -> (SimTime, SimTime) {
-        let t = &self.timings;
-        (t.started_at.expect("started"), t.done_at.expect("done"))
     }
 }
 
@@ -524,16 +461,15 @@ impl Component<Msg> for SortDriver {
     }
 
     fn wait_state(&self) -> Option<String> {
-        if self.is_done() {
+        if self.fo.is_done() {
             return None;
         }
+        let (phase, entered) = self.fo.phase();
         Some(format!(
-            "rank {} in {} since {} (epoch {}, {}{})",
+            "rank {} in {phase} since {entered} (epoch {}, {}{})",
             self.fo.rank,
-            self.phase_name(),
-            self.phase_entered,
             self.fo.epoch,
-            self.xchg.waiting_for(),
+            self.fo.xchg.waiting_for(),
             self.fo.parked_note(),
         ))
     }

@@ -27,10 +27,6 @@ pub struct Simulation<M = Box<dyn Any>> {
     stats: StatsRegistry,
     trace: TraceBuffer,
     events_processed: u64,
-    /// Safety valve: panic if a scenario exceeds this many events
-    /// (default: effectively unlimited). Helps catch livelock bugs such as
-    /// two protocol stacks ACKing each other forever.
-    event_limit: u64,
     /// Suppress stderr diagnostics (trace-tail dumps on panics and
     /// watchdog aborts). Set by harnesses that run many *expected*
     /// failures, e.g. the fault-plan minimizer testing candidate plans.
@@ -63,7 +59,6 @@ impl<M: Carrier> Simulation<M> {
             stats: StatsRegistry::new(),
             trace: TraceBuffer::disabled(),
             events_processed: 0,
-            event_limit: u64::MAX,
             quiet: false,
         }
     }
@@ -72,12 +67,6 @@ impl<M: Carrier> Simulation<M> {
     /// entries).
     pub fn enable_trace(&mut self, capacity: usize) {
         self.trace = TraceBuffer::with_capacity(capacity);
-    }
-
-    /// Set a hard limit on processed events; exceeding it panics with a
-    /// trace dump. Useful in tests to catch event livelock.
-    pub fn set_event_limit(&mut self, limit: u64) {
-        self.event_limit = limit;
     }
 
     /// Suppress stderr diagnostics (trace-tail dumps on component panics
@@ -187,16 +176,13 @@ impl<M: Carrier> Simulation<M> {
     }
 
     /// Deliver one popped event to its component. The failure paths
-    /// (limit breach, unregistered target, traced panics) are outlined
-    /// so this body inlines into the run loops.
+    /// (unregistered target, traced panics) are outlined so this body
+    /// inlines into the run loops.
     #[inline]
     fn dispatch(&mut self, head: Head) {
         debug_assert!(head.time >= self.now, "event queue produced stale event");
         self.now = head.time;
         self.events_processed += 1;
-        if self.events_processed > self.event_limit {
-            self.event_limit_breached();
-        }
         let target = head.target;
         let Some(component) = self.components[target.index()].as_deref_mut() else {
             unregistered_target(target);
@@ -247,17 +233,6 @@ impl<M: Carrier> Simulation<M> {
             }
             std::panic::resume_unwind(cause);
         }
-    }
-
-    /// Livelock breaker, outlined from the dispatch hot path.
-    #[cold]
-    fn event_limit_breached(&self) -> ! {
-        // acc-lint: allow(R5, reason = "livelock breaker: exceeding the event limit means the scenario will never converge; fail loudly with the trace dump rather than spin forever")
-        panic!(
-            "event limit exceeded ({} events) — likely livelock.\n{}",
-            self.event_limit,
-            self.trace.dump()
-        );
     }
 
     /// Run until the event queue is exhausted. Returns the final time.
@@ -406,25 +381,6 @@ mod tests {
         assert_eq!(sim.now(), deadline);
         sim.run();
         assert_eq!(sim.component::<Counter>(id).count, 4);
-    }
-
-    #[test]
-    #[should_panic(expected = "event limit exceeded")]
-    fn event_limit_catches_livelock() {
-        struct Livelock;
-        impl Component for Livelock {
-            fn handle(&mut self, _ev: Box<dyn Any>, ctx: &mut Ctx) {
-                ctx.self_in(SimDuration::from_nanos(1), ());
-            }
-            fn name(&self) -> &str {
-                "livelock"
-            }
-        }
-        let mut sim = Simulation::new(0);
-        sim.set_event_limit(1000);
-        let id = sim.add(Livelock);
-        sim.schedule_at(SimTime::ZERO, id, ());
-        sim.run();
     }
 
     #[test]

@@ -17,8 +17,8 @@
 //!   interaction is via events addressed by [`ComponentId`]. This mirrors
 //!   how the real hardware blocks interact (bus transactions, wires,
 //!   interrupts) and keeps the borrow checker trivially satisfied.
-//! * **Observability.** A [`stats::StatsRegistry`] collects counters,
-//!   gauges and time-series probes; a bounded [`trace::TraceBuffer`]
+//! * **Observability.** A [`stats::StatsRegistry`] collects counters
+//!   and gauges; a bounded [`trace::TraceBuffer`]
 //!   records recent events for debugging failed scenarios.
 //!
 //! ## Quick example

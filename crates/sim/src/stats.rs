@@ -1,4 +1,4 @@
-//! Statistics collection: counters, gauges, histograms and time series.
+//! Statistics collection: counters and gauges.
 //!
 //! Keys are `(scope, name)` string pairs — scope is usually a component
 //! name such as `"nic3"` or `"switch"`. Cheap enough for simulation-rate
@@ -6,8 +6,6 @@
 //! pulled after a run for report generation.
 
 use std::collections::BTreeMap;
-
-use crate::time::SimTime;
 
 /// A monotonically increasing event counter.
 ///
@@ -63,109 +61,6 @@ impl Gauge {
     /// Maximum value ever set (0.0 if never set, matching `get`).
     pub fn max(&self) -> f64 {
         self.max_seen.unwrap_or(0.0)
-    }
-}
-
-/// An append-only `(time, value)` series, e.g. queue depth over time.
-#[derive(Default, Debug, Clone)]
-pub struct Series {
-    points: Vec<(SimTime, f64)>,
-}
-
-impl Series {
-    /// Append a sample.
-    pub fn push(&mut self, t: SimTime, v: f64) {
-        self.points.push((t, v));
-    }
-
-    /// All samples in insertion (= time) order.
-    pub fn points(&self) -> &[(SimTime, f64)] {
-        &self.points
-    }
-
-    /// Number of samples.
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    /// True if no samples were recorded.
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
-    }
-
-    /// Mean of sample values (0.0 for an empty series).
-    pub fn mean(&self) -> f64 {
-        if self.points.is_empty() {
-            return 0.0;
-        }
-        self.points.iter().map(|&(_, v)| v).sum::<f64>() / self.points.len() as f64
-    }
-
-    /// Maximum sample value (0.0 for an empty series).
-    pub fn max(&self) -> f64 {
-        self.points.iter().map(|&(_, v)| v).fold(0.0_f64, f64::max)
-    }
-}
-
-/// A fixed-boundary histogram over `f64` samples.
-#[derive(Debug, Clone)]
-pub struct Histogram {
-    bounds: Vec<f64>,
-    counts: Vec<u64>,
-    total: u64,
-    sum: f64,
-}
-
-impl Histogram {
-    /// Create with ascending bucket upper bounds; an implicit overflow
-    /// bucket catches values above the last bound.
-    ///
-    /// # Panics
-    /// Panics if `bounds` is empty or not strictly ascending.
-    pub fn new(bounds: Vec<f64>) -> Self {
-        assert!(!bounds.is_empty(), "histogram needs at least one bound");
-        assert!(
-            bounds.windows(2).all(|w| w[0] < w[1]),
-            "histogram bounds must be strictly ascending"
-        );
-        let n = bounds.len();
-        Histogram {
-            bounds,
-            counts: vec![0; n + 1],
-            total: 0,
-            sum: 0.0,
-        }
-    }
-
-    /// Record one sample.
-    pub fn record(&mut self, v: f64) {
-        let idx = self
-            .bounds
-            .iter()
-            .position(|&b| v <= b)
-            .unwrap_or(self.bounds.len());
-        self.counts[idx] += 1;
-        self.total += 1;
-        self.sum += v;
-    }
-
-    /// Total samples recorded.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Mean of all samples (0.0 if none).
-    pub fn mean(&self) -> f64 {
-        if self.total == 0 {
-            0.0
-        } else {
-            self.sum / self.total as f64
-        }
-    }
-
-    /// Per-bucket counts; the final entry is the overflow bucket.
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
     }
 }
 
@@ -227,8 +122,7 @@ pub struct CounterHandle(Option<CounterId>);
 /// (`scope → name → id`): cold paths look them up by name with a pair
 /// of `&str` lookups and **zero allocations** once the counter exists,
 /// and per-frame paths skip the lookup entirely through a
-/// [`CounterHandle`]. Gauges and series use the same borrowed-key
-/// two-level maps.
+/// [`CounterHandle`]. Gauges use the same borrowed-key two-level map.
 ///
 /// Every mutable accessor bumps a [change count](Self::changes); reads
 /// never do. An observer that sees the count unchanged knows no metric
@@ -238,7 +132,6 @@ pub struct StatsRegistry {
     counter_index: Scoped<CounterId>,
     counters: Vec<Counter>,
     gauges: Scoped<Gauge>,
-    series: Scoped<Series>,
     changes: u64,
 }
 
@@ -249,9 +142,9 @@ impl StatsRegistry {
     }
 
     /// How many times a mutable accessor ([`counter`](Self::counter),
-    /// [`counter_by`](Self::counter_by), [`gauge`](Self::gauge),
-    /// [`series`](Self::series)) was called. Equal counts at two
-    /// instants mean every counter, gauge and series is unchanged.
+    /// [`counter_by`](Self::counter_by), [`gauge`](Self::gauge)) was
+    /// called. Equal counts at two instants mean every counter and gauge
+    /// is unchanged.
     pub fn changes(&self) -> u64 {
         self.changes
     }
@@ -298,13 +191,6 @@ impl StatsRegistry {
         scoped_entry(&mut self.gauges, scope, name, Gauge::default)
     }
 
-    /// Fetch or create a time series. Allocation-free (bar the sample
-    /// push) after the series' first use.
-    pub fn series(&mut self, scope: &str, name: &str) -> &mut Series {
-        self.changes += 1;
-        scoped_entry(&mut self.series, scope, name, Series::default)
-    }
-
     /// Read a counter value if it exists.
     pub fn counter_value(&self, scope: &str, name: &str) -> Option<u64> {
         scoped_get(&self.counter_index, scope, name).map(|id| self.counters[id.0 as usize].get())
@@ -318,11 +204,6 @@ impl StatsRegistry {
     /// Read a gauge's maximum-ever value if it exists.
     pub fn gauge_max(&self, scope: &str, name: &str) -> Option<f64> {
         scoped_get(&self.gauges, scope, name).map(Gauge::max)
-    }
-
-    /// Read a series if it exists.
-    pub fn series_ref(&self, scope: &str, name: &str) -> Option<&Series> {
-        scoped_get(&self.series, scope, name)
     }
 
     /// Iterate all counters in deterministic (sorted key) order.
@@ -343,15 +224,6 @@ impl StatsRegistry {
                 "gauge   {scope}.{name} = {} (max {})",
                 g.get(),
                 g.max()
-            );
-        }
-        for ((scope, name), s) in scoped_iter(&self.series) {
-            let _ = writeln!(
-                out,
-                "series  {scope}.{name}: n={} mean={:.3} max={:.3}",
-                s.len(),
-                s.mean(),
-                s.max()
             );
         }
         out
@@ -420,35 +292,6 @@ mod tests {
     }
 
     #[test]
-    fn series_statistics() {
-        let mut s = Series::default();
-        assert!(s.is_empty());
-        assert_eq!(s.mean(), 0.0);
-        s.push(SimTime::from_ps(1), 1.0);
-        s.push(SimTime::from_ps(2), 3.0);
-        assert_eq!(s.mean(), 2.0);
-        assert_eq!(s.max(), 3.0);
-        assert_eq!(s.len(), 2);
-    }
-
-    #[test]
-    fn histogram_buckets_and_overflow() {
-        let mut h = Histogram::new(vec![1.0, 10.0, 100.0]);
-        for v in [0.5, 5.0, 50.0, 500.0, 0.1] {
-            h.record(v);
-        }
-        assert_eq!(h.counts(), &[2, 1, 1, 1]);
-        assert_eq!(h.total(), 5);
-        assert!((h.mean() - 111.12).abs() < 1e-9);
-    }
-
-    #[test]
-    #[should_panic(expected = "strictly ascending")]
-    fn histogram_rejects_bad_bounds() {
-        Histogram::new(vec![1.0, 1.0]);
-    }
-
-    #[test]
     fn every_mutable_accessor_moves_the_change_count() {
         let mut reg = StatsRegistry::new();
         let mut handle = CounterHandle::default();
@@ -469,10 +312,6 @@ mod tests {
         moved(&reg, "gauge (create)");
         reg.gauge("nic0", "depth").set(1.0);
         moved(&reg, "gauge (existing)");
-        reg.series("nic0", "depth").push(SimTime::from_ps(1), 1.0);
-        moved(&reg, "series (create)");
-        reg.series("nic0", "depth").push(SimTime::from_ps(2), 2.0);
-        moved(&reg, "series (existing)");
     }
 
     #[test]
@@ -480,7 +319,6 @@ mod tests {
         let mut reg = StatsRegistry::new();
         reg.counter("nic0", "frames_tx").inc();
         reg.gauge("nic0", "depth").set(2.0);
-        reg.series("nic0", "depth").push(SimTime::from_ps(1), 2.0);
         let before = reg.changes();
         let dump = reg.dump();
         for scope in ["nic0", "nic1"] {
@@ -488,13 +326,11 @@ mod tests {
                 let _ = reg.counter_value(scope, name);
                 let _ = reg.gauge_value(scope, name);
                 let _ = reg.gauge_max(scope, name);
-                let _ = reg.series_ref(scope, name);
             }
         }
         assert_eq!(reg.counters().count(), 1);
         assert_eq!(reg.counter_value("nic1", "frames_tx"), None);
         assert_eq!(reg.gauge_value("nic0", "frames_tx"), None);
-        assert!(reg.series_ref("nic0", "missing").is_none());
         assert_eq!(
             reg.changes(),
             before,

@@ -51,7 +51,7 @@ echo "== acc_benchmark --workload coll_latency --seconds 1 (smoke run of the ben
 # No wall time is gated here; timing regressions are judged by
 # `acc_benchmark compare` over paired runs of two revisions. About 2 s
 # once built.
-out=$(cargo run --release --offline --quiet \
+out=$(cargo run --release --offline --locked --quiet \
     --manifest-path crates/bench/src/bin/acc_benchmark/Cargo.toml -- \
     --workload coll_latency --seconds 1 --trace 0)
 last=$(printf '%s\n' "$out" | tail -n 1)
@@ -67,7 +67,7 @@ echo "== cargo doc --workspace (deny warnings)"
 # --workspace for the same reason as the build: a bare `cargo doc`
 # documents only the umbrella package, so broken intra-doc links in
 # the member crates would go unnoticed.
-RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps --workspace
+RUSTDOCFLAGS="-D warnings" cargo doc -q --locked --no-deps --workspace
 
 echo "== ablation_collectives --smoke (executor-fanned collective matrix)"
 # Smoke sweep of the collective engine's full operation x algorithm x
