@@ -297,11 +297,18 @@ pub fn destination_of(p: usize, splitters: Option<&[u32]>) -> impl Fn(u32) -> us
 /// Serialize keys to the 4-byte little-endian wire stream of the INIC
 /// datapath (Eq. 12: "4 is the number of bytes to store an integer").
 pub fn keys_to_bytes(keys: &[u32]) -> Vec<u8> {
-    let mut out = vec![0u8; keys.len() * 4];
-    for (chunk, k) in out.chunks_exact_mut(4).zip(keys) {
+    let mut out = Vec::with_capacity(keys.len() * 4);
+    put_keys(keys, &mut out);
+    out
+}
+
+/// Append `keys` to `out` in the wire form of [`keys_to_bytes`].
+pub fn put_keys(keys: &[u32], out: &mut Vec<u8>) {
+    let start = out.len();
+    out.resize(start + keys.len() * 4, 0);
+    for (chunk, k) in out[start..].chunks_exact_mut(4).zip(keys) {
         chunk.copy_from_slice(&k.to_le_bytes());
     }
-    out
 }
 
 /// Inverse of [`keys_to_bytes`].

@@ -73,6 +73,24 @@ pub fn extract_transposed_block(slab: &Matrix, q: usize) -> Matrix {
     out
 }
 
+/// Append block `q` of an `M × rows` slab, transposed, to `out` in wire
+/// form: the bytes of `slab_to_bytes(&extract_transposed_block(slab, q))`,
+/// without the intermediate block.
+pub fn put_transposed_block(slab: &Matrix, q: usize, out: &mut Vec<u8>) {
+    let m = slab.rows();
+    assert!(
+        (q + 1) * m <= slab.cols(),
+        "block index {q} out of range for {} cols",
+        slab.cols()
+    );
+    out.reserve(m * m * 16);
+    for c in 0..m {
+        for r in 0..m {
+            out.extend_from_slice(&slab.get(r, q * m + c).to_le_bytes());
+        }
+    }
+}
+
 /// Write a received (already transposed) `M × M` block from `src_rank`
 /// into column-block `src_rank` of the output slab — phase 3, the final
 /// permutation / interleave on the receiving side.
@@ -192,6 +210,17 @@ mod tests {
         let slabs = split_row_blocks(&m, 4);
         let twice = distributed_transpose(&distributed_transpose(&slabs));
         assert_eq!(join_row_blocks(&twice), m);
+    }
+
+    #[test]
+    fn put_block_writes_the_extracted_block_bytes() {
+        let slab = numbered(4, 16);
+        let mut out = vec![7];
+        for q in 0..4 {
+            out.truncate(1);
+            put_transposed_block(&slab, q, &mut out);
+            assert_eq!(out[1..], slab_to_bytes(&extract_transposed_block(&slab, q)));
+        }
     }
 
     #[test]

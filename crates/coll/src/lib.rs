@@ -19,11 +19,11 @@
 //! * [`offload`] — the CLB-budget plan for running a schedule on the
 //!   card, where over-capacity schedules are rejected with a structured
 //!   error instead of silently assuming free logic;
-//! * [`recovery`] — the mixed-technology re-planning a degraded
-//!   cluster uses: each remaining round split into card legs (healthy
-//!   peers) and fallback-TCP legs (dead peers), with the combined-mode
-//!   fold falling back to host arithmetic and the shrunken offload
-//!   re-validated against the CLB budget.
+//! * [`recovery`] — what a degraded cluster asks of a schedule: the one
+//!   predicate that says whether a round still folds on the card once
+//!   some ranks' cards died (a fold fed by a dead rank falls back to
+//!   host arithmetic), and the shrunken offload re-validated against
+//!   the CLB budget.
 //!
 //! `crates/core` consumes these schedules in its `CollDriver` and the
 //! §4 analytic models consume [`plan::profile`] for per-round cost
@@ -41,7 +41,7 @@ pub mod verify;
 pub use offload::{OffloadError, OffloadPlan};
 pub use plan::{build, oracle, simulate, supports, RecvOp, Round, RoundCost, Schedule};
 pub use policy::{select, PathClass};
-pub use recovery::{degraded_offload, replan, split_round, RoundLegs};
+pub use recovery::{degraded_offload, folds_on_card};
 pub use verify::{verify_cell, verify_conservation, verify_schedules, CellProof, Violation};
 
 /// The six collective operations the engine exposes.

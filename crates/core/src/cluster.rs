@@ -1168,7 +1168,7 @@ fn run_schedules(
     if let Some((device, _, mode)) = plan.card.filter(|_| keeps_cards) {
         for (rank, s) in schedules.iter().enumerate() {
             if !dead.contains(&rank) {
-                acc_coll::recovery::degraded_offload(s, spec.p, &dead, 0, mode, &device)
+                acc_coll::recovery::degraded_offload(s, spec.p, &dead, mode, &device)
                     .unwrap_or_else(|e| {
                         panic!("degraded collective offload rejected for rank {rank}: {e}")
                     });

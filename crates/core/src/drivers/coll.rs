@@ -2,11 +2,12 @@
 //!
 //! The driver runs a per-rank [`Schedule`] compiled by `acc-coll`'s
 //! builders. Each round becomes one transfer step of the exchange every
-//! driver shares (`exchange.rs`), which posts it and reports when it
-//! was received and sent; the driver keeps only the encode, the folds,
-//! the charges and what each checkpoint holds. The same rounds drive
-//! all three execution paths, so adding an algorithm to the engine
-//! needs no driver changes at all.
+//! driver shares (`exchange.rs`): the round's sends and receives are
+//! its legs, and the exchange decides which ride the card and which
+//! TCP, posts them and reports when the step was received and sent. The
+//! driver keeps only the encode, the folds, the charges and what each
+//! checkpoint holds. The same rounds drive all three execution paths,
+//! so adding an algorithm to the engine needs no driver changes at all.
 //!
 //! * **Host-TCP path** (commodity technologies): each round's sends go
 //!   out as one TCP message per peer on a per-round channel; `Sum`
@@ -15,13 +16,14 @@
 //! * **Combined INIC path**: the card is configured with the
 //!   [`Bitstream::collective`](acc_fpga::Bitstream::collective)
 //!   datapath (stream router sized to the fan-out, `ReduceSum` only
-//!   when the schedule folds data). A `Sum` round becomes a `ReduceF64`
-//!   gather — the card accumulates the peer's stream against this
-//!   rank's looped-back contribution and only the folded result crosses
-//!   to the host, so the host does **zero arithmetic**. Copy/Discard
-//!   rounds are raw gathers; sends ride a [`ScatterKind::Unicast`]
-//!   per-destination scatter.
-//! * **Protocol-only INIC path**: raw gathers and unicast scatters —
+//!   when the schedule folds data). A round that folds on the card
+//!   ([`folds_on_card`]) carries this rank's own contribution as one
+//!   more leg and asks for a `ReduceF64` gather — the card accumulates
+//!   the peer's stream against the looped-back contribution and only
+//!   the folded result crosses to the host, so the host does **zero
+//!   arithmetic**. Other rounds take the exchange's default packing: a
+//!   `Unicast` scatter and a `Raw` gather.
+//! * **Protocol-only INIC path**: the default packing every round —
 //!   the wire protocol is offloaded, the arithmetic stays on the host.
 //!
 //! Rounds are strictly ordered on each rank: a round closes only once
@@ -49,22 +51,21 @@
 //!   stream and TCP channel carry it, so pre-failure traffic can never
 //!   complete a post-failure round.
 //! * **Mixed-technology rounds** — after a rank-local failover the
-//!   healthy ranks keep their cards and split each remaining round via
-//!   [`acc_coll::recovery::split_round`]: legs touching the dead rank
-//!   ride the fallback `TcpHostNic`, and a combined-mode fold whose
-//!   source died falls back to host arithmetic.
+//!   healthy ranks keep their cards; the exchange puts the legs touching
+//!   a dead rank on the fallback `TcpHostNic`, and a combined-mode fold
+//!   whose source died falls back to host arithmetic
+//!   ([`folds_on_card`] says no).
 
 use std::ops::Range;
 use std::rc::Rc;
 
-use acc_coll::plan::{ranges_elems, RecvSpec, Round};
-use acc_coll::recovery::{split_round, RoundLegs};
-use acc_coll::{OffloadPlan, RecvOp, Schedule};
-use acc_fpga::{Bitstream, GatherKind, ScatterKind};
+use acc_coll::plan::{ranges_elems, RecvSpec, SendSpec};
+use acc_coll::{folds_on_card, OffloadPlan, RecvOp, Schedule};
+use acc_fpga::{Bitstream, GatherKind};
 use acc_host::HostKernels;
 use acc_sim::{Component, SimDuration, SimTime};
 
-use super::exchange::{CardPart, Received, Step};
+use super::exchange::{Received, Step};
 use super::failover::{self, Failover, Recoverable};
 use super::{Attachment, FaultCtl};
 use crate::msg::{Ctx, Msg};
@@ -93,9 +94,6 @@ pub(crate) struct CollDriver {
     /// This rank's contribution, shared with the run's oracle.
     input: Rc<[f64]>,
     round: usize,
-    /// The transport partition of the round whose step is in flight:
-    /// set when the step is posted, taken when it is folded.
-    legs: Option<RoundLegs>,
     /// When the round whose step is in flight was posted.
     round_started: SimTime,
     /// Timing decomposition.
@@ -143,7 +141,6 @@ impl CollDriver {
             state: Vec::new(),
             input,
             round: 0,
-            legs: None,
             round_started: SimTime::ZERO,
             timings: CollTimings::default(),
         }
@@ -153,10 +150,6 @@ impl CollDriver {
     pub fn result(&self) -> Vec<f64> {
         assert!(self.fo.is_done(), "driver not finished");
         self.state[self.schedule.output.clone()].to_vec()
-    }
-
-    fn current_round(&self) -> &Round {
-        &self.schedule.rounds[self.round]
     }
 
     /// Epoch-namespaced round tag: the clean run (epoch 0) reduces to
@@ -174,26 +167,11 @@ impl CollDriver {
         tag
     }
 
-    fn stream(&self) -> u32 {
-        self.round_tag() as u32 + 1
-    }
-
-    fn chan(&self) -> u16 {
-        self.round_tag() as u16
-    }
-
     /// Advance past a completed round, snapshotting the state when
     /// checkpoints are armed.
     fn advance_round(&mut self) {
         self.round += 1;
         self.fo.save(self.round as u32, || self.state.clone());
-    }
-
-    /// The wire form of `ranges` of the state, in one exact-size buffer.
-    fn encode(&self, ranges: &[Range<usize>]) -> Vec<u8> {
-        let mut out = Vec::with_capacity(ranges_elems(ranges) * 8);
-        Schedule::gather_bytes(ranges, &self.state, &mut out);
-        out
     }
 
     /// Enter rounds from `self.round` until one blocks on the network
@@ -230,136 +208,71 @@ impl CollDriver {
         self.kernels.reduce_time(elems as u64, 1)
     }
 
-    /// Whether the configured bitstream carries a `ReduceSum` stage.
-    fn card_folds(&self) -> bool {
-        self.offload.as_ref().is_some_and(|plan| plan.needs_reduce)
-    }
-
-    fn is_tcp(&self) -> bool {
-        matches!(self.fo.attachment, Attachment::Tcp { .. })
-    }
-
-    /// The current round's transport partition: every leg on TCP on a
-    /// host attachment; on a card, the legs touching dead peers on the
-    /// fallback NIC (with no dead peers, everything on the card).
-    fn current_legs(&self) -> RoundLegs {
-        let round = self.current_round();
-        if self.is_tcp() {
-            return RoundLegs {
-                card_sends: Vec::new(),
-                tcp_sends: round.sends.clone(),
-                card_recvs: Vec::new(),
-                tcp_recvs: round.recvs.clone(),
-                card_fold: false,
-            };
-        }
-        split_round(round, &self.fo.dead, self.card_folds())
-    }
-
-    /// Post the current round as one transfer step.
+    /// Post the current round as one transfer step: its sends and
+    /// receives as legs and, when the round folds on the card, this
+    /// rank's looped-back contribution and the fused `ReduceF64`
+    /// gather.
     fn issue_round(&mut self, ctx: &mut Ctx) {
-        let legs = self.current_legs();
-        // Every card-bound part, encoded straight into the one scatter
-        // buffer: the sends in order, then (for a fold) this rank's own
-        // contribution.
-        let own = legs.card_fold.then(|| &legs.card_recvs[0]);
-        let own_part = own.map(|recv| (self.fo.rank, &recv.ranges));
-        let card_parts = legs
-            .card_sends
-            .iter()
-            .map(|s| (s.to, &s.ranges))
-            .chain(own_part);
-        let elems: usize = card_parts.clone().map(|(_, r)| ranges_elems(r)).sum();
-        let mut data = Vec::with_capacity(elems * 8);
-        let mut parts: Vec<(u32, usize)> = Vec::new();
-        for (to, ranges) in card_parts {
-            let start = data.len();
-            Schedule::gather_bytes(ranges, &self.state, &mut data);
-            parts.push((to as u32, data.len() - start));
+        let (rank, state) = (self.fo.rank, &self.state);
+        let round = &self.schedule.rounds[self.round];
+        let bytes = |ranges: &[Range<usize>]| ranges_elems(ranges) * 8;
+        let send = |s: &SendSpec| (s.to, bytes(&s.ranges));
+        let recv = |r: &RecvSpec| (r.from, Some(bytes(&r.ranges)));
+        let mut sends: Vec<_> = round.sends.iter().map(send).collect();
+        let mut recvs: Vec<_> = round.recvs.iter().map(recv).collect();
+        // Whether this rank runs on a card whose bitstream carries a
+        // `ReduceSum` stage (a degraded rank keeps its plan, not its card).
+        let on_card = self.fo.attachment.inic_mode().is_some();
+        let reduces = on_card && self.offload.as_ref().is_some_and(|plan| plan.needs_reduce);
+        let fold = folds_on_card(round, &self.fo.dead, reduces);
+        if fold {
+            // The card folds the peer stream against this rank's own
+            // contribution, element-wise.
+            let own = bytes(&round.recvs[0].ranges);
+            sends.push((rank, own));
+            recvs.push((rank, Some(own)));
         }
-        let bytes = |recv: &RecvSpec| Some(ranges_elems(&recv.ranges) * 8);
-        let gather = if let Some(recv) = own {
-            // One fused gather: the card folds the peer stream against
-            // this rank's looped-back contribution, element-wise.
-            let elems = ranges_elems(&recv.ranges);
-            let sources = vec![
-                (recv.from as u32, bytes(recv)),
-                (self.fo.rank as u32, bytes(recv)),
-            ];
-            Some((GatherKind::ReduceF64 { elems }, sources))
-        } else if legs.card_recvs.is_empty() {
-            None
-        } else {
-            // Raw gather, one inbound stream per source; the card hands
-            // back the concatenation sorted by source rank.
-            let mut froms: Vec<usize> = legs.card_recvs.iter().map(|r| r.from).collect();
-            froms.sort_unstable();
-            let distinct = froms.windows(2).all(|w| w[0] < w[1]);
-            assert!(
-                distinct,
-                "raw-gather rounds receive at most one message per source"
-            );
-            let sources = legs.card_recvs.iter().map(|r| (r.from as u32, bytes(r)));
-            Some((GatherKind::Raw, sources.collect()))
+        let encode = |q, out: &mut Vec<u8>| {
+            // The own contribution covers the ranges the fold overwrites.
+            let ranges = if q == rank {
+                &round.recvs[0].ranges
+            } else {
+                let send = round.sends.iter().find(|s| s.to == q);
+                &send.expect("a send leg").ranges
+            };
+            Schedule::gather_bytes(ranges, state, out);
         };
-        let scatter = (!parts.is_empty()).then_some((ScatterKind::Unicast { parts }, data));
-        let card = (gather.is_some() || scatter.is_some()).then(|| CardPart {
-            stream: self.stream(),
-            gather,
-            scatter,
-        });
-        debug_assert!(
-            self.is_tcp() || self.fo.epoch > 0 || card.is_some(),
-            "a non-local round must touch the card"
-        );
-        // Legs around dead peers (every leg, on a host attachment) ride
-        // TCP.
-        let sends = legs
-            .tcp_sends
-            .iter()
-            .map(|s| (s.to, self.encode(&s.ranges)));
+        let tag = self.round_tag();
         let step = Step {
-            chan: self.chan(),
-            card,
-            sends: sends.collect(),
-            recvs: legs.tcp_recvs.iter().map(|r| (r.from, bytes(r))).collect(),
+            chan: tag as u16,
+            stream: tag as u32 + 1,
+            prefixed: false,
+            sends,
+            encode: &encode,
+            recvs,
+            scatter: None,
+            gather: fold.then(|| GatherKind::ReduceF64 {
+                elems: ranges_elems(&round.recvs[0].ranges),
+            }),
         };
-        self.legs = Some(legs);
         self.fo.post(step, ctx);
         // Peers running ahead may already have delivered everything.
         self.advance(ctx);
     }
 
-    /// Fold the current round's card gather and TCP messages into the
-    /// state: the host-summed element count.
+    /// Fold the current round's received legs into the state: the
+    /// host-summed element count.
     fn fold(&mut self, got: Received) -> u64 {
-        let legs = self.legs.take().expect("a folded round was posted");
-        let mut sum_elems = 0;
-        match got.gather {
+        let round = &self.schedule.rounds[self.round];
+        if let Some((data, _)) = &got.gather {
             // The card already folded own + peer; overwrite in place.
-            Some((data, _)) if legs.card_fold => {
-                let ranges = &legs.card_recvs[0].ranges;
-                Schedule::fold_bytes(ranges, RecvOp::Copy, &data, &mut self.state);
-            }
-            // Raw concatenation sorted by source rank; slice it back to
-            // the schedule's receives and fold on the host.
-            Some((data, bounds)) => {
-                let mut order: Vec<&RecvSpec> = legs.card_recvs.iter().collect();
-                order.sort_by_key(|recv| recv.from);
-                let bounds = bounds.unwrap_or_else(|| vec![data.len()]);
-                assert_eq!(bounds.len(), order.len(), "one bucket per source");
-                let mut at = 0;
-                for (recv, &end) in order.into_iter().zip(&bounds) {
-                    sum_elems += fold(&mut self.state, recv, &data[at..end]);
-                    at = end;
-                }
-            }
-            None => {}
+            let ranges = &round.recvs[0].ranges;
+            Schedule::fold_bytes(ranges, RecvOp::Copy, data, &mut self.state);
+            return 0;
         }
-        for (recv, (_, msg)) in legs.tcp_recvs.iter().zip(&got.msgs) {
-            sum_elems += fold(&mut self.state, recv, msg);
-        }
-        sum_elems
+        let msgs = round.recvs.iter().zip(got.msgs());
+        msgs.map(|(recv, (_, msg))| fold(&mut self.state, recv, msg))
+            .sum()
     }
 
     /// The current round's transfers are done: account comm, charge
@@ -370,7 +283,7 @@ impl CollDriver {
         if host_sum_elems > 0 {
             t += self.kernels.reduce_time(host_sum_elems, 2);
         }
-        let compute_elems = self.current_round().compute_elems;
+        let compute_elems = self.schedule.rounds[self.round].compute_elems;
         if compute_elems > 0 {
             t += self.sweep_time(compute_elems);
         }
@@ -471,7 +384,6 @@ impl Recoverable for CollDriver {
     /// peer set changed.
     fn park(&mut self) {
         self.fo.xchg.cancel();
-        self.legs = None;
     }
 
     /// Completed rounds are the checkpoint indices; without checkpoints
@@ -521,7 +433,7 @@ impl Component<Msg> for CollDriver {
             self.fo.epoch,
             gather,
             scatter,
-            !self.is_tcp() && tcp > 0,
+            self.fo.attachment.inic_mode().is_some() && tcp > 0,
             self.fo.charging(),
             self.fo.parked_note(),
         ))

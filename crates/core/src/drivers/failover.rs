@@ -211,7 +211,7 @@ impl<C> Failover<C> {
 
     /// Post a transfer step on this rank's attachment.
     pub(super) fn post(&mut self, step: Step, ctx: &mut Ctx) {
-        self.xchg.start(&self.attachment, &self.label, step, ctx);
+        self.xchg.start(&self.attachment, &self.dead, step, ctx);
     }
 
     /// Whether the step in flight received everything. A parked rank

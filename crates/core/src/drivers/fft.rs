@@ -33,13 +33,14 @@
 
 use acc_algos::fft::{fft_in_place, Direction, Matrix};
 use acc_algos::transpose::{
-    bytes_to_slab, extract_transposed_block, interleave_block, ring_schedule, slab_to_bytes,
+    bytes_to_slab, extract_transposed_block, interleave_block, put_transposed_block, ring_schedule,
+    slab_to_bytes,
 };
 use acc_fpga::{Bitstream, GatherKind, InicMode, ScatterKind};
 use acc_host::HostKernels;
 use acc_sim::{Component, DataSize, SimDuration};
 
-use super::exchange::{Received, Route};
+use super::exchange::{Received, Step};
 use super::failover::{self, Failover, Recoverable};
 use super::{Attachment, FaultCtl};
 use crate::msg::{Ctx, Msg};
@@ -158,15 +159,19 @@ impl FftDriver {
         self.begin_transpose(which, ctx);
     }
 
+    /// Whether the card datapath transposes (not a commodity NIC, nor a
+    /// card used purely as a protocol processor).
+    fn card_transposes(&self) -> bool {
+        let mode = self.fo.attachment.inic_mode();
+        !matches!(mode, None | Some(InicMode::ProtocolProcessor))
+    }
+
     /// Transpose `which`; its sub-phases report as one phase (they
     /// share one model budget).
     fn begin_transpose(&mut self, which: u8, ctx: &mut Ctx) {
         let name = ["transpose1", "transpose2"][usize::from(which) - 1];
         self.fo.enter(name, ctx.now());
-        if !matches!(
-            self.fo.attachment.inic_mode(),
-            None | Some(InicMode::ProtocolProcessor)
-        ) {
+        if self.card_transposes() {
             return self.begin_exchange(which, ctx);
         }
         // Host performs the data manipulation (commodity NIC, or an
@@ -181,24 +186,22 @@ impl FftDriver {
     fn begin_exchange(&mut self, which: u8, ctx: &mut Ctx) {
         self.phase = Phase::Exchange(which);
         self.exchange_step = 0;
-        let route = match self.fo.attachment.inic_mode() {
+        let (rank, p) = (self.fo.rank, self.p);
+        match self.fo.attachment.inic_mode() {
             None => {
                 // Our own block stays home.
-                let own = extract_transposed_block(&self.slab, self.fo.rank);
-                interleave_block(&mut self.incoming, self.fo.rank, &own);
-                return self.next_pairwise_step(which, ctx);
+                let own = extract_transposed_block(&self.slab, rank);
+                interleave_block(&mut self.incoming, rank, &own);
+                self.next_pairwise_step(which, ctx);
             }
-            Some(InicMode::ProtocolProcessor) => Route::Relay,
-            Some(_) => Route::Datapath {
-                scatter: ScatterKind::TransposeBlocks { m: self.m },
-                data: slab_to_bytes(&self.slab),
-                gather: GatherKind::InterleaveBlocks {
-                    m: self.m,
-                    rows: self.rows,
-                },
-            },
-        };
-        self.start_step(which, route, ctx);
+            Some(InicMode::ProtocolProcessor) => {
+                // The host-transposed blocks, own first and then in
+                // ring order, relayed by the card.
+                let ring = ring_schedule(p, rank).map(|e| e.send_to);
+                self.start_step(which, std::iter::once(rank).chain(ring), 0..p, ctx);
+            }
+            Some(_) => self.start_step(which, 0..p, 0..p, ctx),
+        }
     }
 
     /// Commodity path: post the next pairwise step or, once all p−1 are
@@ -212,38 +215,45 @@ impl FftDriver {
         let peers = ring_schedule(p, rank)
             .nth(s - 1)
             .expect("pairwise steps run 1..p");
-        let (to, from) = (vec![peers.send_to], vec![peers.recv_from]);
-        self.start_step(which, Route::Tcp { to, from }, ctx);
+        self.start_step(which, [peers.send_to], [peers.recv_from], ctx);
     }
 
-    /// Start one exchange step; the host-side parts are the transposed
-    /// blocks of the current slab.
-    fn start_step(&mut self, which: u8, route: Route, ctx: &mut Ctx) {
+    /// Start one exchange step: a transposed block of the current slab
+    /// to each of `to`, a block from each of `from`. On the card
+    /// datapath the card transposes and interleaves the blocks.
+    fn start_step(
+        &mut self,
+        which: u8,
+        to: impl IntoIterator<Item = usize>,
+        from: impl IntoIterator<Item = usize>,
+        ctx: &mut Ctx,
+    ) {
+        let (m, block) = (self.m, self.m * self.m * 16);
+        let sends = to.into_iter().map(|q| (q, block)).collect();
+        let recvs = from.into_iter().map(|q| (q, Some(block))).collect();
         let slab = &self.slab;
-        let part = |q| slab_to_bytes(&extract_transposed_block(slab, q));
-        let step = route.step(&self.fo, which, Some(self.m * self.m * 16), part);
+        let encode = |q, out: &mut Vec<u8>| put_transposed_block(slab, q, out);
+        let mut step = Step::exchange(self.fo.epoch, which, sends, recvs, &encode);
+        if self.card_transposes() {
+            let scatter = ScatterKind::TransposeBlocks { m };
+            step.scatter = Some((scatter, slab_to_bytes(slab)));
+            step.gather = Some(GatherKind::InterleaveBlocks { m, rows: self.rows });
+        }
         self.fo.post(step, ctx);
         self.advance(ctx);
     }
 
     /// Interleave a step's blocks into the new slab, then move on.
     fn on_step_done(&mut self, which: u8, got: Received, ctx: &mut Ctx) {
-        let (m, block_bytes) = (self.m, self.m * self.m * 16);
-        match got.gather {
-            // The card datapath interleaved the healthy ranks' blocks.
-            Some((data, None)) => self.incoming = bytes_to_slab(&data, m, self.rows),
-            // Relayed blocks, one per healthy source in rank order,
-            // already transposed by their senders.
-            Some((data, Some(_))) => {
-                let live = (0..self.p).filter(|s| !self.fo.dead.contains(s));
-                for (s, block) in live.zip(data.chunks_exact(block_bytes)) {
-                    interleave_block(&mut self.incoming, s, &bytes_to_slab(block, m, m));
-                }
-            }
-            None => {}
+        let m = self.m;
+        // The card datapath interleaved the healthy ranks' blocks.
+        if let Some((data, _)) = &got.gather {
+            self.incoming = bytes_to_slab(data, m, self.rows);
         }
-        for (s, block) in got.msgs {
-            interleave_block(&mut self.incoming, s, &bytes_to_slab(&block, m, m));
+        // Blocks over TCP or relayed by the card, already transposed by
+        // their senders.
+        for (s, block) in got.msgs() {
+            interleave_block(&mut self.incoming, s, &bytes_to_slab(block, m, m));
         }
         match self.fo.attachment.inic_mode() {
             None => self.next_pairwise_step(which, ctx),

@@ -29,14 +29,14 @@
 
 use acc_algos::sort::{
     bucket_flat, bucket_sort_flat, bytes_to_keys, count_sort_buckets, destination_of, is_sorted,
-    keys_to_bytes,
+    keys_to_bytes, put_keys,
 };
 use acc_algos::transpose::ring_schedule;
 use acc_fpga::{Bitstream, GatherKind, ScatterKind};
 use acc_host::HostKernels;
 use acc_sim::{Component, DataSize, SimDuration, SimTime};
 
-use super::exchange::{Received, Route};
+use super::exchange::{Received, Step};
 use super::failover::{self, Failover, Recoverable};
 use super::{recv_buckets_for, Attachment, FaultCtl};
 use crate::msg::{Ctx, Msg};
@@ -88,7 +88,7 @@ impl Phase {
 pub(crate) struct ExchangeCkpt {
     /// Card gather result (INIC variants).
     card: Option<(Vec<u8>, Vec<usize>)>,
-    /// Keys received over TCP.
+    /// Keys received as messages.
     tcp: Vec<u32>,
     /// The variant the exchange ran under — the data layout to resume
     /// with, even if this rank degraded afterwards (the remaining
@@ -124,9 +124,10 @@ pub(crate) struct SortDriver {
     /// Final cache-sized bucket count `N`.
     recv_buckets: usize,
     phase: Phase,
-    /// Keys received over TCP: the whole commodity exchange (our own
-    /// bucket included), or on an INIC rank the mixed-technology side
-    /// streams from degraded peers, carried next to the card exchange.
+    /// Keys received as messages: the whole commodity or relayed
+    /// exchange (our own bucket included), or on a datapath rank the
+    /// mixed-technology side streams from degraded peers, carried over
+    /// TCP next to the card exchange.
     tcp_keys: Vec<u32>,
     /// INIC gather result (16 or N card buckets, concatenated).
     card_bucket_data: Option<(Vec<u8>, Vec<usize>)>,
@@ -229,50 +230,57 @@ impl SortDriver {
         self.enter(Phase::Exchange, ctx.now());
         let (rank, p) = (self.fo.rank, self.p);
         // The host partition: every part on the host paths, only the
-        // degraded peers' side streams on the card paths.
+        // degraded peers' side streams on the card paths. Without
+        // degraded peers the card's transform carries every part, and
+        // no part is encoded.
         let (keys, ends) = if self.card_buckets() && self.fo.dead.is_empty() {
-            (Vec::new(), Vec::new())
+            (Vec::new(), vec![0; p])
         } else {
             let dest_of = destination_of(p, self.splitters.as_deref());
             bucket_flat(self.keys.iter().copied(), p, dest_of)
         };
-        let route = match self.variant {
+        let ring = || ring_schedule(p, rank).map(|e| e.send_to);
+        let every = || (0..p).collect();
+        let (to, from): (Vec<usize>, Vec<usize>) = match self.variant {
             SortVariant::HostOnly => {
                 // Our own bucket stays home.
                 self.tcp_keys.extend_from_slice(part(&keys, &ends, rank));
-                let to = ring_schedule(p, rank).map(|e| e.send_to).collect();
-                let from = (0..p).filter(|&q| q != rank).collect();
-                Route::Tcp { to, from }
+                (ring().collect(), (0..p).filter(|&q| q != rank).collect())
             }
-            SortVariant::ProtocolOnly => Route::Relay,
-            SortVariant::InicFull | SortVariant::InicTwoPhase => Route::Datapath {
-                scatter: ScatterKind::BucketKeys {
-                    p,
-                    splitters: self.splitters.clone(),
-                },
-                data: keys_to_bytes(&self.keys),
-                gather: GatherKind::BucketKeys {
-                    k: self.card_recv_buckets(),
-                },
-            },
+            SortVariant::ProtocolOnly => {
+                // Own part first, then ring order; an empty part for
+                // ourselves has nothing to loop back.
+                let own = Some(rank).filter(|&q| !part(&keys, &ends, q).is_empty());
+                (own.into_iter().chain(ring()).collect(), every())
+            }
+            SortVariant::InicFull | SortVariant::InicTwoPhase => (every(), every()),
         };
-        let body = |q| keys_to_bytes(part(&keys, &ends, q));
-        let step = route.step(&self.fo, 1, None, body);
+        let sends = to.into_iter().map(|q| (q, part(&keys, &ends, q).len() * 4));
+        let recvs = from.into_iter().map(|q| (q, None)).collect();
+        let encode = |q, out: &mut Vec<u8>| put_keys(part(&keys, &ends, q), out);
+        let mut step = Step::exchange(self.fo.epoch, 1, sends.collect(), recvs, &encode);
+        step.prefixed = true;
+        if self.card_buckets() {
+            let splitters = self.splitters.clone();
+            let scatter = ScatterKind::BucketKeys { p, splitters };
+            step.scatter = Some((scatter, keys_to_bytes(&self.keys)));
+            let k = self.card_recv_buckets();
+            step.gather = Some(GatherKind::BucketKeys { k });
+        }
         self.fo.post(step, ctx);
         self.advance(ctx);
     }
 
-    /// Decode every TCP message straight into `tcp_keys`, checkpoint,
-    /// and move on to the receive-side bucketing.
-    fn on_exchange_done(&mut self, got: Received, ctx: &mut Ctx) {
+    /// Decode every received message straight into `tcp_keys`,
+    /// checkpoint, and move on to the receive-side bucketing.
+    fn on_exchange_done(&mut self, mut got: Received, ctx: &mut Ctx) {
         self.timings.comm += ctx.now().since(self.fo.phase().1);
-        self.card_bucket_data = got
-            .gather
-            .map(|(data, bounds)| (data, bounds.expect("bucket/raw gather carries bounds")));
-        let n: usize = got.msgs.iter().map(|(_, msg)| msg.len() / 4).sum();
+        let gather = got.gather.take();
+        self.card_bucket_data = gather.map(|(data, ends)| (data, ends.expect("bucket bounds")));
+        let n: usize = got.msgs().map(|(_, msg)| msg.len() / 4).sum();
         self.tcp_keys.reserve_exact(n);
-        for (_, msg) in got.msgs {
-            extend_keys(&mut self.tcp_keys, &msg);
+        for (_, msg) in got.msgs() {
+            extend_keys(&mut self.tcp_keys, msg);
         }
         // Checkpoint before any phase consumes the buffers.
         let (card, tcp, variant) = (&self.card_bucket_data, &self.tcp_keys, self.variant);
