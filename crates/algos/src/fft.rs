@@ -208,17 +208,30 @@ impl Matrix {
 /// Panics unless the matrix is square with power-of-two dimensions
 /// (matching the paper's 256×256 and 512×512 workloads).
 pub fn fft_2d(m: &Matrix) -> Matrix {
-    assert_eq!(m.rows(), m.cols(), "2D FFT expects a square matrix");
-    assert_pow2(m.rows());
     let mut work = m.clone();
-    for r in 0..work.rows() {
-        fft_in_place(work.row_mut(r), Direction::Forward);
+    fft_2d_in_place(&mut work);
+    work
+}
+
+/// [`fft_2d`] without a working copy: the same row FFTs and transposes,
+/// run on `m` itself (a square matrix transposes in place).
+///
+/// # Panics
+/// As [`fft_2d`].
+pub fn fft_2d_in_place(m: &mut Matrix) {
+    assert_eq!(m.rows(), m.cols(), "2D FFT expects a square matrix");
+    let n = m.rows();
+    assert_pow2(n);
+    for _ in 0..2 {
+        for r in 0..n {
+            fft_in_place(m.row_mut(r), Direction::Forward);
+        }
+        for r in 0..n {
+            for c in r + 1..n {
+                m.data.swap(r * n + c, c * n + r);
+            }
+        }
     }
-    let mut work = work.transposed();
-    for r in 0..work.rows() {
-        fft_in_place(work.row_mut(r), Direction::Forward);
-    }
-    work.transposed()
 }
 
 /// Direct evaluation of the paper's Eq. 1 — the `O(n⁴)` 2D DFT oracle.

@@ -8,10 +8,9 @@
 //! [`crate::RunRequest::execute`] is their one caller and the one way
 //! to run a cluster.
 
-use acc_algos::fft::{fft_2d, Matrix};
-use acc_algos::sort::is_sorted;
-use acc_algos::sort::splitters_from_sample;
-use acc_algos::transpose::{join_row_blocks, split_row_blocks};
+use acc_algos::fft::Matrix;
+use acc_algos::sort::{destination_of, splitters_from_sample};
+use acc_algos::transpose::split_row_blocks;
 use acc_algos::workload::{distributed_uniform_keys, gaussian_keys, random_matrix};
 use acc_chaos::{FaultPlan, LinkId};
 use acc_coll::{Algorithm, CollectiveOp, OffloadError, OffloadPlan, PathClass, Schedule};
@@ -40,6 +39,7 @@ use crate::drivers::{
 };
 use crate::liveness::{HangCause, HangReport};
 use crate::msg::{CoreMsg, Msg};
+use crate::oracle;
 use crate::plan::RunPlan;
 use crate::report::FaultDiagnostics;
 
@@ -130,8 +130,11 @@ pub struct ClusterSpec {
     pub technology: Technology,
     /// Workload seed (recorded with every experiment).
     pub seed: u64,
-    /// Verify results against serial oracles (disable only for very
-    /// large figure runs where the oracle itself is the bottleneck).
+    /// Verify results against serial oracles. The oracles borrow the
+    /// finished drivers' inputs and outputs, so a verified run costs one
+    /// serial sort and one copy of the keys (sort), one expected matrix
+    /// (FFT) or one expected vector (collectives) more than an
+    /// unverified one.
     pub verify: bool,
     /// Deterministic fault schedule. `None` (the default) wires the
     /// pristine cluster with zero fault-injection overhead — the golden
@@ -818,15 +821,16 @@ pub(crate) fn fft(
         spec.p >= 1 && rows.is_multiple_of(spec.p),
         "P must divide rows"
     );
-    let matrix = random_matrix(rows, spec.seed);
-    let slabs = split_row_blocks(&matrix, spec.p);
+    // The drivers take their slabs; the oracle reads them back.
+    let mut slabs = split_row_blocks(&random_matrix(rows, spec.seed), spec.p);
     let kernels = HostKernels::athlon_1ghz();
     let make = |rank, attachment, fault_ctl| {
+        let slab = std::mem::replace(&mut slabs[rank], Matrix::zeros(0, 0));
         FftDriver::new(
             rank,
             spec.p,
             rows,
-            slabs[rank].clone(),
+            slab,
             attachment,
             fault_ctl,
             kernels.clone(),
@@ -836,21 +840,17 @@ pub(crate) fn fft(
         run(spec, plan, make, |w: &Wiring| {
             let [mut compute, mut transpose, mut transpose_compute, mut transpose_comm] =
                 [SimDuration::ZERO; 4];
-            let mut out_slabs: Vec<Matrix> = Vec::new();
             for drv in w.ranks::<FftDriver>() {
                 let t = &drv.timings;
                 compute = compute.max(t.compute);
                 transpose = transpose.max(t.transpose);
                 transpose_compute = transpose_compute.max(t.transpose_compute);
                 transpose_comm = transpose_comm.max(t.transpose - t.transpose_compute);
-                out_slabs.push(drv.result().clone());
             }
             if spec.verify {
-                let diff = join_row_blocks(&out_slabs).max_abs_diff(&fft_2d(&matrix));
-                assert!(
-                    diff < 1e-6,
-                    "distributed FFT diverges from serial oracle by {diff}"
-                );
+                let inputs: Vec<&Matrix> = w.ranks::<FftDriver>().map(FftDriver::input).collect();
+                let outputs: Vec<&Matrix> = w.ranks::<FftDriver>().map(FftDriver::result).collect();
+                oracle::check_fft(&inputs, &outputs).unwrap_or_else(|e| panic!("{e}"));
             }
             (compute, transpose, transpose_compute, transpose_comm)
         })?;
@@ -934,19 +934,9 @@ pub(crate) fn sort(
         Technology::InicProtocol => SortVariant::ProtocolOnly,
     };
     let kernels = HostKernels::athlon_1ghz();
-    // Only verification reads the inputs again; otherwise the drivers
-    // take them.
-    let mut taken = if spec.verify {
-        Vec::new()
-    } else {
-        std::mem::take(&mut inputs)
-    };
+    // The drivers take their keys; the oracle reads them back.
     let make = |rank: usize, attachment, fault_ctl| {
-        let keys = if spec.verify {
-            inputs[rank].clone()
-        } else {
-            std::mem::take(&mut taken[rank])
-        };
+        let keys = std::mem::take(&mut inputs[rank]);
         let kernels = kernels.clone();
         let mut driver =
             SortDriver::new(rank, spec.p, keys, variant, attachment, fault_ctl, kernels);
@@ -957,25 +947,18 @@ pub(crate) fn sort(
     };
     let ((bucket1, comm, bucket2, count), s) = run(spec, plan, make, |w: &Wiring| {
         let [mut bucket1, mut comm, mut bucket2, mut count] = [SimDuration::ZERO; 4];
-        // Concatenated per-rank outputs form the globally sorted key
-        // sequence; collected for verification only.
-        let mut got: Vec<u32> = Vec::new();
         for drv in w.ranks::<SortDriver>() {
             let t = &drv.timings;
             bucket1 = bucket1.max(t.bucket1);
             comm = comm.max(t.comm);
             bucket2 = bucket2.max(t.bucket2);
             count = count.max(t.count);
-            if spec.verify {
-                got.extend_from_slice(drv.result());
-            }
         }
         if spec.verify {
-            // Equal (as a multiset and order) to a serial sort of all inputs.
-            assert!(is_sorted(&got), "global output not sorted");
-            let mut expect: Vec<u32> = inputs.concat();
-            expect.sort_unstable();
-            assert_eq!(got, expect, "distributed sort diverges from serial sort");
+            let inputs: Vec<&[u32]> = w.ranks::<SortDriver>().map(SortDriver::input).collect();
+            let outputs: Vec<&[u32]> = w.ranks::<SortDriver>().map(SortDriver::result).collect();
+            let dest_of = destination_of(spec.p, splitters.as_deref());
+            oracle::check_sort(&inputs, &outputs, dest_of).unwrap_or_else(|e| panic!("{e}"));
         }
         (bucket1, comm, bucket2, count)
     })?;
@@ -1116,11 +1099,8 @@ pub(crate) fn collective(
     let inputs: Vec<Rc<[f64]>> = (0..spec.p)
         .map(|rank| collective_input(rank, elems))
         .collect();
-    run_schedules(spec, plan, &inputs, |results| {
-        let expect = acc_coll::oracle(op, spec.p, &inputs);
-        for (rank, r) in results.iter().enumerate() {
-            assert_eq!(r, &expect[rank], "rank {rank} {op} output mismatch");
-        }
+    run_schedules(spec, plan, &inputs, |outputs| {
+        oracle::check_collective(op, &inputs, outputs).unwrap_or_else(|e| panic!("{e}"));
     })
 }
 
@@ -1137,10 +1117,10 @@ pub(crate) fn halo(
     let inputs: Vec<Rc<[f64]>> = (0..spec.p)
         .map(|rank| collective_input(rank, elems))
         .collect();
-    run_schedules(spec, plan, &inputs, |results| {
+    run_schedules(spec, plan, &inputs, |outputs| {
         let expect = acc_coll::plan::run_lockstep(&plan.schedules, &inputs);
-        for (rank, r) in results.iter().enumerate() {
-            assert_eq!(r, &expect[rank], "rank {rank} halo output mismatch");
+        for (rank, (&got, want)) in outputs.iter().zip(&expect).enumerate() {
+            assert_eq!(got, want, "rank {rank} halo output mismatch");
         }
     })
 }
@@ -1152,7 +1132,7 @@ fn run_schedules(
     spec: &ClusterSpec,
     plan: &RunPlan,
     inputs: &[Rc<[f64]>],
-    check: impl FnOnce(&[Vec<f64>]),
+    check: impl FnOnce(&[&[f64]]),
 ) -> Result<CollRunResult, Box<HangReport>> {
     let schedules = &plan.schedules;
     let offload = plan_collective_offload(spec.technology, schedules)
@@ -1206,10 +1186,9 @@ fn run_schedules(
             comm = comm.max(drv.timings.comm);
             compute = compute.max(drv.timings.compute);
         }
-        // Only the oracle reads the outputs; copy them out only for it.
         if spec.verify {
-            let results: Vec<Vec<f64>> = w.ranks::<CollDriver>().map(CollDriver::result).collect();
-            check(&results);
+            let outputs: Vec<&[f64]> = w.ranks::<CollDriver>().map(CollDriver::result).collect();
+            check(&outputs);
         }
         (comm, compute)
     })?;

@@ -147,9 +147,9 @@ impl CollDriver {
     }
 
     /// The rank's output slice of the final state, once done.
-    pub fn result(&self) -> Vec<f64> {
+    pub fn result(&self) -> &[f64] {
         assert!(self.fo.is_done(), "driver not finished");
-        self.state[self.schedule.output.clone()].to_vec()
+        &self.state[self.schedule.output.clone()]
     }
 
     /// Epoch-namespaced round tag: the clean run (epoch 0) reduces to

@@ -128,6 +128,12 @@ impl FftDriver {
         }
     }
 
+    /// The node's input slab, as handed to [`FftDriver::new`] (the
+    /// restart copy, which the run never transforms).
+    pub fn input(&self) -> &Matrix {
+        &self.pristine
+    }
+
     /// The node's final slab (the 2D FFT's row block) once done.
     pub fn result(&self) -> &Matrix {
         assert!(self.fo.is_done(), "driver not finished");

@@ -173,6 +173,12 @@ impl SortDriver {
         self
     }
 
+    /// This rank's input keys, as handed to [`SortDriver::new`]: the run
+    /// never mutates them.
+    pub fn input(&self) -> &[u32] {
+        &self.keys
+    }
+
     /// This rank's sorted key range, available when done.
     pub fn result(&self) -> &[u32] {
         assert!(self.fo.is_done(), "driver not finished");
@@ -249,9 +255,10 @@ impl SortDriver {
             }
             SortVariant::ProtocolOnly => {
                 // Own part first, then ring order; an empty part for
-                // ourselves has nothing to loop back.
+                // ourselves is neither looped back nor waited for.
                 let own = Some(rank).filter(|&q| !part(&keys, &ends, q).is_empty());
-                (own.into_iter().chain(ring()).collect(), every())
+                let from = (0..p).filter(|&q| q != rank || own.is_some()).collect();
+                (own.into_iter().chain(ring()).collect(), from)
             }
             SortVariant::InicFull | SortVariant::InicTwoPhase => (every(), every()),
         };

@@ -35,6 +35,7 @@ pub mod drivers;
 pub mod liveness;
 pub mod model;
 mod msg;
+mod oracle;
 mod plan;
 pub mod report;
 pub mod runner;

@@ -44,24 +44,33 @@ echo "== cargo test acc_benchmark (its own workspace)"
 # 70 s to build and 2 s to test on a 2-vCPU host.
 cargo test --release --offline --locked --manifest-path crates/bench/src/bin/acc_benchmark/Cargo.toml
 
-echo "== acc_benchmark --workload coll_latency --seconds 1 (smoke run of the benchmark)"
-# The command BENCHMARK.json declares, run for one second on one
+# One-second smoke run of the command BENCHMARK.json declares, on one
 # workload: the benchmark verifies every run it times, and its last
 # output line is the result record, which must report `"correct": true`.
 # No wall time is gated here; timing regressions are judged by
-# `acc_benchmark compare` over paired runs of two revisions. About 2 s
-# once built.
-out=$(cargo run --release --offline --locked --quiet \
-    --manifest-path crates/bench/src/bin/acc_benchmark/Cargo.toml -- \
-    --workload coll_latency --seconds 1 --trace 0)
-last=$(printf '%s\n' "$out" | tail -n 1)
-case "$last" in
-'{"correct": true'*) ;;
-*)
-    echo "acc_benchmark smoke run did not report correct: $last" >&2
-    exit 1
-    ;;
-esac
+# `acc_benchmark compare` over paired runs of two revisions.
+bench_smoke() {
+    out=$(cargo run --release --offline --locked --quiet \
+        --manifest-path crates/bench/src/bin/acc_benchmark/Cargo.toml -- \
+        --workload "$1" --seconds 1 --trace 0)
+    last=$(printf '%s\n' "$out" | tail -n 1)
+    case "$last" in
+    '{"correct": true'*) ;;
+    *)
+        echo "acc_benchmark $1 smoke run did not report correct: $last" >&2
+        exit 1
+        ;;
+    esac
+}
+
+echo "== acc_benchmark --workload coll_latency --seconds 1 (smoke run of the benchmark)"
+# About 2 s once built.
+bench_smoke coll_latency
+
+echo "== acc_benchmark --workload paper --seconds 1 (the paper's sort and FFT, verified)"
+# The sort and FFT oracles at the benchmark's scale (2^22 keys, 512^2
+# matrices, p=8), which no test reaches. About 10 s once built.
+bench_smoke paper
 
 echo "== cargo doc --workspace (deny warnings)"
 # --workspace for the same reason as the build: a bare `cargo doc`
