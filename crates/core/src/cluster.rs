@@ -226,19 +226,26 @@ impl ClusterSpec {
 }
 
 /// Result of one FFT run.
+///
+/// The time columns are maxima over the nodes of sums over each node's
+/// per-phase record: the host-compute charges that ended in a phase
+/// and the transfer steps' waits, each from its post to its take. Work
+/// that an attempt a failover interrupted had completed stays counted.
 #[derive(Clone, Debug)]
 pub struct FftRunResult {
     /// Wall time from computation start (post-configuration) to the last
     /// node finishing.
     pub total: SimDuration,
-    /// Maximum per-node row-FFT compute time.
+    /// Maximum per-node host compute of the row-FFT phases.
     pub compute: SimDuration,
-    /// Maximum per-node transpose time (both transposes).
+    /// Maximum per-node `transpose_compute` + `transpose_comm`: on a
+    /// fault-free run, the wall time of both transposes.
     pub transpose: SimDuration,
-    /// Maximum per-node host compute buried in the transposes (local
+    /// Maximum per-node host compute of the transpose phases (local
     /// transpose + final permutation; zero on INIC paths).
     pub transpose_compute: SimDuration,
-    /// Maximum per-node pure communication share of the transposes.
+    /// Maximum per-node sum of transfer waits, all of them the
+    /// transposes'.
     pub transpose_comm: SimDuration,
     /// Whether the distributed result matched `fft_2d` (always true
     /// unless `verify` was off).
@@ -266,17 +273,23 @@ pub struct FftRunResult {
 }
 
 /// Result of one sort run.
+///
+/// The time columns are derived from each node's per-phase record as
+/// [`FftRunResult`]'s are.
 #[derive(Clone, Debug)]
 pub struct SortRunResult {
     /// Wall time from start (post-configuration) to the last node done.
     pub total: SimDuration,
-    /// Max per-node host phase-1 bucket time.
+    /// Max per-node host compute of the phase-1 bucket pass (zero on
+    /// INIC paths).
     pub bucket1: SimDuration,
-    /// Max per-node exchange wall time.
+    /// Max per-node sum of transfer waits: the key exchange, from its
+    /// post to its take.
     pub comm: SimDuration,
-    /// Max per-node host phase-2 bucket time.
+    /// Max per-node host compute of the phase-2 bucket pass (zero on
+    /// the ideal INIC path).
     pub bucket2: SimDuration,
-    /// Max per-node count-sort time.
+    /// Max per-node host compute of the count sort.
     pub count: SimDuration,
     /// Whether the distributed result matched a serial sort.
     pub verified: bool,
@@ -792,7 +805,7 @@ struct RunSummary {
 
 /// The sequence every workload body shares: wire the cluster with one
 /// `make_driver` driver per rank, run it under the plan's deadlines,
-/// let `read` collect the finished drivers' timings and check the
+/// let `read` collect the finished drivers' time columns and check the
 /// result against its oracle, and summarize.
 fn run<D: Recoverable, R>(
     spec: &ClusterSpec,
@@ -841,11 +854,14 @@ pub(crate) fn fft(
             let [mut compute, mut transpose, mut transpose_compute, mut transpose_comm] =
                 [SimDuration::ZERO; 4];
             for drv in w.ranks::<FftDriver>() {
-                let t = &drv.timings;
-                compute = compute.max(t.compute);
-                transpose = transpose.max(t.transpose);
-                transpose_compute = transpose_compute.max(t.transpose_compute);
-                transpose_comm = transpose_comm.max(t.transpose - t.transpose_compute);
+                let fo = drv.fo();
+                let ffts = fo.spent(|p| matches!(p, "fft1" | "fft2"));
+                let transposes = fo.spent(|p| matches!(p, "transpose1" | "transpose2"));
+                let waits = fo.spent(|_| true).comm;
+                compute = compute.max(ffts.compute);
+                transpose = transpose.max(transposes.compute + waits);
+                transpose_compute = transpose_compute.max(transposes.compute);
+                transpose_comm = transpose_comm.max(waits);
             }
             if spec.verify {
                 let inputs: Vec<&Matrix> = w.ranks::<FftDriver>().map(FftDriver::input).collect();
@@ -948,11 +964,11 @@ pub(crate) fn sort(
     let ((bucket1, comm, bucket2, count), s) = run(spec, plan, make, |w: &Wiring| {
         let [mut bucket1, mut comm, mut bucket2, mut count] = [SimDuration::ZERO; 4];
         for drv in w.ranks::<SortDriver>() {
-            let t = &drv.timings;
-            bucket1 = bucket1.max(t.bucket1);
-            comm = comm.max(t.comm);
-            bucket2 = bucket2.max(t.bucket2);
-            count = count.max(t.count);
+            let fo = drv.fo();
+            bucket1 = bucket1.max(fo.spent(|p| p == "bucket1").compute);
+            comm = comm.max(fo.spent(|_| true).comm);
+            bucket2 = bucket2.max(fo.spent(|p| p == "bucket2").compute);
+            count = count.max(fo.spent(|p| p == "count").compute);
         }
         if spec.verify {
             let inputs: Vec<&[u32]> = w.ranks::<SortDriver>().map(SortDriver::input).collect();
@@ -979,14 +995,19 @@ pub(crate) fn sort(
 }
 
 /// Result of one collective-engine run.
+///
+/// The time columns are derived from each node's per-phase record as
+/// [`FftRunResult`]'s are.
 #[derive(Clone, Debug)]
 pub struct CollRunResult {
     /// Wall time from start (post-configuration) to the last node done.
     pub total: SimDuration,
-    /// Max per-node wall time spent waiting on round transfers.
+    /// Max per-node sum of transfer waits: every round's, from its post
+    /// to its take.
     pub comm: SimDuration,
-    /// Max per-node host compute (folds on the host paths, modelled
-    /// local sweeps). Zero for pure collectives on the combined INIC.
+    /// Max per-node host compute over every phase (folds on the host
+    /// paths, modelled local sweeps). Zero for pure collectives on the
+    /// combined INIC.
     pub compute: SimDuration,
     /// Whether every node's output matched the first-principles oracle.
     pub verified: bool,
@@ -1126,8 +1147,8 @@ pub(crate) fn halo(
 }
 
 /// Shared engine runner: wire one [`CollDriver`] per rank over the
-/// plan's schedules, run under the plan's deadlines, aggregate timings,
-/// and verify through `check` (which asserts on mismatch).
+/// plan's schedules, run under the plan's deadlines, aggregate the time
+/// columns, and verify through `check` (which asserts on mismatch).
 fn run_schedules(
     spec: &ClusterSpec,
     plan: &RunPlan,
@@ -1183,8 +1204,9 @@ fn run_schedules(
     let ((comm, compute), s) = run(spec, plan, make, |w: &Wiring| {
         let [mut comm, mut compute] = [SimDuration::ZERO; 2];
         for drv in w.ranks::<CollDriver>() {
-            comm = comm.max(drv.timings.comm);
-            compute = compute.max(drv.timings.compute);
+            let all = drv.fo().spent(|_| true);
+            comm = comm.max(all.comm);
+            compute = compute.max(all.compute);
         }
         if spec.verify {
             let outputs: Vec<&[f64]> = w.ranks::<CollDriver>().map(CollDriver::result).collect();

@@ -63,23 +63,12 @@ use acc_coll::plan::{ranges_elems, RecvSpec, SendSpec};
 use acc_coll::{folds_on_card, OffloadPlan, RecvOp, Schedule};
 use acc_fpga::{Bitstream, GatherKind};
 use acc_host::HostKernels;
-use acc_sim::{Component, SimDuration, SimTime};
+use acc_sim::{Component, SimDuration};
 
 use super::exchange::{Received, Step};
 use super::failover::{self, Failover, Recoverable};
 use super::{Attachment, FaultCtl};
 use crate::msg::{Ctx, Msg};
-
-/// Timing record of one collective run.
-#[derive(Clone, Debug, Default)]
-pub(crate) struct CollTimings {
-    /// Wall time spent waiting on round transfers (wire + card).
-    pub comm: SimDuration,
-    /// Host compute time (`Sum` folds on the host paths, modelled local
-    /// sweeps of composed workloads). Zero for pure collectives on the
-    /// combined INIC path.
-    pub compute: SimDuration,
-}
 
 /// Per-node schedule driver.
 pub(crate) struct CollDriver {
@@ -94,10 +83,6 @@ pub(crate) struct CollDriver {
     /// This rank's contribution, shared with the run's oracle.
     input: Rc<[f64]>,
     round: usize,
-    /// When the round whose step is in flight was posted.
-    round_started: SimTime,
-    /// Timing decomposition.
-    pub timings: CollTimings,
 }
 
 impl CollDriver {
@@ -141,8 +126,6 @@ impl CollDriver {
             state: Vec::new(),
             input,
             round: 0,
-            round_started: SimTime::ZERO,
-            timings: CollTimings::default(),
         }
     }
 
@@ -179,8 +162,7 @@ impl CollDriver {
     fn start_round(&mut self, ctx: &mut Ctx) {
         loop {
             if self.round == self.schedule.rounds.len() {
-                self.finish(ctx);
-                return;
+                return self.fo.finish(ctx);
             }
             let round = &self.schedule.rounds[self.round];
             if round.phase != self.fo.phase().0 {
@@ -197,7 +179,6 @@ impl CollDriver {
                 self.advance_round();
                 continue;
             }
-            self.round_started = ctx.now();
             return self.issue_round(ctx);
         }
     }
@@ -275,10 +256,9 @@ impl CollDriver {
             .sum()
     }
 
-    /// The current round's transfers are done: account comm, charge
-    /// host compute (folds + the modelled sweep), then advance.
+    /// The current round's transfers are done: charge host compute
+    /// (folds + the modelled sweep), then advance.
     fn close_round(&mut self, ctx: &mut Ctx, host_sum_elems: u64) {
-        self.timings.comm += ctx.now().since(self.round_started);
         let mut t = SimDuration::ZERO;
         if host_sum_elems > 0 {
             t += self.kernels.reduce_time(host_sum_elems, 2);
@@ -293,19 +273,6 @@ impl CollDriver {
             self.advance_round();
             self.start_round(ctx);
         }
-    }
-
-    fn finish(&mut self, ctx: &mut Ctx) {
-        if self.fo.epoch == 0 {
-            // Post-failover, bytes parked on dead-epoch channels are
-            // expected leftovers; on a clean run they are a protocol bug.
-            assert!(
-                self.fo.xchg.inbox_empty(),
-                "{}: leftover peer bytes at completion",
-                self.fo.label
-            );
-        }
-        self.fo.finish(ctx);
     }
 }
 
@@ -360,8 +327,7 @@ impl Recoverable for CollDriver {
         self.start_round(ctx);
     }
 
-    fn compute_done(&mut self, elapsed: SimDuration, ctx: &mut Ctx) {
-        self.timings.compute += elapsed;
+    fn compute_done(&mut self, ctx: &mut Ctx) {
         self.advance_round();
         self.start_round(ctx);
     }
@@ -374,26 +340,16 @@ impl Recoverable for CollDriver {
     /// sent.
     fn advance(&mut self, ctx: &mut Ctx) {
         if self.fo.received() && self.fo.xchg.sent() {
-            let got = self.fo.xchg.take();
+            let got = self.fo.take(ctx.now());
             let sum_elems = self.fold(got);
             self.close_round(ctx, sum_elems);
         }
-    }
-
-    /// Streams announced before the bump can never complete once the
-    /// peer set changed.
-    fn park(&mut self) {
-        self.fo.xchg.cancel();
     }
 
     /// Completed rounds are the checkpoint indices; without checkpoints
     /// (rank-local policy) a rank reports 0, a from-scratch restart.
     fn finished(&self) -> u32 {
         self.schedule.rounds.len() as u32
-    }
-
-    fn restart(&mut self) {
-        self.timings = CollTimings::default();
     }
 
     /// Re-enter at round `phase`. Ranks that already finished rejoin —
@@ -435,7 +391,7 @@ impl Component<Msg> for CollDriver {
             scatter,
             self.fo.attachment.inic_mode().is_some() && tcp > 0,
             self.fo.charging(),
-            self.fo.parked_note(),
+            self.fo.resume_note(),
         ))
     }
 }

@@ -5,12 +5,12 @@
 //! the run's span (started when the core begins or restores the run,
 //! ended by [`finish`](Failover::finish)), the one pending host-compute
 //! charge ([`compute`](Failover::compute)), the rank's transfer step
-//! ([`post`](Failover::post)), the phase checkpoints
+//! ([`post`](Failover::post), [`take`](Failover::take)), the per-phase
+//! time record ([`spent`](Failover::spent)), the phase checkpoints
 //! ([`save`](Failover::save)) and the stall, failover and resume
 //! protocol. A driver supplies only what is its own through
 //! [`Recoverable`]: its bitstream, its start, what it does when a charge
-//! ends or a step moves, its checkpoint indices, its timing columns and
-//! its restore.
+//! ends or a step moves, its checkpoint indices and its restore.
 //!
 //! * **Stalls** — a stalled host services nothing: every event waits
 //!   for the end of the stall window.
@@ -29,6 +29,11 @@
 //! * **Epochs** — every failover bumps the epoch. The one compute timer
 //!   carries the epoch that armed it, so a timer from an abandoned
 //!   attempt neither completes nor times a charge of the new one.
+//! * **The time record** — each phase sums the host-compute charges
+//!   that ended in it and the waits of the transfer steps taken in it,
+//!   each from its post to its take. A failover drops only the charge
+//!   and the step it interrupts: what an earlier attempt completed
+//!   stays counted, under every policy.
 //!
 //! A parked rank never starts: neither the start event nor the card's
 //! configuration begins the run ahead of the coordinator's verdict.
@@ -40,7 +45,7 @@ use acc_net::MacAddr;
 use acc_proto::ProtoMsg;
 use acc_sim::{unknown_event, Carrier, Component, ComponentId, SimDuration, SimTime};
 
-use super::exchange::{Exchange, Step};
+use super::exchange::{Exchange, Received, Step};
 use super::{
     Attachment, CardFailed, DriverProgress, FaultCtl, RecoveryPolicy, RecoveryReport, ResumeAt,
     RECOVERY_LATENCY,
@@ -77,8 +82,12 @@ pub(crate) struct Failover<C> {
     resumed_from: Option<u32>,
     /// Whether the rank already counted itself in `drivers_done`.
     reported_done: bool,
-    /// The current phase name and when the rank entered it.
-    phase: (&'static str, SimTime),
+    /// Host compute and transfer waits per phase name, in first-entry
+    /// order.
+    record: Vec<(&'static str, PhaseTime)>,
+    /// The current phase's index in `record` and when the rank entered
+    /// it.
+    phase: (usize, SimTime),
     /// When the run first started; a restart keeps it, so the aborted
     /// attempt's time is part of the run.
     started: Option<SimTime>,
@@ -86,6 +95,8 @@ pub(crate) struct Failover<C> {
     finished: Option<SimTime>,
     /// When the pending host-compute charge began.
     charge: Option<SimTime>,
+    /// When the transfer step in flight was posted.
+    posted: Option<SimTime>,
     /// The rank's transfer steps.
     pub(super) xchg: Exchange,
     /// Phase checkpoints keyed by the driver's checkpoint index,
@@ -110,10 +121,12 @@ impl<C> Failover<C> {
             pending_resume: None,
             resumed_from: None,
             reported_done: false,
-            phase: ("init", SimTime::ZERO),
+            record: vec![("init", PhaseTime::default())],
+            phase: (0, SimTime::ZERO),
             started: None,
             finished: None,
             charge: None,
+            posted: None,
             xchg: Exchange::default(),
             ckpts: BTreeMap::new(),
         }
@@ -131,12 +144,32 @@ impl<C> Failover<C> {
 
     /// Enter phase `name` at `now`.
     pub(super) fn enter(&mut self, name: &'static str, now: SimTime) {
-        self.phase = (name, now);
+        let at = self.record.iter().position(|&(n, _)| n == name);
+        let at = at.unwrap_or_else(|| {
+            self.record.push((name, PhaseTime::default()));
+            self.record.len() - 1
+        });
+        self.phase = (at, now);
     }
 
     /// The current phase name and when the rank entered it.
     pub(super) fn phase(&self) -> (&'static str, SimTime) {
-        self.phase
+        (self.record[self.phase.0].0, self.phase.1)
+    }
+
+    /// The summed time of the phases whose name `phase` accepts.
+    pub(crate) fn spent(&self, phase: impl Fn(&str) -> bool) -> PhaseTime {
+        let mut sum = PhaseTime::default();
+        for (_, t) in self.record.iter().filter(|(name, _)| phase(name)) {
+            sum.compute += t.compute;
+            sum.comm += t.comm;
+        }
+        sum
+    }
+
+    /// The current phase's record.
+    fn current(&mut self) -> &mut PhaseTime {
+        &mut self.record[self.phase.0].1
     }
 
     /// (Re)start the run at `now`: the first start instant is kept, a
@@ -150,7 +183,17 @@ impl<C> Failover<C> {
 
     /// The run completed: enter `done` and count the rank in the
     /// cluster-wide `drivers_done`, once across restarts.
+    ///
+    /// # Panics
+    /// Panics if a run no failover touched leaves peer bytes buffered:
+    /// after a failover they are a dead epoch's expected leftovers, on
+    /// a clean run a protocol bug.
     pub(super) fn finish(&mut self, ctx: &mut Ctx) {
+        assert!(
+            self.epoch > 0 || self.xchg.inbox_empty(),
+            "{}: leftover peer bytes at completion",
+            self.label
+        );
         self.enter("done", ctx.now());
         self.finished = Some(ctx.now());
         if !self.reported_done {
@@ -172,7 +215,7 @@ impl<C> Failover<C> {
 
     /// Phase snapshot for the liveness layer.
     pub(crate) fn progress(&self) -> DriverProgress {
-        let (phase, entered) = self.phase;
+        let (phase, entered) = self.phase();
         DriverProgress {
             rank: self.rank,
             phase,
@@ -182,7 +225,7 @@ impl<C> Failover<C> {
         }
     }
 
-    /// Charge `t` of host compute; the driver's
+    /// Charge `t` of host compute to the current phase; the driver's
     /// [`compute_done`](Recoverable::compute_done) runs when it ends,
     /// unless a failover abandons the attempt first.
     pub(super) fn compute(&mut self, t: SimDuration, ctx: &mut Ctx) {
@@ -211,7 +254,17 @@ impl<C> Failover<C> {
 
     /// Post a transfer step on this rank's attachment.
     pub(super) fn post(&mut self, step: Step, ctx: &mut Ctx) {
+        self.posted = Some(ctx.now());
         self.xchg.start(&self.attachment, &self.dead, step, ctx);
+    }
+
+    /// End a [`received`](Self::received) step at `now`, adding its
+    /// wait since [`post`](Self::post) to the current phase, and hand
+    /// back what it received.
+    pub(super) fn take(&mut self, now: SimTime) -> Received {
+        let posted = self.posted.take().expect("a posted step");
+        self.current().comm += now.since(posted);
+        self.xchg.take()
     }
 
     /// Whether the step in flight received everything. A parked rank
@@ -221,7 +274,7 @@ impl<C> Failover<C> {
     }
 
     /// The `wait_state` suffix of a parked rank.
-    pub(super) fn parked_note(&self) -> &'static str {
+    pub(super) fn resume_note(&self) -> &'static str {
         if self.paused {
             ", parked for recovery resume"
         } else {
@@ -241,6 +294,15 @@ impl<C> Failover<C> {
             }
             Attachment::Tcp { .. } => None,
         }
+    }
+
+    /// A failover interrupts the attempt: bump the epoch and drop the
+    /// pending charge and the step in flight, which count nothing.
+    fn interrupt(&mut self) {
+        self.epoch += 1;
+        self.charge = None;
+        self.posted = None;
+        self.xchg.cancel();
     }
 
     /// Abandon the card for the fallback NIC.
@@ -264,6 +326,15 @@ impl<C> Failover<C> {
     }
 }
 
+/// Host compute and transfer waits, summed over a run's attempts.
+#[derive(Clone, Copy, Default, Debug, PartialEq, Eq)]
+pub(crate) struct PhaseTime {
+    /// The host-compute charges that ended.
+    pub compute: SimDuration,
+    /// The transfer steps' waits, each from its post to its take.
+    pub comm: SimDuration,
+}
+
 /// What a driver supplies to the core. Checkpoint indices are
 /// driver-defined: 0 is the start, [`finished`] the end.
 ///
@@ -279,23 +350,17 @@ pub(crate) trait Recoverable: Component<Msg> {
     fn bitstream(&self) -> Bitstream;
     /// Start the run from its input.
     fn begin(&mut self, ctx: &mut Ctx);
-    /// The charge armed by [`Failover::compute`] ended, `elapsed` after
-    /// it began.
-    fn compute_done(&mut self, elapsed: SimDuration, ctx: &mut Ctx);
+    /// The charge armed by [`Failover::compute`] ended.
+    fn compute_done(&mut self, ctx: &mut Ctx);
     /// The byte count of the TCP message from `src` on `chan`, `None`
     /// when it is length-prefixed.
     fn rx_size(&self, src: usize, chan: u16) -> Option<usize>;
     /// A delivery or card completion reached the step in flight.
     fn advance(&mut self, ctx: &mut Ctx);
-    /// Drop the driver's in-flight state a failure strands.
-    fn park(&mut self) {}
     /// The checkpoint index of a finished run.
     fn finished(&self) -> u32;
-    /// Full restart over the fallback NIC: reset the timing columns.
-    /// The core then restores checkpoint 0.
-    fn restart(&mut self);
     /// Restore checkpoint `phase` (below [`finished`](Self::finished))
-    /// and resume.
+    /// and resume; a full restart restores checkpoint 0.
     fn restore(&mut self, phase: u32, ctx: &mut Ctx);
 }
 
@@ -343,7 +408,8 @@ pub(super) fn handle<D: Recoverable>(d: &mut D, ev: Msg, ctx: &mut Ctx) {
                 let began = fo.charge.take();
                 let began =
                     began.unwrap_or_else(|| panic!("{}: stray charge completion", fo.label));
-                d.compute_done(ctx.now().since(began), ctx);
+                fo.current().compute += ctx.now().since(began);
+                d.compute_done(ctx);
             }
             return;
         }
@@ -403,12 +469,9 @@ fn begin<D: Recoverable>(d: &mut D, ctx: &mut Ctx) {
     d.begin(ctx);
 }
 
-/// Abandon the step in flight and resume the run from checkpoint
-/// `phase`.
+/// Resume the run from checkpoint `phase`.
 fn restore<D: Recoverable>(d: &mut D, phase: u32, ctx: &mut Ctx) {
-    let fo = d.fo_mut();
-    fo.xchg.cancel();
-    fo.start(ctx.now());
+    d.fo_mut().start(ctx.now());
     d.restore(phase, ctx);
 }
 
@@ -427,13 +490,11 @@ fn full_restart<D: Recoverable>(d: &mut D, node: usize, ctx: &mut Ctx) {
         fo.purge(node, ctx);
     }
     fo.degrade(fallback, ctx);
-    fo.epoch += 1;
-    // Discard all progress; only the first start instant survives.
-    fo.charge = None;
+    fo.interrupt();
+    // Discard all progress; only the first start instant and the time
+    // record survive.
     fo.xchg = Exchange::default();
     fo.ckpts.clear();
-    d.park();
-    d.restart();
     restore(d, 0, ctx);
 }
 
@@ -453,10 +514,8 @@ fn rank_local<D: Recoverable>(d: &mut D, node: usize, coord: ComponentId, ctx: &
     } else {
         fo.purge(node, ctx);
     }
-    fo.epoch += 1;
+    fo.interrupt();
     fo.paused = true;
-    fo.charge = None;
-    d.park();
     let fo = d.fo();
     let phase = if fo.is_done() {
         d.finished()
@@ -495,6 +554,7 @@ fn resume<D: Recoverable>(d: &mut D, r: ResumeAt, ctx: &mut Ctx) {
 #[cfg(test)]
 mod tests {
     use acc_fpga::{InicConfigured, InicMode};
+    use acc_proto::TcpDelivered;
     use acc_sim::Simulation;
 
     use super::*;
@@ -506,12 +566,37 @@ mod tests {
         SimTime::ZERO + SimDuration::from_micros(us)
     }
 
-    /// A one-phase driver: every (re)start enters `work` and charges
-    /// [`CHARGE`]; the charge's end saves checkpoint 1 and finishes.
+    fn us(us: u64) -> SimDuration {
+        SimDuration::from_micros(us)
+    }
+
+    /// A driver of up to two phases: every (re)start enters `work` and
+    /// charges [`CHARGE`], whose end saves checkpoint 1. Without `xfer`
+    /// the run then finishes; with it the run enters `xfer` and posts a
+    /// step that waits for 8 bytes from rank 1 on the epoch's channel,
+    /// and finishes when it takes them.
     struct Probe {
         fo: Failover<u32>,
-        /// The elapsed time of every completed charge.
-        timed: Vec<SimDuration>,
+        xfer: bool,
+    }
+
+    impl Probe {
+        fn post(&mut self, ctx: &mut Ctx) {
+            self.fo.enter("xfer", ctx.now());
+            let step = Step {
+                chan: self.fo.epoch as u16,
+                stream: 0,
+                prefixed: false,
+                sends: Vec::new(),
+                encode: &|_, _| {},
+                recvs: vec![(1, Some(8))],
+                scatter: None,
+                gather: None,
+            };
+            self.fo.post(step, ctx);
+            // Rank 1's bytes may already be in.
+            self.advance(ctx);
+        }
     }
 
     impl Recoverable for Probe {
@@ -534,24 +619,28 @@ mod tests {
             self.fo.compute(CHARGE, ctx);
         }
 
-        fn compute_done(&mut self, elapsed: SimDuration, ctx: &mut Ctx) {
-            self.timed.push(elapsed);
+        fn compute_done(&mut self, ctx: &mut Ctx) {
             self.fo.save(1, || 7);
-            self.fo.finish(ctx);
+            if self.xfer {
+                self.post(ctx);
+            } else {
+                self.fo.finish(ctx);
+            }
         }
 
         fn rx_size(&self, _src: usize, _chan: u16) -> Option<usize> {
-            None
+            Some(8)
         }
 
-        fn advance(&mut self, _ctx: &mut Ctx) {}
+        fn advance(&mut self, ctx: &mut Ctx) {
+            if self.fo.received() {
+                self.fo.take(ctx.now());
+                self.fo.finish(ctx);
+            }
+        }
 
         fn finished(&self) -> u32 {
             2
-        }
-
-        fn restart(&mut self) {
-            self.timed.clear();
         }
 
         fn restore(&mut self, _phase: u32, ctx: &mut Ctx) {
@@ -588,13 +677,13 @@ mod tests {
         }
     }
 
-    /// Rank 0 of two, started at time zero: on a card with a fallback
+    /// Rank 0 of three, started at time zero: on a card with a fallback
     /// NIC when `card`, with the stub as its recovery coordinator when
-    /// `coordinated`.
-    fn probe(card: bool, coordinated: bool) -> (Simulation<Msg>, ComponentId) {
+    /// `coordinated`, ending with a transfer step when `xfer`.
+    fn probe(card: bool, coordinated: bool, xfer: bool) -> (Simulation<Msg>, ComponentId) {
         let mut sim = Simulation::new(0);
         let (probe, stub) = (sim.reserve_id(), sim.reserve_id());
-        let macs: Vec<MacAddr> = (0..2).map(|rank| MacAddr::for_node(rank, 0)).collect();
+        let macs: Vec<MacAddr> = (0..3).map(|rank| MacAddr::for_node(rank, 0)).collect();
         let attachment = if card {
             let fallback = Some((stub, macs.clone()));
             let mode = InicMode::Combined;
@@ -612,8 +701,7 @@ mod tests {
             ..FaultCtl::default()
         };
         let fo = Failover::new("probe".to_owned(), 0, attachment, ctl);
-        let timed = Vec::new();
-        sim.register(probe, Probe { fo, timed });
+        sim.register(probe, Probe { fo, xfer });
         sim.register(stub, Stub { driver: probe });
         sim.schedule_at(SimTime::ZERO, probe, CoreMsg::Start);
         (sim, probe)
@@ -623,45 +711,62 @@ mod tests {
         sim.schedule_at(at(us), probe, CoreMsg::CardFailed(CardFailed { node }));
     }
 
-    fn resume(sim: &mut Simulation<Msg>, probe: ComponentId, us: u64, phase: u32) {
-        let verdict = ResumeAt { round: 1, phase };
+    /// The coordinator's verdict for failover `round`.
+    fn resume(sim: &mut Simulation<Msg>, probe: ComponentId, us: u64, round: u64, phase: u32) {
+        let verdict = ResumeAt { round, phase };
         sim.schedule_at(at(us), probe, CoreMsg::Resume(verdict));
+    }
+
+    /// Rank 1's 8 bytes on channel `chan`, delivered at `us`.
+    fn deliver(sim: &mut Simulation<Msg>, probe: ComponentId, us: u64, chan: u16) {
+        let peer = MacAddr::for_node(1, 0);
+        let data = vec![0; 8];
+        let delivered = ProtoMsg::Delivered(TcpDelivered { peer, chan, data });
+        sim.schedule_at(at(us), probe, delivered);
+    }
+
+    /// The probe's record of phase `name`.
+    fn spent(sim: &Simulation<Msg>, probe: ComponentId, name: &str) -> PhaseTime {
+        sim.component::<Probe>(probe).fo.spent(|p| p == name)
     }
 
     #[test]
     fn abandoned_epoch_timer_neither_completes_nor_times_a_charge() {
-        let (mut sim, id) = probe(false, true);
+        let (mut sim, id) = probe(false, true, false);
         // The charge armed at 0 would end at 10 µs; a peer's card dies
         // at 5 µs and the resume restarts the charge at 6 µs.
         card_failed(&mut sim, id, 5, 1);
-        resume(&mut sim, id, 6, 0);
+        resume(&mut sim, id, 6, 1, 0);
         sim.run_until(at(12));
-        let p = sim.component::<Probe>(id);
-        assert!(p.timed.is_empty(), "the epoch-0 timer completed a charge");
-        assert!(!p.fo.is_done());
+        assert_eq!(spent(&sim, id, "work").compute, SimDuration::ZERO);
+        assert!(!sim.component::<Probe>(id).fo.is_done());
         sim.run();
         let p = sim.component::<Probe>(id);
-        assert_eq!(p.timed, [CHARGE], "timed from the resumed charge's start");
+        assert_eq!(
+            p.fo.spent(|_| true).compute,
+            CHARGE,
+            "timed from the resumed charge's start"
+        );
         assert_eq!(p.fo.span(), (at(0), at(16)));
         assert_eq!(p.fo.resumed_from(), Some(0));
     }
 
     #[test]
     fn full_restart_keeps_the_first_start_instant() {
-        let (mut sim, id) = probe(true, false);
+        let (mut sim, id) = probe(true, false, false);
         card_failed(&mut sim, id, 5, 0);
         sim.run();
         let p = sim.component::<Probe>(id);
         assert!(p.fo.degraded());
-        assert_eq!(p.timed, [CHARGE]);
+        assert_eq!(p.fo.spent(|_| true).compute, CHARGE);
         assert_eq!(p.fo.span(), (at(0), at(15)), "restarted at 5 µs");
     }
 
     #[test]
     fn restore_clears_done() {
-        let (mut sim, id) = probe(false, true);
+        let (mut sim, id) = probe(false, true, false);
         card_failed(&mut sim, id, 20, 1);
-        resume(&mut sim, id, 30, 1);
+        resume(&mut sim, id, 30, 1, 1);
         sim.run_until(at(35));
         let p = sim.component::<Probe>(id).fo.progress();
         assert!(!p.done, "a restored run is no longer done");
@@ -672,6 +777,88 @@ mod tests {
         assert_eq!(p.fo.resumed_from(), Some(1));
         let done = sim.stats().counter_value("cluster", "drivers_done");
         assert_eq!(done, Some(1), "counted once across restores");
+    }
+
+    #[test]
+    fn a_charge_lands_in_the_phase_it_ran_in() {
+        let (mut sim, id) = probe(false, false, true);
+        deliver(&mut sim, id, 10, 0);
+        sim.run();
+        let work = PhaseTime {
+            compute: CHARGE,
+            comm: SimDuration::ZERO,
+        };
+        assert_eq!(spent(&sim, id, "work"), work);
+        assert_eq!(spent(&sim, id, "xfer").compute, SimDuration::ZERO);
+        let names: Vec<_> = sim
+            .component::<Probe>(id)
+            .fo
+            .record
+            .iter()
+            .map(|r| r.0)
+            .collect();
+        assert_eq!(names, ["init", "work", "xfer", "done"], "first-entry order");
+    }
+
+    #[test]
+    fn a_step_waits_from_its_post_to_its_take() {
+        let (mut sim, id) = probe(false, false, true);
+        // Posted when the charge ends at 10 µs, received at 14 µs.
+        deliver(&mut sim, id, 14, 0);
+        sim.run();
+        let xfer = PhaseTime {
+            compute: SimDuration::ZERO,
+            comm: us(4),
+        };
+        assert_eq!(spent(&sim, id, "xfer"), xfer);
+        assert_eq!(sim.component::<Probe>(id).fo.span(), (at(0), at(14)));
+    }
+
+    #[test]
+    fn an_abandoned_charge_and_a_cancelled_step_count_nothing() {
+        let (mut sim, id) = probe(false, true, true);
+        // Rank 1's card dies inside the first charge; the resume at
+        // 6 µs charges until 16 µs and posts. Rank 2's card dies inside
+        // that step; the resume at 20 µs re-runs the charge and posts
+        // at 30 µs, and the epoch-2 bytes land at 35 µs.
+        card_failed(&mut sim, id, 5, 1);
+        resume(&mut sim, id, 6, 1, 0);
+        card_failed(&mut sim, id, 18, 2);
+        resume(&mut sim, id, 20, 2, 0);
+        deliver(&mut sim, id, 35, 2);
+        sim.run();
+        assert_eq!(
+            spent(&sim, id, "work").compute,
+            CHARGE * 2,
+            "6–16 and 20–30 µs"
+        );
+        assert_eq!(spent(&sim, id, "xfer").comm, us(5), "30–35 µs only");
+        assert_eq!(sim.component::<Probe>(id).fo.span(), (at(0), at(35)));
+    }
+
+    #[test]
+    fn a_full_restart_keeps_completed_work_as_a_resume_does() {
+        // The first attempt's charge ends at 10 µs and its step is in
+        // flight when a card dies at 15 µs; the second attempt charges
+        // from the failover and posts 10 µs later.
+        let (mut full, f) = probe(true, false, true);
+        card_failed(&mut full, f, 15, 0);
+        deliver(&mut full, f, 30, 1);
+        full.run();
+        let (mut local, l) = probe(false, true, true);
+        card_failed(&mut local, l, 15, 1);
+        resume(&mut local, l, 15, 1, 0);
+        deliver(&mut local, l, 30, 1);
+        local.run();
+        let record = PhaseTime {
+            compute: CHARGE * 2,
+            comm: us(5),
+        };
+        for (sim, id) in [(&full, f), (&local, l)] {
+            assert_eq!(sim.component::<Probe>(id).fo.spent(|_| true), record);
+        }
+        assert!(full.component::<Probe>(f).fo.degraded());
+        assert_eq!(local.component::<Probe>(l).fo.resumed_from(), Some(0));
     }
 
     #[test]

@@ -38,7 +38,7 @@ use acc_algos::transpose::{
 };
 use acc_fpga::{Bitstream, GatherKind, InicMode, ScatterKind};
 use acc_host::HostKernels;
-use acc_sim::{Component, DataSize, SimDuration};
+use acc_sim::{Component, DataSize};
 
 use super::exchange::{Received, Step};
 use super::failover::{self, Failover, Recoverable};
@@ -58,19 +58,6 @@ enum Phase {
     Exchange(u8),
     /// Transpose number `i`: host final-permutation charge running.
     Permute(u8),
-}
-
-/// Timing record of one completed run, readable after `sim.run()`.
-#[derive(Clone, Debug, Default)]
-pub(crate) struct FftTimings {
-    /// Sum of both row-FFT phases.
-    pub compute: SimDuration,
-    /// Sum of both transposes (wall time per node, including overlap).
-    pub transpose: SimDuration,
-    /// Host compute buried inside the transposes (local transpose +
-    /// final permutation charges) — zero on INIC paths, where the card
-    /// absorbs the data manipulation.
-    pub transpose_compute: SimDuration,
 }
 
 /// The per-node FFT application driver.
@@ -94,8 +81,6 @@ pub(crate) struct FftDriver {
     /// Untouched copy of the input slab: `begin_fft` transforms `slab`
     /// in place, so a card-failure restart needs the original back.
     pristine: Matrix,
-    /// Timings, filled as the run progresses.
-    pub timings: FftTimings,
 }
 
 impl FftDriver {
@@ -124,7 +109,6 @@ impl FftDriver {
             phase: Phase::Init,
             exchange_step: 0,
             incoming: Matrix::zeros(m, rows),
-            timings: FftTimings::default(),
         }
     }
 
@@ -159,8 +143,7 @@ impl FftDriver {
         self.fo.compute(charge, ctx);
     }
 
-    fn on_fft_done(&mut self, which: u8, elapsed: SimDuration, ctx: &mut Ctx) {
-        self.timings.compute += elapsed;
+    fn on_fft_done(&mut self, which: u8, ctx: &mut Ctx) {
         self.fo.save(2 * u32::from(which) - 1, || self.slab.clone());
         self.begin_transpose(which, ctx);
     }
@@ -279,7 +262,6 @@ impl FftDriver {
     }
 
     fn finish_transpose(&mut self, which: u8, ctx: &mut Ctx) {
-        self.timings.transpose += ctx.now().since(self.fo.phase().1);
         match which {
             1 => {
                 self.fo.save(2, || self.slab.clone());
@@ -313,15 +295,11 @@ impl Recoverable for FftDriver {
         self.begin_fft(1, ctx);
     }
 
-    fn compute_done(&mut self, elapsed: SimDuration, ctx: &mut Ctx) {
+    fn compute_done(&mut self, ctx: &mut Ctx) {
         match self.phase {
-            Phase::Fft(which) => self.on_fft_done(which, elapsed, ctx),
-            Phase::LocalTranspose(which) => {
-                self.timings.transpose_compute += elapsed;
-                self.begin_exchange(which, ctx);
-            }
+            Phase::Fft(which) => self.on_fft_done(which, ctx),
+            Phase::LocalTranspose(which) => self.begin_exchange(which, ctx),
             Phase::Permute(which) => {
-                self.timings.transpose_compute += elapsed;
                 std::mem::swap(&mut self.slab, &mut self.incoming);
                 self.finish_transpose(which, ctx);
             }
@@ -339,7 +317,7 @@ impl Recoverable for FftDriver {
             let Phase::Exchange(which) = self.phase else {
                 unreachable!("{}: exchange step outside a transpose", self.fo.label);
             };
-            let got = self.fo.xchg.take();
+            let got = self.fo.take(ctx.now());
             self.on_step_done(which, got, ctx);
         }
     }
@@ -347,10 +325,6 @@ impl Recoverable for FftDriver {
     /// 4: every slab checkpoint (1 to 3) is behind the run.
     fn finished(&self) -> u32 {
         4
-    }
-
-    fn restart(&mut self) {
-        self.timings = FftTimings::default();
     }
 
     fn restore(&mut self, phase: u32, ctx: &mut Ctx) {
@@ -390,7 +364,7 @@ impl Component<Msg> for FftDriver {
             self.fo.epoch,
             self.exchange_step,
             self.fo.xchg.waiting_for(),
-            self.fo.parked_note(),
+            self.fo.resume_note(),
         ))
     }
 }

@@ -10,12 +10,12 @@
 //!
 //! One core (`failover.rs`) owns every rank's lifecycle: the phase
 //! clock, the run's span, the pending compute charge, the transfer step
-//! (`exchange.rs`), the checkpoints, and the stall, failover and resume
-//! protocol. A driver supplies its bitstream, its start, what to do
-//! when a charge ends or a step moves, its checkpoint payloads and
-//! indices, its restore, and a reset of its timing columns; it keeps
-//! only its transforms, folds, charge amounts, step building and
-//! timing columns.
+//! (`exchange.rs`), the per-phase record of host compute and transfer
+//! waits, the checkpoints, and the stall, failover and resume protocol.
+//! A driver supplies its bitstream, its start, what to do when a charge
+//! ends or a step moves, its checkpoint payloads and indices, and its
+//! restore; it keeps only its transforms, folds, charge amounts and
+//! step building.
 
 pub(crate) mod coll;
 mod exchange;

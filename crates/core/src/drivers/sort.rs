@@ -34,7 +34,7 @@ use acc_algos::sort::{
 use acc_algos::transpose::ring_schedule;
 use acc_fpga::{Bitstream, GatherKind, ScatterKind};
 use acc_host::HostKernels;
-use acc_sim::{Component, DataSize, SimDuration, SimTime};
+use acc_sim::{Component, DataSize, SimTime};
 
 use super::exchange::{Received, Step};
 use super::failover::{self, Failover, Recoverable};
@@ -96,19 +96,6 @@ pub(crate) struct ExchangeCkpt {
     variant: SortVariant,
 }
 
-/// Timing decomposition of one node's run.
-#[derive(Clone, Debug, Default)]
-pub(crate) struct SortTimings {
-    /// Host phase-1 bucket time (zero on INIC paths).
-    pub bucket1: SimDuration,
-    /// Exchange wall time (first send to all-received).
-    pub comm: SimDuration,
-    /// Host phase-2 bucket time (zero on the ideal INIC path).
-    pub bucket2: SimDuration,
-    /// Final count-sort time.
-    pub count: SimDuration,
-}
-
 /// The per-node integer-sort driver.
 pub(crate) struct SortDriver {
     /// The rank's lifecycle.
@@ -132,8 +119,6 @@ pub(crate) struct SortDriver {
     /// INIC gather result (16 or N card buckets, concatenated).
     card_bucket_data: Option<(Vec<u8>, Vec<usize>)>,
     sorted: Vec<u32>,
-    /// Timing decomposition.
-    pub timings: SortTimings,
 }
 
 impl SortDriver {
@@ -160,7 +145,6 @@ impl SortDriver {
             tcp_keys: Vec::new(),
             card_bucket_data: None,
             sorted: Vec::new(),
-            timings: SortTimings::default(),
         }
     }
 
@@ -281,7 +265,6 @@ impl SortDriver {
     /// Decode every received message straight into `tcp_keys`,
     /// checkpoint, and move on to the receive-side bucketing.
     fn on_exchange_done(&mut self, mut got: Received, ctx: &mut Ctx) {
-        self.timings.comm += ctx.now().since(self.fo.phase().1);
         let gather = got.gather.take();
         self.card_bucket_data = gather.map(|(data, ends)| (data, ends.expect("bucket bounds")));
         let n: usize = got.msgs().map(|(_, msg)| msg.len() / 4).sum();
@@ -355,8 +338,7 @@ impl SortDriver {
         self.fo.compute(charge, ctx);
     }
 
-    fn on_count_done(&mut self, elapsed: SimDuration, ctx: &mut Ctx) {
-        self.timings.count += elapsed;
+    fn on_count_done(&mut self, ctx: &mut Ctx) {
         self.fo.finish(ctx);
         // Every key we hold belongs to this rank.
         debug_assert!({
@@ -403,17 +385,11 @@ impl Recoverable for SortDriver {
         self.begin_partition(ctx);
     }
 
-    fn compute_done(&mut self, elapsed: SimDuration, ctx: &mut Ctx) {
+    fn compute_done(&mut self, ctx: &mut Ctx) {
         match self.phase {
-            Phase::Bucket1 => {
-                self.timings.bucket1 += elapsed;
-                self.begin_exchange(ctx);
-            }
-            Phase::Bucket2 => {
-                self.timings.bucket2 += elapsed;
-                self.begin_count(ctx);
-            }
-            Phase::Count => self.on_count_done(elapsed, ctx),
+            Phase::Bucket1 => self.begin_exchange(ctx),
+            Phase::Bucket2 => self.begin_count(ctx),
+            Phase::Count => self.on_count_done(ctx),
             phase => panic!("{}: compute completion in {phase:?}", self.fo.label),
         }
     }
@@ -426,7 +402,7 @@ impl Recoverable for SortDriver {
     /// Finish the exchange once the card and the inbox allow.
     fn advance(&mut self, ctx: &mut Ctx) {
         if self.fo.received() {
-            let got = self.fo.xchg.take();
+            let got = self.fo.take(ctx.now());
             self.on_exchange_done(got, ctx);
         }
     }
@@ -434,12 +410,6 @@ impl Recoverable for SortDriver {
     /// 1 is the post-exchange checkpoint, 2 a finished run.
     fn finished(&self) -> u32 {
         2
-    }
-
-    fn restart(&mut self) {
-        // The input keys were never mutated, so the restart recomputes
-        // from scratch.
-        self.timings = SortTimings::default();
     }
 
     fn restore(&mut self, phase: u32, ctx: &mut Ctx) {
@@ -485,7 +455,7 @@ impl Component<Msg> for SortDriver {
             self.fo.rank,
             self.fo.epoch,
             self.fo.xchg.waiting_for(),
-            self.fo.parked_note(),
+            self.fo.resume_note(),
         ))
     }
 }

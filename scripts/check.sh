@@ -72,6 +72,11 @@ echo "== acc_benchmark --workload paper --seconds 1 (the paper's sort and FFT, v
 # matrices, p=8), which no test reaches. About 10 s once built.
 bench_smoke paper
 
+echo "== acc_benchmark --workload faults --seconds 1 (fault cells, verified)"
+# The benchmark's card-kill FFT, switch-kill and frame-loss cells, the
+# only place these fault paths run at the benchmark's scale.
+bench_smoke faults
+
 echo "== cargo doc --workspace (deny warnings)"
 # --workspace for the same reason as the build: a bare `cargo doc`
 # documents only the umbrella package, so broken intra-doc links in

@@ -178,6 +178,86 @@ fn card_kill_recoveries_are_pinned() {
 }
 
 #[test]
+fn card_kill_phase_columns_are_pinned() {
+    // The FFT and sort columns the failover core derives from its
+    // per-phase record, under each policy. Work an interrupted attempt
+    // completed stays counted: the full-restart FFT counts the row FFTs
+    // both attempts ran.
+    let fft = |spec| RunRequest::fft(spec, 64).execute().into_fft();
+    let sort = |spec| RunRequest::sort(spec, 1 << 16).execute().into_sort();
+    for (policy, [compute, transpose, transpose_compute, transpose_comm]) in [
+        (
+            RecoveryPolicy::Checkpointed,
+            [175_542_848, 1_761_927_527, 9_536_744, 1_761_927_527],
+        ),
+        (
+            RecoveryPolicy::RankLocal,
+            [351_085_696, 2_898_309_200, 19_073_488, 2_898_309_200],
+        ),
+        (
+            RecoveryPolicy::FullRestart,
+            [351_085_696, 3_648_402_601, 19_073_488, 3_629_329_113],
+        ),
+    ] {
+        let r = fft(card_kill(policy));
+        assert!(r.verified, "fft {policy:?}: wrong data");
+        assert_eq!(r.compute.as_ps(), compute, "fft {policy:?}: compute");
+        assert_eq!(r.transpose.as_ps(), transpose, "fft {policy:?}: transpose");
+        let tc = r.transpose_compute.as_ps();
+        assert_eq!(tc, transpose_compute, "fft {policy:?}: transpose_compute");
+        let comm = r.transpose_comm.as_ps();
+        assert_eq!(comm, transpose_comm, "fft {policy:?}: transpose_comm");
+    }
+    for (policy, [bucket1, comm, bucket2, count]) in [
+        (
+            RecoveryPolicy::Checkpointed,
+            [409_600_000, 2_518_358_200, 407_275_000, 1_105_133_333],
+        ),
+        (
+            RecoveryPolicy::RankLocal,
+            [409_600_000, 2_518_358_200, 407_275_000, 1_105_133_333],
+        ),
+        (
+            RecoveryPolicy::FullRestart,
+            [409_600_000, 1_872_752_478, 414_425_000, 1_105_133_333],
+        ),
+    ] {
+        let r = sort(card_kill(policy));
+        assert!(r.verified, "sort {policy:?}: wrong data");
+        assert_eq!(r.bucket1.as_ps(), bucket1, "sort {policy:?}: bucket1");
+        assert_eq!(r.comm.as_ps(), comm, "sort {policy:?}: comm");
+        assert_eq!(r.bucket2.as_ps(), bucket2, "sort {policy:?}: bucket2");
+        assert_eq!(r.count.as_ps(), count, "sort {policy:?}: count");
+    }
+    // A second card dies 1.4 ms after the first, inside the attempt
+    // the first resume started.
+    let second = FaultEvent::CardFailure {
+        node: 1,
+        at: SimTime::ZERO + SimDuration::from_micros(62_400),
+    };
+    let plan = FaultPlan::new(0xAB5E)
+        .with(FaultEvent::CardFailure {
+            node: 2,
+            at: SimTime::ZERO + SimDuration::from_millis(61),
+        })
+        .with(second);
+    let two = ClusterSpec::new(4, Technology::InicIdeal)
+        .with_fault_plan(plan)
+        .with_recovery_policy(RecoveryPolicy::RankLocal);
+    let r = fft(two);
+    assert!(r.verified, "two kills: wrong data");
+    assert_eq!(r.total.as_ps(), 5_315_828_503, "two kills");
+    assert_eq!(r.compute.as_ps(), 526_628_544, "two kills: compute");
+    assert_eq!(r.transpose.as_ps(), 3_142_373_000, "two kills: transpose");
+    let tc = r.transpose_compute.as_ps();
+    assert_eq!(tc, 33_378_604, "two kills: transpose_compute");
+    let comm = r.transpose_comm.as_ps();
+    assert_eq!(comm, 3_142_373_000, "two kills: transpose_comm");
+    assert_eq!(r.faults.degraded_nodes, 2, "two kills: degraded");
+    assert_eq!(r.faults.resumed_from_phase, Some(0), "two kills: resumed");
+}
+
+#[test]
 fn exchange_paths_are_pinned() {
     // Every path of the exchange the FFT and sort drivers share: the
     // all-at-once length-prefixed TCP exchange, the ring-order card
@@ -319,7 +399,7 @@ fn degraded_collectives_are_pinned() {
             "ring allreduce full restart",
             coll(RecoveryPolicy::FullRestart, all_reduce),
             9_322_561_581,
-            8_305_222_046,
+            9_040_183_528,
             17_339_535,
             4,
             None,
